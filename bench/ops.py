@@ -109,11 +109,12 @@ class CalculusInputs:
         out["thermal_spec"] = wl.MixedStateSpec(
             [(float(w), wl.GridFunction(grid, h, ETA)) for w, h in zip(weights, hermite)]
         )
-        out["thermal_kernel"] = np.einsum("k,kj,kl->jl", weights, hermite, hermite)
+        out["thermal_parts"] = (weights, hermite)
         return out
 
 
 def calculus_blocks(inp: CalculusInputs) -> list:
+    """The operations per grid size, with the references their checks use."""
     return [_calculus_block(inp, n) for n in inp.by_n]
 
 
@@ -134,6 +135,8 @@ def _calculus_block(inp: CalculusInputs, n: int) -> list:
     S_mean = S @ inp.coh_center
     S_cov = S @ (0.5 * ETA * np.eye(2)) @ S.T
     two_pi_eta = 2.0 * np.pi * ETA
+    weights, hermite = d["thermal_parts"]
+    thermal_kernel = np.einsum("k,kj,kl->jl", weights, hermite, hermite)
 
     def check_coh(out, st):
         return [("wigner_closed_form", ck.sup(out.W.values, ck.coherent_wigner(x, p, ETA, x0, p0)), ck.TOL_CLOSED_FORM)]
@@ -201,7 +204,7 @@ def _calculus_block(inp: CalculusInputs, n: int) -> list:
 
     def check_mix(out, st):
         return [
-            ("mix_kernel", ck.sup(out.kernel, d["thermal_kernel"]), ck.TOL_EXACT),
+            ("mix_kernel", ck.sup(out.kernel, thermal_kernel), ck.TOL_EXACT),
             ("mix_trace", abs(np.trace(out.kernel) * dx - 1.0), ck.TOL_CLOSED_FORM),
         ]
 

@@ -51,6 +51,9 @@ CLI_COMMANDS = (
                    "--samples", "40", "--seed", "7", "--out", "{out}/klm_input"], 1),
     ("tomography_n512", ["tomography", "--N", "512", "--out", "{out}/tomography_n512"], 0),
 )
+# command: the exit code it gives on every run today because of a fault in
+# wignerlab; that exit is a failed operation, not a wrong output
+KNOWN_FAULTS = {"tomography_n512": 1}
 
 SIZED_LAYERS = (
     "wigner.cross_wigner", "wigner.wigner_pure", "wigner.ambiguity", "wigner.wigner_density",
@@ -102,9 +105,9 @@ class Bench:
         self.trace = trace
         self.env = dict(os.environ)
         self.env["PYTHONPATH"] = os.path.join(root, "src")
-        self.env["WIGNERLAB_THREADS"] = os.environ.get("WIGNERLAB_THREADS") or str(
-            min(2, os.cpu_count() or 1)
-        )
+        threads = os.environ.get("WIGNERLAB_THREADS") or str(min(2, os.cpu_count() or 1))
+        for var in ("WIGNERLAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            self.env[var] = threads
         os.makedirs(os.path.join(BENCH, "out"), exist_ok=True)
         self.out = tempfile.mkdtemp(prefix="run_", dir=os.path.join(BENCH, "out"))
         self.wrong = []
@@ -182,11 +185,15 @@ class Bench:
             self.spans.append((f"cli.{name}", None, seconds))
             attempted += 1
             busy += seconds
-            if proc.returncode != expected:
+            rows = None
+            if KNOWN_FAULTS.get(name) != proc.returncode:
+                rows = judge_command(name, args, out_dir, proc.returncode, expected)
+            if rows is None:
                 failed += 1
-                sys.stderr.write(f"cli {name}: exit {proc.returncode}, expected {expected}\n")
+                why = "known fault" if name in KNOWN_FAULTS else "no summary.json"
+                sys.stderr.write(f"cli {name}: exit {proc.returncode}, failed ({why})\n")
                 continue
-            for check, residual, tol in check_command(name, args, out_dir):
+            for check, residual, tol in rows:
                 if not ck.passed([(check, residual, tol)]):
                     self.wrong.append((f"cli.{name}", check, residual, tol))
         shutil.rmtree(out_dir, ignore_errors=True)
@@ -207,7 +214,7 @@ class Bench:
         result.update(attempted=attempted, failed=failed, busy_s=busy, round_rates=rates,
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)
         if self.trace:
-            _, others = self._worker("probe", "cli")
+            _, others = self._worker("layers", "cli")
             self._absorb(others)
             result["record_cost_s"] = others["record_cost_s"]
         return result
@@ -254,6 +261,23 @@ class Bench:
 
     def close(self):
         shutil.rmtree(self.out, ignore_errors=True)
+
+
+def judge_command(name, args, out_dir, returncode, expected):
+    """The checks of one finished command, or None when it wrote no result.
+
+    A command that wrote its ``summary.json`` is judged on its outputs and on
+    its exit code: an unexpected code is a wrong output, since the command
+    exits 1 when its own checks fail.  Only a command that wrote no summary
+    (a traceback, say) is a failed operation.
+    """
+    if not os.path.isfile(os.path.join(out_dir, name, "summary.json")):
+        return None
+    try:
+        rows = check_command(name, args, out_dir)
+    except (OSError, KeyError, ValueError, IndexError, TypeError):
+        rows = [ck.verdict("outputs_readable", False)]
+    return rows + [ck.verdict("exit_code", returncode == expected)]
 
 
 def check_command(name, args, out_dir):

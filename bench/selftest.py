@@ -6,8 +6,9 @@ Every operation of the calculus, admissibility and tomography lists runs at
 N = 128; its true output must pass its check and a corrupted copy must fail
 it (a Wigner function scaled by 1 + 1e-3, a flipped KLM verdict, one altered
 CSV value, ...).  The same is done for the files each command of the cli
-workload writes.  Last, BENCHMARK.json must name exactly the workloads and
-metrics run.py produces.  Exits 1 if anything does not hold.
+workload writes, and for an unexpected exit code.  Last, BENCHMARK.json
+must name exactly the workloads and metrics run.py produces.  Exits 1 if
+anything does not hold.
 """
 
 import os
@@ -165,15 +166,23 @@ def test_commands(tally, bench, out_dir):
             continue  # tomography_n512: the same checks as tomography
         args = small(bench._fill(template, out_dir))
         _, proc = bench._cli(args)
+
+        def judge(returncode=proc.returncode):
+            return run.judge_command(name, args, out_dir, returncode, expected)
+
         tally.expect(f"cli {name} exit {expected}", proc.returncode == expected)
-        tally.expect(f"cli {name} true output accepted", ck.passed(run.check_command(name, args, out_dir)))
+        tally.expect(f"cli {name} true output accepted", ck.passed(judge()))
+        # the command's own checks failed: exit 1 (0 for klm_input) is a wrong output
+        tally.expect(f"cli {name} unexpected exit code rejected", not ck.passed(judge(1 - expected)))
         filename, edit = CORRUPTIONS[name]
         path = os.path.join(out_dir, name, filename)
         original = alter_csv(path) if edit is None else alter_json(path, edit)
-        tally.expect(f"cli {name} corrupted output rejected",
-                     not ck.passed(run.check_command(name, args, out_dir)))
+        tally.expect(f"cli {name} corrupted output rejected", not ck.passed(judge()))
         with open(path, "w") as handle:
             handle.write(original)  # klm_input reads wigner.csv later
+    os.remove(os.path.join(out_dir, "moyal", "summary.json"))
+    tally.expect("cli command without summary.json is a failed operation",
+                 run.judge_command("moyal", [], out_dir, 1, 0) is None)
 
 
 def test_benchmark_json(tally):

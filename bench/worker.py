@@ -1,6 +1,6 @@
 """One benchmark process for the in-process workloads.
 
-    python bench/worker.py --mode setup|run|probe --workload W --seed S
+    python bench/worker.py --mode setup|run|layers --workload W --seed S
                            --seconds T --trace 0|1 --out DIR
 
 The process imports wignerlab, builds the workload's inputs and prints
@@ -8,8 +8,10 @@ The process imports wignerlab, builds the workload's inputs and prints
 ``run`` mode then runs whole rounds of the workload's operations until their
 summed time reaches ``--seconds`` and, with ``--trace 1``, one round of
 every other in-process operation list so that each layer is timed.
-``probe`` mode runs only that second part.  The last line of standard output
-is a JSON object with the counts, the timings and the check failures.
+``layers`` mode runs only that second part.  The references the outputs are
+checked against are computed after ``READY``, so set-up times only the import
+and the inputs.  The last line of standard output is a JSON object with the
+counts, the wall times and the check failures.
 """
 
 import wignerlab  # noqa: F401  (first, so WIGNERLAB_THREADS reaches the BLAS libraries)
@@ -22,12 +24,12 @@ import time
 
 import checks as ck
 import ops
-import speed
 
+# name: (inputs from seed and output directory, operation blocks from inputs)
 OPERATION_LISTS = {
-    "calculus": lambda seed, out_dir: ops.calculus_blocks(ops.CalculusInputs(seed)),
-    "admissibility": lambda seed, out_dir: ops.admissibility_blocks(ops.AdmissibilityInputs(seed)),
-    "tomography": lambda seed, out_dir: ops.tomography_blocks(out_dir),
+    "calculus": (lambda seed, out_dir: ops.CalculusInputs(seed), ops.calculus_blocks),
+    "admissibility": (lambda seed, out_dir: ops.AdmissibilityInputs(seed), ops.admissibility_blocks),
+    "tomography": (lambda seed, out_dir: out_dir, ops.tomography_blocks),
 }
 
 
@@ -41,13 +43,10 @@ class Runner:
         self.busy = 0.0
         self.wrong = []  # (op, check, residual, tolerance) of outputs that failed a check
         self.faults = []  # (op, message) of operations that raised
-        self.timeline = speed.Timeline()
 
     def run_block(self, block, counted=True):
         state = {}
         for op in block:
-            if counted:
-                self.timeline.probe_if_due()
             self.run_op(op, state, counted)
 
     def run_op(self, op, state, counted=True):
@@ -64,7 +63,6 @@ class Runner:
             self.attempted += 1
             self.failed += error is not None
             self.busy += end - start
-            self.timeline.op(end - start)
         if error is not None:
             self.faults.append((f"{op.layer}[{op.n}]", f"{type(error).__name__}: {error}"))
             return
@@ -87,7 +85,7 @@ def _record_cost(repeats=10000) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--mode", choices=["setup", "run", "probe"], required=True)
+    parser.add_argument("--mode", choices=["setup", "run", "layers"], required=True)
     parser.add_argument("--workload", choices=["calculus", "admissibility", "cli"], required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -95,25 +93,25 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    own = args.workload if args.mode != "probe" else None
-    blocks = OPERATION_LISTS[own](args.seed, args.out) if own else None
+    own = args.workload if args.mode != "layers" else None
+    if own:
+        make_inputs, make_blocks = OPERATION_LISTS[own]
+        inputs = make_inputs(args.seed, args.out)
     print("READY", flush=True)
     if args.mode == "setup":
         return 0
 
     spans = [] if args.trace else None
     runner = Runner(spans)
-    rates = []  # completed operations per reference second (speed.py) of each round
+    rates = []  # completed operations per second of summed operation wall time, per round
     if own:
-        warm = blocks[0][0]
-        runner.run_op(warm, {}, counted=False)
+        blocks = make_blocks(inputs)
+        runner.run_op(blocks[0][0], {}, counted=False)  # warm-up
         while runner.busy < args.seconds:
-            completed, mark = runner.attempted - runner.failed, runner.timeline.mark()
+            completed, busy = runner.attempted - runner.failed, runner.busy
             for block in blocks:
                 runner.run_block(block)
-            runner.timeline.probe()
-            completed = runner.attempted - runner.failed - completed
-            rates.append(completed / runner.timeline.reference_seconds(mark))
+            rates.append((runner.attempted - runner.failed - completed) / (runner.busy - busy))
     result = {
         "attempted": runner.attempted,
         "failed": runner.failed,
@@ -123,9 +121,9 @@ def main(argv=None) -> int:
     }
     if args.trace:
         others = Runner(spans)
-        for name, build in OPERATION_LISTS.items():
+        for name, (make_inputs, make_blocks) in OPERATION_LISTS.items():
             if name != own:
-                for block in build(args.seed, args.out):
+                for block in make_blocks(make_inputs(args.seed, args.out)):
                     others.run_block(block, counted=False)
         runner.wrong += others.wrong
         runner.faults += others.faults
