@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import WignerlabError
+from .errors import ConfigurationError, WignerlabError
 from .grid import PhaseSpaceFunction, dual_grid, make_grid
 from .quantumness import eta_scan, gaussian_admissible, klm_test
 from .serialize import (
@@ -47,6 +47,23 @@ DEFAULTS = {
     "input": None,
     "state": "coherent",
 }
+
+#: type of each config value; ``tol`` and ``input`` may also be null
+CONFIG_TYPES = {
+    "N": int,
+    "eta": float,
+    "seed": int,
+    "x_min": float,
+    "x_max": float,
+    "out": str,
+    "angles": int,
+    "samples": int,
+    "tol": float,
+    "input": str,
+    "state": str,
+}
+
+STATES = ("coherent", "hermite1", "mixed")
 
 EXPERIMENTS = (
     "wigner",
@@ -95,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--angles", type=int)
         p.add_argument("--samples", type=int)
         p.add_argument("--tol", type=float)
-        p.add_argument("--state", choices=["coherent", "hermite1", "mixed"])
+        p.add_argument("--state", choices=STATES)
     return parser
 
 
@@ -106,30 +123,48 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             with open(args.config) as handle:
                 file_config = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise WignerlabError(f"cannot read config file {args.config}: {exc}")
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_config, dict):
-            raise WignerlabError(f"config file {args.config} must hold a JSON object")
+            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_config) - set(DEFAULTS)
         if unknown:
-            raise WignerlabError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         config.update(file_config)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if not float(config["eta"]) > 0.0:
-        raise WignerlabError(f"eta must be positive, got {config['eta']}")
-    if not -(2**63) <= int(config["seed"]) < 2**63:
-        raise WignerlabError("seed must fit in 64 bits")
+    for key, kind in CONFIG_TYPES.items():
+        config[key] = _typed(key, config[key], kind)
+    if not config["eta"] > 0.0:
+        raise ConfigurationError(f"eta must be positive, got {config['eta']}")
+    if not -(2**63) <= config["seed"] < 2**63:
+        raise ConfigurationError("seed must fit in 64 bits")
+    if config["state"] not in STATES:
+        raise ConfigurationError(f"state must be one of {list(STATES)}, got {config['state']!r}")
     return config
 
 
+def _typed(key, value, kind):
+    """``value`` checked as its config type; an int is accepted as a float."""
+    if value is None and DEFAULTS[key] is None:
+        return None
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if abs(value) <= sys.float_info.max:  # also rejects inf and nan
+                return float(value)
+        raise ConfigurationError(f"config value {key} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigurationError(f"config value {key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _grid(config):
-    return make_grid(float(config["x_min"]), float(config["x_max"]), int(config["N"]))
+    return make_grid(config["x_min"], config["x_max"], config["N"])
 
 
 def _tol(config, default):
-    return float(config["tol"]) if config["tol"] is not None else default
+    return config["tol"] if config["tol"] is not None else default
 
 
 def _make_state(config, grid, eta):
@@ -146,7 +181,7 @@ def _make_state(config, grid, eta):
 
 def _run_wigner(config, out_dir):
     grid = _grid(config)
-    eta = float(config["eta"])
+    eta = config["eta"]
     phi0 = coherent_state(grid, eta)
     result = wigner(phi0)
     xx, pp = result.W.meshes()
@@ -178,8 +213,8 @@ def _random_gaussian_superposition(rng, grid, eta):
 
 def _run_moyal(config, out_dir):
     grid = _grid(config)
-    eta = float(config["eta"])
-    rng = np.random.default_rng(int(config["seed"]))
+    eta = config["eta"]
+    rng = np.random.default_rng(config["seed"])
     worst = 0.0
     for _ in range(20):
         psi = _random_gaussian_superposition(rng, grid, eta)
@@ -199,8 +234,8 @@ def _run_moyal(config, out_dir):
 
 def _run_metaplectic(config, out_dir):
     grid = _grid(config)
-    eta = float(config["eta"])
-    rng = np.random.default_rng(int(config["seed"]))
+    eta = config["eta"]
+    rng = np.random.default_rng(config["seed"])
     psi = coherent_state(grid, eta)
     worst_match, worst_norm = 0.0, 0.0
     for _ in range(5):
@@ -227,13 +262,13 @@ def _run_metaplectic(config, out_dir):
 
 
 def _run_klm(config, out_dir):
-    eta = float(config["eta"])
+    eta = config["eta"]
     if config["input"]:
         symbol = load_phase_space(config["input"])
     else:
         grid = _grid(config)
         symbol = wigner(coherent_state(grid, 1.0)).W
-    report = klm_test(symbol, eta, samples=int(config["samples"]), seed=int(config["seed"]))
+    report = klm_test(symbol, eta, samples=config["samples"], seed=config["seed"])
     checks = [
         Check(
             "klm_min_eigenvalue",
@@ -258,8 +293,8 @@ def _run_klm(config, out_dir):
 
 
 def _run_gaussian(config, out_dir):
-    eta = float(config["eta"])
-    rng = np.random.default_rng(int(config["seed"]))
+    eta = config["eta"]
+    rng = np.random.default_rng(config["seed"])
     disagreements = 0
     for _ in range(200):
         n = int(rng.integers(1, 3))
@@ -293,10 +328,10 @@ def _run_eta_scan(config, out_dir):
 
 def _run_tomography(config, out_dir):
     grid = _grid(config)
-    eta = float(config["eta"])
+    eta = config["eta"]
     source = _make_state(config, grid, eta)
     w = wigner(source)
-    angles = np.linspace(0.0, np.pi, int(config["angles"]), endpoint=False)
+    angles = np.linspace(0.0, np.pi, config["angles"], endpoint=False)
     tomo = radon(w, angles)
     recon = inverse_radon(tomo)
     truth = w.values
@@ -324,7 +359,7 @@ def _run_tomography(config, out_dir):
 
 def _run_pauli(config, out_dir):
     grid = _grid(config)
-    eta = float(config["eta"])
+    eta = config["eta"]
     psi1, psi2 = pauli_pair(1.0 + 1.0j, grid, eta)
     overlap = abs(psi1.inner(psi2)) ** 2
     checks = [Check("overlap", abs(overlap - 1.0 / np.sqrt(2.0)), _tol(config, 1e-6))]
@@ -354,8 +389,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        out_dir = str(config["out"])
-        os.makedirs(out_dir, exist_ok=True)
+        out_dir = config["out"]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}")
         checks, _ = RUNNERS[args.experiment](config, out_dir)
     except WignerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,22 +180,30 @@ def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
     return checks
 
 
+#: points per block of :func:`_quadrature_transform`; bounds its memory
+_POINT_CHUNK = 256
+
+
 def _quadrature_transform(a: PhaseSpaceFunction, points: np.ndarray, scale: float) -> np.ndarray:
-    """sum over z' of exp(-i sigma(w, z') * scale) a(z') dz' at points w."""
+    """sum over z' of exp(-i sigma(w, z') * scale) a(z') dz' at points w.
+
+    Because sigma(w, z') = w_p x' - w_x p', the kernel factors into two 1-D
+    phases, exp(-i scale w_p x') exp(i scale w_x p').  For a block of points
+    the double sum is therefore sum_k (Ex @ A)[w, k] Ep[w, k] with the phase
+    matrices Ex[w, i] = exp(-i scale w_p x_i) and Ep[w, k] =
+    exp(i scale w_x p_k): 2 M N exponentials and one matrix product for M
+    points on an N x N grid, instead of M N^2 exponentials.  No FFT is
+    involved, so any pair of x and p grids works.  Points go through in
+    blocks of ``_POINT_CHUNK``, so memory stays O(chunk N) for any M.
+    """
     x = a.x_grid.points
     p = a.p_grid.points
-    flat = a.values.reshape(-1)
-    xx, pp = np.meshgrid(x, p, indexing="ij")
-    zx, zp = xx.reshape(-1), pp.reshape(-1)
     out = np.empty(len(points), dtype=complex)
-    chunk = 64
-    for start in range(0, len(points), chunk):
-        block = np.asarray(points[start : start + chunk], dtype=float)
-        # sigma(w, z') = w_p x' - p' w_x
-        phase = np.exp(
-            -1j * scale * (np.outer(block[:, 1], zx) - np.outer(block[:, 0], zp))
-        )
-        out[start : start + chunk] = phase @ flat
+    for start in range(0, len(points), _POINT_CHUNK):
+        block = np.asarray(points[start : start + _POINT_CHUNK], dtype=float)
+        ex = np.exp(-1j * scale * np.outer(block[:, 1], x))
+        ep = np.exp(1j * scale * np.outer(block[:, 0], p))
+        out[start : start + _POINT_CHUNK] = np.sum((ex @ a.values) * ep, axis=1)
     return out * a.area_element
 
 

@@ -62,18 +62,41 @@ def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
             handle.write(f"{_format(value.real)},{_format(value.imag)}\n")
 
 
+def _read_lines(path):
+    """Non-blank stripped lines of a text file; unreadable files are
+    configuration errors."""
+    try:
+        with open(path) as handle:
+            return [line.strip() for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_rows(path, lines, width: int) -> np.ndarray:
+    """Comma-separated float rows of exactly ``width`` columns."""
+    try:
+        data = np.array(
+            [[float(part) for part in line.split(",")] for line in lines], dtype=float
+        )
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed data row: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != width:
+        raise ConfigurationError(f"{path}: data rows must have {width} columns")
+    return data
+
+
 def _read_grid_csv(path):
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    lines = _read_lines(path)
     if len(lines) < 3 or lines[0] != "N,x_min,dx,eta,kind":
         raise ConfigurationError(f"{path}: not a grid CSV")
-    n_str, x_min, dx, eta, kind = lines[1].split(",")
-    n = int(n_str)
-    x_min, dx, eta = float(x_min), float(dx), float(eta)
+    try:
+        n_str, x_min, dx, eta, kind = lines[1].split(",")
+        n = int(n_str)
+        x_min, dx, eta = float(x_min), float(dx), float(eta)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed grid header: {exc}") from exc
     grid = make_grid(x_min, x_min + n * dx, n)
-    data = np.array(
-        [[float(part) for part in line.split(",")] for line in lines[3:]]
-    )
+    data = _parse_rows(path, lines[3:], 2)
     flat = data[:, 0] + 1j * data[:, 1]
     return grid, eta, kind, flat
 
@@ -126,21 +149,22 @@ def save_tomograms(tomo: TomogramSet, path):
 
 
 def load_tomograms(path) -> TomogramSet:
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    lines = _read_lines(path)
     if len(lines) < 3 or lines[0] != "n_angles,N,x_min,dx,eta":
         raise ConfigurationError(f"{path}: not a tomogram CSV")
-    n_angles, n, x_min, dx, eta = lines[1].split(",")
-    n_angles, n = int(n_angles), int(n)
-    grid = make_grid(float(x_min), float(x_min) + n * float(dx), n)
+    try:
+        n_angles, n, x_min, dx, eta = lines[1].split(",")
+        n_angles, n = int(n_angles), int(n)
+        x_min, dx, eta = float(x_min), float(dx), float(eta)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed tomogram header: {exc}") from exc
+    grid = make_grid(x_min, x_min + n * dx, n)
     angle_parts = lines[2].split(",")
     if angle_parts[0] != "angles" or len(angle_parts) != n_angles + 1:
         raise ConfigurationError(f"{path}: malformed angle row")
-    angles = np.array([float(part) for part in angle_parts[1:]])
-    values = np.array(
-        [[float(part) for part in line.split(",")] for line in lines[3:]]
-    )
-    return TomogramSet(angles, grid, values, float(eta))
+    angles = _parse_rows(path, [",".join(angle_parts[1:])], n_angles)[0]
+    values = _parse_rows(path, lines[3:], n)
+    return TomogramSet(angles, grid, values, eta)
 
 
 def json_ready(obj):

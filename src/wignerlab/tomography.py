@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import NormalizationError, ParameterError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
@@ -52,6 +51,9 @@ class TomogramSet:
 
 def _projection_spectrum(values, x, p, k, theta, dx, dp):
     """FT of the theta-projection: W-hat(k cos t, k sin t) on the k grid."""
+    # scipy.signal takes most of a cold import, and only tomography needs it
+    from scipy.signal import czt
+
     n = len(k)
     dk = k[1] - k[0]
     c, s = np.cos(theta), np.sin(theta)

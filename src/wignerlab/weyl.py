@@ -73,6 +73,10 @@ def _half_step_symbol(a: PhaseSpaceFunction) -> np.ndarray:
     return refine(a.values, 2, axis=0)
 
 
+#: largest working set, in bytes, that the p oversampling may allocate
+_OVERSAMPLE_LIMIT_BYTES = 2 * 2**30
+
+
 def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float, base: int = 2):
     """Band-limited p-axis oversampling for the quantizer quadratures.
 
@@ -80,9 +84,19 @@ def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float, ba
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
     past the largest separation the grid can hold.  Smaller eta values need
     proportionally more oversampling, as do quadratures whose phases carry
-    twice the frequency (``base=4``).
+    twice the frequency (``base=4``).  The quadratures hold about three
+    complex arrays of the oversampled size at once; a working set above
+    ``_OVERSAMPLE_LIMIT_BYTES`` raises :class:`ParameterError` before any of
+    them is allocated.
     """
     factor = base * max(1, int(np.ceil(a.eta / eta_use)))
+    needed = 3 * values.shape[0] * factor * a.p_grid.n * np.dtype(complex).itemsize
+    if needed > _OVERSAMPLE_LIMIT_BYTES:
+        raise ParameterError(
+            f"quantizing at eta = {eta_use} a symbol sampled at eta = {a.eta} "
+            f"needs p oversampling by {factor}, about {needed / 2**30:.1f} GiB "
+            f"(limit {_OVERSAMPLE_LIMIT_BYTES / 2**30:.0f} GiB)"
+        )
     fine = refine(values, factor, axis=1)
     p = a.p_grid.x_min + np.arange(factor * a.p_grid.n) * a.p_grid.dx / factor
     return fine, p, a.p_grid.dx / factor

@@ -102,6 +102,41 @@ def test_bad_eta_is_configuration_error(tmp_path, capsys):
     assert "eta must be positive" in capsys.readouterr().err
 
 
+def _one_column_csv(tmp_path):
+    path = tmp_path / "one_column.csv"
+    rows = "\n".join(["0.0"] * 64**2)
+    path.write_text(f"N,x_min,dx,eta,kind\n64,-10,0.3125,1,wigner\nreal,imag\n{rows}\n")
+    return ["klm", "--input", str(path)]
+
+
+def _config(payload):
+    def argv(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        return ["wigner", "--config", str(path)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (lambda tmp_path: ["klm", "--input", str(tmp_path / "missing.csv")], "cannot read"),
+        (_one_column_csv, "2 columns"),
+        (_config({"N": "abc"}), "N must be int"),
+        (_config({"seed": 1.5}), "seed must be int"),
+    ],
+    ids=["missing_input", "one_column_csv", "string_N", "float_seed"],
+)
+def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
+    out_dir = tmp_path / "out"
+    code = main(make_argv(tmp_path) + ["--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out_dir / "summary.json").exists()
+
+
 def test_seeded_runs_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["moyal", "--N", "64", "--seed", "7", "--out", str(out1)]) == 0

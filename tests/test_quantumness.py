@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     GaussianStateSpec,
+    PhaseSpaceFunction,
     ValidationError,
     coherent_state,
     covariance_matrix,
@@ -11,12 +12,16 @@ from wignerlab import (
     gaussian_state,
     hermite_state,
     klm_test,
+    dual_grid,
     make_grid,
     narcowich_oconnell_profile,
     quartic_derivative_witness,
+    reduced_transform,
     robertson_schrodinger_checks,
+    sigma_transform_at,
     wigner,
 )
+from wignerlab.quantumness import _POINT_CHUNK
 
 ETA = 1.0
 
@@ -152,3 +157,71 @@ def test_eta_scan_flags_nonpositive_distribution():
     # a genuine Wigner function at its own eta is a pure state even though
     # the distribution itself takes negative values
     assert result.verdicts() == ["pure"]
+
+
+SIGMA = np.array([[0.8, 0.1], [0.1, 0.6]])
+
+
+def _literal_quadrature(a, points, scale):
+    """Reference transform: one exp(-i sigma(w, z') scale) per (point, cell)."""
+    xx, pp = a.meshes()
+    # sigma(w, z') = w_p x' - w_x p'
+    out = [np.sum(np.exp(-1j * scale * (w[1] * xx - w[0] * pp)) * a.values) for w in points]
+    return np.array(out) * a.area_element
+
+
+def _normal_density(x_grid, p_grid, eta, mean):
+    xx, pp = np.meshgrid(x_grid.points - mean[0], p_grid.points - mean[1], indexing="ij")
+    dz = np.stack([xx, pp], axis=-1)
+    quad = np.einsum("...i,ij,...j->...", dz, np.linalg.inv(SIGMA), dz)
+    values = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(SIGMA)))
+    return PhaseSpaceFunction(x_grid, p_grid, values, eta, kind="wigner")
+
+
+def _normal_reduced_transform(points, mean):
+    """Int exp(-i sigma(w, z)) a(z) dz for the normal density a: with
+    sigma(w, z) = xi . z, xi = (w_p, -w_x), it is the characteristic function
+    exp(-i xi . mean - xi Sigma xi / 2)."""
+    xi = np.stack([points[:, 1], -points[:, 0]], axis=1)
+    quad = np.einsum("mi,ij,mj->m", xi, SIGMA, xi)
+    return np.exp(-1j * xi @ np.asarray(mean) - 0.5 * quad)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize(
+    "layout, count",
+    [("dual", 40), ("offset", 40), ("dual", 2 * _POINT_CHUNK + 7)],
+)
+def test_transforms_match_normal_characteristic_function(eta, layout, count):
+    if layout == "dual":
+        x_grid = make_grid(-10.0, 10.0, 128)
+        p_grid, mean = dual_grid(x_grid, eta), (0.3, -0.2)
+    else:  # neither grid centered, p grid not dual and of another size
+        x_grid, p_grid = make_grid(-4.0, 10.0, 64), make_grid(-6.0, 8.0, 32)
+        mean = (3.0, 1.0)
+    a = _normal_density(x_grid, p_grid, eta, mean)
+    rng = np.random.default_rng(count + int(10 * eta))
+    points = rng.uniform(-2.0, 2.0, size=(count, 2))
+
+    fast = sigma_transform_at(a, points, eta)
+    literal = _literal_quadrature(a, points, 1.0 / eta) / (2.0 * np.pi * eta)
+    closed = _normal_reduced_transform(points / eta, mean) / (2.0 * np.pi * eta)
+    assert np.max(np.abs(fast - literal)) < 1e-14
+    assert np.max(np.abs(fast - closed)) < 1e-12
+
+    fast = reduced_transform(a, points)
+    assert np.max(np.abs(fast - _literal_quadrature(a, points, 1.0))) < 1e-13
+    assert np.max(np.abs(fast - _normal_reduced_transform(points, mean))) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [ETA, 1.5 * ETA])
+def test_klm_min_eigenvalue_matches_literal_quadrature(eta):
+    W = wigner(coherent_state(_self_dual_grid(64), ETA)).W
+    report = klm_test(W, eta, samples=20, seed=3)
+    pts = report.points
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)
+    asig = _literal_quadrature(W, diffs, 1.0 / eta).reshape(20, 20) / (2.0 * np.pi * eta)
+    sig = np.outer(pts[:, 1], pts[:, 0]) - np.outer(pts[:, 0], pts[:, 1])
+    matrix = np.exp(0.5j * sig / eta) * asig
+    min_eig = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))[0]
+    assert abs(report.min_eigenvalue - min_eig) <= 1e-12

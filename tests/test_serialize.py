@@ -81,6 +81,21 @@ def test_load_rejects_wrong_header(tmp_path):
         load_tomograms(path)
 
 
+def test_load_rejects_unreadable_and_malformed_files(tmp_path, grid):
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        load_phase_space(tmp_path / "missing.csv")
+    path = tmp_path / "bad.csv"
+    path.write_text("N,x_min,dx,eta,kind\n32,-8,0.5,1,wavefunction\nreal,imag\n1\n")
+    with pytest.raises(ConfigurationError, match="2 columns"):
+        load_grid_function(path)
+    path.write_text("N,x_min,dx,eta,kind\n32,-8,zero,1,wavefunction\nreal,imag\n1,0\n")
+    with pytest.raises(ConfigurationError, match="header"):
+        load_grid_function(path)
+    path.write_text("n_angles,N,x_min,dx,eta\n1,32,-8,0.5,1\nangles,0\n1,2\n")
+    with pytest.raises(ConfigurationError, match="32 columns"):
+        load_tomograms(path)
+
+
 def test_load_rejects_kind_mismatch(tmp_path, grid):
     psi = coherent_state(grid, ETA)
     path = tmp_path / "psi.csv"

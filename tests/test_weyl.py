@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     GridFunction,
+    ParameterError,
     coherent_state,
     cross_wigner,
     displace,
@@ -199,3 +200,11 @@ def test_cross_wigner_consistency_with_symbol(grid):
     a = weyl_symbol(op)
     ref = 2.0 * np.pi * ETA * cross_wigner(psi, phi).values
     assert np.max(np.abs(a.values - ref)) < 1e-10
+
+
+def test_quantize_refuses_oversized_oversampling():
+    # eta far below the symbol's eta needs p oversampling by 2000: about
+    # 12 GiB at N = 256, refused before anything is allocated
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    with pytest.raises(ParameterError, match="oversampling"):
+        weyl_quantize(W, eta=1e-3)
