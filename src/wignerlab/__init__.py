@@ -72,12 +72,9 @@ from .wigner import (  # noqa: E402
 from .weyl import (  # noqa: E402
     displace,
     expectation,
-    quantize_via_displacements,
-    quantize_via_reflections,
     reflect,
     trace_from_symbol,
     twisted_product,
-    twisted_product_via_convolution,
     weyl_quantize,
     weyl_symbol,
 )

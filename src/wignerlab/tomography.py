@@ -19,6 +19,7 @@ from .errors import NormalizationError, ParameterError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import refine
 from .states import DensityMatrix, OperatorMatrix, validate_density
+from .transforms import chirp_z
 from .weyl import weyl_quantize
 
 __all__ = [
@@ -51,16 +52,11 @@ class TomogramSet:
 
 def _projection_spectrum(values, x, p, k, theta, dx, dp):
     """FT of the theta-projection: W-hat(k cos t, k sin t) on the k grid."""
-    # scipy.signal takes most of a cold import, and only tomography needs it
-    from scipy.signal import czt
-
     n = len(k)
     dk = k[1] - k[0]
     c, s = np.cos(theta), np.sin(theta)
     # chirp-z along the p axis: stage[i, m] = sum_j W[i, j] exp(-i k_m p_j s)
-    w = np.exp(-1j * dk * dp * s)
-    a = np.exp(1j * k[0] * dp * s)
-    stage = czt(values, m=n, w=w, a=a, axis=1)
+    stage = chirp_z(values, n, -dk * dp * s, -k[0] * dp * s, axis=1)
     stage = stage * np.exp(-1j * k * p[0] * s)[None, :]
     # remaining x-axis phases couple i and m, so contract directly
     phase = np.exp(-1j * np.outer(x, k) * c)

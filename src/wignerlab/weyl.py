@@ -20,7 +20,7 @@ from .errors import ParameterError
 from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .interpolate import fourier_shift, refine
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import symplectic_fourier
+from .transforms import chirp_z, lag_transform
 
 __all__ = [
     "displace",
@@ -28,11 +28,8 @@ __all__ = [
     "weyl_quantize",
     "weyl_symbol",
     "twisted_product",
-    "twisted_product_via_convolution",
     "expectation",
     "trace_from_symbol",
-    "quantize_via_reflections",
-    "quantize_via_displacements",
 ]
 
 
@@ -76,30 +73,33 @@ def _half_step_symbol(a: PhaseSpaceFunction) -> np.ndarray:
 #: largest working set, in bytes, that the p oversampling may allocate
 _OVERSAMPLE_LIMIT_BYTES = 2 * 2**30
 
+#: symbol rows per chirp-z pass of :func:`weyl_quantize`
+_ROW_CHUNK = 128
 
-def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float, base: int = 2):
-    """Band-limited p-axis oversampling for the quantizer quadratures.
+
+def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float):
+    """Band-limited p-axis oversampling for the quantizer quadrature.
 
     Sampling the p integral at spacing dp folds kernel entries separated by
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
-    past the largest separation the grid can hold.  Smaller eta values need
-    proportionally more oversampling, as do quadratures whose phases carry
-    twice the frequency (``base=4``).  The quadratures hold about three
-    complex arrays of the oversampled size at once; a working set above
+    past the largest separation the grid can hold, and smaller eta values
+    need proportionally more of it.  Returns the oversampled values and
+    their p spacing.  Refinement holds three complex arrays of the
+    oversampled size at once, and each chirp-z pass of the quantizer fewer
+    than ten arrays of ``_ROW_CHUNK`` oversampled rows; a working set above
     ``_OVERSAMPLE_LIMIT_BYTES`` raises :class:`ParameterError` before any of
     them is allocated.
     """
-    factor = base * max(1, int(np.ceil(a.eta / eta_use)))
-    needed = 3 * values.shape[0] * factor * a.p_grid.n * np.dtype(complex).itemsize
+    factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
+    row_bytes = factor * a.p_grid.n * np.dtype(complex).itemsize
+    needed = (3 * values.shape[0] + 10 * _ROW_CHUNK) * row_bytes
     if needed > _OVERSAMPLE_LIMIT_BYTES:
         raise ParameterError(
             f"quantizing at eta = {eta_use} a symbol sampled at eta = {a.eta} "
             f"needs p oversampling by {factor}, about {needed / 2**30:.1f} GiB "
             f"(limit {_OVERSAMPLE_LIMIT_BYTES / 2**30:.0f} GiB)"
         )
-    fine = refine(values, factor, axis=1)
-    p = a.p_grid.x_min + np.arange(factor * a.p_grid.n) * a.p_grid.dx / factor
-    return fine, p, a.p_grid.dx / factor
+    return refine(values, factor, axis=1), a.p_grid.dx / factor
 
 
 def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMatrix:
@@ -114,16 +114,20 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
         raise ParameterError(f"eta must be positive, got {eta_use}")
     n = a.x_grid.n
     dx = a.x_grid.dx
-    af, p, dp = _p_oversampled(_half_step_symbol(a), a, eta_use)
-    # K[j, k] = (2 pi eta)^-1 dp sum_l af[j+k, l] exp(i p_l (j-k) dx / eta)
-    s = np.arange(2 * n)
+    af, dp = _p_oversampled(_half_step_symbol(a), a, eta_use)
+    # K[j, k] = (2 pi eta)^-1 dp sum_l af[j+k, l] exp(i p_l (j-k) dx / eta);
+    # w[s, d + n - 1] holds the sum for s = j + k and d = j - k in 1-n .. n-1
+    step = dp * dx / eta_use
+    d = np.arange(1 - n, n)
+    w = np.empty((2 * n, 2 * n - 1), dtype=complex)
+    for start in range(0, 2 * n, _ROW_CHUNK):
+        w[start : start + _ROW_CHUNK] = chirp_z(
+            af[start : start + _ROW_CHUNK], 2 * n - 1, step, (1 - n) * step
+        )
+    w *= np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
     j = np.arange(n)
-    ramp = p * dx / eta_use
-    v = af * np.exp(-1j * np.outer(s, ramp))
-    u = np.exp(2j * np.outer(j, ramp))
-    w = v @ u.T  # w[s, j] = sum_l af[s, l] exp(i p_l (2j - s) dx / eta)
     jj, kk = np.meshgrid(j, j, indexing="ij")
-    kernel = dp / (2.0 * np.pi * eta_use) * w[jj + kk, jj]
+    kernel = dp / (2.0 * np.pi * eta_use) * w[jj + kk, jj - kk + n - 1]
     return OperatorMatrix(a.x_grid, kernel, eta_use)
 
 
@@ -140,9 +144,7 @@ def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     j = np.arange(n)[:, None]
     m = np.arange(2 * n)[None, :]
     corr = pad[2 * j + m, 2 * j - m + 2 * n]  # K(x_j + y_m/2, x_j - y_m/2)
-    y = (np.arange(2 * n) - n) * dx
-    kernel = np.exp(-1j * np.outer(y, p_grid.points) / eta)
-    values = dx * corr @ kernel
+    values = lag_transform(corr, dx, p_grid, eta)
     return PhaseSpaceFunction(
         grid, p_grid, values, eta, kind="symbol", leak=boundary_leak(values)
     )
@@ -153,47 +155,6 @@ def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceF
     a.require_compatible(b)
     product = weyl_quantize(a).compose(weyl_quantize(b))
     return weyl_symbol(product)
-
-
-def twisted_product_via_convolution(
-    a: PhaseSpaceFunction, b: PhaseSpaceFunction
-) -> PhaseSpaceFunction:
-    """Reference twisted product through the twisted-symbol convolution.
-
-    c_sigma(z) = (2 pi eta)^-1 Int exp(i sigma(z, z')/2 eta)
-                 a_sigma(z - z') b_sigma(z') dz'
-
-    evaluated as a literal quadrature over the phase-space grid (difference
-    points outside the grid contribute zero).  Quadratic cost in the number
-    of grid points — intended for small grids as an independent check of
-    :func:`twisted_product`.
-    """
-    a.require_compatible(b)
-    eta = a.eta
-    n = a.x_grid.n
-    x = a.x_grid.points
-    p = a.p_grid.points
-    asig = symplectic_fourier(a).values
-    bsig = symplectic_fourier(b).values
-    weight = a.area_element / (2.0 * np.pi * eta)
-    csig = np.zeros((n, n), dtype=complex)
-    pad = np.zeros((2 * n, 2 * n), dtype=complex)
-    pad[:n, :n] = asig
-    half = n // 2  # grid index of the origin on the centered grids
-    for i in range(n):
-        di = i - np.arange(n) + half  # x-index of z - z'
-        di = np.where((di >= 0) & (di < n), di, n)
-        for k in range(n):
-            dk = k - np.arange(n) + half
-            dk = np.where((dk >= 0) & (dk < n), dk, n)
-            adiff = pad[np.ix_(di, dk)]
-            phase = np.exp(
-                1j * (p[k] * x[:, None] - p[None, :] * x[i]) / (2.0 * eta)
-            )
-            csig[i, k] = weight * np.sum(adiff * phase * bsig)
-    sig_fn = PhaseSpaceFunction(a.x_grid, a.p_grid, csig, eta, kind="generic")
-    out = symplectic_fourier(sig_fn)
-    return PhaseSpaceFunction(a.x_grid, a.p_grid, out.values, eta, kind="symbol")
 
 
 def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
@@ -214,50 +175,3 @@ def trace_from_symbol(a: PhaseSpaceFunction) -> dict:
         "hs_norm_squared": float(np.sum(np.abs(a.values) ** 2) * weight),
         "leak": boundary_leak(a.values),
     }
-
-
-def quantize_via_reflections(a: PhaseSpaceFunction) -> OperatorMatrix:
-    """Quantizer A = (pi eta)^-1 Int a(z0) Pi(z0) dz0.
-
-    Reflection centers run over the half-step x grid (the only centers whose
-    reflections map the grid onto itself); each center contributes one
-    anti-diagonal of the kernel.
-    """
-    eta = a.eta
-    n = a.x_grid.n
-    dx = a.x_grid.dx
-    x = a.x_grid.points
-    af, p, dp = _p_oversampled(_half_step_symbol(a), a, eta, base=4)
-    kernel = np.zeros((n, n), dtype=complex)
-    weight = (dx / 2.0) * dp / (np.pi * eta) / dx  # dz0 quadrature x 1/dx kernel unit
-    for t in range(2 * n):
-        x0 = a.x_grid.x_min + 0.5 * t * dx
-        j = np.arange(max(0, t - n + 1), min(t, n - 1) + 1)
-        phases = np.exp(2j * np.outer(x[j] - x0, p) / eta)
-        kernel[j, t - j] += weight * phases @ af[t]
-    return OperatorMatrix(a.x_grid, kernel, eta)
-
-
-def quantize_via_displacements(a: PhaseSpaceFunction) -> OperatorMatrix:
-    """Quantizer A = (2 pi eta)^-1 Int a_sigma(z0) D(z0) dz0.
-
-    Displacements are the grid offsets themselves (whole-step shifts), with
-    the twisted symbol a_sigma sampled on the phase-space grid; shifts past
-    the grid edge contribute zero.  Requires a centered x grid.
-    """
-    eta = a.eta
-    if not a.x_grid.is_centered:
-        raise ParameterError("displacement quantizer requires a centered x grid")
-    n = a.x_grid.n
-    dx = a.x_grid.dx
-    x = a.x_grid.points
-    asig, p, dp = _p_oversampled(symplectic_fourier(a).values, a, eta)
-    kernel = np.zeros((n, n), dtype=complex)
-    weight = dp / (2.0 * np.pi * eta)  # (2 pi eta)^-1 dx dp x 1/dx kernel unit
-    for t in range(n):
-        x0 = x[t]
-        s = t - n // 2  # x0 / dx on the centered grid
-        j = np.arange(max(0, s), min(n, n + s))
-        phases = np.exp(1j * np.outer(x[j] - 0.5 * x0, p) / eta)
-        kernel[j, j - s] += weight * phases @ asig[t]
-    return OperatorMatrix(a.x_grid, kernel, eta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError
 from .grid import (
     GridFunction,
     PhaseSpaceFunction,
@@ -23,8 +23,9 @@ from .grid import (
     dual_grid,
 )
 from .interpolate import refine, tensor_interp
-from .states import DensityMatrix, MixedStateSpec, mix, spectral_decompose
-from .weyl import reflect
+from .states import DensityMatrix, MixedStateSpec, mix
+from .transforms import lag_transform, oscillatory_sum
+from .weyl import reflect, weyl_symbol
 
 __all__ = [
     "WignerResult",
@@ -57,10 +58,6 @@ def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
     return pad
 
 
-def _phase_kernel(y: np.ndarray, p: np.ndarray, eta: float) -> np.ndarray:
-    return np.exp(-1j * np.outer(y, p) / eta)
-
-
 def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     """Cross-Wigner transform W(psi, phi); complex-valued in general."""
     psi.require_compatible(phi)
@@ -72,8 +69,7 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     j = np.arange(n)[:, None]
     m = np.arange(2 * n)[None, :]
     corr = pf[2 * j + m] * gf[2 * j - m + 2 * n].conj()
-    y = (np.arange(2 * n) - n) * dx
-    values = dx / (2.0 * np.pi * eta) * corr @ _phase_kernel(y, p_grid.points, eta)
+    values = lag_transform(corr, dx, p_grid, eta) / (2.0 * np.pi * eta)
     kind = "wigner" if psi is phi else "generic"
     return PhaseSpaceFunction(
         grid, p_grid, values, eta, kind=kind, leak=boundary_leak(values)
@@ -83,8 +79,7 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
 def wigner(source) -> WignerResult:
     """Wigner distribution of a pure state, a mixture spec, or a density matrix.
 
-    Density matrices go through their spectral decomposition, summing the
-    eigenstate Wigner functions weighted by the (clamped) eigenvalues.
+    A density matrix's Wigner function is its Weyl symbol over 2 pi eta.
     """
     if isinstance(source, GridFunction):
         W = cross_wigner(source, source)
@@ -93,19 +88,10 @@ def wigner(source) -> WignerResult:
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    data = spectral_decompose(source)
-    scale = float(np.max(np.abs(data.eigenvalues))) or 1.0
-    total = None
-    for lam, state in zip(data.eigenvalues, data.eigenvectors):
-        if abs(lam) < 1e-13 * scale:
-            continue
-        term = lam * cross_wigner(state, state).values
-        total = term if total is None else total + term
-    if total is None:
-        raise ValidationError("density matrix has no significant eigenvalues")
+    symbol = weyl_symbol(source.op)
     W = PhaseSpaceFunction(
-        source.grid, dual_grid(source.grid, source.eta), total, source.eta,
-        kind="wigner", leak=boundary_leak(total),
+        symbol.x_grid, symbol.p_grid, symbol.values / (2.0 * np.pi * source.eta),
+        source.eta, kind="wigner", leak=symbol.leak,
     )
     return WignerResult(W, W.leak, "density")
 
@@ -121,7 +107,8 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     m = np.arange(n)[:, None]  # y index
     half = n // 2
     corr = pad[2 * m + j - half + 2 * n] * pad[2 * m - j + half + 2 * n].conj()
-    values = dx / (2.0 * np.pi * eta) * corr.T @ _phase_kernel(grid.points, p_grid.points, eta)
+    # the lags are the x grid itself, so the sum is a plain dual-grid DFT
+    values = dx / (2.0 * np.pi * eta) * oscillatory_sum(corr.T, grid, p_grid, eta, -1)
     return PhaseSpaceFunction(
         grid, p_grid, values, eta, kind="ambiguity", leak=boundary_leak(values)
     )

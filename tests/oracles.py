@@ -1,0 +1,201 @@
+"""Reference quadratures the tests compare the library's fast paths against.
+
+Each function here is a literal, slow evaluation of a formula that the
+library computes through FFTs or chirp-z passes: dense phase matrices for the
+lag transforms, Python loops over reflections and displacements for the
+quantizer, a direct twisted convolution, and the eigen-loop Wigner function
+of a density matrix.  They are independent of the fast paths they check and
+are meant for small grids.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wignerlab import (
+    DensityMatrix,
+    GridFunction,
+    OperatorMatrix,
+    ParameterError,
+    PhaseSpaceFunction,
+    dual_grid,
+    refine,
+    spectral_decompose,
+    symplectic_fourier,
+)
+
+
+def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
+    """Half-step samples with n zeros of padding on each side (length 4n)."""
+    pad = np.zeros(4 * n, dtype=complex)
+    pad[n : 3 * n] = refine(values, 2)
+    return pad
+
+
+def _phase_kernel(y: np.ndarray, p: np.ndarray, eta: float) -> np.ndarray:
+    return np.exp(-1j * np.outer(y, p) / eta)
+
+
+def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float, base: int):
+    """p-axis oversampling by base * ceil(eta / eta_use), with its p samples."""
+    factor = base * max(1, int(np.ceil(a.eta / eta_use)))
+    fine = refine(values, factor, axis=1)
+    p = a.p_grid.x_min + np.arange(factor * a.p_grid.n) * a.p_grid.dx / factor
+    return fine, p, a.p_grid.dx / factor
+
+
+def cross_wigner_dense(psi: GridFunction, phi: GridFunction) -> np.ndarray:
+    """W(psi, phi) as the half-step correlation times a dense phase matrix."""
+    grid, eta = psi.grid, psi.eta
+    n, dx = grid.n, grid.dx
+    p_grid = dual_grid(grid, eta)
+    pf = _padded_fine(psi.values, n)
+    gf = _padded_fine(phi.values, n)
+    j = np.arange(n)[:, None]
+    m = np.arange(2 * n)[None, :]
+    corr = pf[2 * j + m] * gf[2 * j - m + 2 * n].conj()
+    y = (np.arange(2 * n) - n) * dx
+    return dx / (2.0 * np.pi * eta) * corr @ _phase_kernel(y, p_grid.points, eta)
+
+
+def ambiguity_dense(psi: GridFunction) -> np.ndarray:
+    """Ambiguity function with the lag sum as a dense phase matrix."""
+    grid, eta = psi.grid, psi.eta
+    n, dx = grid.n, grid.dx
+    p_grid = dual_grid(grid, eta)
+    pad = np.zeros(6 * n, dtype=complex)
+    pad[2 * n : 4 * n] = refine(psi.values, 2)
+    j = np.arange(n)[None, :]  # x index
+    m = np.arange(n)[:, None]  # y index
+    half = n // 2
+    corr = pad[2 * m + j - half + 2 * n] * pad[2 * m - j + half + 2 * n].conj()
+    return dx / (2.0 * np.pi * eta) * corr.T @ _phase_kernel(grid.points, p_grid.points, eta)
+
+
+def weyl_symbol_dense(op: OperatorMatrix) -> np.ndarray:
+    """Weyl symbol with the lag integral as a dense phase matrix."""
+    grid, eta = op.grid, op.eta
+    n, dx = grid.n, grid.dx
+    p_grid = dual_grid(grid, eta)
+    fine = refine(refine(op.kernel, 2, axis=0), 2, axis=1)
+    pad = np.zeros((4 * n, 4 * n), dtype=complex)
+    pad[n : 3 * n, n : 3 * n] = fine
+    j = np.arange(n)[:, None]
+    m = np.arange(2 * n)[None, :]
+    corr = pad[2 * j + m, 2 * j - m + 2 * n]
+    y = (np.arange(2 * n) - n) * dx
+    return dx * corr @ _phase_kernel(y, p_grid.points, eta)
+
+
+def weyl_quantize_dense(a: PhaseSpaceFunction, eta: float | None = None) -> np.ndarray:
+    """Quantizer kernel with the p integral as a dense matrix product."""
+    eta_use = a.eta if eta is None else float(eta)
+    n = a.x_grid.n
+    dx = a.x_grid.dx
+    af, p, dp = _p_oversampled(refine(a.values, 2, axis=0), a, eta_use, base=2)
+    s = np.arange(2 * n)
+    j = np.arange(n)
+    ramp = p * dx / eta_use
+    v = af * np.exp(-1j * np.outer(s, ramp))
+    u = np.exp(2j * np.outer(j, ramp))
+    w = v @ u.T  # w[s, j] = sum_l af[s, l] exp(i p_l (2j - s) dx / eta)
+    jj, kk = np.meshgrid(j, j, indexing="ij")
+    return dp / (2.0 * np.pi * eta_use) * w[jj + kk, jj]
+
+
+def wigner_density_eigen(rho: DensityMatrix) -> np.ndarray:
+    """Density Wigner function as the eigenvalue-weighted eigenstate sum."""
+    data = spectral_decompose(rho)
+    scale = float(np.max(np.abs(data.eigenvalues))) or 1.0
+    total = np.zeros((rho.grid.n, rho.grid.n), dtype=complex)
+    for lam, state in zip(data.eigenvalues, data.eigenvectors):
+        if abs(lam) >= 1e-13 * scale:
+            total += lam * cross_wigner_dense(state, state)
+    return total
+
+
+def quantize_via_reflections(a: PhaseSpaceFunction) -> OperatorMatrix:
+    """Quantizer A = (pi eta)^-1 Int a(z0) Pi(z0) dz0.
+
+    Reflection centers run over the half-step x grid (the only centers whose
+    reflections map the grid onto itself); each center contributes one
+    anti-diagonal of the kernel.  The phases carry twice the frequency of
+    the direct quantizer, so the p axis is oversampled twice as much.
+    """
+    eta = a.eta
+    n = a.x_grid.n
+    dx = a.x_grid.dx
+    x = a.x_grid.points
+    af, p, dp = _p_oversampled(refine(a.values, 2, axis=0), a, eta, base=4)
+    kernel = np.zeros((n, n), dtype=complex)
+    weight = (dx / 2.0) * dp / (np.pi * eta) / dx  # dz0 quadrature x 1/dx kernel unit
+    for t in range(2 * n):
+        x0 = a.x_grid.x_min + 0.5 * t * dx
+        j = np.arange(max(0, t - n + 1), min(t, n - 1) + 1)
+        phases = np.exp(2j * np.outer(x[j] - x0, p) / eta)
+        kernel[j, t - j] += weight * phases @ af[t]
+    return OperatorMatrix(a.x_grid, kernel, eta)
+
+
+def quantize_via_displacements(a: PhaseSpaceFunction) -> OperatorMatrix:
+    """Quantizer A = (2 pi eta)^-1 Int a_sigma(z0) D(z0) dz0.
+
+    Displacements are the grid offsets themselves (whole-step shifts), with
+    the twisted symbol a_sigma sampled on the phase-space grid; shifts past
+    the grid edge contribute zero.  Requires a centered x grid.
+    """
+    eta = a.eta
+    if not a.x_grid.is_centered:
+        raise ParameterError("displacement quantizer requires a centered x grid")
+    n = a.x_grid.n
+    x = a.x_grid.points
+    asig, p, dp = _p_oversampled(symplectic_fourier(a).values, a, eta, base=2)
+    kernel = np.zeros((n, n), dtype=complex)
+    weight = dp / (2.0 * np.pi * eta)  # (2 pi eta)^-1 dx dp x 1/dx kernel unit
+    for t in range(n):
+        x0 = x[t]
+        s = t - n // 2  # x0 / dx on the centered grid
+        j = np.arange(max(0, s), min(n, n + s))
+        phases = np.exp(1j * np.outer(x[j] - 0.5 * x0, p) / eta)
+        kernel[j, j - s] += weight * phases @ asig[t]
+    return OperatorMatrix(a.x_grid, kernel, eta)
+
+
+def twisted_product_via_convolution(
+    a: PhaseSpaceFunction, b: PhaseSpaceFunction
+) -> PhaseSpaceFunction:
+    """Reference twisted product through the twisted-symbol convolution.
+
+    c_sigma(z) = (2 pi eta)^-1 Int exp(i sigma(z, z')/2 eta)
+                 a_sigma(z - z') b_sigma(z') dz'
+
+    evaluated as a literal quadrature over the phase-space grid (difference
+    points outside the grid contribute zero).  Quadratic cost in the number
+    of grid points.
+    """
+    a.require_compatible(b)
+    eta = a.eta
+    n = a.x_grid.n
+    x = a.x_grid.points
+    p = a.p_grid.points
+    asig = symplectic_fourier(a).values
+    bsig = symplectic_fourier(b).values
+    weight = a.area_element / (2.0 * np.pi * eta)
+    csig = np.zeros((n, n), dtype=complex)
+    pad = np.zeros((2 * n, 2 * n), dtype=complex)
+    pad[:n, :n] = asig
+    half = n // 2  # grid index of the origin on the centered grids
+    for i in range(n):
+        di = i - np.arange(n) + half  # x-index of z - z'
+        di = np.where((di >= 0) & (di < n), di, n)
+        for k in range(n):
+            dk = k - np.arange(n) + half
+            dk = np.where((dk >= 0) & (dk < n), dk, n)
+            adiff = pad[np.ix_(di, dk)]
+            phase = np.exp(
+                1j * (p[k] * x[:, None] - p[None, :] * x[i]) / (2.0 * eta)
+            )
+            csig[i, k] = weight * np.sum(adiff * phase * bsig)
+    sig_fn = PhaseSpaceFunction(a.x_grid, a.p_grid, csig, eta, kind="generic")
+    out = symplectic_fourier(sig_fn)
+    return PhaseSpaceFunction(a.x_grid, a.p_grid, out.values, eta, kind="symbol")

@@ -30,8 +30,6 @@ from wignerlab import (
     narcowich_oconnell_profile,
     pauli_pair,
     pure_density,
-    quantize_via_displacements,
-    quantize_via_reflections,
     quartic_derivative_witness,
     radon,
     reconstruct_density,
@@ -55,6 +53,8 @@ from wignerlab.symplectic import (
     rescale_matrix,
 )
 from wignerlab.tomography import inverse_radon
+
+from oracles import quantize_via_displacements, quantize_via_reflections
 
 ETA = 1.0
 N = 256

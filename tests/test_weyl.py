@@ -10,17 +10,20 @@ from wignerlab import (
     hermite_state,
     make_grid,
     pure_density,
-    quantize_via_displacements,
-    quantize_via_reflections,
     reflect,
     trace_from_symbol,
     twisted_product,
-    twisted_product_via_convolution,
     weyl_quantize,
     weyl_symbol,
     wigner,
 )
 from wignerlab.weyl import expectation
+
+from oracles import (
+    quantize_via_displacements,
+    quantize_via_reflections,
+    twisted_product_via_convolution,
+)
 
 ETA = 1.0
 
