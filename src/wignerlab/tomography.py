@@ -56,7 +56,7 @@ def _projection_spectrum(values, x, p, k, theta, dx, dp):
     dk = k[1] - k[0]
     c, s = np.cos(theta), np.sin(theta)
     # chirp-z along the p axis: stage[i, m] = sum_j W[i, j] exp(-i k_m p_j s)
-    stage = chirp_z(values, n, -dk * dp * s, -k[0] * dp * s, axis=1)
+    stage = chirp_z(values, n, -dk * dp * s, -k[0] * dp * s)
     stage = stage * np.exp(-1j * k * p[0] * s)[None, :]
     # remaining x-axis phases couple i and m, so contract directly
     phase = np.exp(-1j * np.outer(x, k) * c)

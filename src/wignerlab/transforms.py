@@ -81,29 +81,25 @@ def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.n
 
     The lags are y_m = (m - N) dx for m = 0 .. 2N-1, with N = ``p_grid.n``,
     and ``p_grid`` must be dual to the lag spacing (dp dx N = 2 pi eta).
-    The kernel is then N-periodic in m up to the ramp exp(-i y_m p_min /
-    eta), so the two halves of the ramped lags fold onto N and one FFT per
-    row finishes the sum.
+    The kernel is then N-periodic in m up to the factor exp(-i N dx p_min /
+    eta) on the upper half, so the lags fold onto the N lags (m - N) dx,
+    m < N, and one dual-grid sum finishes the job.
     """
     n = p_grid.n
-    if abs(p_grid.dx * dx * n - 2.0 * np.pi * eta) > 1e-9 * 2.0 * np.pi * eta:
-        raise ParameterError("p grid is not dual to the lag spacing for this eta")
-    y = (np.arange(2 * n) - n) * dx
-    ramped = corr * np.exp(-1j * y * p_grid.x_min / eta)
-    return dx * np.fft.fft(ramped[..., :n] + ramped[..., n:], axis=-1)
+    folded = corr[..., :n] + corr[..., n:] * np.exp(-1j * n * dx * p_grid.x_min / eta)
+    lag_grid = Grid(-n * dx, 0.0, n)
+    return dx * oscillatory_sum(folded, lag_grid, p_grid, eta, -1)
 
 
-def chirp_z(
-    values: np.ndarray, m: int, step: float, start: float, axis: int = -1
-) -> np.ndarray:
-    """Compute sum_l values[l] exp(i (start + k step) l) for k = 0 .. m-1.
+def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:
+    """Compute sum_l values[..., l] exp(i (start + k step) l), k = 0 .. m-1.
 
     Bluestein's chirp-z: l k = (l^2 + k^2 - (k - l)^2) / 2 turns the sum
     into a convolution with the chirp exp(-i step j^2 / 2), done with
     power-of-two FFTs.  The chirps are built from exact integer squares, so
     large indices lose no phase accuracy.
     """
-    values = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)
+    values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
     size = 1 << (n + m - 2).bit_length()
     l = np.arange(n)
@@ -114,8 +110,7 @@ def chirp_z(
     chirp[: m + n - 1] = np.exp(-0.5j * step * (lags * lags))
     work = np.fft.fft(values * pre, size, axis=-1)
     work *= np.fft.fft(np.roll(chirp, 1 - n))
-    out = np.fft.ifft(work, axis=-1)[..., :m] * np.exp(0.5j * step * (k * k))
-    return np.moveaxis(out, -1, axis)
+    return np.fft.ifft(work, axis=-1)[..., :m] * np.exp(0.5j * step * (k * k))
 
 
 def eta_fourier(
