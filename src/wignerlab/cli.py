@@ -138,6 +138,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         config[key] = _typed(key, config[key], kind)
     if not config["eta"] > 0.0:
         raise ConfigurationError(f"eta must be positive, got {config['eta']}")
+    if config["angles"] < 1:
+        raise ConfigurationError(f"angles must be at least 1, got {config['angles']}")
     if not -(2**63) <= config["seed"] < 2**63:
         raise ConfigurationError("seed must fit in 64 bits")
     if config["state"] not in STATES:

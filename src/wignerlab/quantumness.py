@@ -22,7 +22,7 @@ from .errors import ParameterError, ValidationError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wavefunctions import gaussian_wavepacket
-from .weyl import weyl_quantize
+from .weyl import _MEMORY_LIMIT_BYTES, weyl_quantize
 
 __all__ = [
     "CovarianceMatrix",
@@ -251,16 +251,13 @@ def _hessian_check(a: PhaseSpaceFunction, eta: float) -> float:
     turns the Hessian into exact second moments of a, so no finite
     differences are needed:
 
-        -f''(0) = [[Int p^2 a, -Int x p a], [-Int x p a, Int x^2 a]].
+        -f''(0) / f(0) = [[<p^2>, -<x p>], [-<x p>, <x^2>]],
+
+    the raw moments Sigma + mean mean^T of the normalized distribution.
     """
-    xx, pp = a.meshes()
-    vals = a.values.real
-    w = a.area_element
-    f0 = float(np.sum(vals) * w)
-    mpp = float(np.sum(pp**2 * vals) * w)
-    mxx = float(np.sum(xx**2 * vals) * w)
-    mxp = float(np.sum(xx * pp * vals) * w)
-    matrix = np.array([[mpp, -mxp], [-mxp, mxx]]) / f0 + 0.5j * eta * j_matrix(1)
+    cov = covariance_matrix(a)
+    (mxx, mxp), (_, mpp) = cov.sigma + np.outer(cov.mean, cov.mean)
+    matrix = np.array([[mpp, -mxp], [-mxp, mxx]]) + 0.5j * eta * j_matrix(1)
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
@@ -276,10 +273,20 @@ def klm_test(
     the inner 80% of the grid), builds the KLM matrix and reports its
     minimum Hermitian eigenvalue.  A positive report reads "no violation
     found" — sampling cannot prove positivity over all point sets.
+
+    The matrix build holds fewer than eight complex samples x samples arrays
+    at once; a working set above ``weyl._MEMORY_LIMIT_BYTES`` raises
+    :class:`ParameterError` before any of them is allocated.
     """
     _check_unit_mass(a)
     if samples < 2:
         raise ParameterError("need at least two sample points")
+    needed = 8 * samples**2 * np.dtype(complex).itemsize
+    if needed > _MEMORY_LIMIT_BYTES:
+        raise ParameterError(
+            f"a KLM matrix of {samples} samples needs about {needed / 2**30:.1f} GiB "
+            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
+        )
     cov = covariance_matrix(
         PhaseSpaceFunction(
             a.x_grid, a.p_grid,

@@ -24,11 +24,13 @@ from .grid import (
     boundary_leak,
     dual_grid,
 )
+from .interpolate import fourier_shift
 
 __all__ = [
     "eta_fourier",
     "symplectic_fourier",
     "oscillatory_sum",
+    "half_step_correlation",
     "lag_transform",
     "chirp_z",
 ]
@@ -74,6 +76,32 @@ def oscillatory_sum(
         spec = np.fft.ifft(work, axis=-1) * n
     out = spec * post
     return np.moveaxis(out, -1, axis)
+
+
+def half_step_correlation(kernel: np.ndarray, grid: Grid) -> np.ndarray:
+    """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx.
+
+    Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
+    are on the grid for even s and half a step off it for odd s.  Even lags
+    read K itself, odd lags the band-limited interpolant of K shifted by
+    -dx/2 along both axes (the odd samples of a twofold refinement).  Both
+    polyphase kernels are padded with N/2 zeros on each side, so arguments
+    off the grid read zero and the whole correlation is one gather.
+    """
+    n = grid.n
+    half = n // 2
+    shift = -0.5 * grid.dx
+    phases = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    phases[0, half : half + n, half : half + n] = kernel
+    phases[1, half : half + n, half : half + n] = fourier_shift(
+        fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1
+    )
+    j = np.arange(n)[:, None]
+    s = np.arange(-n, n)[None, :]
+    # even s: K[j + s/2, j - s/2]; odd s: shifted K[j + (s-1)/2, j - (s+1)/2]
+    row = j + (s >> 1) + half
+    col = j - ((s + 1) >> 1) + half
+    return phases.take(((s & 1) * 2 * n + row) * 2 * n + col)
 
 
 def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.ndarray:

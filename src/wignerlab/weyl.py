@@ -5,9 +5,12 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
     a(x, p) = Int exp(-i p y / eta) K(x + y/2, x - y/2) dy
     K(x, y) = (2 pi eta)^(-1) Int exp(i p (x - y) / eta) a((x + y)/2, p) dp
 
-Midpoints and half-step arguments are reached with zero-padded DFT
-interpolation onto the half-step grid, and off-grid indices are treated as
-zero (kernels and symbols are assumed negligible outside the grid).
+The symbol reads the kernel at half-step arguments through
+:func:`transforms.half_step_correlation` (odd lags use the kernel's
+band-limited interpolant shifted by half a step); the quantizer reaches
+midpoints by DFT refinement of the symbol onto the half-step x grid.
+Off-grid arguments are treated as zero (kernels and symbols are assumed
+negligible outside the grid).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import ParameterError
 from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .interpolate import fourier_shift, refine
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, lag_transform
+from .transforms import chirp_z, half_step_correlation, lag_transform
 
 __all__ = [
     "displace",
@@ -70,8 +73,9 @@ def _half_step_symbol(a: PhaseSpaceFunction) -> np.ndarray:
     return refine(a.values, 2, axis=0)
 
 
-#: largest working set, in bytes, that the p oversampling may allocate
-_OVERSAMPLE_LIMIT_BYTES = 2 * 2**30
+#: largest working set, in bytes, that the p oversampling or a KLM matrix
+#: build may allocate
+_MEMORY_LIMIT_BYTES = 2 * 2**30
 
 #: symbol rows per chirp-z pass of :func:`weyl_quantize`
 _ROW_CHUNK = 128
@@ -87,17 +91,17 @@ def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float):
     their p spacing.  Refinement holds three complex arrays of the
     oversampled size at once, and each chirp-z pass of the quantizer fewer
     than ten arrays of ``_ROW_CHUNK`` oversampled rows; a working set above
-    ``_OVERSAMPLE_LIMIT_BYTES`` raises :class:`ParameterError` before any of
+    ``_MEMORY_LIMIT_BYTES`` raises :class:`ParameterError` before any of
     them is allocated.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     row_bytes = factor * a.p_grid.n * np.dtype(complex).itemsize
     needed = (3 * values.shape[0] + 10 * _ROW_CHUNK) * row_bytes
-    if needed > _OVERSAMPLE_LIMIT_BYTES:
+    if needed > _MEMORY_LIMIT_BYTES:
         raise ParameterError(
             f"quantizing at eta = {eta_use} a symbol sampled at eta = {a.eta} "
             f"needs p oversampling by {factor}, about {needed / 2**30:.1f} GiB "
-            f"(limit {_OVERSAMPLE_LIMIT_BYTES / 2**30:.0f} GiB)"
+            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
         )
     return refine(values, factor, axis=1), a.p_grid.dx / factor
 
@@ -135,16 +139,9 @@ def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     """Weyl symbol of an operator kernel (inverse of :func:`weyl_quantize`)."""
     grid = op.grid
     eta = op.eta
-    n = grid.n
-    dx = grid.dx
     p_grid = dual_grid(grid, eta)
-    fine = refine(refine(op.kernel, 2, axis=0), 2, axis=1)
-    pad = np.zeros((4 * n, 4 * n), dtype=complex)
-    pad[n : 3 * n, n : 3 * n] = fine
-    j = np.arange(n)[:, None]
-    m = np.arange(2 * n)[None, :]
-    corr = pad[2 * j + m, 2 * j - m + 2 * n]  # K(x_j + y_m/2, x_j - y_m/2)
-    values = lag_transform(corr, dx, p_grid, eta)
+    corr = half_step_correlation(op.kernel, grid)
+    values = lag_transform(corr, grid.dx, p_grid, eta)
     return PhaseSpaceFunction(
         grid, p_grid, values, eta, kind="symbol", leak=boundary_leak(values)
     )

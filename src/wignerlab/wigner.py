@@ -5,8 +5,11 @@
     Amb psi(x, p)     = (2 pi eta)^-1 Int exp(-i p y/eta)
                         psi(y + x/2) psi*(y - x/2) dy
 
-Half-step arguments come from zero-padded DFT interpolation of the state
-onto the half-step grid; samples outside the grid are taken as zero.
+Every one of them is a Weyl symbol over 2 pi eta: W(psi, phi) is the
+symbol of the rank-one operator |psi><phi|, the Wigner function of a state
+that of its density operator, and the ambiguity function reads the same
+half-step correlation (:func:`transforms.half_step_correlation`) with the
+lag and midpoint axes swapped.  Samples outside the grid are taken as zero.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from .grid import (
     boundary_leak,
     dual_grid,
 )
-from .interpolate import refine, tensor_interp
-from .states import DensityMatrix, MixedStateSpec, mix
-from .transforms import lag_transform, oscillatory_sum
+from .interpolate import tensor_interp
+from .states import DensityMatrix, MixedStateSpec, OperatorMatrix, mix
+from .transforms import half_step_correlation, oscillatory_sum
 from .weyl import reflect, weyl_symbol
 
 __all__ = [
@@ -51,35 +54,31 @@ class WignerResult:
         return self.W.real_values()
 
 
-def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
-    """Half-step samples with n zeros of padding on each side (length 4n)."""
-    pad = np.zeros(4 * n, dtype=complex)
-    pad[n : 3 * n] = refine(values, 2)
-    return pad
+def _scaled_symbol(op: OperatorMatrix, kind: str) -> PhaseSpaceFunction:
+    """Wigner distribution of an operator: its Weyl symbol over 2 pi eta."""
+    symbol = weyl_symbol(op)
+    values = symbol.values / (2.0 * np.pi * op.eta)
+    return PhaseSpaceFunction(
+        symbol.x_grid, symbol.p_grid, values, op.eta, kind=kind, leak=symbol.leak
+    )
 
 
 def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
-    """Cross-Wigner transform W(psi, phi); complex-valued in general."""
+    """Cross-Wigner transform W(psi, phi); complex-valued in general.
+
+    W(psi, phi) is the scaled Weyl symbol of the rank-one operator
+    |psi><phi|, whose kernel is psi(x) phi*(y).
+    """
     psi.require_compatible(phi)
-    grid, eta = psi.grid, psi.eta
-    n, dx = grid.n, grid.dx
-    p_grid = dual_grid(grid, eta)
-    pf = _padded_fine(psi.values, n)
-    gf = _padded_fine(phi.values, n)
-    j = np.arange(n)[:, None]
-    m = np.arange(2 * n)[None, :]
-    corr = pf[2 * j + m] * gf[2 * j - m + 2 * n].conj()
-    values = lag_transform(corr, dx, p_grid, eta) / (2.0 * np.pi * eta)
-    kind = "wigner" if psi is phi else "generic"
-    return PhaseSpaceFunction(
-        grid, p_grid, values, eta, kind=kind, leak=boundary_leak(values)
-    )
+    op = OperatorMatrix(psi.grid, np.outer(psi.values, phi.values.conj()), psi.eta)
+    return _scaled_symbol(op, "wigner" if psi is phi else "generic")
 
 
 def wigner(source) -> WignerResult:
     """Wigner distribution of a pure state, a mixture spec, or a density matrix.
 
-    A density matrix's Wigner function is its Weyl symbol over 2 pi eta.
+    Each is the scaled Weyl symbol of its density operator; a pure state's
+    operator is the rank-one |psi><psi|.
     """
     if isinstance(source, GridFunction):
         W = cross_wigner(source, source)
@@ -88,29 +87,26 @@ def wigner(source) -> WignerResult:
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    symbol = weyl_symbol(source.op)
-    W = PhaseSpaceFunction(
-        symbol.x_grid, symbol.p_grid, symbol.values / (2.0 * np.pi * source.eta),
-        source.eta, kind="wigner", leak=symbol.leak,
-    )
+    W = _scaled_symbol(source.op, "wigner")
     return WignerResult(W, W.leak, "density")
 
 
 def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
-    """Ambiguity (auto-correlation) function of a state."""
+    """Ambiguity (auto-correlation) function of a state.
+
+    Its x axis is the lag: columns N/2 .. 3N/2 of the half-step correlation
+    of |psi><psi| hold the lags (j - N/2) dx, and the midpoints, which run
+    over the state's grid, are summed against exp(-i p y / eta).
+    """
     grid, eta = psi.grid, psi.eta
-    n, dx = grid.n, grid.dx
+    n = grid.n
     p_grid = dual_grid(grid, eta)
-    pad = np.zeros(6 * n, dtype=complex)
-    pad[2 * n : 4 * n] = refine(psi.values, 2)
-    j = np.arange(n)[None, :]  # x index
-    m = np.arange(n)[:, None]  # y index
-    half = n // 2
-    corr = pad[2 * m + j - half + 2 * n] * pad[2 * m - j + half + 2 * n].conj()
-    # the lags are the x grid itself, so the sum is a plain dual-grid DFT
-    values = dx / (2.0 * np.pi * eta) * oscillatory_sum(corr.T, grid, p_grid, eta, -1)
+    corr = half_step_correlation(np.outer(psi.values, psi.values.conj()), grid)
+    lags = corr[:, n // 2 : 3 * n // 2].T
+    values = grid.dx / (2.0 * np.pi * eta) * oscillatory_sum(lags, grid, p_grid, eta, -1)
     return PhaseSpaceFunction(
-        grid, p_grid, values, eta, kind="ambiguity", leak=boundary_leak(values)
+        dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity",
+        leak=boundary_leak(values),
     )
 
 

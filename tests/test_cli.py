@@ -125,8 +125,9 @@ def _config(payload):
         (_one_column_csv, "2 columns"),
         (_config({"N": "abc"}), "N must be int"),
         (_config({"seed": 1.5}), "seed must be int"),
+        (lambda tmp_path: ["tomography", "--angles", "-3"], "angles must be at least 1"),
     ],
-    ids=["missing_input", "one_column_csv", "string_N", "float_seed"],
+    ids=["missing_input", "one_column_csv", "string_N", "float_seed", "negative_angles"],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     out_dir = tmp_path / "out"

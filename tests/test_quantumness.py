@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     GaussianStateSpec,
+    ParameterError,
     PhaseSpaceFunction,
     ValidationError,
     coherent_state,
@@ -128,6 +129,14 @@ def test_klm_rejects_unnormalized(grid):
     bad = type(W)(W.x_grid, W.p_grid, 2.0 * W.values, W.eta, kind="wigner")
     with pytest.raises(ValidationError):
         klm_test(bad, ETA)
+
+
+def test_klm_refuses_oversized_sample_count(grid):
+    # 20000 samples need a 6.4 GB point-difference array alone; refused
+    # before anything is allocated
+    W = wigner(coherent_state(grid, ETA)).W
+    with pytest.raises(ParameterError, match="GiB"):
+        klm_test(W, ETA, samples=20000)
 
 
 def test_narcowich_oconnell_witness():

@@ -92,13 +92,20 @@ def test_ambiguity_is_symplectic_ft_of_wigner(grid):
     assert amb.kind == "ambiguity"
 
 
-def test_ambiguity_value_at_origin(grid):
-    psi = coherent_state(grid, ETA)
+def _assert_ambiguity_origin(psi):
     amb = ambiguity(psi)
     i = np.argmin(np.abs(amb.x_grid.points))
     k = np.argmin(np.abs(amb.p_grid.points))
     # Amb psi(0) = ||psi||^2 / (2 pi eta)
     assert amb.values[i, k] == pytest.approx(1.0 / (2.0 * np.pi * ETA), abs=1e-10)
+
+
+def test_ambiguity_value_at_origin(grid):
+    _assert_ambiguity_origin(coherent_state(grid, ETA))
+
+
+def test_ambiguity_value_at_origin_non_centered_grid():
+    _assert_ambiguity_origin(coherent_state(make_grid(-10.0, 12.0, 64), ETA))
 
 
 def test_wigner_of_density_matches_pure_state(grid):
