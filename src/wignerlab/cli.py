@@ -28,7 +28,7 @@ from .serialize import (
 )
 from .states import MixedStateSpec, mix, pure_density, state_stats
 from .symplectic import MetaplecticSpec, metaplectic_apply
-from .tomography import inverse_radon, pauli_pair, radon, reconstruct_density
+from .tomography import pauli_pair, radon, reconstruct_density
 from .transforms import eta_fourier
 from .wavefunctions import coherent_state, hermite_state
 from .weyl import displace
@@ -335,13 +335,13 @@ def _run_tomography(config, out_dir):
     w = wigner(source)
     angles = np.linspace(0.0, np.pi, config["angles"], endpoint=False)
     tomo = radon(w, angles)
-    recon = inverse_radon(tomo)
+    density, info = reconstruct_density(tomo, eta)
+    recon = info["reconstruction"]
     truth = w.values
     l2 = float(
         np.sqrt(np.sum((recon.values.real - truth) ** 2) / np.sum(truth**2))
     )
     checks = [Check("reconstruction_l2", l2, _tol(config, 2e-2))]
-    density, info = reconstruct_density(tomo, eta)
     if config["state"] == "coherent":
         phi0 = coherent_state(grid, eta)
         kernel = density.op.kernel if density is not None else None

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
+from .states import OperatorMatrix
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wavefunctions import gaussian_wavepacket
 from .weyl import _MEMORY_LIMIT_BYTES, weyl_quantize
@@ -380,13 +381,12 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     for eta in eta_list:
         eta = float(eta)
         op = weyl_quantize(a, eta=eta)
-        kernel = 2.0 * np.pi * eta * op.kernel
-        herm = float(np.max(np.abs(kernel - kernel.conj().T)))
-        herm /= float(np.max(np.abs(kernel))) or 1.0
-        vals = np.linalg.eigvalsh(0.5 * (kernel + kernel.conj().T)) * op.dx
+        rho = OperatorMatrix(op.grid, 2.0 * np.pi * eta * op.kernel, eta)
+        herm = rho.hermiticity_residue()
+        vals = rho.eigenvalues()
         scale = float(np.max(np.abs(vals))) or 1.0
-        min_eig = float(vals[0])
-        trace = float(np.sum(vals))
+        min_eig = float(vals[-1])
+        trace = rho.trace().real
         surrogate = float(2.0 * np.pi * eta * np.sum(a.values.real**2) * a.area_element)
         psd_ok = min_eig >= -1e-8 * scale
         trace_ok = abs(trace - 1.0) <= 1e-6

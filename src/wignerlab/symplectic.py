@@ -21,9 +21,9 @@ into elementary chirp / rescale / Fourier steps, which is the cheap path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import warnings
 
 import numpy as np
-from scipy.linalg import schur, sqrtm
 
 from .errors import NotFreeError, ParameterError, ValidationError
 from .grid import GridFunction, dual_grid
@@ -122,6 +122,12 @@ def _check_pd(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T), n
 
 
+def _spd_roots(sigma: np.ndarray):
+    """Sigma^(1/2) and Sigma^(-1/2) of a positive definite matrix, from one eigh."""
+    vals, vecs = np.linalg.eigh(sigma)
+    return [(vecs * vals**power) @ vecs.T for power in (0.5, -0.5)]
+
+
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Moduli of the +-i lambda_j eigenvalue pairs of J Sigma, ascending.
 
@@ -138,7 +144,7 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     if np.max(np.abs(paired[:, 0] - paired[:, 1])) > 1e-9 * max(1.0, lams[-1]):
         raise ValidationError("eigenvalues of J Sigma do not pair as +-i lambda")
     out = paired[:, 0]
-    root = sqrtm(sigma).real
+    root, _ = _spd_roots(sigma)
     check = np.sort(np.abs(np.linalg.eigvalsh(1j * root @ J @ root)))
     if np.max(np.abs(np.repeat(out, 2) - check)) > 1e-9 * max(1.0, lams[-1]):
         raise ValidationError("symplectic eigenvalue cross-check failed")
@@ -160,8 +166,9 @@ class WilliamsonData:
 def williamson(sigma: np.ndarray) -> WilliamsonData:
     """Williamson normal form of a positive definite matrix.
 
-    n = 1 uses the closed-form triangular factor; general n goes through the
-    real Schur form of Sigma^(-1/2) J Sigma^(-1/2).
+    n = 1 uses the closed-form triangular factor; general n takes one eigh
+    of the Hermitian i W, W = Sigma^(-1/2) J Sigma^(-1/2), whose positive
+    eigenvalues are 1 / lambda_j.
     """
     sigma, n = _check_pd(sigma)
     if n == 1:
@@ -171,27 +178,15 @@ def williamson(sigma: np.ndarray) -> WilliamsonData:
             [[np.sqrt(a / d), b / np.sqrt(a * d)], [0.0, np.sqrt(d / a)]]
         )
         return WilliamsonData(S, np.array([d]))
-    lams = symplectic_eigenvalues(sigma)
-    if np.min(np.diff(np.sort(lams))) < 1e-12:
-        import warnings
-
+    M, Minv = _spd_roots(sigma)
+    kappa, V = np.linalg.eigh(1j * Minv @ j_matrix(n) @ Minv)
+    # positive half, largest kappa first, so lambda = 1 / kappa ascends
+    lam, V = 1.0 / kappa[n:][::-1], V[:, n:][:, ::-1]
+    if np.min(np.diff(lam)) < 1e-12:
         warnings.warn("near-degenerate symplectic eigenvalues; factor may be ill-conditioned")
-    M = sqrtm(sigma).real
-    Minv = np.linalg.inv(M)
-    W = Minv @ j_matrix(n) @ Minv
-    W = 0.5 * (W - W.T)
-    T, Q = schur(W, output="real")
-    pairs = []
-    for i in range(n):
-        kappa = T[2 * i, 2 * i + 1]
-        cols = (2 * i, 2 * i + 1) if kappa > 0 else (2 * i + 1, 2 * i)
-        pairs.append((1.0 / abs(kappa), cols))
-    pairs.sort(key=lambda item: item[0])
-    lam = np.array([item[0] for item in pairs])
-    order = [item[1][0] for item in pairs] + [item[1][1] for item in pairs]
-    Qp = Q[:, order]
-    Dhalf = np.diag(np.concatenate([lam, lam]) ** -0.5)
-    S = (M @ Qp @ Dhalf).T
+    # W (Im v, Re v) = kappa (-Re v, Im v), so sqrt(2) (Im v, Re v) spans the 2-plane
+    Q = np.sqrt(2.0) * np.hstack([V.imag, V.real])
+    S = (M @ Q / np.sqrt(np.concatenate([lam, lam]))).T
     require_symplectic(S, tol=1e-9)
     return WilliamsonData(S, lam)
 

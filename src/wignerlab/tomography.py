@@ -159,9 +159,9 @@ def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFu
 def reconstruct_density(tomo: TomogramSet, eta: float):
     """Density matrix from tomograms: invert the Radon data, then quantize.
 
-    Returns (DensityMatrix or None, report dict).  The reconstruction trace
-    is renormalized to one with the factor recorded; PSD violations are
-    reported, never silently repaired.
+    Returns (DensityMatrix or None, report dict); the report keeps the
+    backprojected Wigner function as "reconstruction".  The trace is set to
+    one (factor recorded); PSD violations are reported, never repaired.
     """
     masses = tomo.masses()
     if float(np.max(np.abs(masses - 1.0))) > 1e-3:
@@ -183,6 +183,7 @@ def reconstruct_density(tomo: TomogramSet, eta: float):
         "renormalization": float(trace),
         "min_eigenvalue": report.min_eigenvalue,
         "violations": list(report.violations),
+        "reconstruction": rho_w,
     }
     density = DensityMatrix(op, report) if report.ok else None
     return density, info

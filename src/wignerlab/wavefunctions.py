@@ -8,7 +8,6 @@ Hermite states are its excited companions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln
 
 from .errors import ParameterError
 from .grid import Grid, GridFunction
@@ -31,14 +30,19 @@ def coherent_state(grid: Grid, eta: float, x0: float = 0.0, p0: float = 0.0) -> 
 
 
 def hermite_state(grid: Grid, eta: float, k: int) -> GridFunction:
-    """k-th Hermite (number) state for the eta-oscillator."""
+    """k-th Hermite (number) state for the eta-oscillator, by the normalized recurrence."""
     if k < 0 or int(k) != k:
         raise ParameterError(f"Hermite index must be a non-negative integer, got {k}")
-    x = grid.points
-    xi = x / np.sqrt(eta)
-    lognorm = -0.5 * (k * np.log(2.0) + gammaln(k + 1)) - 0.25 * np.log(np.pi * eta)
-    values = np.exp(lognorm) * eval_hermite(int(k), xi) * np.exp(-0.5 * xi**2)
-    return GridFunction(grid, values, eta)
+    xi = grid.points / np.sqrt(eta)
+    # recur on psi exp(xi^2 / 2), the Gaussian and every rescaling kept in a per-point
+    # exponent, so that nothing overflows and no seed underflows beyond |xi| = 38.6
+    exponent = -0.5 * xi**2
+    prev, values = np.zeros_like(xi), np.full_like(xi, (np.pi * eta) ** -0.25)
+    for j in range(int(k)):
+        prev, values = values, np.sqrt(2.0 / (j + 1)) * xi * values - np.sqrt(j / (j + 1)) * prev
+        scale = np.where(np.abs(values) > 1e100, 1e-100, 1.0)
+        prev, values, exponent = scale * prev, scale * values, exponent - np.log(scale)
+    return GridFunction(grid, values * np.exp(exponent), eta)
 
 
 def gaussian_wavepacket(

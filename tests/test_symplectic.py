@@ -100,7 +100,7 @@ def test_williamson_closed_form():
     assert data.eigenvalues[0] == pytest.approx(np.sqrt(np.linalg.det(sigma)), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_williamson_random(n):
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -114,6 +114,16 @@ def test_williamson_random(n):
         assert ok and resid < 1e-9
         ref = symplectic_eigenvalues(sigma)
         assert np.max(np.abs(np.sort(data.eigenvalues) - np.sort(ref))) < 1e-8 * scale
+
+
+def test_williamson_degenerate_warns_and_factors():
+    sigma = 0.7 * np.eye(4)
+    with pytest.warns(UserWarning, match="near-degenerate"):
+        data = williamson(sigma)
+    assert np.max(np.abs(data.S.T @ data.D @ data.S - sigma)) < 1e-12
+    ok, resid = is_symplectic(data.S)
+    assert ok and resid < 1e-9
+    assert np.allclose(data.eigenvalues, 0.7, rtol=0.0, atol=1e-12)
 
 
 def test_word_matrix_matches_free_matrix():

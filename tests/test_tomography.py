@@ -102,6 +102,7 @@ def test_reconstruct_density_pipeline(grid):
     assert density is not None
     assert not info["violations"]
     assert info["min_eigenvalue"] > -1e-4
+    assert np.array_equal(info["reconstruction"].values, inverse_radon(tomo).values)
     rho = pure_density(psi)
     fidelity = (
         np.real(np.sum(rho.kernel.conj() * density.kernel)) * grid.dx**2
