@@ -36,14 +36,11 @@ from .grid import (  # noqa: E402
     boundary_leak,
     dual_grid,
     make_grid,
-    phase_space_grids,
 )
 from .interpolate import (  # noqa: E402
     fourier_shift,
     periodic_interp,
-    point_interp2d,
     refine,
-    shear_interp,
     tensor_interp,
 )
 from .transforms import eta_fourier, symplectic_fourier  # noqa: E402
@@ -52,11 +49,8 @@ from .states import (  # noqa: E402
     DensityMatrix,
     MixedStateSpec,
     OperatorMatrix,
-    SpectralData,
     mix,
-    operator_from_apply,
     pure_density,
-    spectral_decompose,
     state_stats,
     validate_density,
 )

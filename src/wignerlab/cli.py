@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, WignerlabError
-from .grid import PhaseSpaceFunction, dual_grid, make_grid
+from .grid import GridFunction, make_grid
 from .quantumness import eta_scan, gaussian_admissible, klm_test
 from .serialize import (
     dump_json,
@@ -26,7 +26,7 @@ from .serialize import (
     save_phase_space,
     save_tomograms,
 )
-from .states import MixedStateSpec, mix, pure_density, state_stats
+from .states import MixedStateSpec
 from .symplectic import MetaplecticSpec, metaplectic_apply
 from .tomography import pauli_pair, radon, reconstruct_density
 from .transforms import eta_fourier
@@ -198,7 +198,7 @@ def _run_wigner(config, out_dir):
     ft = eta_fourier(phi0)
     checks.append(Check("marginal_momentum", np.max(np.abs(mom - np.abs(ft.values) ** 2)), 1e-6))
     save_phase_space(result.W, os.path.join(out_dir, "wigner.csv"))
-    return checks, {}
+    return checks
 
 
 def _random_gaussian_superposition(rng, grid, eta):
@@ -208,8 +208,6 @@ def _random_gaussian_superposition(rng, grid, eta):
         phase = np.exp(2j * np.pi * rng.uniform())
         term = displace(coherent_state(grid, eta), z0).values * phase
         state = term if state is None else state + term
-    from .grid import GridFunction
-
     return GridFunction(grid, state, eta).normalized()
 
 
@@ -231,7 +229,7 @@ def _run_moyal(config, out_dir):
         rhs = quad[0].inner(quad[2]) * np.conj(quad[1].inner(quad[3])) / (2.0 * np.pi * eta)
         worst = max(worst, abs(lhs - rhs))
     checks.append(Check("cross_moyal", worst, _tol(config, 1e-7)))
-    return checks, {}
+    return checks
 
 
 def _run_metaplectic(config, out_dir):
@@ -260,7 +258,7 @@ def _run_metaplectic(config, out_dir):
         Check("word_vs_quadrature", worst_match, _tol(config, 1e-6)),
         Check("unitarity", worst_norm, 1e-7),
     ]
-    return checks, {}
+    return checks
 
 
 def _run_klm(config, out_dir):
@@ -291,7 +289,7 @@ def _run_klm(config, out_dir):
         },
         os.path.join(out_dir, "klm_report.json"),
     )
-    return checks, {}
+    return checks
 
 
 def _run_gaussian(config, out_dir):
@@ -314,7 +312,7 @@ def _run_gaussian(config, out_dir):
         Check("criterion_equivalence", disagreements, 0.5),
         Check("boundary_admissible", 0.0 if boundary["admissible"] else 1.0, 0.5),
     ]
-    return checks, {}
+    return checks
 
 
 def _run_eta_scan(config, out_dir):
@@ -325,7 +323,7 @@ def _run_eta_scan(config, out_dir):
     ok = result.verdicts() == expected
     checks = [Check("eta_scan_verdicts", 0.0 if ok else 1.0, 0.5)]
     dump_json({"schema": 1, "entries": result.entries}, os.path.join(out_dir, "eta_scan.json"))
-    return checks, {}
+    return checks
 
 
 def _run_tomography(config, out_dir):
@@ -356,7 +354,7 @@ def _run_tomography(config, out_dir):
         checks.append(Check("fidelity", 1.0 - fidelity, 2e-2, passed=fidelity >= 0.98))
     save_tomograms(tomo, os.path.join(out_dir, "tomograms.csv"))
     save_phase_space(recon, os.path.join(out_dir, "reconstruction.csv"))
-    return checks, {}
+    return checks
 
 
 def _run_pauli(config, out_dir):
@@ -371,7 +369,7 @@ def _run_pauli(config, out_dir):
     checks.append(Check("equal_marginals", max(pos, mom), 1e-10))
     save_grid_function(psi1, os.path.join(out_dir, "pauli_psi1.csv"))
     save_grid_function(psi2, os.path.join(out_dir, "pauli_psi2.csv"))
-    return checks, {}
+    return checks
 
 
 RUNNERS = {
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}")
-        checks, _ = RUNNERS[args.experiment](config, out_dir)
+        checks = RUNNERS[args.experiment](config, out_dir)
     except WignerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ __all__ = [
     "PhaseSpaceFunction",
     "make_grid",
     "dual_grid",
-    "phase_space_grids",
     "boundary_leak",
 ]
 
@@ -90,11 +89,6 @@ def dual_grid(grid: Grid, eta: float) -> Grid:
     dp = 2.0 * np.pi * eta / (grid.n * grid.dx)
     half = 0.5 * grid.n * dp
     return Grid(-half, half, grid.n)
-
-
-def phase_space_grids(grid: Grid, eta: float) -> tuple[Grid, Grid]:
-    """The (x, p) grid pair used for phase-space functions over ``grid``."""
-    return grid, dual_grid(grid, eta)
 
 
 @dataclass

@@ -17,9 +17,7 @@ __all__ = [
     "refine",
     "fourier_shift",
     "periodic_interp",
-    "point_interp2d",
     "tensor_interp",
-    "shear_interp",
 ]
 
 
@@ -132,59 +130,3 @@ def tensor_interp(
         raise ParameterError("values shape does not match grids")
     stage = periodic_interp(values.T, x_grid, new_x, zero_outside).T
     return periodic_interp(stage, p_grid, new_p, zero_outside)
-
-
-def point_interp2d(
-    values: np.ndarray,
-    x_grid: Grid,
-    p_grid: Grid,
-    x_points: np.ndarray,
-    p_points: np.ndarray,
-    zero_outside: bool = True,
-) -> np.ndarray:
-    """Evaluate a 2-D grid function at arbitrary (x, p) pairs.
-
-    ``x_points`` and ``p_points`` are broadcast together; unlike
-    :func:`tensor_interp` the evaluation points need not form a product grid,
-    so sheared or rotated coordinates are fine.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (x_grid.n, p_grid.n):
-        raise ParameterError("values shape does not match grids")
-    x_points, p_points = np.broadcast_arrays(
-        np.asarray(x_points, dtype=float), np.asarray(p_points, dtype=float)
-    )
-    shape = x_points.shape
-    xf = x_points.reshape(-1)
-    pf = p_points.reshape(-1)
-    coeffs = _split_coefficients(
-        _split_coefficients(np.fft.fft(np.fft.fft(values, axis=0), axis=1).T).T
-    )
-    ex = _eval_matrix(x_grid, xf)
-    ep = _eval_matrix(p_grid, pf)
-    out = np.einsum("mk,kl,ml->m", ex, coeffs, ep)
-    if zero_outside:
-        outside = (
-            (xf < x_grid.x_min)
-            | (xf >= x_grid.x_max)
-            | (pf < p_grid.x_min)
-            | (pf >= p_grid.x_max)
-        )
-        out[outside] = 0.0
-    return out.reshape(shape)
-
-
-def shear_interp(
-    values: np.ndarray,
-    x_grid: Grid,
-    p_grid: Grid,
-    slope: float,
-) -> np.ndarray:
-    """Row-wise sheared evaluation: out[i, j] = f(x_i, p_j + slope * x_i)."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (x_grid.n, p_grid.n):
-        raise ParameterError("values shape does not match grids")
-    out = np.empty_like(values)
-    for i, x in enumerate(x_grid.points):
-        out[i] = fourier_shift(values[i], p_grid, -slope * x)
-    return out

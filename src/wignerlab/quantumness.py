@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
+from .grid import Grid, PhaseSpaceFunction, dual_grid
 from .states import OperatorMatrix
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wavefunctions import gaussian_wavepacket
@@ -209,7 +209,10 @@ def _quadrature_transform(a: PhaseSpaceFunction, points: np.ndarray, scale: floa
 
 
 def reduced_transform(a: PhaseSpaceFunction, points) -> np.ndarray:
-    """eta-free reduced transform Int exp(-i sigma(w, z')) a(z') dz'."""
+    """eta-free reduced transform Int exp(-i sigma(w, z')) a(z') dz'.
+
+    Public as the paper's eta-independent symplectic Fourier transform.
+    """
     return _quadrature_transform(a, np.atleast_2d(points), 1.0)
 
 

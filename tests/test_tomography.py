@@ -1,19 +1,21 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from wignerlab import (
     GaussianStateSpec,
+    GridFunction,
+    MetaplecticSpec,
     NormalizationError,
     ParameterError,
     TomogramSet,
     coherent_state,
     covariance_matrix,
     gaussian_state,
+    hermite_state,
     inverse_radon,
     make_grid,
     marginals,
+    metaplectic_apply,
     pauli_pair,
     pure_density,
     radon,
@@ -27,6 +29,16 @@ ETA = 1.0
 def _self_dual_grid(n=128, eta=ETA):
     half = 0.5 * np.sqrt(2.0 * np.pi * eta * n)
     return make_grid(-half, half, n)
+
+
+def _cat(grid, x0=0.5, p0=2.0, eta=ETA):
+    """Two-coherent cat state (|z0> + |-z0>), normalized.
+
+    Split mainly along p: its kernel lags |x - y| stay below L/2, which the
+    dual p grid of W needs to resolve the fringes at every angle.
+    """
+    values = coherent_state(grid, eta, x0, p0).values + coherent_state(grid, eta, -x0, -p0).values
+    return GridFunction(grid, values, eta).normalized()
 
 
 @pytest.fixture
@@ -59,6 +71,21 @@ def test_radon_masses_are_preserved(grid):
     W = wigner(coherent_state(grid, ETA, 0.2, 0.4)).W
     tomo = radon(W, np.linspace(0.0, np.pi, 16, endpoint=False))
     assert np.max(np.abs(tomo.masses() - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("x_max", [10.0, 12.0])
+def test_radon_matches_rotated_position_density(x_max):
+    # the tomogram at theta is the position density of the state rotated by
+    # the metaplectic operator of R(theta) = [[c, s], [-s, c]]
+    grid = make_grid(-10.0, x_max, 256)
+    psi = _cat(grid)
+    angles = np.array([np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, -np.pi / 4])
+    tomo = radon(wigner(psi), angles)
+    for row, theta in enumerate(angles):
+        c, s = np.cos(theta), np.sin(theta)
+        rotated = metaplectic_apply(MetaplecticSpec.free(np.array([[c, s], [-s, c]])), psi)
+        ref = np.abs(rotated.values) ** 2
+        assert np.max(np.abs(tomo.values[row] - ref)) <= 1e-7 * np.max(ref)
 
 
 def test_radon_rejects_empty_angles(grid):
@@ -108,6 +135,33 @@ def test_reconstruct_density_pipeline(grid):
         np.real(np.sum(rho.kernel.conj() * density.kernel)) * grid.dx**2
     )
     assert fidelity > 0.98
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("state", ["coherent", "cat", "hermite1"])
+def test_support_aware_reconstruction_on_default_box(n, state):
+    # at N = 512 the dual p box reaches |p| = 80 while the state lives in
+    # |p| < 5: backprojection outside the tomograms' support would leave
+    # streaks that break positivity.  Every tomogram of the first Hermite
+    # state vanishes at the sample X = 0, which must not cut the support.
+    grid = make_grid(-10.0, 10.0, n)
+    psi = {
+        "coherent": coherent_state(grid, ETA, 0.3, 0.2),
+        "cat": _cat(grid),
+        "hermite1": hermite_state(grid, ETA, 1),
+    }[state]
+    w = wigner(psi)
+    tomo = radon(w, np.linspace(0.0, np.pi, 180, endpoint=False))
+    density, info = reconstruct_density(tomo, ETA)
+    recon = info["reconstruction"].values.real
+    truth = w.values
+    assert np.sqrt(np.sum((recon - truth) ** 2) / np.sum(truth**2)) < 2e-3
+    assert np.mean(recon != 0.0) < 0.2  # most of the box is outside the support
+    assert info["renormalization"] == pytest.approx(1.0, abs=1e-4)
+    assert density is not None
+    assert not info["violations"]
+    fidelity = np.real(psi.values.conj() @ density.kernel @ psi.values) * grid.dx**2
+    assert fidelity > 0.999
 
 
 def test_reconstruct_density_rejects_unnormalized(grid):
