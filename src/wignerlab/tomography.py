@@ -120,10 +120,10 @@ def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFu
     sampling band) on a 4x zero-padded window, refined 4x, and backprojected
     with linear interpolation.  Only points the data allows to carry mass
     are backprojected (support theorem): at every angle, the projection
-    x cos t + p sin t must fall in a tomogram cell with a sample above
-    SUPPORT_RTOL max |R|.  The other points are zero, which keeps the
-    filter's streaks off the empty part of phase space.  Fewer than 64
-    angles triggers a conditioning warning.
+    x cos t + p sin t must lie within one cell of the outer extent of that
+    tomogram's samples above SUPPORT_RTOL max |R|.  The other points are
+    zero, which keeps the filter's streaks off the empty part of phase
+    space.  Fewer than 64 angles triggers a conditioning warning.
     """
     n_angles = len(tomo.angles)
     if n_angles < 64:
@@ -153,15 +153,16 @@ def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFu
     fine_x = grid.x_min + (np.arange(refine_by * pad) / refine_by - offset) * dx
     xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
     xs, ps = xx.ravel(), pp.ravel()
+    # support theorem: at every angle the projection must lie within the outer
+    # extent [X_lo, X_hi] of the samples above threshold, widened by one cell
+    # for the interpolation; gaps inside that extent may still hide signed mass
     above = np.abs(tomo.values) > SUPPORT_RTOL * np.max(np.abs(tomo.values))
-    # cell l spans [X_l, X_l+1]; cells past either end (indices -1, n - 1, n) are empty
-    cells = np.zeros((n_angles, n + 1), dtype=bool)
-    cells[:, : n - 1] = above[:, :-1] | above[:, 1:]
+    lo = grid.points[np.argmax(above, axis=1)] - dx
+    hi = grid.points[n - 1 - np.argmax(above[:, ::-1], axis=1)] + dx
     inside = np.arange(xs.size)
     for row, theta in enumerate(tomo.angles):
         coords = xs[inside] * np.cos(theta) + ps[inside] * np.sin(theta)
-        cell = np.clip(np.floor((coords - grid.x_min) / dx), -1, n).astype(int)
-        inside = inside[cells[row, cell]]
+        inside = inside[(coords >= lo[row]) & (coords <= hi[row])]
     xs, ps = xs[inside], ps[inside]
     summed = np.zeros(inside.size)
     for row, theta in enumerate(tomo.angles):

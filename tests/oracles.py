@@ -5,8 +5,11 @@ library computes through FFTs or chirp-z passes: dense phase matrices for the
 lag transforms, the free metaplectic operator and the Radon transform, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, and the eigen-loop Wigner function of a density matrix.  The
-pointwise and row-sheared interpolants check covariance identities.  They
-are independent of the fast paths they check and are meant for small grids.
+pointwise and row-sheared interpolants check covariance identities: the
+pointwise one is a direct trigonometric sum, the row-sheared one reuses the
+library's ``fourier_shift``.  Some oracles reuse small library helpers
+(``refine``, ``symplectic_fourier``, ``free_generating_function``); none
+calls the transform it checks.  All are meant for small grids.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from wignerlab import (
     refine,
     symplectic_fourier,
 )
-from wignerlab.interpolate import _eval_matrix, _split_coefficients
 
 
 def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
@@ -278,6 +280,16 @@ def radon_dense(W: PhaseSpaceFunction, angles) -> np.ndarray:
     return out
 
 
+def _trig_sum(grid, points) -> np.ndarray:
+    """E[m, k] = exp(2 pi i f_k t_m) / n, the Nyquist term as a cosine."""
+    n = grid.n
+    t = (np.asarray(points, dtype=float) - grid.x_min) / grid.length
+    out = np.exp(2j * np.pi * np.outer(t, np.fft.fftfreq(n, d=1.0 / n)))
+    if n % 2 == 0:
+        out[:, n // 2] = np.cos(np.pi * n * t)
+    return out / n
+
+
 def point_interp2d(values, x_grid, p_grid, x_points, p_points) -> np.ndarray:
     """Band-limited 2-D interpolant at arbitrary (x, p) pairs, zero off the grid.
 
@@ -289,10 +301,8 @@ def point_interp2d(values, x_grid, p_grid, x_points, p_points) -> np.ndarray:
         np.asarray(x_points, dtype=float), np.asarray(p_points, dtype=float)
     )
     xf, pf = x_points.reshape(-1), p_points.reshape(-1)
-    coeffs = _split_coefficients(
-        _split_coefficients(np.fft.fft(np.fft.fft(values, axis=0), axis=1).T).T
-    )
-    out = np.einsum("mk,kl,ml->m", _eval_matrix(x_grid, xf), coeffs, _eval_matrix(p_grid, pf))
+    coeffs = np.fft.fft2(values)
+    out = np.einsum("mk,kl,ml->m", _trig_sum(x_grid, xf), coeffs, _trig_sum(p_grid, pf))
     outside = (
         (xf < x_grid.x_min) | (xf >= x_grid.x_max) | (pf < p_grid.x_min) | (pf >= p_grid.x_max)
     )

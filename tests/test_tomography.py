@@ -164,6 +164,28 @@ def test_support_aware_reconstruction_on_default_box(n, state):
     assert fidelity > 0.999
 
 
+def test_support_mask_keeps_fringes_between_empty_tomogram_stretches():
+    # a cat split by 12 along x: its theta = 0 tomogram falls below
+    # SUPPORT_RTOL between the lobes, yet the fringes at x = 0, twice as tall
+    # as the lobes, carry signed mass there.  Only the outer extent of each
+    # tomogram bounds the support.
+    grid = make_grid(-16.0, 16.0, 256)
+    values = coherent_state(grid, ETA, 6.0, 0.0).values + coherent_state(grid, ETA, -6.0, 0.0).values
+    psi = GridFunction(grid, values, ETA).normalized()
+    w = wigner(psi).W
+    tomo = radon(w, np.linspace(0.0, np.pi, 180, endpoint=False))
+    gap = np.abs(tomo.values[0, np.abs(grid.points) < 0.2])
+    assert gap.size > 0 and np.all(gap < 1e-12 * np.max(np.abs(tomo.values)))
+    recon = inverse_radon(tomo).values.real
+    truth = w.values
+    origin = np.argmin(np.abs(grid.points)), np.argmin(np.abs(w.p_grid.points))
+    assert recon[origin] == pytest.approx(truth[origin], rel=1e-2)
+    assert np.sqrt(np.sum((recon - truth) ** 2) / np.sum(truth**2)) < 2e-2
+    # fidelity of the pure state with the reconstruction, 2 pi eta <W_psi, W>
+    fidelity = 2.0 * np.pi * ETA * np.sum(truth * recon) * w.area_element
+    assert fidelity > 0.99
+
+
 def test_reconstruct_density_rejects_unnormalized(grid):
     W = wigner(coherent_state(grid, ETA)).W
     tomo = radon(W, np.linspace(0.0, np.pi, 90, endpoint=False))
