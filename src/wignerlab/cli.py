@@ -31,7 +31,7 @@ from .symplectic import MetaplecticSpec, metaplectic_apply
 from .tomography import pauli_pair, radon, reconstruct_density
 from .transforms import eta_fourier
 from .wavefunctions import coherent_state, hermite_state
-from .weyl import displace
+from .weyl import _MEMORY_LIMIT_BYTES, displace
 from .wigner import cross_wigner, marginals, moyal_overlap, wigner
 
 DEFAULTS = {
@@ -140,6 +140,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigurationError(f"eta must be positive, got {config['eta']}")
     if config["angles"] < 1:
         raise ConfigurationError(f"angles must be at least 1, got {config['angles']}")
+    # tomography's ray spectra, refused here before the angle grid is built
+    spectra_bytes = config["angles"] * config["N"] * np.dtype(complex).itemsize
+    if spectra_bytes > _MEMORY_LIMIT_BYTES:
+        raise ConfigurationError(
+            f"{config['angles']} angles at N = {config['N']} need "
+            f"{spectra_bytes / 2**30:.1f} GiB of ray spectra "
+            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
+        )
     if not -(2**63) <= config["seed"] < 2**63:
         raise ConfigurationError("seed must fit in 64 bits")
     if config["state"] not in STATES:

@@ -51,6 +51,13 @@ def _format(value: float) -> str:
     return _FLOAT_FMT % float(value)
 
 
+def _csv_rows(table: np.ndarray) -> str:
+    """One line of comma-separated ``_FLOAT_FMT`` fields per row of a 2-D
+    table, formatted by a single ``%`` over the whole table."""
+    line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\n"
+    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
     with open(path, "w") as handle:
         handle.write("N,x_min,dx,eta,kind\n")
@@ -58,8 +65,7 @@ def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
             f"{grid.n},{_format(grid.x_min)},{_format(grid.dx)},{_format(eta)},{kind}\n"
         )
         handle.write("real,imag\n")
-        for value in flat:
-            handle.write(f"{_format(value.real)},{_format(value.imag)}\n")
+        handle.write(_csv_rows(np.column_stack([flat.real, flat.imag])))
 
 
 def _read_lines(path):
@@ -73,14 +79,17 @@ def _read_lines(path):
 
 
 def _parse_rows(path, lines, width: int) -> np.ndarray:
-    """Comma-separated float rows of exactly ``width`` columns."""
+    """Comma-separated float rows of exactly ``width`` columns.
+
+    A missing or blank row is malformed (``np.loadtxt`` would skip it).
+    """
+    if not lines or not all(lines):
+        raise ConfigurationError(f"{path}: blank or missing data row")
     try:
-        data = np.array(
-            [[float(part) for part in line.split(",")] for line in lines], dtype=float
-        )
+        data = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: malformed data row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != width:
+    if data.shape[1] != width:
         raise ConfigurationError(f"{path}: data rows must have {width} columns")
     return data
 
@@ -144,8 +153,7 @@ def save_tomograms(tomo: TomogramSet, path):
             f"{_format(grid.dx)},{_format(tomo.eta)}\n"
         )
         handle.write("angles," + ",".join(_format(t) for t in tomo.angles) + "\n")
-        for row in tomo.values:
-            handle.write(",".join(_format(v) for v in row) + "\n")
+        handle.write(_csv_rows(tomo.values))
 
 
 def load_tomograms(path) -> TomogramSet:

@@ -21,7 +21,7 @@ from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import refine
 from .states import DensityMatrix, OperatorMatrix, validate_density
 from .transforms import chirp_z, oscillatory_sum
-from .weyl import weyl_quantize
+from .weyl import _MEMORY_LIMIT_BYTES, weyl_quantize
 
 __all__ = [
     "TomogramSet",
@@ -54,26 +54,44 @@ class TomogramSet:
         return self.values.sum(axis=1) * self.grid.dx
 
 
-def _projection_spectrum(values, x, p, k, theta, dx, dp):
-    """FT of the theta-projection: W-hat(k cos t, k sin t) on the k grid."""
+def _projection_spectra(values, x, p, k, angles, dx, dp):
+    """FT of each theta-projection: W-hat(k cos t, k sin t) on the k grid.
+
+    The p-axis chirp-z depends on sin t alone, so angles whose sines agree
+    to 1e-15 (t and pi - t) share one stage, run at the first one's sine.
+    The sampled transform aliases outside |k sin t| <= pi/dp, so each stage
+    evaluates only that contiguous k band and the rest of the row stays zero;
+    |k cos t| <= pi/dx holds on the whole k grid dual to the x grid.
+    """
     n = len(k)
     dk = k[1] - k[0]
-    c, s = np.cos(theta), np.sin(theta)
-    # chirp-z along the p axis: stage[i, m] = sum_j W[i, j] exp(-i k_m p_j s)
-    stage = chirp_z(values, n, -dk * dp * s, -k[0] * dp * s)
-    stage = stage * np.exp(-1j * k * p[0] * s)[None, :]
-    # the x phase exp(-i c x_i k_m) couples i and m; i m = (i^2 + m^2 - (i - m)^2)/2
-    # splits it into two 1-D chirps and the Toeplitz chirp T[i, m] = t[i - m + n - 1]
     i = np.arange(n)
-    a = c * dx * dk
+    squares = i * i
     lags = np.arange(1 - n, n)
-    toeplitz = sliding_window_view(np.exp(0.5j * a * (lags * lags)), n)[::-1].T
-    rows = np.exp(-1j * (c * dx * k[0] * i + 0.5 * a * (i * i)))
-    cols = np.exp(-1j * (c * x[0] * k + 0.5 * a * (i * i)))
-    spectrum = cols * np.einsum("im,im->m", stage * rows[:, None], toeplitz) * dx * dp
-    # the sampled transform aliases outside |k cos| <= pi/dx, |k sin| <= pi/dp
-    valid = (np.abs(k * c) <= np.pi / dx + 1e-9) & (np.abs(k * s) <= np.pi / dp + 1e-9)
-    return np.where(valid, spectrum, 0.0)
+    spectra = np.zeros((len(angles), n), dtype=complex)
+    sines = np.sin(angles)
+    order = np.argsort(sines, kind="stable")
+    breaks = np.flatnonzero(np.diff(sines[order]) > 1e-15) + 1
+    for group in np.split(order, breaks):
+        s = sines[group[0]]
+        band = np.flatnonzero(np.abs(k * s) <= np.pi / dp + 1e-9)
+        m0, m1 = int(band[0]), int(band[-1]) + 1
+        kb = k[m0:m1]
+        # chirp-z along the p axis: stage[i, m] = sum_j W[i, j] exp(-i k_m p_j s)
+        stage = chirp_z(values, m1 - m0, -dk * dp * s, -kb[0] * dp * s)
+        stage *= np.exp(-1j * kb * p[0] * s)
+        for row in group:
+            # the x phase exp(-i c x_i k_m) couples i and m; i m = (i^2 + m^2 -
+            # (i - m)^2)/2 splits it into two 1-D chirps and the Toeplitz chirp
+            # T[i, m] = t[i - m + n - 1]
+            c = np.cos(angles[row])
+            a = c * dx * dk
+            toeplitz = sliding_window_view(np.exp(0.5j * a * (lags * lags)), n)[::-1].T
+            rows = np.exp(-1j * (c * dx * k[0] * i + 0.5 * a * squares))
+            cols = np.exp(-1j * (c * x[0] * kb + 0.5 * a * squares[m0:m1]))
+            summed = np.einsum("im,im->m", stage * rows[:, None], toeplitz[:, m0:m1])
+            spectra[row, m0:m1] = cols * summed * dx * dp
+    return spectra
 
 
 def radon(W, angles) -> TomogramSet:
@@ -82,21 +100,31 @@ def radon(W, angles) -> TomogramSet:
     The X grid of the tomograms is the x grid of W; theta = 0 reproduces the
     position marginal and theta = pi/2 the momentum marginal.  The ray
     spectra of all angles sit on one k grid, dual to the X grid, so a single
-    FFT finishes every profile.
+    FFT finishes every profile.  The p-axis chirp-z of a ray spectrum
+    depends on sin theta alone, so theta and pi - theta share one stage,
+    and each stage evaluates only the k band |k sin theta| <= pi/dp, outside
+    which the sampled transform aliases and the spectrum is zero.  A
+    spectra array (angles x N complex values) above
+    ``weyl._MEMORY_LIMIT_BYTES`` raises :class:`ParameterError` before
+    anything is allocated.
     """
     if hasattr(W, "W"):
         W = W.W
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0:
         raise ParameterError("angle list must not be empty")
+    x_grid = W.x_grid
+    needed = angles.size * x_grid.n * np.dtype(complex).itemsize
+    if needed > _MEMORY_LIMIT_BYTES:
+        raise ParameterError(
+            f"{angles.size} angles at N = {x_grid.n} need {needed / 2**30:.1f} GiB "
+            f"of ray spectra (limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
+        )
     values = W.real_values(rtol=1e-6)
     mass = float(values.sum() * W.area_element)
-    x_grid = W.x_grid
     k_grid = dual_grid(x_grid, 1.0)
     x, p, k = x_grid.points, W.p_grid.points, k_grid.points
-    spectra = np.stack(
-        [_projection_spectrum(values, x, p, k, theta, W.dx, W.dp) for theta in angles]
-    )
+    spectra = _projection_spectra(values, x, p, k, angles, W.dx, W.dp)
     profiles = oscillatory_sum(spectra, k_grid, x_grid, 1.0, 1) * k_grid.dx / (2.0 * np.pi)
     tomo = TomogramSet(angles, x_grid, profiles.real, W.eta)
     worst = float(np.max(np.abs(tomo.masses() - mass)))

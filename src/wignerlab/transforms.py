@@ -123,13 +123,14 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     """Compute sum_l values[..., l] exp(i (start + k step) l), k = 0 .. m-1.
 
     Bluestein's chirp-z: l k = (l^2 + k^2 - (k - l)^2) / 2 turns the sum
-    into a convolution with the chirp exp(-i step j^2 / 2), done with
-    power-of-two FFTs.  The chirps are built from exact integer squares, so
-    large indices lose no phase accuracy.
+    into a convolution with the chirp exp(-i step j^2 / 2), done with FFTs
+    of the smallest length 2^k, 3 2^k or 5 2^k that holds all n + m - 1
+    lags.  The chirps are built from exact integer squares, so large indices
+    lose no phase accuracy.
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
-    size = 1 << (n + m - 2).bit_length()
+    size = min(f << (-(-(n + m - 1) // f) - 1).bit_length() for f in (1, 3, 5))
     l = np.arange(n)
     k = np.arange(m)
     lags = np.arange(1 - n, m)

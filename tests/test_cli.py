@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab import coherent_state, make_grid, save_phase_space, wigner
+from wignerlab import cli
 from wignerlab.cli import main
 
 ETA = 1.0
@@ -136,6 +137,21 @@ def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (out_dir / "summary.json").exists()
+
+
+def test_huge_angle_count_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    # the ray-spectra bound is checked with the config: no tomography array
+    # (10^9 angles x 256 samples is 4 TB of spectra) is ever allocated
+    def started(config, out_dir):
+        raise AssertionError("the tomography run started")
+
+    monkeypatch.setitem(cli.RUNNERS, "tomography", started)
+    out_dir = tmp_path / "out"
+    code = main(["tomography", "--angles", "1000000000", "--N", "256", "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB of ray spectra" in err
+    assert not out_dir.exists()
 
 
 def test_seeded_runs_are_deterministic(tmp_path):

@@ -143,6 +143,12 @@ def test_free_metaplectic_matches_dense_quadrature(n, x_min, x_max, eta, S, seed
 
 @given(grids(), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6), seeds)
 @example((make_grid(-10.0, 10.0, 256), 1.0), [0.0, np.pi / 2, 1.0], 0)
+# theta and pi - theta share a p-axis stage; so do duplicated angles
+@example((make_grid(-12.0, 9.0, 128), 0.8), [0.3, np.pi - 0.3, 1.1, np.pi - 1.1], 1)
+@example((make_grid(-12.0, 9.0, 64), 1.4), [0.7, 2.0, 0.7], 2)
+@example((make_grid(-7.0, 11.0, 64), 2.2), [np.pi / 2, 0.0, np.pi / 2, 0.0], 3)
+@example((make_grid(-11.0, 6.0, 128), 0.6), [-2.5, 4.0, 3 * np.pi / 2, 7.0, -np.pi], 4)
+@example((make_grid(-9.0, 13.0, 128), 1.7), np.linspace(0.0, np.pi, 64, endpoint=False), 5)
 def test_radon_matches_literal_dft(grid_eta, angles, seed):
     grid, eta = grid_eta
     W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
@@ -156,6 +162,13 @@ def test_radon_matches_literal_dft(grid_eta, angles, seed):
     st.floats(-np.pi, np.pi),
     seeds,
 )
+# n + m - 1 at and just above 3 2^k and 5 2^k, and a single output
+@example(97, 96, 0.3, 0.5, 0)
+@example(100, 94, -0.7, 1.0, 1)
+@example(80, 81, 0.9, -2.0, 2)
+@example(81, 81, -0.2, 3.0, 3)
+@example(300, 1, 0.6, -1.0, 4)
+@example(1, 1, 0.1, 0.2, 5)
 def test_chirp_z_matches_literal_sum(n, m, turns, start, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))

@@ -5,7 +5,10 @@ import pytest
 
 from wignerlab import (
     ConfigurationError,
+    PhaseSpaceFunction,
+    TomogramSet,
     coherent_state,
+    dual_grid,
     dump_json,
     hermite_state,
     json_ready,
@@ -70,6 +73,36 @@ def test_tomogram_round_trip(tmp_path, grid):
     assert np.array_equal(back.angles, tomo.angles)
     assert np.array_equal(back.values, tomo.values)
     assert back.grid.matches(tomo.grid)
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    # the bulk writers must give the bytes of a plain per-value %.17g loop
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -np.pi, 1e-5, 2.0**60]
+    rng = np.random.default_rng(3)
+    values = np.empty(256, dtype=complex)
+    values.real = np.concatenate([special, rng.normal(size=246)])
+    values.imag = np.concatenate([special[::-1], rng.normal(size=246) * 1e-200])
+    grid = make_grid(-8.0, 8.0, 16)
+    a = PhaseSpaceFunction(grid, dual_grid(grid, ETA), values.reshape(16, 16), ETA)
+
+    def fmt(value):
+        return "%.17g" % float(value)
+
+    path = tmp_path / "a.csv"
+    save_phase_space(a, path)
+    expected = "N,x_min,dx,eta,kind\n"
+    expected += f"16,{fmt(grid.x_min)},{fmt(grid.dx)},{fmt(ETA)},generic\nreal,imag\n"
+    for value in values:
+        expected += f"{fmt(value.real)},{fmt(value.imag)}\n"
+    assert path.read_bytes() == expected.encode()
+
+    tomo = TomogramSet([0.0, 1.0], grid, np.stack([values.real[:16], values.imag[:16]]), ETA)
+    save_tomograms(tomo, path)
+    expected = f"n_angles,N,x_min,dx,eta\n2,16,{fmt(grid.x_min)},{fmt(grid.dx)},{fmt(ETA)}\n"
+    expected += "angles,0,1\n"
+    for row in tomo.values:
+        expected += ",".join(fmt(v) for v in row) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_load_rejects_wrong_header(tmp_path):

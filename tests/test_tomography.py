@@ -94,6 +94,33 @@ def test_radon_rejects_empty_angles(grid):
         radon(W, [])
 
 
+def test_radon_refuses_oversized_spectra_before_allocating(grid):
+    W = wigner(coherent_state(grid, ETA)).W
+    # a zero-stride view: 10^9 angles without 8 GB of angle storage
+    angles = np.broadcast_to(0.3, (10**9,))
+    with pytest.raises(ParameterError, match="ray spectra"):
+        radon(W, angles)
+
+
+def test_radon_shares_one_p_axis_stage_per_sine(grid, monkeypatch):
+    import wignerlab.tomography as tomography
+
+    calls = []
+    chirp_z = tomography.chirp_z
+
+    def counting_chirp_z(*args):
+        calls.append(args[1:])
+        return chirp_z(*args)
+
+    monkeypatch.setattr(tomography, "chirp_z", counting_chirp_z)
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    angles = np.linspace(0.0, np.pi, 180, endpoint=False)
+    tomo = radon(W, angles)
+    # theta and pi - theta pair up; theta = 0 and pi/2 stand alone
+    assert len(calls) == 91
+    np.testing.assert_allclose(tomo.masses(), 1.0, atol=1e-10)
+
+
 def test_filtered_backprojection_accuracy(grid):
     W = wigner(coherent_state(grid, ETA, 0.4, -0.2)).W
     angles = np.linspace(0.0, np.pi, 180, endpoint=False)
