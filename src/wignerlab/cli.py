@@ -28,39 +28,26 @@ from .serialize import (
 )
 from .states import MixedStateSpec
 from .symplectic import MetaplecticSpec, metaplectic_apply
-from .tomography import pauli_pair, radon, reconstruct_density
+from .tomography import pauli_pair, radon, reconstruct_density, require_radon_memory
 from .transforms import eta_fourier
 from .wavefunctions import coherent_state, hermite_state
-from .weyl import _MEMORY_LIMIT_BYTES, displace
+from .weyl import displace
 from .wigner import cross_wigner, marginals, moyal_overlap, wigner
 
-DEFAULTS = {
-    "N": 256,
-    "eta": 1.0,
-    "seed": 0,
-    "x_min": -10.0,
-    "x_max": 10.0,
-    "out": ".",
-    "angles": 180,
-    "samples": 40,
-    "tol": None,
-    "input": None,
-    "state": "coherent",
-}
-
-#: type of each config value; ``tol`` and ``input`` may also be null
-CONFIG_TYPES = {
-    "N": int,
-    "eta": float,
-    "seed": int,
-    "x_min": float,
-    "x_max": float,
-    "out": str,
-    "angles": int,
-    "samples": int,
-    "tol": float,
-    "input": str,
-    "state": str,
+#: every config key with its default and type; ``tol`` and ``input`` may
+#: also be null.  Each key is also a flag: ``--N``, ``--x-min``, ...
+CONFIG = {
+    "N": (256, int),
+    "eta": (1.0, float),
+    "seed": (0, int),
+    "x_min": (-10.0, float),
+    "x_max": (10.0, float),
+    "out": (".", str),
+    "angles": (180, int),
+    "samples": (40, int),
+    "tol": (None, float),
+    "input": (None, str),
+    "state": ("coherent", str),
 }
 
 STATES = ("coherent", "hermite1", "mixed")
@@ -102,22 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--x-min", type=float, dest="x_min")
-        p.add_argument("--x-max", type=float, dest="x_max")
-        p.add_argument("--out")
-        p.add_argument("--input")
-        p.add_argument("--angles", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--state", choices=STATES)
+        for key, (_, kind) in CONFIG.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=kind,
+                choices=STATES if key == "state" else None,
+            )
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    config = dict(DEFAULTS)
+    config = {key: default for key, (default, _) in CONFIG.items()}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -126,28 +107,22 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_config, dict):
             raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_config) - set(DEFAULTS)
+        unknown = set(file_config) - set(CONFIG)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         config.update(file_config)
-    for key in DEFAULTS:
+    for key, (default, kind) in CONFIG.items():
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    for key, kind in CONFIG_TYPES.items():
-        config[key] = _typed(key, config[key], kind)
+        config[key] = _typed(key, config[key], default, kind)
     if not config["eta"] > 0.0:
         raise ConfigurationError(f"eta must be positive, got {config['eta']}")
     if config["angles"] < 1:
         raise ConfigurationError(f"angles must be at least 1, got {config['angles']}")
-    # tomography's ray spectra, refused here before the angle grid is built
-    spectra_bytes = config["angles"] * config["N"] * np.dtype(complex).itemsize
-    if spectra_bytes > _MEMORY_LIMIT_BYTES:
-        raise ConfigurationError(
-            f"{config['angles']} angles at N = {config['N']} need "
-            f"{spectra_bytes / 2**30:.1f} GiB of ray spectra "
-            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
-        )
+    if args.experiment == "tomography":
+        # refused here, before the angle grid is built
+        require_radon_memory(config["angles"], config["N"])
     if not -(2**63) <= config["seed"] < 2**63:
         raise ConfigurationError("seed must fit in 64 bits")
     if config["state"] not in STATES:
@@ -155,9 +130,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _typed(key, value, kind):
+def _typed(key, value, default, kind):
     """``value`` checked as its config type; an int is accepted as a float."""
-    if value is None and DEFAULTS[key] is None:
+    if value is None and default is None:
         return None
     if kind is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -410,7 +385,7 @@ def main(argv=None) -> int:
     summary = {
         "schema": 1,
         "experiment": args.experiment,
-        "config": {key: config[key] for key in sorted(DEFAULTS)},
+        "config": {key: config[key] for key in sorted(CONFIG)},
         "checks": [check.as_dict() for check in checks],
         "passed": passed,
     }

@@ -23,3 +23,14 @@ class NormalizationError(ValidationError):
 
 class NotFreeError(ParameterError):
     """Symplectic matrix has a singular upper-right block."""
+
+
+#: the largest working set, in bytes, that one library call may allocate
+_MEMORY_LIMIT_BYTES = 2 * 2**30
+
+
+def require_memory(nbytes: int, what: str):
+    """Refuse a working set of ``nbytes`` (counted by the caller) above the budget."""
+    if nbytes > _MEMORY_LIMIT_BYTES:
+        limit = _MEMORY_LIMIT_BYTES / 2**30
+        raise ParameterError(f"{nbytes / 2**30:.1f} GiB of {what} (limit {limit:.0f} GiB)")

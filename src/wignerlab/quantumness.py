@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, require_memory
 from .grid import Grid, PhaseSpaceFunction, dual_grid
 from .states import OperatorMatrix
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wavefunctions import gaussian_wavepacket
-from .weyl import _MEMORY_LIMIT_BYTES, weyl_quantize
+from .weyl import weyl_quantize
 
 __all__ = [
     "CovarianceMatrix",
@@ -278,19 +278,20 @@ def klm_test(
     minimum Hermitian eigenvalue.  A positive report reads "no violation
     found" — sampling cannot prove positivity over all point sets.
 
-    The matrix build holds fewer than eight complex samples x samples arrays
-    at once; a working set above ``weyl._MEMORY_LIMIT_BYTES`` raises
-    :class:`ParameterError` before any of them is allocated.
+    :func:`errors.require_memory` refuses the working set before anything
+    is allocated.  It counts, as if they overlapped, the mass and covariance
+    checks (under four complex N x N arrays), the KLM matrix build (under
+    six complex samples x samples arrays) and one point block of
+    :func:`_quadrature_transform` (four complex ``_POINT_CHUNK`` x N arrays).
     """
-    _check_unit_mass(a)
     if samples < 2:
         raise ParameterError("need at least two sample points")
-    needed = 8 * samples**2 * np.dtype(complex).itemsize
-    if needed > _MEMORY_LIMIT_BYTES:
-        raise ParameterError(
-            f"a KLM matrix of {samples} samples needs about {needed / 2**30:.1f} GiB "
-            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
-        )
+    n = max(a.x_grid.n, a.p_grid.n)
+    require_memory(
+        16 * (4 * n * n + 6 * samples**2 + 4 * _POINT_CHUNK * n),
+        f"KLM matrices for {samples} samples",
+    )
+    _check_unit_mass(a)
     cov = covariance_matrix(
         PhaseSpaceFunction(
             a.x_grid, a.p_grid,

@@ -141,7 +141,16 @@ class DensityMatrix:
         return self.op.kernel
 
 
-def _inspect(op: OperatorMatrix, psd_floor: float = PSD_RTOL) -> ValidationReport:
+def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float = PSD_RTOL):
+    """Check the density-matrix axioms and return the report.
+
+    The report carries both the diagonal-sum trace and the eigenvalue-sum
+    trace: the two always agree for a finite matrix, but their continuum
+    counterparts need not, so the discrepancy is surfaced as a diagnostic.
+    ``psd_floor`` is the relative eigenvalue floor; reconstructions with
+    known ringing pass a looser one.  With ``strict`` a failing operator
+    raises instead.
+    """
     herm = op.hermiticity_residue()
     vals = op.eigenvalues()
     tr_diag = op.trace()
@@ -156,38 +165,17 @@ def _inspect(op: OperatorMatrix, psd_floor: float = PSD_RTOL) -> ValidationRepor
         )
     if abs(tr_diag - 1.0) > 1e-8:
         report.violations.append(f"trace {tr_diag} differs from 1 beyond 1e-8")
-    return report
-
-
-def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float = PSD_RTOL):
-    """Check the density-matrix axioms; return the report (never raises).
-
-    The report carries both the diagonal-sum trace and the eigenvalue-sum
-    trace: the two always agree for a finite matrix, but their continuum
-    counterparts need not, so the discrepancy is surfaced as a diagnostic.
-    ``psd_floor`` is the relative eigenvalue floor; reconstructions with
-    known ringing pass a looser one.  With ``strict`` a failing operator
-    raises instead.
-    """
-    report = _inspect(op, psd_floor)
     if strict and not report.ok:
         raise ValidationError("; ".join(report.violations))
     return report
-
-
-def _as_density(op: OperatorMatrix) -> DensityMatrix:
-    report = _inspect(op)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
-    return DensityMatrix(op, report)
 
 
 def pure_density(psi: GridFunction) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a normalized state."""
     if abs(psi.norm() - 1.0) > 1e-8:
         raise NormalizationError(f"state norm is {psi.norm()}, expected 1")
-    kernel = np.outer(psi.values, psi.values.conj())
-    return _as_density(OperatorMatrix(psi.grid, kernel, psi.eta))
+    op = OperatorMatrix(psi.grid, np.outer(psi.values, psi.values.conj()), psi.eta)
+    return DensityMatrix(op, validate_density(op, strict=True))
 
 
 def mix(spec: MixedStateSpec) -> DensityMatrix:
@@ -196,7 +184,8 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     kernel = np.zeros((psi0.grid.n, psi0.grid.n), dtype=complex)
     for weight, psi in spec.components:
         kernel += weight * np.outer(psi.values, psi.values.conj())
-    return _as_density(OperatorMatrix(psi0.grid, kernel, psi0.eta))
+    op = OperatorMatrix(psi0.grid, kernel, psi0.eta)
+    return DensityMatrix(op, validate_density(op, strict=True))
 
 
 def state_stats(rho: DensityMatrix) -> dict:

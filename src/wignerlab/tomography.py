@@ -16,12 +16,12 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NormalizationError, ParameterError
+from .errors import NormalizationError, ParameterError, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import refine
 from .states import DensityMatrix, OperatorMatrix, validate_density
 from .transforms import chirp_z, oscillatory_sum
-from .weyl import _MEMORY_LIMIT_BYTES, weyl_quantize
+from .weyl import weyl_quantize
 
 __all__ = [
     "TomogramSet",
@@ -94,6 +94,20 @@ def _projection_spectra(values, x, p, k, angles, dx, dp):
     return spectra
 
 
+def require_radon_memory(n_angles: int, n: int):
+    """Refuse, via :func:`errors.require_memory`, a :func:`radon` call over budget.
+
+    Its working set is the real W (8 N^2 bytes), the ray spectra with the
+    three copies the final FFT makes (4 x 16 bytes per angle and sample) and
+    one p-axis chirp-z stage (a complex and a phased copy of W and three
+    N x 2N complex FFT arrays, 128 N^2 bytes).
+    """
+    require_memory(
+        136 * n * n + 64 * n_angles * n,
+        f"ray spectra for {n_angles} angles at N = {n}",
+    )
+
+
 def radon(W, angles) -> TomogramSet:
     """Forward Radon transform of a real, unit-mass phase-space function.
 
@@ -104,9 +118,8 @@ def radon(W, angles) -> TomogramSet:
     depends on sin theta alone, so theta and pi - theta share one stage,
     and each stage evaluates only the k band |k sin theta| <= pi/dp, outside
     which the sampled transform aliases and the spectrum is zero.  A
-    spectra array (angles x N complex values) above
-    ``weyl._MEMORY_LIMIT_BYTES`` raises :class:`ParameterError` before
-    anything is allocated.
+    working set above the memory budget (:func:`require_radon_memory`) is
+    refused before anything is allocated.
     """
     if hasattr(W, "W"):
         W = W.W
@@ -114,12 +127,7 @@ def radon(W, angles) -> TomogramSet:
     if angles.size == 0:
         raise ParameterError("angle list must not be empty")
     x_grid = W.x_grid
-    needed = angles.size * x_grid.n * np.dtype(complex).itemsize
-    if needed > _MEMORY_LIMIT_BYTES:
-        raise ParameterError(
-            f"{angles.size} angles at N = {x_grid.n} need {needed / 2**30:.1f} GiB "
-            f"of ray spectra (limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
-        )
+    require_radon_memory(angles.size, max(x_grid.n, W.p_grid.n))
     values = W.real_values(rtol=1e-6)
     mass = float(values.sum() * W.area_element)
     k_grid = dual_grid(x_grid, 1.0)

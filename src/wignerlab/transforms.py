@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_memory
 from .grid import (
     Grid,
     GridFunction,
@@ -76,6 +76,17 @@ def oscillatory_sum(
         spec = np.fft.ifft(work, axis=-1) * n
     out = spec * post
     return np.moveaxis(out, -1, axis)
+
+
+def require_correlation_memory(n: int):
+    """Refuse a Weyl-Wigner map at N grid points above the memory budget.
+
+    Its peak is the N x N complex kernel (16 N^2 bytes) with the gather of
+    :func:`half_step_correlation`: the zero-padded 2 x 2N x 2N complex stack
+    (128 N^2), three N x 2N int64 indices (48 N^2) and the N x 2N complex
+    result (32 N^2).  Call it before the kernel is built.
+    """
+    require_memory(224 * n * n, f"half-step correlation at N = {n}")
 
 
 def half_step_correlation(kernel: np.ndarray, grid: Grid) -> np.ndarray:

@@ -19,11 +19,11 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_memory
 from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .interpolate import fourier_shift, refine
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, half_step_correlation, lag_transform
+from .transforms import chirp_z, half_step_correlation, lag_transform, require_correlation_memory
 
 __all__ = [
     "displace",
@@ -68,42 +68,33 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
     return GridFunction(grid, phase * shifted, eta)
 
 
-def _half_step_symbol(a: PhaseSpaceFunction) -> np.ndarray:
-    """Symbol samples on the half-step x grid (2N rows)."""
-    return refine(a.values, 2, axis=0)
-
-
-#: largest working set, in bytes, that the p oversampling or a KLM matrix
-#: build may allocate
-_MEMORY_LIMIT_BYTES = 2 * 2**30
-
 #: symbol rows per chirp-z pass of :func:`weyl_quantize`
 _ROW_CHUNK = 128
 
 
-def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float):
-    """Band-limited p-axis oversampling for the quantizer quadrature.
+def _p_oversampled(a: PhaseSpaceFunction, eta_use: float):
+    """The symbol on the half-step x grid, oversampled along p for the quantizer.
 
     Sampling the p integral at spacing dp folds kernel entries separated by
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
     past the largest separation the grid can hold, and smaller eta values
-    need proportionally more of it.  Returns the oversampled values and
-    their p spacing.  Refinement holds three complex arrays of the
-    oversampled size at once, and each chirp-z pass of the quantizer fewer
-    than ten arrays of ``_ROW_CHUNK`` oversampled rows; a working set above
-    ``_MEMORY_LIMIT_BYTES`` raises :class:`ParameterError` before any of
-    them is allocated.
+    need proportionally more of it.  Returns the 2N refined rows of the
+    symbol, oversampled by F = 2 ceil(a.eta / eta_use) along p, and their p
+    spacing.  :func:`errors.require_memory` refuses the quantizer's working
+    set before anything is allocated.  It counts, as if they overlapped, the
+    oversampled symbol with its zero-padded spectrum, the chirp-z sums (or
+    the half-step symbol with its spectrum) and one chirp-z pass of
+    ``_ROW_CHUNK`` rows (a pre-phased copy, two FFT arrays under 4/3 of the
+    padded length, and the sums).
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
-    row_bytes = factor * a.p_grid.n * np.dtype(complex).itemsize
-    needed = (3 * values.shape[0] + 10 * _ROW_CHUNK) * row_bytes
-    if needed > _MEMORY_LIMIT_BYTES:
-        raise ParameterError(
-            f"quantizing at eta = {eta_use} a symbol sampled at eta = {a.eta} "
-            f"needs p oversampling by {factor}, about {needed / 2**30:.1f} GiB "
-            f"(limit {_MEMORY_LIMIT_BYTES / 2**30:.0f} GiB)"
-        )
-    return refine(values, factor, axis=1), a.p_grid.dx / factor
+    rows, cols = 2 * a.x_grid.n, factor * a.p_grid.n
+    one_pass = 4 * min(rows, _ROW_CHUNK) * (rows + cols)
+    require_memory(
+        16 * (2 * rows * cols + rows * max(rows, 2 * a.p_grid.n) + one_pass),
+        f"p oversampling by {factor} to quantize at eta = {eta_use} a symbol at eta = {a.eta}",
+    )
+    return refine(refine(a.values, 2, axis=0), factor, axis=1), a.p_grid.dx / factor
 
 
 def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMatrix:
@@ -118,7 +109,7 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
         raise ParameterError(f"eta must be positive, got {eta_use}")
     n = a.x_grid.n
     dx = a.x_grid.dx
-    af, dp = _p_oversampled(_half_step_symbol(a), a, eta_use)
+    af, dp = _p_oversampled(a, eta_use)
     # K[j, k] = (2 pi eta)^-1 dp sum_l af[j+k, l] exp(i p_l (j-k) dx / eta);
     # w[s, d + n - 1] holds the sum for s = j + k and d = j - k in 1-n .. n-1
     step = dp * dx / eta_use
@@ -139,6 +130,7 @@ def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     """Weyl symbol of an operator kernel (inverse of :func:`weyl_quantize`)."""
     grid = op.grid
     eta = op.eta
+    require_correlation_memory(grid.n)
     p_grid = dual_grid(grid, eta)
     corr = half_step_correlation(op.kernel, grid)
     values = lag_transform(corr, grid.dx, p_grid, eta)

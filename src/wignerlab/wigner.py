@@ -27,7 +27,7 @@ from .grid import (
 )
 from .interpolate import tensor_interp
 from .states import DensityMatrix, MixedStateSpec, OperatorMatrix, mix
-from .transforms import half_step_correlation, oscillatory_sum
+from .transforms import half_step_correlation, oscillatory_sum, require_correlation_memory
 from .weyl import reflect, weyl_symbol
 
 __all__ = [
@@ -70,6 +70,7 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     |psi><phi|, whose kernel is psi(x) phi*(y).
     """
     psi.require_compatible(phi)
+    require_correlation_memory(psi.grid.n)
     op = OperatorMatrix(psi.grid, np.outer(psi.values, phi.values.conj()), psi.eta)
     return _scaled_symbol(op, "wigner" if psi is phi else "generic")
 
@@ -84,6 +85,7 @@ def wigner(source) -> WignerResult:
         W = cross_wigner(source, source)
         return WignerResult(W, W.leak, "pure")
     if isinstance(source, MixedStateSpec):
+        require_correlation_memory(source.components[0][1].grid.n)
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
@@ -100,6 +102,7 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     """
     grid, eta = psi.grid, psi.eta
     n = grid.n
+    require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
     corr = half_step_correlation(np.outer(psi.values, psi.values.conj()), grid)
     lags = corr[:, n // 2 : 3 * n // 2].T

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -26,3 +27,19 @@ def test_pyproject_depends_on_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a private name is a module's own business; what siblings share is public
+    offenders = []
+    for path in sorted((ROOT / "src" / "wignerlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("wignerlab")
+            ):
+                offenders += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert offenders == []

@@ -1,0 +1,168 @@
+"""The one memory budget: every guard's count and message.
+
+Each size-dependent call counts its working set and hands it to
+``errors.require_memory``, which refuses more than 2 GiB before anything is
+allocated.  The counts must bound what the calls really take, and every
+refusal reads "<x.x> GiB of <what> (limit 2 GiB)".
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wignerlab import (
+    GridFunction,
+    MixedStateSpec,
+    OperatorMatrix,
+    ParameterError,
+    PhaseSpaceFunction,
+    ambiguity,
+    cross_wigner,
+    dual_grid,
+    klm_test,
+    make_grid,
+    radon,
+    weyl_quantize,
+    weyl_symbol,
+    wigner,
+)
+from wignerlab import cli, quantumness, tomography, weyl
+from wignerlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+REFUSAL = r"\d+\.\d GiB of .+ \(limit 2 GiB\)"
+
+# One call per process: the ru_maxrss rise over the call, against the
+# largest count the call handed to require_memory.  Inputs are built before
+# the baseline is read; the rise is a lower bound on the working set, since
+# pages freed inside the call may be reused.
+_MEASURE = """
+import gc, importlib, json, resource, sys
+import numpy as np
+import wignerlab as wl
+
+counted = []
+
+def recording(original):
+    def require_memory(nbytes, what):
+        counted.append(nbytes)
+        return original(nbytes, what)
+    return require_memory
+
+for name in ("quantumness", "tomography", "transforms", "weyl"):
+    module = importlib.import_module("wignerlab." + name)
+    module.require_memory = recording(module.require_memory)
+
+case = sys.argv[1]
+if case == "wigner":
+    psi = wl.coherent_state(wl.make_grid(-10.0, 10.0, 512), 1.0)
+    call = lambda: wl.wigner(psi)
+else:
+    n = 128 if case == "radon" else 256
+    W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
+    if case == "radon":
+        angles = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        call = lambda: wl.radon(W, angles)
+    elif case == "weyl_quantize":
+        call = lambda: wl.weyl_quantize(W, eta=0.25)
+    else:
+        call = lambda: wl.klm_test(W, 1.0, samples=512)
+gc.collect()
+counted.clear()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+call()
+rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+print(json.dumps({"counted": max(counted), "rise": rise}))
+"""
+
+
+@pytest.mark.parametrize("case", ["radon", "weyl_quantize", "klm_test", "wigner"])
+def test_each_count_bounds_the_measured_peak(case):
+    # the sizes keep each count between 16 and 64 MB
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, case],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["counted"] >= result["rise"], result
+    assert 16e6 <= result["counted"] <= 64e6
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the memory check")
+
+
+def _zero_stride_symbol(n):
+    grid = make_grid(-10.0, 10.0, n)
+    return PhaseSpaceFunction(grid, dual_grid(grid, 1.0), np.broadcast_to(0j, (n, n)), 1.0)
+
+
+def _zero_stride_state(n):
+    grid = make_grid(-10.0, 10.0, n)
+    return GridFunction(grid, np.broadcast_to(complex(grid.length**-0.5), (n,)), 1.0)
+
+
+def _library(call):
+    def refusal(tmp_path, capsys):
+        with pytest.raises(ParameterError) as info:
+            call()
+        return str(info.value)
+
+    return refusal
+
+
+def _cli(argv):
+    def refusal(tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        return err[len("error: "):].strip()
+
+    return refusal
+
+
+# zero-stride inputs: a guarded call allocates nothing, and every allocation
+# that would follow a missing guard is stubbed to fail at once
+GUARDS = {
+    "quantizer_oversampling": _library(
+        lambda: weyl_quantize(_zero_stride_symbol(256), eta=1e-3)
+    ),
+    "klm_samples": _library(lambda: klm_test(_zero_stride_symbol(256), 1.0, samples=20000)),
+    "radon_angles": _library(
+        lambda: radon(_zero_stride_symbol(256), np.broadcast_to(0.3, (10**9,)))
+    ),
+    "cross_wigner_N": _library(
+        lambda: cross_wigner(_zero_stride_state(4096), _zero_stride_state(4096))
+    ),
+    "mixture_wigner_N": _library(
+        lambda: wigner(MixedStateSpec([(1.0, _zero_stride_state(4096))]))
+    ),
+    "ambiguity_N": _library(lambda: ambiguity(_zero_stride_state(4096))),
+    "weyl_symbol_N": _library(
+        lambda: weyl_symbol(
+            OperatorMatrix(make_grid(-10.0, 10.0, 4096), np.broadcast_to(0j, (4096, 4096)), 1.0)
+        )
+    ),
+    "cli_angles": _cli(["tomography", "--angles", "1000000000", "--N", "256"]),
+    "cli_N": _cli(["wigner", "--N", "4096"]),
+}
+
+
+@pytest.mark.parametrize("refusal", GUARDS.values(), ids=GUARDS.keys())
+def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "outer", _refuse)
+    monkeypatch.setattr(weyl, "half_step_correlation", _refuse)
+    monkeypatch.setattr(weyl, "refine", _refuse)
+    monkeypatch.setattr(quantumness, "_check_unit_mass", _refuse)
+    monkeypatch.setattr(tomography, "_projection_spectra", _refuse)
+    monkeypatch.setitem(cli.RUNNERS, "tomography", _refuse)
+    assert re.fullmatch(REFUSAL, refusal(tmp_path, capsys))
+
