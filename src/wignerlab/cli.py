@@ -52,17 +52,6 @@ CONFIG = {
 
 STATES = ("coherent", "hermite1", "mixed")
 
-EXPERIMENTS = (
-    "wigner",
-    "moyal",
-    "metaplectic",
-    "klm",
-    "gaussian",
-    "eta-scan",
-    "tomography",
-    "pauli",
-)
-
 
 class Check:
     def __init__(self, name, residual, tolerance, passed=None):
@@ -86,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for key, (_, kind) in CONFIG.items():

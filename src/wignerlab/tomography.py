@@ -98,12 +98,12 @@ def require_radon_memory(n_angles: int, n: int):
     """Refuse, via :func:`errors.require_memory`, a :func:`radon` call over budget.
 
     Its working set is the real W (8 N^2 bytes), the ray spectra with the
-    three copies the final FFT makes (4 x 16 bytes per angle and sample) and
+    two copies the final FFT makes (3 x 16 bytes per angle and sample) and
     one p-axis chirp-z stage (a complex and a phased copy of W and three
     N x 2N complex FFT arrays, 128 N^2 bytes).
     """
     require_memory(
-        136 * n * n + 64 * n_angles * n,
+        136 * n * n + 48 * n_angles * n,
         f"ray spectra for {n_angles} angles at N = {n}",
     )
 
@@ -230,7 +230,7 @@ def reconstruct_density(tomo: TomogramSet, eta: float):
         rho_w.x_grid, rho_w.p_grid, 2.0 * np.pi * eta * rho_w.values, eta, kind="symbol"
     )
     op = weyl_quantize(symbol)
-    trace = complex(np.trace(op.kernel) * op.dx).real
+    trace = op.trace().real
     if trace <= 0.0:
         raise NormalizationError(f"reconstructed trace {trace} is not positive")
     op = OperatorMatrix(op.grid, op.kernel / trace, eta)

@@ -73,20 +73,33 @@ def oscillatory_sum(
     if sign < 0:
         spec = np.fft.fft(work, axis=-1)
     else:
-        spec = np.fft.ifft(work, axis=-1) * n
-    out = spec * post
-    return np.moveaxis(out, -1, axis)
+        spec = np.fft.ifft(work, axis=-1)
+        post *= n
+    spec *= post
+    return np.moveaxis(spec, -1, axis)
 
 
 def require_correlation_memory(n: int):
     """Refuse a Weyl-Wigner map at N grid points above the memory budget.
 
-    Its peak is the N x N complex kernel (16 N^2 bytes) with the gather of
-    :func:`half_step_correlation`: the zero-padded 2 x 2N x 2N complex stack
-    (128 N^2), three N x 2N int64 indices (48 N^2) and the N x 2N complex
-    result (32 N^2).  Call it before the kernel is built.
+    Its peak is the N x N complex kernel and the N x 2N correlation (48 N^2
+    bytes) with the folded lags and two FFT arrays of :func:`lag_transform`
+    (48 N^2; the scatter's shifted kernel and indices take 41 N^2), and
+    8 N^2 the allocator holds beyond them.  Call it before the kernel is built.
     """
-    require_memory(224 * n * n, f"half-step correlation at N = {n}")
+    require_memory(104 * n * n, f"half-step correlation at N = {n}")
+
+
+def midpoint_lag(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint row and lag column of each entry (a, b) of an N x N kernel.
+
+    Entry (a, b) has the lag s dx, s = a - b, in column s + N of the 2N
+    lags of :func:`half_step_correlation`, and the midpoint x_j for even s or
+    x_j - dx/2 for odd s, with j = (a + b + 1) >> 1 in both cases.  The map is
+    one to one.
+    """
+    a, b = np.ogrid[:n, :n]
+    return (a + b + 1) >> 1, a - b + n
 
 
 def half_step_correlation(kernel: np.ndarray, grid: Grid) -> np.ndarray:
@@ -95,24 +108,19 @@ def half_step_correlation(kernel: np.ndarray, grid: Grid) -> np.ndarray:
     Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
     are on the grid for even s and half a step off it for odd s.  Even lags
     read K itself, odd lags the band-limited interpolant of K shifted by
-    -dx/2 along both axes (the odd samples of a twofold refinement).  Both
-    polyphase kernels are padded with N/2 zeros on each side, so arguments
-    off the grid read zero and the whole correlation is one gather.
+    -dx/2 along both axes (the odd samples of a twofold refinement).  Each
+    kernel entry lands in its :func:`midpoint_lag` cell; cells whose
+    arguments fall off the grid stay zero.
     """
     n = grid.n
-    half = n // 2
     shift = -0.5 * grid.dx
-    phases = np.zeros((2, 2 * n, 2 * n), dtype=complex)
-    phases[0, half : half + n, half : half + n] = kernel
-    phases[1, half : half + n, half : half + n] = fourier_shift(
-        fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1
-    )
-    j = np.arange(n)[:, None]
-    s = np.arange(-n, n)[None, :]
-    # even s: K[j + s/2, j - s/2]; odd s: shifted K[j + (s-1)/2, j - (s+1)/2]
-    row = j + (s >> 1) + half
-    col = j - ((s + 1) >> 1) + half
-    return phases.take(((s & 1) * 2 * n + row) * 2 * n + col)
+    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
+    mid, lag = midpoint_lag(n)
+    corr = np.zeros((n, 2 * n), dtype=complex)
+    # even lags read K itself
+    np.copyto(shifted, kernel, where=(lag & 1) == 0)
+    corr[mid, lag] = shifted
+    return corr
 
 
 def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.ndarray:

@@ -7,8 +7,8 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
 
 The symbol reads the kernel at half-step arguments through
 :func:`transforms.half_step_correlation` (odd lags use the kernel's
-band-limited interpolant shifted by half a step); the quantizer reaches
-midpoints by DFT refinement of the symbol onto the half-step x grid.
+band-limited interpolant shifted by half a step); the quantizer gathers
+the kernel back through the same :func:`transforms.midpoint_lag` map.
 Off-grid arguments are treated as zero (kernels and symbols are assumed
 negligible outside the grid).
 """
@@ -23,7 +23,8 @@ from .errors import ParameterError, require_memory
 from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .interpolate import fourier_shift, refine
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, half_step_correlation, lag_transform, require_correlation_memory
+from .transforms import chirp_z, half_step_correlation, lag_transform, midpoint_lag
+from .transforms import require_correlation_memory
 
 __all__ = [
     "displace",
@@ -72,29 +73,27 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
 _ROW_CHUNK = 128
 
 
-def _p_oversampled(a: PhaseSpaceFunction, eta_use: float):
-    """The symbol on the half-step x grid, oversampled along p for the quantizer.
+def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
+    """The quantizer's p oversampling factor F = 2 ceil(a.eta / eta_use).
 
     Sampling the p integral at spacing dp folds kernel entries separated by
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
     past the largest separation the grid can hold, and smaller eta values
-    need proportionally more of it.  Returns the 2N refined rows of the
-    symbol, oversampled by F = 2 ceil(a.eta / eta_use) along p, and their p
-    spacing.  :func:`errors.require_memory` refuses the quantizer's working
-    set before anything is allocated.  It counts, as if they overlapped, the
-    oversampled symbol with its zero-padded spectrum, the chirp-z sums (or
-    the half-step symbol with its spectrum) and one chirp-z pass of
-    ``_ROW_CHUNK`` rows (a pre-phased copy, two FFT arrays under 4/3 of the
-    padded length, and the sums).
+    need proportionally more of it.  :func:`errors.require_memory` refuses
+    the quantizer's working set before anything is allocated.  It counts, as
+    if they overlapped, the lag-sum table and the half-step symbol (3 N^2
+    complex), the final gather with its indices (3 N^2) and one chirp-z pass
+    of ``_ROW_CHUNK`` rows (the oversampled rows and a pre-phased copy, two
+    FFT arrays under 4/3 of the padded length, and the sums).
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
-    rows, cols = 2 * a.x_grid.n, factor * a.p_grid.n
-    one_pass = 4 * min(rows, _ROW_CHUNK) * (rows + cols)
+    n, cols = a.x_grid.n, factor * a.p_grid.n
+    one_pass = 5 * min(n, _ROW_CHUNK) * (n + cols)
     require_memory(
-        16 * (2 * rows * cols + rows * max(rows, 2 * a.p_grid.n) + one_pass),
+        16 * (6 * n * n + one_pass),
         f"p oversampling by {factor} to quantize at eta = {eta_use} a symbol at eta = {a.eta}",
     )
-    return refine(refine(a.values, 2, axis=0), factor, axis=1), a.p_grid.dx / factor
+    return factor
 
 
 def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMatrix:
@@ -107,23 +106,26 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     eta_use = a.eta if eta is None else float(eta)
     if eta_use <= 0.0:
         raise ParameterError(f"eta must be positive, got {eta_use}")
+    factor = _p_oversampling(a, eta_use)
     n = a.x_grid.n
     dx = a.x_grid.dx
-    af, dp = _p_oversampled(a, eta_use)
-    # K[j, k] = (2 pi eta)^-1 dp sum_l af[j+k, l] exp(i p_l (j-k) dx / eta);
-    # w[s, d + n - 1] holds the sum for s = j + k and d = j - k in 1-n .. n-1
+    dp = a.p_grid.dx / factor
+    # K[j, k] = (2 pi eta)^-1 dp sum_l a(m, p_l) exp(i p_l d dx / eta) at the
+    # midpoint m and lag d = j - k of midpoint_lag: table[0, r, t] holds it for
+    # m = x_r, d = 2t - N and table[1, r, t] for m = x_r - dx/2, d = 2t + 1 - N
     step = dp * dx / eta_use
-    d = np.arange(1 - n, n)
-    w = np.empty((2 * n, 2 * n - 1), dtype=complex)
-    for start in range(0, 2 * n, _ROW_CHUNK):
-        w[start : start + _ROW_CHUNK] = chirp_z(
-            af[start : start + _ROW_CHUNK], 2 * n - 1, step, (1 - n) * step
-        )
-    w *= np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
-    j = np.arange(n)
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    kernel = dp / (2.0 * np.pi * eta_use) * w[jj + kk, jj - kk + n - 1]
-    return OperatorMatrix(a.x_grid, kernel, eta_use)
+    half_step = fourier_shift(a.values, a.x_grid, 0.5 * dx, axis=0)
+    table = np.empty((2, n, n), dtype=complex)
+    for parity, rows in enumerate((a.values, half_step)):
+        for start in range(0, n, _ROW_CHUNK):
+            table[parity, start : start + _ROW_CHUNK] = chirp_z(
+                refine(rows[start : start + _ROW_CHUNK], factor, axis=1),
+                n, 2 * step, (parity - n) * step,
+            )
+    d = 2 * np.arange(n) + np.arange(2)[:, None, None] - n
+    table *= dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
+    mid, lag = midpoint_lag(n)
+    return OperatorMatrix(a.x_grid, table[lag & 1, mid, lag >> 1], eta_use)
 
 
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:

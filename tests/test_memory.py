@@ -140,19 +140,19 @@ GUARDS = {
         lambda: radon(_zero_stride_symbol(256), np.broadcast_to(0.3, (10**9,)))
     ),
     "cross_wigner_N": _library(
-        lambda: cross_wigner(_zero_stride_state(4096), _zero_stride_state(4096))
+        lambda: cross_wigner(_zero_stride_state(8192), _zero_stride_state(8192))
     ),
     "mixture_wigner_N": _library(
-        lambda: wigner(MixedStateSpec([(1.0, _zero_stride_state(4096))]))
+        lambda: wigner(MixedStateSpec([(1.0, _zero_stride_state(8192))]))
     ),
-    "ambiguity_N": _library(lambda: ambiguity(_zero_stride_state(4096))),
+    "ambiguity_N": _library(lambda: ambiguity(_zero_stride_state(8192))),
     "weyl_symbol_N": _library(
         lambda: weyl_symbol(
-            OperatorMatrix(make_grid(-10.0, 10.0, 4096), np.broadcast_to(0j, (4096, 4096)), 1.0)
+            OperatorMatrix(make_grid(-10.0, 10.0, 8192), np.broadcast_to(0j, (8192, 8192)), 1.0)
         )
     ),
     "cli_angles": _cli(["tomography", "--angles", "1000000000", "--N", "256"]),
-    "cli_N": _cli(["wigner", "--N", "4096"]),
+    "cli_N": _cli(["wigner", "--N", "8192"]),
 }
 
 

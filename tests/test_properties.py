@@ -86,6 +86,16 @@ def _relative(fast, ref):
     return float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
 
 
+def _kernels(grid, eta, rng):
+    """A rank-one kernel of two states, which vanishes far off the diagonal
+    and at the grid edges, and a dense random one whose entries are all of
+    order 1, so the corner lags |j - k| ~ N - 1 and the first and last
+    midpoint rows count too."""
+    psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
+    dense = rng.normal(size=(grid.n, grid.n)) + 1j * rng.normal(size=(grid.n, grid.n))
+    return np.outer(psi.values, phi.values.conj()), dense
+
+
 @given(grids(), seeds)
 def test_lag_transforms_match_dense_phase(grid_eta, seed):
     grid, eta = grid_eta
@@ -93,23 +103,24 @@ def test_lag_transforms_match_dense_phase(grid_eta, seed):
     psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
     assert _relative(cross_wigner(psi, phi).values, cross_wigner_dense(psi, phi)) <= 1e-11
     assert _relative(ambiguity(psi).values, ambiguity_dense(psi)) <= 1e-11
-    op = OperatorMatrix(grid, np.outer(psi.values, phi.values.conj()), eta)
-    assert _relative(weyl_symbol(op).values, weyl_symbol_dense(op)) <= 1e-11
+    for kernel in _kernels(grid, eta, rng):
+        op = OperatorMatrix(grid, kernel, eta)
+        assert _relative(weyl_symbol(op).values, weyl_symbol_dense(op)) <= 1e-11
 
 
 @given(grids(), foreign, seeds)
-# one chirp-z block larger than the 2N = 32 rows, and four full blocks
+# per lag parity, one chirp-z block of N = 16 rows and two full blocks of 128
 @example((make_grid(-5.0, 9.0, 16), 0.4), 0.5, 0)
 @example((make_grid(-13.0, 8.0, 256), 2.5), 1.5, 1)
 def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):
     grid, eta = grid_eta
     rng = np.random.default_rng(seed)
-    psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
-    a = weyl_symbol(OperatorMatrix(grid, np.outer(psi.values, phi.values.conj()), eta))
-    assert _relative(weyl_quantize(a).kernel, weyl_quantize_dense(a)) <= 1e-11
     eta_use = factor * eta
-    fast = weyl_quantize(a, eta=eta_use).kernel
-    assert _relative(fast, weyl_quantize_dense(a, eta=eta_use)) <= 1e-11
+    for kernel in _kernels(grid, eta, rng):
+        a = weyl_symbol(OperatorMatrix(grid, kernel, eta))
+        assert _relative(weyl_quantize(a).kernel, weyl_quantize_dense(a)) <= 1e-11
+        fast = weyl_quantize(a, eta=eta_use).kernel
+        assert _relative(fast, weyl_quantize_dense(a, eta=eta_use)) <= 1e-11
 
 
 @given(grids(), seeds)
