@@ -37,12 +37,7 @@ from .grid import (  # noqa: E402
     dual_grid,
     make_grid,
 )
-from .interpolate import (  # noqa: E402
-    fourier_shift,
-    periodic_interp,
-    refine,
-    tensor_interp,
-)
+from .interpolate import fourier_shift, refine  # noqa: E402
 from .transforms import eta_fourier, symplectic_fourier  # noqa: E402
 from .wavefunctions import coherent_state, gaussian_wavepacket, hermite_state  # noqa: E402
 from .states import (  # noqa: E402

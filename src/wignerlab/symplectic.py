@@ -27,8 +27,8 @@ import warnings
 import numpy as np
 
 from .errors import NotFreeError, ParameterError, ValidationError
-from .grid import GridFunction
-from .interpolate import periodic_interp, refine
+from .grid import Grid, GridFunction
+from .interpolate import refine
 from .transforms import chirp_z, eta_fourier
 
 __all__ = [
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 SYMPLECTIC_TOL = 1e-10
+#: relative round-off allowed at the grid edges when resampling a word step
+_EDGE_RTOL = 1e-12
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -270,24 +272,48 @@ def _apply_chirp(psi: GridFunction, P) -> GridFunction:
     return GridFunction(psi.grid, phase * psi.values, psi.eta)
 
 
+def _resample(values: np.ndarray, grid: Grid, start: float, step: float) -> np.ndarray:
+    """Band-limited interpolant of grid samples at start + j step, j = 0 .. N-1.
+
+    One chirp-z sums two rows: the frequencies 0 .. N/2, and 0 .. -N/2
+    conjugated, with the DC and Nyquist coefficients split evenly between
+    them, so real samples resample to real values.  Indexing each row from
+    frequency 0 keeps the chirp phases of the low frequencies, where a smooth
+    state's weight lies, small: a single row over -N/2 .. N/2 with the
+    post-phase exp(-i pi N t) was 5 to 25x less accurate at N = 1024.  Points
+    outside [x_min, x_max) read zero, as for a decaying function; the edges
+    carry a round-off tolerance, so the dual grid of a self-dual grid, which
+    may start one rounding above x_min, keeps its first sample.
+    """
+    n = grid.n
+    half = n // 2
+    spec = np.fft.fft(values)
+    rows = np.stack([spec[: half + 1], spec[-np.arange(half + 1)].conj()])
+    rows[:, [0, half]] *= 0.5
+    t = (start + step * np.arange(n) - grid.x_min) / grid.length
+    out = chirp_z(rows, n, 2.0 * np.pi * step / grid.length, 2.0 * np.pi * t[0])
+    out = (out[0] + out[1].conj()) / n
+    out[(t < -_EDGE_RTOL) | (t >= 1.0 - _EDGE_RTOL)] = 0.0
+    return out
+
+
 def _apply_rescale(psi: GridFunction, L, m: int = 0) -> GridFunction:
     L = float(np.atleast_2d(L)[0, 0])
     if not 0.25 <= abs(L) <= 4.0:
         raise ParameterError(f"|L| = {abs(L)} outside the supported range [1/4, 4]")
-    values = periodic_interp(psi.values, psi.grid, L * psi.grid.points, zero_outside=True)
-    values = (1j) ** (m % 4) * np.sqrt(abs(L)) * values
-    return GridFunction(psi.grid, values, psi.eta)
+    grid = psi.grid
+    values = _resample(psi.values, grid, L * grid.x_min, L * grid.dx)
+    values *= (1j) ** (m % 4) * np.sqrt(abs(L))
+    return GridFunction(grid, values, psi.eta)
 
 
 def _apply_fourier(psi: GridFunction) -> GridFunction:
+    # F_eta psi lives on the dual grid; resample it onto the position grid
     phi = eta_fourier(psi)
-    if phi.grid.matches(psi.grid):
-        values = phi.values
-    else:
-        # momentum grid differs from the position grid: resample band-limitedly
-        values = periodic_interp(phi.values, phi.grid, psi.grid.points, zero_outside=True)
-    factor = np.exp(-0.25j * np.pi)  # i^(-1/2), principal branch, n = 1
-    return GridFunction(psi.grid, factor * values, psi.eta)
+    grid = psi.grid
+    values = _resample(phi.values, phi.grid, grid.x_min, grid.dx)
+    values *= np.exp(-0.25j * np.pi)  # i^(-1/2), principal branch, n = 1
+    return GridFunction(grid, values, psi.eta)
 
 
 # generator step: (its symplectic matrix, its action on a state), both
@@ -324,15 +350,18 @@ def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
     as chirp(P) . chirp-z . chirp(R); generator words apply their elementary
     steps in sequence.
     """
+    if spec.word is None:
+        matrices = [require_symplectic(spec.matrix)]
+    else:
+        matrices = [_step(step)[0](*step[1:]) for step in spec.word]
+    if any(M.shape != (2, 2) for M in matrices):
+        raise ParameterError("grid-based metaplectic application supports n = 1 only")
     if spec.word is not None:
         out = psi
         for step in spec.word:
             out = _step(step)[1](out, *step[1:])
         return out
-    S = require_symplectic(spec.matrix)
-    if S.shape != (2, 2):
-        raise ParameterError("grid-based metaplectic application supports n = 1 only")
-    gen = free_generating_function(S)
+    gen = free_generating_function(matrices[0])
     eta = psi.eta
     grid = psi.grid
     P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]

@@ -25,7 +25,7 @@ from .grid import (
     boundary_leak,
     dual_grid,
 )
-from .interpolate import tensor_interp
+from .interpolate import fourier_shift
 from .states import DensityMatrix, MixedStateSpec, OperatorMatrix, mix
 from .transforms import half_step_correlation, oscillatory_sum, require_correlation_memory
 from .weyl import reflect, weyl_symbol
@@ -131,15 +131,24 @@ def moyal_overlap(w1, w2) -> complex:
 def reflection_wigner_check(psi: GridFunction, z0) -> dict:
     """Residual of W psi(z0) = (pi eta)^-1 <psi | Pi(z0) psi>.
 
-    The Wigner side is evaluated at z0 by band-limited interpolation; the
-    result notes whether z0 had to be interpolated off the sample lattice.
+    The Wigner side is evaluated at z0 by band-limited interpolation, zero
+    off the grid; the result notes whether z0 had to be interpolated off the
+    sample lattice.
     """
     x0, p0 = float(z0[0]), float(z0[1])
     eta = psi.eta
     W = wigner(psi).W
     on_x = np.any(np.isclose(W.x_grid.points, x0, atol=1e-12))
     on_p = np.any(np.isclose(W.p_grid.points, p0, atol=1e-12))
-    w_at = tensor_interp(W.values, W.x_grid, W.p_grid, [x0], [p0])[0, 0]
+    w_at = 0.0
+    if W.x_grid.x_min <= x0 < W.x_grid.x_max and W.p_grid.x_min <= p0 < W.p_grid.x_max:
+        # the interpolant's weights are a unit sample shifted to z0 (the
+        # real, even Dirichlet kernel)
+        unit = np.zeros(W.x_grid.n)
+        unit[0] = 1.0
+        wx = fourier_shift(unit, W.x_grid, x0 - W.x_grid.x_min)
+        wp = fourier_shift(unit, W.p_grid, p0 - W.p_grid.x_min)
+        w_at = wx @ W.values @ wp
     pairing = psi.inner(reflect(psi, (x0, p0)))
     residual = abs(w_at - pairing / (np.pi * eta))
     return {

@@ -5,11 +5,12 @@ library computes through FFTs or chirp-z passes: dense phase matrices for the
 lag transforms, the free metaplectic operator and the Radon transform, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, and the eigen-loop Wigner function of a density matrix.  The
-pointwise and row-sheared interpolants check covariance identities: the
-pointwise one is a direct trigonometric sum, the row-sheared one reuses the
-library's ``fourier_shift``.  Some oracles reuse small library helpers
-(``refine``, ``symplectic_fourier``, ``free_generating_function``); none
-calls the transform it checks.  All are meant for small grids.
+dense interpolants check the metaplectic word steps and covariance
+identities: the 1-D, tensor and pointwise ones are direct trigonometric
+sums, the row-sheared one reuses the library's ``fourier_shift``.  Some
+oracles reuse small library helpers (``refine``, ``symplectic_fourier``,
+``free_generating_function``); none calls the transform it checks.  All
+are meant for small grids.
 """
 
 from __future__ import annotations
@@ -288,6 +289,26 @@ def _trig_sum(grid, points) -> np.ndarray:
     if n % 2 == 0:
         out[:, n // 2] = np.cos(np.pi * n * t)
     return out / n
+
+
+def periodic_interp(values, grid, points, zero_outside: bool = False) -> np.ndarray:
+    """Band-limited evaluation of grid samples at arbitrary points, a dense
+    trigonometric sum along the last axis.
+
+    With ``zero_outside`` the periodic interpolant reads zero at points
+    outside ``[x_min, x_max)``, as for a decaying function.
+    """
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.fft.fft(np.asarray(values, dtype=complex), axis=-1) @ _trig_sum(grid, points).T
+    if zero_outside:
+        out[..., (points < grid.x_min) | (points >= grid.x_max)] = 0.0
+    return out
+
+
+def tensor_interp(values, x_grid, p_grid, new_x, new_p, zero_outside: bool = True) -> np.ndarray:
+    """Evaluate a 2-D grid function on the tensor grid new_x x new_p."""
+    stage = periodic_interp(np.asarray(values).T, x_grid, new_x, zero_outside).T
+    return periodic_interp(stage, p_grid, new_p, zero_outside)
 
 
 def point_interp2d(values, x_grid, p_grid, x_points, p_points) -> np.ndarray:

@@ -36,7 +36,6 @@ from wignerlab import (
     reflect,
     robertson_schrodinger_checks,
     state_stats,
-    tensor_interp,
     trace_from_symbol,
     weyl_quantize,
     weyl_symbol,
@@ -53,7 +52,12 @@ from wignerlab.symplectic import (
 )
 from wignerlab.tomography import inverse_radon
 
-from oracles import quantize_via_displacements, quantize_via_reflections, shear_interp
+from oracles import (
+    quantize_via_displacements,
+    quantize_via_reflections,
+    shear_interp,
+    tensor_interp,
+)
 
 ETA = 1.0
 N = 256

@@ -6,12 +6,10 @@ from wignerlab import (
     dual_grid,
     fourier_shift,
     make_grid,
-    periodic_interp,
     refine,
-    tensor_interp,
 )
 
-from oracles import point_interp2d, shear_interp
+from oracles import periodic_interp, point_interp2d, shear_interp, tensor_interp
 
 
 def _band_limited(grid, seed=0):

@@ -96,6 +96,31 @@ def test_each_count_bounds_the_measured_peak(case):
     assert 16e6 <= result["counted"] <= 64e6
 
 
+# the metaplectic word path takes O(N) memory, so it has no guard: at
+# N = 4096 its four steps must not rise by more than 16 MB
+_WORD = """
+import gc, resource
+import numpy as np
+import wignerlab as wl
+
+q, p, r = 1.3, 0.4, -0.7
+spec = wl.MetaplecticSpec.free_as_word(np.array([[r / q, 1.0 / q], [(p * r - q * q) / q, p / q]]))
+psi = wl.coherent_state(wl.make_grid(-10.0, 10.0, 4096), 1.0)
+gc.collect()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+wl.metaplectic_apply(spec, psi)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+def test_word_path_memory_is_linear_in_n():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _WORD], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout.strip().splitlines()[-1]) < 16e6
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("allocated before the memory check")
 

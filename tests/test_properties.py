@@ -4,8 +4,8 @@ Grids are power-of-two N from 16 to 256 on non-centered intervals; eta runs
 over [0.3, 3], and quantization is also checked at a foreign eta, where the
 oversampled p step is not dual to the x grid.  The fast paths are compared
 with the dense-phase and eigen-loop references in ``oracles``: the
-Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator and
-the Radon transform.
+Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator,
+the rescale and Fourier steps of a metaplectic word, and the Radon transform.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from wignerlab import (
     ambiguity,
     coherent_state,
     cross_wigner,
+    eta_fourier,
     make_grid,
     metaplectic_apply,
     mix,
@@ -39,6 +40,7 @@ from oracles import (
     ambiguity_dense,
     cross_wigner_dense,
     metaplectic_free_dense,
+    periodic_interp,
     radon_dense,
     weyl_quantize_dense,
     weyl_symbol_dense,
@@ -150,6 +152,40 @@ def test_free_metaplectic_matches_dense_quadrature(n, x_min, x_max, eta, S, seed
     spec = MetaplecticSpec.free(S)
     ref = metaplectic_free_dense(spec, psi)
     assert _relative(metaplectic_apply(spec, psi).values, ref) <= 1e-12
+
+
+def _word_step(psi, step):
+    return metaplectic_apply(MetaplecticSpec.from_word([step]), psi).values
+
+
+@given(
+    grids(),
+    st.floats(0.25, 4.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(0, 3),
+    seeds,
+)
+@example((make_grid(-11.3, 7.9, 64), 0.9), 1.7, -1.0, 2, 0)
+# most of L x_j falls off the grid
+@example((make_grid(-7.0, 11.0, 128), 0.6), 4.0, 1.0, 1, 1)
+@example((make_grid(-12.5, 6.0, 256), 2.2), 0.25, -1.0, 3, 2)
+# a self-dual grid (N dx^2 = 2 pi eta): the Fourier step lands on its own samples
+@example((make_grid(-np.sqrt(32.0 * np.pi), np.sqrt(32.0 * np.pi), 64), 1.0), 1.0, 1.0, 0, 3)
+def test_word_steps_match_dense_interpolant(grid_eta, size, sign, m, seed):
+    grid, eta = grid_eta
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    psi = GridFunction(grid, values, eta)
+    L = sign * size
+    ref = periodic_interp(values, grid, L * grid.points, zero_outside=True)
+    error = _word_step(psi, ("rescale", L, m)) - 1j**m * np.sqrt(size) * ref
+    assert np.max(np.abs(error)) <= 1e-11 * np.max(np.abs(values))
+    real = _word_step(GridFunction(grid, values.real, eta), ("rescale", L, 0))
+    assert np.max(np.abs(real.imag)) <= 1e-12 * np.max(np.abs(values.real))
+    phi = eta_fourier(psi)
+    ref = periodic_interp(phi.values, phi.grid, grid.points, zero_outside=True)
+    error = _word_step(psi, ("fourier",)) - np.exp(-0.25j * np.pi) * ref
+    assert np.max(np.abs(error)) <= 1e-11 * np.max(np.abs(phi.values))
 
 
 @given(grids(), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6), seeds)

@@ -3,8 +3,10 @@ import pytest
 
 from wignerlab import (
     GeneratingFunction,
+    GridFunction,
     MetaplecticSpec,
     NotFreeError,
+    ParameterError,
     blocks,
     chirp_matrix,
     coherent_state,
@@ -202,3 +204,32 @@ def test_fourier_word_matches_eta_fourier():
     ft = eta_fourier(psi)
     phase = np.exp(-0.25j * np.pi)
     assert np.max(np.abs(out.values - phase * ft.values)) < 1e-10
+
+
+def test_fourier_word_keeps_every_sample_of_a_self_dual_grid():
+    from wignerlab import dual_grid, eta_fourier
+
+    # at eta = 1.7 the dual grid starts one rounding above x_min; the step
+    # must not read the first sample as off the grid
+    eta = 1.7
+    half = 0.5 * np.sqrt(2.0 * np.pi * eta * 128)
+    grid = make_grid(-half, half, 128)
+    assert dual_grid(grid, eta).x_min > grid.x_min
+    rng = np.random.default_rng(10)
+    psi = GridFunction(grid, rng.normal(size=128) + 1j * rng.normal(size=128), eta)
+    word = MetaplecticSpec.from_word([("fourier",)])
+    values = np.exp(0.25j * np.pi) * metaplectic_apply(word, psi).values
+    ft = eta_fourier(psi).values
+    assert np.max(np.abs(values - ft)) < 1e-12 * np.max(np.abs(ft))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [[("chirp", np.eye(2))], [("rescale", 2.0 * np.eye(2), 1), ("chirp", np.eye(2))]],
+)
+def test_word_with_two_degrees_of_freedom_is_refused(word):
+    # a 1-D state cannot carry an n = 2 step; no step may run on its [0, 0] entry
+    psi = coherent_state(make_grid(-10.0, 10.0, 64), ETA)
+    assert metaplectic_matrix(MetaplecticSpec.from_word(word)).shape == (4, 4)
+    with pytest.raises(ParameterError, match="n = 1 only"):
+        metaplectic_apply(MetaplecticSpec.from_word(word), psi)

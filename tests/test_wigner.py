@@ -6,6 +6,7 @@ from wignerlab import (
     ambiguity,
     coherent_state,
     cross_wigner,
+    dual_grid,
     eta_fourier,
     hermite_state,
     make_grid,
@@ -127,4 +128,13 @@ def test_wigner_of_mixture_is_convex_combination(grid):
 def test_reflection_wigner_identity(grid):
     psi = coherent_state(grid, ETA, 0.3, -0.2)
     out = reflection_wigner_check(psi, (0.5, 0.25))
+    assert out["interpolated"]
     assert out["residual"] < 1e-10
+    # on the sample lattice the Wigner side needs no interpolation
+    p_grid = dual_grid(grid, ETA)
+    out = reflection_wigner_check(psi, (grid.points[33], p_grid.points[31]))
+    assert not out["interpolated"]
+    assert out["residual"] < 1e-10
+    # beyond the p box the Wigner side reads zero, not a periodic image
+    out = reflection_wigner_check(psi, (0.5, p_grid.x_max + 10.0))
+    assert out["wigner_value"] == 0
