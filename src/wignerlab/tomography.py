@@ -4,8 +4,9 @@ A tomogram is the line integral of W along {x cos t + p sin t = X}.  The
 forward transform uses the projection-slice theorem: the 1-D Fourier
 transform of a projection is the 2-D Fourier transform of W along the ray
 direction, which a chirp-z transform evaluates exactly on the anisotropic
-(x, p) grid without any resampling.  Inversion is filtered backprojection
-with a ramp filter and a raised-cosine rolloff.
+(x, p) grid without any resampling, over the block of W above
+SUPPORT_RTOL only.  Inversion is filtered backprojection with a ramp filter
+and a raised-cosine rolloff, over the points the tomograms' support allows.
 """
 
 from __future__ import annotations
@@ -54,21 +55,45 @@ class TomogramSet:
         return self.values.sum(axis=1) * self.grid.dx
 
 
+def _support_box(values: np.ndarray, dx: float, dp: float) -> tuple[slice, slice]:
+    """The rows and columns of W that can carry projection mass.
+
+    The bounding box of the samples above SUPPORT_RTOL max |W|, widened on
+    each side by the coarser grid step max(dx, dp) and clipped to the grid;
+    a line that misses the box crosses only samples below the threshold
+    (support theorem).  A ray at theta near 0 or pi/2 sums a whole dropped
+    row or column, so the margin is a physical distance over which W decays,
+    not one cell of the finer axis.  An all-zero W keeps the whole grid.
+    """
+    above = np.abs(values) > SUPPORT_RTOL * np.max(np.abs(values))
+    step = max(dx, dp)
+    box = []
+    for hits, d in ((above.any(axis=1), dx), (above.any(axis=0), dp)):
+        n, margin = hits.size, max(1, round(step / d))
+        lo = max(int(np.argmax(hits)) - margin, 0)
+        hi = min(n - int(np.argmax(hits[::-1])) + margin, n)
+        box.append(slice(lo, hi))
+    return box[0], box[1]
+
+
 def _projection_spectra(values, x, p, k, angles, dx, dp):
     """FT of each theta-projection: W-hat(k cos t, k sin t) on the k grid.
 
-    The p-axis chirp-z depends on sin t alone, so angles whose sines agree
-    to 1e-15 (t and pi - t) share one stage, run at the first one's sine.
-    The sampled transform aliases outside |k sin t| <= pi/dp, so each stage
-    evaluates only that contiguous k band and the rest of the row stays zero;
-    |k cos t| <= pi/dx holds on the whole k grid dual to the x grid.
+    ``values`` is an n_x x n_p block of W on the points ``x`` and ``p``
+    (the support box of :func:`radon`); ``k`` is the full k grid of n_k
+    points.  The p-axis chirp-z depends on sin t alone, so angles whose
+    sines agree to 1e-15 (t and pi - t) share one stage, run at the first
+    one's sine.  The sampled transform aliases outside |k sin t| <= pi/dp,
+    so each stage evaluates only that contiguous k band and the rest of the
+    row stays zero; |k cos t| <= pi/dx holds on the whole k grid dual to
+    the x grid.
     """
-    n = len(k)
+    n_x, n_k = len(x), len(k)
     dk = k[1] - k[0]
-    i = np.arange(n)
-    squares = i * i
-    lags = np.arange(1 - n, n)
-    spectra = np.zeros((len(angles), n), dtype=complex)
+    i = np.arange(n_x)
+    i_sq, m_sq = i * i, np.arange(n_k) ** 2
+    lags = np.arange(1 - n_k, n_x)
+    spectra = np.zeros((len(angles), n_k), dtype=complex)
     sines = np.sin(angles)
     order = np.argsort(sines, kind="stable")
     breaks = np.flatnonzero(np.diff(sines[order]) > 1e-15) + 1
@@ -82,13 +107,13 @@ def _projection_spectra(values, x, p, k, angles, dx, dp):
         stage *= np.exp(-1j * kb * p[0] * s)
         for row in group:
             # the x phase exp(-i c x_i k_m) couples i and m; i m = (i^2 + m^2 -
-            # (i - m)^2)/2 splits it into two 1-D chirps and the Toeplitz chirp
-            # T[i, m] = t[i - m + n - 1]
+            # (i - m)^2)/2 splits it into two 1-D chirps and the n_x x n_k
+            # Toeplitz chirp T[i, m] = t[i - m + n_k - 1]
             c = np.cos(angles[row])
             a = c * dx * dk
-            toeplitz = sliding_window_view(np.exp(0.5j * a * (lags * lags)), n)[::-1].T
-            rows = np.exp(-1j * (c * dx * k[0] * i + 0.5 * a * squares))
-            cols = np.exp(-1j * (c * x[0] * kb + 0.5 * a * squares[m0:m1]))
+            toeplitz = sliding_window_view(np.exp(0.5j * a * (lags * lags)), n_x)[::-1].T
+            rows = np.exp(-1j * (c * dx * k[0] * i + 0.5 * a * i_sq))
+            cols = np.exp(-1j * (c * x[0] * kb + 0.5 * a * m_sq[m0:m1]))
             summed = np.einsum("im,im->m", stage * rows[:, None], toeplitz[:, m0:m1])
             spectra[row, m0:m1] = cols * summed * dx * dp
     return spectra
@@ -97,13 +122,14 @@ def _projection_spectra(values, x, p, k, angles, dx, dp):
 def require_radon_memory(n_angles: int, n: int):
     """Refuse, via :func:`errors.require_memory`, a :func:`radon` call over budget.
 
-    Its working set is the real W (8 N^2 bytes), the ray spectra with the
-    two copies the final FFT makes (3 x 16 bytes per angle and sample) and
-    one p-axis chirp-z stage (a complex and a phased copy of W and three
-    N x 2N complex FFT arrays, 128 N^2 bytes).
+    Its working set is the real W (8 N^2 bytes), the ray spectra and the
+    one further copy the final FFT makes (2 x 16 bytes per angle and sample)
+    and one p-axis chirp-z stage (a complex and a phased copy of W and three
+    N x 2N complex FFT arrays, 128 N^2 bytes).  The stage is counted for an
+    uncropped W, so the count bounds every support box.
     """
     require_memory(
-        136 * n * n + 48 * n_angles * n,
+        136 * n * n + 32 * n_angles * n,
         f"ray spectra for {n_angles} angles at N = {n}",
     )
 
@@ -112,14 +138,19 @@ def radon(W, angles) -> TomogramSet:
     """Forward Radon transform of a real, unit-mass phase-space function.
 
     The X grid of the tomograms is the x grid of W; theta = 0 reproduces the
-    position marginal and theta = pi/2 the momentum marginal.  The ray
-    spectra of all angles sit on one k grid, dual to the X grid, so a single
-    FFT finishes every profile.  The p-axis chirp-z of a ray spectrum
-    depends on sin theta alone, so theta and pi - theta share one stage,
-    and each stage evaluates only the k band |k sin theta| <= pi/dp, outside
-    which the sampled transform aliases and the spectrum is zero.  A
-    working set above the memory budget (:func:`require_radon_memory`) is
-    refused before anything is allocated.
+    position marginal and theta = pi/2 the momentum marginal.  Only the
+    support box of W enters the transforms: the rows and columns holding a
+    sample above SUPPORT_RTOL max |W| (the threshold :func:`inverse_radon`
+    applies to the tomograms), widened by the coarser grid step.  A W that
+    fills the grid keeps it whole, and the mass drift check compares the
+    tomograms with the mass of the whole W.  The ray spectra of all angles
+    sit on one k grid, dual to the X grid, so a single FFT finishes every
+    profile.  The p-axis chirp-z of a ray spectrum depends on sin theta
+    alone, so theta and pi - theta share one stage, and each stage evaluates
+    only the k band |k sin theta| <= pi/dp, outside which the sampled
+    transform aliases and the spectrum is zero.  A working set above the
+    memory budget (:func:`require_radon_memory`) is refused before anything
+    is allocated.
     """
     if hasattr(W, "W"):
         W = W.W
@@ -129,11 +160,17 @@ def radon(W, angles) -> TomogramSet:
     x_grid = W.x_grid
     require_radon_memory(angles.size, max(x_grid.n, W.p_grid.n))
     values = W.real_values(rtol=1e-6)
+    # the drift check below compares against the mass of the whole W, so it
+    # sees any mass the support box leaves out
     mass = float(values.sum() * W.area_element)
+    rows, cols = _support_box(values, W.dx, W.dp)
     k_grid = dual_grid(x_grid, 1.0)
-    x, p, k = x_grid.points, W.p_grid.points, k_grid.points
-    spectra = _projection_spectra(values, x, p, k, angles, W.dx, W.dp)
-    profiles = oscillatory_sum(spectra, k_grid, x_grid, 1.0, 1) * k_grid.dx / (2.0 * np.pi)
+    x, p = x_grid.points[rows], W.p_grid.points[cols]
+    # the spectra go in as a temporary, freed once the final FFT has phased them
+    profiles = oscillatory_sum(
+        _projection_spectra(values[rows, cols], x, p, k_grid.points, angles, W.dx, W.dp),
+        k_grid, x_grid, 1.0, 1, scale=k_grid.dx / (2.0 * np.pi),
+    )
     tomo = TomogramSet(angles, x_grid, profiles.real, W.eta)
     worst = float(np.max(np.abs(tomo.masses() - mass)))
     if worst > 1e-5 * max(1.0, abs(mass)):

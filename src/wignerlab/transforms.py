@@ -53,27 +53,29 @@ def oscillatory_sum(
     eta: float,
     sign: int,
     axis: int = -1,
+    scale: float = 1.0,
 ) -> np.ndarray:
-    """Compute sum_k exp(sign * i q_m y_k / eta) f_k along ``axis``.
+    """Compute scale * sum_k exp(sign * i q_m y_k / eta) f_k along ``axis``.
 
     Requires the dual-grid relation dq * dy * N = 2 pi eta; the general
     offsets y_min, q_min are absorbed into pre/post phase ramps around a
-    plain FFT.  No quadrature weight is applied.
+    plain FFT, and ``scale`` rides on the post phase.  No quadrature weight
+    is applied.  Besides the input, the call holds the pre-phased copy and
+    the FFT output; a caller that passes a temporary frees the input as soon
+    as it is phased.
     """
     if sign not in (-1, 1):
         raise ParameterError("sign must be +1 or -1")
     _dual_check(in_grid, out_grid, eta)
-    values = np.asarray(values, dtype=complex)
-    values = np.moveaxis(values, axis, -1)
     n = in_grid.n
     k = np.arange(n)
     pre = np.exp(sign * 1j * out_grid.x_min * in_grid.dx * k / eta)
-    post = np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
-    work = values * pre
+    post = scale * np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
+    values = np.moveaxis(np.asarray(values, dtype=complex), axis, -1) * pre
     if sign < 0:
-        spec = np.fft.fft(work, axis=-1)
+        spec = np.fft.fft(values, axis=-1)
     else:
-        spec = np.fft.ifft(work, axis=-1)
+        spec = np.fft.ifft(values, axis=-1)
         post *= n
     spec *= post
     return np.moveaxis(spec, -1, axis)
@@ -133,9 +135,11 @@ def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.n
     m < N, and one dual-grid sum finishes the job.
     """
     n = p_grid.n
-    folded = corr[..., :n] + corr[..., n:] * np.exp(-1j * n * dx * p_grid.x_min / eta)
     lag_grid = Grid(-n * dx, 0.0, n)
-    return dx * oscillatory_sum(folded, lag_grid, p_grid, eta, -1)
+    return oscillatory_sum(
+        corr[..., :n] + corr[..., n:] * np.exp(-1j * n * dx * p_grid.x_min / eta),
+        lag_grid, p_grid, eta, -1, scale=dx,
+    )
 
 
 def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:
@@ -178,7 +182,7 @@ def eta_fourier(
         out_grid = dual_grid(psi.grid, eta)
     sign = 1 if inverse else -1
     weight = (2.0 * np.pi * eta) ** -0.5 * psi.grid.dx
-    values = weight * oscillatory_sum(psi.values, psi.grid, out_grid, eta, sign)
+    values = oscillatory_sum(psi.values, psi.grid, out_grid, eta, sign, scale=weight)
     return GridFunction(out_grid, values, eta)
 
 
@@ -197,10 +201,10 @@ def symplectic_fourier(a: PhaseSpaceFunction) -> PhaseSpaceFunction:
     _dual_check(x_grid, p_grid, eta)
     # x' -> p (sign -1), along axis 0
     stage = oscillatory_sum(a.values, x_grid, p_grid, eta, -1, axis=0)
-    # p' -> x (sign +1), along axis 1
-    out = oscillatory_sum(stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1)
-    # stage is indexed [p, p']; after the second pass axis 1 is x, so swap
-    out = out.T * (x_grid.dx * p_grid.dx / (2.0 * np.pi * eta))
+    # p' -> x (sign +1), along axis 1; stage is indexed [p, p'], and after
+    # this pass axis 1 is x, so swap
+    scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
+    out = oscillatory_sum(stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1, scale=scale).T
     kind = "ambiguity" if a.kind == "wigner" else "generic"
     return PhaseSpaceFunction(
         dual_grid(p_grid, eta), p_grid, out, eta, kind=kind,

@@ -106,7 +106,7 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     p_grid = dual_grid(grid, eta)
     corr = half_step_correlation(np.outer(psi.values, psi.values.conj()), grid)
     lags = corr[:, n // 2 : 3 * n // 2].T
-    values = grid.dx / (2.0 * np.pi * eta) * oscillatory_sum(lags, grid, p_grid, eta, -1)
+    values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
     return PhaseSpaceFunction(
         dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity",
         leak=boundary_leak(values),

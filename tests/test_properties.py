@@ -21,9 +21,11 @@ from wignerlab import (
     MetaplecticSpec,
     MixedStateSpec,
     OperatorMatrix,
+    PhaseSpaceFunction,
     ambiguity,
     coherent_state,
     cross_wigner,
+    dual_grid,
     eta_fourier,
     make_grid,
     metaplectic_apply,
@@ -188,17 +190,61 @@ def test_word_steps_match_dense_interpolant(grid_eta, size, sign, m, seed):
     assert np.max(np.abs(error)) <= 1e-11 * np.max(np.abs(phi.values))
 
 
-@given(grids(), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6), seeds)
-@example((make_grid(-10.0, 10.0, 256), 1.0), [0.0, np.pi / 2, 1.0], 0)
+def _radon_input(grid, eta, seed, kind):
+    """A real W for the Radon transform, by ``kind``:
+
+    - "superposition": the Wigner function of a random superposition near
+      the grid centre;
+    - "off_centre": that of one coherent state three tenths of the way into
+      the x and p boxes, a small support far from the centre;
+    - "filled": a Gaussian six standard deviations across each box, above
+      SUPPORT_RTOL max |W| on every sample, so the support box is the
+      whole grid;
+    - "negative_cat": minus the Wigner function of a cat split along x and
+      p; its lobes, the only samples near the edge of its support, are
+      negative, and its fringes carry both signs.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "superposition":
+        return wigner(_state(grid, eta, rng)).W
+    p_grid = dual_grid(grid, eta)
+    if kind == "filled":
+        x, p = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+        xc, pc = 0.5 * (grid.x_min + grid.x_max), 0.5 * (p_grid.x_min + p_grid.x_max)
+        values = np.exp(-18.0 * ((x - xc) / grid.length) ** 2 - 18.0 * ((p - pc) / p_grid.length) ** 2)
+        return PhaseSpaceFunction(grid, p_grid, values, eta, kind="wigner")
+    if kind == "off_centre":
+        x0 = grid.x_min + 0.3 * grid.length
+        p0 = p_grid.x_min + 0.3 * p_grid.length
+        return wigner(coherent_state(grid, eta, x0, p0)).W
+    xc = 0.5 * (grid.x_min + grid.x_max)
+    hx, hp = 1.5 * np.sqrt(eta), 0.5 * np.sqrt(eta)
+    values = coherent_state(grid, eta, xc + hx, hp).values + coherent_state(grid, eta, xc - hx, -hp).values
+    W = wigner(GridFunction(grid, values, eta).normalized()).W
+    return PhaseSpaceFunction(grid, p_grid, -W.values, eta, kind="wigner")
+
+
+@given(
+    grids(),
+    st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6),
+    seeds,
+    st.sampled_from(["superposition", "off_centre", "filled", "negative_cat"]),
+)
+@example((make_grid(-10.0, 10.0, 256), 1.0), [0.0, np.pi / 2, 1.0], 0, "superposition")
 # theta and pi - theta share a p-axis stage; so do duplicated angles
-@example((make_grid(-12.0, 9.0, 128), 0.8), [0.3, np.pi - 0.3, 1.1, np.pi - 1.1], 1)
-@example((make_grid(-12.0, 9.0, 64), 1.4), [0.7, 2.0, 0.7], 2)
-@example((make_grid(-7.0, 11.0, 64), 2.2), [np.pi / 2, 0.0, np.pi / 2, 0.0], 3)
-@example((make_grid(-11.0, 6.0, 128), 0.6), [-2.5, 4.0, 3 * np.pi / 2, 7.0, -np.pi], 4)
-@example((make_grid(-9.0, 13.0, 128), 1.7), np.linspace(0.0, np.pi, 64, endpoint=False), 5)
-def test_radon_matches_literal_dft(grid_eta, angles, seed):
+@example((make_grid(-12.0, 9.0, 128), 0.8), [0.3, np.pi - 0.3, 1.1, np.pi - 1.1], 1, "superposition")
+@example((make_grid(-12.0, 9.0, 64), 1.4), [0.7, 2.0, 0.7], 2, "superposition")
+@example((make_grid(-7.0, 11.0, 64), 2.2), [np.pi / 2, 0.0, np.pi / 2, 0.0], 3, "superposition")
+@example((make_grid(-11.0, 6.0, 128), 0.6), [-2.5, 4.0, 3 * np.pi / 2, 7.0, -np.pi], 4, "superposition")
+@example((make_grid(-9.0, 13.0, 128), 1.7), np.linspace(0.0, np.pi, 64, endpoint=False), 5, "superposition")
+# the support box: a small block far from the centre, the whole grid, and a
+# box whose edge samples are all negative
+@example((make_grid(-16.0, 12.0, 256), 1.0), np.linspace(0.0, np.pi, 24, endpoint=False), 6, "off_centre")
+@example((make_grid(-10.0, 10.0, 128), 1.3), np.linspace(0.0, np.pi, 24, endpoint=False), 7, "filled")
+@example((make_grid(-11.0, 10.0, 256), 0.9), np.linspace(0.0, np.pi, 24, endpoint=False), 8, "negative_cat")
+def test_radon_matches_literal_dft(grid_eta, angles, seed, kind):
     grid, eta = grid_eta
-    W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
+    W = _radon_input(grid, eta, seed, kind)
     assert _relative(radon(W, angles).values, radon_dense(W, angles)) <= 1e-11
 
 

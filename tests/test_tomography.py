@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from wignerlab import (
     MetaplecticSpec,
     NormalizationError,
     ParameterError,
+    PhaseSpaceFunction,
     TomogramSet,
     coherent_state,
     covariance_matrix,
+    dual_grid,
     gaussian_state,
     hermite_state,
     inverse_radon,
@@ -22,6 +26,9 @@ from wignerlab import (
     reconstruct_density,
     wigner,
 )
+from wignerlab.tomography import SUPPORT_RTOL
+
+from oracles import radon_dense
 
 ETA = 1.0
 
@@ -119,6 +126,69 @@ def test_radon_shares_one_p_axis_stage_per_sine(grid, monkeypatch):
     # theta and pi - theta pair up; theta = 0 and pi/2 stand alone
     assert len(calls) == 91
     np.testing.assert_allclose(tomo.masses(), 1.0, atol=1e-10)
+
+
+def test_radon_transforms_only_the_support_box(monkeypatch):
+    # a coherent state at N = 256 fills a few dozen of the 256 p columns and
+    # about half the x rows above SUPPORT_RTOL max |W|
+    import wignerlab.tomography as tomography
+
+    shapes = []
+    chirp_z = tomography.chirp_z
+
+    def recording_chirp_z(values, *args):
+        shapes.append(values.shape)
+        return chirp_z(values, *args)
+
+    monkeypatch.setattr(tomography, "chirp_z", recording_chirp_z)
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    radon(W, np.linspace(0.0, np.pi, 180, endpoint=False))
+    assert shapes and all(n_x < 256 and n_p < 256 for n_x, n_p in shapes)
+
+
+def test_radon_of_zero_is_zero(grid):
+    W = PhaseSpaceFunction(grid, dual_grid(grid, ETA), np.zeros((grid.n, grid.n)), ETA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tomo = radon(W, np.linspace(0.0, np.pi, 16, endpoint=False))
+    assert np.all(tomo.values == 0.0)
+
+
+def test_radon_keeps_a_faint_far_plateau(grid):
+    # a plateau just above SUPPORT_RTOL max |W| in the corner opposite the
+    # state stays in the support box, so the tomograms carry its mass
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    values = W.values.real.copy()
+    values[:16, :16] = 1.5 * SUPPORT_RTOL * np.max(np.abs(values))
+    plateau = PhaseSpaceFunction(W.x_grid, W.p_grid, values, ETA, kind="wigner")
+    extra = 256 * values[0, 0] * W.area_element
+    angles = np.linspace(0.0, np.pi, 16, endpoint=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gained = radon(plateau, angles).masses() - radon(W, angles).masses()
+    np.testing.assert_allclose(gained, extra, rtol=1e-2)
+
+
+def test_mass_drift_check_sees_mass_outside_the_support_box(grid, monkeypatch):
+    # the drift check compares with the mass of the whole W, so a box that
+    # cut into the state would not pass silently
+    import wignerlab.tomography as tomography
+
+    half = (slice(0, grid.n // 2), slice(None))
+    monkeypatch.setattr(tomography, "_support_box", lambda values, dx, dp: half)
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    with pytest.warns(UserWarning, match="mass drift"):
+        radon(W, [0.0, 1.0])
+
+
+def test_support_box_margin_keeps_axis_rays_at_round_off():
+    # at theta = 0 a ray sums a whole row of W, and at N = 512 one x step is
+    # an eighth of a p step: the box margin must be a p step wide in x, or the
+    # rows it drops show in the position marginal well above round-off
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), ETA, 0.3, 0.2)).W
+    angles = [0.0, np.pi / 2]
+    ref = radon_dense(W, angles)
+    assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
 
 
 def test_filtered_backprojection_accuracy(grid):
