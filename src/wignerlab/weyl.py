@@ -11,6 +11,14 @@ band-limited interpolant shifted by half a step); the quantizer gathers
 the kernel back through the same :func:`transforms.midpoint_lag` map.
 Off-grid arguments are treated as zero (kernels and symbols are assumed
 negligible outside the grid).
+
+At the symbol's own eta, where its p grid is dual to the x grid, the
+quantizer's p sum is one row FFT per lag parity and reconstructs the lag
+band |x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
+beyond: the N lags a dual-grid symbol holds, onto which
+:func:`weyl_symbol` folds any longer ones.  A foreign eta' runs the sum on
+p-refined rows through :func:`transforms.chirp_z`; its band stretches to
+about |x - y| < (L/2) eta' / a.eta, with no sharp edge.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
     return GridFunction(grid, phase * shifted, eta)
 
 
-#: symbol rows per chirp-z pass of :func:`weyl_quantize`
+#: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
+#: path, one refinement and chirp-z on the foreign one)
 _ROW_CHUNK = 128
 
 
@@ -82,9 +91,11 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     need proportionally more of it.  :func:`errors.require_memory` refuses
     the quantizer's working set before anything is allocated.  It counts, as
     if they overlapped, the lag-sum table and the half-step symbol (3 N^2
-    complex), the final gather with its indices (3 N^2) and one chirp-z pass
-    of ``_ROW_CHUNK`` rows (the oversampled rows and a pre-phased copy, two
-    FFT arrays under 4/3 of the padded length, and the sums).
+    complex), the final gather with its indices (3 N^2) and one foreign-eta
+    pass of ``_ROW_CHUNK`` rows (the oversampled rows and a pre-phased copy,
+    two FFT arrays under 4/3 of the padded length, and the sums).  The
+    native pass holds a block's row FFT and its lag band, two arrays of at
+    most ``_ROW_CHUNK`` x N, which the foreign pass at F = 2 bounds as well.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n, cols = a.x_grid.n, factor * a.p_grid.n
@@ -102,6 +113,16 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     ``eta`` overrides the symbol's attached parameter: the p samples then act
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
+
+    The p sum runs on the symbol's p samples refined F times
+    (:func:`_p_oversampling`).  On the native path, where the p grid is dual
+    to the x grid at ``eta`` (every symbol at its own eta), the refined sum
+    at lag d dx is F times the length-N DFT of the unrefined row at d mod N
+    for |d| < N/2, half that at |d| = N/2 and zero beyond: one FFT per block
+    of rows and lag parity, and the kernel holds the lag band |x - y| < L/2
+    (L the grid length), half weight at L/2, zero beyond.  On the foreign
+    path the rows are refined and summed with :func:`transforms.chirp_z`;
+    the band then stretches to about |x - y| < (L/2) eta / a.eta.
     """
     eta_use = a.eta if eta is None else float(eta)
     if eta_use <= 0.0:
@@ -114,15 +135,25 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     # midpoint m and lag d = j - k of midpoint_lag: table[0, r, t] holds it for
     # m = x_r, d = 2t - N and table[1, r, t] for m = x_r - dx/2, d = 2t + 1 - N
     step = dp * dx / eta_use
+    native = abs(a.p_grid.dx - dual_grid(a.x_grid, eta_use).dx) <= 1e-12 * a.p_grid.dx
     half_step = fourier_shift(a.values, a.x_grid, 0.5 * dx, axis=0)
-    table = np.empty((2, n, n), dtype=complex)
-    for parity, rows in enumerate((a.values, half_step)):
-        for start in range(0, n, _ROW_CHUNK):
-            table[parity, start : start + _ROW_CHUNK] = chirp_z(
-                refine(rows[start : start + _ROW_CHUNK], factor, axis=1),
-                n, 2 * step, (parity - n) * step,
-            )
     d = 2 * np.arange(n) + np.arange(2)[:, None, None] - n
+    table = np.zeros((2, n, n), dtype=complex)
+    for parity, rows in enumerate((a.values, half_step)):
+        # the lag band |d| <= N/2, a contiguous run of t
+        band = np.flatnonzero(2 * np.abs(d[parity, 0]) <= n)
+        lags = d[parity, 0, band]
+        weight = np.where(2 * np.abs(lags) == n, 0.5 * factor, factor)
+        for start in range(0, n, _ROW_CHUNK):
+            block = rows[start : start + _ROW_CHUNK]
+            out = table[parity, start : start + _ROW_CHUNK]
+            if native:
+                sums = np.fft.ifft(block, axis=1, norm="forward")
+                np.multiply(sums[:, lags % n], weight, out=out[:, band[0] : band[-1] + 1])
+            else:
+                out[:] = chirp_z(
+                    refine(block, factor, axis=1), n, 2 * step, (parity - n) * step
+                )
     table *= dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
     mid, lag = midpoint_lag(n)
     return OperatorMatrix(a.x_grid, table[lag & 1, mid, lag >> 1], eta_use)

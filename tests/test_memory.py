@@ -65,13 +65,15 @@ if case == "wigner":
     psi = wl.coherent_state(wl.make_grid(-10.0, 10.0, 512), 1.0)
     call = lambda: wl.wigner(psi)
 else:
-    n = 128 if case == "radon" else 256
+    n = {"radon": 128, "weyl_quantize_native": 512}.get(case, 256)
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
     if case == "radon":
         angles = np.linspace(0.0, np.pi, 4096, endpoint=False)
         call = lambda: wl.radon(W, angles)
     elif case == "weyl_quantize":
         call = lambda: wl.weyl_quantize(W, eta=0.25)
+    elif case == "weyl_quantize_native":
+        call = lambda: wl.weyl_quantize(W)
     else:
         call = lambda: wl.klm_test(W, 1.0, samples=512)
 gc.collect()
@@ -83,7 +85,9 @@ print(json.dumps({"counted": max(counted), "rise": rise}))
 """
 
 
-@pytest.mark.parametrize("case", ["radon", "weyl_quantize", "klm_test", "wigner"])
+@pytest.mark.parametrize(
+    "case", ["radon", "weyl_quantize", "weyl_quantize_native", "klm_test", "wigner"]
+)
 def test_each_count_bounds_the_measured_peak(case):
     # the sizes keep each count between 16 and 64 MB
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -112,8 +112,25 @@ def test_lag_transforms_match_dense_phase(grid_eta, seed):
         assert _relative(weyl_symbol(op).values, weyl_symbol_dense(op)) <= 1e-11
 
 
+@given(grids(), seeds)
+def test_native_quantizer_returns_the_lag_band(grid_eta, seed):
+    # a kernel on the lags |j - k| < N/2 has a symbol that holds them all:
+    # the quantizer returns its even lags and nothing beyond N/2 (odd lags
+    # pass through band-limited x interpolation, not exact for random entries)
+    grid, eta = grid_eta
+    _, dense = _kernels(grid, eta, np.random.default_rng(seed))
+    j, k = np.indices(dense.shape)
+    lag = np.abs(j - k)
+    kernel = np.where(2 * lag < grid.n, dense, 0.0)
+    back = weyl_quantize(weyl_symbol(OperatorMatrix(grid, kernel, eta))).kernel
+    even = lag % 2 == 0
+    assert _relative(back[even], kernel[even]) <= 1e-12
+    assert np.all(back[2 * lag > grid.n] == 0.0)
+
+
 @given(grids(), foreign, seeds)
-# per lag parity, one chirp-z block of N = 16 rows and two full blocks of 128
+# at the foreign eta, per lag parity, one chirp-z block of N = 16 rows and
+# two full blocks of 128; the native quantization takes one row FFT per block
 @example((make_grid(-5.0, 9.0, 16), 0.4), 0.5, 0)
 @example((make_grid(-13.0, 8.0, 256), 2.5), 1.5, 1)
 def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):

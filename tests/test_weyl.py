@@ -205,6 +205,35 @@ def test_cross_wigner_consistency_with_symbol(grid):
     assert np.max(np.abs(a.values - ref)) < 1e-10
 
 
+def test_native_quantizer_takes_no_chirp_z(monkeypatch):
+    # at the symbol's own eta each block of rows is one FFT per lag parity;
+    # a foreign eta refines the rows and runs one chirp-z per block and parity
+    from wignerlab import weyl
+
+    calls = {"chirp_z": 0, "refine": 0}
+
+    def counting(name):
+        original = getattr(weyl, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(weyl, name, counting(name))
+    grid = make_grid(-10.0, 10.0, 256)
+    a = weyl_symbol(pure_density(coherent_state(grid, ETA, 0.4, 0.0)).op)
+    b = weyl_symbol(pure_density(hermite_state(grid, ETA, 1)).op)
+    weyl_quantize(a)
+    twisted_product(a, b)
+    assert calls == {"chirp_z": 0, "refine": 0}
+    # two blocks of 128 rows per parity
+    weyl_quantize(a, eta=1.5 * a.eta)
+    assert calls == {"chirp_z": 4, "refine": 4}
+
+
 def test_quantize_refuses_oversized_oversampling():
     # eta far below the symbol's eta needs p oversampling by 2000: about
     # 12 GiB at N = 256, refused before anything is allocated
