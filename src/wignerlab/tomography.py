@@ -19,7 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NormalizationError, ParameterError, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
-from .interpolate import refine
 from .states import DensityMatrix, OperatorMatrix, validate_density
 from .transforms import chirp_z, oscillatory_sum
 from .weyl import weyl_quantize
@@ -186,13 +185,14 @@ def _raised_cosine(k: np.ndarray, cut: float, kmax: float) -> np.ndarray:
     return window
 
 
-def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFunction:
+def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     """Filtered backprojection onto the (x, p) grid of the source.
 
     Each tomogram is ramp-filtered (raised-cosine rolloff above 70% of the
-    sampling band) on a 4x zero-padded window, refined 4x, and backprojected
-    with linear interpolation.  Only points the data allows to carry mass
-    are backprojected (support theorem): at every angle, the projection
+    sampling band) on a 4x zero-padded window, evaluated 4x finer by one
+    inverse real FFT, and backprojected with linear interpolation onto the p
+    grid dual to its X grid.  Only points the data allows to carry mass are
+    backprojected (support theorem): at every angle, the projection
     x cos t + p sin t must lie within one cell of the outer extent of that
     tomogram's samples above SUPPORT_RTOL max |R|.  The other points are
     zero, which keeps the filter's streaks off the empty part of phase
@@ -207,8 +207,7 @@ def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFu
     grid = tomo.grid
     n = grid.n
     dx = grid.dx
-    if p_grid is None:
-        p_grid = dual_grid(grid, tomo.eta)
+    p_grid = dual_grid(grid, tomo.eta)
     pad = 4 * n
     offset = (pad - n) // 2
     k_fft = 2.0 * np.pi * np.fft.fftfreq(pad, d=dx)
@@ -241,8 +240,10 @@ def inverse_radon(tomo: TomogramSet, p_grid: Grid | None = None) -> PhaseSpaceFu
     for row, theta in enumerate(tomo.angles):
         profile = np.zeros(pad)
         profile[offset : offset + n] = tomo.values[row]
-        filtered = np.fft.ifft(np.fft.fft(profile) * ramp)
-        fine = refine(filtered, refine_by).real
+        # the raised cosine zeroes the ramp at the Nyquist bin, so the filtered
+        # spectrum zero-pads onto the finer grid without a Nyquist split
+        spectrum = np.fft.rfft(profile) * ramp[: pad // 2 + 1]
+        fine = refine_by * np.fft.irfft(spectrum, refine_by * pad)
         coords = xs * np.cos(theta) + ps * np.sin(theta)
         summed += np.interp(coords, fine_x, fine, left=0.0, right=0.0)
     out = np.zeros((n, p_grid.n))

@@ -165,21 +165,14 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     return np.fft.ifft(work, axis=-1)[..., :m] * np.exp(0.5j * step * (k * k))
 
 
-def eta_fourier(
-    psi: GridFunction,
-    inverse: bool = False,
-    out_grid: Grid | None = None,
-) -> GridFunction:
-    """eta-scaled Fourier transform of a grid function.
+def eta_fourier(psi: GridFunction, inverse: bool = False) -> GridFunction:
+    """eta-scaled Fourier transform of a grid function onto its dual grid.
 
-    The forward transform maps onto the dual (momentum) grid; the inverse
-    applies the conjugate kernel.  ``out_grid`` may override the default
-    (centered dual) target as long as it keeps the dual spacing — this lets
-    the inverse land back on a non-centered position grid.
+    The forward transform maps onto the centered dual (momentum) grid; the
+    inverse applies the conjugate kernel onto the same grid.
     """
     eta = psi.eta
-    if out_grid is None:
-        out_grid = dual_grid(psi.grid, eta)
+    out_grid = dual_grid(psi.grid, eta)
     sign = 1 if inverse else -1
     weight = (2.0 * np.pi * eta) ** -0.5 * psi.grid.dx
     values = oscillatory_sum(psi.values, psi.grid, out_grid, eta, sign, scale=weight)

@@ -5,16 +5,16 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
     a(x, p) = Int exp(-i p y / eta) K(x + y/2, x - y/2) dy
     K(x, y) = (2 pi eta)^(-1) Int exp(i p (x - y) / eta) a((x + y)/2, p) dp
 
-The symbol reads the kernel at half-step arguments through
-:func:`transforms.half_step_correlation` (odd lags use the kernel's
-band-limited interpolant shifted by half a step); the quantizer gathers
-the kernel back through the same :func:`transforms.midpoint_lag` map.
-Off-grid arguments are treated as zero (kernels and symbols are assumed
-negligible outside the grid).
+Both directions use the N x 2N table corr[r, d + N] of
+:func:`transforms.half_step_correlation`, lag d dx at midpoint x_r (x_r -
+dx/2 for odd d): the symbol scatters the kernel into it, the quantizer
+fills it from p sums and gathers the kernel back through
+:func:`transforms.midpoint_lag`.  Off-grid arguments are treated as zero
+(kernels and symbols are assumed negligible outside the grid).
 
 At the symbol's own eta, where its p grid is dual to the x grid, the
-quantizer's p sum is one row FFT per lag parity and reconstructs the lag
-band |x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
+quantizer's p sum is one row FFT and reconstructs the lag band
+|x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
 beyond: the N lags a dual-grid symbol holds, onto which
 :func:`weyl_symbol` folds any longer ones.  A foreign eta' runs the sum on
 p-refined rows through :func:`transforms.chirp_z`; its band stretches to
@@ -78,7 +78,7 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
 
 
 #: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
-#: path, one refinement and chirp-z on the foreign one)
+#: path, one refinement and one chirp-z over all 2N lags on the foreign one)
 _ROW_CHUNK = 128
 
 
@@ -90,18 +90,19 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     past the largest separation the grid can hold, and smaller eta values
     need proportionally more of it.  :func:`errors.require_memory` refuses
     the quantizer's working set before anything is allocated.  It counts, as
-    if they overlapped, the lag-sum table and the half-step symbol (3 N^2
-    complex), the final gather with its indices (3 N^2) and one foreign-eta
-    pass of ``_ROW_CHUNK`` rows (the oversampled rows and a pre-phased copy,
-    two FFT arrays under 4/3 of the padded length, and the sums).  The
-    native pass holds a block's row FFT and its lag band, two arrays of at
-    most ``_ROW_CHUNK`` x N, which the foreign pass at F = 2 bounds as well.
+    if they overlapped, the N x 2N correlation (2 N^2 complex), 3 N^2 for
+    the larger of the odd-column shift and the gather (spectrum, phased
+    spectrum and output of at most N x N; two int64 indices and the kernel),
+    and one foreign pass of ``_ROW_CHUNK`` rows: F N_p refined samples (N_p
+    p points) and a pre-phased copy, two FFT arrays under 4/3 of the padded
+    length F N_p + 2N, and the 2N sums.  That pass bounds the native one, a
+    block's row FFT and its lag band.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
-    n, cols = a.x_grid.n, factor * a.p_grid.n
-    one_pass = 5 * min(n, _ROW_CHUNK) * (n + cols)
+    n = a.x_grid.n
+    one_pass = min(n, _ROW_CHUNK) * (5 * factor * a.p_grid.n + 8 * n)
     require_memory(
-        16 * (6 * n * n + one_pass),
+        16 * (5 * n * n + one_pass),
         f"p oversampling by {factor} to quantize at eta = {eta_use} a symbol at eta = {a.eta}",
     )
     return factor
@@ -114,15 +115,18 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
 
-    The p sum runs on the symbol's p samples refined F times
-    (:func:`_p_oversampling`).  On the native path, where the p grid is dual
-    to the x grid at ``eta`` (every symbol at its own eta), the refined sum
-    at lag d dx is F times the length-N DFT of the unrefined row at d mod N
-    for |d| < N/2, half that at |d| = N/2 and zero beyond: one FFT per block
-    of rows and lag parity, and the kernel holds the lag band |x - y| < L/2
-    (L the grid length), half weight at L/2, zero beyond.  On the foreign
-    path the rows are refined and summed with :func:`transforms.chirp_z`;
-    the band then stretches to about |x - y| < (L/2) eta / a.eta.
+    The p sums of the unshifted rows fill the N x 2N table corr[r, d + N]
+    of lag d dx at midpoint x_r; one half-step shift along x moves the
+    odd-lag columns to their midpoints x_r - dx/2, and the kernel is gathered
+    through :func:`transforms.midpoint_lag`.  The p samples are refined F
+    times (:func:`_p_oversampling`).  On the native path, where the p grid
+    is dual to the x grid at ``eta`` (every symbol at its own eta), the
+    refined sum at lag d dx is F times the length-N DFT of the unrefined row
+    at d mod N for |d| < N/2, half that at |d| = N/2 and zero beyond: one
+    FFT per block of rows, and the kernel holds the lag band |x - y| < L/2
+    (L the grid length).  On the foreign path one :func:`transforms.chirp_z`
+    sums the refined rows over all 2N lags; the band then stretches to about
+    |x - y| < (L/2) eta / a.eta.
     """
     eta_use = a.eta if eta is None else float(eta)
     if eta_use <= 0.0:
@@ -130,33 +134,34 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     factor = _p_oversampling(a, eta_use)
     n = a.x_grid.n
     dx = a.x_grid.dx
-    dp = a.p_grid.dx / factor
-    # K[j, k] = (2 pi eta)^-1 dp sum_l a(m, p_l) exp(i p_l d dx / eta) at the
-    # midpoint m and lag d = j - k of midpoint_lag: table[0, r, t] holds it for
-    # m = x_r, d = 2t - N and table[1, r, t] for m = x_r - dx/2, d = 2t + 1 - N
+    dual = dual_grid(a.x_grid, eta_use)
+    native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
+    # corr[r, d + N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta);
+    # the weights carry dp, the lag phase of p_min and the native band edge,
+    # where the refined sum is the length-N DFT at d mod N, half of it at N/2
+    if native:
+        dp, lo, hi = a.p_grid.dx, n // 2, 3 * n // 2 + 1
+    else:
+        dp, lo, hi = a.p_grid.dx / factor, 0, 2 * n
+    d = np.arange(lo - n, hi - n)
+    weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
+    if native:
+        weight[[0, -1]] *= 0.5
     step = dp * dx / eta_use
-    native = abs(a.p_grid.dx - dual_grid(a.x_grid, eta_use).dx) <= 1e-12 * a.p_grid.dx
-    half_step = fourier_shift(a.values, a.x_grid, 0.5 * dx, axis=0)
-    d = 2 * np.arange(n) + np.arange(2)[:, None, None] - n
-    table = np.zeros((2, n, n), dtype=complex)
-    for parity, rows in enumerate((a.values, half_step)):
-        # the lag band |d| <= N/2, a contiguous run of t
-        band = np.flatnonzero(2 * np.abs(d[parity, 0]) <= n)
-        lags = d[parity, 0, band]
-        weight = np.where(2 * np.abs(lags) == n, 0.5 * factor, factor)
-        for start in range(0, n, _ROW_CHUNK):
-            block = rows[start : start + _ROW_CHUNK]
-            out = table[parity, start : start + _ROW_CHUNK]
-            if native:
-                sums = np.fft.ifft(block, axis=1, norm="forward")
-                np.multiply(sums[:, lags % n], weight, out=out[:, band[0] : band[-1] + 1])
-            else:
-                out[:] = chirp_z(
-                    refine(block, factor, axis=1), n, 2 * step, (parity - n) * step
-                )
-    table *= dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
+    corr = np.zeros((n, 2 * n), dtype=complex)
+    for start in range(0, n, _ROW_CHUNK):
+        block = a.values[start : start + _ROW_CHUNK]
+        if native:
+            sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
+        else:
+            sums = chirp_z(refine(block, factor, axis=1), 2 * n, step, -n * step)
+        np.multiply(sums, weight, out=corr[start : start + _ROW_CHUNK, lo:hi])
+    # odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
+    # the p sums commute with the half-step shift along x
+    odd = slice(lo + 1, hi, 2)
+    corr[:, odd] = fourier_shift(corr[:, odd], a.x_grid, 0.5 * dx, axis=0)
     mid, lag = midpoint_lag(n)
-    return OperatorMatrix(a.x_grid, table[lag & 1, mid, lag >> 1], eta_use)
+    return OperatorMatrix(a.x_grid, corr[mid, lag], eta_use)
 
 
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:

@@ -129,8 +129,9 @@ def test_native_quantizer_returns_the_lag_band(grid_eta, seed):
 
 
 @given(grids(), foreign, seeds)
-# at the foreign eta, per lag parity, one chirp-z block of N = 16 rows and
-# two full blocks of 128; the native quantization takes one row FFT per block
+# at the foreign eta, one chirp-z over all 2N lags for the single block of
+# N = 16 rows and for each of two full blocks of 128; the native quantization
+# takes one row FFT per block
 @example((make_grid(-5.0, 9.0, 16), 0.4), 0.5, 0)
 @example((make_grid(-13.0, 8.0, 256), 2.5), 1.5, 1)
 def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):

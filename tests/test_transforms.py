@@ -90,9 +90,3 @@ def test_symplectic_fourier_requires_centered_grid():
     f = PhaseSpaceFunction(g, gp, np.zeros((64, 64)), 1.0)
     with pytest.raises(ParameterError):
         symplectic_fourier(f)
-
-
-def test_eta_fourier_rejects_mismatched_output_grid(grid):
-    psi = coherent_state(grid, 1.0)
-    with pytest.raises(ParameterError):
-        eta_fourier(psi, out_grid=make_grid(-1.0, 1.0, 64))

@@ -4,9 +4,11 @@ import pytest
 from wignerlab import (
     GridFunction,
     ParameterError,
+    PhaseSpaceFunction,
     coherent_state,
     cross_wigner,
     displace,
+    dual_grid,
     hermite_state,
     make_grid,
     pure_density,
@@ -206,32 +208,56 @@ def test_cross_wigner_consistency_with_symbol(grid):
 
 
 def test_native_quantizer_takes_no_chirp_z(monkeypatch):
-    # at the symbol's own eta each block of rows is one FFT per lag parity;
-    # a foreign eta refines the rows and runs one chirp-z per block and parity
+    # at the symbol's own eta each block of rows is one FFT; a foreign eta
+    # refines the rows and runs one chirp-z per block over all 2N lags.  Either
+    # way one half-step shift moves the odd-lag columns: the N/2 odd lags of
+    # the band |d| <= N/2 on the native path
     from wignerlab import weyl
 
-    calls = {"chirp_z": 0, "refine": 0}
+    calls = {"chirp_z": 0, "refine": 0, "fourier_shift": 0}
+    shifted = []
 
     def counting(name):
         original = getattr(weyl, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "fourier_shift":
+                shifted.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(weyl, name, counting(name))
     grid = make_grid(-10.0, 10.0, 256)
     a = weyl_symbol(pure_density(coherent_state(grid, ETA, 0.4, 0.0)).op)
     b = weyl_symbol(pure_density(hermite_state(grid, ETA, 1)).op)
+    for name in calls:
+        monkeypatch.setattr(weyl, name, counting(name))
     weyl_quantize(a)
+    assert calls == {"chirp_z": 0, "refine": 0, "fourier_shift": 1}
+    assert shifted == [(256, 128)]
     twisted_product(a, b)
-    assert calls == {"chirp_z": 0, "refine": 0}
-    # two blocks of 128 rows per parity
+    assert calls == {"chirp_z": 0, "refine": 0, "fourier_shift": 3}
+    # two blocks of 128 rows
     weyl_quantize(a, eta=1.5 * a.eta)
-    assert calls == {"chirp_z": 4, "refine": 4}
+    assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 4}
+    assert shifted[-1] == (256, 256)
+
+
+def test_quantizer_sums_a_longer_p_grid_in_full():
+    # a p grid at the dual spacing but with 2N points is no native DFT: its
+    # rows run through the chirp-z sum, and every p sample counts
+    from wignerlab.grid import Grid
+
+    from oracles import weyl_quantize_dense
+
+    grid = make_grid(-8.0, 8.0, 64)
+    dp = dual_grid(grid, ETA).dx
+    p_grid = Grid(-grid.n * dp, grid.n * dp, 2 * grid.n)
+    x, p = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    a = PhaseSpaceFunction(grid, p_grid, np.exp(-(x**2) - p**2 / 4.0), ETA, kind="symbol")
+    dense = weyl_quantize_dense(a)
+    assert np.linalg.norm(weyl_quantize(a).kernel - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_quantize_refuses_oversized_oversampling():
