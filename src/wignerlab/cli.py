@@ -362,23 +362,24 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         out_dir = config["out"]
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}")
+        os.makedirs(out_dir, exist_ok=True)
         checks = RUNNERS[args.experiment](config, out_dir)
+        passed = all(check.passed for check in checks)
+        summary = {
+            "schema": 1,
+            "experiment": args.experiment,
+            "config": {key: config[key] for key in sorted(CONFIG)},
+            "checks": [check.as_dict() for check in checks],
+            "passed": passed,
+        }
+        dump_json(summary, os.path.join(out_dir, "summary.json"))
     except WignerlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed = all(check.passed for check in checks)
-    summary = {
-        "schema": 1,
-        "experiment": args.experiment,
-        "config": {key: config[key] for key in sorted(CONFIG)},
-        "checks": [check.as_dict() for check in checks],
-        "passed": passed,
-    }
-    dump_json(summary, os.path.join(out_dir, "summary.json"))
+    except OSError as exc:  # the output directory, an artifact or summary.json
+        where = exc.filename or out_dir
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: residual {check.residual:.3e} (tol {check.tolerance:.3e})")

@@ -130,8 +130,8 @@ class GridFunction:
             raise NormalizationError("cannot normalize the zero function")
         return replace(self, values=self.values / nrm)
 
-    def require_normalized(self, tol: float = 1e-8):
-        if abs(self.norm() - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.norm() - 1.0) > 1e-8:
             raise NormalizationError(f"state norm is {self.norm()}, expected 1")
 
     def require_compatible(self, other: "GridFunction"):
@@ -205,8 +205,8 @@ class PhaseSpaceFunction:
         return np.meshgrid(self.x_grid.points, self.p_grid.points, indexing="ij")
 
 
-def boundary_leak(values: np.ndarray, fraction: float = 0.05) -> float:
-    """Fraction of |values|^2 mass in the outer ``fraction`` of each axis.
+def boundary_leak(values: np.ndarray) -> float:
+    """Fraction of |values|^2 mass in the outer 5 % of each axis.
 
     Diagnostic for the assumption that functions are negligible outside the
     grid; returned with transform results rather than raised.
@@ -217,7 +217,7 @@ def boundary_leak(values: np.ndarray, fraction: float = 0.05) -> float:
         return 0.0
     mask = np.zeros(values.shape, dtype=bool)
     for axis, n in enumerate(values.shape):
-        edge = max(1, int(np.ceil(fraction * n)))
+        edge = max(1, int(np.ceil(0.05 * n)))
         sl = [slice(None)] * values.ndim
         sl[axis] = slice(0, edge)
         mask[tuple(sl)] = True

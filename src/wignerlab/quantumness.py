@@ -318,8 +318,8 @@ def klm_test(
     matrix = 0.5 * (matrix + matrix.conj().T)
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
     tol = 1e-8 * float(np.linalg.norm(matrix, 2))
-    at_zero = sigma_transform_at(a, np.array([[0.0, 0.0]]), eta)[0]
-    continuity = abs(at_zero - 1.0 / (2.0 * np.pi * eta))
+    # the diagonal differences are exactly 0, so asig[0, 0] is a_sigma(0)
+    continuity = abs(asig[0, 0] - 1.0 / (2.0 * np.pi * eta))
     hess_min = _hessian_check(a, eta)
     ok = min_eig >= -tol and hess_min >= -1e-8 * max(1.0, abs(eta))
     return KLMReport(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormalizationError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .grid import Grid, GridFunction
 
 __all__ = [
@@ -97,7 +97,7 @@ class MixedStateSpec:
         for weight, psi in self.components:
             if weight < 0.0:
                 raise ParameterError(f"negative mixture weight {weight}")
-            psi.require_normalized(1e-8)
+            psi.require_normalized()
             psi.require_compatible(first)
             total += weight
         if abs(total - 1.0) > 1e-12:
@@ -171,20 +171,15 @@ def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float 
 
 
 def pure_density(psi: GridFunction) -> DensityMatrix:
-    """Rank-one projector |psi><psi| of a normalized state."""
-    if abs(psi.norm() - 1.0) > 1e-8:
-        raise NormalizationError(f"state norm is {psi.norm()}, expected 1")
-    op = OperatorMatrix(psi.grid, np.outer(psi.values, psi.values.conj()), psi.eta)
-    return DensityMatrix(op, validate_density(op, strict=True))
+    """Rank-one projector |psi><psi| of a normalized state: the one-term mixture."""
+    return mix(MixedStateSpec([(1.0, psi)]))
 
 
 def mix(spec: MixedStateSpec) -> DensityMatrix:
-    """Convex mixture sum_j alpha_j |psi_j><psi_j|."""
-    weight0, psi0 = spec.components[0]
-    kernel = np.zeros((psi0.grid.n, psi0.grid.n), dtype=complex)
-    for weight, psi in spec.components:
-        kernel += weight * np.outer(psi.values, psi.values.conj())
-    op = OperatorMatrix(psi0.grid, kernel, psi0.eta)
+    """Convex mixture sum_j alpha_j |psi_j><psi_j| as one product (Psi^T alpha) Psi^*."""
+    weights, states = zip(*spec.components)
+    rows = np.array([psi.values for psi in states])  # Psi: one state per row
+    op = OperatorMatrix(states[0].grid, (rows.T * weights) @ rows.conj(), states[0].eta)
     return DensityMatrix(op, validate_density(op, strict=True))
 
 

@@ -148,8 +148,9 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     Bluestein's chirp-z: l k = (l^2 + k^2 - (k - l)^2) / 2 turns the sum
     into a convolution with the chirp exp(-i step j^2 / 2), done with FFTs
     of the smallest length 2^k, 3 2^k or 5 2^k that holds all n + m - 1
-    lags.  The chirps are built from exact integer squares, so large indices
-    lose no phase accuracy.
+    lags.  The chirps are exact integer squares times a float ``step``, so
+    their absolute phase error grows like 1e-16 step (n + m)^2 / 2 and large
+    indices lose phase accuracy.
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]

@@ -119,6 +119,12 @@ def _config(payload):
     return argv
 
 
+def _blocked_artifact(tmp_path):
+    # a directory where the command writes its first CSV
+    (tmp_path / "out" / "pauli_psi1.csv").mkdir(parents=True)
+    return ["pauli", "--N", "64"]
+
+
 @pytest.mark.parametrize(
     "make_argv, message",
     [
@@ -127,8 +133,12 @@ def _config(payload):
         (_config({"N": "abc"}), "N must be int"),
         (_config({"seed": 1.5}), "seed must be int"),
         (lambda tmp_path: ["tomography", "--angles", "-3"], "angles must be at least 1"),
+        (_blocked_artifact, "cannot write"),
     ],
-    ids=["missing_input", "one_column_csv", "string_N", "float_seed", "negative_angles"],
+    ids=[
+        "missing_input", "one_column_csv", "string_N", "float_seed", "negative_angles",
+        "unwritable_artifact",
+    ],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     out_dir = tmp_path / "out"
@@ -137,6 +147,15 @@ def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (out_dir / "summary.json").exists()
+
+
+def test_unwritable_summary_is_configuration_error(tmp_path, capsys):
+    (tmp_path / "summary.json").mkdir()
+    code = main(["gaussian", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write") and "summary.json" in captured.err
+    assert captured.out == ""
 
 
 def test_huge_angle_count_is_refused_before_the_run(tmp_path, capsys, monkeypatch):

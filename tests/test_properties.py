@@ -31,6 +31,7 @@ from wignerlab import (
     metaplectic_apply,
     mix,
     moyal_overlap,
+    pure_density,
     radon,
     weyl_quantize,
     weyl_symbol,
@@ -145,13 +146,19 @@ def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):
         assert _relative(fast, weyl_quantize_dense(a, eta=eta_use)) <= 1e-11
 
 
-@given(grids(), seeds)
-def test_density_wigner_matches_eigen_loop(grid_eta, seed):
+@given(grids(), st.integers(1, 8), seeds)
+def test_density_wigner_matches_eigen_loop(grid_eta, components, seed):
+    # components == 1 is the pure state, whose kernel is the outer product
     grid, eta = grid_eta
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(3))
+    weights = rng.dirichlet(np.ones(components))
     weights[-1] = 1.0 - weights[:-1].sum()
-    rho = mix(MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights]))
+    states = [_state(grid, eta, rng) for _ in weights]
+    rho = mix(MixedStateSpec(list(zip(weights, states))))
+    explicit = sum(w * np.outer(psi.values, psi.values.conj()) for w, psi in zip(weights, states))
+    assert _relative(rho.kernel, explicit) <= 1e-14
+    first = states[0].values
+    assert _relative(pure_density(states[0]).kernel, np.outer(first, first.conj())) <= 1e-15
     result = wigner(rho)
     assert result.source == "density"
     assert _relative(result.W.values, wigner_density_eigen(rho)) <= 1e-12
