@@ -9,7 +9,7 @@ that duality so forward/inverse Fourier pairs land back on the same grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +71,8 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
         raise ConfigurationError(f"point count must be an integer, got {n!r}")
     if not _is_power_of_two(int(n)) or n < 16:
         raise ConfigurationError(f"point count must be a power of two >= 16, got {n}")
+    if not (np.isfinite(x_min) and np.isfinite(x_max)):
+        raise ConfigurationError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
     if not (x_max > x_min):
         raise ConfigurationError(f"degenerate interval [{x_min}, {x_max}]")
     return Grid(float(x_min), float(x_max), int(n))
@@ -148,6 +150,7 @@ class PhaseSpaceFunction:
     ``kind`` tags how the values should be interpreted: ``"wigner"`` for
     (real) Wigner distributions, ``"symbol"`` for Weyl symbols,
     ``"ambiguity"`` for ambiguity functions and ``"generic"`` otherwise.
+    The boundary leak is read off the samples, never stored.
     """
 
     x_grid: Grid
@@ -155,7 +158,6 @@ class PhaseSpaceFunction:
     values: np.ndarray
     eta: float
     kind: str = "generic"
-    leak: float = field(default=0.0, compare=False)
 
     KINDS = ("wigner", "symbol", "ambiguity", "generic")
 
@@ -167,8 +169,14 @@ class PhaseSpaceFunction:
                 f"values shape {self.values.shape} does not match grids "
                 f"({self.x_grid.n}, {self.p_grid.n})"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ParameterError("phase-space function contains non-finite samples")
         if self.kind not in self.KINDS:
             raise ParameterError(f"unknown kind {self.kind!r}")
+
+    @property
+    def leak(self) -> float:
+        return boundary_leak(self.values)
 
     @property
     def dx(self) -> float:
@@ -209,7 +217,7 @@ def boundary_leak(values: np.ndarray) -> float:
     """Fraction of |values|^2 mass in the outer 5 % of each axis.
 
     Diagnostic for the assumption that functions are negligible outside the
-    grid; returned with transform results rather than raised.
+    grid; every :class:`PhaseSpaceFunction` reports it as ``leak``.
     """
     values = np.asarray(values)
     total = float(np.sum(np.abs(values) ** 2))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError, require_memory
 from .grid import Grid, PhaseSpaceFunction, dual_grid
-from .states import OperatorMatrix
+from .states import OperatorMatrix, validate_density
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wavefunctions import gaussian_wavepacket
 from .weyl import weyl_quantize
@@ -374,8 +374,10 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     """Admissibility of a fixed phase-space function across eta values.
 
     Each eta quantizes rho_eta = (2 pi eta) Op_eta(a) and tests the density
-    axioms; the purity surrogate (2 pi eta) Int a^2 must stay <= 1 for an
-    admissible eta, and equals 1 only for a pure state.
+    axioms of one :func:`states.validate_density` report against its own
+    thresholds (1e-8 Hermiticity and PSD, 1e-6 trace); the purity surrogate
+    (2 pi eta) Int a^2 must stay <= 1 for an admissible eta, and equals 1
+    only for a pure state.
     """
     eta_list = list(eta_list)
     if not eta_list:
@@ -386,11 +388,10 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
         eta = float(eta)
         op = weyl_quantize(a, eta=eta)
         rho = OperatorMatrix(op.grid, 2.0 * np.pi * eta * op.kernel, eta)
-        herm = rho.hermiticity_residue()
-        vals = rho.eigenvalues()
-        scale = float(np.max(np.abs(vals))) or 1.0
-        min_eig = float(vals[-1])
-        trace = rho.trace().real
+        report = validate_density(rho, psd_floor=1e-8)
+        herm, min_eig = report.hermiticity_residue, report.min_eigenvalue
+        scale = float(np.max(np.abs(report.eigenvalues))) or 1.0
+        trace = report.trace_diagonal.real
         surrogate = float(2.0 * np.pi * eta * np.sum(a.values.real**2) * a.area_element)
         psd_ok = min_eig >= -1e-8 * scale
         trace_ok = abs(trace - 1.0) <= 1e-6

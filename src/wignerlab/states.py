@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, require_memory
 from .grid import Grid, GridFunction
 
 __all__ = [
@@ -106,15 +106,24 @@ class MixedStateSpec:
 
 @dataclass
 class ValidationReport:
+    """What :func:`validate_density` measured; the spectrum is descending."""
+
     hermiticity_residue: float
-    min_eigenvalue: float
+    eigenvalues: np.ndarray
     trace_diagonal: complex
-    trace_eigenvalues: float
     violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
+    def trace_eigenvalues(self) -> float:
+        return float(np.sum(self.eigenvalues))
 
     @property
     def trace_discrepancy(self) -> float:
@@ -144,9 +153,10 @@ class DensityMatrix:
 def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float = PSD_RTOL):
     """Check the density-matrix axioms and return the report.
 
-    The report carries both the diagonal-sum trace and the eigenvalue-sum
-    trace: the two always agree for a finite matrix, but their continuum
-    counterparts need not, so the discrepancy is surfaced as a diagnostic.
+    The report keeps the spectrum and the diagonal-sum trace; the
+    eigenvalue-sum trace is read off the spectrum.  The two traces always
+    agree for a finite matrix, but their continuum counterparts need not, so
+    the discrepancy is surfaced as a diagnostic.
     ``psd_floor`` is the relative eigenvalue floor; reconstructions with
     known ringing pass a looser one.  With ``strict`` a failing operator
     raises instead.
@@ -154,8 +164,7 @@ def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float 
     herm = op.hermiticity_residue()
     vals = op.eigenvalues()
     tr_diag = op.trace()
-    tr_eig = float(np.sum(vals))
-    report = ValidationReport(herm, float(vals[-1]), tr_diag, tr_eig)
+    report = ValidationReport(herm, vals, tr_diag)
     scale = float(np.max(np.abs(vals))) or 1.0
     if herm > 1e-10:
         report.violations.append(f"hermiticity residue {herm:.3e} exceeds 1e-10")
@@ -176,20 +185,31 @@ def pure_density(psi: GridFunction) -> DensityMatrix:
 
 
 def mix(spec: MixedStateSpec) -> DensityMatrix:
-    """Convex mixture sum_j alpha_j |psi_j><psi_j| as one product (Psi^T alpha) Psi^*."""
+    """Convex mixture sum_j alpha_j |psi_j><psi_j| as one product (Psi^T alpha) Psi^*.
+
+    :func:`errors.require_memory` refuses the working set before anything is
+    allocated: the r x N stack Psi, its weighted copy and its conjugate, the
+    N x N kernel, at most two more N x N complex arrays while
+    :func:`validate_density` runs (the Hermitian part and the eigensolver's
+    copy of it) and two freed ones the allocator may keep resident, that is
+    16 (5 N^2 + 3 r N) bytes.
+    """
     weights, states = zip(*spec.components)
+    n, r = states[0].grid.n, len(states)
+    require_memory(16 * (5 * n * n + 3 * r * n), f"density matrix of {r} states at N = {n}")
     rows = np.array([psi.values for psi in states])  # Psi: one state per row
-    op = OperatorMatrix(states[0].grid, (rows.T * weights) @ rows.conj(), states[0].eta)
+    kernel = np.matmul(rows.T * weights, rows.conj())  # by name, so a test can stub it
+    op = OperatorMatrix(states[0].grid, kernel, states[0].eta)
     return DensityMatrix(op, validate_density(op, strict=True))
 
 
 def state_stats(rho: DensityMatrix) -> dict:
-    """Trace, purity and von Neumann entropy from the spectrum.
+    """Trace, purity and von Neumann entropy from the validated spectrum.
 
     Eigenvalues inside the noise floor [-eps, 0) are clamped to zero before
     the entropy sum (0 ln 0 = 0); the clamped total is reported.
     """
-    vals = rho.op.eigenvalues()
+    vals = rho.report.eigenvalues
     scale = float(np.max(np.abs(vals))) or 1.0
     floor = -PSD_RTOL * scale
     if vals[-1] < floor:

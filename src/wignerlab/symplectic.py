@@ -118,6 +118,8 @@ def fourier_matrix(n: int = 1) -> np.ndarray:
 def _check_pd(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     n = _dimension(sigma)
+    if not np.all(np.isfinite(sigma)):
+        raise ValidationError("covariance matrix must be finite")
     if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
         raise ValidationError("covariance matrix must be symmetric")
     if np.linalg.eigvalsh(sigma)[0] <= 0.0:

@@ -49,6 +49,8 @@ class TomogramSet:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (len(self.angles), self.grid.n):
             raise ParameterError("tomogram array shape does not match angles/grid")
+        if not (np.all(np.isfinite(self.angles)) and np.all(np.isfinite(self.values))):
+            raise ParameterError("tomograms contain non-finite angles or samples")
 
     def masses(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.grid.dx
@@ -154,10 +156,12 @@ def radon(W, angles) -> TomogramSet:
     if hasattr(W, "W"):
         W = W.W
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.size == 0:
-        raise ParameterError("angle list must not be empty")
+    if angles.size == 0 or angles.ndim != 1:
+        raise ParameterError(f"angles must be a non-empty 1-D list, got shape {angles.shape}")
     x_grid = W.x_grid
     require_radon_memory(angles.size, max(x_grid.n, W.p_grid.n))
+    if not np.all(np.isfinite(angles)):
+        raise ParameterError("angles must be finite")
     values = W.real_values(rtol=1e-6)
     # the drift check below compares against the mass of the whole W, so it
     # sees any mass the support box leaves out

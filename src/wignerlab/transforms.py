@@ -17,13 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, require_memory
-from .grid import (
-    Grid,
-    GridFunction,
-    PhaseSpaceFunction,
-    boundary_leak,
-    dual_grid,
-)
+from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import fourier_shift
 
 __all__ = [
@@ -200,7 +194,4 @@ def symplectic_fourier(a: PhaseSpaceFunction) -> PhaseSpaceFunction:
     scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
     out = oscillatory_sum(stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1, scale=scale).T
     kind = "ambiguity" if a.kind == "wigner" else "generic"
-    return PhaseSpaceFunction(
-        dual_grid(p_grid, eta), p_grid, out, eta, kind=kind,
-        leak=boundary_leak(out),
-    )
+    return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, out, eta, kind=kind)

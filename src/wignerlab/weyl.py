@@ -129,12 +129,10 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     |x - y| < (L/2) eta / a.eta.
     """
     eta_use = a.eta if eta is None else float(eta)
-    if eta_use <= 0.0:
-        raise ParameterError(f"eta must be positive, got {eta_use}")
+    dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
     factor = _p_oversampling(a, eta_use)
     n = a.x_grid.n
     dx = a.x_grid.dx
-    dual = dual_grid(a.x_grid, eta_use)
     native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
     # corr[r, d + N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta);
     # the weights carry dp, the lag phase of p_min and the native band edge,
@@ -172,9 +170,7 @@ def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     p_grid = dual_grid(grid, eta)
     corr = half_step_correlation(op.kernel, grid)
     values = lag_transform(corr, grid.dx, p_grid, eta)
-    return PhaseSpaceFunction(
-        grid, p_grid, values, eta, kind="symbol", leak=boundary_leak(values)
-    )
+    return PhaseSpaceFunction(grid, p_grid, values, eta, kind="symbol")
 
 
 def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceFunction:
@@ -200,5 +196,5 @@ def trace_from_symbol(a: PhaseSpaceFunction) -> dict:
     return {
         "trace": complex(np.sum(a.values) * weight),
         "hs_norm_squared": float(np.sum(np.abs(a.values) ** 2) * weight),
-        "leak": boundary_leak(a.values),
+        "leak": a.leak,
     }

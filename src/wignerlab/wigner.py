@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (
-    GridFunction,
-    PhaseSpaceFunction,
-    boundary_leak,
-    dual_grid,
-)
+from .grid import GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import fourier_shift
 from .states import DensityMatrix, MixedStateSpec, OperatorMatrix, mix
 from .transforms import half_step_correlation, oscillatory_sum, require_correlation_memory
@@ -43,11 +38,9 @@ __all__ = [
 
 @dataclass
 class WignerResult:
-    """Wigner distribution with its boundary-leak diagnostic and provenance."""
+    """Wigner distribution of a state or density matrix."""
 
     W: PhaseSpaceFunction
-    leak: float
-    source: str  # "pure" or "density"
 
     @property
     def values(self) -> np.ndarray:
@@ -56,11 +49,10 @@ class WignerResult:
 
 def _scaled_symbol(op: OperatorMatrix, kind: str) -> PhaseSpaceFunction:
     """Wigner distribution of an operator: its Weyl symbol over 2 pi eta."""
-    symbol = weyl_symbol(op)
-    values = symbol.values / (2.0 * np.pi * op.eta)
-    return PhaseSpaceFunction(
-        symbol.x_grid, symbol.p_grid, values, op.eta, kind=kind, leak=symbol.leak
-    )
+    W = weyl_symbol(op)
+    W.values /= 2.0 * np.pi * op.eta
+    W.kind = kind
+    return W
 
 
 def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
@@ -82,15 +74,13 @@ def wigner(source) -> WignerResult:
     operator is the rank-one |psi><psi|.
     """
     if isinstance(source, GridFunction):
-        W = cross_wigner(source, source)
-        return WignerResult(W, W.leak, "pure")
+        return WignerResult(cross_wigner(source, source))
     if isinstance(source, MixedStateSpec):
         require_correlation_memory(source.components[0][1].grid.n)
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    W = _scaled_symbol(source.op, "wigner")
-    return WignerResult(W, W.leak, "density")
+    return WignerResult(_scaled_symbol(source.op, "wigner"))
 
 
 def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
@@ -107,10 +97,7 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     corr = half_step_correlation(np.outer(psi.values, psi.values.conj()), grid)
     lags = corr[:, n // 2 : 3 * n // 2].T
     values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
-    return PhaseSpaceFunction(
-        dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity",
-        leak=boundary_leak(values),
-    )
+    return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 
 def marginals(w) -> tuple[np.ndarray, np.ndarray]:

@@ -110,6 +110,16 @@ def _one_column_csv(tmp_path):
     return ["klm", "--input", str(path)]
 
 
+def _phase_space_csv(header="64,-10,0.3125,1,wigner", first_row="0,0"):
+    def argv(tmp_path):
+        path = tmp_path / "input.csv"
+        rows = "\n".join([first_row] + ["0,0"] * (64**2 - 1))
+        path.write_text(f"N,x_min,dx,eta,kind\n{header}\nreal,imag\n{rows}\n")
+        return ["klm", "--input", str(path)]
+
+    return argv
+
+
 def _config(payload):
     def argv(tmp_path):
         path = tmp_path / "config.json"
@@ -130,13 +140,15 @@ def _blocked_artifact(tmp_path):
     [
         (lambda tmp_path: ["klm", "--input", str(tmp_path / "missing.csv")], "cannot read"),
         (_one_column_csv, "2 columns"),
+        (_phase_space_csv(first_row="nan,0"), "non-finite samples"),
+        (_phase_space_csv(header="64,-10,inf,1,wigner"), "grid bounds must be finite"),
         (_config({"N": "abc"}), "N must be int"),
         (_config({"seed": 1.5}), "seed must be int"),
         (lambda tmp_path: ["tomography", "--angles", "-3"], "angles must be at least 1"),
         (_blocked_artifact, "cannot write"),
     ],
     ids=[
-        "missing_input", "one_column_csv", "string_N", "float_seed", "negative_angles",
+        "missing_input", "one_column_csv", "nan_sample", "infinite_dx", "string_N", "float_seed", "negative_angles",
         "unwritable_artifact",
     ],
 )
@@ -146,6 +158,7 @@ def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
     assert not (out_dir / "summary.json").exists()
 
 

@@ -27,12 +27,13 @@ from wignerlab import (
     dual_grid,
     klm_test,
     make_grid,
+    mix,
     radon,
     weyl_quantize,
     weyl_symbol,
     wigner,
 )
-from wignerlab import cli, quantumness, tomography, weyl
+from wignerlab import cli, quantumness, states, tomography, weyl
 from wignerlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +57,7 @@ def recording(original):
         return original(nbytes, what)
     return require_memory
 
-for name in ("quantumness", "tomography", "transforms", "weyl"):
+for name in ("quantumness", "states", "tomography", "transforms", "weyl"):
     module = importlib.import_module("wignerlab." + name)
     module.require_memory = recording(module.require_memory)
 
@@ -64,6 +65,10 @@ case = sys.argv[1]
 if case == "wigner":
     psi = wl.coherent_state(wl.make_grid(-10.0, 10.0, 512), 1.0)
     call = lambda: wl.wigner(psi)
+elif case == "mix":
+    grid = wl.make_grid(-10.0, 10.0, 512)
+    spec = wl.MixedStateSpec([(0.125, wl.hermite_state(grid, 1.0, k)) for k in range(8)])
+    call = lambda: wl.mix(spec)
 else:
     n = {"radon": 128, "weyl_quantize_native": 512}.get(case, 256)
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
@@ -86,7 +91,7 @@ print(json.dumps({"counted": max(counted), "rise": rise}))
 
 
 @pytest.mark.parametrize(
-    "case", ["radon", "weyl_quantize", "weyl_quantize_native", "klm_test", "wigner"]
+    "case", ["radon", "weyl_quantize", "weyl_quantize_native", "klm_test", "wigner", "mix"]
 )
 def test_each_count_bounds_the_measured_peak(case):
     # the sizes keep each count between 16 and 64 MB
@@ -175,6 +180,7 @@ GUARDS = {
         lambda: wigner(MixedStateSpec([(1.0, _zero_stride_state(8192))]))
     ),
     "ambiguity_N": _library(lambda: ambiguity(_zero_stride_state(8192))),
+    "mix_N": _library(lambda: mix(MixedStateSpec([(1.0, _zero_stride_state(8192))]))),
     "weyl_symbol_N": _library(
         lambda: weyl_symbol(
             OperatorMatrix(make_grid(-10.0, 10.0, 8192), np.broadcast_to(0j, (8192, 8192)), 1.0)
@@ -188,6 +194,7 @@ GUARDS = {
 @pytest.mark.parametrize("refusal", GUARDS.values(), ids=GUARDS.keys())
 def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "outer", _refuse)
+    monkeypatch.setattr(np, "matmul", _refuse)
     monkeypatch.setattr(weyl, "half_step_correlation", _refuse)
     monkeypatch.setattr(weyl, "refine", _refuse)
     monkeypatch.setattr(quantumness, "_check_unit_mass", _refuse)

@@ -159,9 +159,7 @@ def test_density_wigner_matches_eigen_loop(grid_eta, components, seed):
     assert _relative(rho.kernel, explicit) <= 1e-14
     first = states[0].values
     assert _relative(pure_density(states[0]).kernel, np.outer(first, first.conj())) <= 1e-15
-    result = wigner(rho)
-    assert result.source == "density"
-    assert _relative(result.W.values, wigner_density_eigen(rho)) <= 1e-12
+    assert _relative(wigner(rho).W.values, wigner_density_eigen(rho)) <= 1e-12
 
 
 @given(

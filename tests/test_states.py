@@ -114,3 +114,22 @@ def test_eigenvalues_descending(grid):
     vals = rho.op.eigenvalues()
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[0] == pytest.approx(0.6, abs=1e-10)
+
+
+def test_state_stats_reads_the_spectrum_mix_validated(grid, monkeypatch):
+    psi0 = coherent_state(grid, ETA)
+    psi1 = hermite_state(grid, ETA, 1)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix, *args, **kwargs):
+        solves.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = mix(MixedStateSpec([(0.5, psi0), (0.5, psi1)]))
+    stats = state_stats(rho)
+    assert solves == [(64, 64)]
+    report = rho.report
+    assert report.min_eigenvalue == report.eigenvalues[-1]
+    assert stats["purity"] == pytest.approx(0.5, abs=1e-8)

@@ -7,6 +7,7 @@ from wignerlab import (
     MetaplecticSpec,
     NotFreeError,
     ParameterError,
+    ValidationError,
     blocks,
     chirp_matrix,
     coherent_state,
@@ -127,6 +128,11 @@ def test_williamson_degenerate_warns_and_factors():
     ok, resid = is_symplectic(data.S)
     assert ok and resid < 1e-9
     assert np.allclose(data.eigenvalues, 0.7, rtol=0.0, atol=1e-12)
+
+
+def test_williamson_rejects_non_finite_covariance():
+    with pytest.raises(ValidationError, match="finite"):
+        williamson(np.full((2, 2), np.nan))
 
 
 def test_word_matrix_matches_free_matrix():

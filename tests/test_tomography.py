@@ -101,6 +101,25 @@ def test_radon_rejects_empty_angles(grid):
         radon(W, [])
 
 
+@pytest.mark.parametrize(
+    "angles", [[np.nan], [np.inf], [[0.1, 0.2]]], ids=["nan", "inf", "two_dimensional"]
+)
+def test_radon_rejects_bad_angles(grid, angles):
+    W = wigner(coherent_state(grid, ETA)).W
+    with pytest.raises(ParameterError):
+        radon(W, angles)
+
+
+def test_tomogram_set_rejects_non_finite_samples(grid):
+    values = np.zeros((2, grid.n))
+    TomogramSet([0.0, 1.0], grid, values, ETA)
+    with pytest.raises(ParameterError):
+        TomogramSet([0.0, np.nan], grid, values, ETA)
+    values[1, 7] = np.inf
+    with pytest.raises(ParameterError):
+        TomogramSet([0.0, 1.0], grid, values, ETA)
+
+
 def test_radon_refuses_oversized_spectra_before_allocating(grid):
     W = wigner(coherent_state(grid, ETA)).W
     # a zero-stride view: 10^9 angles without 8 GB of angle storage

@@ -9,6 +9,7 @@ from wignerlab import (
     cross_wigner,
     displace,
     dual_grid,
+    eta_scan,
     hermite_state,
     make_grid,
     pure_density,
@@ -266,3 +267,12 @@ def test_quantize_refuses_oversized_oversampling():
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
     with pytest.raises(ParameterError, match="oversampling"):
         weyl_quantize(W, eta=1e-3)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
+def test_quantizer_and_eta_scan_refuse_a_bad_eta(eta):
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 64), ETA)).W
+    with pytest.raises(ParameterError, match="eta must be a positive real number"):
+        weyl_quantize(W, eta=eta)
+    with pytest.raises(ParameterError, match="eta must be a positive real number"):
+        eta_scan(W, [eta])
