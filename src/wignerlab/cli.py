@@ -54,19 +54,30 @@ STATES = ("coherent", "hermite1", "mixed")
 
 
 class Check:
-    def __init__(self, name, residual, tolerance, passed=None):
+    """One self-check of a run; ``cause``, when set, says why it failed."""
+
+    def __init__(self, name, residual, tolerance, passed=None, cause=None):
         self.name = name
         self.residual = float(residual)
         self.tolerance = float(tolerance)
         self.passed = bool(residual <= tolerance) if passed is None else bool(passed)
+        self.cause = cause
 
     def as_dict(self):
-        return {
+        entry = {
             "name": self.name,
             "passed": self.passed,
             "residual": self.residual,
             "tolerance": self.tolerance,
         }
+        if self.cause is not None:
+            entry["cause"] = self.cause
+        return entry
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        text = f"{status} {self.name}: residual {self.residual:.3e} (tol {self.tolerance:.3e})"
+        return text if self.cause is None else f"{text}: {self.cause}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,16 +325,16 @@ def _run_tomography(config, out_dir):
     checks = [Check("reconstruction_l2", l2, _tol(config, 2e-2))]
     if config["state"] == "coherent":
         phi0 = coherent_state(grid, eta)
-        kernel = density.op.kernel if density is not None else None
-        if kernel is None:
-            fidelity = 0.0
+        fidelity, cause = 0.0, None
+        if density is None:
+            # no density to measure: name the axioms the reconstruction broke
+            cause = "; ".join(info["violations"])
         else:
-            fidelity = float(
-                np.real(
-                    phi0.values.conj() @ kernel @ phi0.values * grid.dx**2
-                )
-            )
-        checks.append(Check("fidelity", 1.0 - fidelity, 2e-2, passed=fidelity >= 0.98))
+            kernel = density.kernel
+            fidelity = float(np.real(phi0.values.conj() @ kernel @ phi0.values * grid.dx**2))
+        checks.append(
+            Check("fidelity", 1.0 - fidelity, 2e-2, passed=fidelity >= 0.98, cause=cause)
+        )
     save_tomograms(tomo, os.path.join(out_dir, "tomograms.csv"))
     save_phase_space(recon, os.path.join(out_dir, "reconstruction.csv"))
     return checks
@@ -381,8 +392,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name}: residual {check.residual:.3e} (tol {check.tolerance:.3e})")
+        print(check.line())
     return 0 if passed else 1
 
 

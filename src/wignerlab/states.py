@@ -132,10 +132,15 @@ class ValidationReport:
 
 @dataclass
 class DensityMatrix:
-    """Validated density operator: Hermitian, positive, unit trace."""
+    """Validated density operator: Hermitian, positive, unit trace.
+
+    ``factors``, when set, is a pair (U, V) of N x r arrays with kernel
+    U V^H; :func:`mix` keeps U = Psi^T diag(w) and V = Psi^T.
+    """
 
     op: OperatorMatrix
     report: ValidationReport
+    factors: tuple | None = None
 
     @property
     def grid(self) -> Grid:
@@ -159,10 +164,21 @@ def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float 
     the discrepancy is surfaced as a diagnostic.
     ``psd_floor`` is the relative eigenvalue floor; reconstructions with
     known ringing pass a looser one.  With ``strict`` a failing operator
-    raises instead.
+    raises instead.  The Hermitian part H = (K + K^H)/2 is formed once: the
+    Hermiticity residue max |K - K^H| is 2 max |K - H| and the spectrum is
+    that of H.
     """
-    herm = op.hermiticity_residue()
-    vals = op.eigenvalues()
+    kernel = op.kernel
+    herm_part = kernel.conj().T + kernel
+    herm_part *= 0.5
+    scale = float(np.max(np.abs(kernel))) or 1.0
+    residue = 2.0 * float(np.max(np.abs(kernel - herm_part))) / scale
+    vals = np.linalg.eigvalsh(herm_part)[::-1] * op.dx
+    return _judge(op, residue, vals, strict, psd_floor)
+
+
+def _judge(op: OperatorMatrix, herm: float, vals: np.ndarray, strict: bool, psd_floor: float):
+    """The report of an operator from its Hermiticity residue and spectrum."""
     tr_diag = op.trace()
     report = ValidationReport(herm, vals, tr_diag)
     scale = float(np.max(np.abs(vals))) or 1.0
@@ -185,22 +201,40 @@ def pure_density(psi: GridFunction) -> DensityMatrix:
 
 
 def mix(spec: MixedStateSpec) -> DensityMatrix:
-    """Convex mixture sum_j alpha_j |psi_j><psi_j| as one product (Psi^T alpha) Psi^*.
+    """Convex mixture sum_j w_j |psi_j><psi_j| as one product (Psi^T w) Psi^*.
+
+    Psi stacks the r component states (r x N).  The density matrix keeps
+    the factors U = Psi^T diag(w) and V = Psi^T of its kernel U V^H, from
+    which the Wigner maps write their half-step correlation.  For r < N the
+    spectrum comes from the r x r Gram matrix diag(sqrt w) Psi^* Psi^T
+    diag(sqrt w) dx, whose eigenvalues are the nonzero ones of the kernel
+    times dx, padded with N - r exact zeros; the Hermiticity residue and the
+    trace are read off the kernel.  For r >= N :func:`validate_density`
+    takes the N x N eigensolve.
 
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the r x N stack Psi, its weighted copy and its conjugate, the
-    N x N kernel, at most two more N x N complex arrays while
-    :func:`validate_density` runs (the Hermitian part and the eigensolver's
-    copy of it) and two freed ones the allocator may keep resident, that is
+    N x N kernel, at most two more N x N complex arrays while the kernel is
+    validated (for r >= N the Hermitian part and the eigensolver's copy of
+    it) and two freed ones the allocator may keep resident, that is
     16 (5 N^2 + 3 r N) bytes.
     """
     weights, states = zip(*spec.components)
     n, r = states[0].grid.n, len(states)
     require_memory(16 * (5 * n * n + 3 * r * n), f"density matrix of {r} states at N = {n}")
     rows = np.array([psi.values for psi in states])  # Psi: one state per row
-    kernel = np.matmul(rows.T * weights, rows.conj())  # by name, so a test can stub it
+    u, v = rows.T * weights, rows.T
+    kernel = np.matmul(u, v.conj().T)  # by name, so a test can stub it
     op = OperatorMatrix(states[0].grid, kernel, states[0].eta)
-    return DensityMatrix(op, validate_density(op, strict=True))
+    if r >= n:
+        return DensityMatrix(op, validate_density(op, strict=True), (u, v))
+    roots = np.sqrt(weights)
+    gram = np.matmul(roots[:, None] * rows.conj(), rows.T * roots) * op.dx
+    vals = np.zeros(n)
+    vals[:r] = np.linalg.eigvalsh(gram)
+    vals = np.sort(vals)[::-1]
+    report = _judge(op, op.hermiticity_residue(), vals, strict=True, psd_floor=PSD_RTOL)
+    return DensityMatrix(op, report, (u, v))
 
 
 def state_stats(rho: DensityMatrix) -> dict:

@@ -78,10 +78,12 @@ def oscillatory_sum(
 def require_correlation_memory(n: int):
     """Refuse a Weyl-Wigner map at N grid points above the memory budget.
 
-    Its peak is the N x N complex kernel and the N x 2N correlation (48 N^2
-    bytes) with the folded lags and two FFT arrays of :func:`lag_transform`
-    (48 N^2; the scatter's shifted kernel and indices take 41 N^2), and
-    8 N^2 the allocator holds beyond them.  Call it before the kernel is built.
+    A kernel peaks at about 80 N^2 bytes: the N x N kernel and the N x 2N
+    correlation (48 N^2) with the pre-phased copy and FFT output of
+    :func:`lag_transform` (32 N^2), or the kernel and four N x N arrays of
+    its 2-D half-step shift.  Factors (U, V) build no N x N kernel and need
+    less.  The 104 N^2 counted also covers what the allocator holds beyond
+    them.  Call it before the kernel or the correlation is built.
     """
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
 
@@ -98,24 +100,63 @@ def midpoint_lag(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (a + b + 1) >> 1, a - b + n
 
 
-def half_step_correlation(kernel: np.ndarray, grid: Grid) -> np.ndarray:
+def parity_views(corr: np.ndarray) -> dict:
+    """The :func:`midpoint_lag` cells of each parity block, as views of ``corr``.
+
+    Entry (2i + a, 2k + b) of an N x N kernel sits at flat offset
+    i (2N + 2) + k (2N - 2) + c of the N x 2N table, with c = N, 3N - 1,
+    3N + 1 and 3N for (a, b) = (0, 0), (0, 1), (1, 0) and (1, 1), so the
+    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  The four
+    views cover each cell of the map once; N must be even.
+    """
+    n = corr.shape[0]
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    flat = corr.reshape(-1)  # a view: corr is C-contiguous
+    strides = ((2 * n + 2) * corr.itemsize, (2 * n - 2) * corr.itemsize)
+    return {
+        (a, b): np.lib.stride_tricks.as_strided(
+            flat[((a + b + 1) >> 1) * 2 * n + a - b + n :], (n // 2, n // 2), strides
+        )
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+
+
+def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx.
 
     Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
     are on the grid for even s and half a step off it for odd s.  Even lags
     read K itself, odd lags the band-limited interpolant of K shifted by
     -dx/2 along both axes (the odd samples of a twofold refinement).  Each
-    kernel entry lands in its :func:`midpoint_lag` cell; cells whose
-    arguments fall off the grid stay zero.
+    kernel entry lands in its :func:`midpoint_lag` cell, one parity block
+    at a time; cells whose arguments fall off the grid stay zero.
+
+    ``kernel`` is the N x N kernel, or a pair (U, V) of N x r factors with
+    K = U V^H.  A kernel is shifted in 2-D; factors are shifted along x
+    alone, and each parity block is the (N/2 x r)(r x N/2) product of
+    their rows, so no N x N array is built.  N must be even.
     """
     n = grid.n
     shift = -0.5 * grid.dx
-    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
-    mid, lag = midpoint_lag(n)
     corr = np.zeros((n, 2 * n), dtype=complex)
-    # even lags read K itself
-    np.copyto(shifted, kernel, where=(lag & 1) == 0)
-    corr[mid, lag] = shifted
+    views = parity_views(corr)
+    if isinstance(kernel, tuple):
+        # row-major factors keep every row slice a BLAS operand; the shift is
+        # a real linear map, so it commutes with the conjugation of V
+        u, v, u_shifted, v_shifted = (
+            np.ascontiguousarray(f)
+            for f in (*kernel, *(fourier_shift(f, grid, shift, axis=0) for f in kernel))
+        )
+        for (a, b), view in views.items():
+            # odd lags (a != b) read the shifted factors
+            left, right = (u, v) if a == b else (u_shifted, v_shifted)
+            np.matmul(left[a::2], right[b::2].conj().T, out=view)
+        return corr
+    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
+    for (a, b), view in views.items():
+        view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr
 
 
@@ -126,14 +167,15 @@ def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.n
     and ``p_grid`` must be dual to the lag spacing (dp dx N = 2 pi eta).
     The kernel is then N-periodic in m up to the factor exp(-i N dx p_min /
     eta) on the upper half, so the lags fold onto the N lags (m - N) dx,
-    m < N, and one dual-grid sum finishes the job.
+    m < N, and one dual-grid sum finishes the job.  The fold is done in
+    place: the correlation is consumed, its upper half left holding the
+    folded lags.
     """
     n = p_grid.n
-    lag_grid = Grid(-n * dx, 0.0, n)
-    return oscillatory_sum(
-        corr[..., :n] + corr[..., n:] * np.exp(-1j * n * dx * p_grid.x_min / eta),
-        lag_grid, p_grid, eta, -1, scale=dx,
-    )
+    folded = corr[..., n:]
+    folded *= np.exp(-1j * n * dx * p_grid.x_min / eta)
+    folded += corr[..., :n]
+    return oscillatory_sum(folded, Grid(-n * dx, 0.0, n), p_grid, eta, -1, scale=dx)
 
 
 def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:

@@ -7,10 +7,12 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
 
 Both directions use the N x 2N table corr[r, d + N] of
 :func:`transforms.half_step_correlation`, lag d dx at midpoint x_r (x_r -
-dx/2 for odd d): the symbol scatters the kernel into it, the quantizer
-fills it from p sums and gathers the kernel back through
-:func:`transforms.midpoint_lag`.  Off-grid arguments are treated as zero
-(kernels and symbols are assumed negligible outside the grid).
+dx/2 for odd d), through the four parity-block views of its
+:func:`transforms.midpoint_lag` cells: the symbol writes the kernel, or
+the products of its factors, into them, and the quantizer fills the table
+from p sums and reads the kernel back out of them.  Off-grid arguments
+are treated as zero (kernels and symbols are assumed negligible outside
+the grid).
 
 At the symbol's own eta, where its p grid is dual to the x grid, the
 quantizer's p sum is one row FFT and reconstructs the lag band
@@ -31,7 +33,7 @@ from .errors import ParameterError, require_memory
 from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .interpolate import fourier_shift, refine
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, half_step_correlation, lag_transform, midpoint_lag
+from .transforms import chirp_z, half_step_correlation, lag_transform, parity_views
 from .transforms import require_correlation_memory
 
 __all__ = [
@@ -91,8 +93,8 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     need proportionally more of it.  :func:`errors.require_memory` refuses
     the quantizer's working set before anything is allocated.  It counts, as
     if they overlapped, the N x 2N correlation (2 N^2 complex), 3 N^2 for
-    the larger of the odd-column shift and the gather (spectrum, phased
-    spectrum and output of at most N x N; two int64 indices and the kernel),
+    the odd-column shift (spectrum, phased spectrum and output of at most
+    N x N), which bounds the kernel the parity blocks are copied into,
     and one foreign pass of ``_ROW_CHUNK`` rows: F N_p refined samples (N_p
     p points) and a pre-phased copy, two FFT arrays under 4/3 of the padded
     length F N_p + 2N, and the 2N sums.  That pass bounds the native one, a
@@ -117,8 +119,9 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
 
     The p sums of the unshifted rows fill the N x 2N table corr[r, d + N]
     of lag d dx at midpoint x_r; one half-step shift along x moves the
-    odd-lag columns to their midpoints x_r - dx/2, and the kernel is gathered
-    through :func:`transforms.midpoint_lag`.  The p samples are refined F
+    odd-lag columns to their midpoints x_r - dx/2, and each parity block
+    K[a::2, b::2] of the kernel is copied out of its strided view of the
+    table's :func:`transforms.midpoint_lag` cells.  The p samples are refined F
     times (:func:`_p_oversampling`).  On the native path, where the p grid
     is dual to the x grid at ``eta`` (every symbol at its own eta), the
     refined sum at lag d dx is F times the length-N DFT of the unrefined row
@@ -158,19 +161,31 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     # the p sums commute with the half-step shift along x
     odd = slice(lo + 1, hi, 2)
     corr[:, odd] = fourier_shift(corr[:, odd], a.x_grid, 0.5 * dx, axis=0)
-    mid, lag = midpoint_lag(n)
-    return OperatorMatrix(a.x_grid, corr[mid, lag], eta_use)
+    kernel = np.empty((n, n), dtype=complex)
+    for (r, c), view in parity_views(corr).items():
+        kernel[r::2, c::2] = view
+    return OperatorMatrix(a.x_grid, kernel, eta_use)
+
+
+def correlation_symbol(source, grid, eta: float) -> PhaseSpaceFunction:
+    """Weyl symbol of the kernel ``source``, or of a pair (U, V) of N x r
+    factors of the kernel U V^H, read off its half-step correlation."""
+    require_correlation_memory(grid.n)
+    p_grid = dual_grid(grid, eta)
+    values = lag_transform(half_step_correlation(source, grid), grid.dx, p_grid, eta)
+    return PhaseSpaceFunction(grid, p_grid, values, eta, kind="symbol")
+
+
+def density_symbol(rho: DensityMatrix) -> PhaseSpaceFunction:
+    """Weyl symbol of a density matrix, from the factors :func:`states.mix`
+    kept, else from its kernel."""
+    source = rho.kernel if rho.factors is None else rho.factors
+    return correlation_symbol(source, rho.grid, rho.eta)
 
 
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     """Weyl symbol of an operator kernel (inverse of :func:`weyl_quantize`)."""
-    grid = op.grid
-    eta = op.eta
-    require_correlation_memory(grid.n)
-    p_grid = dual_grid(grid, eta)
-    corr = half_step_correlation(op.kernel, grid)
-    values = lag_transform(corr, grid.dx, p_grid, eta)
-    return PhaseSpaceFunction(grid, p_grid, values, eta, kind="symbol")
+    return correlation_symbol(op.kernel, op.grid, op.eta)
 
 
 def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceFunction:
@@ -185,7 +200,7 @@ def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
     scale = float(np.max(np.abs(a.values))) or 1.0
     if float(np.max(np.abs(a.values.imag))) > 1e-12 * scale:
         raise ParameterError("observable symbol must be real")
-    rho_w = weyl_symbol(rho.op).values / (2.0 * np.pi * rho.eta)
+    rho_w = density_symbol(rho).values / (2.0 * np.pi * rho.eta)
     value = np.sum(a.values.real * rho_w) * a.area_element
     return float(value.real)
 

@@ -9,7 +9,13 @@ Every one of them is a Weyl symbol over 2 pi eta: W(psi, phi) is the
 symbol of the rank-one operator |psi><phi|, the Wigner function of a state
 that of its density operator, and the ambiguity function reads the same
 half-step correlation (:func:`transforms.half_step_correlation`) with the
-lag and midpoint axes swapped.  Samples outside the grid are taken as zero.
+lag and midpoint axes swapped.  The rank-one maps and the Wigner function
+of a mixture write that correlation from the factors of their operator,
+(psi, phi) or the weighted component states that :func:`states.mix`
+keeps: each parity block is one small matrix product of half-step shifted
+factors, and no N x N kernel is read.  A density matrix without factors
+(a tomographic reconstruction) is read through its kernel.  Samples
+outside the grid are taken as zero.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ import numpy as np
 from .errors import ParameterError
 from .grid import GridFunction, PhaseSpaceFunction, dual_grid
 from .interpolate import fourier_shift
-from .states import DensityMatrix, MixedStateSpec, OperatorMatrix, mix
+from .states import DensityMatrix, MixedStateSpec, mix
 from .transforms import half_step_correlation, oscillatory_sum, require_correlation_memory
-from .weyl import reflect, weyl_symbol
+from .weyl import correlation_symbol, density_symbol, reflect
 
 __all__ = [
     "WignerResult",
@@ -47,10 +53,9 @@ class WignerResult:
         return self.W.real_values()
 
 
-def _scaled_symbol(op: OperatorMatrix, kind: str) -> PhaseSpaceFunction:
-    """Wigner distribution of an operator: its Weyl symbol over 2 pi eta."""
-    W = weyl_symbol(op)
-    W.values /= 2.0 * np.pi * op.eta
+def _scaled(W: PhaseSpaceFunction, kind: str) -> PhaseSpaceFunction:
+    """Wigner distribution of an operator from its Weyl symbol: over 2 pi eta."""
+    W.values /= 2.0 * np.pi * W.eta
     W.kind = kind
     return W
 
@@ -59,19 +64,20 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     """Cross-Wigner transform W(psi, phi); complex-valued in general.
 
     W(psi, phi) is the scaled Weyl symbol of the rank-one operator
-    |psi><phi|, whose kernel is psi(x) phi*(y).
+    |psi><phi|, whose kernel psi(x) phi*(y) has the factors (psi, phi).
     """
     psi.require_compatible(phi)
-    require_correlation_memory(psi.grid.n)
-    op = OperatorMatrix(psi.grid, np.outer(psi.values, phi.values.conj()), psi.eta)
-    return _scaled_symbol(op, "wigner" if psi is phi else "generic")
+    factors = (psi.values[:, None], phi.values[:, None])
+    W = correlation_symbol(factors, psi.grid, psi.eta)
+    return _scaled(W, "wigner" if psi is phi else "generic")
 
 
 def wigner(source) -> WignerResult:
     """Wigner distribution of a pure state, a mixture spec, or a density matrix.
 
     Each is the scaled Weyl symbol of its density operator; a pure state's
-    operator is the rank-one |psi><psi|.
+    operator is the rank-one |psi><psi|, and a mixture's symbol is read
+    from the factors :func:`states.mix` keeps.
     """
     if isinstance(source, GridFunction):
         return WignerResult(cross_wigner(source, source))
@@ -80,7 +86,7 @@ def wigner(source) -> WignerResult:
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    return WignerResult(_scaled_symbol(source.op, "wigner"))
+    return WignerResult(_scaled(density_symbol(source), "wigner"))
 
 
 def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
@@ -94,7 +100,7 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
-    corr = half_step_correlation(np.outer(psi.values, psi.values.conj()), grid)
+    corr = half_step_correlation((psi.values[:, None], psi.values[:, None]), grid)
     lags = corr[:, n // 2 : 3 * n // 2].T
     values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")

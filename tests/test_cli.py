@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,19 @@ def test_tomography_experiment_passes(tmp_path):
 
 def test_pauli_experiment_passes(tmp_path):
     assert main(["pauli", "--N", "128", "--out", str(tmp_path)]) == 0
+
+
+def test_tomography_names_why_fidelity_failed(tmp_path, capsys):
+    # at N = 64 the backprojection's minimum eigenvalue, -1.65e-4, is below
+    # the PSD floor 1e-4: no density is returned and the fidelity check says so
+    assert main(["tomography", "--N", "64", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS reconstruction_l2:") and lines[0].endswith(")")
+    assert re.fullmatch(
+        r"FAIL fidelity: residual 1\.000e\+00 \(tol 2\.000e-02\): "
+        r"minimum eigenvalue -1\.65\de-04 below the PSD floor",
+        lines[1],
+    )
+    l2, fidelity = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert "cause" not in l2
+    assert fidelity["cause"] == lines[1].split(": ", 2)[2]

@@ -6,6 +6,10 @@ oversampled p step is not dual to the x grid.  The fast paths are compared
 with the dense-phase and eigen-loop references in ``oracles``: the
 Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator,
 the rescale and Fourier steps of a metaplectic word, and the Radon transform.
+The factored paths are compared with their N x N forms: the half-step
+correlation of factors (U, V) with that of the kernel U V^H, its parity
+views with the :func:`midpoint_lag` scatter, and the Gram spectrum of a
+mixture with the eigensolve of its kernel.
 """
 
 import numpy as np
@@ -17,10 +21,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wignerlab import (
+    Grid,
     GridFunction,
     MetaplecticSpec,
     MixedStateSpec,
     OperatorMatrix,
+    ParameterError,
     PhaseSpaceFunction,
     ambiguity,
     coherent_state,
@@ -37,7 +43,7 @@ from wignerlab import (
     weyl_symbol,
     wigner,
 )
-from wignerlab.transforms import chirp_z
+from wignerlab.transforms import chirp_z, half_step_correlation, midpoint_lag, parity_views
 
 from oracles import (
     ambiguity_dense,
@@ -111,6 +117,65 @@ def test_lag_transforms_match_dense_phase(grid_eta, seed):
     for kernel in _kernels(grid, eta, rng):
         op = OperatorMatrix(grid, kernel, eta)
         assert _relative(weyl_symbol(op).values, weyl_symbol_dense(op)) <= 1e-11
+
+
+@given(grids(), st.sampled_from([1, 2, 8]), seeds)
+def test_factored_correlation_matches_kernel_correlation(grid_eta, rank, seed):
+    grid, _ = grid_eta
+    rng = np.random.default_rng(seed)
+    u, v = (rng.normal(size=(grid.n, rank)) + 1j * rng.normal(size=(grid.n, rank)) for _ in "uv")
+    factored = half_step_correlation((u, v), grid)
+    assert _relative(factored, half_step_correlation(u @ v.conj().T, grid)) <= 1e-14
+
+
+@given(grids())
+def test_parity_views_cover_each_midpoint_lag_cell_once(grid_eta):
+    # distinct entries added through the views: a cell reached twice would
+    # hold a sum, a cell missed would hold zero
+    n = grid_eta[0].n
+    kernel = np.arange(1.0, n * n + 1.0).reshape(n, n)
+    corr = np.zeros((n, 2 * n), dtype=complex)
+    for (a, b), view in parity_views(corr).items():
+        view += kernel[a::2, b::2]
+    scattered = np.zeros((n, 2 * n), dtype=complex)
+    mid, lag = midpoint_lag(n)
+    scattered[mid, lag] = kernel
+    assert np.array_equal(corr, scattered)
+
+
+def _assert_gram_spectrum(rho):
+    herm = 0.5 * (rho.kernel + rho.kernel.conj().T)
+    dense = np.linalg.eigvalsh(herm)[::-1] * rho.grid.dx
+    assert np.max(np.abs(rho.report.eigenvalues - dense)) <= 1e-14
+
+
+@given(grids(), st.integers(1, 8), seeds)
+def test_mixture_spectrum_matches_kernel_eigensolve(grid_eta, components, seed):
+    # the last component repeats the first, so the Gram matrix is singular
+    grid, eta = grid_eta
+    rng = np.random.default_rng(seed)
+    states = [_state(grid, eta, rng) for _ in range(components)]
+    states.append(states[0])
+    weights = rng.dirichlet(np.ones(len(states)))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    _assert_gram_spectrum(mix(MixedStateSpec(list(zip(weights, states)))))
+
+
+def test_mixture_of_more_states_than_points_takes_the_kernel_eigensolve():
+    grid, eta = make_grid(-6.0, 6.0, 16), 1.0
+    rng = np.random.default_rng(16)
+    states = [_state(grid, eta, rng) for _ in range(20)]
+    rho = mix(MixedStateSpec([(1.0 / 20, psi) for psi in states]))
+    assert len(rho.report.eigenvalues) == grid.n
+    _assert_gram_spectrum(rho)
+
+
+def test_half_step_correlation_refuses_an_odd_grid():
+    grid = Grid(-5.0, 5.0, 15)
+    ones = np.ones((grid.n, 1), dtype=complex)
+    for source in (ones @ ones.T, (ones, ones)):
+        with pytest.raises(ParameterError, match="even N"):
+            half_step_correlation(source, grid)
 
 
 @given(grids(), seeds)

@@ -129,7 +129,7 @@ def test_state_stats_reads_the_spectrum_mix_validated(grid, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     rho = mix(MixedStateSpec([(0.5, psi0), (0.5, psi1)]))
     stats = state_stats(rho)
-    assert solves == [(64, 64)]
+    assert solves == [(2, 2)]
     report = rho.report
     assert report.min_eigenvalue == report.eigenvalues[-1]
     assert stats["purity"] == pytest.approx(0.5, abs=1e-8)
