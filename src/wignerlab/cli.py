@@ -123,8 +123,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if args.experiment == "tomography":
         # refused here, before the angle grid is built
         require_radon_memory(config["angles"], config["N"])
-    if not -(2**63) <= config["seed"] < 2**63:
-        raise ConfigurationError("seed must fit in 64 bits")
+    if not 0 <= config["seed"] < 2**63:
+        raise ConfigurationError(f"seed must be in [0, 2**63), got {config['seed']}")
     if config["state"] not in STATES:
         raise ConfigurationError(f"state must be one of {list(STATES)}, got {config['state']!r}")
     return config

@@ -8,13 +8,23 @@ be the Wigner distribution of a state at a given eta:
 * Sampled quantum-Bochner (KLM) matrices: any finite matrix with entries
   exp(i sigma(z_j, z_k)/2 eta) a_sigma(z_j - z_k) must be positive
   semidefinite.  Sampling can certify failure only, never positivity.
+  For a real a, a_sigma(-w) is the conjugate of a_sigma(w) and a_sigma(0)
+  is the mass over 2 pi eta, so only the M(M - 1)/2 differences with
+  j < k are transformed and the matrix is Hermitian by construction.  The
+  phases of a difference are products of per-sample phases,
+  exp(-i p_j x / eta) conj(exp(-i p_k x / eta)) along x and likewise
+  along p: 2 M N exponentials for M samples on an N x N grid.
 * A Hessian necessary condition at the origin of the eta-free reduced
   transform: -f''(0) + i eta J / 2 >= 0.
+
+Zero and non-finite eta are refused.  A negative eta flips the sign of
+the transforms; the Gaussian test reads |eta|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -112,21 +122,44 @@ def gaussian_state(spec, grid: Grid):
     raise ParameterError(f"unsupported Gaussian spec {type(spec).__name__}")
 
 
+def _nonzero_eta(eta) -> float:
+    """eta as a float, refused when zero or not finite."""
+    value = float(eta)
+    if value == 0.0 or not np.isfinite(value):
+        raise ParameterError(f"eta must be a nonzero finite number, got {eta}")
+    return value
+
+
+def _moments(values: np.ndarray, x: np.ndarray, p: np.ndarray):
+    """Mean and central second moments of real samples on the x by p lattice.
+
+    The samples are normalized by their own sum.  The means and variances
+    are read off the two marginals and the covariance off the one bilinear
+    form (x - <x>)^T values (p - <p>), so no N x N mesh is built.
+    """
+    along_x = values.sum(axis=1)
+    along_p = values.sum(axis=0)
+    total = along_x.sum()
+    mx = x @ along_x / total
+    mp = p @ along_p / total
+    dx, dp = x - mx, p - mp
+    sxx = dx**2 @ along_x / total
+    spp = dp**2 @ along_p / total
+    sxp = dx @ values @ dp / total
+    return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]])
+
+
 def covariance_matrix(W: PhaseSpaceFunction) -> CovarianceMatrix:
-    """Second central moments of a normalized phase-space distribution."""
+    """Second central moments of a normalized phase-space distribution.
+
+    Read off the two marginals and one bilinear form (see :func:`_moments`).
+    """
     values = W.values.real
     mass = float(np.sum(values) * W.area_element)
     if abs(mass - 1.0) > 1e-3:
         raise ValidationError(f"distribution mass is {mass}, expected 1")
-    weight = W.area_element / mass
-    xx, pp = W.meshes()
-    mx = float(np.sum(xx * values) * weight)
-    mp = float(np.sum(pp * values) * weight)
-    dzx, dzp = xx - mx, pp - mp
-    sxx = float(np.sum(dzx * dzx * values) * weight)
-    sxp = float(np.sum(dzx * dzp * values) * weight)
-    spp = float(np.sum(dzp * dzp * values) * weight)
-    return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]), 1)
+    mean, sigma = _moments(values, W.x_grid.points, W.p_grid.points)
+    return CovarianceMatrix(sigma, mean, 1)
 
 
 def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
@@ -135,7 +168,9 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
     Both equivalent forms are computed and must agree:
     |eta| <= 2 lambda_min  and  Sigma + i eta J / 2 >= 0.
     Also reports the (weaker) per-mode Robertson-Schrodinger checks.
+    Zero and non-finite eta are refused.
     """
+    eta = _nonzero_eta(eta)
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
     scale = max(1.0, float(np.max(np.abs(sigma))))
@@ -185,26 +220,44 @@ def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
 _POINT_CHUNK = 256
 
 
-def _quadrature_transform(a: PhaseSpaceFunction, points: np.ndarray, scale: float) -> np.ndarray:
-    """sum over z' of exp(-i sigma(w, z') * scale) a(z') dz' at points w.
+def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) -> np.ndarray:
+    """sum over i, k of ex[i, w] values[i, k] ep[k, w], one sum per column w.
 
-    Because sigma(w, z') = w_p x' - w_x p', the kernel factors into two 1-D
-    phases, exp(-i scale w_p x') exp(i scale w_x p').  For a block of points
-    the double sum is therefore sum_k (Ex @ A)[w, k] Ep[w, k] with the phase
-    matrices Ex[w, i] = exp(-i scale w_p x_i) and Ep[w, k] =
-    exp(i scale w_x p_k): 2 M N exponentials and one matrix product for M
-    points on an N x N grid, instead of M N^2 exponentials.  No FFT is
-    involved, so any pair of x and p grids works.  Points go through in
-    blocks of ``_POINT_CHUNK``, so memory stays O(chunk N) for any M.
+    This is the one contraction behind every symplectic Fourier transform at
+    arbitrary points.  Because sigma(w, z') = w_p x' - w_x p', the kernel
+    exp(-i scale sigma(w, z')) factors into two 1-D phases, the columns
+    ex[:, w] = exp(-i scale w_p x) and ep[:, w] = exp(i scale w_x p), and
+    the double sum is one matrix product and one column-wise dot product.
+    The callers build the phases: :func:`reduced_transform` and
+    :func:`sigma_transform_at` per point, :func:`klm_matrix` as products of
+    per-sample phases.  Real ``values`` (C-contiguous) multiply the
+    interleaved real and imaginary parts of ``ep`` in one real product, so
+    no complex copy of the samples is made.  Callers pass at most
+    ``_POINT_CHUNK`` columns at a time, which keeps memory O(chunk N).
     """
-    x = a.x_grid.points
-    p = a.p_grid.points
+    if np.iscomplexobj(values):
+        inner = values @ ep
+    else:
+        inner = (values @ ep.view(float)).view(complex)
+    return np.einsum("iw,iw->w", ex, inner)
+
+
+def _transform_at(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
+    """sum over z' of exp(-i sigma(w, z') scale) a(z') dz' at points w.
+
+    Builds the phases of each block of ``_POINT_CHUNK`` points: 2 M N
+    exponentials for M points on an N x N grid, instead of M N^2.  No FFT is
+    involved, so any pair of x and p grids works.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = a.values if np.any(a.values.imag) else np.ascontiguousarray(a.values.real)
+    x, p = a.x_grid.points, a.p_grid.points
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), _POINT_CHUNK):
-        block = np.asarray(points[start : start + _POINT_CHUNK], dtype=float)
-        ex = np.exp(-1j * scale * np.outer(block[:, 1], x))
-        ep = np.exp(1j * scale * np.outer(block[:, 0], p))
-        out[start : start + _POINT_CHUNK] = np.sum((ex @ a.values) * ep, axis=1)
+        block = points[start : start + _POINT_CHUNK]
+        ex = np.exp(-1j * scale * np.outer(x, block[:, 1]))
+        ep = np.exp(1j * scale * np.outer(p, block[:, 0]))
+        out[start : start + _POINT_CHUNK] = _quadrature_transform(values, ex, ep)
     return out * a.area_element
 
 
@@ -213,13 +266,56 @@ def reduced_transform(a: PhaseSpaceFunction, points) -> np.ndarray:
 
     Public as the paper's eta-independent symplectic Fourier transform.
     """
-    return _quadrature_transform(a, np.atleast_2d(points), 1.0)
+    return _transform_at(a, points, 1.0)
 
 
 def sigma_transform_at(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
-    """Symplectic Fourier transform at arbitrary points for a given eta."""
-    values = _quadrature_transform(a, np.atleast_2d(points), 1.0 / eta)
-    return values / (2.0 * np.pi * eta)
+    """Symplectic Fourier transform at arbitrary points for a given eta.
+
+    Zero and non-finite eta are refused.
+    """
+    eta = _nonzero_eta(eta)
+    return _transform_at(a, points, 1.0 / eta) / (2.0 * np.pi * eta)
+
+
+def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
+    """The sampled KLM matrix exp(i sigma(z_j, z_k) / 2 eta) a_sigma(z_j - z_k).
+
+    For the real part of ``a`` (:func:`klm_test` refuses a non-real one),
+    a_sigma(-w) is the conjugate of a_sigma(w) and a_sigma(0) is the mass
+    over 2 pi eta.  So a_sigma is transformed at the M(M - 1)/2 differences
+    with j < k only, the lower triangle holds their conjugates and the
+    diagonal the exact mass term: the matrix is Hermitian bit for bit.  The
+    phases of z_j - z_k are products of per-sample phases,
+    sx[:, j] conj(sx[:, k]) with sx[i, j] = exp(-i p_j x_i / eta) and
+    likewise sp[k, j] = exp(i x_j p_k / eta) along p: 2 M N exponentials.
+    The pairs go through :func:`_quadrature_transform` in blocks of
+    ``_POINT_CHUNK``.
+    """
+    eta = _nonzero_eta(eta)
+    points = np.asarray(points, dtype=float)
+    xs, ps = points[:, 0], points[:, 1]
+    values = np.ascontiguousarray(a.values.real)
+    sx = np.exp(-1j / eta * np.outer(a.x_grid.points, ps))
+    sp = np.exp(1j / eta * np.outer(a.p_grid.points, xs))
+    rows, cols = np.triu_indices(len(points), 1)
+    upper = np.empty(len(rows), dtype=complex)
+    for start in range(0, len(rows), _POINT_CHUNK):
+        j, k = rows[start : start + _POINT_CHUNK], cols[start : start + _POINT_CHUNK]
+        # np.take keeps the blocks C-contiguous, as the real product needs
+        ex = np.take(sx, k, axis=1).conj()
+        ex *= np.take(sx, j, axis=1)
+        ep = np.take(sp, k, axis=1).conj()
+        ep *= np.take(sp, j, axis=1)
+        upper[start : start + _POINT_CHUNK] = _quadrature_transform(values, ex, ep)
+    scale = a.area_element / (2.0 * np.pi * eta)
+    # sigma(z_j, z_k) = p_j x_k - x_j p_k
+    upper *= np.exp(0.5j / eta * (ps[rows] * xs[cols] - xs[rows] * ps[cols])) * scale
+    matrix = np.empty((len(points), len(points)), dtype=complex)
+    matrix[rows, cols] = upper
+    matrix[cols, rows] = upper.conj()
+    np.fill_diagonal(matrix, np.sum(values) * scale)
+    return matrix
 
 
 @dataclass
@@ -248,7 +344,7 @@ def _check_unit_mass(a: PhaseSpaceFunction):
     return mass
 
 
-def _hessian_check(a: PhaseSpaceFunction, eta: float) -> float:
+def _hessian_check(mean: np.ndarray, sigma: np.ndarray, eta: float) -> float:
     """Min eigenvalue of -f''(0)/f(0) + i eta J / 2 for the reduced transform f.
 
     Differentiating f(w) = Int exp(-i sigma(w, z)) a(z) dz under the integral
@@ -259,10 +355,18 @@ def _hessian_check(a: PhaseSpaceFunction, eta: float) -> float:
 
     the raw moments Sigma + mean mean^T of the normalized distribution.
     """
-    cov = covariance_matrix(a)
-    (mxx, mxp), (_, mpp) = cov.sigma + np.outer(cov.mean, cov.mean)
+    (mxx, mxp), (_, mpp) = sigma + np.outer(mean, mean)
     matrix = np.array([[mpp, -mxp], [-mxp, mxx]]) + 0.5j * eta * j_matrix(1)
     return float(np.linalg.eigvalsh(matrix)[0])
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, refused unless it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def klm_test(
@@ -277,30 +381,35 @@ def klm_test(
     the inner 80% of the grid), builds the KLM matrix and reports its
     minimum Hermitian eigenvalue.  A positive report reads "no violation
     found" — sampling cannot prove positivity over all point sets.
+    :func:`klm_matrix` transforms a at the M(M - 1)/2 pair differences only,
+    with phases built from per-sample phases, and fills the rest of the
+    matrix by its Hermitian symmetry.  The ball's radius and the Hessian
+    check read one set of moments each (:func:`_moments`).
 
-    :func:`errors.require_memory` refuses the working set before anything
-    is allocated.  It counts, as if they overlapped, the mass and covariance
-    checks (under four complex N x N arrays), the KLM matrix build (under
-    six complex samples x samples arrays) and one point block of
-    :func:`_quadrature_transform` (four complex ``_POINT_CHUNK`` x N arrays).
+    Zero or non-finite eta, a non-integer (or bool) ``samples`` below 2 and
+    a negative or non-integer ``seed`` are refused with ParameterError
+    before any work.  :func:`errors.require_memory` then refuses the working
+    set before anything is allocated.  It counts, as if they overlapped, a
+    complex N x N array for two real copies of the samples, the
+    two per-sample phase arrays with the temporaries that build them (four
+    complex samples x N), one pair block (four complex ``_POINT_CHUNK`` x N
+    arrays: the two phases, a gathered column block and the product with
+    the samples) and four complex samples x samples arrays (the pair
+    indices, the transformed pairs, the matrix and the eigensolver's copy).
     """
-    if samples < 2:
-        raise ParameterError("need at least two sample points")
+    eta = _nonzero_eta(eta)
+    samples = _check_count("samples", samples, 2)
+    seed = _check_count("seed", seed, 0)
     n = max(a.x_grid.n, a.p_grid.n)
     require_memory(
-        16 * (4 * n * n + 6 * samples**2 + 4 * _POINT_CHUNK * n),
+        16 * (n * n + 4 * samples * n + 4 * _POINT_CHUNK * n + 4 * samples**2),
         f"KLM matrices for {samples} samples",
     )
     _check_unit_mass(a)
-    cov = covariance_matrix(
-        PhaseSpaceFunction(
-            a.x_grid, a.p_grid,
-            np.abs(a.values.real)
-            / (np.sum(np.abs(a.values.real)) * a.area_element),
-            a.eta,
-        )
-    )
-    radius = 3.0 * float(np.sqrt(np.linalg.eigvalsh(cov.sigma)[-1]))
+    values = np.ascontiguousarray(a.values.real)
+    x, p = a.x_grid.points, a.p_grid.points
+    _, spread = _moments(np.abs(values), x, p)
+    radius = 3.0 * float(np.sqrt(np.linalg.eigvalsh(spread)[-1]))
     radius = min(
         radius,
         0.4 * a.x_grid.length,
@@ -310,17 +419,14 @@ def klm_test(
     angles = rng.uniform(0.0, 2.0 * np.pi, samples)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, samples))
     points = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    diffs = points[:, None, :] - points[None, :, :]
-    asig = sigma_transform_at(a, diffs.reshape(-1, 2), eta).reshape(samples, samples)
-    # sigma(z_j, z_k) = p_j x_k - p_k x_j
-    sig = np.outer(points[:, 1], points[:, 0]) - np.outer(points[:, 0], points[:, 1])
-    matrix = np.exp(0.5j * sig / eta) * asig
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    tol = 1e-8 * float(np.linalg.norm(matrix, 2))
-    # the diagonal differences are exactly 0, so asig[0, 0] is a_sigma(0)
-    continuity = abs(asig[0, 0] - 1.0 / (2.0 * np.pi * eta))
-    hess_min = _hessian_check(a, eta)
+    matrix = klm_matrix(a, points, eta)
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    min_eig = float(eigenvalues[0])
+    # the spectral norm of a Hermitian matrix is its largest |eigenvalue|
+    tol = 1e-8 * float(max(-eigenvalues[0], eigenvalues[-1]))
+    # the diagonal is the exact a_sigma(0) = mass / (2 pi eta)
+    continuity = abs(matrix[0, 0] - 1.0 / (2.0 * np.pi * eta))
+    hess_min = _hessian_check(*_moments(values, x, p), eta)
     ok = min_eig >= -tol and hess_min >= -1e-8 * max(1.0, abs(eta))
     return KLMReport(
         points=points,

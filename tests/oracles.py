@@ -4,7 +4,9 @@ Each function here is a literal, slow evaluation of a formula that the
 library computes through FFTs or chirp-z passes: dense phase matrices for the
 lag transforms, the free metaplectic operator and the Radon transform, Python
 loops over reflections and displacements for the quantizer, a direct twisted
-convolution, and the eigen-loop Wigner function of a density matrix.  The
+convolution, the eigen-loop Wigner function of a density matrix, the KLM
+matrix over all M^2 point differences and the phase-space moments over
+N x N meshes.  The
 dense interpolants check the metaplectic word steps and covariance
 identities: the 1-D, tensor and pointwise ones are direct trigonometric
 sums, the row-sheared one reuses the library's ``fourier_shift``.  Some
@@ -279,6 +281,41 @@ def radon_dense(W: PhaseSpaceFunction, angles) -> np.ndarray:
         spectrum = np.where(valid, spectrum, 0.0)
         out[row] = (np.exp(1j * np.outer(x, k)) @ spectrum * dk / (2.0 * np.pi)).real
     return out
+
+
+def klm_matrix_dense(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
+    """The KLM matrix exp(i sigma(z_j, z_k) / 2 eta) a_sigma(z_j - z_k),
+    transformed at all M^2 differences, the diagonal and both triangles.
+
+    Each difference gets its own phase vectors and a complex product with
+    the samples; the result is symmetrized as (K + K^H) / 2.
+    """
+    points = np.asarray(points, dtype=float)
+    m = len(points)
+    diffs = (points[:, None, :] - points[None, :, :]).reshape(-1, 2)
+    ex = np.exp(-1j * np.outer(diffs[:, 1], a.x_grid.points) / eta)
+    ep = np.exp(1j * np.outer(diffs[:, 0], a.p_grid.points) / eta)
+    asig = np.sum((ex @ a.values) * ep, axis=1).reshape(m, m)
+    asig *= a.area_element / (2.0 * np.pi * eta)
+    x, p = points[:, 0], points[:, 1]
+    sig = np.outer(p, x) - np.outer(x, p)
+    matrix = np.exp(0.5j * sig / eta) * asig
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def covariance_dense(W: PhaseSpaceFunction):
+    """(mean, Sigma) of a normalized distribution as weighted sums over
+    the N x N meshes of x and p."""
+    values = W.values.real
+    weight = 1.0 / np.sum(values)
+    xx, pp = W.meshes()
+    mx = np.sum(xx * values) * weight
+    mp = np.sum(pp * values) * weight
+    dzx, dzp = xx - mx, pp - mp
+    sxx = np.sum(dzx * dzx * values) * weight
+    sxp = np.sum(dzx * dzp * values) * weight
+    spp = np.sum(dzp * dzp * values) * weight
+    return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]])
 
 
 def _trig_sum(grid, points) -> np.ndarray:

@@ -145,12 +145,13 @@ def _blocked_artifact(tmp_path):
         (_phase_space_csv(header="64,-10,inf,1,wigner"), "grid bounds must be finite"),
         (_config({"N": "abc"}), "N must be int"),
         (_config({"seed": 1.5}), "seed must be int"),
+        (lambda tmp_path: ["moyal", "--N", "64", "--seed", "-1"], "seed must be in"),
         (lambda tmp_path: ["tomography", "--angles", "-3"], "angles must be at least 1"),
         (_blocked_artifact, "cannot write"),
     ],
     ids=[
-        "missing_input", "one_column_csv", "nan_sample", "infinite_dx", "string_N", "float_seed", "negative_angles",
-        "unwritable_artifact",
+        "missing_input", "one_column_csv", "nan_sample", "infinite_dx", "string_N", "float_seed",
+        "negative_seed", "negative_angles", "unwritable_artifact",
     ],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):

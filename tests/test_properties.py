@@ -9,7 +9,10 @@ the rescale and Fourier steps of a metaplectic word, and the Radon transform.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
 views with the :func:`midpoint_lag` scatter, and the Gram spectrum of a
-mixture with the eigensolve of its kernel.
+mixture with the eigensolve of its kernel.  The KLM matrix, built on the
+pair differences j < k from per-sample phases, is compared with its
+construction over all M^2 differences, and the moments that
+``covariance_matrix`` reads off the marginals with the N x N mesh sums.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wignerlab import (
@@ -30,9 +33,11 @@ from wignerlab import (
     PhaseSpaceFunction,
     ambiguity,
     coherent_state,
+    covariance_matrix,
     cross_wigner,
     dual_grid,
     eta_fourier,
+    klm_test,
     make_grid,
     metaplectic_apply,
     mix,
@@ -43,11 +48,14 @@ from wignerlab import (
     weyl_symbol,
     wigner,
 )
+from wignerlab.quantumness import klm_matrix
 from wignerlab.transforms import chirp_z, half_step_correlation, midpoint_lag, parity_views
 
 from oracles import (
     ambiguity_dense,
+    covariance_dense,
     cross_wigner_dense,
+    klm_matrix_dense,
     metaplectic_free_dense,
     periodic_interp,
     radon_dense,
@@ -372,3 +380,52 @@ def test_moyal_identity(n, eta, offset, seed):
     assert abs(2.0 * np.pi * eta * moyal_overlap(w, w).real - 1.0) <= 1e-7
     lhs = 2.0 * np.pi * eta * moyal_overlap(w, wigner(phi).W).real
     assert abs(lhs - abs(psi.inner(phi)) ** 2) <= 1e-7
+
+
+def _normal_density(grid, eta, rng):
+    """A correlated normal density off the grid centre, on the dual p grid,
+    normalized by its sum."""
+    p_grid = dual_grid(grid, eta)
+    mean = (
+        0.5 * (grid.x_min + grid.x_max) + rng.uniform(-1.0, 1.0),
+        0.1 * p_grid.length * rng.uniform(-1.0, 1.0),
+    )
+    angle = rng.uniform(0.0, np.pi)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    sigma = rotation @ np.diag(eta * rng.uniform(0.2, 1.5, size=2)) @ rotation.T
+    xx, pp = np.meshgrid(grid.points - mean[0], p_grid.points - mean[1], indexing="ij")
+    inv = np.linalg.inv(sigma)
+    values = np.exp(-0.5 * (inv[0, 0] * xx**2 + 2.0 * inv[0, 1] * xx * pp + inv[1, 1] * pp**2))
+    values /= np.sum(values) * grid.dx * p_grid.dx
+    return PhaseSpaceFunction(grid, p_grid, values, eta, kind="wigner")
+
+
+@settings(deadline=None)
+@given(grids(), etas, st.integers(2, 40), seeds)
+def test_klm_matrix_matches_all_differences(grid_eta, klm_eta, samples, seed):
+    grid, eta = grid_eta
+    a = _normal_density(grid, eta, np.random.default_rng(seed))
+    report = klm_test(a, klm_eta, samples=samples, seed=seed)
+    fast = klm_matrix(a, report.points, klm_eta)
+    dense = klm_matrix_dense(a, report.points, klm_eta)
+    norm = np.linalg.norm(dense, 2)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * norm
+    assert np.array_equal(fast, fast.conj().T)
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert abs(report.min_eigenvalue - eigenvalues[0]) <= 1e-12 * norm
+    hessian_ok = report.hessian_min_eigenvalue >= -1e-8 * max(1.0, klm_eta)
+    assert report.passed == (eigenvalues[0] >= -1e-8 * norm and hessian_ok)
+
+
+def _assert_moments_match(W):
+    cov = covariance_matrix(W)
+    mean, sigma = covariance_dense(W)
+    scale = np.max(np.abs(sigma))
+    assert np.max(np.abs(cov.sigma - sigma)) <= 1e-13 * scale
+    assert np.max(np.abs(cov.mean - mean)) <= 1e-13 * max(np.max(np.abs(mean)), np.sqrt(scale))
+
+
+@given(grids(), seeds)
+def test_covariance_matches_mesh_sums(grid_eta, seed):
+    grid, eta = grid_eta
+    _assert_moments_match(_normal_density(grid, eta, np.random.default_rng(seed)))

@@ -132,11 +132,60 @@ def test_klm_rejects_unnormalized(grid):
 
 
 def test_klm_refuses_oversized_sample_count(grid):
-    # 20000 samples need a 6.4 GB point-difference array alone; refused
-    # before anything is allocated
+    # 20000 samples need 25.6 GB for the four 20000 x 20000 complex
+    # matrices alone; refused before anything is allocated
     W = wigner(coherent_state(grid, ETA)).W
     with pytest.raises(ParameterError, match="GiB"):
         klm_test(W, ETA, samples=20000)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_klm_refuses_zero_or_non_finite_eta(grid, eta):
+    W = wigner(coherent_state(grid, ETA)).W
+    with pytest.raises(ParameterError, match="eta"):
+        klm_test(W, eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
+def test_sigma_transform_refuses_zero_or_non_finite_eta(grid, eta):
+    W = wigner(coherent_state(grid, ETA)).W
+    with pytest.raises(ParameterError, match="eta"):
+        sigma_transform_at(W, np.zeros((3, 2)), eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
+def test_gaussian_admissible_refuses_zero_or_non_finite_eta(eta):
+    with pytest.raises(ParameterError, match="eta"):
+        gaussian_admissible(np.eye(2), eta)
+
+
+def test_negative_eta_keeps_its_meaning():
+    # the Gaussian test reads |eta|; the KLM matrix at -eta is minus the
+    # conjugate of the one at eta, so a state positive at eta fails there
+    assert gaussian_admissible(np.eye(2), -ETA) == gaussian_admissible(np.eye(2), ETA)
+    W = wigner(coherent_state(_self_dual_grid(64), ETA)).W
+    assert klm_test(W, ETA, samples=8).passed
+    assert klm_test(W, -ETA, samples=8).verdict == "violation"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"samples": 2.5}, {"samples": True}, {"samples": 1}, {"samples": "40"},
+     {"seed": -1}, {"seed": 1.5}, {"seed": False}],
+    ids=["float_samples", "bool_samples", "one_sample", "string_samples",
+         "negative_seed", "float_seed", "bool_seed"],
+)
+def test_klm_refuses_bad_sample_count_or_seed(grid, kwargs):
+    W = wigner(coherent_state(grid, ETA)).W
+    with pytest.raises(ParameterError, match="samples|seed"):
+        klm_test(W, ETA, **kwargs)
+
+
+def test_klm_takes_numpy_integers(grid):
+    W = wigner(coherent_state(grid, ETA)).W
+    report = klm_test(W, ETA, samples=np.int64(8), seed=np.uint32(3))
+    assert report.points.shape == (8, 2)
+    assert report.seed == 3
 
 
 def test_narcowich_oconnell_witness():
@@ -221,6 +270,16 @@ def test_transforms_match_normal_characteristic_function(eta, layout, count):
     fast = reduced_transform(a, points)
     assert np.max(np.abs(fast - _literal_quadrature(a, points, 1.0))) < 1e-13
     assert np.max(np.abs(fast - _normal_reduced_transform(points, mean))) < 1e-12
+
+
+def test_transform_of_a_complex_function_matches_literal_quadrature():
+    x_grid = make_grid(-10.0, 10.0, 64)
+    a = _normal_density(x_grid, dual_grid(x_grid, ETA), ETA, (0.3, -0.2))
+    xx, _ = a.meshes()
+    chirped = PhaseSpaceFunction(a.x_grid, a.p_grid, a.values * np.exp(0.7j * xx), ETA)
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(30, 2))
+    literal = _literal_quadrature(chirped, points, 1.0 / ETA) / (2.0 * np.pi * ETA)
+    assert np.max(np.abs(sigma_transform_at(chirped, points, ETA) - literal)) < 1e-14
 
 
 @pytest.mark.parametrize("eta", [ETA, 1.5 * ETA])

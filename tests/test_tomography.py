@@ -28,7 +28,7 @@ from wignerlab import (
 )
 from wignerlab.tomography import SUPPORT_RTOL
 
-from oracles import radon_dense
+from oracles import covariance_dense, radon_dense
 
 ETA = 1.0
 
@@ -228,6 +228,12 @@ def test_backprojection_recovers_covariance(grid):
     recon = inverse_radon(radon(W, angles))
     cov = covariance_matrix(recon)
     assert np.max(np.abs(cov.sigma - sigma)) < 0.03 * np.max(np.abs(sigma))
+    # the marginal and bilinear-form moments are the N x N mesh sums, also
+    # on a reconstruction with negative ripples
+    mean, dense = covariance_dense(recon)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(cov.sigma - dense)) <= 1e-13 * scale
+    assert np.max(np.abs(cov.mean - mean)) <= 1e-13 * np.sqrt(scale)
 
 
 def test_few_angles_warns(grid):
