@@ -37,8 +37,7 @@ from .grid import (  # noqa: E402
     dual_grid,
     make_grid,
 )
-from .interpolate import fourier_shift, refine  # noqa: E402
-from .transforms import eta_fourier, symplectic_fourier  # noqa: E402
+from .transforms import eta_fourier, fourier_shift, refine, symplectic_fourier  # noqa: E402
 from .wavefunctions import coherent_state, gaussian_wavepacket, hermite_state  # noqa: E402
 from .states import (  # noqa: E402
     DensityMatrix,
@@ -51,7 +50,6 @@ from .states import (  # noqa: E402
 )
 from .wigner import (  # noqa: E402
     WignerResult,
-    ambiguity,
     cross_wigner,
     marginals,
     moyal_overlap,
@@ -59,6 +57,7 @@ from .wigner import (  # noqa: E402
     wigner,
 )
 from .weyl import (  # noqa: E402
+    ambiguity,
     displace,
     expectation,
     reflect,

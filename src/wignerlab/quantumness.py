@@ -32,7 +32,6 @@ from .errors import ParameterError, ValidationError, require_memory
 from .grid import Grid, PhaseSpaceFunction, dual_grid
 from .states import OperatorMatrix, validate_density
 from .symplectic import j_matrix, symplectic_eigenvalues
-from .wavefunctions import gaussian_wavepacket
 from .weyl import weyl_quantize
 
 __all__ = [
@@ -76,50 +75,33 @@ class GaussianStateSpec:
     eta: float
 
 
-def gaussian_state(spec, grid: Grid):
+def gaussian_state(spec: GaussianStateSpec, grid: Grid) -> PhaseSpaceFunction:
     """Sample a Gaussian phase-space state on a grid.
 
-    With a :class:`GaussianStateSpec` the result is the normal density
+    The result is the normal density
     rho(z) = (2 pi)^-n (det Sigma)^(-1/2) exp(-1/2 Sigma^-1 (z-z0).(z-z0))
-    as a Wigner-kind phase-space function.  With a wavepacket parameter
-    M = X + iY (n = 1) the result is the sampled state psi_M together with
-    its closed-form Wigner (pi eta)^-1 exp(-G z.z / eta), G = S^T S.
+    as a Wigner-kind phase-space function.
     """
-    if isinstance(spec, GaussianStateSpec):
-        sigma = np.asarray(spec.sigma, dtype=float)
-        if sigma.shape != (2, 2):
-            raise ParameterError("gridded Gaussian states support n = 1 only")
-        if np.linalg.eigvalsh(sigma)[0] <= 0.0:
-            raise ValidationError("covariance matrix must be positive definite")
-        p_grid = dual_grid(grid, spec.eta)
-        xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
-        z0 = np.asarray(spec.mean, dtype=float)
-        dz = np.stack([xx - z0[0], pp - z0[1]])
-        inv = np.linalg.inv(sigma)
-        quad = (
-            inv[0, 0] * dz[0] ** 2
-            + 2.0 * inv[0, 1] * dz[0] * dz[1]
-            + inv[1, 1] * dz[1] ** 2
-        )
-        norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(sigma)))
-        values = norm * np.exp(-0.5 * quad)
-        return PhaseSpaceFunction(grid, p_grid, values, spec.eta, kind="wigner")
-    if isinstance(spec, dict):
-        m = complex(spec["m"])
-        eta = float(spec["eta"])
-        x0 = float(spec.get("x0", 0.0))
-        psi = gaussian_wavepacket(grid, eta, m, x0)
-        x_pd, y_pd = m.real, m.imag
-        G = np.array(
-            [[x_pd + y_pd**2 / x_pd, y_pd / x_pd], [y_pd / x_pd, 1.0 / x_pd]]
-        )
-        p_grid = dual_grid(grid, eta)
-        xx, pp = np.meshgrid(grid.points - x0, p_grid.points, indexing="ij")
-        quad = G[0, 0] * xx**2 + 2.0 * G[0, 1] * xx * pp + G[1, 1] * pp**2
-        closed = np.exp(-quad / eta) / (np.pi * eta)
-        W = PhaseSpaceFunction(grid, p_grid, closed, eta, kind="wigner")
-        return {"psi": psi, "wigner_closed": W, "G": G}
-    raise ParameterError(f"unsupported Gaussian spec {type(spec).__name__}")
+    if not isinstance(spec, GaussianStateSpec):
+        raise ParameterError(f"unsupported Gaussian spec {type(spec).__name__}")
+    sigma = np.asarray(spec.sigma, dtype=float)
+    if sigma.shape != (2, 2):
+        raise ParameterError("gridded Gaussian states support n = 1 only")
+    if np.linalg.eigvalsh(sigma)[0] <= 0.0:
+        raise ValidationError("covariance matrix must be positive definite")
+    p_grid = dual_grid(grid, spec.eta)
+    xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    z0 = np.asarray(spec.mean, dtype=float)
+    dz = np.stack([xx - z0[0], pp - z0[1]])
+    inv = np.linalg.inv(sigma)
+    quad = (
+        inv[0, 0] * dz[0] ** 2
+        + 2.0 * inv[0, 1] * dz[0] * dz[1]
+        + inv[1, 1] * dz[1] ** 2
+    )
+    norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(sigma)))
+    values = norm * np.exp(-0.5 * quad)
+    return PhaseSpaceFunction(grid, p_grid, values, spec.eta, kind="wigner")
 
 
 def _nonzero_eta(eta) -> float:

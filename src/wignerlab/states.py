@@ -63,9 +63,6 @@ class OperatorMatrix:
             raise ParameterError("grid mismatch between operators")
         return OperatorMatrix(self.grid, self.kernel @ other.kernel * self.dx, self.eta)
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.grid, self.kernel.conj().T, self.eta)
-
     def trace(self) -> complex:
         return complex(np.trace(self.kernel) * self.dx)
 
@@ -75,12 +72,6 @@ class OperatorMatrix:
     def hermiticity_residue(self) -> float:
         scale = float(np.max(np.abs(self.kernel))) or 1.0
         return float(np.max(np.abs(self.kernel - self.kernel.conj().T))) / scale
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the operator (Hermitian part), descending."""
-        herm = 0.5 * (self.kernel + self.kernel.conj().T)
-        vals = np.linalg.eigvalsh(herm) * self.dx
-        return vals[::-1]
 
 
 @dataclass

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import NotFreeError, ParameterError, ValidationError
 from .grid import Grid, GridFunction
-from .interpolate import refine
-from .transforms import chirp_z, eta_fourier
+from .transforms import chirp_z, eta_fourier, refine
 
 __all__ = [
     "j_matrix",

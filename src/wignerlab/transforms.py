@@ -1,4 +1,4 @@
-"""Discrete realizations of the eta-scaled Fourier transforms.
+"""Discrete Fourier sums: the eta-scaled transforms and band-limited interpolation.
 
 The continuous transforms are
 
@@ -10,23 +10,28 @@ DFTs with explicit phase factors that account for grids not starting at the
 origin; the position/momentum grids are kept mutually dual
 (dp = 2 pi eta / (N dx)) so forward and inverse transforms land back on the
 same sample points.
+
+Every grid function is treated as a periodic, band-limited signal on its
+grid, so refinement (:func:`refine`) and shifting (:func:`fourier_shift`)
+go through the DFT too, with the Nyquist bin split symmetrically so that
+real inputs stay real.  Evenly spaced output points off the dual grid are
+one :func:`chirp_z` sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, require_memory
+from .errors import ParameterError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
-from .interpolate import fourier_shift
 
 __all__ = [
     "eta_fourier",
     "symplectic_fourier",
     "oscillatory_sum",
-    "half_step_correlation",
-    "lag_transform",
     "chirp_z",
+    "refine",
+    "fourier_shift",
 ]
 
 
@@ -75,109 +80,6 @@ def oscillatory_sum(
     return np.moveaxis(spec, -1, axis)
 
 
-def require_correlation_memory(n: int):
-    """Refuse a Weyl-Wigner map at N grid points above the memory budget.
-
-    A kernel peaks at about 80 N^2 bytes: the N x N kernel and the N x 2N
-    correlation (48 N^2) with the pre-phased copy and FFT output of
-    :func:`lag_transform` (32 N^2), or the kernel and four N x N arrays of
-    its 2-D half-step shift.  Factors (U, V) build no N x N kernel and need
-    less.  The 104 N^2 counted also covers what the allocator holds beyond
-    them.  Call it before the kernel or the correlation is built.
-    """
-    require_memory(104 * n * n, f"half-step correlation at N = {n}")
-
-
-def midpoint_lag(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The midpoint row and lag column of each entry (a, b) of an N x N kernel.
-
-    Entry (a, b) has the lag s dx, s = a - b, in column s + N of the 2N
-    lags of :func:`half_step_correlation`, and the midpoint x_j for even s or
-    x_j - dx/2 for odd s, with j = (a + b + 1) >> 1 in both cases.  The map is
-    one to one.
-    """
-    a, b = np.ogrid[:n, :n]
-    return (a + b + 1) >> 1, a - b + n
-
-
-def parity_views(corr: np.ndarray) -> dict:
-    """The :func:`midpoint_lag` cells of each parity block, as views of ``corr``.
-
-    Entry (2i + a, 2k + b) of an N x N kernel sits at flat offset
-    i (2N + 2) + k (2N - 2) + c of the N x 2N table, with c = N, 3N - 1,
-    3N + 1 and 3N for (a, b) = (0, 0), (0, 1), (1, 0) and (1, 1), so the
-    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  The four
-    views cover each cell of the map once; N must be even.
-    """
-    n = corr.shape[0]
-    if n % 2:
-        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
-    flat = corr.reshape(-1)  # a view: corr is C-contiguous
-    strides = ((2 * n + 2) * corr.itemsize, (2 * n - 2) * corr.itemsize)
-    return {
-        (a, b): np.lib.stride_tricks.as_strided(
-            flat[((a + b + 1) >> 1) * 2 * n + a - b + n :], (n // 2, n // 2), strides
-        )
-        for a in (0, 1)
-        for b in (0, 1)
-    }
-
-
-def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
-    """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx.
-
-    Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
-    are on the grid for even s and half a step off it for odd s.  Even lags
-    read K itself, odd lags the band-limited interpolant of K shifted by
-    -dx/2 along both axes (the odd samples of a twofold refinement).  Each
-    kernel entry lands in its :func:`midpoint_lag` cell, one parity block
-    at a time; cells whose arguments fall off the grid stay zero.
-
-    ``kernel`` is the N x N kernel, or a pair (U, V) of N x r factors with
-    K = U V^H.  A kernel is shifted in 2-D; factors are shifted along x
-    alone, and each parity block is the (N/2 x r)(r x N/2) product of
-    their rows, so no N x N array is built.  N must be even.
-    """
-    n = grid.n
-    shift = -0.5 * grid.dx
-    corr = np.zeros((n, 2 * n), dtype=complex)
-    views = parity_views(corr)
-    if isinstance(kernel, tuple):
-        # row-major factors keep every row slice a BLAS operand; the shift is
-        # a real linear map, so it commutes with the conjugation of V
-        u, v, u_shifted, v_shifted = (
-            np.ascontiguousarray(f)
-            for f in (*kernel, *(fourier_shift(f, grid, shift, axis=0) for f in kernel))
-        )
-        for (a, b), view in views.items():
-            # odd lags (a != b) read the shifted factors
-            left, right = (u, v) if a == b else (u_shifted, v_shifted)
-            np.matmul(left[a::2], right[b::2].conj().T, out=view)
-        return corr
-    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
-    for (a, b), view in views.items():
-        view[...] = (kernel if a == b else shifted)[a::2, b::2]
-    return corr
-
-
-def lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.ndarray:
-    """Compute dx sum_m corr[..., m] exp(-i y_m p_l / eta) over 2N lags.
-
-    The lags are y_m = (m - N) dx for m = 0 .. 2N-1, with N = ``p_grid.n``,
-    and ``p_grid`` must be dual to the lag spacing (dp dx N = 2 pi eta).
-    The kernel is then N-periodic in m up to the factor exp(-i N dx p_min /
-    eta) on the upper half, so the lags fold onto the N lags (m - N) dx,
-    m < N, and one dual-grid sum finishes the job.  The fold is done in
-    place: the correlation is consumed, its upper half left holding the
-    folded lags.
-    """
-    n = p_grid.n
-    folded = corr[..., n:]
-    folded *= np.exp(-1j * n * dx * p_grid.x_min / eta)
-    folded += corr[..., :n]
-    return oscillatory_sum(folded, Grid(-n * dx, 0.0, n), p_grid, eta, -1, scale=dx)
-
-
 def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:
     """Compute sum_l values[..., l] exp(i (start + k step) l), k = 0 .. m-1.
 
@@ -200,6 +102,50 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     work = np.fft.fft(values * pre, size, axis=-1)
     work *= np.fft.fft(np.roll(chirp, 1 - n))
     return np.fft.ifft(work, axis=-1)[..., :m] * np.exp(0.5j * step * (k * k))
+
+
+def refine(values: np.ndarray, factor: int, axis: int = -1) -> np.ndarray:
+    """Zero-pad DFT interpolation onto a ``factor`` x finer grid.
+
+    The output samples the same trigonometric interpolant at spacing
+    ``dx / factor`` starting from the first input sample.
+    """
+    if factor < 1 or int(factor) != factor:
+        raise ParameterError(f"refinement factor must be a positive integer, got {factor}")
+    values = np.asarray(values, dtype=complex)
+    if factor == 1:
+        return values.copy()
+    n = values.shape[axis]
+    if n % 2:
+        raise ParameterError("refine expects an even number of samples")
+    values = np.moveaxis(values, axis, -1)
+    spec = np.fft.fft(values, axis=-1)
+    m = factor * n
+    half = n // 2
+    out = np.zeros(values.shape[:-1] + (m,), dtype=complex)
+    out[..., :half] = spec[..., :half]
+    out[..., m - half + 1 :] = spec[..., half + 1 :]
+    # split the Nyquist coefficient so real signals refine to real signals
+    out[..., half] = 0.5 * spec[..., half]
+    out[..., m - half] = 0.5 * spec[..., half]
+    fine = np.fft.ifft(out, axis=-1) * factor
+    return np.moveaxis(fine, -1, axis)
+
+
+def fourier_shift(values: np.ndarray, grid: Grid, shift: float, axis: int = -1) -> np.ndarray:
+    """Evaluate the periodic interpolant at ``x - shift`` on the same grid."""
+    values = np.asarray(values, dtype=complex)
+    values = np.moveaxis(values, axis, -1)
+    n = values.shape[-1]
+    spec = np.fft.fft(values, axis=-1)
+    ks = np.fft.fftfreq(n, d=1.0 / n)
+    phase = np.exp(-2j * np.pi * ks * shift / grid.length)
+    if n % 2 == 0:
+        # symmetric Nyquist treatment keeps real inputs real; an odd N has no
+        # Nyquist bin
+        phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
+    out = np.fft.ifft(spec * phase, axis=-1)
+    return np.moveaxis(out, -1, axis)
 
 
 def eta_fourier(psi: GridFunction, inverse: bool = False) -> GridFunction:

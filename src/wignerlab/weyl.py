@@ -1,26 +1,28 @@
-"""Weyl quantization, displacement/reflection operators and trace formulas.
+"""The Weyl correspondence: symbols, kernels, the ambiguity function and traces.
 
 The correspondence between symbols a(x, p) and kernels K(x, y) is
 
     a(x, p) = Int exp(-i p y / eta) K(x + y/2, x - y/2) dy
     K(x, y) = (2 pi eta)^(-1) Int exp(i p (x - y) / eta) a((x + y)/2, p) dp
 
-Both directions use the N x 2N table corr[r, d + N] of
-:func:`transforms.half_step_correlation`, lag d dx at midpoint x_r (x_r -
-dx/2 for odd d), through the four parity-block views of its
-:func:`transforms.midpoint_lag` cells: the symbol writes the kernel, or
-the products of its factors, into them, and the quantizer fills the table
-from p sums and reads the kernel back out of them.  Off-grid arguments
-are treated as zero (kernels and symbols are assumed negligible outside
-the grid).
+Both directions use one N x 2N table corr[r, d + N], the half-step
+correlation: lag d dx at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry
+(a, b) has its cell at row (a + b + 1) >> 1 and column a - b + N, and the
+cells of each parity block K[a::2, b::2] are one strided view of the table.
+The symbol writes the kernel, or the products of its factors, into those
+views and sums the lags against the dual p grid; the quantizer fills the
+table from p sums and reads the kernel back out of them.  The ambiguity
+function reads the same table of |psi><psi| with the lag and midpoint axes
+swapped.  Off-grid arguments are treated as zero (kernels and symbols are
+assumed negligible outside the grid).
 
 At the symbol's own eta, where its p grid is dual to the x grid, the
 quantizer's p sum is one row FFT and reconstructs the lag band
 |x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
 beyond: the N lags a dual-grid symbol holds, onto which
 :func:`weyl_symbol` folds any longer ones.  A foreign eta' runs the sum on
-p-refined rows through :func:`transforms.chirp_z`; its band stretches to
-about |x - y| < (L/2) eta' / a.eta, with no sharp edge.
+p-refined rows as one chirp-z sum; its band stretches to about
+|x - y| < (L/2) eta' / a.eta, with no sharp edge.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError, require_memory
-from .grid import GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
-from .interpolate import fourier_shift, refine
+from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, half_step_correlation, lag_transform, parity_views
-from .transforms import require_correlation_memory
+from .transforms import chirp_z, fourier_shift, oscillatory_sum, refine
 
 __all__ = [
     "displace",
     "reflect",
     "weyl_quantize",
     "weyl_symbol",
+    "ambiguity",
+    "half_step_correlation",
     "twisted_product",
     "expectation",
     "trace_from_symbol",
@@ -77,6 +79,98 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
     _leak_warning(shifted, "reflect")
     phase = np.exp(2j * p0 * (grid.points - x0) / eta)
     return GridFunction(grid, phase * shifted, eta)
+
+
+def require_correlation_memory(n: int):
+    """Refuse a Weyl-Wigner map at N grid points above the memory budget.
+
+    A kernel peaks at about 80 N^2 bytes: the N x N kernel and the N x 2N
+    correlation (48 N^2) with the pre-phased copy and FFT output of
+    :func:`_lag_transform` (32 N^2), or the kernel and four N x N arrays of
+    its 2-D half-step shift.  Factors (U, V) build no N x N kernel and need
+    less.  The 104 N^2 counted also covers what the allocator holds beyond
+    them.  Call it before the kernel or the correlation is built.
+    """
+    require_memory(104 * n * n, f"half-step correlation at N = {n}")
+
+
+def _parity_views(corr: np.ndarray) -> dict:
+    """The cells of each parity block of the kernel, as views of ``corr``.
+
+    Entry (2i + a, 2k + b) of an N x N kernel sits at flat offset
+    i (2N + 2) + k (2N - 2) + c of the N x 2N table, with c = N, 3N - 1,
+    3N + 1 and 3N for (a, b) = (0, 0), (0, 1), (1, 0) and (1, 1), so the
+    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  The four
+    views cover each cell ((a + b + 1) >> 1, a - b + N) once; N must be even.
+    """
+    n = corr.shape[0]
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    flat = corr.reshape(-1)  # a view: corr is C-contiguous
+    strides = ((2 * n + 2) * corr.itemsize, (2 * n - 2) * corr.itemsize)
+    return {
+        (a, b): np.lib.stride_tricks.as_strided(
+            flat[((a + b + 1) >> 1) * 2 * n + a - b + n :], (n // 2, n // 2), strides
+        )
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+
+
+def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
+    """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx.
+
+    Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
+    are on the grid for even s and half a step off it for odd s.  Even lags
+    read K itself, odd lags the band-limited interpolant of K shifted by
+    -dx/2 along both axes (the odd samples of a twofold refinement).  Each
+    kernel entry lands in its cell, one parity block at a time
+    (:func:`_parity_views`); cells whose arguments fall off the grid stay
+    zero.
+
+    ``kernel`` is the N x N kernel, or a pair (U, V) of N x r factors with
+    K = U V^H.  A kernel is shifted in 2-D; factors are shifted along x
+    alone, and each parity block is the (N/2 x r)(r x N/2) product of
+    their rows, so no N x N array is built.  N must be even.
+    """
+    n = grid.n
+    shift = -0.5 * grid.dx
+    corr = np.zeros((n, 2 * n), dtype=complex)
+    views = _parity_views(corr)
+    if isinstance(kernel, tuple):
+        # row-major factors keep every row slice a BLAS operand; the shift is
+        # a real linear map, so it commutes with the conjugation of V
+        u, v, u_shifted, v_shifted = (
+            np.ascontiguousarray(f)
+            for f in (*kernel, *(fourier_shift(f, grid, shift, axis=0) for f in kernel))
+        )
+        for (a, b), view in views.items():
+            # odd lags (a != b) read the shifted factors
+            left, right = (u, v) if a == b else (u_shifted, v_shifted)
+            np.matmul(left[a::2], right[b::2].conj().T, out=view)
+        return corr
+    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
+    for (a, b), view in views.items():
+        view[...] = (kernel if a == b else shifted)[a::2, b::2]
+    return corr
+
+
+def _lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.ndarray:
+    """Compute dx sum_m corr[..., m] exp(-i y_m p_l / eta) over 2N lags.
+
+    The lags are y_m = (m - N) dx for m = 0 .. 2N-1, with N = ``p_grid.n``,
+    and ``p_grid`` must be dual to the lag spacing (dp dx N = 2 pi eta).
+    The kernel is then N-periodic in m up to the factor exp(-i N dx p_min /
+    eta) on the upper half, so the lags fold onto the N lags (m - N) dx,
+    m < N, and one dual-grid sum finishes the job.  The fold is done in
+    place: the correlation is consumed, its upper half left holding the
+    folded lags.
+    """
+    n = p_grid.n
+    folded = corr[..., n:]
+    folded *= np.exp(-1j * n * dx * p_grid.x_min / eta)
+    folded += corr[..., :n]
+    return oscillatory_sum(folded, Grid(-n * dx, 0.0, n), p_grid, eta, -1, scale=dx)
 
 
 #: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
@@ -121,14 +215,14 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     of lag d dx at midpoint x_r; one half-step shift along x moves the
     odd-lag columns to their midpoints x_r - dx/2, and each parity block
     K[a::2, b::2] of the kernel is copied out of its strided view of the
-    table's :func:`transforms.midpoint_lag` cells.  The p samples are refined F
-    times (:func:`_p_oversampling`).  On the native path, where the p grid
+    table (:func:`_parity_views`).  The p samples are refined F times
+    (:func:`_p_oversampling`).  On the native path, where the p grid
     is dual to the x grid at ``eta`` (every symbol at its own eta), the
     refined sum at lag d dx is F times the length-N DFT of the unrefined row
     at d mod N for |d| < N/2, half that at |d| = N/2 and zero beyond: one
     FFT per block of rows, and the kernel holds the lag band |x - y| < L/2
-    (L the grid length).  On the foreign path one :func:`transforms.chirp_z`
-    sums the refined rows over all 2N lags; the band then stretches to about
+    (L the grid length).  On the foreign path one :func:`chirp_z` sums the
+    refined rows over all 2N lags; the band then stretches to about
     |x - y| < (L/2) eta / a.eta.
     """
     eta_use = a.eta if eta is None else float(eta)
@@ -162,7 +256,7 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     odd = slice(lo + 1, hi, 2)
     corr[:, odd] = fourier_shift(corr[:, odd], a.x_grid, 0.5 * dx, axis=0)
     kernel = np.empty((n, n), dtype=complex)
-    for (r, c), view in parity_views(corr).items():
+    for (r, c), view in _parity_views(corr).items():
         kernel[r::2, c::2] = view
     return OperatorMatrix(a.x_grid, kernel, eta_use)
 
@@ -172,7 +266,7 @@ def correlation_symbol(source, grid, eta: float) -> PhaseSpaceFunction:
     factors of the kernel U V^H, read off its half-step correlation."""
     require_correlation_memory(grid.n)
     p_grid = dual_grid(grid, eta)
-    values = lag_transform(half_step_correlation(source, grid), grid.dx, p_grid, eta)
+    values = _lag_transform(half_step_correlation(source, grid), grid.dx, p_grid, eta)
     return PhaseSpaceFunction(grid, p_grid, values, eta, kind="symbol")
 
 
@@ -186,6 +280,25 @@ def density_symbol(rho: DensityMatrix) -> PhaseSpaceFunction:
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
     """Weyl symbol of an operator kernel (inverse of :func:`weyl_quantize`)."""
     return correlation_symbol(op.kernel, op.grid, op.eta)
+
+
+def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
+    """Ambiguity (auto-correlation) function of a state,
+
+        Amb psi(x, p) = (2 pi eta)^-1 Int exp(-i p y/eta) psi(y + x/2) psi*(y - x/2) dy.
+
+    Its x axis is the lag: columns N/2 .. 3N/2 of the half-step correlation
+    of |psi><psi| hold the lags (j - N/2) dx, and the midpoints, which run
+    over the state's grid, are summed against exp(-i p y / eta).
+    """
+    grid, eta = psi.grid, psi.eta
+    n = grid.n
+    require_correlation_memory(n)
+    p_grid = dual_grid(grid, eta)
+    corr = half_step_correlation((psi.values[:, None], psi.values[:, None]), grid)
+    lags = corr[:, n // 2 : 3 * n // 2].T
+    values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
+    return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 
 def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceFunction:

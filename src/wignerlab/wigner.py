@@ -1,21 +1,16 @@
-"""Wigner, cross-Wigner and ambiguity transforms with their identities.
+"""Wigner and cross-Wigner transforms with their identities.
 
     W(psi, phi)(x, p) = (2 pi eta)^-1 Int exp(-i p y/eta)
                         psi(x + y/2) phi*(x - y/2) dy
-    Amb psi(x, p)     = (2 pi eta)^-1 Int exp(-i p y/eta)
-                        psi(y + x/2) psi*(y - x/2) dy
 
 Every one of them is a Weyl symbol over 2 pi eta: W(psi, phi) is the
-symbol of the rank-one operator |psi><phi|, the Wigner function of a state
-that of its density operator, and the ambiguity function reads the same
-half-step correlation (:func:`transforms.half_step_correlation`) with the
-lag and midpoint axes swapped.  The rank-one maps and the Wigner function
-of a mixture write that correlation from the factors of their operator,
-(psi, phi) or the weighted component states that :func:`states.mix`
-keeps: each parity block is one small matrix product of half-step shifted
-factors, and no N x N kernel is read.  A density matrix without factors
-(a tomographic reconstruction) is read through its kernel.  Samples
-outside the grid are taken as zero.
+symbol of the rank-one operator |psi><phi|, and the Wigner function of a
+state that of its density operator.  The rank-one maps and the Wigner
+function of a mixture hand the symbol the factors of their operator,
+(psi, phi) or the weighted component states of the mixture, so no N x N
+kernel is read.  A density matrix without factors (a tomographic
+reconstruction) is read through its kernel.  Samples outside the grid are
+taken as zero.
 """
 
 from __future__ import annotations
@@ -25,17 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridFunction, PhaseSpaceFunction, dual_grid
-from .interpolate import fourier_shift
+from .grid import GridFunction, PhaseSpaceFunction
 from .states import DensityMatrix, MixedStateSpec, mix
-from .transforms import half_step_correlation, oscillatory_sum, require_correlation_memory
-from .weyl import correlation_symbol, density_symbol, reflect
+from .transforms import fourier_shift
+from .weyl import correlation_symbol, density_symbol, reflect, require_correlation_memory
 
 __all__ = [
     "WignerResult",
     "wigner",
     "cross_wigner",
-    "ambiguity",
     "marginals",
     "moyal_overlap",
     "reflection_wigner_check",
@@ -87,23 +80,6 @@ def wigner(source) -> WignerResult:
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
     return WignerResult(_scaled(density_symbol(source), "wigner"))
-
-
-def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
-    """Ambiguity (auto-correlation) function of a state.
-
-    Its x axis is the lag: columns N/2 .. 3N/2 of the half-step correlation
-    of |psi><psi| hold the lags (j - N/2) dx, and the midpoints, which run
-    over the state's grid, are summed against exp(-i p y / eta).
-    """
-    grid, eta = psi.grid, psi.eta
-    n = grid.n
-    require_correlation_memory(n)
-    p_grid = dual_grid(grid, eta)
-    corr = half_step_correlation((psi.values[:, None], psi.values[:, None]), grid)
-    lags = corr[:, n // 2 : 3 * n // 2].T
-    values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
-    return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 
 def marginals(w) -> tuple[np.ndarray, np.ndarray]:

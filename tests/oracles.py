@@ -2,11 +2,12 @@
 
 Each function here is a literal, slow evaluation of a formula that the
 library computes through FFTs or chirp-z passes: dense phase matrices for the
-lag transforms, the free metaplectic operator and the Radon transform, Python
+lag transforms, the free metaplectic operator and the Radon transform, the
+midpoint-lag scatter of a kernel into the half-step correlation, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, the eigen-loop Wigner function of a density matrix, the KLM
-matrix over all M^2 point differences and the phase-space moments over
-N x N meshes.  The
+matrix over all M^2 point differences, the phase-space moments over N x N
+meshes and the closed-form Wigner function of a Gaussian wavepacket.  The
 dense interpolants check the metaplectic word steps and covariance
 identities: the 1-D, tensor and pointwise ones are direct trigonometric
 sums, the row-sheared one reuses the library's ``fourier_shift``.  Some
@@ -54,6 +55,18 @@ def _p_oversampled(values: np.ndarray, a: PhaseSpaceFunction, eta_use: float, ba
     fine = refine(values, factor, axis=1)
     p = a.p_grid.x_min + np.arange(factor * a.p_grid.n) * a.p_grid.dx / factor
     return fine, p, a.p_grid.dx / factor
+
+
+def midpoint_lag(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint row and lag column of each entry (a, b) of an N x N kernel.
+
+    Entry (a, b) has the lag s dx, s = a - b, in column s + N of the 2N
+    lags of the half-step correlation, and the midpoint x_j for even s or
+    x_j - dx/2 for odd s, with j = (a + b + 1) >> 1 in both cases.  The map is
+    one to one.
+    """
+    a, b = np.ogrid[:n, :n]
+    return (a + b + 1) >> 1, a - b + n
 
 
 def cross_wigner_dense(psi: GridFunction, phi: GridFunction) -> np.ndarray:
@@ -316,6 +329,18 @@ def covariance_dense(W: PhaseSpaceFunction):
     sxp = np.sum(dzx * dzp * values) * weight
     spp = np.sum(dzp * dzp * values) * weight
     return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]])
+
+
+def wavepacket_wigner_closed(grid, eta: float, m: complex, x0: float = 0.0) -> np.ndarray:
+    """Closed-form Wigner function of the wavepacket psi_M, M = X + iY,
+    centred at x0: (pi eta)^-1 exp(-G (z - z0).(z - z0) / eta) with
+    G = S^T S = [[X + Y^2 / X, Y / X], [Y / X, 1 / X]]."""
+    x_pd, y_pd = m.real, m.imag
+    G = np.array([[x_pd + y_pd**2 / x_pd, y_pd / x_pd], [y_pd / x_pd, 1.0 / x_pd]])
+    p_grid = dual_grid(grid, eta)
+    xx, pp = np.meshgrid(grid.points - x0, p_grid.points, indexing="ij")
+    quad = G[0, 0] * xx**2 + 2.0 * G[0, 1] * xx * pp + G[1, 1] * pp**2
+    return np.exp(-quad / eta) / (np.pi * eta)
 
 
 def _trig_sum(grid, points) -> np.ndarray:

@@ -43,3 +43,34 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert offenders == []
+
+
+def _modules():
+    return {path.stem: path for path in sorted((ROOT / "src" / "wignerlab").glob("*.py"))}
+
+
+def test_readme_lists_exactly_the_modules():
+    section = (ROOT / "README.md").read_text().split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(name for name in _modules() if name != "__init__")
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # a name in __all__ that the module only imports, or no longer has,
+    # belongs to another module or to none
+    offenders = []
+    for name, path in _modules().items():
+        tree = ast.parse(path.read_text())
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+                    elif isinstance(target, ast.Name):
+                        defined.add(target.id)
+        offenders += [f"{name}: {entry}" for entry in exported if entry not in defined]
+    assert offenders == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    Grid,
     ParameterError,
     dual_grid,
     fourier_shift,
@@ -61,6 +62,17 @@ def test_fourier_shift_fractional_gaussian():
     f = np.exp(-g.points**2)
     shifted = fourier_shift(f, g, 0.3)
     assert np.max(np.abs(shifted - np.exp(-((g.points - 0.3) ** 2)))) < 1e-12
+
+
+def test_fourier_shift_at_odd_n_matches_trig_sum():
+    # an odd N has no Nyquist bin: every bin takes the plain shift phase
+    g = Grid(0.0, 2.0 * np.pi, 15)
+    t = g.points
+    vals = np.cos(3 * t) + 0.5 * np.sin(7 * t) + 0.2
+    shifted = fourier_shift(vals, g, 0.3)
+    assert np.max(np.abs(shifted - periodic_interp(vals, g, t - 0.3))) < 1e-12
+    exact = np.cos(3 * (t - 0.3)) + 0.5 * np.sin(7 * (t - 0.3)) + 0.2
+    assert np.max(np.abs(shifted - exact)) < 1e-12
 
 
 def test_periodic_interp_matches_samples_and_offgrid():

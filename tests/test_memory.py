@@ -57,7 +57,7 @@ def recording(original):
         return original(nbytes, what)
     return require_memory
 
-for name in ("quantumness", "states", "tomography", "transforms", "weyl"):
+for name in ("quantumness", "states", "tomography", "weyl"):
     module = importlib.import_module("wignerlab." + name)
     module.require_memory = recording(module.require_memory)
 

@@ -6,9 +6,11 @@ oversampled p step is not dual to the x grid.  The fast paths are compared
 with the dense-phase and eigen-loop references in ``oracles``: the
 Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator,
 the rescale and Fourier steps of a metaplectic word, and the Radon transform.
+The symplectic Fourier transform is checked to be an involution on centered
+grids.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
-views with the :func:`midpoint_lag` scatter, and the Gram spectrum of a
+views with the ``midpoint_lag`` scatter, and the Gram spectrum of a
 mixture with the eigensolve of its kernel.  The KLM matrix, built on the
 pair differences j < k from per-sample phases, is compared with its
 construction over all M^2 differences, and the moments that
@@ -44,12 +46,14 @@ from wignerlab import (
     moyal_overlap,
     pure_density,
     radon,
+    symplectic_fourier,
     weyl_quantize,
     weyl_symbol,
     wigner,
 )
 from wignerlab.quantumness import klm_matrix
-from wignerlab.transforms import chirp_z, half_step_correlation, midpoint_lag, parity_views
+from wignerlab.transforms import chirp_z
+from wignerlab.weyl import _parity_views, half_step_correlation
 
 from oracles import (
     ambiguity_dense,
@@ -57,6 +61,7 @@ from oracles import (
     cross_wigner_dense,
     klm_matrix_dense,
     metaplectic_free_dense,
+    midpoint_lag,
     periodic_interp,
     radon_dense,
     weyl_quantize_dense,
@@ -143,7 +148,7 @@ def test_parity_views_cover_each_midpoint_lag_cell_once(grid_eta):
     n = grid_eta[0].n
     kernel = np.arange(1.0, n * n + 1.0).reshape(n, n)
     corr = np.zeros((n, 2 * n), dtype=complex)
-    for (a, b), view in parity_views(corr).items():
+    for (a, b), view in _parity_views(corr).items():
         view += kernel[a::2, b::2]
     scattered = np.zeros((n, 2 * n), dtype=complex)
     mid, lag = midpoint_lag(n)
@@ -380,6 +385,17 @@ def test_moyal_identity(n, eta, offset, seed):
     assert abs(2.0 * np.pi * eta * moyal_overlap(w, w).real - 1.0) <= 1e-7
     lhs = 2.0 * np.pi * eta * moyal_overlap(w, wigner(phi).W).real
     assert abs(lhs - abs(psi.inner(phi)) ** 2) <= 1e-7
+
+
+@given(sizes, st.floats(5.0, 12.0), etas, st.floats(-0.5, 0.5), seeds)
+def test_symplectic_fourier_is_an_involution(n, half, eta, offset, seed):
+    # the transform needs a centered grid; the states sit off its centre, so
+    # the phase ramps of the grid offsets do not cancel by symmetry.  The
+    # residual grows like N (about 3e-13 at N = 512)
+    grid = make_grid(-half, half, n)
+    rng = np.random.default_rng(seed)
+    W = wigner(_state(grid, eta, rng, center=offset * half)).W
+    assert _relative(symplectic_fourier(symplectic_fourier(W)).values, W.values) <= 1e-12
 
 
 def _normal_density(grid, eta, rng):

@@ -11,6 +11,7 @@ from wignerlab import (
     eta_scan,
     gaussian_admissible,
     gaussian_state,
+    gaussian_wavepacket,
     hermite_state,
     klm_test,
     dual_grid,
@@ -23,6 +24,8 @@ from wignerlab import (
     wigner,
 )
 from wignerlab.quantumness import _POINT_CHUNK
+
+from oracles import wavepacket_wigner_closed
 
 ETA = 1.0
 
@@ -48,9 +51,14 @@ def test_gaussian_state_closed_form(grid):
 
 
 def test_gaussian_wavepacket_matches_closed_wigner(grid):
-    out = gaussian_state({"m": 1.0 + 0.5j, "eta": ETA}, grid)
-    numeric = wigner(out["psi"]).values
-    assert np.max(np.abs(numeric - out["wigner_closed"].values)) < 1e-8
+    m = 1.0 + 0.5j
+    numeric = wigner(gaussian_wavepacket(grid, ETA, m)).values
+    assert np.max(np.abs(numeric - wavepacket_wigner_closed(grid, ETA, m))) < 1e-8
+
+
+def test_gaussian_state_takes_a_spec_only(grid):
+    with pytest.raises(ParameterError, match="unsupported Gaussian spec dict"):
+        gaussian_state({"m": 1.0 + 0.5j, "eta": ETA}, grid)
 
 
 def test_coherent_state_covariance(grid):

@@ -111,7 +111,7 @@ def test_eigenvalues_descending(grid):
     psi0 = coherent_state(grid, ETA)
     psi1 = hermite_state(grid, ETA, 1)
     rho = mix(MixedStateSpec([(0.6, psi0), (0.4, psi1)]))
-    vals = rho.op.eigenvalues()
+    vals = validate_density(rho.op).eigenvalues
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[0] == pytest.approx(0.6, abs=1e-10)
 
