@@ -124,10 +124,12 @@ def require_radon_memory(n_angles: int, n: int):
     """Refuse, via :func:`errors.require_memory`, a :func:`radon` call over budget.
 
     Its working set is the real W (8 N^2 bytes), the ray spectra and the
-    one further copy the final FFT makes (2 x 16 bytes per angle and sample)
-    and one p-axis chirp-z stage (a complex and a phased copy of W and three
-    N x 2N complex FFT arrays, 128 N^2 bytes).  The stage is counted for an
-    uncropped W, so the count bounds every support box.
+    pre-phased copy the final sum transforms in place (2 x 16 bytes per
+    angle and sample) and one p-axis chirp-z stage: its zero-padded buffer
+    of under 4/3 of 2N samples per row, the N x N stage and the phased copy
+    of it each angle sums, under 80 N^2 bytes, which the 128 N^2 counted
+    bound with room.  The stage is counted for an uncropped W, so the count
+    bounds every support box.
     """
     require_memory(
         136 * n * n + 32 * n_angles * n,

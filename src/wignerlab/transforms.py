@@ -59,9 +59,9 @@ def oscillatory_sum(
     Requires the dual-grid relation dq * dy * N = 2 pi eta; the general
     offsets y_min, q_min are absorbed into pre/post phase ramps around a
     plain FFT, and ``scale`` rides on the post phase.  No quadrature weight
-    is applied.  Besides the input, the call holds the pre-phased copy and
-    the FFT output; a caller that passes a temporary frees the input as soon
-    as it is phased.
+    is applied.  Besides the input, the call holds one array: the pre-phased
+    copy, which the FFT and the post phase then overwrite in place.  A caller
+    that passes a temporary frees the input as soon as it is phased.
     """
     if sign not in (-1, 1):
         raise ParameterError("sign must be +1 or -1")
@@ -72,12 +72,12 @@ def oscillatory_sum(
     post = scale * np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
     values = np.moveaxis(np.asarray(values, dtype=complex), axis, -1) * pre
     if sign < 0:
-        spec = np.fft.fft(values, axis=-1)
+        np.fft.fft(values, axis=-1, out=values)
     else:
-        spec = np.fft.ifft(values, axis=-1)
+        np.fft.ifft(values, axis=-1, out=values)
         post *= n
-    spec *= post
-    return np.moveaxis(spec, -1, axis)
+    values *= post
+    return np.moveaxis(values, -1, axis)
 
 
 def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:
@@ -89,8 +89,13 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     lags.  The chirps are exact integer squares times a float ``step``, so
     their absolute phase error grows like 1e-16 step (n + m)^2 / 2 and large
     indices lose phase accuracy.
+
+    Besides the input, the call holds one zero-padded buffer of ``size``
+    samples per row, which the pre-chirped input fills and the forward FFT,
+    the kernel product and the inverse FFT overwrite in place, and the fresh
+    m-sample output.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     n = values.shape[-1]
     size = min(f << (-(-(n + m - 1) // f) - 1).bit_length() for f in (1, 3, 5))
     l = np.arange(n)
@@ -99,16 +104,21 @@ def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray
     pre = np.exp(1j * (start * l + 0.5 * step * (l * l)))
     chirp = np.zeros(size, dtype=complex)
     chirp[: m + n - 1] = np.exp(-0.5j * step * (lags * lags))
-    work = np.fft.fft(values * pre, size, axis=-1)
+    work = np.zeros(values.shape[:-1] + (size,), dtype=complex)
+    np.multiply(values, pre, out=work[..., :n])
+    np.fft.fft(work, axis=-1, out=work)
     work *= np.fft.fft(np.roll(chirp, 1 - n))
-    return np.fft.ifft(work, axis=-1)[..., :m] * np.exp(0.5j * step * (k * k))
+    np.fft.ifft(work, axis=-1, out=work)
+    # a fresh array, not a view that would keep the padded buffer alive
+    return work[..., :m] * np.exp(0.5j * step * (k * k))
 
 
 def refine(values: np.ndarray, factor: int, axis: int = -1) -> np.ndarray:
     """Zero-pad DFT interpolation onto a ``factor`` x finer grid.
 
     The output samples the same trigonometric interpolant at spacing
-    ``dx / factor`` starting from the first input sample.
+    ``dx / factor`` starting from the first input sample.  The inverse FFT
+    and the factor run in place in the zero-padded spectrum.
     """
     if factor < 1 or int(factor) != factor:
         raise ParameterError(f"refinement factor must be a positive integer, got {factor}")
@@ -128,24 +138,35 @@ def refine(values: np.ndarray, factor: int, axis: int = -1) -> np.ndarray:
     # split the Nyquist coefficient so real signals refine to real signals
     out[..., half] = 0.5 * spec[..., half]
     out[..., m - half] = 0.5 * spec[..., half]
-    fine = np.fft.ifft(out, axis=-1) * factor
-    return np.moveaxis(fine, -1, axis)
-
-
-def fourier_shift(values: np.ndarray, grid: Grid, shift: float, axis: int = -1) -> np.ndarray:
-    """Evaluate the periodic interpolant at ``x - shift`` on the same grid."""
-    values = np.asarray(values, dtype=complex)
-    values = np.moveaxis(values, axis, -1)
-    n = values.shape[-1]
-    spec = np.fft.fft(values, axis=-1)
-    ks = np.fft.fftfreq(n, d=1.0 / n)
-    phase = np.exp(-2j * np.pi * ks * shift / grid.length)
-    if n % 2 == 0:
-        # symmetric Nyquist treatment keeps real inputs real; an odd N has no
-        # Nyquist bin
-        phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
-    out = np.fft.ifft(spec * phase, axis=-1)
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= factor
     return np.moveaxis(out, -1, axis)
+
+
+def fourier_shift(
+    values: np.ndarray, grid: Grid, shift: float, axis: int | tuple[int, ...] = -1
+) -> np.ndarray:
+    """Evaluate the periodic interpolant at ``x - shift`` on the same grid.
+
+    ``axis`` is one axis or a tuple of axes, shifted one after the other.
+    The first forward FFT allocates the only buffer; every later FFT, phase
+    product and inverse FFT overwrites it in place.
+    """
+    values = np.asarray(values, dtype=complex)
+    work = None
+    for ax in axis if isinstance(axis, tuple) else (axis,):
+        ax %= values.ndim
+        n = values.shape[ax]
+        work = np.fft.fft(values if work is None else work, axis=ax, out=work)
+        ks = np.fft.fftfreq(n, d=1.0 / n)
+        phase = np.exp(-2j * np.pi * ks * shift / grid.length)
+        if n % 2 == 0:
+            # symmetric Nyquist treatment keeps real inputs real; an odd N has
+            # no Nyquist bin
+            phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
+        work *= phase.reshape((n,) + (1,) * (values.ndim - 1 - ax))
+        np.fft.ifft(work, axis=ax, out=work)
+    return work
 
 
 def eta_fourier(psi: GridFunction, inverse: bool = False) -> GridFunction:

@@ -84,12 +84,12 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
 def require_correlation_memory(n: int):
     """Refuse a Weyl-Wigner map at N grid points above the memory budget.
 
-    A kernel peaks at about 80 N^2 bytes: the N x N kernel and the N x 2N
-    correlation (48 N^2) with the pre-phased copy and FFT output of
-    :func:`_lag_transform` (32 N^2), or the kernel and four N x N arrays of
-    its 2-D half-step shift.  Factors (U, V) build no N x N kernel and need
-    less.  The 104 N^2 counted also covers what the allocator holds beyond
-    them.  Call it before the kernel or the correlation is built.
+    A kernel peaks at about 64 N^2 bytes: the N x N kernel and the N x 2N
+    correlation (48 N^2) with one N x N buffer (16 N^2), first the one its
+    2-D half-step shift runs in, then the pre-phased copy that the FFT of
+    :func:`_lag_transform` overwrites.  Factors (U, V) build no N x N kernel
+    and need less.  The 104 N^2 counted also covers what the allocator holds
+    beyond them.  Call it before the kernel or the correlation is built.
     """
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
 
@@ -149,7 +149,7 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
             left, right = (u, v) if a == b else (u_shifted, v_shifted)
             np.matmul(left[a::2], right[b::2].conj().T, out=view)
         return corr
-    shifted = fourier_shift(fourier_shift(kernel, grid, shift, axis=0), grid, shift, axis=1)
+    shifted = fourier_shift(kernel, grid, shift, axis=(0, 1))
     for (a, b), view in views.items():
         view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr
@@ -185,14 +185,16 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
     past the largest separation the grid can hold, and smaller eta values
     need proportionally more of it.  :func:`errors.require_memory` refuses
-    the quantizer's working set before anything is allocated.  It counts, as
-    if they overlapped, the N x 2N correlation (2 N^2 complex), 3 N^2 for
-    the odd-column shift (spectrum, phased spectrum and output of at most
-    N x N), which bounds the kernel the parity blocks are copied into,
-    and one foreign pass of ``_ROW_CHUNK`` rows: F N_p refined samples (N_p
-    p points) and a pre-phased copy, two FFT arrays under 4/3 of the padded
-    length F N_p + 2N, and the 2N sums.  That pass bounds the native one, a
-    block's row FFT and its lag band.
+    the quantizer's working set before anything is allocated.  The working
+    set is the N x 2N correlation (2 N^2 complex), then the one buffer of
+    the odd-column shift (at most N x N) and the kernel the parity blocks
+    are copied into, and one foreign pass of ``_ROW_CHUNK`` rows: the
+    refinement's spectrum (N_p p points) and its F N_p refined samples, one
+    zero-padded chirp-z buffer under 4/3 of the padded length F N_p + 2N,
+    and the 2N sums.  That pass bounds the native one, a block's row FFT and
+    its lag band.  The count, 16 (5 N^2 + min(N, ``_ROW_CHUNK``) (5 F N_p +
+    8 N)) bytes, adds these as if they overlapped, with room for what the
+    allocator holds.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n

@@ -75,6 +75,16 @@ def test_fourier_shift_at_odd_n_matches_trig_sum():
     assert np.max(np.abs(shifted - exact)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 15])
+def test_fourier_shift_over_a_tuple_of_axes_is_the_nested_shifts(n):
+    g = Grid(-4.0, 4.0, n)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    nested = fourier_shift(fourier_shift(vals, g, 0.3, axis=0), g, 0.3, axis=1)
+    assert np.array_equal(fourier_shift(vals, g, 0.3, axis=(0, 1)), nested)
+    assert np.array_equal(fourier_shift(vals[0], g, 0.3, axis=(0,)), fourier_shift(vals[0], g, 0.3))
+
+
 def test_periodic_interp_matches_samples_and_offgrid():
     g = make_grid(-8.0, 8.0, 128)
     f = np.exp(-g.points**2).astype(complex)

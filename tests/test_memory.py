@@ -69,6 +69,10 @@ elif case == "mix":
     grid = wl.make_grid(-10.0, 10.0, 512)
     spec = wl.MixedStateSpec([(0.125, wl.hermite_state(grid, 1.0, k)) for k in range(8)])
     call = lambda: wl.mix(spec)
+elif case == "weyl_symbol":
+    # the kernel path: the N x N kernel shifted in 2-D, no factors
+    op = wl.pure_density(wl.coherent_state(wl.make_grid(-10.0, 10.0, 512), 1.0)).op
+    call = lambda: wl.weyl_symbol(op)
 else:
     n = {"radon": 128, "weyl_quantize_native": 512}.get(case, 256)
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
@@ -91,7 +95,8 @@ print(json.dumps({"counted": max(counted), "rise": rise}))
 
 
 @pytest.mark.parametrize(
-    "case", ["radon", "weyl_quantize", "weyl_quantize_native", "klm_test", "wigner", "mix"]
+    "case",
+    ["radon", "weyl_quantize", "weyl_quantize_native", "klm_test", "wigner", "mix", "weyl_symbol"],
 )
 def test_each_count_bounds_the_measured_peak(case):
     # the sizes keep each count between 16 and 64 MB

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from wignerlab import (
     coherent_state,
     dual_grid,
     eta_fourier,
+    fourier_shift,
     make_grid,
     symplectic_fourier,
     wigner,
 )
+from wignerlab.transforms import chirp_z
 
 
 @pytest.fixture
@@ -90,3 +94,31 @@ def test_symplectic_fourier_requires_centered_grid():
     f = PhaseSpaceFunction(g, gp, np.zeros((64, 64)), 1.0)
     with pytest.raises(ParameterError):
         symplectic_fourier(f)
+
+
+def _traced_peak(call):
+    """Peak bytes the call allocates beyond what exists when it starts."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chirp_z_works_in_one_padded_buffer():
+    # a foreign quantizer pass: 128 refined rows of 1024 samples, 512 sums.
+    # The padded buffer (1536 samples per row) and the output take about
+    # 4.5 MB; a pre-phased copy and separate FFT arrays took 7.7 MB
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(128, 1024)) + 1j * rng.normal(size=(128, 1024))
+    assert _traced_peak(lambda: chirp_z(rows, 512, 1e-3, -0.3)) < 5e6
+
+
+def test_two_dimensional_fourier_shift_holds_one_buffer():
+    n = 512
+    g = make_grid(-10.0, 10.0, n)
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    peak = _traced_peak(lambda: fourier_shift(vals, g, -0.5 * g.dx, axis=(0, 1)))
+    assert peak < 16 * n * n + 512 * n
