@@ -54,7 +54,8 @@ STATES = ("coherent", "hermite1", "mixed")
 
 
 class Check:
-    """One self-check of a run; ``cause``, when set, says why it failed."""
+    """One self-check of a run; ``cause``, when set, explains the outcome:
+    why the check failed, or why a residual above its tolerance passes."""
 
     def __init__(self, name, residual, tolerance, passed=None, cause=None):
         self.name = name
@@ -245,19 +246,32 @@ def _run_metaplectic(config, out_dir):
 
 
 def _run_klm(config, out_dir):
+    """The sampled KLM test of an input file, or of the eta = 1 coherent state.
+
+    An input file must show no violation.  The command's own state is
+    Gaussian with Sigma = I / 2, so :func:`gaussian_admissible` decides its
+    eta-positivity exactly, and the check passes when the KLM verdict agrees:
+    above eta = 1 a violation is expected.
+    """
     eta = config["eta"]
+    expected = "no violation found"
     if config["input"]:
         symbol = load_phase_space(config["input"])
     else:
         grid = _grid(config)
         symbol = wigner(coherent_state(grid, 1.0)).W
+        if not gaussian_admissible(0.5 * np.eye(2), eta)["admissible"]:
+            expected = "violation"
     report = klm_test(symbol, eta, samples=config["samples"], seed=config["seed"])
+    agrees = report.verdict == expected
+    cause = "violation, as expected" if agrees and not report.passed else None
     checks = [
         Check(
             "klm_min_eigenvalue",
             max(0.0, -report.min_eigenvalue),
             max(report.tolerance, 1e-30),
-            passed=report.passed,
+            passed=agrees,
+            cause=cause,
         )
     ]
     dump_json(

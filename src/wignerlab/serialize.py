@@ -46,16 +46,25 @@ __all__ = [
 
 _FLOAT_FMT = "%.17g"
 
+#: table entries formatted at once when a CSV is written: bounds the Python
+#: floats and the text held, where one ``%`` over an N = 512 phase-space
+#: table holds half a million floats and 12 MB of text
+_CSV_BLOCK = 2**14
+
 
 def _format(value: float) -> str:
     return _FLOAT_FMT % float(value)
 
 
-def _csv_rows(table: np.ndarray) -> str:
-    """One line of comma-separated ``_FLOAT_FMT`` fields per row of a 2-D
-    table, formatted by a single ``%`` over the whole table."""
+def _write_rows(handle, table: np.ndarray):
+    """Write one line of comma-separated ``_FLOAT_FMT`` fields per row of a
+    2-D table, formatted by one ``%`` per block of rows that holds at most
+    ``_CSV_BLOCK`` entries (at least one row)."""
     line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\n"
-    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+    rows = max(1, _CSV_BLOCK // table.shape[1])
+    for start in range(0, table.shape[0], rows):
+        block = table[start : start + rows]
+        handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
@@ -65,7 +74,8 @@ def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
             f"{grid.n},{_format(grid.x_min)},{_format(grid.dx)},{_format(eta)},{kind}\n"
         )
         handle.write("real,imag\n")
-        handle.write(_csv_rows(np.column_stack([flat.real, flat.imag])))
+        # the real and imaginary parts of a complex array, interleaved: a view
+        _write_rows(handle, np.ascontiguousarray(flat, dtype=complex).view(float).reshape(-1, 2))
 
 
 def _read_lines(path):
@@ -153,7 +163,7 @@ def save_tomograms(tomo: TomogramSet, path):
             f"{_format(grid.dx)},{_format(tomo.eta)}\n"
         )
         handle.write("angles," + ",".join(_format(t) for t in tomo.angles) + "\n")
-        handle.write(_csv_rows(tomo.values))
+        _write_rows(handle, tomo.values)
 
 
 def load_tomograms(path) -> TomogramSet:

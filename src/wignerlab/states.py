@@ -34,6 +34,14 @@ PSD_RTOL = 1e-10
 #: kernel transposed touches a new page at every element
 _TILE = 64
 
+#: width of the first range basis of a kernel's spectrum; it doubles until
+#: certified, and from N / 2 on the basis is the identity
+_SKETCH_RANK = 32
+
+#: a range basis is certified when its residual is at most this fraction of
+#: the PSD floor times the largest |eigenvalue|
+_CERTIFY = 0.1
+
 
 @dataclass
 class OperatorMatrix:
@@ -107,11 +115,19 @@ class MixedStateSpec:
 
 @dataclass
 class ValidationReport:
-    """What :func:`validate_density` measured; the spectrum is descending."""
+    """What :func:`validate_density` measured; the spectrum is descending.
+
+    It holds the ``rank`` eigenvalues of the operator on a range basis of
+    that many columns and N - rank exact zeros.  Each eigenvalue of the
+    Hermitian part lies within ``certificate``, the Frobenius residual of
+    the basis, of its entry (Weyl's inequality).
+    """
 
     hermiticity_residue: float
     eigenvalues: np.ndarray
     trace_diagonal: complex
+    certificate: float
+    rank: int
     violations: list = field(default_factory=list)
 
     @property
@@ -156,6 +172,54 @@ class DensityMatrix:
         return self.op.kernel
 
 
+def _sketch(n: int, r: int) -> np.ndarray:
+    """The fixed n x r sketch of a range basis: unit phases exp(2 pi i u).
+
+    u is the top 53 bits of the splitmix64 hash of the entry's index
+    k n + j, so the sketch is closed-form: the same in every run, column k
+    the same for every r, and no random generator is imported.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)[:, None] + np.arange(r, dtype=np.uint64) * np.uint64(n)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.exp(2j * np.pi * 2.0**-53 * (z >> np.uint64(11)))
+
+
+def _spectrum(herm: np.ndarray, psd_floor: float):
+    """Descending spectrum of a Hermitian N x N array from a range basis Q.
+
+    Returns (eigenvalues, certificate, rank).  Q is the orthonormal basis of
+    H Omega for the fixed sketch Omega of ``rank`` columns
+    (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011).  The eigenvalues of
+    B = Q^H H Q, padded with N - rank zeros, match those of H to within the
+    certificate ||H - Q B Q^H||_F (Weyl's inequality), which is summed over
+    blocks of ``_TILE`` columns so that no N x N temporary is made.  The
+    rank starts at ``_SKETCH_RANK`` and doubles until the certificate is at
+    most ``_CERTIFY`` psd_floor max |eigenvalue|.  From N / 2 on a sketch
+    cannot win: Q is the identity, B = H and the certificate is zero.
+    """
+    n = len(herm)
+    rank = _SKETCH_RANK
+    while rank < n // 2:
+        basis = np.linalg.qr(herm @ _sketch(n, rank))[0]
+        small = basis.conj().T @ (herm @ basis)
+        vals = np.linalg.eigvalsh(small)
+        residual = 0.0
+        for j in range(0, n, _TILE):
+            cols = slice(j, j + _TILE)
+            block = herm[:, cols] - basis @ (small @ basis[cols].conj().T)
+            residual += np.vdot(block, block).real
+        certificate = float(np.sqrt(residual))
+        if certificate <= _CERTIFY * psd_floor * float(np.max(np.abs(vals))):
+            return np.sort(np.concatenate([vals, np.zeros(n - rank)]))[::-1], certificate, rank
+        rank *= 2
+    return np.linalg.eigvalsh(herm)[::-1], 0.0, n
+
+
 def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float = PSD_RTOL):
     """Check the density-matrix axioms and return the report.
 
@@ -165,26 +229,42 @@ def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float 
     the discrepancy is surfaced as a diagnostic.
     ``psd_floor`` is the relative eigenvalue floor; reconstructions with
     known ringing pass a looser one.  With ``strict`` a failing operator
-    raises instead.  The Hermitian part H = (K + K^H)/2 is formed once: the
-    Hermiticity residue max |K - K^H| is 2 max |K - H| and the spectrum is
-    that of H.
+    raises instead.  The Hermitian part H = (K + K^H)/2 is formed once, in
+    blocks of ``_TILE`` columns: the Hermiticity residue max |K - K^H| is
+    2 max |K - H|.  The spectrum is that of H on a certified range basis
+    (:func:`_spectrum`): a numerically low-rank kernel takes a sketch of a
+    few dozen columns and one small eigensolve, and a full-rank one the
+    N x N eigensolve.  The report keeps the basis rank and its certificate,
+    which is at most a tenth of the PSD floor times the largest |eigenvalue|.
+
+    :func:`errors.require_memory` refuses the working set first: the
+    Hermitian part and at most one more N x N complex array (the
+    eigensolver's copy of H, or the sketch, H Omega, Q and H Q, each
+    N x N/4 at most), and two column blocks, 32 (N^2 + _TILE N) bytes.
     """
+    n = op.grid.n
+    require_memory(32 * (n * n + _TILE * n), f"spectrum of a kernel at N = {n}")
     kernel = op.kernel
     herm_part = np.empty_like(kernel)
-    for j in range(0, op.grid.n, _TILE):
+    scale, residue = 0.0, 0.0
+    for j in range(0, n, _TILE):
         cols = slice(j, j + _TILE)
-        np.add(kernel[cols, :].conj().T, kernel[:, cols], out=herm_part[:, cols])
-    herm_part *= 0.5
-    scale = float(np.max(np.abs(kernel))) or 1.0
-    residue = 2.0 * float(np.max(np.abs(kernel - herm_part))) / scale
-    vals = np.linalg.eigvalsh(herm_part)[::-1] * op.dx
-    return _judge(op, residue, vals, strict, psd_floor)
+        block = np.add(kernel[cols, :].conj().T, kernel[:, cols], out=herm_part[:, cols])
+        block *= 0.5
+        scale = max(scale, float(np.max(np.abs(kernel[:, cols]))))
+        residue = max(residue, float(np.max(np.abs(kernel[:, cols] - block))))
+    vals, certificate, rank = _spectrum(herm_part, psd_floor)
+    herm = 2.0 * residue / (scale or 1.0)
+    return _judge(op, herm, vals * op.dx, certificate * op.dx, rank, strict, psd_floor)
 
 
-def _judge(op: OperatorMatrix, herm: float, vals: np.ndarray, strict: bool, psd_floor: float):
+def _judge(
+    op: OperatorMatrix, herm: float, vals: np.ndarray, certificate: float, rank: int,
+    strict: bool, psd_floor: float,
+):
     """The report of an operator from its Hermiticity residue and spectrum."""
     tr_diag = op.trace()
-    report = ValidationReport(herm, vals, tr_diag)
+    report = ValidationReport(herm, vals, tr_diag, certificate, rank)
     scale = float(np.max(np.abs(vals))) or 1.0
     if herm > 1e-10:
         report.violations.append(f"hermiticity residue {herm:.3e} exceeds 1e-10")
@@ -210,18 +290,19 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     Psi stacks the r component states (r x N).  The density matrix keeps
     the factors U = Psi^T diag(w) and V = Psi^T of its kernel U V^H, from
     which the Wigner maps write their half-step correlation.  For r < N the
-    spectrum comes from the r x r Gram matrix diag(sqrt w) Psi^* Psi^T
-    diag(sqrt w) dx, whose eigenvalues are the nonzero ones of the kernel
-    times dx, padded with N - r exact zeros; the Hermiticity residue and the
-    trace are read off the kernel.  For r >= N :func:`validate_density`
-    takes the N x N eigensolve.
+    factors are the range basis of the spectrum: the r x r Gram matrix
+    diag(sqrt w) Psi^* Psi^T diag(sqrt w) dx has the nonzero eigenvalues of
+    the kernel times dx, padded with N - r exact zeros, so the report has
+    rank r and certificate 0; the Hermiticity residue and the trace are read
+    off the kernel.  For r >= N :func:`validate_density` certifies a range
+    basis of the kernel, the identity when it has full rank.
 
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the r x N stack Psi, its weighted copy and its conjugate, the
     N x N kernel, at most two more N x N complex arrays while the kernel is
     validated (for r >= N the Hermitian part and the eigensolver's copy of
-    it) and two freed ones the allocator may keep resident, that is
-    16 (5 N^2 + 3 r N) bytes.
+    it or the sketch) and two freed ones the allocator may keep resident,
+    that is 16 (5 N^2 + 3 r N) bytes.
     """
     weights, states = zip(*spec.components)
     n, r = states[0].grid.n, len(states)
@@ -237,15 +318,18 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     vals = np.zeros(n)
     vals[:r] = np.linalg.eigvalsh(gram)
     vals = np.sort(vals)[::-1]
-    report = _judge(op, op.hermiticity_residue(), vals, strict=True, psd_floor=PSD_RTOL)
+    report = _judge(op, op.hermiticity_residue(), vals, 0.0, r, strict=True, psd_floor=PSD_RTOL)
     return DensityMatrix(op, report, (u, v))
 
 
 def state_stats(rho: DensityMatrix) -> dict:
-    """Trace, purity and von Neumann entropy from the validated spectrum.
+    """Trace and von Neumann entropy from the validated spectrum, purity
+    Tr rho^2 from the Frobenius norm of the kernel.
 
-    Eigenvalues inside the noise floor [-eps, 0) are clamped to zero before
-    the entropy sum (0 ln 0 = 0); the clamped total is reported.
+    The Frobenius norm counts the whole kernel, whatever the rank of the
+    report's range basis.  Eigenvalues inside the noise floor [-eps, 0) are
+    clamped to zero before the entropy sum (0 ln 0 = 0); the clamped total
+    is reported.
     """
     vals = rho.report.eigenvalues
     scale = float(np.max(np.abs(vals))) or 1.0
@@ -257,7 +341,7 @@ def state_stats(rho: DensityMatrix) -> dict:
     positive = vals[vals > 0.0]
     return {
         "trace": float(np.sum(vals)),
-        "purity": float(np.sum(vals**2)),
+        "purity": rho.op.hs_norm_squared(),
         "entropy": float(-np.sum(positive * np.log(positive))),
         "clamped": clamped,
     }

@@ -191,13 +191,29 @@ def _raised_cosine(k: np.ndarray, cut: float, kmax: float) -> np.ndarray:
     return window
 
 
+def _cubic_cells(samples: np.ndarray):
+    """Per-cell coefficients (c3, c2, c1, c0) of the four-point Lagrange cubic.
+
+    Cell i runs from samples[i + 1] to samples[i + 2]; the cubic through
+    samples[i .. i + 3] reads ((c3 f + c2) f + c1) f + c0 at offset f in
+    [0, 1) of the cell.  There are len(samples) - 3 cells.
+    """
+    before, at, after, second = samples[:-3], samples[1:-2], samples[2:-1], samples[3:]
+    c1 = after - before / 3.0 - at / 2.0 - second / 6.0
+    c2 = (before + after) / 2.0 - at
+    c3 = (second - before) / 6.0 + (at - after) / 2.0
+    return c3, c2, c1, at
+
+
 def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     """Filtered backprojection onto the (x, p) grid of the source.
 
     Each tomogram is ramp-filtered (raised-cosine rolloff above 70% of the
     sampling band) on a 4x zero-padded window, evaluated 4x finer by one
-    inverse real FFT, and backprojected with linear interpolation onto the p
-    grid dual to its X grid.  Only points the data allows to carry mass are
+    inverse real FFT, and backprojected onto the p grid dual to its X grid
+    by a four-point Lagrange cubic read of that refined profile
+    (:func:`_cubic_cells`), whose error falls like h^4 where a linear read's
+    falls like h^2.  Only points the data allows to carry mass are
     backprojected (support theorem): at every angle, the projection
     x cos t + p sin t must lie within one cell of the outer extent of that
     tomogram's samples above SUPPORT_RTOL max |R|.  The other points are
@@ -228,7 +244,8 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     ramp = 2.0 * np.pi * np.fft.fft(h).real * dx
     ramp *= _raised_cosine(np.abs(k_fft), 0.7 * band, band)
     refine_by = 4
-    fine_x = grid.x_min + (np.arange(refine_by * pad) / refine_by - offset) * dx
+    # a point at x reads the refined profile at cell (x - start) / step
+    start, step = grid.x_min - offset * dx, dx / refine_by
     xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
     xs, ps = xx.ravel(), pp.ravel()
     # support theorem: at every angle the projection must lie within the outer
@@ -241,7 +258,7 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     for row, theta in enumerate(tomo.angles):
         coords = xs[inside] * np.cos(theta) + ps[inside] * np.sin(theta)
         inside = inside[(coords >= lo[row]) & (coords <= hi[row])]
-    xs, ps = xs[inside], ps[inside]
+    xs, ps = xs[inside] / step, ps[inside] / step
     summed = np.zeros(inside.size)
     for row, theta in enumerate(tomo.angles):
         profile = np.zeros(pad)
@@ -250,8 +267,21 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
         # spectrum zero-pads onto the finer grid without a Nyquist split
         spectrum = np.fft.rfft(profile) * ramp[: pad // 2 + 1]
         fine = refine_by * np.fft.irfft(spectrum, refine_by * pad)
-        coords = xs * np.cos(theta) + ps * np.sin(theta)
-        summed += np.interp(coords, fine_x, fine, left=0.0, right=0.0)
+        # the mask keeps the points of this angle in [lo, hi], far inside the
+        # padded window: only those cells, with one to spare on each side for
+        # round-off, get coefficients
+        first = int((lo[row] - start) / step) - 1
+        last = int((hi[row] - start) / step) + 1
+        c3, c2, c1, c0 = _cubic_cells(fine[first - 1 : last + 3])
+        cells = xs * np.cos(theta) + ps * np.sin(theta)
+        cells -= start / step + first
+        cell = cells.astype(np.intp)
+        cells -= cell  # the offset f in [0, 1) within each cell
+        read = c3[cell]
+        for coefficient in (c2, c1, c0):
+            read *= cells
+            read += coefficient[cell]
+        summed += read
     out = np.zeros((n, p_grid.n))
     out.flat[inside] = summed * np.pi / n_angles / (2.0 * np.pi)
     return PhaseSpaceFunction(grid, p_grid, out, tomo.eta, kind="wigner")

@@ -59,13 +59,36 @@ def test_eta_scan_experiment_passes(tmp_path):
     ]
 
 
-def test_klm_failure_exit_code(tmp_path, capsys):
-    # a coherent-state distribution is not admissible at larger eta
-    code = main(["klm", "--N", "128", "--eta", "1.5", "--out", str(tmp_path)])
+def test_klm_input_violation_exit_code(tmp_path, capsys):
+    # an input file must show no violation: a coherent state at eta = 1 read
+    # at eta = 1.5 fails the command's check
+    half = 0.5 * np.sqrt(2.0 * np.pi * 128)
+    path = tmp_path / "input.csv"
+    save_phase_space(wigner(coherent_state(make_grid(-half, half, 128), ETA)).W, path)
+    code = main(["klm", "--input", str(path), "--eta", "1.5", "--out", str(tmp_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
     report = json.loads((tmp_path / "klm_report.json").read_text())
     assert report["verdict"] == "violation"
+
+
+@pytest.mark.parametrize("eta", [1.5, 3.0])
+def test_klm_expected_violation_passes(tmp_path, capsys, eta):
+    # the command's own eta = 1 coherent state is not eta-positive above
+    # eta = 1 (Gaussian closed form), so the KLM violation is the expected verdict
+    code = main(["klm", "--N", "128", "--eta", str(eta), "--out", str(tmp_path)])
+    assert code == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("PASS klm_min_eigenvalue:")
+    assert line.endswith(": violation, as expected")
+    report = json.loads((tmp_path / "klm_report.json").read_text())
+    assert report["verdict"] == "violation"
+    assert sorted(report) == [
+        "continuity_residual", "hessian_min_eigenvalue", "min_eigenvalue", "points",
+        "schema", "seed", "verdict",
+    ]
+    (check,) = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert check["passed"] and check["residual"] > check["tolerance"]
 
 
 def test_klm_reads_input_file(tmp_path):
@@ -220,15 +243,22 @@ def test_pauli_experiment_passes(tmp_path):
     assert main(["pauli", "--N", "128", "--out", str(tmp_path)]) == 0
 
 
+def test_tomography_at_n64_passes(tmp_path):
+    # the cubic read of the backprojection keeps the minimum eigenvalue near
+    # -3e-6, inside the 1e-4 PSD floor
+    assert main(["tomography", "--N", "64", "--out", str(tmp_path)]) == 0
+
+
 def test_tomography_names_why_fidelity_failed(tmp_path, capsys):
-    # at N = 64 the backprojection's minimum eigenvalue, -1.65e-4, is below
-    # the PSD floor 1e-4: no density is returned and the fidelity check says so
-    assert main(["tomography", "--N", "64", "--out", str(tmp_path)]) == 1
+    # at N = 32 the Wigner function itself is under-resolved: the
+    # reconstruction's minimum eigenvalue, -5.3e-3, is below the PSD floor
+    # 1e-4, so no density is returned and the fidelity check says so
+    assert main(["tomography", "--N", "32", "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("PASS reconstruction_l2:") and lines[0].endswith(")")
     assert re.fullmatch(
         r"FAIL fidelity: residual 1\.000e\+00 \(tol 2\.000e-02\): "
-        r"minimum eigenvalue -1\.65\de-04 below the PSD floor",
+        r"minimum eigenvalue -5\.3\d\de-03 below the PSD floor",
         lines[1],
     )
     l2, fidelity = json.loads((tmp_path / "summary.json").read_text())["checks"]

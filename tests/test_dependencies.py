@@ -22,6 +22,23 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_validation_imports_no_random_generator():
+    # the range basis of a kernel's spectrum is sketched in closed form:
+    # importing numpy.random would cost the CLI several MB and milliseconds
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, numpy as np, wignerlab as wl; "
+        "W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, 128), 1.0)); "
+        "wl.eta_scan(W.W, [0.5, 1.0, 1.5]); "
+        "wl.reconstruct_density(wl.radon(W, np.linspace(0.0, np.pi, 90, endpoint=False)), 1.0); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -11,7 +11,11 @@ grids.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
 views with the ``midpoint_lag`` scatter, and the Gram spectrum of a
-mixture with the eigensolve of its kernel.  The KLM matrix, built on the
+mixture with the eigensolve of its kernel.  The range-basis spectrum of a
+kernel (mixtures, foreign-eta quantizations and filtered backprojections)
+is compared with the N x N eigensolve, within the certificate it reports,
+and the backprojection of Gaussian states with their exact Wigner
+function.  The KLM matrix, built on the
 pair differences j < k from per-sample phases, is compared with its
 construction over all M^2 differences, and the moments that
 ``covariance_matrix`` reads off the marginals with the N x N mesh sums.
@@ -44,9 +48,12 @@ from wignerlab import (
     metaplectic_apply,
     mix,
     moyal_overlap,
+    inverse_radon,
     pure_density,
     radon,
+    reconstruct_density,
     symplectic_fourier,
+    validate_density,
     weyl_quantize,
     weyl_symbol,
     wigner,
@@ -181,6 +188,82 @@ def test_mixture_of_more_states_than_points_takes_the_kernel_eigensolve():
     rho = mix(MixedStateSpec([(1.0 / 20, psi) for psi in states]))
     assert len(rho.report.eigenvalues) == grid.n
     _assert_gram_spectrum(rho)
+
+
+def _assert_within_certificate(op, psd_floor):
+    """The report's padded spectrum against the N x N eigensolve: by Weyl's
+    inequality every eigenvalue lies within the certificate (plus the
+    eigensolvers' round-off), and the certificate is below a tenth of the
+    PSD floor."""
+    report = validate_density(op, psd_floor=psd_floor)
+    herm = 0.5 * (op.kernel + op.kernel.conj().T)
+    dense = np.linalg.eigvalsh(herm)[::-1] * op.dx
+    scale = np.max(np.abs(dense))
+    assert report.certificate <= 0.1 * psd_floor * np.max(np.abs(report.eigenvalues))
+    assert np.max(np.abs(report.eigenvalues - dense)) <= report.certificate + 1e-14 * scale
+    assert (report.certificate == 0.0) == (report.rank == op.grid.n)
+    return report
+
+
+@given(grids(), st.integers(1, 8), seeds)
+def test_range_spectrum_of_a_mixture_kernel_is_certified(grid_eta, components, seed):
+    # the kernel alone, without the factors mix keeps
+    grid, eta = grid_eta
+    rng = np.random.default_rng(seed)
+    states = [_state(grid, eta, rng) for _ in range(components)]
+    weights = rng.dirichlet(np.ones(components))
+    rho = mix(MixedStateSpec(list(zip(weights, states))))
+    report = _assert_within_certificate(OperatorMatrix(grid, rho.kernel, eta), 1e-10)
+    # a rank of at most 8 is certified by the first sketch once one is tried
+    assert report.rank == (32 if grid.n >= 128 else grid.n)
+
+
+@given(grids(), st.floats(0.3, 3.0), seeds)
+def test_range_spectrum_of_a_foreign_eta_quantization_is_certified(grid_eta, other, seed):
+    # rho = (2 pi eta') Op_eta'(W), as eta_scan validates it
+    grid, eta = grid_eta
+    W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
+    op = weyl_quantize(W, eta=other)
+    _assert_within_certificate(OperatorMatrix(grid, 2.0 * np.pi * other * op.kernel, other), 1e-8)
+
+
+def test_full_rank_kernel_takes_the_identity_basis(monkeypatch):
+    # no sketch certifies a full-rank kernel: the rank doubles from 32 to 64,
+    # and at N / 2 the basis is the identity, with the N x N eigensolve
+    grid = make_grid(-10.0, 10.0, 256)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    kernel = a @ a.conj().T + 256.0 * np.eye(256)
+    kernel /= np.trace(kernel).real * grid.dx
+    widths = []
+    qr = np.linalg.qr
+
+    def recording(matrix, *args, **kwargs):
+        widths.append(matrix.shape[1])
+        return qr(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    report = _assert_within_certificate(OperatorMatrix(grid, kernel, 1.0), 1e-10)
+    assert report.ok and report.rank == 256 and report.certificate == 0.0
+    assert widths == [32, 64]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([64, 128, 256, 512]), st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
+@example(64, 0.0, 0.0)
+def test_backprojection_of_gaussian_states_converges_at_fourth_order(n, x0, p0):
+    # the cubic read of the refined profile: L2 error 1.1e-5 (64 / N)^4 and
+    # minimum eigenvalue -4.6e-6 (64 / N)^4 over centres in [-2.5, 2.5]^2
+    grid = make_grid(-10.0, 10.0, n)
+    w = wigner(coherent_state(grid, 1.0, x0, p0))
+    tomo = radon(w, np.linspace(0.0, np.pi, 180, endpoint=False))
+    truth = w.values.real
+    recon = inverse_radon(tomo).values.real
+    order = (64.0 / n) ** 4
+    assert np.sqrt(np.sum((recon - truth) ** 2) / np.sum(truth**2)) <= 2e-5 * order
+    density, info = reconstruct_density(tomo, 1.0)
+    assert density is not None and info["min_eigenvalue"] >= -1e-5 * order
+    _assert_within_certificate(density.op, 1e-4)
 
 
 def test_half_step_correlation_refuses_an_odd_grid():

@@ -9,12 +9,16 @@ from wignerlab import (
     ParameterError,
     ValidationError,
     coherent_state,
+    eta_scan,
     hermite_state,
     make_grid,
     mix,
     pure_density,
+    radon,
+    reconstruct_density,
     state_stats,
     validate_density,
+    wigner,
 )
 
 from oracles import spectral_decompose
@@ -133,3 +137,32 @@ def test_state_stats_reads_the_spectrum_mix_validated(grid, monkeypatch):
     report = rho.report
     assert report.min_eigenvalue == report.eigenvalues[-1]
     assert stats["purity"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_mix_reports_its_factors_as_the_range_basis(grid):
+    # rank r and certificate 0; the purity is the kernel's Frobenius norm
+    psi0, psi2 = coherent_state(grid, ETA), hermite_state(grid, ETA, 2)
+    rho = mix(MixedStateSpec([(0.7, psi0), (0.3, psi2)]))
+    assert rho.report.rank == 2 and rho.report.certificate == 0.0
+    assert state_stats(rho)["purity"] == pytest.approx(0.7**2 + 0.3**2, abs=1e-12)
+
+
+def test_eta_scan_and_reconstruction_take_no_n_by_n_eigensolve(monkeypatch):
+    # both validate numerically low-rank kernels: a sketch of 32 columns
+    # certifies them, and the only eigensolves are of 32 x 32 projections
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix, *args, **kwargs):
+        solves.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    assert eta_scan(W, [0.5, 1.0, 1.5]).verdicts() == ["mixed", "pure", "inadmissible"]
+    assert solves == [(32, 32)] * 3
+    solves.clear()
+    w = wigner(coherent_state(make_grid(-10.0, 10.0, 512), ETA))
+    density, _ = reconstruct_density(radon(w, np.linspace(0.0, np.pi, 180, endpoint=False)), ETA)
+    assert density is not None and density.report.rank == 32
+    assert solves == [(32, 32)]
