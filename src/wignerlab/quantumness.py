@@ -87,8 +87,7 @@ def gaussian_state(spec: GaussianStateSpec, grid: Grid) -> PhaseSpaceFunction:
     sigma = np.asarray(spec.sigma, dtype=float)
     if sigma.shape != (2, 2):
         raise ParameterError("gridded Gaussian states support n = 1 only")
-    if np.linalg.eigvalsh(sigma)[0] <= 0.0:
-        raise ValidationError("covariance matrix must be positive definite")
+    symplectic_eigenvalues(sigma)  # refuses a covariance that is not positive definite
     p_grid = dual_grid(grid, spec.eta)
     xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
     z0 = np.asarray(spec.mean, dtype=float)
@@ -149,6 +148,8 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
 
     Both equivalent forms are computed and must agree:
     |eta| <= 2 lambda_min  and  Sigma + i eta J / 2 >= 0.
+    Positivity and lambda_min come from :func:`symplectic_eigenvalues`; the
+    matrix form takes its own eigensolve, so the two stay independent.
     Also reports the (weaker) per-mode Robertson-Schrodinger checks.
     Zero and non-finite eta are refused.
     """
@@ -156,29 +157,28 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
     scale = max(1.0, float(np.max(np.abs(sigma))))
-    symmetric = np.max(np.abs(sigma - sigma.T)) <= 1e-10 * scale
-    positive = symmetric and np.linalg.eigvalsh(0.5 * (sigma + sigma.T))[0] > 0.0
+    try:
+        lam_min = float(symplectic_eigenvalues(sigma)[0])
+    except ValidationError:
+        lam_min = None
     matrix = 0.5 * (sigma + sigma.T) + 0.5j * abs(eta) * j_matrix(n)
     matrix_min = float(np.linalg.eigvalsh(matrix)[0])
     matrix_ok = matrix_min >= -1e-10 * scale
     out = {
-        "positive_definite": bool(positive),
+        "positive_definite": lam_min is not None,
         "matrix_min_eigenvalue": matrix_min,
         "rs_checks": robertson_schrodinger_checks(sigma, eta),
+        "lambda_min": lam_min,
+        "admissible": False,
     }
-    if positive:
-        lam_min = float(symplectic_eigenvalues(0.5 * (sigma + sigma.T))[0])
+    if lam_min is not None:
         lam_ok = abs(eta) <= 2.0 * lam_min + 1e-9 * scale
         if lam_ok != matrix_ok:
             raise ValidationError(
                 "admissibility criteria disagree: "
                 f"2 lambda_min = {2 * lam_min}, matrix min eig = {matrix_min}"
             )
-        out["lambda_min"] = lam_min
-        out["admissible"] = bool(lam_ok)
-    else:
-        out["lambda_min"] = None
-        out["admissible"] = False
+        out["admissible"] = lam_ok
     return out
 
 

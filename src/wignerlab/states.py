@@ -327,15 +327,14 @@ def state_stats(rho: DensityMatrix) -> dict:
     Tr rho^2 from the Frobenius norm of the kernel.
 
     The Frobenius norm counts the whole kernel, whatever the rank of the
-    report's range basis.  Eigenvalues inside the noise floor [-eps, 0) are
-    clamped to zero before the entropy sum (0 ln 0 = 0); the clamped total
-    is reported.
+    report's range basis.  The verdict is the report's, taken at the PSD
+    floor the density was validated at: a report with violations raises
+    them.  Negative eigenvalues the report allowed are clamped to zero
+    before the entropy sum (0 ln 0 = 0); the clamped total is reported.
     """
+    if not rho.report.ok:
+        raise ValidationError("; ".join(rho.report.violations))
     vals = rho.report.eigenvalues
-    scale = float(np.max(np.abs(vals))) or 1.0
-    floor = -PSD_RTOL * scale
-    if vals[-1] < floor:
-        raise ValidationError(f"eigenvalue {vals[-1]:.3e} below the PSD floor")
     clamped = float(-np.sum(vals[vals < 0.0]))
     vals = np.clip(vals, 0.0, None)
     positive = vals[vals > 0.0]

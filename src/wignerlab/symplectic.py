@@ -114,45 +114,34 @@ def fourier_matrix(n: int = 1) -> np.ndarray:
     return j_matrix(n)
 
 
-def _check_pd(sigma: np.ndarray) -> np.ndarray:
+def _symplectic_spectrum(sigma: np.ndarray):
+    """Symplectic eigenvalues of Sigma, ascending, with their frame: two eigh.
+
+    Sigma must be finite, symmetric and positive definite.  The eigh of
+    Sigma decides positive definiteness and gives the root M = Sigma^(1/2).
+    The Hermitian i W, W = Sigma^(-1/2) J Sigma^(-1/2), has eigenvalues
+    +-1 / lambda_j; returns (lambda, V, M), V the eigenvectors of the
+    positive half, ordered with lambda.
+    """
     sigma = np.asarray(sigma, dtype=float)
     n = _dimension(sigma)
     if not np.all(np.isfinite(sigma)):
         raise ValidationError("covariance matrix must be finite")
     if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
         raise ValidationError("covariance matrix must be symmetric")
-    if np.linalg.eigvalsh(sigma)[0] <= 0.0:
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    if vals[0] <= 0.0:
         raise ValidationError("covariance matrix must be positive definite")
-    return 0.5 * (sigma + sigma.T), n
-
-
-def _spd_roots(sigma: np.ndarray):
-    """Sigma^(1/2) and Sigma^(-1/2) of a positive definite matrix, from one eigh."""
-    vals, vecs = np.linalg.eigh(sigma)
-    return [(vecs * vals**power) @ vecs.T for power in (0.5, -0.5)]
+    M, Minv = [(vecs * vals**power) @ vecs.T for power in (0.5, -0.5)]
+    kappa, V = np.linalg.eigh(1j * Minv @ j_matrix(n) @ Minv)
+    # positive half, largest kappa first, so lambda = 1 / kappa ascends
+    return 1.0 / kappa[n:][::-1], V[:, n:][:, ::-1], M
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Moduli of the +-i lambda_j eigenvalue pairs of J Sigma, ascending.
-
-    Cross-checked internally against the Hermitian route through
-    sqrt(Sigma) J sqrt(Sigma).
-    """
-    sigma, n = _check_pd(sigma)
-    J = j_matrix(n)
-    vals = np.linalg.eigvals(J @ sigma)
-    if np.max(np.abs(vals.real)) > 1e-9 * np.max(np.abs(vals)):
-        raise ValidationError("eigenvalues of J Sigma are not purely imaginary")
-    lams = np.sort(np.abs(vals.imag))
-    paired = lams.reshape(n, 2)
-    if np.max(np.abs(paired[:, 0] - paired[:, 1])) > 1e-9 * max(1.0, lams[-1]):
-        raise ValidationError("eigenvalues of J Sigma do not pair as +-i lambda")
-    out = paired[:, 0]
-    root, _ = _spd_roots(sigma)
-    check = np.sort(np.abs(np.linalg.eigvalsh(1j * root @ J @ root)))
-    if np.max(np.abs(np.repeat(out, 2) - check)) > 1e-9 * max(1.0, lams[-1]):
-        raise ValidationError("symplectic eigenvalue cross-check failed")
-    return out
+    """Williamson's lambda_j of a positive definite Sigma, ascending: the
+    moduli of the +-i lambda_j eigenvalue pairs of J Sigma."""
+    return _symplectic_spectrum(sigma)[0]
 
 
 @dataclass
@@ -168,26 +157,17 @@ class WilliamsonData:
 
 
 def williamson(sigma: np.ndarray) -> WilliamsonData:
-    """Williamson normal form of a positive definite matrix.
+    """Williamson normal form of a positive definite matrix, for every n.
 
-    n = 1 uses the closed-form triangular factor; general n takes one eigh
-    of the Hermitian i W, W = Sigma^(-1/2) J Sigma^(-1/2), whose positive
-    eigenvalues are 1 / lambda_j.
+    Each eigenvector v_j of :func:`_symplectic_spectrum` is phased so that
+    (M v_j)_j = i |(M v_j)_j|, which makes S[n + j, j] = 0 < S[j, j]; at
+    n = 1 that is the upper-triangular factor.
     """
-    sigma, n = _check_pd(sigma)
-    if n == 1:
-        a, b, c = sigma[0, 0], sigma[0, 1], sigma[1, 1]
-        d = np.sqrt(a * c - b * b)
-        S = np.array(
-            [[np.sqrt(a / d), b / np.sqrt(a * d)], [0.0, np.sqrt(d / a)]]
-        )
-        return WilliamsonData(S, np.array([d]))
-    M, Minv = _spd_roots(sigma)
-    kappa, V = np.linalg.eigh(1j * Minv @ j_matrix(n) @ Minv)
-    # positive half, largest kappa first, so lambda = 1 / kappa ascends
-    lam, V = 1.0 / kappa[n:][::-1], V[:, n:][:, ::-1]
-    if np.min(np.diff(lam)) < 1e-12:
+    lam, V, M = _symplectic_spectrum(sigma)
+    n = len(lam)
+    if np.any(np.diff(lam) < 1e-12):
         warnings.warn("near-degenerate symplectic eigenvalues; factor may be ill-conditioned")
+    V = V * np.exp(1j * (0.5 * np.pi - np.angle(np.diagonal(M[:n] @ V))))
     # W (Im v, Re v) = kappa (-Re v, Im v), so sqrt(2) (Im v, Re v) spans the 2-plane
     Q = np.sqrt(2.0) * np.hstack([V.imag, V.real])
     S = (M @ Q / np.sqrt(np.concatenate([lam, lam]))).T
@@ -221,7 +201,10 @@ def free_generating_function(S: np.ndarray) -> GeneratingFunction:
     S = require_symplectic(S)
     A, B, C, D = blocks(S)
     if abs(np.linalg.det(B)) < 1e-12:
-        raise NotFreeError("upper-right block B is singular; matrix is not free")
+        raise NotFreeError(
+            "upper-right block B is singular, so the matrix is not free; compose two "
+            "free factors (e.g. S = (S J) J^-1) and supply a generator word instead"
+        )
     Binv = np.linalg.inv(B)
     P, Q, R = D @ Binv, Binv, Binv @ A
     if max(np.max(np.abs(P - P.T)), np.max(np.abs(R - R.T))) > 1e-10:
@@ -244,14 +227,8 @@ class MetaplecticSpec:
 
     @classmethod
     def free(cls, S: np.ndarray) -> "MetaplecticSpec":
-        S = require_symplectic(S)
-        _, B, _, _ = blocks(S)
-        if abs(np.linalg.det(B)) < 1e-12:
-            raise NotFreeError(
-                "matrix is not free; compose two free factors (e.g. S = (S J) J^-1) "
-                "and supply a generator word instead"
-            )
-        return cls(matrix=S)
+        free_generating_function(S)
+        return cls(matrix=np.asarray(S, dtype=float))
 
     @classmethod
     def from_word(cls, word: list) -> "MetaplecticSpec":
@@ -352,7 +329,7 @@ def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
     steps in sequence.
     """
     if spec.word is None:
-        matrices = [require_symplectic(spec.matrix)]
+        matrices = [np.asarray(spec.matrix, dtype=float)]
     else:
         matrices = [_step(step)[0](*step[1:]) for step in spec.word]
     if any(M.shape != (2, 2) for M in matrices):

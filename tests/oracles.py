@@ -7,7 +7,8 @@ midpoint-lag scatter of a kernel into the half-step correlation, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, the eigen-loop Wigner function of a density matrix, the KLM
 matrix over all M^2 point differences, the phase-space moments over N x N
-meshes and the closed-form Wigner function of a Gaussian wavepacket.  The
+meshes, the closed-form Wigner function of a Gaussian wavepacket and the
+symplectic spectrum from the general eigensolver of J Sigma.  The
 dense interpolants check the metaplectic word steps and covariance
 identities: the 1-D, tensor and pointwise ones are direct trigonometric
 sums, the row-sheared one reuses the library's ``fourier_shift``.  Some
@@ -33,6 +34,7 @@ from wignerlab import (
     dual_grid,
     fourier_shift,
     free_generating_function,
+    j_matrix,
     refine,
     symplectic_fourier,
 )
@@ -329,6 +331,19 @@ def covariance_dense(W: PhaseSpaceFunction):
     sxp = np.sum(dzx * dzp * values) * weight
     spp = np.sum(dzp * dzp * values) * weight
     return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]])
+
+
+def symplectic_eigenvalues_dense(sigma: np.ndarray) -> np.ndarray:
+    """Williamson's lambda_j, ascending, as the moduli of the +-i lambda_j
+    eigenvalue pairs of J Sigma from the general (non-Hermitian) eigensolver."""
+    n = len(sigma) // 2
+    vals = np.linalg.eigvals(j_matrix(n) @ sigma)
+    if np.max(np.abs(vals.real)) > 1e-9 * np.max(np.abs(vals)):
+        raise ValidationError("eigenvalues of J Sigma are not purely imaginary")
+    paired = np.sort(np.abs(vals.imag)).reshape(n, 2)
+    if np.max(np.abs(paired[:, 0] - paired[:, 1])) > 1e-9 * paired[-1, 1]:
+        raise ValidationError("eigenvalues of J Sigma do not pair as +-i lambda")
+    return paired[:, 0]
 
 
 def wavepacket_wigner_closed(grid, eta: float, m: complex, x0: float = 0.0) -> np.ndarray:

@@ -19,6 +19,10 @@ function.  The KLM matrix, built on the
 pair differences j < k from per-sample phases, is compared with its
 construction over all M^2 differences, and the moments that
 ``covariance_matrix`` reads off the marginals with the N x N mesh sums.
+The symplectic spectrum that ``symplectic_eigenvalues``, ``williamson``
+and ``gaussian_admissible`` share is compared with the general eigensolver
+of J Sigma over random covariances of n = 1 to 3 modes, condition numbers
+up to 1e6 and scales from 1e-3 to 1e3.
 """
 
 import numpy as np
@@ -43,6 +47,8 @@ from wignerlab import (
     cross_wigner,
     dual_grid,
     eta_fourier,
+    gaussian_admissible,
+    is_symplectic,
     klm_test,
     make_grid,
     metaplectic_apply,
@@ -52,11 +58,13 @@ from wignerlab import (
     pure_density,
     radon,
     reconstruct_density,
+    symplectic_eigenvalues,
     symplectic_fourier,
     validate_density,
     weyl_quantize,
     weyl_symbol,
     wigner,
+    williamson,
 )
 from wignerlab.quantumness import klm_matrix
 from wignerlab.transforms import chirp_z
@@ -71,6 +79,7 @@ from oracles import (
     midpoint_lag,
     periodic_interp,
     radon_dense,
+    symplectic_eigenvalues_dense,
     weyl_quantize_dense,
     weyl_symbol_dense,
     wigner_density_eigen,
@@ -528,3 +537,26 @@ def _assert_moments_match(W):
 def test_covariance_matches_mesh_sums(grid_eta, seed):
     grid, eta = grid_eta
     _assert_moments_match(_normal_density(grid, eta, np.random.default_rng(seed)))
+
+
+@pytest.mark.filterwarnings("ignore:near-degenerate")
+@given(st.sampled_from([1, 2, 3]), st.floats(0.0, 6.0), st.floats(-3.0, 3.0), seeds)
+@example(1, 6.0, -3.0, 0)
+@example(2, 6.0, 3.0, 1)
+@example(3, 6.0, 0.0, 2)
+def test_symplectic_spectrum_matches_the_general_eigensolver(n, log_cond, log_scale, seed):
+    # Sigma = scale O diag(d) O^T, O a random rotation, d from 1 down to 10^-log_cond
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))[0]
+    spread = np.concatenate([[0.0, 1.0], rng.uniform(size=2 * n - 2)])
+    sigma = 10.0**log_scale * (rotation * 10.0 ** (-log_cond * spread)) @ rotation.T
+    dense = symplectic_eigenvalues_dense(sigma)
+    bound = 1e-10 * dense[-1]
+    assert np.max(np.abs(symplectic_eigenvalues(sigma) - dense)) <= bound
+    data = williamson(sigma)
+    assert np.max(np.abs(data.eigenvalues - dense)) <= bound
+    # eta = lambda_min lies inside the admissible region of both criteria
+    verdict = gaussian_admissible(sigma, dense[0])
+    assert verdict["admissible"] and abs(verdict["lambda_min"] - dense[0]) <= bound
+    assert np.max(np.abs(data.S.T @ data.D @ data.S - sigma)) <= 1e-8 * np.max(np.abs(sigma))
+    assert is_symplectic(data.S)[1] <= 1e-9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    DensityMatrix,
     GridFunction,
     MixedStateSpec,
     NormalizationError,
@@ -137,6 +138,24 @@ def test_state_stats_reads_the_spectrum_mix_validated(grid, monkeypatch):
     report = rho.report
     assert report.min_eigenvalue == report.eigenvalues[-1]
     assert stats["purity"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_state_stats_takes_the_floor_the_density_was_validated_at():
+    # the backprojected density passes its 1e-4 floor with eigenvalues far
+    # below -1e-10 max; the stats clamp them, as the report allowed
+    w = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA))
+    density, _ = reconstruct_density(radon(w, np.linspace(0.0, np.pi, 180, endpoint=False)), ETA)
+    assert density.report.ok and density.report.min_eigenvalue < -1e-10
+    stats = state_stats(density)
+    assert stats["clamped"] == pytest.approx(-np.sum(density.report.eigenvalues.clip(None, 0.0)))
+    assert stats["trace"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_state_stats_raises_the_violations_of_its_report(grid):
+    op = OperatorMatrix(grid, 2.0 * pure_density(coherent_state(grid, ETA)).kernel, ETA)
+    report = validate_density(op)
+    with pytest.raises(ValidationError, match="trace"):
+        state_stats(DensityMatrix(op, report))
 
 
 def test_mix_reports_its_factors_as_the_range_basis(grid):

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wignerlab
 from wignerlab import (
     GeneratingFunction,
     GridFunction,
@@ -13,6 +17,7 @@ from wignerlab import (
     coherent_state,
     fourier_matrix,
     free_generating_function,
+    gaussian_admissible,
     hermite_state,
     is_symplectic,
     j_matrix,
@@ -25,7 +30,7 @@ from wignerlab import (
     williamson,
 )
 
-from oracles import point_interp2d
+from oracles import point_interp2d, symplectic_eigenvalues_dense
 
 ETA = 1.0
 
@@ -116,8 +121,46 @@ def test_williamson_random(n):
         assert np.max(np.abs(recon - sigma)) < 1e-8 * scale
         ok, resid = is_symplectic(data.S)
         assert ok and resid < 1e-9
-        ref = symplectic_eigenvalues(sigma)
+        ref = symplectic_eigenvalues_dense(sigma)
         assert np.max(np.abs(np.sort(data.eigenvalues) - np.sort(ref))) < 1e-8 * scale
+        # each mode's frame is phased so that S[n + j, j] = 0 < S[j, j]; at
+        # n = 1 that is the upper-triangular factor
+        assert np.max(np.abs(np.diagonal(data.S[n:, :n]))) < 1e-12 * np.max(np.abs(data.S))
+        assert np.all(np.diagonal(data.S[:n, :n]) > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symplectic_spectrum_takes_two_hermitian_eigensolves(n, monkeypatch):
+    # one eigh of Sigma (positivity and its roots), one of i Sigma^-1/2 J Sigma^-1/2;
+    # gaussian_admissible adds only its own eigvalsh of Sigma + i eta J / 2
+    solves = []
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def counted(matrix, *args, **kwargs):
+            solves.append(name)
+            return solve(matrix, *args, **kwargs)
+
+        return counted
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    M = np.random.default_rng(n).normal(size=(2 * n, 2 * n))
+    sigma = M @ M.T + 0.1 * np.eye(2 * n)
+    williamson(sigma)
+    assert solves == ["eigh", "eigh"]
+    solves.clear()
+    symplectic_eigenvalues(sigma)
+    assert solves == ["eigh", "eigh"]
+    solves.clear()
+    gaussian_admissible(sigma, ETA)
+    assert solves == ["eigh", "eigh", "eigvalsh"]
+
+
+def test_library_takes_no_general_eigensolve():
+    sources = Path(wignerlab.__file__).parent.glob("*.py")
+    assert not [path.name for path in sources if re.search(r"\beigvals\(", path.read_text())]
 
 
 def test_williamson_degenerate_warns_and_factors():
