@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, WignerlabError
+from .errors import ConfigurationError, ValidationError, WignerlabError
 from .grid import GridFunction, make_grid
 from .quantumness import eta_scan, gaussian_admissible, klm_test
 from .serialize import (
@@ -299,10 +299,9 @@ def _run_gaussian(config, out_dir):
         sigma = root @ root.T + 1e-3 * np.eye(2 * n)
         sigma *= eta / np.max(np.abs(sigma))
         sigma *= rng.uniform(0.2, 4.0)
-        verdict = gaussian_admissible(sigma, eta)
-        lam_ok = abs(eta) <= 2.0 * verdict["lambda_min"]
-        matrix_ok = verdict["matrix_min_eigenvalue"] >= -1e-9 * max(1.0, np.max(np.abs(sigma)))
-        if lam_ok != matrix_ok:
+        try:
+            gaussian_admissible(sigma, eta)
+        except ValidationError:  # raised only when the two criteria contradict
             disagreements += 1
     boundary = gaussian_admissible(np.eye(2) * eta / 2.0, eta)
     checks = [

@@ -15,7 +15,8 @@ be the Wigner distribution of a state at a given eta:
   exp(-i p_j x / eta) conj(exp(-i p_k x / eta)) along x and likewise
   along p: 2 M N exponentials for M samples on an N x N grid.
 * A Hessian necessary condition at the origin of the eta-free reduced
-  transform: -f''(0) + i eta J / 2 >= 0.
+  transform: -f''(0) + i eta J / 2 >= 0, the uncertainty matrix of the
+  raw second moments (:func:`_uncertainty_spectrum`, as for Gaussians).
 
 Zero and non-finite eta are refused.  A negative eta flips the sign of
 the transforms; the Gaussian test reads |eta|.
@@ -63,8 +64,7 @@ class CovarianceMatrix:
         self.mean = np.asarray(self.mean, dtype=float)
         if self.sigma.shape != (2 * self.n, 2 * self.n):
             raise ParameterError("covariance matrix has wrong shape")
-        scale = max(1.0, float(np.max(np.abs(self.sigma))))
-        if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-10 * scale:
+        if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-10 * np.max(np.abs(self.sigma)):
             raise ValidationError("covariance matrix must be symmetric")
 
 
@@ -143,27 +143,32 @@ def covariance_matrix(W: PhaseSpaceFunction) -> CovarianceMatrix:
     return CovarianceMatrix(sigma, mean, 1)
 
 
+def _uncertainty_spectrum(sigma: np.ndarray, eta: float):
+    """(minimum eigenvalue, spectral norm) of (Sigma + Sigma^T) / 2 + i |eta| J / 2,
+    whose conjugate (the sign of eta flipped) has the same eigenvalues."""
+    n = sigma.shape[0] // 2
+    vals = np.linalg.eigvalsh(0.5 * (sigma + sigma.T) + 0.5j * abs(eta) * j_matrix(n))
+    return float(vals[0]), float(max(-vals[0], vals[-1]))
+
+
 def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
     """Quantum admissibility of a Gaussian covariance matrix at eta.
 
-    Both equivalent forms are computed and must agree:
-    |eta| <= 2 lambda_min  and  Sigma + i eta J / 2 >= 0.
-    Positivity and lambda_min come from :func:`symplectic_eigenvalues`; the
-    matrix form takes its own eigensolve, so the two stay independent.
-    Also reports the (weaker) per-mode Robertson-Schrodinger checks.
-    Zero and non-finite eta are refused.
+    The verdict is |eta| <= 2 lambda_min (1 + r), with positivity and
+    lambda_min from :func:`symplectic_eigenvalues`.  The equivalent form,
+    min eig >= -r ||Sigma + i eta J / 2||, takes its own eigensolve; r = 1e-10.
+    A squeezed Sigma shrinks the matrix margin, so ValidationError is raised
+    only when one form passes and the other fails, each beyond its band.
+    Also reports the (weaker) per-mode Robertson-Schrodinger checks.  Zero
+    and non-finite eta are refused.
     """
     eta = _nonzero_eta(eta)
     sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
-    scale = max(1.0, float(np.max(np.abs(sigma))))
     try:
         lam_min = float(symplectic_eigenvalues(sigma)[0])
     except ValidationError:
         lam_min = None
-    matrix = 0.5 * (sigma + sigma.T) + 0.5j * abs(eta) * j_matrix(n)
-    matrix_min = float(np.linalg.eigvalsh(matrix)[0])
-    matrix_ok = matrix_min >= -1e-10 * scale
+    matrix_min, matrix_norm = _uncertainty_spectrum(sigma, eta)
     out = {
         "positive_definite": lam_min is not None,
         "matrix_min_eigenvalue": matrix_min,
@@ -172,18 +177,21 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
         "admissible": False,
     }
     if lam_min is not None:
-        lam_ok = abs(eta) <= 2.0 * lam_min + 1e-9 * scale
-        if lam_ok != matrix_ok:
+        r = 1e-10  # relative, so (t Sigma, t eta) has the verdict of (Sigma, eta)
+        lam_pass = abs(eta) < 2.0 * lam_min * (1.0 - r)
+        lam_fail = abs(eta) > 2.0 * lam_min * (1.0 + r)
+        matrix_pass, matrix_fail = matrix_min > r * matrix_norm, matrix_min < -r * matrix_norm
+        if (lam_pass and matrix_fail) or (lam_fail and matrix_pass):
             raise ValidationError(
                 "admissibility criteria disagree: "
                 f"2 lambda_min = {2 * lam_min}, matrix min eig = {matrix_min}"
             )
-        out["admissible"] = lam_ok
+        out["admissible"] = not lam_fail
     return out
 
 
 def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
-    """Per-mode checks dx_j dp_j >= sqrt(cov(x_j,p_j)^2 + eta^2/4)."""
+    """Per-mode checks dx_j dp_j >= sqrt(cov(x_j,p_j)^2 + eta^2/4), to 1e-12 relative."""
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
     checks = []
@@ -192,9 +200,8 @@ def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
         cov = sigma[j, n + j]
         lhs = var_x * var_p
         rhs = cov**2 + eta**2 / 4.0
-        checks.append(
-            {"mode": j, "lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs >= rhs - 1e-12)}
-        )
+        ok = lhs >= rhs - 1e-12 * max(lhs, rhs)
+        checks.append({"mode": j, "lhs": float(lhs), "rhs": float(rhs), "ok": bool(ok)})
     return checks
 
 
@@ -326,22 +333,6 @@ def _check_unit_mass(a: PhaseSpaceFunction):
     return mass
 
 
-def _hessian_check(mean: np.ndarray, sigma: np.ndarray, eta: float) -> float:
-    """Min eigenvalue of -f''(0)/f(0) + i eta J / 2 for the reduced transform f.
-
-    Differentiating f(w) = Int exp(-i sigma(w, z)) a(z) dz under the integral
-    turns the Hessian into exact second moments of a, so no finite
-    differences are needed:
-
-        -f''(0) / f(0) = [[<p^2>, -<x p>], [-<x p>, <x^2>]],
-
-    the raw moments Sigma + mean mean^T of the normalized distribution.
-    """
-    (mxx, mxp), (_, mpp) = sigma + np.outer(mean, mean)
-    matrix = np.array([[mpp, -mxp], [-mxp, mxx]]) + 0.5j * eta * j_matrix(1)
-    return float(np.linalg.eigvalsh(matrix)[0])
-
-
 def _check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int, refused unless it is an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -408,7 +399,9 @@ def klm_test(
     tol = 1e-8 * float(max(-eigenvalues[0], eigenvalues[-1]))
     # the diagonal is the exact a_sigma(0) = mass / (2 pi eta)
     continuity = abs(matrix[0, 0] - 1.0 / (2.0 * np.pi * eta))
-    hess_min = _hessian_check(*_moments(values, x, p), eta)
+    # -f''(0) / f(0) is J^T (Sigma + mean mean^T) J, the exact raw second moments
+    mean, sigma = _moments(values, x, p)
+    hess_min = _uncertainty_spectrum(sigma + np.outer(mean, mean), eta)[0]
     ok = min_eig >= -tol and hess_min >= -1e-8 * max(1.0, abs(eta))
     return KLMReport(
         points=points,

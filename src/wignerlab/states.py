@@ -289,20 +289,19 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
 
     Psi stacks the r component states (r x N).  The density matrix keeps
     the factors U = Psi^T diag(w) and V = Psi^T of its kernel U V^H, from
-    which the Wigner maps write their half-step correlation.  For r < N the
-    factors are the range basis of the spectrum: the r x r Gram matrix
-    diag(sqrt w) Psi^* Psi^T diag(sqrt w) dx has the nonzero eigenvalues of
-    the kernel times dx, padded with N - r exact zeros, so the report has
-    rank r and certificate 0; the Hermiticity residue and the trace are read
-    off the kernel.  For r >= N :func:`validate_density` certifies a range
-    basis of the kernel, the identity when it has full rank.
+    which the Wigner maps write their half-step correlation.  The r x r
+    Gram matrix diag(sqrt w) Psi^* Psi^T diag(sqrt w) dx has the nonzero
+    eigenvalues of the kernel times dx, so the spectrum is taken from the
+    smaller of the two and padded with exact zeros: the report has rank
+    min(r, N) and certificate 0.  The Hermiticity residue and the trace are
+    read off the kernel.
 
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the r x N stack Psi, its weighted copy and its conjugate, the
-    N x N kernel, at most two more N x N complex arrays while the kernel is
-    validated (for r >= N the Hermitian part and the eigensolver's copy of
-    it or the sketch) and two freed ones the allocator may keep resident,
-    that is 16 (5 N^2 + 3 r N) bytes.
+    N x N kernel, at most two more N x N complex arrays while the spectrum
+    is taken (for r >= N the kernel times dx and the eigensolver's copy of
+    it) and two freed ones the allocator may keep resident, that is
+    16 (5 N^2 + 3 r N) bytes.
     """
     weights, states = zip(*spec.components)
     n, r = states[0].grid.n, len(states)
@@ -311,14 +310,13 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     u, v = rows.T * weights, rows.T
     kernel = np.matmul(u, v.conj().T)  # by name, so a test can stub it
     op = OperatorMatrix(states[0].grid, kernel, states[0].eta)
-    if r >= n:
-        return DensityMatrix(op, validate_density(op, strict=True), (u, v))
+    rank = min(r, n)
     roots = np.sqrt(weights)
-    gram = np.matmul(roots[:, None] * rows.conj(), rows.T * roots) * op.dx
+    gram = np.matmul(roots[:, None] * rows.conj(), rows.T * roots) if r < n else kernel
     vals = np.zeros(n)
-    vals[:r] = np.linalg.eigvalsh(gram)
+    vals[:rank] = np.linalg.eigvalsh(gram * op.dx)
     vals = np.sort(vals)[::-1]
-    report = _judge(op, op.hermiticity_residue(), vals, 0.0, r, strict=True, psd_floor=PSD_RTOL)
+    report = _judge(op, op.hermiticity_residue(), vals, 0.0, rank, strict=True, psd_floor=PSD_RTOL)
     return DensityMatrix(op, report, (u, v))
 
 

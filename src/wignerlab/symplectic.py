@@ -15,8 +15,8 @@ and lifts to the quadratic Fourier transform
                      Int exp(i A(x, x')/eta) psi(x') dx'
 
 with m = 0 if det B^-1 > 0 and m = 1 otherwise.  On a uniform grid its
-Riemann sum is chirp(P) . chirp-z(Q) . chirp(R).  The same operator also
-factors into elementary chirp / rescale / Fourier steps (a generator word).
+Riemann sum is chirp(P) . chirp-z(Q) . chirp(R).  A metaplectic operator is
+a generator word of free, chirp, rescale and Fourier steps.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _symplectic_spectrum(sigma: np.ndarray):
     n = _dimension(sigma)
     if not np.all(np.isfinite(sigma)):
         raise ValidationError("covariance matrix must be finite")
-    if np.max(np.abs(sigma - sigma.T)) > 1e-10 * max(1.0, np.max(np.abs(sigma))):
+    if np.max(np.abs(sigma - sigma.T)) > 1e-10 * np.max(np.abs(sigma)):
         raise ValidationError("covariance matrix must be symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     if vals[0] <= 0.0:
@@ -214,34 +214,34 @@ def free_generating_function(S: np.ndarray) -> GeneratingFunction:
 
 @dataclass
 class MetaplecticSpec:
-    """A metaplectic operator, as a free matrix or a generator word.
+    """A metaplectic operator as a generator word.
 
     Word steps (applied first to last):
+      ("free", S)        the quadratic Fourier transform of S   -> S
       ("chirp", P)       multiply by exp(i P x^2 / 2 eta)       -> [[1,0],[P,1]]
       ("rescale", L, m)  i^m sqrt|L| psi(L x)                   -> [[1/L,0],[0,L]]
       ("fourier",)       i^(-1/2) F_eta                          -> J
     """
 
-    matrix: np.ndarray | None = None
-    word: list | None = None
+    word: list
 
     @classmethod
     def free(cls, S: np.ndarray) -> "MetaplecticSpec":
         free_generating_function(S)
-        return cls(matrix=np.asarray(S, dtype=float))
+        return cls([("free", np.asarray(S, dtype=float))])
 
     @classmethod
     def from_word(cls, word: list) -> "MetaplecticSpec":
         if not word:
             raise ParameterError("generator word must not be empty")
-        return cls(word=list(word))
+        return cls(list(word))
 
     @classmethod
     def free_as_word(cls, S: np.ndarray) -> "MetaplecticSpec":
         """Generator word realizing the quadratic Fourier transform of S."""
         gen = free_generating_function(S)
         m = 0 if np.linalg.det(gen.Q) > 0 else 1
-        return cls(word=[("chirp", gen.R), ("fourier",), ("rescale", gen.Q, m), ("chirp", gen.P)])
+        return cls([("chirp", gen.R), ("fourier",), ("rescale", gen.Q, m), ("chirp", gen.P)])
 
 
 def _apply_chirp(psi: GridFunction, P) -> GridFunction:
@@ -294,52 +294,8 @@ def _apply_fourier(psi: GridFunction) -> GridFunction:
     return GridFunction(grid, values, psi.eta)
 
 
-# generator step: (its symplectic matrix, its action on a state), both
-# called with the step's parameters; a rescale's phase index m has no matrix
-_STEPS = {
-    "chirp": (chirp_matrix, _apply_chirp),
-    "rescale": (lambda L, m=0: rescale_matrix(L), _apply_rescale),
-    "fourier": (lambda: fourier_matrix(1), _apply_fourier),
-}
-
-
-def _step(step):
-    try:
-        return _STEPS[step[0]]
-    except KeyError:
-        raise ParameterError(f"unknown generator step {step[0]!r}") from None
-
-
-def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
-    """The symplectic matrix underneath a metaplectic spec."""
-    if spec.matrix is not None:
-        return np.asarray(spec.matrix, dtype=float)
-    S = None
-    for step in spec.word:
-        M = _step(step)[0](*step[1:])
-        S = M if S is None else M @ S
-    return S
-
-
-def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
-    """Apply a metaplectic operator to a state (one degree of freedom).
-
-    Free matrices evaluate the Riemann sum of the quadratic Fourier transform
-    as chirp(P) . chirp-z . chirp(R); generator words apply their elementary
-    steps in sequence.
-    """
-    if spec.word is None:
-        matrices = [np.asarray(spec.matrix, dtype=float)]
-    else:
-        matrices = [_step(step)[0](*step[1:]) for step in spec.word]
-    if any(M.shape != (2, 2) for M in matrices):
-        raise ParameterError("grid-based metaplectic application supports n = 1 only")
-    if spec.word is not None:
-        out = psi
-        for step in spec.word:
-            out = _step(step)[1](out, *step[1:])
-        return out
-    gen = free_generating_function(matrices[0])
+def _apply_free(psi: GridFunction, S) -> GridFunction:
+    gen = free_generating_function(S)
     eta = psi.eta
     grid = psi.grid
     P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
@@ -363,3 +319,40 @@ def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
     )
     values = prefactor * np.exp(1j * (0.5 * P * x**2 - Q * grid.x_min * x) / eta) * summed
     return GridFunction(grid, values, eta)
+
+
+# generator step: (its symplectic matrix, its action on a state), both
+# called with the step's parameters; a rescale's phase index m has no matrix
+_STEPS = {
+    "free": (lambda S: np.asarray(S, dtype=float), _apply_free),
+    "chirp": (chirp_matrix, _apply_chirp),
+    "rescale": (lambda L, m=0: rescale_matrix(L), _apply_rescale),
+    "fourier": (lambda: fourier_matrix(1), _apply_fourier),
+}
+
+
+def _step(step):
+    try:
+        return _STEPS[step[0]]
+    except KeyError:
+        raise ParameterError(f"unknown generator step {step[0]!r}") from None
+
+
+def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
+    """The symplectic matrix of a spec: its steps' matrices, the last leftmost."""
+    S = None
+    for step in spec.word:
+        M = _step(step)[0](*step[1:])
+        S = M if S is None else M @ S
+    return S
+
+
+def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:
+    """Apply a metaplectic operator to a state (one degree of freedom): the
+    word's steps in sequence, once every step's matrix is known to be 2 x 2."""
+    if any(_step(step)[0](*step[1:]).shape != (2, 2) for step in spec.word):
+        raise ParameterError("grid-based metaplectic application supports n = 1 only")
+    out = psi
+    for step in spec.word:
+        out = _step(step)[1](out, *step[1:])
+    return out

@@ -35,6 +35,7 @@ from wignerlab import (
     fourier_shift,
     free_generating_function,
     j_matrix,
+    metaplectic_matrix,
     refine,
     symplectic_fourier,
 )
@@ -256,7 +257,7 @@ def metaplectic_free_dense(spec: MetaplecticSpec, psi: GridFunction) -> np.ndarr
     Int exp(i A(x, x')/eta) psi(x') dx' over the F-fold refined state, with
     the refine factor of the library's free path.
     """
-    gen = free_generating_function(spec.matrix)
+    gen = free_generating_function(metaplectic_matrix(spec))
     P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
     eta, grid = psi.eta, psi.grid
     m = 0 if Q > 0 else 1

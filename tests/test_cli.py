@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wignerlab import coherent_state, make_grid, save_phase_space, wigner
+from wignerlab import ValidationError, coherent_state, make_grid, save_phase_space, wigner
 from wignerlab import cli
 from wignerlab.cli import main
 
@@ -39,6 +39,23 @@ def test_metaplectic_experiment_passes(tmp_path):
 
 def test_gaussian_experiment_passes(tmp_path):
     assert main(["gaussian", "--out", str(tmp_path)]) == 0
+
+
+def test_gaussian_counts_a_criteria_contradiction_as_a_failed_check(tmp_path, capsys, monkeypatch):
+    # the library raises ValidationError only when its two criteria contradict
+    admissible, calls = cli.gaussian_admissible, []
+
+    def contradicting_once(sigma, eta):
+        calls.append(sigma)
+        if len(calls) == 1:
+            raise ValidationError("admissibility criteria disagree")
+        return admissible(sigma, eta)
+
+    monkeypatch.setattr(cli, "gaussian_admissible", contradicting_once)
+    assert main(["gaussian", "--out", str(tmp_path)]) == 1
+    assert "FAIL criterion_equivalence: residual 1.000e+00" in capsys.readouterr().out
+    equivalence = json.loads((tmp_path / "summary.json").read_text())["checks"][0]
+    assert equivalence["residual"] == 1.0 and not equivalence["passed"]
 
 
 def test_eta_scan_experiment_passes(tmp_path):
@@ -241,6 +258,13 @@ def test_tomography_experiment_passes(tmp_path):
 
 def test_pauli_experiment_passes(tmp_path):
     assert main(["pauli", "--N", "128", "--out", str(tmp_path)]) == 0
+
+
+def test_tol_sets_the_tolerance_of_the_first_check(tmp_path, capsys):
+    assert main(["pauli", "--N", "64", "--out", str(tmp_path)]) == 0
+    assert main(["pauli", "--N", "64", "--tol", "1e-30", "--out", str(tmp_path)]) == 1
+    assert "FAIL overlap" in capsys.readouterr().out
+    assert json.loads((tmp_path / "summary.json").read_text())["config"]["tol"] == 1e-30
 
 
 def test_tomography_at_n64_passes(tmp_path):

@@ -22,8 +22,12 @@ construction over all M^2 differences, and the moments that
 The symplectic spectrum that ``symplectic_eigenvalues``, ``williamson``
 and ``gaussian_admissible`` share is compared with the general eigensolver
 of J Sigma over random covariances of n = 1 to 3 modes, condition numbers
-up to 1e6 and scales from 1e-3 to 1e3.
+up to 1e6 and scales from 1e-3 to 1e3.  Near the admissibility boundary,
+the Gaussian verdict and the Robertson-Schrodinger checks are compared with
+the exact verdicts at scales from 1e-6 to 1e6.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wignerlab import (
+    CovarianceMatrix,
     Grid,
     GridFunction,
     MetaplecticSpec,
@@ -41,6 +46,7 @@ from wignerlab import (
     OperatorMatrix,
     ParameterError,
     PhaseSpaceFunction,
+    ValidationError,
     ambiguity,
     coherent_state,
     covariance_matrix,
@@ -58,6 +64,7 @@ from wignerlab import (
     pure_density,
     radon,
     reconstruct_density,
+    robertson_schrodinger_checks,
     symplectic_eigenvalues,
     symplectic_fourier,
     validate_density,
@@ -197,6 +204,28 @@ def test_mixture_of_more_states_than_points_takes_the_kernel_eigensolve():
     rho = mix(MixedStateSpec([(1.0 / 20, psi) for psi in states]))
     assert len(rho.report.eigenvalues) == grid.n
     _assert_gram_spectrum(rho)
+
+
+def test_mixture_of_more_states_than_points_takes_no_range_basis(monkeypatch):
+    # r >= N: the spectrum is the kernel's own, in one eigensolve, and no
+    # sketch of a range basis is tried
+    grid, eta = make_grid(-10.0, 10.0, 128), 1.0
+    rng = np.random.default_rng(17)
+    noise = rng.normal(size=(130, 128)) + 1j * rng.normal(size=(130, 128))
+    states = [GridFunction(grid, row, eta).normalized() for row in noise]
+    widths = []
+    qr = np.linalg.qr
+
+    def recording(matrix, *args, **kwargs):
+        widths.append(matrix.shape[1])
+        return qr(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    rho = mix(MixedStateSpec([(1.0 / 130, psi) for psi in states]))
+    assert widths == []
+    dense = np.linalg.eigvalsh(rho.kernel * grid.dx)[::-1]
+    assert np.max(np.abs(rho.report.eigenvalues - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert rho.report.rank == 128 and rho.report.certificate == 0.0
 
 
 def _assert_within_certificate(op, psd_floor):
@@ -560,3 +589,69 @@ def test_symplectic_spectrum_matches_the_general_eigensolver(n, log_cond, log_sc
     assert verdict["admissible"] and abs(verdict["lambda_min"] - dense[0]) <= bound
     assert np.max(np.abs(data.S.T @ data.D @ data.S - sigma)) <= 1e-8 * np.max(np.abs(sigma))
     assert is_symplectic(data.S)[1] <= 1e-9
+
+
+def _boundary_covariances(count=300, seed=0):
+    """(Sigma, eta, u) near the Gaussian boundary: Sigma = O diag(e) O^T of
+    n = 1 to 3 modes, O a random rotation, e log-uniform in [1e-6, 1] with
+    max 1; eta = 2 lambda_min (1 + u), |u| log-uniform in [1e-6, 5e-2] with a
+    random sign, so Sigma is admissible at eta exactly when u < 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        rotation = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))[0]
+        e = 10.0 ** rng.uniform(-6.0, 0.0, 2 * n)
+        e /= e.max()
+        sigma = (rotation * e) @ rotation.T
+        lam_min = symplectic_eigenvalues_dense(sigma)[0]
+        u = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, np.log10(5e-2))
+        yield sigma, 2.0 * lam_min * (1.0 + u), u
+
+
+def _robertson_schrodinger_exact(sigma, eta):
+    """Per mode, var_x var_p >= cov^2 + eta^2 / 4 in exact rational arithmetic."""
+    n = len(sigma) // 2
+    return [
+        Fraction(sigma[j, j]) * Fraction(sigma[n + j, n + j])
+        >= Fraction(sigma[j, n + j]) ** 2 + Fraction(eta) ** 2 / 4
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_gaussian_verdicts_are_scale_free(scale):
+    # (t Sigma, t eta) has the verdict of (Sigma, eta); squeezed covariances
+    # within 5 % of the boundary raise no "criteria disagree"
+    for sigma, eta, u in _boundary_covariances():
+        sigma, eta = scale * sigma, scale * eta
+        verdict = gaussian_admissible(sigma, eta)
+        assert verdict["admissible"] == (u < 0)
+        rs = [check["ok"] for check in verdict["rs_checks"]]
+        assert rs == _robertson_schrodinger_exact(sigma, eta)
+
+
+@pytest.mark.parametrize("factor, admissible", [(1.006, False), (1.001, False), (0.994, True)])
+def test_squeezed_covariance_near_the_boundary_takes_lambdas_verdict(factor, admissible):
+    # lambda_min = 5.6e-6, while ||Sigma + i eta J / 2|| ~ 5.6e-3: the matrix
+    # margin is a millionth of lambda's relative margin
+    sigma = np.diag([5.6e-3, 5.6e-9])
+    eta = 2.0 * np.sqrt(5.6e-3 * 5.6e-9) * factor
+    assert gaussian_admissible(sigma, eta)["admissible"] == admissible
+
+
+def test_robertson_schrodinger_check_is_relative():
+    # lhs = 1e-14 lies far below rhs = 2.5e-13, inside an absolute 1e-12 band
+    (check,) = robertson_schrodinger_checks(1e-7 * np.eye(2), 1e-6)
+    assert check["lhs"] < check["rhs"] and not check["ok"]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_covariance_symmetry_checks_are_relative(scale):
+    asymmetric = scale * np.array([[1.0, 0.3], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="symmetric"):
+        symplectic_eigenvalues(asymmetric)
+    with pytest.raises(ValidationError, match="symmetric"):
+        CovarianceMatrix(asymmetric, np.zeros(2), 1)
+    rounded = scale * np.array([[1.0, 0.3], [0.3 + 1e-12, 1.0]])
+    symplectic_eigenvalues(rounded)
+    CovarianceMatrix(rounded, np.zeros(2), 1)

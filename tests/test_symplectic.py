@@ -272,6 +272,17 @@ def test_fourier_word_keeps_every_sample_of_a_self_dual_grid():
     assert np.max(np.abs(values - ft)) < 1e-12 * np.max(np.abs(ft))
 
 
+def test_word_mixes_free_and_elementary_steps():
+    grid = make_grid(-10.0, 10.0, 128)
+    psi = coherent_state(grid, ETA, 0.3, -0.2)
+    S, P = _random_symplectic(np.random.default_rng(11)), 0.7
+    word = MetaplecticSpec.from_word([("free", S), ("chirp", P)])
+    chirp = MetaplecticSpec.from_word([("chirp", P)])
+    in_turn = metaplectic_apply(chirp, metaplectic_apply(MetaplecticSpec.free(S), psi))
+    assert np.array_equal(metaplectic_apply(word, psi).values, in_turn.values)
+    assert np.array_equal(metaplectic_matrix(word), chirp_matrix(P) @ S)
+
+
 @pytest.mark.parametrize(
     "word",
     [[("chirp", np.eye(2))], [("rescale", 2.0 * np.eye(2), 1), ("chirp", np.eye(2))]],
