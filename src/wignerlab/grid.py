@@ -27,6 +27,9 @@ __all__ = [
 #: relative tolerance used when comparing grids / eta values for identity
 _MATCH_RTOL = 1e-12
 
+#: absolute tolerance on a unit trace, and on ||psi||^2 = Tr |psi><psi|
+TRACE_ATOL = 1e-8
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -133,8 +136,9 @@ class GridFunction:
         return replace(self, values=self.values / nrm)
 
     def require_normalized(self):
-        if abs(self.norm() - 1.0) > 1e-8:
-            raise NormalizationError(f"state norm is {self.norm()}, expected 1")
+        norm_squared = self.norm_squared()
+        if abs(norm_squared - 1.0) > TRACE_ATOL:
+            raise NormalizationError(f"state norm squared is {norm_squared}, expected 1")
 
     def require_compatible(self, other: "GridFunction"):
         if not self.grid.matches(other.grid):

@@ -31,9 +31,8 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError, require_memory
 from .grid import Grid, PhaseSpaceFunction, dual_grid
-from .states import OperatorMatrix, validate_density
 from .symplectic import j_matrix, symplectic_eigenvalues
-from .weyl import weyl_quantize
+from .wigner import quantized_density
 
 __all__ = [
     "CovarianceMatrix",
@@ -323,14 +322,16 @@ class KLMReport:
         return self.verdict == "no violation found"
 
 
-def _check_unit_mass(a: PhaseSpaceFunction):
+def _check_unit_mass(a: PhaseSpaceFunction) -> np.ndarray:
+    """The C-contiguous real part of ``a``, which must be real and of unit mass."""
     scale = float(np.max(np.abs(a.values))) or 1.0
     if float(np.max(np.abs(a.values.imag))) > 1e-9 * scale:
         raise ValidationError("phase-space function must be real")
-    mass = float(np.sum(a.values.real) * a.area_element)
+    values = np.ascontiguousarray(a.values.real)
+    mass = float(np.sum(values) * a.area_element)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"phase-space mass is {mass}, expected 1")
-    return mass
+    return values
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -378,8 +379,7 @@ def klm_test(
         16 * (n * n + 4 * samples * n + 4 * _POINT_CHUNK * n + 4 * samples**2),
         f"KLM matrices for {samples} samples",
     )
-    _check_unit_mass(a)
-    values = np.ascontiguousarray(a.values.real)
+    values = _check_unit_mass(a)
     x, p = a.x_grid.points, a.p_grid.points
     _, spread = _moments(np.abs(values), x, p)
     radius = 3.0 * float(np.sqrt(np.linalg.eigvalsh(spread)[-1]))
@@ -454,29 +454,24 @@ class EtaScanResult:
 def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     """Admissibility of a fixed phase-space function across eta values.
 
-    Each eta quantizes rho_eta = (2 pi eta) Op_eta(a) and tests the density
-    axioms of one :func:`states.validate_density` report against its own
-    thresholds (1e-8 Hermiticity and PSD, 1e-6 trace); the purity surrogate
-    (2 pi eta) Int a^2 must stay <= 1 for an admissible eta, and equals 1
-    only for a pure state.
+    Each eta reads the report, at the PSD floor 1e-8, of rho_eta =
+    (2 pi eta) Op_eta(a) / Tr (:func:`wigner.quantized_density` of the real
+    part of ``a``; an entry's "trace" is Tr, which is Int a).  The purity
+    (2 pi eta) Int a^2 / Tr^2 of rho_eta must stay <= 1 for an admissible
+    eta, and equals 1 only for a pure state.
     """
     eta_list = list(eta_list)
     if not eta_list:
         raise ParameterError("eta list must not be empty")
-    _check_unit_mass(a)
+    real = PhaseSpaceFunction(a.x_grid, a.p_grid, _check_unit_mass(a), a.eta, a.kind)
+    square = float(np.sum(real.values.real**2) * a.area_element)
     entries = []
     for eta in eta_list:
         eta = float(eta)
-        op = weyl_quantize(a, eta=eta)
-        rho = OperatorMatrix(op.grid, 2.0 * np.pi * eta * op.kernel, eta)
-        report = validate_density(rho, psd_floor=1e-8)
-        herm, min_eig = report.hermiticity_residue, report.min_eigenvalue
-        scale = float(np.max(np.abs(report.eigenvalues))) or 1.0
-        trace = report.trace_diagonal.real
-        surrogate = float(2.0 * np.pi * eta * np.sum(a.values.real**2) * a.area_element)
-        psd_ok = min_eig >= -1e-8 * scale
-        trace_ok = abs(trace - 1.0) <= 1e-6
-        if not (psd_ok and trace_ok and herm <= 1e-8 and surrogate <= 1.0 + 1e-6):
+        # the density itself is not kept: its kernel is freed before the next eta
+        report, trace = quantized_density(real, eta, 1e-8)[1:]
+        surrogate = 2.0 * np.pi * eta * square / trace**2
+        if not (report.ok and surrogate <= 1.0 + 1e-6):
             verdict = "inadmissible"
         elif surrogate >= 1.0 - 1e-6:
             verdict = "pure"
@@ -486,10 +481,10 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
             {
                 "eta": eta,
                 "verdict": verdict,
-                "min_eigenvalue": min_eig,
+                "min_eigenvalue": report.min_eigenvalue,
                 "trace": trace,
                 "purity_surrogate": surrogate,
-                "hermiticity_residue": herm,
+                "hermiticity_residue": report.hermiticity_residue,
             }
         )
     return EtaScanResult(entries)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ValidationError, require_memory
-from .grid import Grid, GridFunction
+from .grid import TRACE_ATOL, Grid, GridFunction
 
 __all__ = [
     "OperatorMatrix",
@@ -138,26 +138,23 @@ class ValidationReport:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @property
-    def trace_eigenvalues(self) -> float:
-        return float(np.sum(self.eigenvalues))
-
-    @property
-    def trace_discrepancy(self) -> float:
-        return abs(self.trace_diagonal - self.trace_eigenvalues)
-
 
 @dataclass
 class DensityMatrix:
     """Validated density operator: Hermitian, positive, unit trace.
 
-    ``factors``, when set, is a pair (U, V) of N x r arrays with kernel
-    U V^H; :func:`mix` keeps U = Psi^T diag(w) and V = Psi^T.
+    Its report must pass: one with violations raises them.  ``factors``,
+    when set, is a pair (U, V) of N x r arrays with kernel U V^H;
+    :func:`mix` keeps U = Psi^T diag(w) and V = Psi^T.
     """
 
     op: OperatorMatrix
     report: ValidationReport
     factors: tuple | None = None
+
+    def __post_init__(self):
+        if not self.report.ok:
+            raise ValidationError("; ".join(self.report.violations))
 
     @property
     def grid(self) -> Grid:
@@ -220,16 +217,12 @@ def _spectrum(herm: np.ndarray, psd_floor: float):
     return np.linalg.eigvalsh(herm)[::-1], 0.0, n
 
 
-def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float = PSD_RTOL):
+def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
     """Check the density-matrix axioms and return the report.
 
-    The report keeps the spectrum and the diagonal-sum trace; the
-    eigenvalue-sum trace is read off the spectrum.  The two traces always
-    agree for a finite matrix, but their continuum counterparts need not, so
-    the discrepancy is surfaced as a diagnostic.
-    ``psd_floor`` is the relative eigenvalue floor; reconstructions with
-    known ringing pass a looser one.  With ``strict`` a failing operator
-    raises instead.  The Hermitian part H = (K + K^H)/2 is formed once, in
+    The report keeps the spectrum and the diagonal-sum trace.  ``psd_floor``
+    is the relative eigenvalue floor; reconstructions with known ringing
+    pass a looser one.  The Hermitian part H = (K + K^H)/2 is formed once, in
     blocks of ``_TILE`` columns: the Hermiticity residue max |K - K^H| is
     2 max |K - H|.  The spectrum is that of H on a certified range basis
     (:func:`_spectrum`): a numerically low-rank kernel takes a sketch of a
@@ -255,12 +248,12 @@ def validate_density(op: OperatorMatrix, strict: bool = False, psd_floor: float 
         residue = max(residue, float(np.max(np.abs(kernel[:, cols] - block))))
     vals, certificate, rank = _spectrum(herm_part, psd_floor)
     herm = 2.0 * residue / (scale or 1.0)
-    return _judge(op, herm, vals * op.dx, certificate * op.dx, rank, strict, psd_floor)
+    return _judge(op, herm, vals * op.dx, certificate * op.dx, rank, psd_floor)
 
 
 def _judge(
     op: OperatorMatrix, herm: float, vals: np.ndarray, certificate: float, rank: int,
-    strict: bool, psd_floor: float,
+    psd_floor: float,
 ):
     """The report of an operator from its Hermiticity residue and spectrum."""
     tr_diag = op.trace()
@@ -272,10 +265,8 @@ def _judge(
         report.violations.append(
             f"minimum eigenvalue {vals[-1]:.3e} below the PSD floor"
         )
-    if abs(tr_diag - 1.0) > 1e-8:
-        report.violations.append(f"trace {tr_diag} differs from 1 beyond 1e-8")
-    if strict and not report.ok:
-        raise ValidationError("; ".join(report.violations))
+    if abs(tr_diag - 1.0) > TRACE_ATOL:
+        report.violations.append(f"trace {tr_diag} differs from 1 beyond {TRACE_ATOL:g}")
     return report
 
 
@@ -316,7 +307,7 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     vals = np.zeros(n)
     vals[:rank] = np.linalg.eigvalsh(gram * op.dx)
     vals = np.sort(vals)[::-1]
-    report = _judge(op, op.hermiticity_residue(), vals, 0.0, rank, strict=True, psd_floor=PSD_RTOL)
+    report = _judge(op, op.hermiticity_residue(), vals, 0.0, rank, PSD_RTOL)
     return DensityMatrix(op, report, (u, v))
 
 
@@ -325,13 +316,10 @@ def state_stats(rho: DensityMatrix) -> dict:
     Tr rho^2 from the Frobenius norm of the kernel.
 
     The Frobenius norm counts the whole kernel, whatever the rank of the
-    report's range basis.  The verdict is the report's, taken at the PSD
-    floor the density was validated at: a report with violations raises
-    them.  Negative eigenvalues the report allowed are clamped to zero
+    report's range basis.  The report passed at the PSD floor the density
+    was validated at, so negative eigenvalues it allowed are clamped to zero
     before the entropy sum (0 ln 0 = 0); the clamped total is reported.
     """
-    if not rho.report.ok:
-        raise ValidationError("; ".join(rho.report.violations))
     vals = rho.report.eigenvalues
     clamped = float(-np.sum(vals[vals < 0.0]))
     vals = np.clip(vals, 0.0, None)

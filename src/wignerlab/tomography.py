@@ -19,9 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NormalizationError, ParameterError, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
-from .states import DensityMatrix, OperatorMatrix, validate_density
+from .states import DensityMatrix
 from .transforms import chirp_z, oscillatory_sum
-from .weyl import weyl_quantize
+from .wigner import quantized_density
 
 __all__ = [
     "TomogramSet",
@@ -291,8 +291,9 @@ def reconstruct_density(tomo: TomogramSet, eta: float):
     """Density matrix from tomograms: invert the Radon data, then quantize.
 
     Returns (DensityMatrix or None, report dict); the report keeps the
-    backprojected Wigner function as "reconstruction".  The trace is set to
-    one (factor recorded); PSD violations are reported, never repaired.
+    backprojected Wigner function as "reconstruction", quantized at ``eta``
+    by :func:`wigner.quantized_density`: the trace is set to one (factor
+    recorded); PSD violations are reported, never repaired.
     """
     masses = tomo.masses()
     if float(np.max(np.abs(masses - 1.0))) > 1e-3:
@@ -300,16 +301,8 @@ def reconstruct_density(tomo: TomogramSet, eta: float):
             f"tomograms are not normalized (masses {masses.min():.4f}..{masses.max():.4f})"
         )
     rho_w = inverse_radon(tomo)
-    symbol = PhaseSpaceFunction(
-        rho_w.x_grid, rho_w.p_grid, 2.0 * np.pi * eta * rho_w.values, eta, kind="symbol"
-    )
-    op = weyl_quantize(symbol)
-    trace = op.trace().real
-    if trace <= 0.0:
-        raise NormalizationError(f"reconstructed trace {trace} is not positive")
-    op = OperatorMatrix(op.grid, op.kernel / trace, eta)
     # FBP ringing leaves small negative eigenvalues; allow up to 1e-4
-    report = validate_density(op, psd_floor=1e-4)
+    op, report, trace = quantized_density(rho_w, eta, 1e-4)
     info = {
         "renormalization": float(trace),
         "min_eigenvalue": report.min_eigenvalue,

@@ -10,7 +10,8 @@ function of a mixture hand the symbol the factors of their operator,
 (psi, phi) or the weighted component states of the mixture, so no N x N
 kernel is read.  A density matrix without factors (a tomographic
 reconstruction) is read through its kernel.  Samples outside the grid are
-taken as zero.
+taken as zero.  :func:`quantized_density` goes back, from W to the
+validated density 2 pi eta Op_eta(W) / Tr at any eta.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NormalizationError, ParameterError
 from .grid import GridFunction, PhaseSpaceFunction
-from .states import DensityMatrix, MixedStateSpec, mix
+from .states import DensityMatrix, MixedStateSpec, mix, validate_density
 from .transforms import fourier_shift
-from .weyl import correlation_symbol, density_symbol, reflect, require_correlation_memory
+from .weyl import (
+    correlation_symbol, density_symbol, reflect, require_correlation_memory, weyl_quantize
+)
 
 __all__ = [
     "WignerResult",
@@ -51,6 +54,21 @@ def _scaled(W: PhaseSpaceFunction, kind: str) -> PhaseSpaceFunction:
     W.values /= 2.0 * np.pi * W.eta
     W.kind = kind
     return W
+
+
+def quantized_density(W: PhaseSpaceFunction, eta: float, psd_floor: float):
+    """(rho, report, Tr): rho = 2 pi eta Op_eta(W) / Tr, Tr = Int W to round-off
+    and refused unless positive, and the :func:`states.validate_density`
+    report of rho at ``psd_floor``.  The inverse of :func:`_scaled`: W keeps
+    its own eta label, at which its p grid is dual, so the quantizer
+    oversamples p by how far ``eta`` lies below it.
+    """
+    op = weyl_quantize(W, eta=eta)
+    trace = 2.0 * np.pi * op.eta * op.trace().real
+    if trace <= 0.0:
+        raise NormalizationError(f"trace {trace} of 2 pi eta Op_eta(W) is not positive")
+    op.kernel *= 2.0 * np.pi * op.eta / trace
+    return op, validate_density(op, psd_floor=psd_floor), trace
 
 
 def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:

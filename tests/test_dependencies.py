@@ -39,6 +39,20 @@ def test_validation_imports_no_random_generator():
     assert out.stdout.strip() == "False"
 
 
+def test_readme_examples_run():
+    # the README's python blocks build on one another: run them as one script
+    blocks = re.findall(
+        r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.MULTILINE | re.DOTALL
+    )
+    assert len(blocks) == 4
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['mixed', 'pure', 'inadmissible']"
+
+
 def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

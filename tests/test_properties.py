@@ -75,6 +75,7 @@ from wignerlab import (
 )
 from wignerlab.quantumness import klm_matrix
 from wignerlab.transforms import chirp_z
+from wignerlab.wigner import quantized_density
 from wignerlab.weyl import _parity_views, half_step_correlation
 
 from oracles import (
@@ -258,11 +259,11 @@ def test_range_spectrum_of_a_mixture_kernel_is_certified(grid_eta, components, s
 
 @given(grids(), st.floats(0.3, 3.0), seeds)
 def test_range_spectrum_of_a_foreign_eta_quantization_is_certified(grid_eta, other, seed):
-    # rho = (2 pi eta') Op_eta'(W), as eta_scan validates it
+    # rho = (2 pi eta') Op_eta'(W) / Tr, as eta_scan validates it
     grid, eta = grid_eta
     W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
-    op = weyl_quantize(W, eta=other)
-    _assert_within_certificate(OperatorMatrix(grid, 2.0 * np.pi * other * op.kernel, other), 1e-8)
+    op, _, _ = quantized_density(W, other, 1e-8)
+    _assert_within_certificate(op, 1e-8)
 
 
 def test_full_rank_kernel_takes_the_identity_basis(monkeypatch):

@@ -216,6 +216,34 @@ def test_eta_scan_verdicts():
         assert entry["purity_surrogate"] == pytest.approx(entry["eta"] / ETA, abs=1e-6)
 
 
+def test_eta_scan_quantizes_the_real_part():
+    # an imaginary part of 5e-10 max |a| passes the reality check; the scan
+    # quantizes the real part, so the density is Hermitian to round-off
+    grid = _self_dual_grid()
+    W = wigner(coherent_state(grid, ETA)).W
+    real = eta_scan(W, [0.5, 1.0, 1.5])
+    tilted = PhaseSpaceFunction(
+        W.x_grid, W.p_grid, W.values + 5e-10j * np.max(np.abs(W.values)), ETA, "wigner"
+    )
+    result = eta_scan(tilted, [0.5, 1.0, 1.5])
+    assert result.verdicts() == real.verdicts() == ["mixed", "pure", "inadmissible"]
+    assert all(entry["hermiticity_residue"] <= 1e-12 for entry in result.entries)
+
+
+def test_eta_scan_judges_the_normalized_density():
+    # a mass of 1 + 5e-7 passes the unit-mass check; the entry's trace reads
+    # it, and the verdicts are those of the unit-mass W
+    grid = _self_dual_grid()
+    W = wigner(coherent_state(grid, ETA)).W
+    unit = eta_scan(W, [0.5, 1.0, 1.5])
+    heavy = PhaseSpaceFunction(W.x_grid, W.p_grid, (1.0 + 5e-7) * W.values, ETA, "wigner")
+    result = eta_scan(heavy, [0.5, 1.0, 1.5])
+    assert result.verdicts() == unit.verdicts()
+    for entry, reference in zip(result.entries, unit.entries):
+        assert entry["trace"] == pytest.approx((1.0 + 5e-7) * reference["trace"], abs=1e-14)
+        assert entry["purity_surrogate"] == pytest.approx(reference["purity_surrogate"], abs=1e-12)
+
+
 def test_eta_scan_flags_nonpositive_distribution():
     grid = _self_dual_grid()
     W = wigner(hermite_state(grid, ETA, 1)).W

@@ -65,6 +65,19 @@ def test_pure_density_requires_normalization(grid):
         pure_density(bad)
 
 
+def test_norm_and_trace_share_one_tolerance(grid):
+    # Tr |psi><psi| = ||psi||^2, so a state the spec accepts has a trace
+    # the density accepts, and one whose trace would fail is refused first
+    psi = coherent_state(grid, ETA)
+    over = GridFunction(grid, (1.0 + 9e-9) * psi.values, ETA)  # ||psi||^2 - 1 = 1.8e-8
+    with pytest.raises(NormalizationError):
+        MixedStateSpec([(1.0, over)])
+    near = GridFunction(grid, np.sqrt(1.0 + 0.9e-8) * psi.values, ETA)
+    rho = mix(MixedStateSpec([(1.0, near)]))
+    assert rho.report.ok and rho.op.trace().real == pytest.approx(1.0 + 0.9e-8, abs=1e-15)
+    assert wigner(MixedStateSpec([(1.0, near)])).W.values.shape == (grid.n, grid.n)
+
+
 def test_mixture_weights_validated(grid):
     psi = coherent_state(grid, ETA)
     with pytest.raises(ParameterError):
@@ -80,7 +93,7 @@ def test_validate_density_flags_bad_operators(grid):
     assert not report.ok
     assert any("hermiticity" in v for v in report.violations)
     with pytest.raises(ValidationError):
-        validate_density(non_herm, strict=True)
+        DensityMatrix(non_herm, report)
 
 
 def test_spectral_decompose_reconstructs(grid):

@@ -14,6 +14,7 @@ from wignerlab import (
     coherent_state,
     covariance_matrix,
     dual_grid,
+    eta_scan,
     gaussian_state,
     hermite_state,
     inverse_radon,
@@ -306,6 +307,20 @@ def test_support_mask_keeps_fringes_between_empty_tomogram_stretches():
     # fidelity of the pure state with the reconstruction, 2 pi eta <W_psi, W>
     fidelity = 2.0 * np.pi * ETA * np.sum(truth * recon) * w.area_element
     assert fidelity > 0.99
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.3])
+def test_reconstruction_below_the_tomograms_eta_agrees_with_eta_scan(eta):
+    # the backprojected W keeps the tomograms' eta = 1 as its label, so its
+    # quantization at eta oversamples p by 2 ceil(1 / eta) and stays positive
+    grid = make_grid(-10.0, 10.0, 256)
+    tomo = radon(wigner(coherent_state(grid, ETA, 0.5, 0.3)), np.linspace(0.0, np.pi, 180, endpoint=False))
+    density, info = reconstruct_density(tomo, eta)
+    assert density is not None and not info["violations"]
+    assert density.eta == eta and info["min_eigenvalue"] > -1e-8
+    W = info["reconstruction"]
+    W.values /= np.sum(W.values.real) * W.area_element
+    assert eta_scan(W, [eta]).verdicts() == ["mixed"]
 
 
 def test_reconstruct_density_rejects_unnormalized(grid):
