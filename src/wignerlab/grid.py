@@ -154,7 +154,9 @@ class PhaseSpaceFunction:
     ``kind`` tags how the values should be interpreted: ``"wigner"`` for
     (real) Wigner distributions, ``"symbol"`` for Weyl symbols,
     ``"ambiguity"`` for ambiguity functions and ``"generic"`` otherwise.
-    The boundary leak is read off the samples, never stored.
+    Values are float64 when real by construction (the producer decides: the
+    symbol of a Hermitian operator), else complex.  The boundary leak is
+    read off the samples, never stored.
     """
 
     x_grid: Grid
@@ -167,7 +169,8 @@ class PhaseSpaceFunction:
 
     def __post_init__(self):
         self.eta = _check_eta(self.eta)
-        self.values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == np.float64 else values.astype(complex, copy=False)
         if self.values.shape != (self.x_grid.n, self.p_grid.n):
             raise ParameterError(
                 f"values shape {self.values.shape} does not match grids "
@@ -198,7 +201,10 @@ class PhaseSpaceFunction:
         return complex(np.sum(self.values) * self.area_element)
 
     def real_values(self, rtol: float = 1e-10) -> np.ndarray:
-        """Real part, verifying the imaginary residue is negligible."""
+        """Real part, verifying the imaginary residue of complex values is
+        negligible; real values are copied as they are."""
+        if self.values.dtype == np.float64:
+            return self.values.copy()
         scale = float(np.max(np.abs(self.values))) or 1.0
         resid = float(np.max(np.abs(self.values.imag)))
         if resid > rtol * scale:

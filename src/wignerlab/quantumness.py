@@ -323,10 +323,14 @@ class KLMReport:
 
 
 def _check_unit_mass(a: PhaseSpaceFunction) -> np.ndarray:
-    """The C-contiguous real part of ``a``, which must be real and of unit mass."""
-    scale = float(np.max(np.abs(a.values))) or 1.0
-    if float(np.max(np.abs(a.values.imag))) > 1e-9 * scale:
-        raise ValidationError("phase-space function must be real")
+    """The C-contiguous real part of ``a``, which must be real and of unit mass.
+
+    Real (float64) values are returned as they are, without a copy.
+    """
+    if np.iscomplexobj(a.values):
+        scale = float(np.max(np.abs(a.values))) or 1.0
+        if float(np.max(np.abs(a.values.imag))) > 1e-9 * scale:
+            raise ValidationError("phase-space function must be real")
     values = np.ascontiguousarray(a.values.real)
     mass = float(np.sum(values) * a.area_element)
     if abs(mass - 1.0) > 1e-6:
@@ -464,7 +468,7 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     if not eta_list:
         raise ParameterError("eta list must not be empty")
     real = PhaseSpaceFunction(a.x_grid, a.p_grid, _check_unit_mass(a), a.eta, a.kind)
-    square = float(np.sum(real.values.real**2) * a.area_element)
+    square = float(np.sum(real.values**2) * a.area_element)
     entries = []
     for eta in eta_list:
         eta = float(eta)

@@ -6,7 +6,7 @@ operator kernels):
     N,x_min,dx,eta,kind
     256,-10.0,0.078125,1.0,wigner
     real,imag
-    <one sample per row; 2-D data row-major>
+    <one sample per row; 2-D data row-major; a real function's imag is 0>
 
 Tomogram CSV:
 
@@ -56,11 +56,11 @@ def _format(value: float) -> str:
     return _FLOAT_FMT % float(value)
 
 
-def _write_rows(handle, table: np.ndarray):
-    """Write one line of comma-separated ``_FLOAT_FMT`` fields per row of a
-    2-D table, formatted by one ``%`` per block of rows that holds at most
-    ``_CSV_BLOCK`` entries (at least one row)."""
-    line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\n"
+def _write_rows(handle, table: np.ndarray, tail: str = ""):
+    """Write one line of comma-separated ``_FLOAT_FMT`` fields, then ``tail``,
+    per row of a 2-D table, formatted by one ``%`` per block of rows that
+    holds at most ``_CSV_BLOCK`` entries (at least one row)."""
+    line = ",".join([_FLOAT_FMT] * table.shape[1]) + tail + "\n"
     rows = max(1, _CSV_BLOCK // table.shape[1])
     for start in range(0, table.shape[0], rows):
         block = table[start : start + rows]
@@ -74,8 +74,13 @@ def _write_grid_csv(path, grid: Grid, eta: float, kind: str, flat: np.ndarray):
             f"{grid.n},{_format(grid.x_min)},{_format(grid.dx)},{_format(eta)},{kind}\n"
         )
         handle.write("real,imag\n")
-        # the real and imaginary parts of a complex array, interleaved: a view
-        _write_rows(handle, np.ascontiguousarray(flat, dtype=complex).view(float).reshape(-1, 2))
+        if flat.dtype == np.float64:
+            # a real function's imaginary column is 0
+            _write_rows(handle, flat.reshape(-1, 1), ",0")
+        else:
+            # the real and imaginary parts of a complex array, interleaved: a view
+            table = np.ascontiguousarray(flat, dtype=complex).view(float).reshape(-1, 2)
+            _write_rows(handle, table)
 
 
 def _read_lines(path):

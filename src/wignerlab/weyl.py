@@ -11,9 +11,13 @@ correlation: lag d dx at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry
 cells of each parity block K[a::2, b::2] are one strided view of the table.
 The symbol writes the kernel, or the products of its factors, into those
 views and sums the lags against the dual p grid; the quantizer fills the
-table from p sums and reads the kernel back out of them.  The ambiguity
-function reads the same table of |psi><psi| with the lag and midpoint axes
-swapped.  Off-grid arguments are treated as zero (kernels and symbols are
+table from p sums and reads the kernel back out of them.  On the centred
+dual p grid of an even N every phase of the lag sum is exactly +-1 or an
+FFT root of unity, so the symbol folds the 2N lags onto N by one add,
+signs them and takes one FFT; a Hermitian operator's folded lags are a
+Hermitian sequence, so its real symbol is one ``hfft`` of lags 0 .. N/2.
+The ambiguity function reads the same table of |psi><psi| with the lag
+and midpoint axes swapped.  Off-grid arguments are treated as zero (kernels and symbols are
 assumed negligible outside the grid).
 
 At the symbol's own eta, where its p grid is dual to the x grid, the
@@ -86,10 +90,13 @@ def require_correlation_memory(n: int):
 
     A kernel peaks at about 64 N^2 bytes: the N x N kernel and the N x 2N
     correlation (48 N^2) with one N x N buffer (16 N^2), first the one its
-    2-D half-step shift runs in, then the pre-phased copy that the FFT of
-    :func:`_lag_transform` overwrites.  Factors (U, V) build no N x N kernel
-    and need less.  The 104 N^2 counted also covers what the allocator holds
-    beyond them.  Call it before the kernel or the correlation is built.
+    2-D half-step shift runs in, then the complex output of the lag FFT (a
+    Hermitian kernel's FFT runs in the correlation and only its real part,
+    8 N^2, is copied out).  The lags are folded and signed in place, with no
+    phased copy.  Factors (U, V) build no N x N kernel and need less; a
+    Hermitian pair's ``hfft`` reads half the lags.  The 104 N^2 counted also
+    covers what the allocator holds beyond them.  Call it before the kernel
+    or the correlation is built.
     """
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
 
@@ -153,24 +160,6 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     for (a, b), view in views.items():
         view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr
-
-
-def _lag_transform(corr: np.ndarray, dx: float, p_grid: Grid, eta: float) -> np.ndarray:
-    """Compute dx sum_m corr[..., m] exp(-i y_m p_l / eta) over 2N lags.
-
-    The lags are y_m = (m - N) dx for m = 0 .. 2N-1, with N = ``p_grid.n``,
-    and ``p_grid`` must be dual to the lag spacing (dp dx N = 2 pi eta).
-    The kernel is then N-periodic in m up to the factor exp(-i N dx p_min /
-    eta) on the upper half, so the lags fold onto the N lags (m - N) dx,
-    m < N, and one dual-grid sum finishes the job.  The fold is done in
-    place: the correlation is consumed, its upper half left holding the
-    folded lags.
-    """
-    n = p_grid.n
-    folded = corr[..., n:]
-    folded *= np.exp(-1j * n * dx * p_grid.x_min / eta)
-    folded += corr[..., :n]
-    return oscillatory_sum(folded, Grid(-n * dx, 0.0, n), p_grid, eta, -1, scale=dx)
 
 
 #: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
@@ -263,20 +252,50 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     return OperatorMatrix(a.x_grid, kernel, eta_use)
 
 
-def correlation_symbol(source, grid, eta: float) -> PhaseSpaceFunction:
-    """Weyl symbol of the kernel ``source``, or of a pair (U, V) of N x r
-    factors of the kernel U V^H, read off its half-step correlation."""
-    require_correlation_memory(grid.n)
+def correlation_symbol(
+    source, grid, eta: float, scale: float = 1.0, kind: str = "symbol", hermitian: bool = False
+) -> PhaseSpaceFunction:
+    """``scale`` times the Weyl symbol of the kernel ``source``, or of a pair
+    (U, V) of N x r factors of the kernel U V^H, read off its half-step
+    correlation, as a function of the given ``kind``.
+
+    The symbol is dx sum_m corr[j, m] exp(-i p_l y_m / eta) over the 2N lags
+    y_m = (m - N) dx.  On the centred dual grid p_l = (l - N/2) dp of an even
+    N, lags t dx and (t - N) dx share the phase (-1)^t exp(-2 pi i l t / N):
+    the lower half of the table is added onto the upper half and column t
+    multiplied by (-1)^t scale dx, both in place, and one FFT sums the N
+    folded lags.  A ``hermitian`` operator has C(x, -y) = conj C(x, y), so its
+    folded lags are a Hermitian sequence and its symbol is real: factors
+    fold lags 0 .. N/2 only and take one ``hfft``; a kernel, Hermitian only
+    to round-off, keeps the real part of the full FFT.  Either way the
+    values are float64.
+    """
+    n = grid.n
+    require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
-    values = _lag_transform(half_step_correlation(source, grid), grid.dx, p_grid, eta)
-    return PhaseSpaceFunction(grid, p_grid, values, eta, kind="symbol")
+    corr = half_step_correlation(source, grid)
+    width = n // 2 + 1 if hermitian and isinstance(source, tuple) else n
+    lags = corr[:, n : n + width]
+    lags += corr[:, :width]
+    sign = np.full(width, scale * grid.dx)
+    sign[1::2] *= -1.0
+    lags *= sign
+    if width < n:
+        values = np.fft.hfft(lags, n, axis=1)
+    elif hermitian:
+        values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
+    else:
+        values = np.fft.fft(lags, axis=1)
+    return PhaseSpaceFunction(grid, p_grid, values, eta, kind=kind)
 
 
-def density_symbol(rho: DensityMatrix) -> PhaseSpaceFunction:
-    """Weyl symbol of a density matrix, from the factors :func:`states.mix`
-    kept, else from its kernel."""
+def density_symbol(
+    rho: DensityMatrix, scale: float = 1.0, kind: str = "symbol"
+) -> PhaseSpaceFunction:
+    """``scale`` times the real Weyl symbol of a density matrix, from the
+    factors :func:`states.mix` kept, else from its kernel."""
     source = rho.kernel if rho.factors is None else rho.factors
-    return correlation_symbol(source, rho.grid, rho.eta)
+    return correlation_symbol(source, rho.grid, rho.eta, scale, kind, hermitian=True)
 
 
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
@@ -315,9 +334,8 @@ def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
     scale = float(np.max(np.abs(a.values))) or 1.0
     if float(np.max(np.abs(a.values.imag))) > 1e-12 * scale:
         raise ParameterError("observable symbol must be real")
-    rho_w = density_symbol(rho).values / (2.0 * np.pi * rho.eta)
-    value = np.sum(a.values.real * rho_w) * a.area_element
-    return float(value.real)
+    rho_w = density_symbol(rho, 1.0 / (2.0 * np.pi * rho.eta)).values
+    return float(np.sum(a.values.real * rho_w) * a.area_element)
 
 
 def trace_from_symbol(a: PhaseSpaceFunction) -> dict:

@@ -49,17 +49,10 @@ class WignerResult:
         return self.W.real_values()
 
 
-def _scaled(W: PhaseSpaceFunction, kind: str) -> PhaseSpaceFunction:
-    """Wigner distribution of an operator from its Weyl symbol: over 2 pi eta."""
-    W.values /= 2.0 * np.pi * W.eta
-    W.kind = kind
-    return W
-
-
 def quantized_density(W: PhaseSpaceFunction, eta: float, psd_floor: float):
     """(rho, report, Tr): rho = 2 pi eta Op_eta(W) / Tr, Tr = Int W to round-off
     and refused unless positive, and the :func:`states.validate_density`
-    report of rho at ``psd_floor``.  The inverse of :func:`_scaled`: W keeps
+    report of rho at ``psd_floor``.  The inverse of :func:`wigner`: W keeps
     its own eta label, at which its p grid is dual, so the quantizer
     oversamples p by how far ``eta`` lies below it.
     """
@@ -74,21 +67,26 @@ def quantized_density(W: PhaseSpaceFunction, eta: float, psd_floor: float):
 def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     """Cross-Wigner transform W(psi, phi); complex-valued in general.
 
-    W(psi, phi) is the scaled Weyl symbol of the rank-one operator
+    W(psi, phi) is the Weyl symbol over 2 pi eta of the rank-one operator
     |psi><phi|, whose kernel psi(x) phi*(y) has the factors (psi, phi).
+    W(psi, psi) is the Wigner function of psi: its operator is Hermitian,
+    and its values are float64.
     """
     psi.require_compatible(phi)
     factors = (psi.values[:, None], phi.values[:, None])
-    W = correlation_symbol(factors, psi.grid, psi.eta)
-    return _scaled(W, "wigner" if psi is phi else "generic")
+    same = psi is phi
+    kind = "wigner" if same else "generic"
+    scale = 1.0 / (2.0 * np.pi * psi.eta)
+    return correlation_symbol(factors, psi.grid, psi.eta, scale, kind, hermitian=same)
 
 
 def wigner(source) -> WignerResult:
     """Wigner distribution of a pure state, a mixture spec, or a density matrix.
 
-    Each is the scaled Weyl symbol of its density operator; a pure state's
-    operator is the rank-one |psi><psi|, and a mixture's symbol is read
-    from the factors :func:`states.mix` keeps.
+    Each is the Weyl symbol over 2 pi eta of its density operator, real
+    (float64) since the operator is Hermitian; a pure state's operator is
+    the rank-one |psi><psi|, and a mixture's symbol is read from the
+    factors :func:`states.mix` keeps.
     """
     if isinstance(source, GridFunction):
         return WignerResult(cross_wigner(source, source))
@@ -97,7 +95,7 @@ def wigner(source) -> WignerResult:
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    return WignerResult(_scaled(density_symbol(source), "wigner"))
+    return WignerResult(density_symbol(source, 1.0 / (2.0 * np.pi * source.eta), "wigner"))
 
 
 def marginals(w) -> tuple[np.ndarray, np.ndarray]:

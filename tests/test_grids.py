@@ -111,6 +111,21 @@ def test_real_values_guards_imaginary_part():
     assert np.all(f.real_values(rtol=1e-2) == 1.0)
 
 
+def test_phase_space_values_are_float64_or_complex():
+    # float64 samples are kept as they are; any other dtype becomes complex
+    g = make_grid(-8.0, 8.0, 64)
+    gp = dual_grid(g, 1.0)
+    real = np.ones((64, 64))
+    f = PhaseSpaceFunction(g, gp, real, 1.0)
+    assert f.values is real
+    for vals in (np.ones((64, 64), dtype=int), np.ones((64, 64), dtype=np.float32)):
+        assert PhaseSpaceFunction(g, gp, vals, 1.0).values.dtype == np.complex128
+    # a real array is copied, with no tolerance to pass
+    copy = f.real_values(rtol=0.0)
+    assert copy.dtype == np.float64 and not np.shares_memory(copy, real)
+    assert np.array_equal(copy, real)
+
+
 def test_boundary_leak():
     vals = np.zeros((64, 64))
     vals[32, 32] = 1.0

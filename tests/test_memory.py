@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,10 @@ from wignerlab import (
     ParameterError,
     PhaseSpaceFunction,
     ambiguity,
+    coherent_state,
     cross_wigner,
     dual_grid,
+    eta_scan,
     klm_test,
     make_grid,
     mix,
@@ -128,6 +131,24 @@ def test_each_count_bounds_the_measured_peak(case):
     assert low <= result["counted"] <= high
 
 
+def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
+    # a Wigner function is float64, so the scan quantizes W's own samples and
+    # no N x N copy of their real part lives beside W: at N = 256 and
+    # eta = 0.5 the traced peak is 9.34 MiB, where the copy made it 10.34
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
+    eta_scan(W, [0.5])  # first-use allocations are not the scan's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    eta_scan(W, [0.5])
+    peak = tracemalloc.get_traced_memory()[1] - base
+    if not tracing:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 2**20
+
+
 # the metaplectic word path takes O(N) memory, so it has no guard: at
 # N = 4096 its four steps must not rise by more than 16 MB
 _WORD = """
@@ -155,6 +176,18 @@ def test_word_path_memory_is_linear_in_n():
 
 def _refuse(*args, **kwargs):
     raise AssertionError("allocated before the memory check")
+
+
+def _small(allocate):
+    """``allocate`` refusing any array of 2^24 entries or more: a table that
+    some builder other than the stubbed ones would fill."""
+
+    def allocating(shape, *args, **kwargs):
+        if np.prod(shape) >= 2**24:
+            _refuse()
+        return allocate(shape, *args, **kwargs)
+
+    return allocating
 
 
 def _zero_stride_symbol(n):
@@ -223,7 +256,13 @@ GUARDS = {
 def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "outer", _refuse)
     monkeypatch.setattr(np, "matmul", _refuse)
+    # the one table builder of the Weyl-Wigner maps; at N = 8192 a second
+    # one, or a lag pass that ran without it, would be caught here
     monkeypatch.setattr(weyl, "half_step_correlation", _refuse)
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, _small(getattr(np, name)))
+    for name in ("fft", "hfft"):
+        monkeypatch.setattr(np.fft, name, _refuse)
     monkeypatch.setattr(weyl, "refine", _refuse)
     monkeypatch.setattr(quantumness, "_check_unit_mass", _refuse)
     monkeypatch.setattr(tomography, "_projection_spectra", _refuse)

@@ -4,7 +4,8 @@ Grids are power-of-two N from 16 to 256 on non-centered intervals; eta runs
 over [0.3, 3], and quantization is also checked at a foreign eta, where the
 oversampled p step is not dual to the x grid.  The fast paths are compared
 with the dense-phase and eigen-loop references in ``oracles``: the
-Weyl-Wigner lag transforms, the quantizer, the free metaplectic operator,
+Weyl-Wigner lag transforms (among them the real Wigner functions of states,
+mixtures and densities known by their kernel alone), the quantizer, the free metaplectic operator,
 the rescale and Fourier steps of a metaplectic word, and the Radon transform.
 The symplectic Fourier transform is checked to be an involution on centered
 grids.
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 
 from wignerlab import (
     CovarianceMatrix,
+    DensityMatrix,
     Grid,
     GridFunction,
     MetaplecticSpec,
@@ -361,6 +363,39 @@ def test_density_wigner_matches_eigen_loop(grid_eta, components, seed):
     assert _relative(pure_density(states[0]).kernel, np.outer(first, first.conj())) <= 1e-15
     assert _relative(wigner(rho).W.values, wigner_density_eigen(rho)) <= 1e-12
 
+
+
+@given(grids(), st.integers(1, 8), seeds)
+def test_hermitian_wigner_paths_match_dense_oracles(grid_eta, components, seed):
+    # the real Wigner functions of a state (one hfft of half the lags), of a
+    # mixture spec (the factors mix keeps) and of a density known by its
+    # kernel alone (the real part of the full lag sum), against the
+    # dense-phase oracles.  A kernel is Hermitian only to round-off: with an
+    # anti-Hermitian residue of 4e-11 its Wigner function is still the real
+    # part of the full sum, not the sum of half the lags
+    grid, eta = grid_eta
+    rng = np.random.default_rng(seed)
+    psi = _state(grid, eta, rng)
+    assert _relative(wigner(psi).W.values, cross_wigner_dense(psi, psi)) <= 1e-13
+    weights = rng.dirichlet(np.ones(components))
+    weights[-1] = 1.0 - weights[:-1].sum()
+    spec = MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights])
+    rho = mix(spec)
+    eigen = wigner_density_eigen(rho)
+    assert _relative(wigner(spec).W.values, eigen) <= 1e-13
+    assert _relative(wigner(DensityMatrix(rho.op, rho.report)).W.values, eigen) <= 1e-13
+    skew = rng.uniform(-1.0, 1.0, size=(grid.n, grid.n))
+    kernel = rho.kernel + 1e-11 * np.max(np.abs(rho.kernel)) * 1j * (skew + skew.T)
+    op = OperatorMatrix(grid, kernel, eta)
+    full = weyl_symbol(op).values.real / (2.0 * np.pi * eta)
+    assert _relative(wigner(DensityMatrix(op, validate_density(op))).W.values, full) <= 1e-14
+
+
+def test_wigner_of_a_state_at_n512_is_within_1e_14_of_the_dense_oracle():
+    # every phase of the lag sum is an exact sign or FFT root, so no float
+    # exp table adds its error (the complex-phase pass read 6.8e-14 here)
+    psi = coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)
+    assert _relative(wigner(psi).W.values, cross_wigner_dense(psi, psi)) <= 1e-14
 
 @given(
     st.sampled_from([64, 128, 256]),

@@ -55,6 +55,23 @@ def test_phase_space_round_trip(tmp_path, grid):
     assert np.array_equal(back.values, W.values)
 
 
+def test_real_phase_space_writes_a_zero_imaginary_column(tmp_path, grid):
+    # a Wigner function is float64: each data row is its %.17g value and 0,
+    # and loading the file gives the same values back
+    W = wigner(coherent_state(grid, ETA, 0.3, -0.2)).W
+    assert W.values.dtype == np.float64
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -np.pi, 1e-5, 2.0**60]
+    W.values.reshape(-1)[: len(special)] = special
+    path = tmp_path / "wigner.csv"
+    save_phase_space(W, path)
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[2] == "real,imag" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[3:-1]]
+    assert [row[1] for row in rows] == ["0"] * grid.n**2
+    assert [row[0] for row in rows] == ["%.17g" % value for value in W.values.reshape(-1)]
+    assert np.array_equal(load_phase_space(path).values, W.values)
+
+
 def test_kernel_round_trip(tmp_path, grid):
     op = pure_density(coherent_state(grid, ETA)).op
     path = tmp_path / "kernel.csv"

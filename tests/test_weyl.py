@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     GridFunction,
+    MixedStateSpec,
     ParameterError,
     PhaseSpaceFunction,
     coherent_state,
@@ -244,6 +245,46 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     weyl_quantize(a, eta=1.5 * a.eta)
     assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 5}
     assert shifted[-1] == (256, 256)
+
+
+def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
+    # on the centred dual grid every phase of the lag sum is +-1, so once the
+    # half-step correlation is built, the Wigner function of a state or of a
+    # mixture makes no exp table of N or more entries and runs one hfft over
+    # lags 0 .. N/2, and no full FFT
+    from wignerlab import weyl
+
+    after = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if after and (name != "exp" or np.size(out) >= 256):
+                after.append(name)
+            return out
+
+        return recorded
+
+    build = weyl.half_step_correlation
+
+    def building(*args, **kwargs):
+        corr = build(*args, **kwargs)
+        after.append(corr.shape)
+        return corr
+
+    grid = make_grid(-10.0, 10.0, 256)
+    psi = coherent_state(grid, ETA, 0.4, 0.0)
+    spec = MixedStateSpec([(0.5, psi), (0.5, hermite_state(grid, ETA, 1))])
+    monkeypatch.setattr(weyl, "half_step_correlation", building)
+    monkeypatch.setattr(np, "exp", recording(np, "exp"))
+    for name in ("fft", "hfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(np.fft, name))
+    for source in (psi, spec):
+        after.clear()
+        assert wigner(source).W.values.dtype == np.float64
+        assert after == [(256, 512), "hfft"]
 
 
 def test_quantizer_sums_a_longer_p_grid_in_full():

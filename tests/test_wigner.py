@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    DensityMatrix,
     MixedStateSpec,
     ambiguity,
     coherent_state,
@@ -15,6 +16,7 @@ from wignerlab import (
     pure_density,
     reflection_wigner_check,
     symplectic_fourier,
+    weyl_symbol,
     wigner,
 )
 
@@ -50,6 +52,20 @@ def test_wigner_mass_and_marginals(grid):
     assert np.max(np.abs(pos - np.abs(psi.values) ** 2)) < 1e-12
     ft = eta_fourier(psi)
     assert np.max(np.abs(mom - np.abs(ft.values) ** 2)) < 1e-12
+
+
+def test_realness_is_read_off_the_dtype(grid):
+    # the Wigner function of a state, a mixture or a density is the symbol
+    # of a Hermitian operator and is produced real; cross-Wigner of two
+    # states, the ambiguity function and the symbol of an operator are not
+    psi = coherent_state(grid, ETA, 0.5, 0.0)
+    phi = hermite_state(grid, ETA, 1)
+    spec = MixedStateSpec([(0.25, psi), (0.75, phi)])
+    rho = pure_density(phi)
+    for source in (psi, spec, rho, DensityMatrix(rho.op, rho.report)):
+        assert wigner(source).W.values.dtype == np.float64
+    for a in (cross_wigner(psi, phi), ambiguity(psi), weyl_symbol(rho.op)):
+        assert a.values.dtype == np.complex128
 
 
 def test_cross_wigner_hermitian_symmetry(grid):
