@@ -332,9 +332,7 @@ def _run_tomography(config, out_dir):
     density, info = reconstruct_density(tomo, eta)
     recon = info["reconstruction"]
     truth = w.values
-    l2 = float(
-        np.sqrt(np.sum((recon.values.real - truth) ** 2) / np.sum(truth**2))
-    )
+    l2 = float(np.sqrt(np.sum((recon.values - truth) ** 2) / np.sum(truth**2)))
     checks = [Check("reconstruction_l2", l2, _tol(config, 2e-2))]
     if config["state"] == "coherent":
         phi0 = coherent_state(grid, eta)

@@ -154,9 +154,11 @@ class PhaseSpaceFunction:
     ``kind`` tags how the values should be interpreted: ``"wigner"`` for
     (real) Wigner distributions, ``"symbol"`` for Weyl symbols,
     ``"ambiguity"`` for ambiguity functions and ``"generic"`` otherwise.
-    Values are float64 when real by construction (the producer decides: the
-    symbol of a Hermitian operator), else complex.  The boundary leak is
-    read off the samples, never stored.
+    Realness is the dtype, decided by the producer: real samples are kept
+    as float64 (a float64 array as it is), complex ones become complex128.
+    A consumer that needs real values reads :meth:`real_values`, which
+    refuses complex ones, however small their imaginary part.  The boundary
+    leak is read off the samples, never stored.
     """
 
     x_grid: Grid
@@ -170,7 +172,7 @@ class PhaseSpaceFunction:
     def __post_init__(self):
         self.eta = _check_eta(self.eta)
         values = np.asarray(self.values)
-        self.values = values if values.dtype == np.float64 else values.astype(complex, copy=False)
+        self.values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
         if self.values.shape != (self.x_grid.n, self.p_grid.n):
             raise ParameterError(
                 f"values shape {self.values.shape} does not match grids "
@@ -200,18 +202,11 @@ class PhaseSpaceFunction:
     def integral(self) -> complex:
         return complex(np.sum(self.values) * self.area_element)
 
-    def real_values(self, rtol: float = 1e-10) -> np.ndarray:
-        """Real part, verifying the imaginary residue of complex values is
-        negligible; real values are copied as they are."""
-        if self.values.dtype == np.float64:
-            return self.values.copy()
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        resid = float(np.max(np.abs(self.values.imag)))
-        if resid > rtol * scale:
-            raise ParameterError(
-                f"imaginary residue {resid:.3e} exceeds {rtol:.0e} x scale {scale:.3e}"
-            )
-        return self.values.real.copy()
+    def real_values(self) -> np.ndarray:
+        """The float64 samples themselves; complex values are refused."""
+        if np.iscomplexobj(self.values):
+            raise ParameterError(f"{self.kind} function is complex; a real one is needed")
+        return self.values
 
     def require_compatible(self, other: "PhaseSpaceFunction"):
         if not (self.x_grid.matches(other.x_grid) and self.p_grid.matches(other.p_grid)):

@@ -132,9 +132,10 @@ def _moments(values: np.ndarray, x: np.ndarray, p: np.ndarray):
 def covariance_matrix(W: PhaseSpaceFunction) -> CovarianceMatrix:
     """Second central moments of a normalized phase-space distribution.
 
-    Read off the two marginals and one bilinear form (see :func:`_moments`).
+    Read off the two marginals and one bilinear form (see :func:`_moments`);
+    a complex ``W`` is refused (:meth:`grid.PhaseSpaceFunction.real_values`).
     """
-    values = W.values.real
+    values = W.real_values()
     mass = float(np.sum(values) * W.area_element)
     if abs(mass - 1.0) > 1e-3:
         raise ValidationError(f"distribution mass is {mass}, expected 1")
@@ -218,9 +219,9 @@ def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) ->
     the double sum is one matrix product and one column-wise dot product.
     The callers build the phases: :func:`reduced_transform` and
     :func:`sigma_transform_at` per point, :func:`klm_matrix` as products of
-    per-sample phases.  Real ``values`` (C-contiguous) multiply the
-    interleaved real and imaginary parts of ``ep`` in one real product, so
-    no complex copy of the samples is made.  Callers pass at most
+    per-sample phases.  Real ``values`` multiply the interleaved real and
+    imaginary parts of ``ep`` in one real product, so no complex copy of the
+    samples is made.  Callers pass at most
     ``_POINT_CHUNK`` columns at a time, which keeps memory O(chunk N).
     """
     if np.iscomplexobj(values):
@@ -238,14 +239,13 @@ def _transform_at(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
     involved, so any pair of x and p grids works.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = a.values if np.any(a.values.imag) else np.ascontiguousarray(a.values.real)
     x, p = a.x_grid.points, a.p_grid.points
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), _POINT_CHUNK):
         block = points[start : start + _POINT_CHUNK]
         ex = np.exp(-1j * scale * np.outer(x, block[:, 1]))
         ep = np.exp(1j * scale * np.outer(p, block[:, 0]))
-        out[start : start + _POINT_CHUNK] = _quadrature_transform(values, ex, ep)
+        out[start : start + _POINT_CHUNK] = _quadrature_transform(a.values, ex, ep)
     return out * a.area_element
 
 
@@ -269,7 +269,7 @@ def sigma_transform_at(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
 def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
     """The sampled KLM matrix exp(i sigma(z_j, z_k) / 2 eta) a_sigma(z_j - z_k).
 
-    For the real part of ``a`` (:func:`klm_test` refuses a non-real one),
+    ``a`` must be real (:meth:`grid.PhaseSpaceFunction.real_values`), so
     a_sigma(-w) is the conjugate of a_sigma(w) and a_sigma(0) is the mass
     over 2 pi eta.  So a_sigma is transformed at the M(M - 1)/2 differences
     with j < k only, the lower triangle holds their conjugates and the
@@ -283,7 +283,7 @@ def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
     eta = _nonzero_eta(eta)
     points = np.asarray(points, dtype=float)
     xs, ps = points[:, 0], points[:, 1]
-    values = np.ascontiguousarray(a.values.real)
+    values = a.real_values()
     sx = np.exp(-1j / eta * np.outer(a.x_grid.points, ps))
     sp = np.exp(1j / eta * np.outer(a.p_grid.points, xs))
     rows, cols = np.triu_indices(len(points), 1)
@@ -323,15 +323,8 @@ class KLMReport:
 
 
 def _check_unit_mass(a: PhaseSpaceFunction) -> np.ndarray:
-    """The C-contiguous real part of ``a``, which must be real and of unit mass.
-
-    Real (float64) values are returned as they are, without a copy.
-    """
-    if np.iscomplexobj(a.values):
-        scale = float(np.max(np.abs(a.values))) or 1.0
-        if float(np.max(np.abs(a.values.imag))) > 1e-9 * scale:
-            raise ValidationError("phase-space function must be real")
-    values = np.ascontiguousarray(a.values.real)
+    """The real samples of ``a`` themselves, refused unless of unit mass."""
+    values = a.real_values()
     mass = float(np.sum(values) * a.area_element)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"phase-space mass is {mass}, expected 1")
@@ -368,7 +361,7 @@ def klm_test(
     a negative or non-integer ``seed`` are refused with ParameterError
     before any work.  :func:`errors.require_memory` then refuses the working
     set before anything is allocated.  It counts, as if they overlapped, a
-    complex N x N array for two real copies of the samples, the
+    complex N x N array for the copy |a| that the ball's radius reads, the
     two per-sample phase arrays with the temporaries that build them (four
     complex samples x N), one pair block (four complex ``_POINT_CHUNK`` x N
     arrays: the two phases, a gathered column block and the product with
@@ -459,21 +452,20 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     """Admissibility of a fixed phase-space function across eta values.
 
     Each eta reads the report, at the PSD floor 1e-8, of rho_eta =
-    (2 pi eta) Op_eta(a) / Tr (:func:`wigner.quantized_density` of the real
-    part of ``a``; an entry's "trace" is Tr, which is Int a).  The purity
+    (2 pi eta) Op_eta(a) / Tr (:func:`wigner.quantized_density` of ``a``,
+    which must be real; an entry's "trace" is Tr, which is Int a).  The purity
     (2 pi eta) Int a^2 / Tr^2 of rho_eta must stay <= 1 for an admissible
     eta, and equals 1 only for a pure state.
     """
     eta_list = list(eta_list)
     if not eta_list:
         raise ParameterError("eta list must not be empty")
-    real = PhaseSpaceFunction(a.x_grid, a.p_grid, _check_unit_mass(a), a.eta, a.kind)
-    square = float(np.sum(real.values**2) * a.area_element)
+    square = float(np.sum(_check_unit_mass(a) ** 2) * a.area_element)
     entries = []
     for eta in eta_list:
         eta = float(eta)
         # the density itself is not kept: its kernel is freed before the next eta
-        report, trace = quantized_density(real, eta, 1e-8)[1:]
+        report, trace = quantized_density(a, eta, 1e-8)[1:]
         surrogate = 2.0 * np.pi * eta * square / trace**2
         if not (report.ok and surrogate <= 1.0 + 1e-6):
             verdict = "inadmissible"

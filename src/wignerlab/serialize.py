@@ -121,7 +121,8 @@ def _read_grid_csv(path):
         raise ConfigurationError(f"{path}: malformed grid header: {exc}") from exc
     grid = make_grid(x_min, x_min + n * dx, n)
     data = _parse_rows(path, lines[3:], 2)
-    flat = data[:, 0] + 1j * data[:, 1]
+    # an imaginary column of zeros is a real function's: float64, a copy
+    flat = data[:, 0] + 1j * data[:, 1] if np.any(data[:, 1]) else data[:, 0].copy()
     return grid, eta, kind, flat
 
 

@@ -164,7 +164,7 @@ def radon(W, angles) -> TomogramSet:
     require_radon_memory(angles.size, max(x_grid.n, W.p_grid.n))
     if not np.all(np.isfinite(angles)):
         raise ParameterError("angles must be finite")
-    values = W.real_values(rtol=1e-6)
+    values = W.real_values()
     # the drift check below compares against the mass of the whole W, so it
     # sees any mass the support box leaves out
     mass = float(values.sum() * W.area_element)

@@ -46,7 +46,7 @@ class WignerResult:
 
     @property
     def values(self) -> np.ndarray:
-        return self.W.real_values()
+        return self.W.values
 
 
 def quantized_density(W: PhaseSpaceFunction, eta: float, psd_floor: float):
@@ -101,7 +101,7 @@ def wigner(source) -> WignerResult:
 def marginals(w) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum densities of a Wigner distribution."""
     W = w.W if isinstance(w, WignerResult) else w
-    values = W.real_values(rtol=1e-8)
+    values = W.real_values()
     return values.sum(axis=1) * W.dp, values.sum(axis=0) * W.dx
 
 

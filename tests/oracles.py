@@ -283,7 +283,7 @@ def radon_dense(W: PhaseSpaceFunction, angles) -> np.ndarray:
     grid, masked where the sampled transform aliases, and each profile is
     its inverse DFT on the k grid k_m = (m - N/2) 2 pi / (N dx).
     """
-    values = W.real_values(rtol=1e-6)
+    values = W.real_values()
     x, p = W.x_grid.points, W.p_grid.points
     n, dx, dp = W.x_grid.n, W.dx, W.dp
     dk = 2.0 * np.pi / (n * dx)

@@ -182,6 +182,8 @@ def _blocked_artifact(tmp_path):
         (lambda tmp_path: ["klm", "--input", str(tmp_path / "missing.csv")], "cannot read"),
         (_one_column_csv, "2 columns"),
         (_phase_space_csv(first_row="nan,0"), "non-finite samples"),
+        # an imaginary column of round-off, as older writers left it
+        (_phase_space_csv(first_row="0,1e-77"), "complex"),
         (_phase_space_csv(header="64,-10,inf,1,wigner"), "grid bounds must be finite"),
         (_config({"N": "abc"}), "N must be int"),
         (_config({"seed": 1.5}), "seed must be int"),
@@ -190,8 +192,8 @@ def _blocked_artifact(tmp_path):
         (_blocked_artifact, "cannot write"),
     ],
     ids=[
-        "missing_input", "one_column_csv", "nan_sample", "infinite_dx", "string_N", "float_seed",
-        "negative_seed", "negative_angles", "unwritable_artifact",
+        "missing_input", "one_column_csv", "nan_sample", "complex_sample", "infinite_dx",
+        "string_N", "float_seed", "negative_seed", "negative_angles", "unwritable_artifact",
     ],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):

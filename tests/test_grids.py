@@ -1,6 +1,10 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wignerlab
 from wignerlab import (
     ConfigurationError,
     GridFunction,
@@ -11,17 +15,24 @@ from wignerlab import (
     ambiguity,
     boundary_leak,
     coherent_state,
+    covariance_matrix,
     cross_wigner,
     dual_grid,
+    eta_scan,
+    expectation,
     inverse_radon,
+    klm_test,
     load_phase_space,
     make_grid,
+    marginals,
+    pure_density,
     radon,
     save_phase_space,
     symplectic_fourier,
     weyl_symbol,
     wigner,
 )
+from wignerlab.quantumness import klm_matrix
 
 
 def test_grid_points_and_spacing():
@@ -102,28 +113,69 @@ def test_phase_space_function_shape_check():
 
 
 def test_real_values_guards_imaginary_part():
+    # complex values are refused whatever their imaginary part, zero included
     g = make_grid(-8.0, 8.0, 64)
     gp = dual_grid(g, 1.0)
-    vals = np.ones((64, 64)) + 1e-3j
-    f = PhaseSpaceFunction(g, gp, vals, 1.0)
-    with pytest.raises(ParameterError):
-        f.real_values()
-    assert np.all(f.real_values(rtol=1e-2) == 1.0)
+    for imag in (1e-3, 1e-300, 0.0):
+        f = PhaseSpaceFunction(g, gp, np.ones((64, 64)) + imag * 1j, 1.0, "wigner")
+        with pytest.raises(ParameterError, match="wigner function is complex"):
+            f.real_values()
 
 
 def test_phase_space_values_are_float64_or_complex():
-    # float64 samples are kept as they are; any other dtype becomes complex
+    # real samples become float64 (a float64 array is kept as it is), complex
+    # ones complex128
     g = make_grid(-8.0, 8.0, 64)
     gp = dual_grid(g, 1.0)
     real = np.ones((64, 64))
     f = PhaseSpaceFunction(g, gp, real, 1.0)
     assert f.values is real
     for vals in (np.ones((64, 64), dtype=int), np.ones((64, 64), dtype=np.float32)):
-        assert PhaseSpaceFunction(g, gp, vals, 1.0).values.dtype == np.complex128
-    # a real array is copied, with no tolerance to pass
-    copy = f.real_values(rtol=0.0)
-    assert copy.dtype == np.float64 and not np.shares_memory(copy, real)
-    assert np.array_equal(copy, real)
+        assert PhaseSpaceFunction(g, gp, vals, 1.0).values.dtype == np.float64
+    vals = np.ones((64, 64), dtype=np.complex64)
+    assert PhaseSpaceFunction(g, gp, vals, 1.0).values.dtype == np.complex128
+    # the real values are the float64 array itself, with no tolerance to pass
+    assert f.real_values() is real
+
+
+def _tilted_wigner(n, tilt):
+    W = wigner(coherent_state(make_grid(-8.0, 8.0, n), 1.0)).W
+    values = W.values + tilt * 1j * np.max(np.abs(W.values))
+    return PhaseSpaceFunction(W.x_grid, W.p_grid, values, W.eta, "wigner")
+
+
+_REAL_ONLY = {
+    "radon": lambda W: radon(W, [0.0, 1.0]),
+    "marginals": marginals,
+    "klm_test": lambda W: klm_test(W, 1.0, samples=4),
+    "eta_scan": lambda W: eta_scan(W, [1.0]),
+    "expectation": lambda W: expectation(W, pure_density(coherent_state(W.x_grid, 1.0))),
+    "covariance_matrix": covariance_matrix,
+    "klm_matrix": lambda W: klm_matrix(W, np.zeros((2, 2)), 1.0),
+}
+
+
+@pytest.mark.parametrize("tilt", [5e-10, 0.5])
+@pytest.mark.parametrize("consumer", sorted(_REAL_ONLY))
+def test_every_real_only_consumer_refuses_complex_values(consumer, tilt):
+    # one rule, one message: however small the imaginary part, a complex W
+    # is refused by every consumer that needs a real one
+    with pytest.raises(ParameterError, match="^wigner function is complex; a real one is needed$"):
+        _REAL_ONLY[consumer](_tilted_wigner(128, tilt))
+
+
+def test_realness_has_one_owner():
+    # real values are W's own array, read without a tolerance, and no library
+    # module takes the real or imaginary part of a function's values itself
+    psi = coherent_state(make_grid(-8.0, 8.0, 64), 1.0)
+    w = wigner(psi)
+    assert np.shares_memory(w.W.real_values(), w.W.values)
+    assert np.shares_memory(w.values, w.W.values)
+    assert not inspect.signature(PhaseSpaceFunction.real_values).parameters.keys() - {"self"}
+    package = Path(wignerlab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert ".values.real" not in text and ".values.imag" not in text, path.name
 
 
 def test_boundary_leak():

@@ -29,6 +29,7 @@ from wignerlab import (
     dual_grid,
     eta_scan,
     klm_test,
+    load_phase_space,
     make_grid,
     mix,
     radon,
@@ -147,6 +148,26 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
     if not tracing:
         tracemalloc.stop()
     assert peak <= 9.5 * 2**20
+
+
+def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
+    # the wigner command's CSV loads as float64, so klm_test reads W's own
+    # samples: at N = 256 the traced peak is 4.34 MiB, where the complex W's
+    # real-part copies made it 5.34
+    assert main(["wigner", "--out", str(tmp_path)]) == 0
+    W = load_phase_space(tmp_path / "wigner.csv")
+    assert W.x_grid.n == 256
+    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
+    klm_test(W, 1.5, samples=40, seed=0)  # first-use allocations are not the test's
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    klm_test(W, 1.5, samples=40, seed=0)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    if not tracing:
+        tracemalloc.stop()
+    assert peak <= 4.8 * 2**20
 
 
 # the metaplectic word path takes O(N) memory, so it has no guard: at

@@ -217,15 +217,18 @@ def test_eta_scan_verdicts():
 
 
 def test_eta_scan_quantizes_the_real_part():
-    # an imaginary part of 5e-10 max |a| passes the reality check; the scan
-    # quantizes the real part, so the density is Hermitian to round-off
+    # a complex W is refused, even with an imaginary part of 5e-10 max |a|;
+    # the caller's explicit real part scans as W does, and the density is
+    # Hermitian to round-off
     grid = _self_dual_grid()
     W = wigner(coherent_state(grid, ETA)).W
     real = eta_scan(W, [0.5, 1.0, 1.5])
-    tilted = PhaseSpaceFunction(
-        W.x_grid, W.p_grid, W.values + 5e-10j * np.max(np.abs(W.values)), ETA, "wigner"
-    )
-    result = eta_scan(tilted, [0.5, 1.0, 1.5])
+    values = W.values + 5e-10j * np.max(np.abs(W.values))
+    tilted = PhaseSpaceFunction(W.x_grid, W.p_grid, values, ETA, "wigner")
+    with pytest.raises(ParameterError, match="wigner function is complex"):
+        eta_scan(tilted, [0.5, 1.0, 1.5])
+    chosen = PhaseSpaceFunction(W.x_grid, W.p_grid, values.real, ETA, "wigner")
+    result = eta_scan(chosen, [0.5, 1.0, 1.5])
     assert result.verdicts() == real.verdicts() == ["mixed", "pure", "inadmissible"]
     assert all(entry["hermiticity_residue"] <= 1e-12 for entry in result.entries)
 

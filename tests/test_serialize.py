@@ -25,6 +25,7 @@ from wignerlab import (
     save_tomograms,
     wigner,
 )
+from wignerlab import serialize
 
 ETA = 1.0
 
@@ -70,6 +71,33 @@ def test_real_phase_space_writes_a_zero_imaginary_column(tmp_path, grid):
     assert [row[1] for row in rows] == ["0"] * grid.n**2
     assert [row[0] for row in rows] == ["%.17g" % value for value in W.values.reshape(-1)]
     assert np.array_equal(load_phase_space(path).values, W.values)
+
+
+def test_zero_imaginary_column_loads_as_float64(tmp_path, grid, monkeypatch):
+    # the loader decides realness at the file boundary: an imaginary column of
+    # zeros gives a C-contiguous float64 copy of the real column, which holds
+    # no view of the parsed table; any nonzero field keeps the values complex
+    tables = []
+
+    def parse(*args):
+        tables.append(parse_rows(*args))
+        return tables[-1]
+
+    parse_rows = serialize._parse_rows
+    monkeypatch.setattr(serialize, "_parse_rows", parse)
+    W = wigner(coherent_state(grid, ETA, 0.3, -0.2)).W
+    path = tmp_path / "wigner.csv"
+    save_phase_space(W, path)
+    back = load_phase_space(path)
+    assert back.values.dtype == np.float64 and back.values.flags.c_contiguous
+    assert not np.shares_memory(back.values, tables[-1])
+    assert np.array_equal(back.values, W.values)
+    lines = path.read_text().split("\n")
+    lines[3] = lines[3].split(",")[0] + ",1e-77"
+    path.write_text("\n".join(lines))
+    back = load_phase_space(path)
+    assert back.values.dtype == np.complex128
+    assert back.values.reshape(-1)[0] == W.values.reshape(-1)[0] + 1e-77j
 
 
 def test_kernel_round_trip(tmp_path, grid):
