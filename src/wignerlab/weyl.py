@@ -26,7 +26,10 @@ quantizer's p sum is one row FFT and reconstructs the lag band
 beyond: the N lags a dual-grid symbol holds, onto which
 :func:`weyl_symbol` folds any longer ones.  A foreign eta' runs the sum on
 p-refined rows as one chirp-z sum; its band stretches to about
-|x - y| < (L/2) eta' / a.eta, with no sharp edge.
+|x - y| < (L/2) eta' / a.eta, with no sharp edge.  A real symbol is the
+symbol of a self-adjoint operator, so the quantizer sums only its lags
+d >= 0, into an N x N table (an ``rfft`` per row block natively), and
+mirrors the kernel's lower triangle onto the upper one.
 """
 
 from __future__ import annotations
@@ -104,20 +107,24 @@ def require_correlation_memory(n: int):
 def _parity_views(corr: np.ndarray) -> dict:
     """The cells of each parity block of the kernel, as views of ``corr``.
 
-    Entry (2i + a, 2k + b) of an N x N kernel sits at flat offset
-    i (2N + 2) + k (2N - 2) + c of the N x 2N table, with c = N, 3N - 1,
-    3N + 1 and 3N for (a, b) = (0, 0), (0, 1), (1, 0) and (1, 1), so the
-    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  The four
-    views cover each cell ((a + b + 1) >> 1, a - b + N) once; N must be even.
+    ``corr`` is an N x w table whose lag-0 column is w - N: the N x 2N
+    table of lags -N .. N - 1, or the N x N table of lags 0 .. N - 1.  Entry
+    (2i + a, 2k + b) of an N x N kernel sits at flat offset
+    i (w + 2) + k (w - 2) + h w + a - b + w - N, h = (a + b + 1) >> 1, so the
+    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  On the
+    N x 2N table the four views cover each cell (h, a - b + N) once; on the
+    N x N table the cells of the lower triangle (lags a - b >= 0) are in
+    place, and those of the strict upper triangle land in the neighbouring
+    row, at offsets still between 0 and N^2.  N must be even.
     """
-    n = corr.shape[0]
+    n, width = corr.shape
     if n % 2:
         raise ParameterError(f"the half-step correlation needs an even N, got {n}")
     flat = corr.reshape(-1)  # a view: corr is C-contiguous
-    strides = ((2 * n + 2) * corr.itemsize, (2 * n - 2) * corr.itemsize)
+    strides = ((width + 2) * corr.itemsize, (width - 2) * corr.itemsize)
     return {
         (a, b): np.lib.stride_tricks.as_strided(
-            flat[((a + b + 1) >> 1) * 2 * n + a - b + n :], (n // 2, n // 2), strides
+            flat[((a + b + 1) >> 1) * width + a - b + width - n :], (n // 2, n // 2), strides
         )
         for a in (0, 1)
         for b in (0, 1)
@@ -163,8 +170,11 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
 
 
 #: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
-#: path, one refinement and one chirp-z over all 2N lags on the foreign one)
+#: path, one refinement and one chirp-z over the lags on the foreign one)
 _ROW_CHUNK = 128
+
+#: tile edge of the mirror that makes a real symbol's kernel Hermitian
+_MIRROR_TILE = 64
 
 
 def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
@@ -183,7 +193,9 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     and the 2N sums.  That pass bounds the native one, a block's row FFT and
     its lag band.  The count, 16 (5 N^2 + min(N, ``_ROW_CHUNK``) (5 F N_p +
     8 N)) bytes, adds these as if they overlapped, with room for what the
-    allocator holds.
+    allocator holds.  A real symbol needs less of each: an N x N table, a
+    shift of at most N/2 columns, real refined samples, a chirp-z buffer for
+    F N_p + N and N sums; its kernel mirror copies one tile at a time.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n
@@ -202,8 +214,8 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
 
-    The p sums of the unshifted rows fill the N x 2N table corr[r, d + N]
-    of lag d dx at midpoint x_r; one half-step shift along x moves the
+    The p sums of the unshifted rows fill the table corr[r, d + w - N] of lag
+    d dx at midpoint x_r (w its width); one half-step shift along x moves the
     odd-lag columns to their midpoints x_r - dx/2, and each parity block
     K[a::2, b::2] of the kernel is copied out of its strided view of the
     table (:func:`_parity_views`).  The p samples are refined F times
@@ -213,8 +225,16 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     at d mod N for |d| < N/2, half that at |d| = N/2 and zero beyond: one
     FFT per block of rows, and the kernel holds the lag band |x - y| < L/2
     (L the grid length).  On the foreign path one :func:`chirp_z` sums the
-    refined rows over all 2N lags; the band then stretches to about
+    refined rows over the lags; the band then stretches to about
     |x - y| < (L/2) eta / a.eta.
+
+    A complex symbol fills the N x 2N table of all 2N lags.  A real (float64)
+    symbol quantizes to a Hermitian kernel, K(y, x) = conj K(x, y), so it
+    sums only the lags d >= 0 into an N x N table: natively one ``rfft`` per
+    block, conjugated, for lags 0 .. N/2; at a foreign eta rows refined by
+    ``irfft`` and one chirp-z over N lags.  The strict upper triangle of the
+    kernel is then the mirror of the lower one and the diagonal is real, so
+    the kernel equals its conjugate transpose bit for bit.
     """
     eta_use = a.eta if eta is None else float(eta)
     dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
@@ -222,25 +242,41 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     n = a.x_grid.n
     dx = a.x_grid.dx
     native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
-    # corr[r, d + N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta);
-    # the weights carry dp, the lag phase of p_min and the native band edge,
-    # where the refined sum is the length-N DFT at d mod N, half of it at N/2
+    real = not np.iscomplexobj(a.values)
+    if real and not native and a.p_grid.n % 2:
+        raise ParameterError("refine expects an even number of samples")
+    # corr[r, d + width - N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta)
+    # over the lags first <= d < stop; the weights carry dp, the lag phase of
+    # p_min and the native band edge, where the refined sum is the length-N
+    # DFT at d mod N, half of it at |d| = N/2
+    width, first = (n, 0) if real else (2 * n, -n)
     if native:
-        dp, lo, hi = a.p_grid.dx, n // 2, 3 * n // 2 + 1
+        dp, first, stop = a.p_grid.dx, max(first, -(n // 2)), n // 2 + 1
     else:
-        dp, lo, hi = a.p_grid.dx / factor, 0, 2 * n
-    d = np.arange(lo - n, hi - n)
+        dp, stop = a.p_grid.dx / factor, n
+    d = np.arange(first, stop)
     weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
     if native:
-        weight[[0, -1]] *= 0.5
+        weight[np.abs(d) == n // 2] *= 0.5
     step = dp * dx / eta_use
-    corr = np.zeros((n, 2 * n), dtype=complex)
+    lo, hi = first + width - n, stop + width - n
+    corr = np.zeros((n, width), dtype=complex)
     for start in range(0, n, _ROW_CHUNK):
         block = a.values[start : start + _ROW_CHUNK]
-        if native:
+        if native and real:
+            sums = np.fft.rfft(block, axis=1)
+            np.conjugate(sums, out=sums)
+        elif native:
             sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
         else:
-            sums = chirp_z(refine(block, factor, axis=1), 2 * n, step, -n * step)
+            if real:
+                # refine's zero padding of the spectrum, Nyquist bin split in half
+                spec = np.fft.rfft(block, axis=1, norm="forward")
+                spec[:, -1] *= 0.5
+                rows = np.fft.irfft(spec, factor * a.p_grid.n, axis=1, norm="forward")
+            else:
+                rows = refine(block, factor, axis=1)
+            sums = chirp_z(rows, stop - first, step, first * step)
         np.multiply(sums, weight, out=corr[start : start + _ROW_CHUNK, lo:hi])
     # odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
     # the p sums commute with the half-step shift along x
@@ -249,7 +285,25 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     kernel = np.empty((n, n), dtype=complex)
     for (r, c), view in _parity_views(corr).items():
         kernel[r::2, c::2] = view
+    if real:
+        _mirror_lower(kernel)
     return OperatorMatrix(a.x_grid, kernel, eta_use)
+
+
+def _mirror_lower(kernel: np.ndarray):
+    """Make a square kernel Hermitian in place from its lower triangle: the
+    strict upper triangle becomes the conjugate transpose of the strict lower
+    one, tile by tile, and the diagonal's imaginary part zero."""
+    n = kernel.shape[0]
+    tile = _MIRROR_TILE
+    for s in range(0, n, tile):
+        rows = slice(s, s + tile)
+        for t in range(s + tile, n, tile):
+            np.conjugate(kernel[t : t + tile, rows].T, out=kernel[rows, t : t + tile])
+        block = kernel[rows, rows]
+        upper = np.triu(np.ones(block.shape, dtype=bool), 1)
+        np.copyto(block, block.conj().T, where=upper)
+    np.fill_diagonal(kernel.imag, 0.0)
 
 
 def correlation_symbol(

@@ -132,22 +132,32 @@ def test_each_count_bounds_the_measured_peak(case):
     assert low <= result["counted"] <= high
 
 
-def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
-    # a Wigner function is float64, so the scan quantizes W's own samples and
-    # no N x N copy of their real part lives beside W: at N = 256 and
-    # eta = 0.5 the traced peak is 9.34 MiB, where the copy made it 10.34
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
-    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
-    eta_scan(W, [0.5])  # first-use allocations are not the scan's
+def _traced_peak(call):
+    """Bytes ``call()`` allocates at its peak, after one untraced call has
+    made the first-use allocations."""
+    call()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    eta_scan(W, [0.5])
+    call()
     peak = tracemalloc.get_traced_memory()[1] - base
     if not tracing:
         tracemalloc.stop()
-    assert peak <= 9.5 * 2**20
+    return peak
+
+
+def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
+    # a Wigner function is float64, so the scan quantizes W's own samples and
+    # no N x N copy of their real part lives beside W; the quantizer sums
+    # only the lags d >= 0 into an N x N table.  At N = 256 and eta = 0.5 the
+    # traced peak is 6.07 MiB, where the N x 2N table of all lags made it
+    # 9.34 and the copy 10.34.  The native quantization peaks at 2.39 MiB
+    # (3.57 with the N x 2N table), its kernel mirrored tile by tile
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
+    assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 6.5 * 2**20
+    assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
 
 
 def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
@@ -158,16 +168,7 @@ def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
     W = load_phase_space(tmp_path / "wigner.csv")
     assert W.x_grid.n == 256
     assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
-    klm_test(W, 1.5, samples=40, seed=0)  # first-use allocations are not the test's
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    klm_test(W, 1.5, samples=40, seed=0)
-    peak = tracemalloc.get_traced_memory()[1] - base
-    if not tracing:
-        tracemalloc.stop()
-    assert peak <= 4.8 * 2**20
+    assert _traced_peak(lambda: klm_test(W, 1.5, samples=40, seed=0)) <= 4.8 * 2**20
 
 
 # the metaplectic word path takes O(N) memory, so it has no guard: at

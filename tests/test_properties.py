@@ -180,6 +180,15 @@ def test_parity_views_cover_each_midpoint_lag_cell_once(grid_eta):
     mid, lag = midpoint_lag(n)
     scattered[mid, lag] = kernel
     assert np.array_equal(corr, scattered)
+    # on the N x N table of the lags d >= 0 the views read each cell of the
+    # kernel's lower triangle from (midpoint, d)
+    table = kernel.astype(complex)
+    gathered = np.empty_like(table)
+    for (a, b), view in _parity_views(table).items():
+        gathered[a::2, b::2] = view
+    lower = np.broadcast_to(lag >= n, (n, n))
+    rows, lags = np.broadcast_arrays(mid, lag - n)
+    assert np.array_equal(gathered[lower], table[rows[lower], lags[lower]])
 
 
 def _assert_gram_spectrum(rho):
@@ -346,6 +355,17 @@ def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):
         assert _relative(weyl_quantize(a).kernel, weyl_quantize_dense(a)) <= 1e-11
         fast = weyl_quantize(a, eta=eta_use).kernel
         assert _relative(fast, weyl_quantize_dense(a, eta=eta_use)) <= 1e-11
+    # a real symbol, here the Wigner function of a two-state mixture, sums
+    # only the lags d >= 0 and mirrors its kernel: exactly Hermitian
+    weights = rng.dirichlet(np.ones(2))
+    weights[-1] = 1.0 - weights[0]
+    W = wigner(MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights])).W
+    assert W.values.dtype == np.float64
+    for at in (eta, eta_use):
+        kernel = weyl_quantize(W, eta=at).kernel
+        assert _relative(kernel, weyl_quantize_dense(W, eta=at)) <= 1e-11
+        assert np.array_equal(kernel, kernel.conj().T)
+        assert np.all(np.diagonal(kernel).imag == 0.0)
 
 
 @given(grids(), st.integers(1, 8), seeds)

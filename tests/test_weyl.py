@@ -214,11 +214,15 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     # refines the rows and runs one chirp-z per block over all 2N lags.  Either
     # way one half-step shift moves the odd-lag columns: the N/2 odd lags of
     # the band |d| <= N/2 on the native path.  The symbol of a kernel adds
-    # one 2-D half-step shift, along both axes in one call
+    # one 2-D half-step shift, along both axes in one call.  A real symbol
+    # sums only the lags d >= 0: one rfft per block natively (odd lags
+    # 1 .. N/2), and at a foreign eta rows refined without ``refine`` and
+    # one chirp-z over N lags (odd lags 1 .. N - 1)
     from wignerlab import weyl
 
     calls = {"chirp_z": 0, "refine": 0, "fourier_shift": 0}
     shifted = []
+    lags = []
 
     def counting(name):
         original = getattr(weyl, name)
@@ -227,6 +231,8 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
             calls[name] += 1
             if name == "fourier_shift":
                 shifted.append(np.shape(args[0]))
+            if name == "chirp_z":
+                lags.append(args[1])
             return original(*args, **kwargs)
 
         return counted
@@ -234,6 +240,8 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     grid = make_grid(-10.0, 10.0, 256)
     a = weyl_symbol(pure_density(coherent_state(grid, ETA, 0.4, 0.0)).op)
     b = weyl_symbol(pure_density(hermite_state(grid, ETA, 1)).op)
+    W = wigner(coherent_state(grid, ETA, 0.4, 0.0)).W
+    assert W.values.dtype == np.float64
     for name in calls:
         monkeypatch.setattr(weyl, name, counting(name))
     weyl_quantize(a)
@@ -245,6 +253,14 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     weyl_quantize(a, eta=1.5 * a.eta)
     assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 5}
     assert shifted[-1] == (256, 256)
+    assert lags == [512, 512]
+    weyl_quantize(W)
+    assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 6}
+    assert shifted[-1] == (256, 64)
+    weyl_quantize(W, eta=1.5 * W.eta)
+    assert calls == {"chirp_z": 4, "refine": 2, "fourier_shift": 7}
+    assert shifted[-1] == (256, 128)
+    assert lags[2:] == [256, 256]
 
 
 def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
@@ -301,6 +317,23 @@ def test_quantizer_sums_a_longer_p_grid_in_full():
     a = PhaseSpaceFunction(grid, p_grid, np.exp(-(x**2) - p**2 / 4.0), ETA, kind="symbol")
     dense = weyl_quantize_dense(a)
     assert np.linalg.norm(weyl_quantize(a).kernel - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_quantizer_refuses_an_odd_p_grid_at_a_foreign_eta():
+    # the refinement of the p samples splits their Nyquist bin, which an odd
+    # number of samples does not have: a real and a complex symbol on 65 p
+    # points are both refused
+    from wignerlab.grid import Grid
+
+    grid = make_grid(-8.0, 8.0, 64)
+    dp = dual_grid(grid, ETA).dx
+    p_grid = Grid(-32.5 * dp, 32.5 * dp, 65)
+    x, p = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    values = np.exp(-(x**2) - p**2 / 4.0)
+    for samples in (values, values + 0j):
+        a = PhaseSpaceFunction(grid, p_grid, samples, ETA, kind="symbol")
+        with pytest.raises(ParameterError, match="even number of samples"):
+            weyl_quantize(a)
 
 
 def test_quantize_refuses_oversized_oversampling():
