@@ -24,12 +24,14 @@ At the symbol's own eta, where its p grid is dual to the x grid, the
 quantizer's p sum is one row FFT and reconstructs the lag band
 |x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
 beyond: the N lags a dual-grid symbol holds, onto which
-:func:`weyl_symbol` folds any longer ones.  A foreign eta' runs the sum on
-p-refined rows as one chirp-z sum; its band stretches to about
+:func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each row's
+trigonometric interpolant over F-fold refined p samples in closed form: one
+Dirichlet table per call, times each block's half spectrum as one real
+matrix product, with no refined samples; its band stretches to about
 |x - y| < (L/2) eta' / a.eta, with no sharp edge.  A real symbol is the
 symbol of a self-adjoint operator, so the quantizer sums only its lags
-d >= 0, into an N x N table (an ``rfft`` per row block natively), and
-mirrors the kernel's lower triangle onto the upper one.
+d >= 0, into an N x N table, and mirrors the kernel's lower triangle onto
+the upper one; at a foreign eta a complex symbol is Op(Re a) + i Op(Im a).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import ParameterError, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import chirp_z, fourier_shift, oscillatory_sum, refine
+from .transforms import fourier_shift, oscillatory_sum
 
 __all__ = [
     "displace",
@@ -169,8 +171,9 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     return corr
 
 
-#: symbol rows per pass of :func:`weyl_quantize` (one row FFT on the native
-#: path, one refinement and one chirp-z over the lags on the foreign one)
+#: symbol rows per pass of :func:`weyl_quantize` (one row FFT, and at a
+#: foreign eta one product with the Dirichlet table), and table rows per
+#: pass of :func:`_dirichlet_table`
 _ROW_CHUNK = 128
 
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian
@@ -183,25 +186,27 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     Sampling the p integral at spacing dp folds kernel entries separated by
     2 pi eta / dp in x - y back onto the grid; oversampling pushes the fold
     past the largest separation the grid can hold, and smaller eta values
-    need proportionally more of it.  :func:`errors.require_memory` refuses
-    the quantizer's working set before anything is allocated.  The working
-    set is the N x 2N correlation (2 N^2 complex), then the one buffer of
-    the odd-column shift (at most N x N) and the kernel the parity blocks
-    are copied into, and one foreign pass of ``_ROW_CHUNK`` rows: the
-    refinement's spectrum (N_p p points) and its F N_p refined samples, one
-    zero-padded chirp-z buffer under 4/3 of the padded length F N_p + 2N,
-    and the 2N sums.  That pass bounds the native one, a block's row FFT and
-    its lag band.  The count, 16 (5 N^2 + min(N, ``_ROW_CHUNK``) (5 F N_p +
-    8 N)) bytes, adds these as if they overlapped, with room for what the
-    allocator holds.  A real symbol needs less of each: an N x N table, a
-    shift of at most N/2 columns, real refined samples, a chirp-z buffer for
-    F N_p + N and N sums; its kernel mirror copies one tile at a time.
+    need proportionally more of it.  At a foreign eta, F defines the
+    quadrature: each row's trigonometric interpolant is summed over F N_p p
+    samples, in closed form (:func:`_dirichlet_table`), so no refined sample
+    is stored and the working set does not grow with F.
+
+    :func:`errors.require_memory` refuses the working set before anything is
+    allocated.  Natively it is the N x 2N correlation of a complex symbol,
+    the one buffer of the odd-column shift (N x N/2) and the kernel the
+    parity blocks are copied into.  At a foreign eta it is the (N_p + 2) x N
+    table beside the two N x N lag tables of Op(Re a) and Op(Im a), then
+    those with their two kernels.  Add one pass of ``_ROW_CHUNK`` rows: a
+    block's row FFT and its lag band, or its spectra, or the temporaries of
+    a block of table rows.  The count, 16 (N (4 N + N_p) + min(N,
+    ``_ROW_CHUNK``) 8 N) bytes, adds these as if they overlapped, with room
+    for what the allocator holds.  A real symbol needs one lag table and one
+    kernel, whose mirror copies one tile at a time.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n
-    one_pass = min(n, _ROW_CHUNK) * (5 * factor * a.p_grid.n + 8 * n)
     require_memory(
-        16 * (5 * n * n + one_pass),
+        16 * (n * (4 * n + a.p_grid.n) + min(n, _ROW_CHUNK) * 8 * n),
         f"p oversampling by {factor} to quantize at eta = {eta_use} a symbol at eta = {a.eta}",
     )
     return factor
@@ -218,76 +223,190 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     d dx at midpoint x_r (w its width); one half-step shift along x moves the
     odd-lag columns to their midpoints x_r - dx/2, and each parity block
     K[a::2, b::2] of the kernel is copied out of its strided view of the
-    table (:func:`_parity_views`).  The p samples are refined F times
-    (:func:`_p_oversampling`).  On the native path, where the p grid
-    is dual to the x grid at ``eta`` (every symbol at its own eta), the
-    refined sum at lag d dx is F times the length-N DFT of the unrefined row
-    at d mod N for |d| < N/2, half that at |d| = N/2 and zero beyond: one
-    FFT per block of rows, and the kernel holds the lag band |x - y| < L/2
-    (L the grid length).  On the foreign path one :func:`chirp_z` sums the
-    refined rows over the lags; the band then stretches to about
-    |x - y| < (L/2) eta / a.eta.
+    table (:func:`_parity_views`).  On the native path, where the p grid is
+    dual to the x grid at ``eta`` (every symbol at its own eta), the sum at
+    lag d dx is the length-N DFT of the row at d mod N for |d| < N/2, half
+    that at |d| = N/2 and zero beyond: one FFT per block of rows, and the
+    kernel holds the lag band |x - y| < L/2 (L the grid length).  A complex
+    symbol fills the N x 2N table of all lags, a real (float64) one only the
+    lags d >= 0 of an N x N table, one ``rfft`` per block, conjugated.
 
-    A complex symbol fills the N x 2N table of all 2N lags.  A real (float64)
-    symbol quantizes to a Hermitian kernel, K(y, x) = conj K(x, y), so it
-    sums only the lags d >= 0 into an N x N table: natively one ``rfft`` per
-    block, conjugated, for lags 0 .. N/2; at a foreign eta rows refined by
-    ``irfft`` and one chirp-z over N lags.  The strict upper triangle of the
-    kernel is then the mirror of the lower one and the diagonal is real, so
-    the kernel equals its conjugate transpose bit for bit.
+    At a foreign eta the p sum runs over the rows refined F times
+    (:func:`_p_oversampling`), in closed form: each block's half spectrum,
+    one ``rfft``, times the one Dirichlet table of the call
+    (:func:`_dirichlet_table`), as one real matrix product into the N x N
+    table of lags d >= 0.  The band then stretches to about
+    |x - y| < (L/2) eta / a.eta.  A complex symbol is quantized as
+    Op(Re a) + i Op(Im a) through the same table, the half spectra of both
+    parts split from one FFT per block (:func:`_foreign_lags`).
+
+    A real symbol quantizes to a Hermitian kernel, K(y, x) = conj K(x, y):
+    the strict upper triangle is the mirror of the lower one and the diagonal
+    is real, so the kernel equals its conjugate transpose bit for bit.  An
+    odd x grid, and at a foreign eta an odd p grid, is refused before any
+    work.
     """
     eta_use = a.eta if eta is None else float(eta)
     dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
+    n = a.x_grid.n
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
+    if not native and a.p_grid.n % 2:
+        # the Nyquist bin of the refined rows is split in half between +-N_p/2
+        raise ParameterError(
+            f"a foreign-eta p quadrature needs an even number of samples, got {a.p_grid.n}"
+        )
     factor = _p_oversampling(a, eta_use)
+    if native:
+        return OperatorMatrix(a.x_grid, _native_kernel(a, eta_use), eta_use)
+    lags = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
+    kernel = _lag_kernel(lags.pop(0), 0, n, a.x_grid, True)
+    if lags:
+        # Op(a) = Op(Re a) + i Op(Im a)
+        imag = _lag_kernel(lags.pop(), 0, n, a.x_grid, True)
+        kernel.real -= imag.imag
+        kernel.imag += imag.real
+    return OperatorMatrix(a.x_grid, kernel, eta_use)
+
+
+def _native_kernel(a: PhaseSpaceFunction, eta_use: float) -> np.ndarray:
+    """The kernel of a symbol whose p grid is dual to its x grid at ``eta_use``."""
     n = a.x_grid.n
     dx = a.x_grid.dx
-    native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
     real = not np.iscomplexobj(a.values)
-    if real and not native and a.p_grid.n % 2:
-        raise ParameterError("refine expects an even number of samples")
     # corr[r, d + width - N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta)
     # over the lags first <= d < stop; the weights carry dp, the lag phase of
-    # p_min and the native band edge, where the refined sum is the length-N
-    # DFT at d mod N, half of it at |d| = N/2
-    width, first = (n, 0) if real else (2 * n, -n)
-    if native:
-        dp, first, stop = a.p_grid.dx, max(first, -(n // 2)), n // 2 + 1
-    else:
-        dp, stop = a.p_grid.dx / factor, n
+    # p_min and the band edge, where the sum is half the DFT at d mod N
+    width, first = (n, 0) if real else (2 * n, -(n // 2))
+    stop = n // 2 + 1
     d = np.arange(first, stop)
+    dp = a.p_grid.dx
     weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
-    if native:
-        weight[np.abs(d) == n // 2] *= 0.5
-    step = dp * dx / eta_use
+    weight[np.abs(d) == n // 2] *= 0.5
     lo, hi = first + width - n, stop + width - n
     corr = np.zeros((n, width), dtype=complex)
     for start in range(0, n, _ROW_CHUNK):
         block = a.values[start : start + _ROW_CHUNK]
-        if native and real:
+        if real:
             sums = np.fft.rfft(block, axis=1)
             np.conjugate(sums, out=sums)
-        elif native:
-            sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
         else:
-            if real:
-                # refine's zero padding of the spectrum, Nyquist bin split in half
-                spec = np.fft.rfft(block, axis=1, norm="forward")
-                spec[:, -1] *= 0.5
-                rows = np.fft.irfft(spec, factor * a.p_grid.n, axis=1, norm="forward")
-            else:
-                rows = refine(block, factor, axis=1)
-            sums = chirp_z(rows, stop - first, step, first * step)
+            sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
         np.multiply(sums, weight, out=corr[start : start + _ROW_CHUNK, lo:hi])
-    # odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
-    # the p sums commute with the half-step shift along x
-    odd = slice(lo + 1, hi, 2)
-    corr[:, odd] = fourier_shift(corr[:, odd], a.x_grid, 0.5 * dx, axis=0)
-    kernel = np.empty((n, n), dtype=complex)
+    return _lag_kernel(corr, lo, hi, a.x_grid, real)
+
+
+def _foreign_lags(values: np.ndarray, table: np.ndarray) -> list:
+    """The lags d >= 0 of the Hermitian kernels at a foreign eta: one N x N
+    table for real samples, two for complex ones, those of Op(Re a) and
+    Op(Im a).  Each block's half spectrum, Nyquist bin halved, times the
+    table of :func:`_dirichlet_table`, both as float64 views.  A complex
+    block takes one FFT, whose bins Z_j split into the half spectra
+    (Z_j + conj Z_-j) / 2 of its real part and (Z_j - conj Z_-j) / 2i of
+    its imaginary part.
+    """
+    n, n_p = values.shape
+    real = not np.iscomplexobj(values)
+    lags = [np.empty((n, n), dtype=complex) for _ in range(1 if real else 2)]
+    for start in range(0, n, _ROW_CHUNK):
+        block = values[start : start + _ROW_CHUNK]
+        if real:
+            spectra = [np.fft.rfft(block, axis=1, norm="forward")]
+        else:
+            spec = np.fft.fft(block, axis=1, norm="forward")
+            mirror = np.conj(spec[:, -np.arange(n_p // 2 + 1) % n_p])
+            spec = spec[:, : n_p // 2 + 1]
+            spectra = [(spec + mirror) * 0.5, (spec - mirror) * -0.5j]
+        for spectrum, table_lags in zip(spectra, lags):
+            spectrum[:, -1] *= 0.5
+            rows = table_lags[start : start + _ROW_CHUNK].view(np.float64)
+            np.matmul(spectrum.view(np.float64), table, out=rows)
+    return lags
+
+
+def _lag_kernel(corr: np.ndarray, lo: int, hi: int, grid: Grid, hermitian: bool) -> np.ndarray:
+    """The kernel held by the filled columns lo .. hi - 1 of a lag table.
+
+    Odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
+    the p sums commute with the half-step shift along x.  A ``hermitian``
+    table holds the lags d >= 0 and its kernel is mirrored from them.
+    """
+    odd = slice(lo | 1, hi, 2)
+    corr[:, odd] = fourier_shift(corr[:, odd], grid, 0.5 * grid.dx, axis=0)
+    kernel = np.empty((grid.n, grid.n), dtype=complex)
     for (r, c), view in _parity_views(corr).items():
         kernel[r::2, c::2] = view
-    if real:
+    if hermitian:
         _mirror_lower(kernel)
-    return OperatorMatrix(a.x_grid, kernel, eta_use)
+    return kernel
+
+
+def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.ndarray:
+    """The foreign-eta p sums of lags d = 0 .. N - 1 as one real matrix.
+
+    A row refined F times is the trigonometric interpolant of its spectrum
+    c_j, j = -N_p/2 .. N_p/2 with the Nyquist bin split in half between
+    +-N_p/2.  Its sum over the M = F N_p refined samples against
+    exp(i m d step), step = dp dx / (F eta), is therefore
+    sum_j c_j G(2 pi j / M + d step), with the Dirichlet kernel
+
+        G(phi) = sum_{m < M} exp(i phi m) = exp(i (M - 1) phi / 2) sin(u) / sin(u / M),
+
+    u = M phi / 2 = pi j + c d, c = M step / 2.  Both sines read the one
+    argument u, so where they vanish together, as at rational eta / a.eta,
+    their quotient tends to M rather than to a quotient of two round-offs;
+    at u = 0 it is M.  The phase factors into exp(i theta_j),
+    theta_j = (M - 1) pi j / M, and one ramp over d.
+
+    A real row has c_-j = conj c_j, so with c_j = alpha_j + i beta_j its
+    sum is sum_{j >= 0} alpha_j A_j + beta_j B_j, A_j = G(+j) + G(-j),
+    B_j = i (G(+j) - G(-j)), the j = 0 term counted once.  Row 2j of the
+    (N_p + 2) x N table is A_j and row 2j + 1 is B_j, times the weight
+    dp / (2 pi eta) exp(i p_min d dx / eta) of lag d.  The float64 view of
+    a block's spectrum times the table's float64 view, (N_p + 2) x 2N, is
+    the float64 view of the block's complex lag sums.  The table is built
+    ``_ROW_CHUNK`` values of j at a time.
+    """
+    n, n_p = a.x_grid.n, a.p_grid.n
+    dx, dp = a.x_grid.dx, a.p_grid.dx
+    m = factor * n_p
+    c = n_p * dp * dx / (2.0 * eta_use)
+    d = np.arange(n)
+    lag = c * d
+    ramp = dp / factor / (2.0 * np.pi * eta_use) * np.exp(
+        1j * (a.p_grid.x_min * d * dx / eta_use + (m - 1) / m * lag)
+    )
+    rows = n_p // 2 + 1
+    table = np.empty((rows, 2, n), dtype=complex)
+    for start in range(0, rows, _ROW_CHUNK):
+        j = np.arange(start, min(start + _ROW_CHUNK, rows))
+        plus, minus = (_dirichlet_ratio(np.add.outer(s * np.pi * j, lag), m) for s in (1, -1))
+        theta = (m - 1) * np.pi / m * j[:, None]
+        cos, sin = np.cos(theta), np.sin(theta)
+        total = plus + minus
+        diff = np.subtract(plus, minus, out=minus)
+        # A_j = e^(i theta_j) G+ + e^(-i theta_j) G-, B_j = i (the same with -)
+        block = table[start : start + _ROW_CHUNK]
+        block[:, 0].real = cos * total
+        block[:, 0].imag = sin * diff
+        block[:, 1].real = -sin * total
+        block[:, 1].imag = cos * diff
+    table[0, 0] *= 0.5
+    table *= ramp
+    return table.reshape(2 * rows, n).view(np.float64)
+
+
+def _dirichlet_ratio(u: np.ndarray, m: int) -> np.ndarray:
+    """sin(u) / sin(u / M) from the one argument u, M where sin(u / M) = 0."""
+    ratio = np.sin(u)
+    u /= m
+    den = np.sin(u, out=u)
+    zero = den == 0.0
+    den[zero] = 1.0
+    ratio[zero] = m
+    ratio /= den
+    return ratio
 
 
 def _mirror_lower(kernel: np.ndarray):

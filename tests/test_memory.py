@@ -85,7 +85,7 @@ elif case == "validate_density":
     op = wl.pure_density(wl.coherent_state(wl.make_grid(-10.0, 10.0, 1024), 1.0)).op
     call = lambda: wl.validate_density(op)
 else:
-    n = {"radon": 128, "weyl_quantize_native": 512}.get(case, 256)
+    n = {"radon": 128, "weyl_quantize": 512, "weyl_quantize_native": 512}.get(case, 256)
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
     if case == "radon":
         angles = np.linspace(0.0, np.pi, 4096, endpoint=False)
@@ -150,14 +150,30 @@ def _traced_peak(call):
 def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
     # a Wigner function is float64, so the scan quantizes W's own samples and
     # no N x N copy of their real part lives beside W; the quantizer sums
-    # only the lags d >= 0 into an N x N table.  At N = 256 and eta = 0.5 the
-    # traced peak is 6.07 MiB, where the N x 2N table of all lags made it
-    # 9.34 and the copy 10.34.  The native quantization peaks at 2.39 MiB
-    # (3.57 with the N x 2N table), its kernel mirrored tile by tile
+    # only the lags d >= 0 into an N x N table, from one Dirichlet table and
+    # no refined rows.  At N = 256 and eta = 0.5 the traced peak is 3.39 MiB,
+    # where the refined rows and the chirp-z made it 6.07, the N x 2N table
+    # of all lags 9.34 and the copy 10.34.  The native quantization peaks at
+    # 2.39 MiB (3.57 with the N x 2N table), its kernel mirrored tile by tile
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
     assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
-    assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 6.5 * 2**20
+    assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 3.6 * 2**20
     assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
+
+
+def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling():
+    # eta = 0.5, 0.25 and 1e-3 oversample p by F = 4, 8 and 2000, yet each
+    # sum reads the one (N_p + 2) x N Dirichlet table: the traced peaks
+    # agree to within that table (1 MiB at N = 256), and at F = 2000 the
+    # kernel is still Hermitian and finite, at 3.39 MiB like the others
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    table = (W.p_grid.n + 2) * W.x_grid.n * 16
+    peak = _traced_peak(lambda: weyl_quantize(W, eta=0.5))
+    assert abs(_traced_peak(lambda: weyl_quantize(W, eta=0.25)) - peak) <= table
+    assert _traced_peak(lambda: weyl_quantize(W, eta=1e-3)) <= 3.6 * 2**20
+    kernel = weyl_quantize(W, eta=1e-3).kernel
+    assert np.all(np.isfinite(kernel))
+    assert np.array_equal(kernel, kernel.conj().T)
 
 
 def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
@@ -245,7 +261,7 @@ def _cli(argv):
 # that would follow a missing guard is stubbed to fail at once
 GUARDS = {
     "quantizer_oversampling": _library(
-        lambda: weyl_quantize(_zero_stride_symbol(256), eta=1e-3)
+        lambda: weyl_quantize(_zero_stride_symbol(8192), eta=1e-3)
     ),
     "klm_samples": _library(lambda: klm_test(_zero_stride_symbol(256), 1.0, samples=20000)),
     "radon_angles": _library(
@@ -285,7 +301,7 @@ def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeyp
         monkeypatch.setattr(np, name, _small(getattr(np, name)))
     for name in ("fft", "hfft"):
         monkeypatch.setattr(np.fft, name, _refuse)
-    monkeypatch.setattr(weyl, "refine", _refuse)
+    monkeypatch.setattr(weyl, "_dirichlet_table", _refuse)
     monkeypatch.setattr(quantumness, "_check_unit_mass", _refuse)
     monkeypatch.setattr(tomography, "_projection_spectra", _refuse)
     monkeypatch.setitem(cli.RUNNERS, "tomography", _refuse)

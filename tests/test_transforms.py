@@ -107,7 +107,7 @@ def _traced_peak(call):
 
 
 def test_chirp_z_works_in_one_padded_buffer():
-    # a foreign quantizer pass: 128 refined rows of 1024 samples, 512 sums.
+    # 128 rows of 1024 samples, 512 sums.
     # The padded buffer (1536 samples per row) and the output take about
     # 4.5 MB; a pre-phased copy and separate FFT arrays took 7.7 MB
     rng = np.random.default_rng(3)

@@ -211,18 +211,19 @@ def test_cross_wigner_consistency_with_symbol(grid):
 
 def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     # at the symbol's own eta each block of rows is one FFT; a foreign eta
-    # refines the rows and runs one chirp-z per block over all 2N lags.  Either
-    # way one half-step shift moves the odd-lag columns: the N/2 odd lags of
-    # the band |d| <= N/2 on the native path.  The symbol of a kernel adds
-    # one 2-D half-step shift, along both axes in one call.  A real symbol
-    # sums only the lags d >= 0: one rfft per block natively (odd lags
-    # 1 .. N/2), and at a foreign eta rows refined without ``refine`` and
-    # one chirp-z over N lags (odd lags 1 .. N - 1)
-    from wignerlab import weyl
+    # sums each block's spectrum against one Dirichlet table per call, with no
+    # chirp-z and no refined rows at any eta.  Each kernel takes one
+    # half-step shift of its odd-lag columns: the N/2 odd lags of the band
+    # |d| <= N/2 natively.  The symbol of a kernel adds one 2-D half-step
+    # shift, along both axes in one call.  A real symbol sums only the lags
+    # d >= 0 (odd lags 1 .. N/2 natively, 1 .. N - 1 at a foreign eta); a
+    # complex one at a foreign eta is Op(Re a) + i Op(Im a), two such
+    # kernels from the one table
+    from wignerlab import transforms, weyl
 
-    calls = {"chirp_z": 0, "refine": 0, "fourier_shift": 0}
+    assert not hasattr(weyl, "chirp_z") and not hasattr(weyl, "refine")
+    calls = {"_dirichlet_table": 0, "fourier_shift": 0}
     shifted = []
-    lags = []
 
     def counting(name):
         original = getattr(weyl, name)
@@ -231,11 +232,12 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
             calls[name] += 1
             if name == "fourier_shift":
                 shifted.append(np.shape(args[0]))
-            if name == "chirp_z":
-                lags.append(args[1])
             return original(*args, **kwargs)
 
         return counted
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the quantizer refined rows or ran a chirp-z")
 
     grid = make_grid(-10.0, 10.0, 256)
     a = weyl_symbol(pure_density(coherent_state(grid, ETA, 0.4, 0.0)).op)
@@ -244,23 +246,23 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     assert W.values.dtype == np.float64
     for name in calls:
         monkeypatch.setattr(weyl, name, counting(name))
+    for name in ("chirp_z", "refine"):
+        monkeypatch.setattr(transforms, name, refusing)
     weyl_quantize(a)
-    assert calls == {"chirp_z": 0, "refine": 0, "fourier_shift": 1}
+    assert calls == {"_dirichlet_table": 0, "fourier_shift": 1}
     assert shifted == [(256, 128)]
     twisted_product(a, b)
-    assert calls == {"chirp_z": 0, "refine": 0, "fourier_shift": 4}
-    # two blocks of 128 rows
+    assert calls == {"_dirichlet_table": 0, "fourier_shift": 4}
     weyl_quantize(a, eta=1.5 * a.eta)
-    assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 5}
-    assert shifted[-1] == (256, 256)
-    assert lags == [512, 512]
+    assert calls == {"_dirichlet_table": 1, "fourier_shift": 6}
+    assert shifted[-2:] == [(256, 128), (256, 128)]
     weyl_quantize(W)
-    assert calls == {"chirp_z": 2, "refine": 2, "fourier_shift": 6}
+    assert calls == {"_dirichlet_table": 1, "fourier_shift": 7}
     assert shifted[-1] == (256, 64)
-    weyl_quantize(W, eta=1.5 * W.eta)
-    assert calls == {"chirp_z": 4, "refine": 2, "fourier_shift": 7}
-    assert shifted[-1] == (256, 128)
-    assert lags[2:] == [256, 256]
+    for eta in (1.5, 0.5, 0.25):
+        weyl_quantize(W, eta=eta * W.eta)
+        assert shifted[-1] == (256, 128)
+    assert calls == {"_dirichlet_table": 4, "fourier_shift": 10}
 
 
 def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
@@ -305,7 +307,8 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
 
 def test_quantizer_sums_a_longer_p_grid_in_full():
     # a p grid at the dual spacing but with 2N points is no native DFT: its
-    # rows run through the chirp-z sum, and every p sample counts
+    # rows run through the foreign sum, a (2N + 2) x N Dirichlet table, and
+    # every p sample counts
     from wignerlab.grid import Grid
 
     from oracles import weyl_quantize_dense
@@ -336,12 +339,85 @@ def test_quantizer_refuses_an_odd_p_grid_at_a_foreign_eta():
             weyl_quantize(a)
 
 
-def test_quantize_refuses_oversized_oversampling():
-    # eta far below the symbol's eta needs p oversampling by 2000: about
-    # 12 GiB at N = 256, refused before anything is allocated
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
-    with pytest.raises(ParameterError, match="oversampling"):
-        weyl_quantize(W, eta=1e-3)
+def test_quantize_refuses_an_oversized_grid():
+    # the foreign working set does not grow with the p oversampling: at
+    # N = 8192 the kernels, the correlation and the Dirichlet table count
+    # 5.1 GiB and are refused before anything is allocated, here at an
+    # eta that oversamples p by 2000
+    grid = make_grid(-10.0, 10.0, 8192)
+    a = PhaseSpaceFunction(grid, dual_grid(grid, ETA), np.broadcast_to(0.0, (8192, 8192)), ETA)
+    with pytest.raises(ParameterError, match="p oversampling by 2000"):
+        weyl_quantize(a, eta=1e-3)
+
+
+def test_quantizer_refuses_an_odd_x_grid_before_any_transform(monkeypatch):
+    # the half-step correlation needs an even N: an odd x grid is refused at
+    # once, at the symbol's own eta and at a foreign one, real or complex
+    from wignerlab.grid import Grid
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("transformed before the parity check")
+
+    grid = Grid(-10.0, 10.0, 255)
+    p_grid = dual_grid(grid, ETA)
+    for name in ("rfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refusing)
+    for values in (np.zeros((255, 255)), np.zeros((255, 255), dtype=complex)):
+        a = PhaseSpaceFunction(grid, p_grid, values, ETA)
+        for eta in (None, 0.5):
+            with pytest.raises(ParameterError, match="needs an even N, got 255"):
+                weyl_quantize(a, eta=eta)
+
+
+def test_native_quantizer_shifts_the_odd_lags_of_any_even_grid():
+    # on N = 30 and 66 points the native band of a complex symbol starts at
+    # the odd lag -N/2: its odd-lag columns are shifted, not the even ones
+    from wignerlab.grid import Grid
+
+    from oracles import weyl_quantize_dense
+
+    for n in (30, 66):
+        grid = Grid(-8.0, 8.0, n)
+        psi = coherent_state(grid, ETA, 0.3, 0.2)
+        op = pure_density(psi).op
+        op.kernel = np.outer(psi.values, hermite_state(grid, ETA, 1).values.conj())
+        a = weyl_symbol(op)
+        dense = weyl_quantize_dense(a)
+        assert np.max(np.abs(weyl_quantize(a).kernel - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
+    # row 2j of the table is G(+j) + G(-j), row 2j + 1 is i (G(+j) - G(-j)),
+    # G(j) = sum_{m < M} exp(i (2 pi j / M + d step) m), times the weight of
+    # lag d.  At eta / a.eta = 1.5, 0.5 and 1/3 some u = pi j + c d vanish
+    # mathematically, where both sines of G vanish together
+    from wignerlab import weyl
+
+    grid = make_grid(-6.0, 6.0, 16)
+    W = wigner(coherent_state(grid, ETA, 0.4, 0.0)).W
+    n, n_p, dx, dp = grid.n, W.p_grid.n, grid.dx, W.p_grid.dx
+    d = np.arange(n)
+    for ratio in (1.5, 0.5, 1.0 / 3.0):
+        eta = ratio * ETA
+        factor = weyl._p_oversampling(W, eta)
+        m = factor * n_p
+        step = dp * dx / (factor * eta)
+        weight = dp / factor / (2.0 * np.pi * eta) * np.exp(1j * W.p_grid.x_min * d * dx / eta)
+        samples = np.arange(m)[:, None, None]
+        j = np.arange(n_p // 2 + 1)[:, None]
+        plus, minus = (
+            np.exp(1j * (s * 2.0 * np.pi * j / m + d * step) * samples).sum(axis=0)
+            for s in (1, -1)
+        )
+        literal = np.empty((n_p // 2 + 1, 2, n), dtype=complex)
+        literal[:, 0] = plus + minus
+        literal[:, 1] = 1j * (plus - minus)
+        literal[0, 0] *= 0.5
+        literal *= weight
+        table = weyl._dirichlet_table(W, eta, factor).view(complex)
+        assert table.shape == (n_p + 2, n)
+        peak = np.max(np.abs(literal))
+        assert np.max(np.abs(table - literal.reshape(n_p + 2, n))) <= 1e-13 * peak
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
