@@ -222,22 +222,34 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
 
     The report keeps the spectrum and the diagonal-sum trace.  ``psd_floor``
     is the relative eigenvalue floor; reconstructions with known ringing
-    pass a looser one.  The Hermitian part H = (K + K^H)/2 is formed once, in
-    blocks of ``_TILE`` columns: the Hermiticity residue max |K - K^H| is
-    2 max |K - H|.  The spectrum is that of H on a certified range basis
+    pass a looser one.  K is first compared with K^H in blocks of ``_TILE``
+    columns, stopping at the first block that differs.  A kernel equal to
+    K^H entry for entry, as every quantized real symbol is, is its own
+    Hermitian part, (K + K) / 2 = K exactly: its residue is 0 and its
+    spectrum is read from K itself, with no N x N copy.  Otherwise the
+    Hermitian part H = (K + K^H)/2 is formed once, in blocks of ``_TILE``
+    columns: the Hermiticity residue max |K - K^H| is 2 max |K - H|.  The
+    spectrum is that of H on a certified range basis
     (:func:`_spectrum`): a numerically low-rank kernel takes a sketch of a
     few dozen columns and one small eigensolve, and a full-rank one the
     N x N eigensolve.  The report keeps the basis rank and its certificate,
     which is at most a tenth of the PSD floor times the largest |eigenvalue|.
 
-    :func:`errors.require_memory` refuses the working set first: the
-    Hermitian part and at most one more N x N complex array (the
-    eigensolver's copy of H, or the sketch, H Omega, Q and H Q, each
-    N x N/4 at most), and two column blocks, 32 (N^2 + _TILE N) bytes.
+    :func:`errors.require_memory` refuses the working set first, counted for
+    a kernel that differs from K^H: the Hermitian part and at most one more
+    N x N complex array (the eigensolver's copy of H, or the sketch,
+    H Omega, Q and H Q, each N x N/4 at most), and two column blocks,
+    32 (N^2 + _TILE N) bytes.
     """
     n = op.grid.n
     require_memory(32 * (n * n + _TILE * n), f"spectrum of a kernel at N = {n}")
     kernel = op.kernel
+    if all(
+        np.array_equal(kernel[j : j + _TILE, :].conj().T, kernel[:, j : j + _TILE])
+        for j in range(0, n, _TILE)
+    ):
+        vals, certificate, rank = _spectrum(kernel, psd_floor)
+        return _judge(op, 0.0, vals * op.dx, certificate * op.dx, rank, psd_floor)
     herm_part = np.empty_like(kernel)
     scale, residue = 0.0, 0.0
     for j in range(0, n, _TILE):

@@ -56,8 +56,10 @@ _EDGE_RTOL = 1e-12
 def j_matrix(n: int) -> np.ndarray:
     """Standard symplectic form J = [[0, I], [-I, 0]]."""
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = eye
+    J[n:, :n] = -eye
+    return J
 
 
 def _dimension(S: np.ndarray) -> int:

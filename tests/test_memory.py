@@ -151,14 +151,26 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
     # a Wigner function is float64, so the scan quantizes W's own samples and
     # no N x N copy of their real part lives beside W; the quantizer sums
     # only the lags d >= 0 into an N x N table, from one Dirichlet table and
-    # no refined rows.  At N = 256 and eta = 0.5 the traced peak is 3.39 MiB,
-    # where the refined rows and the chirp-z made it 6.07, the N x 2N table
-    # of all lags 9.34 and the copy 10.34.  The native quantization peaks at
-    # 2.39 MiB (3.57 with the N x 2N table), its kernel mirrored tile by tile
+    # no refined rows, and validates the Hermitian kernel in place.  At
+    # N = 256 and eta = 0.5 the traced peak is 2.51 MiB, where a copy of the
+    # kernel's Hermitian part made it 3.02, the refined rows and the chirp-z
+    # 6.07, the N x 2N table of all lags 9.34 and the copy 10.34.  The native
+    # quantization peaks at 2.39 MiB (3.57 with the N x 2N table), its kernel
+    # mirrored tile by tile
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
     assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
-    assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 3.6 * 2**20
+    assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 2.75 * 2**20
     assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
+
+
+def test_validate_density_makes_no_copy_of_a_hermitian_kernel():
+    # a kernel equal to its conjugate transpose is its own Hermitian part:
+    # at N = 256 the traced peak is 1.02 MiB, the sketches of the range
+    # basis, where the copy (K + K^H) / 2 made it 2.02
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    op = weyl_quantize(W, eta=0.5)
+    assert np.array_equal(op.kernel, op.kernel.conj().T)
+    assert _traced_peak(lambda: validate_density(op, 1e-8)) <= 1.25 * 2**20
 
 
 def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling():

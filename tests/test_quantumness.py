@@ -23,11 +23,13 @@ from wignerlab import (
     sigma_transform_at,
     wigner,
 )
-from wignerlab.quantumness import _POINT_CHUNK
+from wignerlab import quantumness
+from wignerlab.quantumness import _POINT_CHUNK, klm_matrix
 
 from oracles import wavepacket_wigner_closed
 
 ETA = 1.0
+TINY = np.finfo(float).tiny
 
 
 def _self_dual_grid(n=128, eta=ETA):
@@ -54,6 +56,24 @@ def test_gaussian_wavepacket_matches_closed_wigner(grid):
     m = 1.0 + 0.5j
     numeric = wigner(gaussian_wavepacket(grid, ETA, m)).values
     assert np.max(np.abs(numeric - wavepacket_wigner_closed(grid, ETA, m))) < 1e-8
+
+
+def test_gaussian_state_stores_no_subnormal_sample():
+    # the tails below the smallest normal double are stored as 0; every
+    # other sample is the closed form bit for bit
+    grid = make_grid(-10.0, 10.0, 256)
+    sigma, mean = np.array([[0.8, 0.1], [0.1, 0.6]]), np.array([0.3, -0.2])
+    W = gaussian_state(GaussianStateSpec(sigma, mean, ETA), grid)
+    xx, pp = W.meshes()
+    dz = np.stack([xx - mean[0], pp - mean[1]])
+    inv = np.linalg.inv(sigma)
+    quad = inv[0, 0] * dz[0] ** 2 + 2.0 * inv[0, 1] * dz[0] * dz[1] + inv[1, 1] * dz[1] ** 2
+    closed = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(sigma))) * np.exp(-0.5 * quad)
+    normal = closed >= TINY
+    assert np.count_nonzero(~normal & (closed > 0.0)) > 0
+    assert not np.any((W.values > 0.0) & (W.values < TINY))
+    assert np.array_equal(W.values[normal], closed[normal])
+    assert np.all(W.values[~normal] == 0.0)
 
 
 def test_gaussian_state_takes_a_spec_only(grid):
@@ -309,6 +329,39 @@ def test_transforms_match_normal_characteristic_function(eta, layout, count):
     fast = reduced_transform(a, points)
     assert np.max(np.abs(fast - _literal_quadrature(a, points, 1.0))) < 1e-13
     assert np.max(np.abs(fast - _normal_reduced_transform(points, mean))) < 1e-12
+
+
+def _subnormal(array) -> bool:
+    """Whether a real or imaginary part of ``array`` lies in (0, tiny)."""
+    parts = np.abs(np.concatenate([np.ravel(array.real), np.ravel(np.imag(array))]))
+    return bool(np.any((parts > 0.0) & (parts < TINY)))
+
+
+def test_klm_contraction_reads_no_subnormal_sample(monkeypatch):
+    # the bench's KLM input: Sigma = 0.25 I on the dual grid at N = 256,
+    # whose tails hold subnormal samples; zeroing them moves no bit of the
+    # KLM matrix or the reduced transform, and the contraction never sees one
+    grid = make_grid(-10.0, 10.0, 256)
+    p_grid = dual_grid(grid, ETA)
+    xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    values = np.exp(-2.0 * (xx**2 + pp**2)) / (2.0 * np.pi * 0.25)
+    a = PhaseSpaceFunction(grid, p_grid, values, ETA, kind="wigner")
+    assert _subnormal(a.values)
+    flushed = PhaseSpaceFunction(
+        grid, p_grid, np.where(np.abs(values) < TINY, 0.0, values), ETA, kind="wigner"
+    )
+    points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(40, 2))
+    operands = []
+    contraction = quantumness._quadrature_transform
+
+    def spy(values, ex, ep):
+        operands.extend([values, ex, ep])
+        return contraction(values, ex, ep)
+
+    monkeypatch.setattr(quantumness, "_quadrature_transform", spy)
+    assert np.array_equal(klm_matrix(a, points, ETA), klm_matrix(flushed, points, ETA))
+    assert np.array_equal(reduced_transform(a, points), reduced_transform(flushed, points))
+    assert operands and not any(_subnormal(operand) for operand in operands)
 
 
 def test_transform_of_a_complex_function_matches_literal_quadrature():

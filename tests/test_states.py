@@ -19,8 +19,10 @@ from wignerlab import (
     reconstruct_density,
     state_stats,
     validate_density,
+    weyl_quantize,
     wigner,
 )
+from wignerlab import states
 
 from oracles import spectral_decompose
 
@@ -94,6 +96,51 @@ def test_validate_density_flags_bad_operators(grid):
     assert any("hermiticity" in v for v in report.violations)
     with pytest.raises(ValidationError):
         DensityMatrix(non_herm, report)
+
+
+def _reference_report(op, psd_floor):
+    """The report from an explicitly formed Hermitian part H = (K + K^H) / 2,
+    with residue 2 max |K - H| / max |K|."""
+    kernel = op.kernel
+    herm = np.add(kernel.conj().T, kernel, out=np.empty_like(kernel))
+    herm *= 0.5
+    residue = 2.0 * float(np.max(np.abs(kernel - herm))) / float(np.max(np.abs(kernel)))
+    vals, certificate, rank = states._spectrum(herm, psd_floor)
+    return states._judge(op, residue, vals * op.dx, certificate * op.dx, rank, psd_floor)
+
+
+def _assert_same_report(report, reference):
+    assert np.array_equal(report.eigenvalues, reference.eigenvalues)
+    assert report.certificate == reference.certificate
+    assert report.rank == reference.rank
+    assert report.hermiticity_residue == reference.hermiticity_residue
+    assert report.trace_diagonal == reference.trace_diagonal
+    assert report.violations == reference.violations
+
+
+@pytest.mark.parametrize("eta", [None, 0.5])
+def test_validate_density_reads_a_bit_hermitian_kernel_as_its_own_hermitian_part(eta):
+    # the quantization of a real W equals its conjugate transpose entry for
+    # entry: the report is the one of the formed Hermitian part, residue 0
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA)).W
+    op = weyl_quantize(W) if eta is None else weyl_quantize(W, eta=eta)
+    assert np.array_equal(op.kernel, op.kernel.conj().T)
+    report = validate_density(op, 1e-8)
+    assert report.hermiticity_residue == 0.0
+    _assert_same_report(report, _reference_report(op, 1e-8))
+
+
+def test_validate_density_forms_the_hermitian_part_of_a_round_off_kernel():
+    # one ulp off in the upper triangle: the kernel is Hermitian only to
+    # round-off, so its residue and spectrum are those of (K + K^H) / 2
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA)).W
+    kernel = weyl_quantize(W).kernel.copy()
+    kernel[np.triu_indices(len(kernel), 1)] *= 1.0 + 2.0**-52
+    op = OperatorMatrix(W.x_grid, kernel, ETA)
+    assert not np.array_equal(kernel, kernel.conj().T)
+    report = validate_density(op, 1e-8)
+    assert 0.0 < report.hermiticity_residue < 1e-15
+    _assert_same_report(report, _reference_report(op, 1e-8))
 
 
 def test_spectral_decompose_reconstructs(grid):

@@ -47,6 +47,14 @@ def _random_symplectic(rng, free=True):
             return S
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_j_matrix_equals_the_block_form(n):
+    eye, zero = np.eye(n), np.zeros((n, n))
+    J = j_matrix(n)
+    assert J.dtype == np.float64
+    assert np.array_equal(J, np.block([[zero, eye], [-eye, zero]]))
+
+
 def test_j_matrix_and_blocks():
     J = j_matrix(1)
     assert np.array_equal(J, [[0.0, 1.0], [-1.0, 0.0]])
