@@ -79,9 +79,7 @@ def gaussian_state(spec: GaussianStateSpec, grid: Grid) -> PhaseSpaceFunction:
 
     The result is the normal density
     rho(z) = (2 pi)^-n (det Sigma)^(-1/2) exp(-1/2 Sigma^-1 (z-z0).(z-z0))
-    as a Wigner-kind phase-space function.  Its tails hold no subnormal
-    sample: a value below the smallest normal double is stored as 0, as
-    the KLM contraction would read it (:func:`_normal_samples`).
+    as a Wigner-kind phase-space function.
     """
     if not isinstance(spec, GaussianStateSpec):
         raise ParameterError(f"unsupported Gaussian spec {type(spec).__name__}")
@@ -101,7 +99,6 @@ def gaussian_state(spec: GaussianStateSpec, grid: Grid) -> PhaseSpaceFunction:
     )
     norm = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(sigma)))
     values = norm * np.exp(-0.5 * quad)
-    values[values < np.finfo(float).tiny] = 0.0
     return PhaseSpaceFunction(grid, p_grid, values, spec.eta, kind="wigner")
 
 
@@ -213,33 +210,24 @@ _POINT_CHUNK = 256
 
 
 def _normal_samples(values: np.ndarray) -> np.ndarray:
-    """``values`` with each subnormal sample, 0 < |v| < tiny, read as 0.
+    """Real ``values`` with each subnormal sample, 0 < |v| < tiny, read as 0.
 
     A Gaussian sampled across a wide dual p box holds hundreds to thousands
     of subnormal doubles in its tails, on which the BLAS product of
     :func:`_quadrature_transform` runs several times slower.  Their
     products with the phases of unit modulus stay below tiny, under half an
     ulp of any sum above 2^53 tiny (about 2e-292), so no such sum moves.
-    The masks are comparisons, so the only N x N temporaries are boolean,
-    and the samples are copied only when one of them is subnormal.  A
-    complex array is read as its real and imaginary parts.
+    The mask is built from comparisons, so the only N x N temporaries are
+    boolean, and the samples are copied only when one of them is subnormal.
     """
     tiny = np.finfo(float).tiny
-
-    def parts(array):
-        return (array.real, array.imag) if np.iscomplexobj(array) else (array,)
-
-    masks = []
-    for part in parts(values):
-        mask = part > -tiny
-        mask &= part < tiny
-        mask &= part != 0.0
-        masks.append(mask)
-    if not any(mask.any() for mask in masks):
+    mask = values > -tiny
+    mask &= values < tiny
+    mask &= values != 0.0
+    if not mask.any():
         return values
     values = values.copy()
-    for part, mask in zip(parts(values), masks):
-        part[mask] = 0.0
+    values[mask] = 0.0
     return values
 
 
@@ -256,9 +244,9 @@ def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) ->
     per-sample phases.  Real ``values`` multiply the interleaved real and
     imaginary parts of ``ep`` in one real product, so no complex copy of the
     samples is made.  Callers pass at most
-    ``_POINT_CHUNK`` columns at a time, which keeps memory O(chunk N), and
-    samples read through :func:`_normal_samples`, so no product here
-    multiplies a subnormal.
+    ``_POINT_CHUNK`` columns at a time, which keeps memory O(chunk N);
+    :func:`klm_matrix` passes samples read through :func:`_normal_samples`,
+    so its products multiply no subnormal.
     """
     if np.iscomplexobj(values):
         inner = values @ ep
@@ -276,13 +264,12 @@ def _transform_at(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x, p = a.x_grid.points, a.p_grid.points
-    values = _normal_samples(a.values)
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), _POINT_CHUNK):
         block = points[start : start + _POINT_CHUNK]
         ex = np.exp(-1j * scale * np.outer(x, block[:, 1]))
         ep = np.exp(1j * scale * np.outer(p, block[:, 0]))
-        out[start : start + _POINT_CHUNK] = _quadrature_transform(values, ex, ep)
+        out[start : start + _POINT_CHUNK] = _quadrature_transform(a.values, ex, ep)
     return out * a.area_element
 
 
@@ -402,12 +389,13 @@ def klm_test(
     set before anything is allocated.  It counts, as if they overlapped, two
     float N x N arrays (the copy |a| that the ball's radius reads and the
     copy of a with its subnormal samples read as 0, made only when one is
-    present), the two boolean N x N masks that find them, the two
-    per-sample phase arrays with the temporaries that build them (four
-    complex samples x N), one pair block (four complex ``_POINT_CHUNK`` x N
-    arrays: the two phases, a gathered column block and the product with
-    the samples) and four complex samples x samples arrays (the pair
-    indices, the transformed pairs, the matrix and the eigensolver's copy).
+    present), the boolean N x N mask that finds them with the comparison
+    that builds it, the two per-sample phase arrays with the temporaries
+    that build them (four complex samples x N), one pair block (four
+    complex ``_POINT_CHUNK`` x N arrays: the two phases, a gathered column
+    block and the product with the samples) and four complex samples x
+    samples arrays (the pair indices, the transformed pairs, the matrix and
+    the eigensolver's copy).
     """
     eta = _nonzero_eta(eta)
     samples = _check_count("samples", samples, 2)

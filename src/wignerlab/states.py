@@ -223,9 +223,10 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
     The report keeps the spectrum and the diagonal-sum trace.  ``psd_floor``
     is the relative eigenvalue floor; reconstructions with known ringing
     pass a looser one.  K is first compared with K^H in blocks of ``_TILE``
-    columns, stopping at the first block that differs.  A kernel equal to
-    K^H entry for entry, as every quantized real symbol is, is its own
-    Hermitian part, (K + K) / 2 = K exactly: its residue is 0 and its
+    columns, each from the diagonal down so that every pair of entries is
+    compared once, stopping at the first block that differs.  A kernel
+    equal to K^H entry for entry, as every quantized real symbol is, is its
+    own Hermitian part, (K + K) / 2 = K exactly: its residue is 0 and its
     spectrum is read from K itself, with no N x N copy.  Otherwise the
     Hermitian part H = (K + K^H)/2 is formed once, in blocks of ``_TILE``
     columns: the Hermiticity residue max |K - K^H| is 2 max |K - H|.  The
@@ -245,7 +246,7 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
     require_memory(32 * (n * n + _TILE * n), f"spectrum of a kernel at N = {n}")
     kernel = op.kernel
     if all(
-        np.array_equal(kernel[j : j + _TILE, :].conj().T, kernel[:, j : j + _TILE])
+        np.array_equal(kernel[j : j + _TILE, j:].conj().T, kernel[j:, j : j + _TILE])
         for j in range(0, n, _TILE)
     ):
         vals, certificate, rank = _spectrum(kernel, psd_floor)
