@@ -20,18 +20,18 @@ The ambiguity function reads the same table of |psi><psi| with the lag
 and midpoint axes swapped.  Off-grid arguments are treated as zero (kernels and symbols are
 assumed negligible outside the grid).
 
-At the symbol's own eta, where its p grid is dual to the x grid, the
-quantizer's p sum is one row FFT and reconstructs the lag band
-|x - y| < L/2 of a grid of length L, at half weight at L/2 and zero
-beyond: the N lags a dual-grid symbol holds, onto which
+In the quantizer the symbol's dtype picks the lag table and eta its fill.
+A complex symbol fills the N x 2N table; a real one, the symbol of a
+self-adjoint operator, the lags d >= 0 of an N x N table, whose kernel is
+mirrored from its lower triangle.  At the symbol's own eta, where its p
+grid is dual to the x grid, the p sum is one row FFT and reconstructs the
+lag band |x - y| < L/2 of a grid of length L, at half weight at L/2 and
+zero beyond: the N lags a dual-grid symbol holds, onto which
 :func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each row's
-trigonometric interpolant over F-fold refined p samples in closed form: one
-Dirichlet table per call, times each block's half spectrum as one real
-matrix product, with no refined samples; its band stretches to about
-|x - y| < (L/2) eta' / a.eta, with no sharp edge.  A real symbol is the
-symbol of a self-adjoint operator, so the quantizer sums only its lags
-d >= 0, into an N x N table, and mirrors the kernel's lower triangle onto
-the upper one; at a foreign eta a complex symbol is Op(Re a) + i Op(Im a).
+trigonometric interpolant over F-fold refined p samples in closed form,
+one Dirichlet table per call times each block's half spectrum; its band
+stretches to about |x - y| < (L/2) eta' / a.eta, with no sharp edge.  One
+read-out takes every kernel from its table.
 """
 
 from __future__ import annotations
@@ -171,9 +171,8 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     return corr
 
 
-#: symbol rows per pass of :func:`weyl_quantize` (one row FFT, and at a
-#: foreign eta one product with the Dirichlet table), and table rows per
-#: pass of :func:`_dirichlet_table`
+#: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
+#: foreign eta its products), and table rows per pass of :func:`_dirichlet_table`
 _ROW_CHUNK = 128
 
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian
@@ -192,21 +191,18 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     is stored and the working set does not grow with F.
 
     :func:`errors.require_memory` refuses the working set before anything is
-    allocated.  Natively it is the N x 2N correlation of a complex symbol,
-    the one buffer of the odd-column shift (N x N/2) and the kernel the
-    parity blocks are copied into.  At a foreign eta it is the (N_p + 2) x N
-    table beside the two N x N lag tables of Op(Re a) and Op(Im a), then
-    those with their two kernels.  Add one pass of ``_ROW_CHUNK`` rows: a
-    block's row FFT and its lag band, or its spectra, or the temporaries of
-    a block of table rows.  The count, 16 (N (4 N + N_p) + min(N,
-    ``_ROW_CHUNK``) 8 N) bytes, adds these as if they overlapped, with room
-    for what the allocator holds.  A real symbol needs one lag table and one
-    kernel, whose mirror copies one tile at a time.
+    allocated: the lag table (N x 2N for a complex symbol), filled one pass
+    of ``_ROW_CHUNK`` rows at a time (a block's FFT and lags, or a block of
+    Dirichlet table rows) and at a foreign eta beside the (N_p + 2) x N
+    Dirichlet table, then the kernel, read out once the table's odd-lag
+    columns are shifted N x N/2 at a time.  The count, 16 (N (3 N + N_p) +
+    min(N, ``_ROW_CHUNK``) 8 N) bytes, adds these as if they overlapped,
+    with room for what the allocator holds; a real symbol needs half the table.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n
     require_memory(
-        16 * (n * (4 * n + a.p_grid.n) + min(n, _ROW_CHUNK) * 8 * n),
+        16 * (n * (3 * n + a.p_grid.n) + min(n, _ROW_CHUNK) * 8 * n),
         f"p oversampling by {factor} to quantize at eta = {eta_use} a symbol at eta = {a.eta}",
     )
     return factor
@@ -219,32 +215,17 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
 
-    The p sums of the unshifted rows fill the table corr[r, d + w - N] of lag
-    d dx at midpoint x_r (w its width); one half-step shift along x moves the
-    odd-lag columns to their midpoints x_r - dx/2, and each parity block
-    K[a::2, b::2] of the kernel is copied out of its strided view of the
-    table (:func:`_parity_views`).  On the native path, where the p grid is
-    dual to the x grid at ``eta`` (every symbol at its own eta), the sum at
-    lag d dx is the length-N DFT of the row at d mod N for |d| < N/2, half
-    that at |d| = N/2 and zero beyond: one FFT per block of rows, and the
-    kernel holds the lag band |x - y| < L/2 (L the grid length).  A complex
-    symbol fills the N x 2N table of all lags, a real (float64) one only the
-    lags d >= 0 of an N x N table, one ``rfft`` per block, conjugated.
-
-    At a foreign eta the p sum runs over the rows refined F times
-    (:func:`_p_oversampling`), in closed form: each block's half spectrum,
-    one ``rfft``, times the one Dirichlet table of the call
-    (:func:`_dirichlet_table`), as one real matrix product into the N x N
-    table of lags d >= 0.  The band then stretches to about
-    |x - y| < (L/2) eta / a.eta.  A complex symbol is quantized as
-    Op(Re a) + i Op(Im a) through the same table, the half spectra of both
-    parts split from one FFT per block (:func:`_foreign_lags`).
-
-    A real symbol quantizes to a Hermitian kernel, K(y, x) = conj K(x, y):
-    the strict upper triangle is the mirror of the lower one and the diagonal
-    is real, so the kernel equals its conjugate transpose bit for bit.  An
-    odd x grid, and at a foreign eta an odd p grid, is refused before any
-    work.
+    The symbol's dtype picks the lag table corr[r, d + w - N] of lag d dx at
+    midpoint x_r: N x 2N for a complex symbol, N x N (the lags d >= 0) for a
+    real (float64) one.  Eta picks its fill: where the p grid is dual to the
+    x grid (every symbol at its own eta), one FFT per block of rows
+    (:func:`_native_lags`), whose kernel holds the lag band |x - y| < L/2 of
+    a grid of length L; at a foreign eta, the p sum over the rows refined F
+    times (:func:`_p_oversampling`) in closed form (:func:`_foreign_lags`),
+    whose band stretches to about |x - y| < (L/2) eta / a.eta.  One read-out
+    (:func:`_lag_kernel`) takes the kernel from the table, Hermitian bit for
+    bit for a real symbol.  An odd x grid, and at a foreign eta an odd p
+    grid, is refused before any work.
     """
     eta_use = a.eta if eta is None else float(eta)
     dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
@@ -259,21 +240,16 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
         )
     factor = _p_oversampling(a, eta_use)
     if native:
-        return OperatorMatrix(a.x_grid, _native_kernel(a, eta_use), eta_use)
-    lags = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
-    kernel = _lag_kernel(lags.pop(0), 0, n, a.x_grid, True)
-    if lags:
-        # Op(a) = Op(Re a) + i Op(Im a)
-        imag = _lag_kernel(lags.pop(), 0, n, a.x_grid, True)
-        kernel.real -= imag.imag
-        kernel.imag += imag.real
-    return OperatorMatrix(a.x_grid, kernel, eta_use)
+        corr, lo, hi = _native_lags(a, eta_use)
+    else:
+        corr, lo, hi = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
+    return OperatorMatrix(a.x_grid, _lag_kernel(corr, lo, hi, a.x_grid), eta_use)
 
 
-def _native_kernel(a: PhaseSpaceFunction, eta_use: float) -> np.ndarray:
-    """The kernel of a symbol whose p grid is dual to its x grid at ``eta_use``."""
+def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
+    """The lag table of a symbol whose p grid is dual to its x grid at ``eta_use``,
+    and its filled columns lo .. hi - 1: the lags |d| <= N/2 (d >= 0 if real)."""
     n = a.x_grid.n
-    dx = a.x_grid.dx
     real = not np.iscomplexobj(a.values)
     # corr[r, d + width - N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta)
     # over the lags first <= d < stop; the weights carry dp, the lag phase of
@@ -282,7 +258,7 @@ def _native_kernel(a: PhaseSpaceFunction, eta_use: float) -> np.ndarray:
     stop = n // 2 + 1
     d = np.arange(first, stop)
     dp = a.p_grid.dx
-    weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * dx / eta_use)
+    weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * a.x_grid.dx / eta_use)
     weight[np.abs(d) == n // 2] *= 0.5
     lo, hi = first + width - n, stop + width - n
     corr = np.zeros((n, width), dtype=complex)
@@ -294,50 +270,72 @@ def _native_kernel(a: PhaseSpaceFunction, eta_use: float) -> np.ndarray:
         else:
             sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
         np.multiply(sums, weight, out=corr[start : start + _ROW_CHUNK, lo:hi])
-    return _lag_kernel(corr, lo, hi, a.x_grid, real)
+    return corr, lo, hi
 
 
-def _foreign_lags(values: np.ndarray, table: np.ndarray) -> list:
-    """The lags d >= 0 of the Hermitian kernels at a foreign eta: one N x N
-    table for real samples, two for complex ones, those of Op(Re a) and
-    Op(Im a).  Each block's half spectrum, Nyquist bin halved, times the
-    table of :func:`_dirichlet_table`, both as float64 views.  A complex
-    block takes one FFT, whose bins Z_j split into the half spectra
-    (Z_j + conj Z_-j) / 2 of its real part and (Z_j - conj Z_-j) / 2i of
-    its imaginary part.
+def _foreign_lags(values: np.ndarray, table: np.ndarray) -> tuple:
+    """The lag table at a foreign eta, and its filled columns lo .. hi - 1:
+    the lags |d| < N, or d >= 0 of a real symbol.  A block's half spectrum,
+    Nyquist bin halved, times the table of :func:`_dirichlet_table`, both
+    as float64 views, is its lags d >= 0 of a Hermitian kernel.  A complex
+    block's FFT, bins Z_j, splits into the half spectra (Z_j + conj Z_-j) / 2
+    of Re a and (Z_j - conj Z_-j) / 2i of Im a, with lags L_re and L_im, and
+    the Hermitian kernels of Re a and Im a hold their conjugates at -d and
+    their real parts at lag 0.  So Op(a) = Op(Re a) + i Op(Im a) holds
+    L_re + i L_im at d > 0 and conj L_re + i conj L_im at -d.
     """
     n, n_p = values.shape
     real = not np.iscomplexobj(values)
-    lags = [np.empty((n, n), dtype=complex) for _ in range(1 if real else 2)]
+    corr = np.empty((n, n if real else 2 * n), dtype=complex)  # column 0, lag -N, is unread
+    half = n_p // 2 + 1
     for start in range(0, n, _ROW_CHUNK):
-        block = values[start : start + _ROW_CHUNK]
+        rows = slice(start, start + _ROW_CHUNK)
+        lags = corr[rows, -n:]  # d = 0 .. N - 1
         if real:
-            spectra = [np.fft.rfft(block, axis=1, norm="forward")]
+            spectra = [np.fft.rfft(values[rows], axis=1, norm="forward")]
         else:
-            spec = np.fft.fft(block, axis=1, norm="forward")
-            mirror = np.conj(spec[:, -np.arange(n_p // 2 + 1) % n_p])
-            spec = spec[:, : n_p // 2 + 1]
-            spectra = [(spec + mirror) * 0.5, (spec - mirror) * -0.5j]
-        for spectrum, table_lags in zip(spectra, lags):
+            spec = np.fft.fft(values[rows], axis=1, norm="forward")
+            mirror = np.conjugate(spec.take(-np.arange(half) % n_p, axis=1))
+            spectra = [spec[:, :half] + mirror, np.subtract(spec[:, :half], mirror, out=mirror)]
+            del spec
+            spectra[0] *= 0.5
+            spectra[1] *= -0.5j
+        for spectrum in spectra:
             spectrum[:, -1] *= 0.5
-            rows = table_lags[start : start + _ROW_CHUNK].view(np.float64)
-            np.matmul(spectrum.view(np.float64), table, out=rows)
-    return lags
+        np.matmul(spectra[0].view(np.float64), table, out=lags.view(np.float64))
+        if real:
+            continue
+        im = (spectra.pop().view(np.float64) @ table).view(complex)
+        negative = corr[rows, n - 1 : 0 : -1]  # d = -1 .. 1 - N
+        np.conjugate(lags[:, 1:], out=negative)
+        negative.real += im[:, 1:].imag
+        negative.imag += im[:, 1:].real
+        lags.real[:, 1:] -= im[:, 1:].imag
+        lags.imag[:, 1:] += im[:, 1:].real
+        lags.imag[:, 0] = im[:, 0].real
+        del im, spectra  # freed before the next block's FFT
+    return corr, 0 if real else 1, corr.shape[1]
 
 
-def _lag_kernel(corr: np.ndarray, lo: int, hi: int, grid: Grid, hermitian: bool) -> np.ndarray:
+def _lag_kernel(corr: np.ndarray, lo: int, hi: int, grid: Grid) -> np.ndarray:
     """The kernel held by the filled columns lo .. hi - 1 of a lag table.
 
     Odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
-    the p sums commute with the half-step shift along x.  A ``hermitian``
-    table holds the lags d >= 0 and its kernel is mirrored from them.
+    the p sums commute with the half-step shift along x, taken in equal
+    slices of about N/2 columns, two for the lags |d| < N of a complex
+    symbol at a foreign eta.  An N x N table holds the lags d >= 0 of a
+    Hermitian kernel, which is mirrored from them.
     """
-    odd = slice(lo | 1, hi, 2)
-    corr[:, odd] = fourier_shift(corr[:, odd], grid, 0.5 * grid.dx, axis=0)
-    kernel = np.empty((grid.n, grid.n), dtype=complex)
+    n = grid.n
+    odd = range(lo | 1, hi, 2)
+    size = -(-len(odd) // max(1, 2 * len(odd) // n))
+    for k in range(0, len(odd), size):
+        cols = slice(odd[k], odd[k] + 2 * size, 2)
+        corr[:, cols] = fourier_shift(corr[:, cols], grid, 0.5 * grid.dx, axis=0)
+    kernel = np.empty((n, n), dtype=complex)
     for (r, c), view in _parity_views(corr).items():
         kernel[r::2, c::2] = view
-    if hermitian:
+    if corr.shape[1] == n:
         _mirror_lower(kernel)
     return kernel
 

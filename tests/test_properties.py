@@ -341,9 +341,24 @@ def test_native_quantizer_returns_the_lag_band(grid_eta, seed):
 
 
 @given(grids(), foreign, seeds)
+def test_quantizer_maps_the_conjugate_symbol_to_the_adjoint(grid_eta, factor, seed):
+    # Op(conj a) = Op(a)^H for a complex symbol, natively and at a foreign
+    # eta: the lags -d of the N x 2N table must be those of the lags d of
+    # conj a conjugated, which swapped halves of the table would break
+    grid, eta = grid_eta
+    for kernel in _kernels(grid, eta, np.random.default_rng(seed)):
+        a = weyl_symbol(OperatorMatrix(grid, kernel, eta))
+        conj = PhaseSpaceFunction(grid, a.p_grid, a.values.conj(), eta)
+        for at in (None, factor * eta):
+            adjoint = weyl_quantize(a, eta=at).kernel.conj().T
+            assert _relative(weyl_quantize(conj, eta=at).kernel, adjoint) <= 1e-14
+
+
+@given(grids(), foreign, seeds)
 # at the foreign eta, one block of N = 16 rows and two full blocks of 128
-# against the one Dirichlet table, a complex symbol as Op(Re a) + i Op(Im a);
-# the native quantization takes one row FFT per block.  Over 150 draws the
+# against the one Dirichlet table, a complex symbol's N x 2N lag table from
+# the half spectra of Re a and Im a, split from one FFT per block; the
+# native quantization takes one row FFT per block.  Over 150 draws the
 # closed-form sums missed the dense product by at most 1.8e-13, the chirp-z
 # they replaced by 2.9e-13
 @example((make_grid(-5.0, 9.0, 16), 0.4), 0.5, 0)

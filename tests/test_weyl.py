@@ -212,13 +212,14 @@ def test_cross_wigner_consistency_with_symbol(grid):
 def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     # at the symbol's own eta each block of rows is one FFT; a foreign eta
     # sums each block's spectrum against one Dirichlet table per call, with no
-    # chirp-z and no refined rows at any eta.  Each kernel takes one
-    # half-step shift of its odd-lag columns: the N/2 odd lags of the band
+    # chirp-z and no refined rows at any eta.  Each kernel shifts its odd-lag
+    # columns half a step, N/2 columns per call: the N/2 odd lags of the band
     # |d| <= N/2 natively.  The symbol of a kernel adds one 2-D half-step
     # shift, along both axes in one call.  A real symbol sums only the lags
     # d >= 0 (odd lags 1 .. N/2 natively, 1 .. N - 1 at a foreign eta); a
-    # complex one at a foreign eta is Op(Re a) + i Op(Im a), two such
-    # kernels from the one table
+    # complex one at a foreign eta fills the N x 2N table of the lags
+    # 1 - N .. N - 1 from the one Dirichlet table, its N odd-lag columns
+    # shifted in two slices of N/2
     from wignerlab import transforms, weyl
 
     assert not hasattr(weyl, "chirp_z") and not hasattr(weyl, "refine")
@@ -371,7 +372,10 @@ def test_quantizer_refuses_an_odd_x_grid_before_any_transform(monkeypatch):
 
 def test_native_quantizer_shifts_the_odd_lags_of_any_even_grid():
     # on N = 30 and 66 points the native band of a complex symbol starts at
-    # the odd lag -N/2: its odd-lag columns are shifted, not the even ones
+    # the odd lag -N/2: its odd-lag columns are shifted, not the even ones.
+    # At eta = 0.5 and 1.5 the N x 2N table holds the lags 1 - N .. N - 1,
+    # those at -d conjugated from the lags d of Re a and Im a, and the
+    # column of lag -N stays unread
     from wignerlab.grid import Grid
 
     from oracles import weyl_quantize_dense
@@ -382,8 +386,10 @@ def test_native_quantizer_shifts_the_odd_lags_of_any_even_grid():
         op = pure_density(psi).op
         op.kernel = np.outer(psi.values, hermite_state(grid, ETA, 1).values.conj())
         a = weyl_symbol(op)
-        dense = weyl_quantize_dense(a)
-        assert np.max(np.abs(weyl_quantize(a).kernel - dense)) <= 1e-12 * np.max(np.abs(dense))
+        for eta in (None, 0.5, 1.5):
+            dense = weyl_quantize_dense(a, eta=eta)
+            kernel = weyl_quantize(a, eta=eta).kernel
+            assert np.max(np.abs(kernel - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
