@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, its memory budget and its plans."""
+
+import threading
+from collections import OrderedDict
 
 
 class WignerlabError(ValueError):
@@ -30,7 +33,48 @@ _MEMORY_LIMIT_BYTES = 2 * 2**30
 
 
 def require_memory(nbytes: int, what: str):
-    """Refuse a working set of ``nbytes`` (counted by the caller) above the budget."""
+    """Refuse a working set of ``nbytes`` (counted by the caller) above the budget.
+
+    The count is one call's working set.  Plans (:func:`plan`) outlive the
+    call that built them and are held apart from it, at most
+    ``_PLAN_LIMIT_BYTES`` (32 MiB) in all; the call that builds a plan
+    counts it as part of its own working set.
+    """
     if nbytes > _MEMORY_LIMIT_BYTES:
         limit = _MEMORY_LIMIT_BYTES / 2**30
         raise ParameterError(f"{nbytes / 2**30:.1f} GiB of {what} (limit {limit:.0f} GiB)")
+
+
+#: the bytes of plans held across calls, in least-recently-used order
+_PLAN_LIMIT_BYTES = _MEMORY_LIMIT_BYTES // 64
+
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def plan(build, *args):
+    """The array ``build(*args)``, read-only, held across calls.
+
+    A plan is an array that depends only on its arguments (a grid and eta,
+    never a symbol's values), so a call that repeats them reads the held
+    array bit for bit instead of building it again; the first call pays the
+    build.  Plans are held under one lock, at most ``_PLAN_LIMIT_BYTES`` in
+    all, the least recently used dropped first; a larger plan is built on
+    every call and never held.  The build runs outside the lock, so two
+    threads may build one plan at once, to the same bits.
+    """
+    key = (build, *args)
+    with _plans_lock:
+        held = _plans.get(key)
+        if held is not None:
+            _plans.move_to_end(key)
+            return held
+    array = build(*args)
+    array.flags.writeable = False
+    with _plans_lock:
+        if array.nbytes <= _PLAN_LIMIT_BYTES:
+            _plans[key] = array
+            total = sum(p.nbytes for p in _plans.values())
+            while total > _PLAN_LIMIT_BYTES:
+                total -= _plans.popitem(last=False)[1].nbytes
+    return array

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError, require_memory
+from .errors import ParameterError, ValidationError, plan, require_memory
 from .grid import TRACE_ATOL, Grid, GridFunction
 
 __all__ = [
@@ -170,7 +170,14 @@ class DensityMatrix:
 
 
 def _sketch(n: int, r: int) -> np.ndarray:
-    """The fixed n x r sketch of a range basis: unit phases exp(2 pi i u).
+    """The fixed n x r sketch of a range basis, a plan (:func:`errors.plan`)
+    held per (n, r) under the 32 MiB cap of all plans: read-only, and bit
+    for bit the one :func:`_splitmix_phases` builds on the first call."""
+    return plan(_splitmix_phases, n, r)
+
+
+def _splitmix_phases(n: int, r: int) -> np.ndarray:
+    """The n x r unit phases exp(2 pi i u) of the sketch.
 
     u is the top 53 bits of the splitmix64 hash of the entry's index
     k n + j, so the sketch is closed-form: the same in every run, column k
@@ -233,14 +240,16 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
     spectrum is that of H on a certified range basis
     (:func:`_spectrum`): a numerically low-rank kernel takes a sketch of a
     few dozen columns and one small eigensolve, and a full-rank one the
-    N x N eigensolve.  The report keeps the basis rank and its certificate,
+    N x N eigensolve.  The sketch is a plan held per (N, r) under the
+    32 MiB cap of all plans (:func:`errors.plan`), so only the first call
+    at an N and rank r pays its build.  The report keeps the basis rank and its certificate,
     which is at most a tenth of the PSD floor times the largest |eigenvalue|.
 
     :func:`errors.require_memory` refuses the working set first, counted for
     a kernel that differs from K^H: the Hermitian part and at most one more
     N x N complex array (the eigensolver's copy of H, or the sketch,
-    H Omega, Q and H Q, each N x N/4 at most), and two column blocks,
-    32 (N^2 + _TILE N) bytes.
+    H Omega, Q and H Q, each N x N/4 at most, the sketch counted as if the
+    call built it), and two column blocks, 32 (N^2 + _TILE N) bytes.
     """
     n = op.grid.n
     require_memory(32 * (n * n + _TILE * n), f"spectrum of a kernel at N = {n}")

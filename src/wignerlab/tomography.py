@@ -254,8 +254,13 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     above = np.abs(tomo.values) > SUPPORT_RTOL * np.max(np.abs(tomo.values))
     lo = grid.points[np.argmax(above, axis=1)] - dx
     hi = grid.points[n - 1 - np.argmax(above[:, ::-1], axis=1)] + dx
+    # the intersection does not depend on the order of the strips; the ones
+    # nearest theta = pi/2 and 0 go first, since they cut the most points
+    angles = tomo.angles
+    first = (np.argmin(np.abs(np.cos(angles))), np.argmin(np.abs(np.sin(angles))))
     inside = np.arange(xs.size)
-    for row, theta in enumerate(tomo.angles):
+    for row in dict.fromkeys([*map(int, first), *range(n_angles)]):
+        theta = angles[row]
         coords = xs[inside] * np.cos(theta) + ps[inside] * np.sin(theta)
         inside = inside[(coords >= lo[row]) & (coords <= hi[row])]
     xs, ps = xs[inside] / step, ps[inside] / step

@@ -29,9 +29,10 @@ lag band |x - y| < L/2 of a grid of length L, at half weight at L/2 and
 zero beyond: the N lags a dual-grid symbol holds, onto which
 :func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each row's
 trigonometric interpolant over F-fold refined p samples in closed form,
-one Dirichlet table per call times each block's half spectrum; its band
-stretches to about |x - y| < (L/2) eta' / a.eta, with no sharp edge.  One
-read-out takes every kernel from its table.
+one Dirichlet table times each block's half spectrum, the table held per
+grid, eta' and F as a plan (:func:`errors.plan`) that the first call
+builds; its band stretches to about |x - y| < (L/2) eta' / a.eta, with no
+sharp edge.  One read-out takes every kernel from its table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError, require_memory
+from .errors import ParameterError, plan, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
 from .transforms import fourier_shift, oscillatory_sum
@@ -172,7 +173,7 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
 
 
 #: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
-#: foreign eta its products), and table rows per pass of :func:`_dirichlet_table`
+#: foreign eta its products), and table rows per pass of :func:`_dirichlet_sums`
 _ROW_CHUNK = 128
 
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian
@@ -188,7 +189,10 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     need proportionally more of it.  At a foreign eta, F defines the
     quadrature: each row's trigonometric interpolant is summed over F N_p p
     samples, in closed form (:func:`_dirichlet_table`), so no refined sample
-    is stored and the working set does not grow with F.
+    is stored and the working set does not grow with F.  The Dirichlet
+    table is a plan held per grid, eta and F under the 32 MiB cap of all
+    plans (:func:`errors.plan`): the first call at a grid and eta builds
+    it and counts it below, later ones read it.
 
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the lag table (N x 2N for a complex symbol), filled one pass
@@ -341,6 +345,24 @@ def _lag_kernel(corr: np.ndarray, lo: int, hi: int, grid: Grid) -> np.ndarray:
 
 
 def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.ndarray:
+    """The table of :func:`_dirichlet_sums` for ``a``'s grids, a plan
+    (:func:`errors.plan`) held per grid, eta and F under the 32 MiB cap of
+    all plans.
+
+    The table depends on the symbol's grids (N, N_p, dx, dp and p_min), on
+    eta and on F, never on its values, so a repeated grid and eta reads the
+    held table, read-only and bit for bit the one built; the first call
+    pays the build.
+    """
+    x_grid, p_grid = a.x_grid, a.p_grid
+    return plan(
+        _dirichlet_sums, x_grid.n, p_grid.n, x_grid.dx, p_grid.dx, p_grid.x_min, eta_use, factor
+    )
+
+
+def _dirichlet_sums(
+    n: int, n_p: int, dx: float, dp: float, p_min: float, eta_use: float, factor: int
+) -> np.ndarray:
     """The foreign-eta p sums of lags d = 0 .. N - 1 as one real matrix.
 
     A row refined F times is the trigonometric interpolant of its spectrum
@@ -366,14 +388,12 @@ def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.n
     the float64 view of the block's complex lag sums.  The table is built
     ``_ROW_CHUNK`` values of j at a time.
     """
-    n, n_p = a.x_grid.n, a.p_grid.n
-    dx, dp = a.x_grid.dx, a.p_grid.dx
     m = factor * n_p
     c = n_p * dp * dx / (2.0 * eta_use)
     d = np.arange(n)
     lag = c * d
     ramp = dp / factor / (2.0 * np.pi * eta_use) * np.exp(
-        1j * (a.p_grid.x_min * d * dx / eta_use + (m - 1) / m * lag)
+        1j * (p_min * d * dx / eta_use + (m - 1) / m * lag)
     )
     rows = n_p // 2 + 1
     table = np.empty((rows, 2, n), dtype=complex)

@@ -32,6 +32,7 @@ from wignerlab import (
     load_phase_space,
     make_grid,
     mix,
+    pure_density,
     radon,
     validate_density,
     weyl_quantize,
@@ -45,13 +46,24 @@ ROOT = Path(__file__).resolve().parents[1]
 
 REFUSAL = r"\d+\.\d GiB of .+ \(limit 2 GiB\)"
 
-# One call per process: the ru_maxrss rise over the call, against the
+# The peak resident set (VmHWM) of this process's own address space, in
+# bytes.  ru_maxrss starts at the peak of the process that spawned it, so
+# under a test runner that had grown past a call's peak it rose by nothing.
+_PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return 1024 * next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+# One call per process: the rise of its peak over the call, against the
 # largest count the call handed to require_memory.  Inputs are built and
 # numpy.random (about 6 MB, which klm_test imports for its sample points)
 # is imported before the baseline is read; the rise is a lower bound on the
-# working set, since pages freed inside the call may be reused.
-_MEASURE = """
-import gc, importlib, json, resource, sys
+# working set, since pages freed inside the call may be reused.  The inputs
+# of ``_SAVED`` peak above their call when built, which left the call's
+# rise at 0, so the test builds and saves them and the child only loads them.
+_MEASURE = _PEAK + """
+import gc, importlib, json, sys
 import numpy as np
 import numpy.random
 import wignerlab as wl
@@ -77,38 +89,51 @@ elif case == "mix":
     spec = wl.MixedStateSpec([(0.125, wl.hermite_state(grid, 1.0, k)) for k in range(8)])
     call = lambda: wl.mix(spec)
 elif case == "weyl_symbol":
-    # the kernel path: the N x N kernel shifted in 2-D, no factors
-    op = wl.pure_density(wl.coherent_state(wl.make_grid(-10.0, 10.0, 512), 1.0)).op
+    # loaded: the kernel path, the N x N kernel shifted in 2-D, no factors
+    op = wl.OperatorMatrix(wl.make_grid(-10.0, 10.0, 512), np.load(sys.argv[2]), 1.0)
     call = lambda: wl.weyl_symbol(op)
-elif case == "weyl_quantize_complex":
-    # the N x 2N lag table of a complex symbol at a foreign eta
+elif case.startswith("weyl_quantize"):
+    # loaded: a Wigner function, or for the N x 2N lag table of a complex
+    # symbol at a foreign eta a cross-Wigner function
     grid = wl.make_grid(-10.0, 10.0, 512)
-    X = wl.cross_wigner(wl.coherent_state(grid, 1.0, 0.5), wl.coherent_state(grid, 1.0, -0.5))
-    call = lambda: wl.weyl_quantize(X, eta=0.5)
+    a = wl.PhaseSpaceFunction(grid, wl.dual_grid(grid, 1.0), np.load(sys.argv[2]), 1.0)
+    eta = {"weyl_quantize": 0.25, "weyl_quantize_native": None}.get(case, 0.5)
+    call = lambda: wl.weyl_quantize(a, eta=eta)
 elif case == "validate_density":
-    # the range path: a rank-one kernel, certified by the first sketch
-    op = wl.pure_density(wl.coherent_state(wl.make_grid(-10.0, 10.0, 1024), 1.0)).op
+    # loaded: the range path of a rank-one kernel, certified by the first sketch
+    op = wl.OperatorMatrix(wl.make_grid(-10.0, 10.0, 1024), np.load(sys.argv[2]), 1.0)
     call = lambda: wl.validate_density(op)
 else:
-    n = {"radon": 128, "weyl_quantize": 512, "weyl_quantize_native": 512}.get(case, 256)
+    n = 128 if case == "radon" else 256
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
     if case == "radon":
         angles = np.linspace(0.0, np.pi, 4096, endpoint=False)
         call = lambda: wl.radon(W, angles)
-    elif case == "weyl_quantize":
-        call = lambda: wl.weyl_quantize(W, eta=0.25)
-    elif case == "weyl_quantize_native":
-        call = lambda: wl.weyl_quantize(W)
     else:
         samples = {"klm_test_m16": 16, "klm_test_m100": 100}.get(case, 512)
         call = lambda: wl.klm_test(W, 1.0, samples=samples)
 gc.collect()
 counted.clear()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 call()
-rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
-print(json.dumps({"counted": max(counted), "rise": rise}))
+print(json.dumps({"counted": max(counted), "rise": peak() - before}))
 """
+
+
+def _coherent(n, x0=0.0):
+    return coherent_state(make_grid(-10.0, 10.0, n), 1.0, x0)
+
+
+# the inputs the measuring process loads, built here
+_SAVED = {
+    "weyl_quantize": lambda: wigner(_coherent(512)).W.values,
+    "weyl_quantize_native": lambda: wigner(_coherent(512)).W.values,
+    "weyl_quantize_complex": lambda: cross_wigner(
+        _coherent(512, 0.5), _coherent(512, -0.5)
+    ).values,
+    "weyl_symbol": lambda: pure_density(_coherent(512)).kernel,
+    "validate_density": lambda: pure_density(_coherent(1024)).kernel,
+}
 
 
 # klm_test at N = 256 with few samples counts 5.5 and 7.5 MB; its fixed
@@ -123,12 +148,15 @@ _SMALL_COUNTS = ("klm_test_m16", "klm_test_m100")
         "wigner", "mix", "weyl_symbol", "klm_test_m16", "klm_test_m100", "validate_density",
     ],
 )
-def test_each_count_bounds_the_measured_peak(case):
+def test_each_count_bounds_the_measured_peak(case, tmp_path):
     # the sizes keep each count between 16 and 64 MB, the small-M KLM counts
     # between 4 and 16 MB
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    saved = tmp_path / "input.npy"
+    if case in _SAVED:
+        np.save(saved, _SAVED[case]())
     out = subprocess.run(
-        [sys.executable, "-c", _MEASURE, case],
+        [sys.executable, "-c", _MEASURE, case, str(saved)],
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -152,7 +180,7 @@ def _traced_peak(call):
     return peak
 
 
-def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
+def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy(cold_plans):
     # a Wigner function is float64, so the scan quantizes W's own samples and
     # no N x N copy of their real part lives beside W; the quantizer sums
     # only the lags d >= 0 into an N x N table, from one Dirichlet table and
@@ -169,7 +197,7 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy():
     assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
 
 
-def test_validate_density_makes_no_copy_of_a_hermitian_kernel():
+def test_validate_density_makes_no_copy_of_a_hermitian_kernel(cold_plans):
     # a kernel equal to its conjugate transpose is its own Hermitian part:
     # at N = 256 the traced peak is 1.02 MiB, the sketches of the range
     # basis, where the copy (K + K^H) / 2 made it 2.02
@@ -179,7 +207,7 @@ def test_validate_density_makes_no_copy_of_a_hermitian_kernel():
     assert _traced_peak(lambda: validate_density(op, 1e-8)) <= 1.25 * 2**20
 
 
-def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling():
+def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling(cold_plans):
     # eta = 0.5, 0.25 and 1e-3 oversample p by F = 4, 8 and 2000, yet each
     # sum reads the one (N_p + 2) x N Dirichlet table: the traced peaks
     # agree to within that table (1 MiB at N = 256), and at F = 2000 the
@@ -194,7 +222,7 @@ def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling():
     assert np.array_equal(kernel, kernel.conj().T)
 
 
-def test_foreign_quantizer_fills_one_table_for_a_complex_symbol():
+def test_foreign_quantizer_fills_one_table_for_a_complex_symbol(cold_plans):
     # a complex symbol at a foreign eta fills one N x 2N lag table, writing
     # the lags of Re a into it and adding those of Im a from one block beside
     # it, and reads one kernel out: at N = 256 and eta = 0.5 the traced peak
@@ -219,8 +247,8 @@ def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
 
 # the metaplectic word path takes O(N) memory, so it has no guard: at
 # N = 4096 its four steps must not rise by more than 16 MB
-_WORD = """
-import gc, resource
+_WORD = _PEAK + """
+import gc
 import numpy as np
 import wignerlab as wl
 
@@ -228,9 +256,9 @@ q, p, r = 1.3, 0.4, -0.7
 spec = wl.MetaplecticSpec.free_as_word(np.array([[r / q, 1.0 / q], [(p * r - q * q) / q, p / q]]))
 psi = wl.coherent_state(wl.make_grid(-10.0, 10.0, 4096), 1.0)
 gc.collect()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 wl.metaplectic_apply(spec, psi)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+print(peak() - before)
 """
 
 

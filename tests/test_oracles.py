@@ -1,3 +1,5 @@
+"""The dense interpolation helpers of the test oracles, against samples and closed forms."""
+
 import numpy as np
 import pytest
 

@@ -25,7 +25,9 @@ and ``gaussian_admissible`` share is compared with the general eigensolver
 of J Sigma over random covariances of n = 1 to 3 modes, condition numbers
 up to 1e6 and scales from 1e-3 to 1e3.  Near the admissibility boundary,
 the Gaussian verdict and the Robertson-Schrodinger checks are compared with
-the exact verdicts at scales from 1e-6 to 1e6.
+the exact verdicts at scales from 1e-6 to 1e6.  Every output that reads a
+plan (``errors.plan``: the foreign-eta Dirichlet table, the range sketch)
+gives the same bits on an empty store, a warm one and one that evicts.
 """
 
 from fractions import Fraction
@@ -55,6 +57,7 @@ from wignerlab import (
     cross_wigner,
     dual_grid,
     eta_fourier,
+    eta_scan,
     gaussian_admissible,
     is_symplectic,
     klm_test,
@@ -75,6 +78,7 @@ from wignerlab import (
     wigner,
     williamson,
 )
+from wignerlab import errors
 from wignerlab.quantumness import klm_matrix
 from wignerlab.transforms import chirp_z
 from wignerlab.wigner import quantized_density
@@ -275,6 +279,58 @@ def test_range_spectrum_of_a_foreign_eta_quantization_is_certified(grid_eta, oth
     W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
     op, _, _ = quantized_density(W, other, 1e-8)
     _assert_within_certificate(op, 1e-8)
+
+
+def _plan_outputs(W, psi, phi, eta_list):
+    """Every output that reads a plan, as bytes: the eta_scan entries, the
+    native and foreign kernels of W, the foreign kernel of the cross-Wigner
+    function of psi and phi (N x 2N lag table, non-Hermitian), and the
+    validate_density reports of the foreign kernels."""
+    X = cross_wigner(psi, phi)
+    ops = [weyl_quantize(W), weyl_quantize(W, eta=eta_list[0]), weyl_quantize(X, eta=eta_list[-1])]
+    reports = [validate_density(op, 1e-8) for op in ops[1:]]
+    return [
+        repr(eta_scan(W, eta_list).entries),
+        *(op.kernel.tobytes() for op in ops),
+        *(r.eigenvalues.tobytes() for r in reports),
+        *(
+            repr((r.hermiticity_residue, r.trace_diagonal, r.certificate, r.rank, r.violations))
+            for r in reports
+        ),
+    ]
+
+
+def _capped_outputs(cap, *args):
+    """:func:`_plan_outputs` with at most ``cap`` bytes of plans held."""
+    limit = errors._PLAN_LIMIT_BYTES
+    errors._PLAN_LIMIT_BYTES = cap
+    try:
+        return _plan_outputs(*args)
+    finally:
+        errors._PLAN_LIMIT_BYTES = limit
+
+
+@given(
+    st.integers(32, 80), st.floats(-12.0, -8.0), st.floats(16.0, 24.0), st.floats(0.5, 2.0), seeds
+)
+# N = 160 takes the range sketch (N / 2 > 32) at every eta
+@example(80, -10.0, 20.0, 1.0, 0)
+def test_plans_give_the_same_bits_cold_warm_and_after_an_eviction(half, x_min, length, eta, seed):
+    # any even N = 2 half, not only the powers of two make_grid accepts
+    grid = Grid(x_min, x_min + length, 2 * half)
+    rng = np.random.default_rng(seed)
+    psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
+    args = (wigner(psi).W, psi, phi, [0.5 * eta, eta, 1.5 * eta])
+    errors._plans.clear()
+    cold = _capped_outputs(0, *args)
+    assert not errors._plans
+    _plan_outputs(*args)
+    largest = max(plan.nbytes for plan in errors._plans.values())
+    assert _plan_outputs(*args) == cold
+    # a cap of the largest plan holds one at a time, so every build evicts
+    _capped_outputs(largest, *args)
+    assert _capped_outputs(largest, *args) == cold
+    errors._plans.clear()
 
 
 def test_full_rank_kernel_takes_the_identity_basis(monkeypatch):
