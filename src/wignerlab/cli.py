@@ -283,6 +283,7 @@ def _run_klm(config, out_dir):
             "verdict": report.verdict,
             "seed": report.seed,
             "points": report.points,
+            **report.details,
         },
         os.path.join(out_dir, "klm_report.json"),
     )

@@ -22,6 +22,7 @@ __all__ = [
     "make_grid",
     "dual_grid",
     "boundary_leak",
+    "support_box",
 ]
 
 #: relative tolerance used when comparing grids / eta values for identity
@@ -228,13 +229,26 @@ def boundary_leak(values: np.ndarray) -> float:
     total = float(np.sum(np.abs(values) ** 2))
     if total == 0.0:
         return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
-    for axis, n in enumerate(values.shape):
-        edge = max(1, int(np.ceil(0.05 * n)))
-        sl = [slice(None)] * values.ndim
-        sl[axis] = slice(0, edge)
-        mask[tuple(sl)] = True
-        sl[axis] = slice(n - edge, n)
-        mask[tuple(sl)] = True
+    # the outer 5 % of any axis is all but the inner box
+    edges = [max(1, int(np.ceil(0.05 * n))) for n in values.shape]
+    mask = np.ones(values.shape, dtype=bool)
+    mask[tuple(slice(edge, n - edge) for edge, n in zip(edges, values.shape))] = False
     outer = float(np.sum(np.abs(values[mask]) ** 2))
     return outer / total
+
+
+def support_box(values: np.ndarray, rtol: float) -> tuple[slice, slice]:
+    """(rows, cols): the bounding box of the samples above rtol max |values|.
+
+    The box runs from the first to the last row, and column, that holds a
+    sample above the threshold.  Every sample outside it is at most rtol
+    max |values|, so a sum over the box differs from the sum over the grid
+    by at most the sum of |values| outside it.  When no sample is above, as
+    for all-zero values, the whole grid is kept.  :func:`tomography.radon`
+    widens this box at its own threshold, and the transforms at arbitrary
+    points of :mod:`quantumness` read it at rtol = machine epsilon.
+    """
+    magnitude = np.abs(values)
+    above = magnitude > rtol * np.max(magnitude)
+    hits = (above.any(axis=1), above.any(axis=0))
+    return tuple(slice(int(np.argmax(h)), h.size - int(np.argmax(h[::-1]))) for h in hits)

@@ -13,7 +13,10 @@ be the Wigner distribution of a state at a given eta:
   j < k are transformed and the matrix is Hermitian by construction.  The
   phases of a difference are products of per-sample phases,
   exp(-i p_j x / eta) conj(exp(-i p_k x / eta)) along x and likewise
-  along p: 2 M N exponentials for M samples on an N x N grid.
+  along p.  They are built on the support block only, the n_x rows and
+  n_p columns holding a sample above eps max |a| (:func:`grid.support_box`):
+  M (n_x + n_p) exponentials for M samples, and M(M - 1) n_x n_p / 2
+  products, however large the grid around the block.
 * A Hessian necessary condition at the origin of the eta-free reduced
   transform: -f''(0) + i eta J / 2 >= 0, the uncertainty matrix of the
   raw second moments (:func:`_uncertainty_spectrum`, as for Gaussians).
@@ -30,7 +33,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError, ValidationError, require_memory
-from .grid import Grid, PhaseSpaceFunction, dual_grid
+from .grid import Grid, PhaseSpaceFunction, dual_grid, support_box
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wigner import quantized_density
 
@@ -209,26 +212,24 @@ def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
 _POINT_CHUNK = 256
 
 
-def _normal_samples(values: np.ndarray) -> np.ndarray:
-    """Real ``values`` with each subnormal sample, 0 < |v| < tiny, read as 0.
+def _support_block(a: PhaseSpaceFunction, values: np.ndarray):
+    """(block, x, p, box): a copy of the support block of ``values`` and its points.
 
-    A Gaussian sampled across a wide dual p box holds hundreds to thousands
-    of subnormal doubles in its tails, on which the BLAS product of
-    :func:`_quadrature_transform` runs several times slower.  Their
-    products with the phases of unit modulus stay below tiny, under half an
-    ulp of any sum above 2^53 tiny (about 2e-292), so no such sum moves.
-    The mask is built from comparisons, so the only N x N temporaries are
-    boolean, and the samples are copied only when one of them is subnormal.
+    The box is :func:`grid.support_box` at rtol = machine epsilon: every
+    sample left out is at most eps max |a|, so no sum above round-off moves.
+    In the copy each subnormal sample, 0 < |v| < tiny (a real or an
+    imaginary part), is read as 0: a Gaussian squeezed 10x and turned by
+    45 degrees holds 239 of them inside its 256 x 73 box at N = 256, and
+    the BLAS product of :func:`_quadrature_transform` runs several times
+    slower on them.  Their products with the phases of unit modulus stay
+    below tiny, under half an ulp of any sum above 2^53 tiny (about
+    2e-292), so no such sum moves.
     """
-    tiny = np.finfo(float).tiny
-    mask = values > -tiny
-    mask &= values < tiny
-    mask &= values != 0.0
-    if not mask.any():
-        return values
-    values = values.copy()
-    values[mask] = 0.0
-    return values
+    rows, cols = support_box(values, np.finfo(float).eps)
+    block = values[rows, cols].copy()
+    parts = block.view(float)  # a complex block as its real and imaginary parts
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return block, a.x_grid.points[rows], a.p_grid.points[cols], (rows, cols)
 
 
 def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) -> np.ndarray:
@@ -239,14 +240,15 @@ def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) ->
     exp(-i scale sigma(w, z')) factors into two 1-D phases, the columns
     ex[:, w] = exp(-i scale w_p x) and ep[:, w] = exp(i scale w_x p), and
     the double sum is one matrix product and one column-wise dot product.
-    The callers build the phases: :func:`reduced_transform` and
-    :func:`sigma_transform_at` per point, :func:`klm_matrix` as products of
-    per-sample phases.  Real ``values`` multiply the interleaved real and
-    imaginary parts of ``ep`` in one real product, so no complex copy of the
-    samples is made.  Callers pass at most
-    ``_POINT_CHUNK`` columns at a time, which keeps memory O(chunk N);
-    :func:`klm_matrix` passes samples read through :func:`_normal_samples`,
-    so its products multiply no subnormal.
+    The callers pass the n_x x n_p support block of :func:`_support_block`,
+    whose subnormal samples read as 0, and build the phases on its points
+    only: :func:`reduced_transform` and :func:`sigma_transform_at` per
+    point, :func:`klm_matrix` as products of per-sample phases.  A block of
+    w columns costs w n_x n_p products, whatever the grid around the
+    support.  Real ``values`` multiply the interleaved real and imaginary
+    parts of ``ep`` in one real product, so no complex copy of the samples
+    is made.  Callers pass at most ``_POINT_CHUNK`` columns at a time,
+    which keeps memory O(chunk (n_x + n_p)).
     """
     if np.iscomplexobj(values):
         inner = values @ ep
@@ -258,18 +260,21 @@ def _quadrature_transform(values: np.ndarray, ex: np.ndarray, ep: np.ndarray) ->
 def _transform_at(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
     """sum over z' of exp(-i sigma(w, z') scale) a(z') dz' at points w.
 
-    Builds the phases of each block of ``_POINT_CHUNK`` points: 2 M N
-    exponentials for M points on an N x N grid, instead of M N^2.  No FFT is
-    involved, so any pair of x and p grids works.
+    The sum runs over the support block of ``a`` (:func:`_support_block`),
+    so a sample left out is at most eps max |a| and a subnormal one reads as
+    0.  Builds the phases of each block of ``_POINT_CHUNK`` points on the
+    block's points: M (n_x + n_p) exponentials and M n_x n_p products for M
+    points on an n_x x n_p block, instead of M N^2 exponentials on the
+    N x N grid.  No FFT is involved, so any pair of x and p grids works.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    x, p = a.x_grid.points, a.p_grid.points
+    block, x, p, _ = _support_block(a, a.values)
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), _POINT_CHUNK):
-        block = points[start : start + _POINT_CHUNK]
-        ex = np.exp(-1j * scale * np.outer(x, block[:, 1]))
-        ep = np.exp(1j * scale * np.outer(p, block[:, 0]))
-        out[start : start + _POINT_CHUNK] = _quadrature_transform(a.values, ex, ep)
+        chunk = points[start : start + _POINT_CHUNK]
+        ex = np.exp(-1j * scale * np.outer(x, chunk[:, 1]))
+        ep = np.exp(1j * scale * np.outer(p, chunk[:, 0]))
+        out[start : start + _POINT_CHUNK] = _quadrature_transform(block, ex, ep)
     return out * a.area_element
 
 
@@ -290,28 +295,16 @@ def sigma_transform_at(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
     return _transform_at(a, points, 1.0 / eta) / (2.0 * np.pi * eta)
 
 
-def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
-    """The sampled KLM matrix exp(i sigma(z_j, z_k) / 2 eta) a_sigma(z_j - z_k).
+def _klm_matrix(a: PhaseSpaceFunction, block, x, p, total: float, points, eta: float):
+    """The KLM matrix of :func:`klm_matrix` from the support block of a real ``a``.
 
-    ``a`` must be real (:meth:`grid.PhaseSpaceFunction.real_values`), so
-    a_sigma(-w) is the conjugate of a_sigma(w) and a_sigma(0) is the mass
-    over 2 pi eta.  So a_sigma is transformed at the M(M - 1)/2 differences
-    with j < k only, the lower triangle holds their conjugates and the
-    diagonal the exact mass term: the matrix is Hermitian bit for bit.  The
-    phases of z_j - z_k are products of per-sample phases,
-    sx[:, j] conj(sx[:, k]) with sx[i, j] = exp(-i p_j x_i / eta) and
-    likewise sp[k, j] = exp(i x_j p_k / eta) along p: 2 M N exponentials.
-    The pairs go through :func:`_quadrature_transform` in blocks of
-    ``_POINT_CHUNK``, on the samples with their subnormal ones read as 0
-    (:func:`_normal_samples`, a copy only when one is present).  The
-    diagonal's mass is summed from those samples too.
+    ``block``, ``x`` and ``p`` are the block and its points as
+    :func:`_support_block` returned them, and ``total`` the sum of the
+    samples of ``a`` over the whole grid, which the diagonal reads.
     """
-    eta = _nonzero_eta(eta)
-    points = np.asarray(points, dtype=float)
     xs, ps = points[:, 0], points[:, 1]
-    values = _normal_samples(a.real_values())
-    sx = np.exp(-1j / eta * np.outer(a.x_grid.points, ps))
-    sp = np.exp(1j / eta * np.outer(a.p_grid.points, xs))
+    sx = np.exp(-1j / eta * np.outer(x, ps))
+    sp = np.exp(1j / eta * np.outer(p, xs))
     rows, cols = np.triu_indices(len(points), 1)
     upper = np.empty(len(rows), dtype=complex)
     for start in range(0, len(rows), _POINT_CHUNK):
@@ -321,15 +314,38 @@ def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
         ex *= np.take(sx, j, axis=1)
         ep = np.take(sp, k, axis=1).conj()
         ep *= np.take(sp, j, axis=1)
-        upper[start : start + _POINT_CHUNK] = _quadrature_transform(values, ex, ep)
+        upper[start : start + _POINT_CHUNK] = _quadrature_transform(block, ex, ep)
     scale = a.area_element / (2.0 * np.pi * eta)
     # sigma(z_j, z_k) = p_j x_k - x_j p_k
     upper *= np.exp(0.5j / eta * (ps[rows] * xs[cols] - xs[rows] * ps[cols])) * scale
     matrix = np.empty((len(points), len(points)), dtype=complex)
     matrix[rows, cols] = upper
     matrix[cols, rows] = upper.conj()
-    np.fill_diagonal(matrix, np.sum(values) * scale)
+    np.fill_diagonal(matrix, total * scale)
     return matrix
+
+
+def klm_matrix(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
+    """The sampled KLM matrix exp(i sigma(z_j, z_k) / 2 eta) a_sigma(z_j - z_k).
+
+    ``a`` must be real (:meth:`grid.PhaseSpaceFunction.real_values`), so
+    a_sigma(-w) is the conjugate of a_sigma(w) and a_sigma(0) is the mass
+    over 2 pi eta.  So a_sigma is transformed at the M(M - 1)/2 differences
+    with j < k only, the lower triangle holds their conjugates and the
+    diagonal the exact mass term, summed over the whole grid: the matrix is
+    Hermitian bit for bit.  The pairs read the n_x x n_p support block of
+    ``a`` (:func:`_support_block`: the samples above eps max |a|, the
+    subnormal ones read as 0).  The phases of z_j - z_k are products of
+    per-sample phases on the block's points, sx[:, j] conj(sx[:, k]) with
+    sx[i, j] = exp(-i p_j x_i / eta) and likewise sp[k, j] = exp(i x_j p_k
+    / eta) along p: M (n_x + n_p) exponentials.  The pairs go through
+    :func:`_quadrature_transform` in blocks of ``_POINT_CHUNK``, at
+    M(M - 1) n_x n_p / 2 products in all.
+    """
+    eta = _nonzero_eta(eta)
+    values = a.real_values()
+    block, x, p, _ = _support_block(a, values)
+    return _klm_matrix(a, block, x, p, np.sum(values), np.asarray(points, dtype=float), eta)
 
 
 @dataclass
@@ -348,13 +364,15 @@ class KLMReport:
         return self.verdict == "no violation found"
 
 
-def _check_unit_mass(a: PhaseSpaceFunction) -> np.ndarray:
-    """The real samples of ``a`` themselves, refused unless of unit mass."""
+def _check_unit_mass(a: PhaseSpaceFunction):
+    """(values, total): the real samples of ``a`` themselves and their sum,
+    refused unless of unit mass."""
     values = a.real_values()
-    mass = float(np.sum(values) * a.area_element)
+    total = np.sum(values)
+    mass = float(total * a.area_element)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"phase-space mass is {mass}, expected 1")
-    return values
+    return values, total
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -378,24 +396,34 @@ def klm_test(
     the inner 80% of the grid), builds the KLM matrix and reports its
     minimum Hermitian eigenvalue.  A positive report reads "no violation
     found" — sampling cannot prove positivity over all point sets.
-    :func:`klm_matrix` transforms a at the M(M - 1)/2 pair differences only,
-    with phases built from per-sample phases, and fills the rest of the
-    matrix by its Hermitian symmetry.  The ball's radius and the Hessian
-    check read one set of moments each (:func:`_moments`).
+    The KLM matrix is that of :func:`klm_matrix`, transformed at the
+    M(M - 1)/2 pair differences only, with phases built from per-sample
+    phases, and filled by its Hermitian symmetry.  The support block of
+    ``a`` (:func:`_support_block`) is found once and read by the matrix and
+    by the Hessian check, which takes one set of moments off the block
+    (:func:`_moments`); the diagonal reads the sum that the unit-mass check
+    took.  The ball's radius takes one set of moments of |a| over the whole
+    grid, and the part of |a| outside the block is summed for the dropped
+    mass.  ``details`` records the ball's "radius", the kept "support_rows"
+    and "support_cols" of the N x N_p grid as [start, stop) and the
+    "dropped_mass", Int |a| dz over the samples outside the block: it bounds
+    2 pi |eta| times the change that leaving them out made to any entry of
+    the matrix.
 
     Zero or non-finite eta, a non-integer (or bool) ``samples`` below 2 and
     a negative or non-integer ``seed`` are refused with ParameterError
     before any work.  :func:`errors.require_memory` then refuses the working
-    set before anything is allocated.  It counts, as if they overlapped, two
-    float N x N arrays (the copy |a| that the ball's radius reads and the
-    copy of a with its subnormal samples read as 0, made only when one is
-    present), the boolean N x N mask that finds them with the comparison
-    that builds it, the two per-sample phase arrays with the temporaries
-    that build them (four complex samples x N), one pair block (four
-    complex ``_POINT_CHUNK`` x N arrays: the two phases, a gathered column
-    block and the product with the samples) and four complex samples x
-    samples arrays (the pair indices, the transformed pairs, the matrix and
-    the eigensolver's copy).
+    set before anything is allocated, counted for a block as large as the
+    N x N grid, so that it bounds every block.  It counts two float N x N
+    arrays, the most of the grid-sized ones that live at once: |a| with the
+    boolean mask that find the support box, the block with the |block| and
+    the boolean mask that find its subnormal samples, or the block with the
+    |a| that the ball's radius and the dropped mass read.  It adds the two
+    per-sample phase arrays with the temporaries that build them (four
+    complex samples x N), one pair block (four complex ``_POINT_CHUNK`` x N
+    arrays: the two phases, a gathered column block and the product with
+    the samples) and four complex samples x samples arrays (the pair
+    indices, the transformed pairs, the matrix and the eigensolver's copy).
     """
     eta = _nonzero_eta(eta)
     samples = _check_count("samples", samples, 2)
@@ -405,9 +433,15 @@ def klm_test(
         18 * n * n + 16 * (4 * samples * n + 4 * _POINT_CHUNK * n + 4 * samples**2),
         f"KLM matrices for {samples} samples",
     )
-    values = _check_unit_mass(a)
-    x, p = a.x_grid.points, a.p_grid.points
-    _, spread = _moments(np.abs(values), x, p)
+    values, total = _check_unit_mass(a)
+    block, x, p, (rows, cols) = _support_block(a, values)
+    # the radius reads |a| over the whole grid: the block alone would leave
+    # out the round-off floor of a computed W, and move the points by 1e-12
+    magnitude = np.abs(values)
+    _, spread = _moments(magnitude, a.x_grid.points, a.p_grid.points)
+    magnitude[rows, cols] = 0.0  # the samples outside the block, summed as they are
+    dropped = float(np.sum(magnitude)) * a.area_element
+    del magnitude
     radius = 3.0 * float(np.sqrt(np.linalg.eigvalsh(spread)[-1]))
     radius = min(
         radius,
@@ -418,7 +452,7 @@ def klm_test(
     angles = rng.uniform(0.0, 2.0 * np.pi, samples)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, samples))
     points = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    matrix = klm_matrix(a, points, eta)
+    matrix = _klm_matrix(a, block, x, p, total, points, eta)
     eigenvalues = np.linalg.eigvalsh(matrix)
     min_eig = float(eigenvalues[0])
     # the spectral norm of a Hermitian matrix is its largest |eigenvalue|
@@ -426,7 +460,7 @@ def klm_test(
     # the diagonal is the exact a_sigma(0) = mass / (2 pi eta)
     continuity = abs(matrix[0, 0] - 1.0 / (2.0 * np.pi * eta))
     # -f''(0) / f(0) is J^T (Sigma + mean mean^T) J, the exact raw second moments
-    mean, sigma = _moments(values, x, p)
+    mean, sigma = _moments(block, x, p)
     hess_min = _uncertainty_spectrum(sigma + np.outer(mean, mean), eta)[0]
     ok = min_eig >= -tol and hess_min >= -1e-8 * max(1.0, abs(eta))
     return KLMReport(
@@ -437,7 +471,8 @@ def klm_test(
         continuity_residual=float(continuity),
         verdict="no violation found" if ok else "violation",
         seed=seed,
-        details={"radius": radius},
+        details={"radius": radius, "dropped_mass": dropped, "support_rows": [rows.start, rows.stop],
+                 "support_cols": [cols.start, cols.stop]},
     )
 
 
@@ -489,7 +524,7 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     eta_list = list(eta_list)
     if not eta_list:
         raise ParameterError("eta list must not be empty")
-    square = float(np.sum(_check_unit_mass(a) ** 2) * a.area_element)
+    square = float(np.sum(_check_unit_mass(a)[0] ** 2) * a.area_element)
     entries = []
     for eta in eta_list:
         eta = float(eta)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NormalizationError, ParameterError, require_memory
-from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
+from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid, support_box
 from .states import DensityMatrix
 from .transforms import chirp_z, oscillatory_sum
 from .wigner import quantized_density
@@ -59,22 +59,16 @@ class TomogramSet:
 def _support_box(values: np.ndarray, dx: float, dp: float) -> tuple[slice, slice]:
     """The rows and columns of W that can carry projection mass.
 
-    The bounding box of the samples above SUPPORT_RTOL max |W|, widened on
-    each side by the coarser grid step max(dx, dp) and clipped to the grid;
-    a line that misses the box crosses only samples below the threshold
+    The box of :func:`grid.support_box` at SUPPORT_RTOL, widened on each
+    side by the coarser grid step max(dx, dp) and clipped to the grid; a
+    line that misses the box crosses only samples below the threshold
     (support theorem).  A ray at theta near 0 or pi/2 sums a whole dropped
     row or column, so the margin is a physical distance over which W decays,
     not one cell of the finer axis.  An all-zero W keeps the whole grid.
     """
-    above = np.abs(values) > SUPPORT_RTOL * np.max(np.abs(values))
-    step = max(dx, dp)
-    box = []
-    for hits, d in ((above.any(axis=1), dx), (above.any(axis=0), dp)):
-        n, margin = hits.size, max(1, round(step / d))
-        lo = max(int(np.argmax(hits)) - margin, 0)
-        hi = min(n - int(np.argmax(hits[::-1])) + margin, n)
-        box.append(slice(lo, hi))
-    return box[0], box[1]
+    margins = [max(1, round(max(dx, dp) / d)) for d in (dx, dp)]
+    box = zip(support_box(values, SUPPORT_RTOL), margins, values.shape)
+    return tuple(slice(max(k.start - m, 0), min(k.stop + m, n)) for k, m, n in box)
 
 
 def _projection_spectra(values, x, p, k, angles, dx, dp):
@@ -143,8 +137,9 @@ def radon(W, angles) -> TomogramSet:
     The X grid of the tomograms is the x grid of W; theta = 0 reproduces the
     position marginal and theta = pi/2 the momentum marginal.  Only the
     support box of W enters the transforms: the rows and columns holding a
-    sample above SUPPORT_RTOL max |W| (the threshold :func:`inverse_radon`
-    applies to the tomograms), widened by the coarser grid step.  A W that
+    sample above SUPPORT_RTOL max |W| (:func:`grid.support_box` at the
+    threshold :func:`inverse_radon` applies to the tomograms), widened by
+    the coarser grid step (:func:`_support_box`).  A W that
     fills the grid keeps it whole, and the mass drift check compares the
     tomograms with the mass of the whole W.  The ray spectra of all angles
     sit on one k grid, dual to the X grid, so a single FFT finishes every

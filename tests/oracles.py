@@ -319,6 +319,15 @@ def klm_matrix_dense(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
+def transform_dense(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
+    """sum over z' of exp(-i sigma(w, z') scale) a(z') dz' at points w, over
+    the whole grid: one exp(-i sigma(w, z') scale) per (point, cell)."""
+    xx, pp = a.meshes()
+    # sigma(w, z') = w_p x' - w_x p'
+    out = [np.sum(np.exp(-1j * scale * (w[1] * xx - w[0] * pp)) * a.values) for w in points]
+    return np.array(out) * a.area_element
+
+
 def covariance_dense(W: PhaseSpaceFunction):
     """(mean, Sigma) of a normalized distribution as weighted sums over
     the N x N meshes of x and p."""

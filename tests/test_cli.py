@@ -101,9 +101,13 @@ def test_klm_expected_violation_passes(tmp_path, capsys, eta):
     report = json.loads((tmp_path / "klm_report.json").read_text())
     assert report["verdict"] == "violation"
     assert sorted(report) == [
-        "continuity_residual", "hessian_min_eigenvalue", "min_eigenvalue", "points",
-        "schema", "seed", "verdict",
+        "continuity_residual", "dropped_mass", "hessian_min_eigenvalue", "min_eigenvalue",
+        "points", "radius", "schema", "seed", "support_cols", "support_rows", "verdict",
     ]
+    # the support box kept of the 128 x 128 grid, and the mass left outside it
+    for start, stop in (report["support_rows"], report["support_cols"]):
+        assert 0 <= start < stop <= 128
+    assert 0.0 <= report["dropped_mass"] <= 1e-12
     (check,) = json.loads((tmp_path / "summary.json").read_text())["checks"]
     assert check["passed"] and check["residual"] > check["tolerance"]
 

@@ -137,7 +137,7 @@ _SAVED = {
 
 
 # klm_test at N = 256 with few samples counts 5.5 and 7.5 MB; its fixed
-# part, the N x N copy of the samples and one pair block, dominates there
+# part, two N x N float arrays and one pair block, dominates there
 _SMALL_COUNTS = ("klm_test_m16", "klm_test_m100")
 
 
@@ -192,7 +192,7 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy(cold_plans):
     # outlived the fill, 3.57 with the N x 2N table), its kernel mirrored
     # tile by tile
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
-    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
+    assert np.shares_memory(quantumness._check_unit_mass(W)[0], W.values)
     assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 2.75 * 2**20
     assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
 
@@ -236,13 +236,14 @@ def test_foreign_quantizer_fills_one_table_for_a_complex_symbol(cold_plans):
 
 def test_klm_test_reads_a_loaded_wigner_function_without_a_copy(tmp_path):
     # the wigner command's CSV loads as float64, so klm_test reads W's own
-    # samples: at N = 256 the traced peak is 4.34 MiB, where the complex W's
-    # real-part copies made it 5.34
+    # samples and copies only their 153 x 39 support block: at N = 256 the
+    # traced peak is 2.14 MiB, where pair phases over the whole grid made it
+    # 4.34 and the complex W's real-part copies 5.34
     assert main(["wigner", "--out", str(tmp_path)]) == 0
     W = load_phase_space(tmp_path / "wigner.csv")
     assert W.x_grid.n == 256
-    assert np.shares_memory(quantumness._check_unit_mass(W), W.values)
-    assert _traced_peak(lambda: klm_test(W, 1.5, samples=40, seed=0)) <= 4.8 * 2**20
+    assert np.shares_memory(quantumness._check_unit_mass(W)[0], W.values)
+    assert _traced_peak(lambda: klm_test(W, 1.5, samples=40, seed=0)) <= 2.4 * 2**20
 
 
 # the metaplectic word path takes O(N) memory, so it has no guard: at

@@ -70,6 +70,7 @@ from wignerlab import (
     radon,
     reconstruct_density,
     robertson_schrodinger_checks,
+    sigma_transform_at,
     symplectic_eigenvalues,
     symplectic_fourier,
     validate_density,
@@ -94,6 +95,7 @@ from oracles import (
     periodic_interp,
     radon_dense,
     symplectic_eigenvalues_dense,
+    transform_dense,
     weyl_quantize_dense,
     weyl_symbol_dense,
     wigner_density_eigen,
@@ -678,8 +680,9 @@ def test_symplectic_fourier_is_an_involution(n, half, eta, offset, seed):
     assert _relative(symplectic_fourier(symplectic_fourier(W)).values, W.values) <= 1e-12
 
 
-def _normal_density(grid, eta, rng):
+def _normal_density(grid, eta, rng, squeeze=1.0):
     """A correlated normal density off the grid centre, on the dual p grid,
+    its principal variances multiplied by ``squeeze`` and 1 / ``squeeze``,
     normalized by its sum."""
     p_grid = dual_grid(grid, eta)
     mean = (
@@ -688,7 +691,8 @@ def _normal_density(grid, eta, rng):
     )
     angle = rng.uniform(0.0, np.pi)
     rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    sigma = rotation @ np.diag(eta * rng.uniform(0.2, 1.5, size=2)) @ rotation.T
+    variances = eta * rng.uniform(0.2, 1.5, size=2) * np.array([squeeze, 1.0 / squeeze])
+    sigma = rotation @ np.diag(variances) @ rotation.T
     xx, pp = np.meshgrid(grid.points - mean[0], p_grid.points - mean[1], indexing="ij")
     inv = np.linalg.inv(sigma)
     values = np.exp(-0.5 * (inv[0, 0] * xx**2 + 2.0 * inv[0, 1] * xx * pp + inv[1, 1] * pp**2))
@@ -697,15 +701,27 @@ def _normal_density(grid, eta, rng):
 
 
 @settings(deadline=None)
-@given(grids(), etas, st.integers(2, 40), seeds)
-def test_klm_matrix_matches_all_differences(grid_eta, klm_eta, samples, seed):
+@given(grids(), etas, st.integers(2, 40), seeds, st.floats(1.0, 30.0))
+def test_klm_matrix_matches_all_differences(grid_eta, klm_eta, samples, seed, squeeze):
     grid, eta = grid_eta
-    a = _normal_density(grid, eta, np.random.default_rng(seed))
+    a = _normal_density(grid, eta, np.random.default_rng(seed), squeeze)
     report = klm_test(a, klm_eta, samples=samples, seed=seed)
     fast = klm_matrix(a, report.points, klm_eta)
     dense = klm_matrix_dense(a, report.points, klm_eta)
     norm = np.linalg.norm(dense, 2)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * norm
+    literal = transform_dense(a, report.points, 1.0 / klm_eta) / (2.0 * np.pi * klm_eta)
+    assert np.max(np.abs(sigma_transform_at(a, report.points, klm_eta) - literal)) < 1e-14
+    # the full-grid dense matrix is that of the kept box plus that of the
+    # samples left out, whose entries the reported dropped mass bounds
+    box = tuple(slice(*report.details[key]) for key in ("support_rows", "support_cols"))
+    outside = a.values.copy()
+    outside[box] = 0.0
+    dropped = np.sum(np.abs(outside)) * a.area_element
+    assert abs(report.details["dropped_mass"] - dropped) <= 1e-12 * dropped
+    left_out = PhaseSpaceFunction(a.x_grid, a.p_grid, outside, a.eta, kind="wigner")
+    change = np.max(np.abs(klm_matrix_dense(left_out, report.points, klm_eta)))
+    assert change <= (1.0 + 1e-9) * report.details["dropped_mass"] / (2.0 * np.pi * klm_eta)
     assert np.array_equal(fast, fast.conj().T)
     eigenvalues = np.linalg.eigvalsh(dense)
     assert abs(report.min_eigenvalue - eigenvalues[0]) <= 1e-12 * norm

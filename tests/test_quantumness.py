@@ -24,9 +24,10 @@ from wignerlab import (
     wigner,
 )
 from wignerlab import quantumness
+from wignerlab.grid import support_box
 from wignerlab.quantumness import _POINT_CHUNK, klm_matrix
 
-from oracles import wavepacket_wigner_closed
+from oracles import klm_matrix_dense, transform_dense, wavepacket_wigner_closed
 
 ETA = 1.0
 TINY = np.finfo(float).tiny
@@ -261,14 +262,6 @@ def test_eta_scan_flags_nonpositive_distribution():
 SIGMA = np.array([[0.8, 0.1], [0.1, 0.6]])
 
 
-def _literal_quadrature(a, points, scale):
-    """Reference transform: one exp(-i sigma(w, z') scale) per (point, cell)."""
-    xx, pp = a.meshes()
-    # sigma(w, z') = w_p x' - w_x p'
-    out = [np.sum(np.exp(-1j * scale * (w[1] * xx - w[0] * pp)) * a.values) for w in points]
-    return np.array(out) * a.area_element
-
-
 def _normal_density(x_grid, p_grid, eta, mean):
     xx, pp = np.meshgrid(x_grid.points - mean[0], p_grid.points - mean[1], indexing="ij")
     dz = np.stack([xx, pp], axis=-1)
@@ -303,13 +296,13 @@ def test_transforms_match_normal_characteristic_function(eta, layout, count):
     points = rng.uniform(-2.0, 2.0, size=(count, 2))
 
     fast = sigma_transform_at(a, points, eta)
-    literal = _literal_quadrature(a, points, 1.0 / eta) / (2.0 * np.pi * eta)
+    literal = transform_dense(a, points, 1.0 / eta) / (2.0 * np.pi * eta)
     closed = _normal_reduced_transform(points / eta, mean) / (2.0 * np.pi * eta)
     assert np.max(np.abs(fast - literal)) < 1e-14
     assert np.max(np.abs(fast - closed)) < 1e-12
 
     fast = reduced_transform(a, points)
-    assert np.max(np.abs(fast - _literal_quadrature(a, points, 1.0))) < 1e-13
+    assert np.max(np.abs(fast - transform_dense(a, points, 1.0))) < 1e-13
     assert np.max(np.abs(fast - _normal_reduced_transform(points, mean))) < 1e-12
 
 
@@ -320,18 +313,17 @@ def _subnormal(array) -> bool:
 
 
 def test_klm_contraction_reads_no_subnormal_sample(monkeypatch):
-    # the bench's KLM input: Sigma = 0.25 I on the dual grid at N = 256,
-    # whose tails hold subnormal samples; zeroing them moves no bit of the
-    # KLM matrix, and its contraction never sees one
+    # the bench's KLM input, Sigma = 0.25 I on the dual grid at N = 256,
+    # whose tails hold subnormal samples, and a 10x squeezed Gaussian turned
+    # by 45 degrees, whose support block still holds some: zeroing them moves
+    # no bit of the KLM matrix, and no contraction at arbitrary points sees one
     grid = make_grid(-10.0, 10.0, 256)
     p_grid = dual_grid(grid, ETA)
     xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
-    values = np.exp(-2.0 * (xx**2 + pp**2)) / (2.0 * np.pi * 0.25)
-    a = PhaseSpaceFunction(grid, p_grid, values, ETA, kind="wigner")
-    assert _subnormal(a.values)
-    flushed = PhaseSpaceFunction(
-        grid, p_grid, np.where(np.abs(values) < TINY, 0.0, values), ETA, kind="wigner"
-    )
+    round_ = np.exp(-2.0 * (xx**2 + pp**2)) / (2.0 * np.pi * 0.25)
+    # Sigma = R diag(5, 0.05) R^T with R the 45 degree turn, det Sigma = 0.25
+    u, v = (xx + pp) / np.sqrt(2.0), (pp - xx) / np.sqrt(2.0)
+    squeezed = np.exp(-0.5 * (u**2 / 5.0 + v**2 / 0.05)) / (2.0 * np.pi * 0.5)
     points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(40, 2))
     operands = []
     contraction = quantumness._quadrature_transform
@@ -341,8 +333,38 @@ def test_klm_contraction_reads_no_subnormal_sample(monkeypatch):
         return contraction(values, ex, ep)
 
     monkeypatch.setattr(quantumness, "_quadrature_transform", spy)
-    assert np.array_equal(klm_matrix(a, points, ETA), klm_matrix(flushed, points, ETA))
-    assert operands and not any(_subnormal(operand) for operand in operands)
+    for values in (round_, squeezed):
+        a = PhaseSpaceFunction(grid, p_grid, values, ETA, kind="wigner")
+        assert _subnormal(a.values)
+        flushed = PhaseSpaceFunction(
+            grid, p_grid, np.where(np.abs(values) < TINY, 0.0, values), ETA, kind="wigner"
+        )
+        operands.clear()
+        assert np.array_equal(klm_matrix(a, points, ETA), klm_matrix(flushed, points, ETA))
+        reduced_transform(a, points)
+        sigma_transform_at(a, points, ETA)
+        assert operands and not any(_subnormal(operand) for operand in operands)
+    # the squeezed block keeps samples below tiny, which only the flush reads as 0
+    assert _subnormal(squeezed[support_box(squeezed, np.finfo(float).eps)])
+
+
+def test_klm_keeps_a_grid_filled_above_round_off():
+    # a Gaussian as wide as the grid: its corner samples, exp(-25) of its
+    # peak, lie above eps max |W|, so no row or column is left out
+    grid = _self_dual_grid(64)
+    p_grid = dual_grid(grid, ETA)
+    xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    values = np.exp(-(xx**2 + pp**2) / 8.0)
+    values /= np.sum(values) * grid.dx * p_grid.dx
+    a = PhaseSpaceFunction(grid, p_grid, values, ETA, kind="wigner")
+    assert np.min(values) > np.finfo(float).eps * np.max(values)
+    report = klm_test(a, ETA, samples=12, seed=2)
+    assert report.details["support_rows"] == [0, 64]
+    assert report.details["support_cols"] == [0, 64]
+    assert report.details["dropped_mass"] == 0.0
+    dense = klm_matrix_dense(a, report.points, ETA)
+    fast = klm_matrix(a, report.points, ETA)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.linalg.norm(dense, 2)
 
 
 def test_transform_of_a_complex_function_matches_literal_quadrature():
@@ -351,7 +373,7 @@ def test_transform_of_a_complex_function_matches_literal_quadrature():
     xx, _ = a.meshes()
     chirped = PhaseSpaceFunction(a.x_grid, a.p_grid, a.values * np.exp(0.7j * xx), ETA)
     points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(30, 2))
-    literal = _literal_quadrature(chirped, points, 1.0 / ETA) / (2.0 * np.pi * ETA)
+    literal = transform_dense(chirped, points, 1.0 / ETA) / (2.0 * np.pi * ETA)
     assert np.max(np.abs(sigma_transform_at(chirped, points, ETA) - literal)) < 1e-14
 
 
@@ -361,7 +383,7 @@ def test_klm_min_eigenvalue_matches_literal_quadrature(eta):
     report = klm_test(W, eta, samples=20, seed=3)
     pts = report.points
     diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)
-    asig = _literal_quadrature(W, diffs, 1.0 / eta).reshape(20, 20) / (2.0 * np.pi * eta)
+    asig = transform_dense(W, diffs, 1.0 / eta).reshape(20, 20) / (2.0 * np.pi * eta)
     sig = np.outer(pts[:, 1], pts[:, 0]) - np.outer(pts[:, 0], pts[:, 1])
     matrix = np.exp(0.5j * sig / eta) * asig
     min_eig = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))[0]
