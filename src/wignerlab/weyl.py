@@ -5,20 +5,25 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
     a(x, p) = Int exp(-i p y / eta) K(x + y/2, x - y/2) dy
     K(x, y) = (2 pi eta)^(-1) Int exp(i p (x - y) / eta) a((x + y)/2, p) dp
 
-Both directions use one N x 2N table corr[r, d + N], the half-step
-correlation: lag d dx at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry
-(a, b) has its cell at row (a + b + 1) >> 1 and column a - b + N, and the
-cells of each parity block K[a::2, b::2] are one strided view of the table.
-The symbol writes the kernel, or the products of its factors, into those
-views and sums the lags against the dual p grid; the quantizer fills the
-table from p sums and reads the kernel back out of them.  On the centred
-dual p grid of an even N every phase of the lag sum is exactly +-1 or an
-FFT root of unity, so the symbol folds the 2N lags onto N by one add,
-signs them and takes one FFT; a Hermitian operator's folded lags are a
-Hermitian sequence, so its real symbol is one ``hfft`` of lags 0 .. N/2.
-The ambiguity function reads the same table of |psi><psi| with the lag
-and midpoint axes swapped.  Off-grid arguments are treated as zero (kernels and symbols are
-assumed negligible outside the grid).
+Both directions read the half-step correlation corr[r, d + N]: lag d dx
+at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry (a, b) has its cell
+at row (a + b + 1) >> 1 and column a - b + N of an N x 2N table, and the
+cells of each parity block K[a::2, b::2] are one strided view of it.  The
+symbol of a kernel, or of factors (U, V) of rank r > 1, writes the kernel
+or the products of the factors into those views and sums the lags against
+the dual p grid; the quantizer fills the table from p sums and reads the
+kernel back out of them.  A rank-one kernel u v^H, the operator of a pair
+of states, builds no table: its correlation at midpoint x_h and lag s dx
+is f[2h + s] g[2h - s] of u and conj v sampled at half steps and padded
+with zeros, so each of its lag blocks is one product of two strided views.
+On the centred dual p grid of an even N every phase of the lag sum is
+exactly +-1 or an FFT root of unity, so the symbol folds the 2N lags onto
+N by one add, signs them and takes one FFT; a Hermitian operator's folded
+lags are a Hermitian sequence, so its real symbol is one ``hfft`` of lags
+0 .. N/2.  The ambiguity function sums the central lags of |psi><psi|
+over their midpoints, one product laid out lag by lag.  Off-grid
+arguments are treated as zero (kernels and symbols are assumed negligible
+outside the grid).
 
 In the quantizer the symbol's dtype picks the lag table and eta its fill.
 A complex symbol fills the N x 2N table; a real one, the symbol of a
@@ -100,7 +105,12 @@ def require_correlation_memory(n: int):
     Hermitian kernel's FFT runs in the correlation and only its real part,
     8 N^2, is copied out).  The lags are folded and signed in place, with no
     phased copy.  Factors (U, V) build no N x N kernel and need less; a
-    Hermitian pair's ``hfft`` reads half the lags.  The 104 N^2 counted also
+    Hermitian pair's ``hfft`` reads half the lags.  Rank-one factors build
+    no correlation table either: about 32 N^2 bytes, the N x N lags of a
+    state pair (16 N^2) with a block of ``_ROW_CHUNK`` rows of partner lags
+    and, for the ambiguity function, the phased copy that its sum makes (16
+    N^2); a Hermitian pair's N x (N/2 + 1) lags with the conjugate and the
+    real output of its ``hfft`` take 24 N^2.  The 104 N^2 counted also
     covers what the allocator holds beyond them.  Call it before the kernel
     or the correlation is built.
     """
@@ -172,8 +182,62 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     return corr
 
 
+def _half_steps(factors: tuple, grid: Grid) -> tuple:
+    """The samples f[N + k] = u(x_0 + k dx/2) and g[N + k] = conj v(x_0 + k dx/2),
+    k = 0 .. 2N - 1, of the factors (u, v) of a rank-one kernel u v^H, each
+    zero on the N samples beside the grid on either side (length 4N).
+
+    Even k read the factor, odd k its band-limited interpolant shifted by
+    -dx/2, as in :func:`half_step_correlation`, so the correlation entry at
+    midpoint x_h and lag s dx is f[N + 2h + s] g[N + 2h - s], zero off the
+    grid: each lag table is one product of two strided views of f and g
+    (:func:`_strided`).  N must be even.
+    """
+    n = grid.n
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    samples = []
+    for factor in factors:
+        padded = np.zeros(4 * n, dtype=complex)
+        padded[n : 3 * n : 2] = factor.reshape(n)
+        padded[n + 1 : 3 * n : 2] = fourier_shift(factor.reshape(n), grid, -0.5 * grid.dx)
+        samples.append(padded)
+    np.conjugate(samples[1], out=samples[1])
+    return tuple(samples)
+
+
+def _strided(samples: np.ndarray, offset: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """The read-only view samples[offset + i steps[0] + j steps[1]] of ``shape``."""
+    return np.lib.stride_tricks.as_strided(
+        samples[offset:], shape, tuple(step * samples.itemsize for step in steps), writeable=False
+    )
+
+
+def _rank_one_lags(factors: tuple, grid: Grid, width: int) -> np.ndarray:
+    """The folded lags t = 0 .. width - 1 of a rank-one kernel u v^H from
+    its factors (u, v): C[h, t] + C[h, t - N] of its half-step correlation
+    C, with no N x 2N table.
+
+    Lag t is f[N + 2h + t] g[N + 2h - t] over the midpoint rows h
+    (:func:`_half_steps`), one product of two strided views; the partner lag
+    t - N reaches the grid only on the rows N - t <= 2h < N + t and is added
+    there in place, ``_ROW_CHUNK`` rows at a time.
+    """
+    n = grid.n
+    f, g = _half_steps(factors, grid)
+    lags = _strided(f, n, (n, width), (2, 1)) * _strided(g, n, (n, width), (2, -1))
+    lo, hi = (n - width + 2) // 2, (n + width) // 2
+    for start in range(lo, hi, _ROW_CHUNK):
+        shape = (min(_ROW_CHUNK, hi - start), width)
+        lags[start : start + shape[0]] += _strided(f, 2 * start, shape, (2, 1)) * _strided(
+            g, 2 * (n + start), shape, (2, -1)
+        )
+    return lags
+
+
 #: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
-#: foreign eta its products), and table rows per pass of :func:`_dirichlet_sums`
+#: foreign eta its products), table rows per pass of :func:`_dirichlet_sums`,
+#: and midpoint rows per partner-lag product of :func:`_rank_one_lags`
 _ROW_CHUNK = 128
 
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian
@@ -266,14 +330,19 @@ def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
     weight[np.abs(d) == n // 2] *= 0.5
     lo, hi = first + width - n, stop + width - n
     corr = np.zeros((n, width), dtype=complex)
+    half = n // 2
     for start in range(0, n, _ROW_CHUNK):
         block = a.values[start : start + _ROW_CHUNK]
+        rows = corr[start : start + _ROW_CHUNK]
         if real:
             sums = np.fft.rfft(block, axis=1)
             np.conjugate(sums, out=sums)
-        else:
-            sums = np.fft.ifft(block, axis=1, norm="forward")[:, d % n]
-        np.multiply(sums, weight, out=corr[start : start + _ROW_CHUNK, lo:hi])
+            np.multiply(sums, weight, out=rows[:, lo:hi])
+            continue
+        # lags -N/2 .. -1 are DFT bins N/2 .. N - 1, lags 0 .. N/2 bins 0 .. N/2
+        sums = np.fft.ifft(block, axis=1, norm="forward")
+        np.multiply(sums[:, half:], weight[:half], out=rows[:, lo : lo + half])
+        np.multiply(sums[:, : half + 1], weight[half:], out=rows[:, lo + half : hi])
     return corr, lo, hi
 
 
@@ -453,21 +522,30 @@ def correlation_symbol(
     The symbol is dx sum_m corr[j, m] exp(-i p_l y_m / eta) over the 2N lags
     y_m = (m - N) dx.  On the centred dual grid p_l = (l - N/2) dp of an even
     N, lags t dx and (t - N) dx share the phase (-1)^t exp(-2 pi i l t / N):
-    the lower half of the table is added onto the upper half and column t
-    multiplied by (-1)^t scale dx, both in place, and one FFT sums the N
-    folded lags.  A ``hermitian`` operator has C(x, -y) = conj C(x, y), so its
-    folded lags are a Hermitian sequence and its symbol is real: factors
-    fold lags 0 .. N/2 only and take one ``hfft``; a kernel, Hermitian only
-    to round-off, keeps the real part of the full FFT.  Either way the
-    values are float64.
+    lag t - N is added onto lag t and column t multiplied by (-1)^t scale
+    dx, both in place, and one FFT sums the N folded lags.  A kernel and
+    factors of rank r > 1 fold the N x 2N table of
+    :func:`half_step_correlation`; factors of rank one, a pair of states,
+    build their folded lags directly as products of strided views
+    (:func:`_rank_one_lags`), with no table, and transform them in place.
+    The factor rank alone picks the route.  A ``hermitian`` operator has
+    C(x, -y) = conj C(x, y), so its folded lags are a Hermitian sequence
+    and its symbol is real: factors fold lags 0 .. N/2 only and take one
+    ``hfft``; a kernel, Hermitian only to round-off, keeps the real part of
+    the full FFT.  Either way the values are float64.
     """
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
-    corr = half_step_correlation(source, grid)
-    width = n // 2 + 1 if hermitian and isinstance(source, tuple) else n
-    lags = corr[:, n : n + width]
-    lags += corr[:, :width]
+    factors = isinstance(source, tuple)
+    width = n // 2 + 1 if hermitian and factors else n
+    rank_one = factors and source[0].shape[1] == 1
+    if rank_one:
+        lags = _rank_one_lags(source, grid, width)
+    else:
+        corr = half_step_correlation(source, grid)
+        lags = corr[:, n : n + width]
+        lags += corr[:, :width]
     sign = np.full(width, scale * grid.dx)
     sign[1::2] *= -1.0
     lags *= sign
@@ -476,7 +554,8 @@ def correlation_symbol(
     elif hermitian:
         values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
     else:
-        values = np.fft.fft(lags, axis=1)
+        # the rank-one lags are a table of their own, transformed in place
+        values = np.fft.fft(lags, axis=1, out=lags if rank_one else None)
     return PhaseSpaceFunction(grid, p_grid, values, eta, kind=kind)
 
 
@@ -499,17 +578,24 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
 
         Amb psi(x, p) = (2 pi eta)^-1 Int exp(-i p y/eta) psi(y + x/2) psi*(y - x/2) dy.
 
-    Its x axis is the lag: columns N/2 .. 3N/2 of the half-step correlation
-    of |psi><psi| hold the lags (j - N/2) dx, and the midpoints, which run
-    over the state's grid, are summed against exp(-i p y / eta).
+    Its x axis is the lag: the half-step correlation of |psi><psi| at the
+    lags (j - N/2) dx, j = 0 .. N - 1, is built lag by lag as one product
+    of two strided views of the state's half-step samples
+    (:func:`_half_steps`), with no N x 2N table and no transpose, and its
+    midpoints, which run over the state's grid, are summed against
+    exp(-i p y / eta).
     """
     grid, eta = psi.grid, psi.eta
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
-    corr = half_step_correlation((psi.values[:, None], psi.values[:, None]), grid)
-    lags = corr[:, n // 2 : 3 * n // 2].T
-    values = oscillatory_sum(lags, grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta))
+    f, g = _half_steps((psi.values, psi.values), grid)
+    # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
+    # product is a temporary that oscillatory_sum frees once it is phased
+    values = oscillatory_sum(
+        _strided(f, n // 2, (n, n), (1, 2)) * _strided(g, 3 * n // 2, (n, n), (-1, 2)),
+        grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta),
+    )
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 

@@ -11,8 +11,9 @@ The symplectic Fourier transform is checked to be an involution on centered
 grids.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
-views with the ``midpoint_lag`` scatter, and the Gram spectrum of a
-mixture with the eigensolve of its kernel.  The range-basis spectrum of a
+views with the ``midpoint_lag`` scatter, the strided lag products of a
+state pair with its folded table, and the Gram spectrum of a mixture with
+the eigensolve of its kernel.  The range-basis spectrum of a
 kernel (mixtures, foreign-eta quantizations and filtered backprojections)
 is compared with the N x N eigensolve, within the certificate it reports,
 and the backprojection of Gaussian states with their exact Wigner
@@ -81,7 +82,7 @@ from wignerlab import (
 )
 from wignerlab import errors
 from wignerlab.quantumness import klm_matrix
-from wignerlab.transforms import chirp_z
+from wignerlab.transforms import chirp_z, oscillatory_sum
 from wignerlab.wigner import quantized_density
 from wignerlab.weyl import _parity_views, half_step_correlation
 
@@ -488,6 +489,74 @@ def test_density_wigner_matches_eigen_loop(grid_eta, components, seed):
     assert _relative(pure_density(states[0]).kernel, np.outer(first, first.conj())) <= 1e-15
     assert _relative(wigner(rho).W.values, wigner_density_eigen(rho)) <= 1e-12
 
+
+
+def _parity_view_maps(psi, phi):
+    """W(psi, phi), W(psi) and Amb(psi) from the N x 2N half-step correlation
+    of their factors, folded and summed as ``correlation_symbol`` and
+    ``ambiguity`` sum it: the parity-view path of kernels and rank r > 1."""
+    grid, eta = psi.grid, psi.eta
+    n = grid.n
+    p_grid = dual_grid(grid, eta)
+    sign = np.full(n, grid.dx / (2.0 * np.pi * eta))
+    sign[1::2] *= -1.0
+    cross, auto = (
+        half_step_correlation((psi.values[:, None], other.values[:, None]), grid)
+        for other in (phi, psi)
+    )
+    half = n // 2 + 1
+    return {
+        "cross": np.fft.fft((cross[:, n:] + cross[:, :n]) * sign, axis=1),
+        "wigner": np.fft.hfft((auto[:, n : n + half] + auto[:, :half]) * sign[:half], n, axis=1),
+        "ambiguity": oscillatory_sum(
+            auto[:, n // 2 : 3 * n // 2].T, grid, p_grid, eta, -1, scale=sign[0]
+        ),
+    }
+
+
+@given(grids(), seeds)
+def test_rank_one_maps_match_the_parity_view_path(grid_eta, seed):
+    # a state pair's lags are one product of two strided views of its
+    # refined, zero-padded samples, with no N x 2N table: the cross-Wigner,
+    # Wigner and ambiguity functions, and the Wigner function of the one-term
+    # density, match the parity-view path of the same factors with its dtype
+    grid, eta = grid_eta
+    rng = np.random.default_rng(seed)
+    psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
+    ref = _parity_view_maps(psi, phi)
+    rank_one = {
+        "cross": cross_wigner(psi, phi).values,
+        "wigner": wigner(psi).W.values,
+        "density": wigner(pure_density(psi)).W.values,
+        "ambiguity": ambiguity(psi).values,
+    }
+    ref["density"] = ref["wigner"]
+    for name, values in rank_one.items():
+        assert values.dtype == ref[name].dtype, name
+        assert _relative(values, ref[name]) <= 1e-14, name
+
+
+@given(st.sampled_from([15, 33, 63, 127]), etas)
+def test_rank_one_maps_refuse_an_odd_grid_before_any_transform(n, eta):
+    grid = Grid(-8.0, 8.0, n)
+    psi = coherent_state(grid, eta).normalized()
+    rho = pure_density(psi)
+    calls = (
+        lambda: cross_wigner(psi, psi.normalized()),
+        lambda: wigner(psi),
+        lambda: wigner(rho),
+        lambda: ambiguity(psi),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("fft", "ifft", "hfft", "rfft", "irfft"):
+            patch.setattr(np.fft, name, _no_transform)
+        for call in calls:
+            with pytest.raises(ParameterError, match="even N"):
+                call()
+
+
+def _no_transform(*args, **kwargs):
+    raise AssertionError("a transform ran before the odd grid was refused")
 
 
 @given(grids(), st.integers(1, 8), seeds)

@@ -267,10 +267,11 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
 
 
 def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
-    # on the centred dual grid every phase of the lag sum is +-1, so once the
-    # half-step correlation is built, the Wigner function of a state or of a
-    # mixture makes no exp table of N or more entries and runs one hfft over
-    # lags 0 .. N/2, and no full FFT
+    # on the centred dual grid every phase of the lag sum is +-1, so once its
+    # lags are built, the Wigner function of a state or of a mixture makes no
+    # exp table of N or more entries and runs one hfft over lags 0 .. N/2, and
+    # no full FFT.  A state's folded lags 0 .. N/2 come from its rank-one
+    # factors, with no N x 2N table; a mixture's from the half-step correlation
     from wignerlab import weyl
 
     after = []
@@ -286,24 +287,26 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
 
         return recorded
 
-    build = weyl.half_step_correlation
+    def building(build):
+        def built(*args, **kwargs):
+            table = build(*args, **kwargs)
+            after.append(table.shape)
+            return table
 
-    def building(*args, **kwargs):
-        corr = build(*args, **kwargs)
-        after.append(corr.shape)
-        return corr
+        return built
 
     grid = make_grid(-10.0, 10.0, 256)
     psi = coherent_state(grid, ETA, 0.4, 0.0)
     spec = MixedStateSpec([(0.5, psi), (0.5, hermite_state(grid, ETA, 1))])
-    monkeypatch.setattr(weyl, "half_step_correlation", building)
+    for name in ("half_step_correlation", "_rank_one_lags"):
+        monkeypatch.setattr(weyl, name, building(getattr(weyl, name)))
     monkeypatch.setattr(np, "exp", recording(np, "exp"))
     for name in ("fft", "hfft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(np.fft, name))
-    for source in (psi, spec):
+    for source, shape in ((psi, (256, 129)), (spec, (256, 512))):
         after.clear()
         assert wigner(source).W.values.dtype == np.float64
-        assert after == [(256, 512), "hfft"]
+        assert after == [shape, "hfft"]
 
 
 def test_quantizer_sums_a_longer_p_grid_in_full():
