@@ -119,6 +119,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         config[key] = _typed(key, config[key], default, kind)
     if not config["eta"] > 0.0:
         raise ConfigurationError(f"eta must be positive, got {config['eta']}")
+    if config["tol"] is not None and config["tol"] < 0.0:
+        # no residual is below a negative tolerance
+        raise ConfigurationError(f"tol must be non-negative, got {config['tol']}")
     if config["angles"] < 1:
         raise ConfigurationError(f"angles must be at least 1, got {config['angles']}")
     if args.experiment == "tomography":

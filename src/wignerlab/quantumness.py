@@ -27,6 +27,7 @@ the transforms; the Gaussian test reads |eta|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -194,18 +195,36 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
 
 
 def robertson_schrodinger_checks(sigma: np.ndarray, eta: float) -> list:
-    """Per-mode checks dx_j dp_j >= sqrt(cov(x_j,p_j)^2 + eta^2/4), to 1e-12 relative."""
+    """Per-mode checks dx_j dp_j >= sqrt(cov(x_j,p_j)^2 + eta^2/4), to 1e-12 relative.
+
+    The verdict compares both sides in units of one power of two, the
+    largest of their terms, so it is the unscaled comparison bit for bit
+    wherever that neither overflows nor underflows, and holds at any scale.
+    ``lhs`` and ``rhs`` are reported unscaled, inf beyond the float range.
+    """
     sigma = np.asarray(sigma, dtype=float)
+    eta = np.float64(eta)
     n = sigma.shape[0] // 2
     checks = []
     for j in range(n):
         var_x, var_p = sigma[j, j], sigma[n + j, n + j]
         cov = sigma[j, n + j]
-        lhs = var_x * var_p
-        rhs = cov**2 + eta**2 / 4.0
+        lhs, cov2, eta2 = _scaled_products([(var_x, var_p, 0), (cov, cov, 0), (eta, eta, -2)])
+        rhs = cov2 + eta2
         ok = lhs >= rhs - 1e-12 * max(lhs, rhs)
+        with np.errstate(over="ignore"):
+            lhs, rhs = var_x * var_p, cov**2 + eta**2 / 4.0
         checks.append({"mode": j, "lhs": float(lhs), "rhs": float(rhs), "ok": bool(ok)})
     return checks
+
+
+def _scaled_products(terms: list) -> list:
+    """The products a b 2^k of the terms (a, b, k), each divided by 2^E, E
+    the largest exponent among the nonzero ones.  The mantissa products
+    round as the unscaled products do, and none overflows."""
+    parts = [(*math.frexp(a), *math.frexp(b), k) for a, b, k in terms]
+    top = max((ea + eb + k for ma, ea, mb, eb, k in parts if ma and mb), default=0)
+    return [math.ldexp(ma * mb, ea + eb + k - top) for ma, ea, mb, eb, k in parts]
 
 
 #: points per block of :func:`_quadrature_transform`; bounds its memory

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .errors import NotFreeError, ParameterError, ValidationError
+from .errors import NotFreeError, ParameterError, ValidationError, require_memory
 from .grid import Grid, GridFunction
 from .transforms import chirp_z, eta_fourier, refine
 
@@ -304,9 +304,18 @@ def _apply_free(psi: GridFunction, S) -> GridFunction:
     m = 0 if Q > 0 else 1
     # The integrand is psi times a chirp whose local frequency reaches
     # (|Q| + |R|) L / 2 eta, so the x' quadrature needs band-limited
-    # oversampling before its Riemann sum is exact.
+    # oversampling before its Riemann sum is exact.  Refining by F holds the
+    # M = F N refined samples, their chirp phases and the points x', then the
+    # chirp-z buffer, its chirp, that chirp's rolled copy and its FFT (each at
+    # most 4/3 (M + N) samples) and the FFT plans of both lengths: the
+    # 256 (M + N) bytes counted are refused before any of them is allocated.
     chirp_band = (abs(Q) + abs(R)) * grid.length * grid.dx
-    factor = 1 + int(np.ceil(chirp_band / (2.0 * np.pi * eta)))
+    extra = np.ceil(float(chirp_band) / (2.0 * np.pi * eta))  # inf, silently, at a tiny eta
+    require_memory(
+        256 * (extra + 2) * grid.n,
+        f"{extra + 1:.6g}-fold x refinement of a free metaplectic operator at eta = {eta}",
+    )
+    factor = 1 + int(extra)
     dxf = grid.dx / factor
     xf = grid.x_min + np.arange(factor * grid.n) * dxf
     fine_vals = refine(psi.values, factor) * np.exp(0.5j * R * xf**2 / eta)

@@ -9,19 +9,21 @@ Both directions read the half-step correlation corr[r, d + N]: lag d dx
 at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry (a, b) has its cell
 at row (a + b + 1) >> 1 and column a - b + N of an N x 2N table, and the
 cells of each parity block K[a::2, b::2] are one strided view of it.  The
-symbol of a kernel, or of factors (U, V) of rank r > 1, writes the kernel
-or the products of the factors into those views and sums the lags against
-the dual p grid; the quantizer fills the table from p sums and reads the
-kernel back out of them.  A rank-one kernel u v^H, the operator of a pair
-of states, builds no table: its correlation at midpoint x_h and lag s dx
-is f[2h + s] g[2h - s] of u and conj v sampled at half steps and padded
-with zeros, so each of its lag blocks is one product of two strided views.
-On the centred dual p grid of an even N every phase of the lag sum is
-exactly +-1 or an FFT root of unity, so the symbol folds the 2N lags onto
-N by one add, signs them and takes one FFT; a Hermitian operator's folded
-lags are a Hermitian sequence, so its real symbol is one ``hfft`` of lags
-0 .. N/2.  The ambiguity function sums the central lags of |psi><psi|
-over their midpoints, one product laid out lag by lag.  Off-grid
+symbol of a kernel writes its 2-D half-step shift into those views and sums
+the lags against the dual p grid; the quantizer fills the table from p sums
+and reads the kernel back out of them.  Factors (U, V) of a kernel U V^H are
+sampled at half steps in one place, :func:`_half_steps`: the correlation at
+midpoint x_h and lag s dx is F[2h + s] G[2h - s]^T of U and conj V at their
+twofold refinement, padded with zeros.  Of rank r > 1 they write each
+parity block as one product of two row slices of those samples; of rank
+one, the operator of a pair of states, they build no table, each of their
+lag blocks one elementwise product of two strided views.  On the centred
+dual p grid of an even N every phase of the lag sum is exactly +-1 or an
+FFT root of unity, so the symbol folds the 2N lags onto N by one add,
+signs them and takes one FFT; a Hermitian operator's folded lags are a
+Hermitian sequence, so its real symbol is one ``irfft`` of lags 0 .. N/2,
+conjugated in place.  The ambiguity function sums the central lags of
+|psi><psi| over their midpoints, one product laid out lag by lag.  Off-grid
 arguments are treated as zero (kernels and symbols are assumed negligible
 outside the grid).
 
@@ -104,14 +106,15 @@ def require_correlation_memory(n: int):
     2-D half-step shift runs in, then the complex output of the lag FFT (a
     Hermitian kernel's FFT runs in the correlation and only its real part,
     8 N^2, is copied out).  The lags are folded and signed in place, with no
-    phased copy.  Factors (U, V) build no N x N kernel and need less; a
-    Hermitian pair's ``hfft`` reads half the lags.  Rank-one factors build
-    no correlation table either: about 32 N^2 bytes, the N x N lags of a
-    state pair (16 N^2) with a block of ``_ROW_CHUNK`` rows of partner lags
-    and, for the ambiguity function, the phased copy that its sum makes (16
-    N^2); a Hermitian pair's N x (N/2 + 1) lags with the conjugate and the
-    real output of its ``hfft`` take 24 N^2.  The 104 N^2 counted also
-    covers what the allocator holds beyond them.  Call it before the kernel
+    phased copy.  Factors (U, V) build no N x N kernel and need less: the
+    table and their 4N x r half-step samples; a Hermitian pair's ``irfft``
+    reads half the lags.  Rank-one factors build no correlation table
+    either: about 32 N^2 bytes, the N x N lags of a state pair (16 N^2)
+    with a block of ``_ROW_CHUNK`` rows of partner lags and, for the
+    ambiguity function, the phased copy that its sum makes (16 N^2); a
+    Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and the real
+    output of its ``irfft`` take 16 N^2.  The 104 N^2 counted also covers
+    what the allocator holds beyond them.  Call it before the kernel
     or the correlation is built.
     """
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
@@ -156,41 +159,38 @@ def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
     zero.
 
     ``kernel`` is the N x N kernel, or a pair (U, V) of N x r factors with
-    K = U V^H.  A kernel is shifted in 2-D; factors are shifted along x
-    alone, and each parity block is the (N/2 x r)(r x N/2) product of
-    their rows, so no N x N array is built.  N must be even.
+    K = U V^H, of any layout or real dtype.  A kernel is shifted in 2-D;
+    factors are sampled at half steps (:func:`_half_steps`), and each parity
+    block is the (N/2 x r)(r x N/2) product of two row slices of step 4 of
+    those samples, even rows for even lags and odd rows for odd ones, so
+    no N x N array and no copy of the factors is built.  N must be even.
     """
     n = grid.n
-    shift = -0.5 * grid.dx
     corr = np.zeros((n, 2 * n), dtype=complex)
     views = _parity_views(corr)
     if isinstance(kernel, tuple):
-        # row-major factors keep every row slice a BLAS operand; the shift is
-        # a real linear map, so it commutes with the conjugation of V
-        u, v, u_shifted, v_shifted = (
-            np.ascontiguousarray(f)
-            for f in (*kernel, *(fourier_shift(f, grid, shift, axis=0) for f in kernel))
-        )
+        f, g = _half_steps(kernel, grid)
         for (a, b), view in views.items():
-            # odd lags (a != b) read the shifted factors
-            left, right = (u, v) if a == b else (u_shifted, v_shifted)
-            np.matmul(left[a::2], right[b::2].conj().T, out=view)
+            # odd lags (a != b) read the odd, shifted samples
+            odd = int(a != b)
+            np.matmul(f[n + 2 * a + odd : 3 * n : 4], g[n + 2 * b + odd : 3 * n : 4].T, out=view)
         return corr
-    shifted = fourier_shift(kernel, grid, shift, axis=(0, 1))
+    shifted = fourier_shift(kernel, grid, -0.5 * grid.dx, axis=(0, 1))
     for (a, b), view in views.items():
         view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr
 
 
 def _half_steps(factors: tuple, grid: Grid) -> tuple:
-    """The samples f[N + k] = u(x_0 + k dx/2) and g[N + k] = conj v(x_0 + k dx/2),
-    k = 0 .. 2N - 1, of the factors (u, v) of a rank-one kernel u v^H, each
-    zero on the N samples beside the grid on either side (length 4N).
+    """The samples F[N + k] = U(x_0 + k dx/2) and G[N + k] = conj V(x_0 + k dx/2),
+    k = 0 .. 2N - 1, of the N x r factors (U, V) of a kernel U V^H, each
+    4N x r and zero on the N rows beside the grid on either side.
 
     Even k read the factor, odd k its band-limited interpolant shifted by
-    -dx/2, as in :func:`half_step_correlation`, so the correlation entry at
-    midpoint x_h and lag s dx is f[N + 2h + s] g[N + 2h - s], zero off the
-    grid: each lag table is one product of two strided views of f and g
+    -dx/2, so the correlation entry at midpoint x_h and lag s dx is
+    F[N + 2h + s] G[N + 2h - s]^T, zero off the grid: each parity block of
+    :func:`half_step_correlation` is one product of two row slices of step
+    4, and a state pair's lags (r = 1) are products of two strided views
     (:func:`_strided`).  N must be even.
     """
     n = grid.n
@@ -198,18 +198,19 @@ def _half_steps(factors: tuple, grid: Grid) -> tuple:
         raise ParameterError(f"the half-step correlation needs an even N, got {n}")
     samples = []
     for factor in factors:
-        padded = np.zeros(4 * n, dtype=complex)
-        padded[n : 3 * n : 2] = factor.reshape(n)
-        padded[n + 1 : 3 * n : 2] = fourier_shift(factor.reshape(n), grid, -0.5 * grid.dx)
+        padded = np.zeros((4 * n, factor.shape[1]), dtype=complex)
+        padded[n : 3 * n : 2] = factor
+        padded[n + 1 : 3 * n : 2] = fourier_shift(factor, grid, -0.5 * grid.dx, axis=0)
         samples.append(padded)
     np.conjugate(samples[1], out=samples[1])
     return tuple(samples)
 
 
 def _strided(samples: np.ndarray, offset: int, shape: tuple, steps: tuple) -> np.ndarray:
-    """The read-only view samples[offset + i steps[0] + j steps[1]] of ``shape``."""
+    """The read-only view samples[offset + i steps[0] + j steps[1]] of ``shape``,
+    indexing rows: the entries of a 4N x 1 column of :func:`_half_steps`."""
     return np.lib.stride_tricks.as_strided(
-        samples[offset:], shape, tuple(step * samples.itemsize for step in steps), writeable=False
+        samples[offset:], shape, tuple(s * samples.strides[0] for s in steps), writeable=False
     )
 
 
@@ -526,13 +527,15 @@ def correlation_symbol(
     dx, both in place, and one FFT sums the N folded lags.  A kernel and
     factors of rank r > 1 fold the N x 2N table of
     :func:`half_step_correlation`; factors of rank one, a pair of states,
-    build their folded lags directly as products of strided views
-    (:func:`_rank_one_lags`), with no table, and transform them in place.
-    The factor rank alone picks the route.  A ``hermitian`` operator has
-    C(x, -y) = conj C(x, y), so its folded lags are a Hermitian sequence
-    and its symbol is real: factors fold lags 0 .. N/2 only and take one
-    ``hfft``; a kernel, Hermitian only to round-off, keeps the real part of
-    the full FFT.  Either way the values are float64.
+    build their folded lags directly as products of strided views of the
+    same half-step samples (:func:`_rank_one_lags`), with no table, and
+    transform them in place.  The factor rank alone picks the route.  A
+    ``hermitian`` operator has C(x, -y) = conj C(x, y), so its folded lags
+    are a Hermitian sequence and its symbol is real: factors fold lags
+    0 .. N/2 only, conjugate them in place and take one ``irfft``, the
+    ``hfft`` of the lags without its conjugate copy; a kernel, Hermitian
+    only to round-off, keeps the real part of the full FFT.  Either way the
+    values are float64.
     """
     n = grid.n
     require_correlation_memory(n)
@@ -550,7 +553,8 @@ def correlation_symbol(
     sign[1::2] *= -1.0
     lags *= sign
     if width < n:
-        values = np.fft.hfft(lags, n, axis=1)
+        # hfft without its conjugate copy
+        values = np.fft.irfft(np.conjugate(lags, out=lags), n, axis=1, norm="forward")
     elif hermitian:
         values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
     else:
@@ -589,7 +593,7 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
-    f, g = _half_steps((psi.values, psi.values), grid)
+    f, g = _half_steps((psi.values[:, None],) * 2, grid)
     # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
     # product is a temporary that oscillatory_sum frees once it is phased
     values = oscillatory_sum(

@@ -193,11 +193,16 @@ def _blocked_artifact(tmp_path):
         (_config({"seed": 1.5}), "seed must be int"),
         (lambda tmp_path: ["moyal", "--N", "64", "--seed", "-1"], "seed must be in"),
         (lambda tmp_path: ["tomography", "--angles", "-3"], "angles must be at least 1"),
+        # no residual passes a negative tolerance
+        (lambda tmp_path: ["wigner", "--N", "64", "--tol", "-1"], "tol must be non-negative"),
+        # the free operator would refine x 3.1e8-fold: refused before refine
+        (lambda tmp_path: ["metaplectic", "--eta", "1e-9"], "GiB of 3.11372e+08-fold"),
         (_blocked_artifact, "cannot write"),
     ],
     ids=[
         "missing_input", "one_column_csv", "nan_sample", "complex_sample", "infinite_dx",
-        "string_N", "float_seed", "negative_seed", "negative_angles", "unwritable_artifact",
+        "string_N", "float_seed", "negative_seed", "negative_angles", "negative_tol",
+        "tiny_metaplectic_eta", "unwritable_artifact",
     ],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
@@ -271,6 +276,30 @@ def test_tol_sets_the_tolerance_of_the_first_check(tmp_path, capsys):
     assert main(["pauli", "--N", "64", "--tol", "1e-30", "--out", str(tmp_path)]) == 1
     assert "FAIL overlap" in capsys.readouterr().out
     assert json.loads((tmp_path / "summary.json").read_text())["config"]["tol"] == 1e-30
+
+
+def test_zero_tol_is_a_valid_tolerance(tmp_path, capsys):
+    # a zero tolerance is a check no round-off passes, not a configuration error
+    assert main(["pauli", "--N", "64", "--tol", "0", "--out", str(tmp_path)]) == 1
+    assert "FAIL overlap" in capsys.readouterr().out
+    assert json.loads((tmp_path / "summary.json").read_text())["config"]["tol"] == 0.0
+
+
+@pytest.mark.parametrize("state", ["mixed", "hermite1"])
+def test_tomography_of_rank_two_and_excited_states_passes(tmp_path, state):
+    # the mixture's Wigner function reads its rank-two factors, the Hermite
+    # state's a rank-one pair; both reconstruct at the defaults
+    assert main(["tomography", "--state", state, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "reconstruction.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gaussian", "klm"])
+def test_huge_eta_runs_without_overflow(tmp_path, capsys, recwarn, command):
+    # eta^2 / 4 overflows a float above |eta| ~ 1.34e154; the per-mode
+    # Robertson-Schrodinger check compares its sides scaled by a power of two
+    assert main([command, "--eta", "1e300", "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_tomography_at_n64_passes(tmp_path):

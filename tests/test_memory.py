@@ -19,6 +19,7 @@ import pytest
 
 from wignerlab import (
     GridFunction,
+    MetaplecticSpec,
     MixedStateSpec,
     OperatorMatrix,
     ParameterError,
@@ -31,6 +32,7 @@ from wignerlab import (
     klm_test,
     load_phase_space,
     make_grid,
+    metaplectic_apply,
     mix,
     pure_density,
     radon,
@@ -39,7 +41,7 @@ from wignerlab import (
     weyl_symbol,
     wigner,
 )
-from wignerlab import cli, quantumness, states, tomography, weyl
+from wignerlab import cli, quantumness, states, symplectic, tomography, weyl
 from wignerlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,7 +78,7 @@ def recording(original):
         return original(nbytes, what)
     return require_memory
 
-for name in ("quantumness", "states", "tomography", "weyl"):
+for name in ("quantumness", "states", "symplectic", "tomography", "weyl"):
     module = importlib.import_module("wignerlab." + name)
     module.require_memory = recording(module.require_memory)
 
@@ -99,6 +101,12 @@ elif case.startswith("weyl_quantize"):
     a = wl.PhaseSpaceFunction(grid, wl.dual_grid(grid, 1.0), np.load(sys.argv[2]), 1.0)
     eta = {"weyl_quantize": 0.25, "weyl_quantize_native": None}.get(case, 0.5)
     call = lambda: wl.weyl_quantize(a, eta=eta)
+elif case == "metaplectic":
+    # |Q| + |R| = 24 at eta = 0.01 refines x 151-fold
+    q, p, r = 12.0, 0.4, 12.0
+    S = np.array([[r / q, 1.0 / q], [(p * r - q * q) / q, p / q]])
+    spec, psi = wl.MetaplecticSpec.free(S), wl.coherent_state(wl.make_grid(-10.0, 10.0, 1024), 0.01)
+    call = lambda: wl.metaplectic_apply(spec, psi)
 elif case == "validate_density":
     # loaded: the range path of a rank-one kernel, certified by the first sketch
     op = wl.OperatorMatrix(wl.make_grid(-10.0, 10.0, 1024), np.load(sys.argv[2]), 1.0)
@@ -146,6 +154,7 @@ _SMALL_COUNTS = ("klm_test_m16", "klm_test_m100")
     [
         "radon", "weyl_quantize", "weyl_quantize_native", "weyl_quantize_complex", "klm_test",
         "wigner", "mix", "weyl_symbol", "klm_test_m16", "klm_test_m100", "validate_density",
+        "metaplectic",
     ],
 )
 def test_each_count_bounds_the_measured_peak(case, tmp_path):
@@ -200,7 +209,8 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy(cold_plans):
 def test_rank_one_maps_build_no_lag_table():
     # a state pair's folded lags are one product of two strided views of its
     # refined samples, with no N x 2N table: at N = 512 the traced peak of
-    # the Wigner function is 6.02 MiB (the lags 0 .. N/2 and the hfft), of
+    # the Wigner function is 4.26 MiB (the lags 0 .. N/2, conjugated in place,
+    # and the irfft; hfft's conjugate copy made it 6.02), of
     # the cross-Wigner function 5.32 MiB (all N lags, the partner lags added
     # in row blocks, the FFT in place) and of the ambiguity function 8.21 MiB
     # (the central lags and their phased copy), where the table made them
@@ -208,7 +218,7 @@ def test_rank_one_maps_build_no_lag_table():
     grid = make_grid(-10.0, 10.0, 512)
     psi = coherent_state(grid, 1.0, 0.5, 0.3)
     phi = coherent_state(grid, 1.0, -0.5)
-    assert _traced_peak(lambda: wigner(psi)) <= 7 * 2**20
+    assert _traced_peak(lambda: wigner(psi)) <= 5 * 2**20
     assert _traced_peak(lambda: cross_wigner(psi, phi)) <= 9 * 2**20
     assert _traced_peak(lambda: ambiguity(psi)) <= 9 * 2**20
 
@@ -360,8 +370,15 @@ GUARDS = {
             OperatorMatrix(make_grid(-10.0, 10.0, 8192), np.broadcast_to(0j, (8192, 8192)), 1.0)
         )
     ),
+    "metaplectic_eta": _library(
+        lambda: metaplectic_apply(
+            MetaplecticSpec.free(np.array([[1.0, 1.0], [0.0, 1.0]])),
+            coherent_state(make_grid(-10.0, 10.0, 256), 1e-9),
+        )
+    ),
     "cli_angles": _cli(["tomography", "--angles", "1000000000", "--N", "256"]),
     "cli_N": _cli(["wigner", "--N", "8192"]),
+    "cli_metaplectic_eta": _cli(["metaplectic", "--eta", "1e-9"]),
 }
 
 
@@ -374,9 +391,10 @@ def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeyp
     monkeypatch.setattr(weyl, "half_step_correlation", _refuse)
     for name in ("zeros", "empty"):
         monkeypatch.setattr(np, name, _small(getattr(np, name)))
-    for name in ("fft", "hfft"):
+    for name in ("fft", "hfft", "irfft"):
         monkeypatch.setattr(np.fft, name, _refuse)
     monkeypatch.setattr(weyl, "_dirichlet_table", _refuse)
+    monkeypatch.setattr(symplectic, "refine", _refuse)
     monkeypatch.setattr(quantumness, "_check_unit_mass", _refuse)
     monkeypatch.setattr(tomography, "_projection_spectra", _refuse)
     monkeypatch.setitem(cli.RUNNERS, "tomography", _refuse)

@@ -167,11 +167,21 @@ def test_lag_transforms_match_dense_phase(grid_eta, seed):
 
 @given(grids(), st.sampled_from([1, 2, 8]), seeds)
 def test_factored_correlation_matches_kernel_correlation(grid_eta, rank, seed):
+    # the factors are read as they come: C- or Fortran-ordered, column slices
+    # of a wider array and real-valued views
     grid, _ = grid_eta
     rng = np.random.default_rng(seed)
     u, v = (rng.normal(size=(grid.n, rank)) + 1j * rng.normal(size=(grid.n, rank)) for _ in "uv")
-    factored = half_step_correlation((u, v), grid)
-    assert _relative(factored, half_step_correlation(u @ v.conj().T, grid)) <= 1e-14
+    wide = rng.normal(size=(grid.n, 2 * rank)) + 1j * rng.normal(size=(grid.n, 2 * rank))
+    for left, right in (
+        (u, v),
+        (np.asfortranarray(u), np.asfortranarray(v)),
+        (wide[:, ::2], wide[:, 1::2]),
+        (u.real, v.imag),
+    ):
+        factored = half_step_correlation((left, right), grid)
+        kernel = half_step_correlation(left @ right.conj().T, grid)
+        assert _relative(factored, kernel) <= 1e-14
 
 
 @given(grids())
@@ -862,7 +872,7 @@ def _robertson_schrodinger_exact(sigma, eta):
     ]
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e200, 1e300])
 def test_gaussian_verdicts_are_scale_free(scale):
     # (t Sigma, t eta) has the verdict of (Sigma, eta); squeezed covariances
     # within 5 % of the boundary raise no "criteria disagree"

@@ -269,9 +269,10 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
 def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
     # on the centred dual grid every phase of the lag sum is +-1, so once its
     # lags are built, the Wigner function of a state or of a mixture makes no
-    # exp table of N or more entries and runs one hfft over lags 0 .. N/2, and
-    # no full FFT.  A state's folded lags 0 .. N/2 come from its rank-one
-    # factors, with no N x 2N table; a mixture's from the half-step correlation
+    # exp table of N or more entries and runs one hfft over lags 0 .. N/2 (an
+    # irfft of the lags conjugated in place), and no full FFT.  A state's
+    # folded lags 0 .. N/2 come from its rank-one factors, with no N x 2N
+    # table; a mixture's from the half-step correlation
     from wignerlab import weyl
 
     after = []
@@ -301,12 +302,12 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
     for name in ("half_step_correlation", "_rank_one_lags"):
         monkeypatch.setattr(weyl, name, building(getattr(weyl, name)))
     monkeypatch.setattr(np, "exp", recording(np, "exp"))
-    for name in ("fft", "hfft", "ifft"):
+    for name in ("fft", "hfft", "ifft", "irfft"):
         monkeypatch.setattr(np.fft, name, recording(np.fft, name))
     for source, shape in ((psi, (256, 129)), (spec, (256, 512))):
         after.clear()
         assert wigner(source).W.values.dtype == np.float64
-        assert after == [shape, "hfft"]
+        assert after == [shape, "irfft"]
 
 
 def test_quantizer_sums_a_longer_p_grid_in_full():
