@@ -38,11 +38,15 @@ def require_memory(nbytes: int, what: str):
     The count is one call's working set.  Plans (:func:`plan`) outlive the
     call that built them and are held apart from it, at most
     ``_PLAN_LIMIT_BYTES`` (32 MiB) in all; the call that builds a plan
-    counts it as part of its own working set.
+    counts it as part of its own working set.  A size of a million GiB or
+    more prints in ``%.3g`` form, so an astronomical count stays one short
+    line.
     """
     if nbytes > _MEMORY_LIMIT_BYTES:
         limit = _MEMORY_LIMIT_BYTES / 2**30
-        raise ParameterError(f"{nbytes / 2**30:.1f} GiB of {what} (limit {limit:.0f} GiB)")
+        gib = nbytes / 2**30
+        size = f"{gib:.3g}" if gib >= 1e6 else f"{gib:.1f}"
+        raise ParameterError(f"{size} GiB of {what} (limit {limit:.0f} GiB)")
 
 
 #: the bytes of plans held across calls, in least-recently-used order

@@ -53,15 +53,17 @@ def oscillatory_sum(
     sign: int,
     axis: int = -1,
     scale: float = 1.0,
+    overwrite: bool = False,
 ) -> np.ndarray:
     """Compute scale * sum_k exp(sign * i q_m y_k / eta) f_k along ``axis``.
 
     Requires the dual-grid relation dq * dy * N = 2 pi eta; the general
     offsets y_min, q_min are absorbed into pre/post phase ramps around a
     plain FFT, and ``scale`` rides on the post phase.  No quadrature weight
-    is applied.  Besides the input, the call holds one array: the pre-phased
-    copy, which the FFT and the post phase then overwrite in place.  A caller
-    that passes a temporary frees the input as soon as it is phased.
+    is applied.  The pre phase, the FFT and the post phase run in place in
+    one complex array: the complex copy of a real input, a complex input
+    itself when ``overwrite`` is set (a temporary the caller hands over,
+    which the result then overwrites), else a pre-phased copy of it.
     """
     if sign not in (-1, 1):
         raise ParameterError("sign must be +1 or -1")
@@ -70,7 +72,10 @@ def oscillatory_sum(
     k = np.arange(n)
     pre = np.exp(sign * 1j * out_grid.x_min * in_grid.dx * k / eta)
     post = scale * np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
-    values = np.moveaxis(np.asarray(values, dtype=complex), axis, -1) * pre
+    values = np.asarray(values)
+    owned = overwrite or values.dtype != complex
+    values = np.moveaxis(values.astype(complex, copy=False), axis, -1)
+    values = np.multiply(values, pre, out=values if owned else None)
     if sign < 0:
         np.fft.fft(values, axis=-1, out=values)
     else:
@@ -198,9 +203,11 @@ def symplectic_fourier(a: PhaseSpaceFunction) -> PhaseSpaceFunction:
     _dual_check(x_grid, p_grid, eta)
     # x' -> p (sign -1), along axis 0
     stage = oscillatory_sum(a.values, x_grid, p_grid, eta, -1, axis=0)
-    # p' -> x (sign +1), along axis 1; stage is indexed [p, p'], and after
-    # this pass axis 1 is x, so swap
+    # p' -> x (sign +1), along axis 1, in the stage itself; stage is indexed
+    # [p, p'], and after this pass axis 1 is x, so swap
     scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
-    out = oscillatory_sum(stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1, scale=scale).T
+    out = oscillatory_sum(
+        stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1, scale=scale, overwrite=True
+    ).T
     kind = "ambiguity" if a.kind == "wigner" else "generic"
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, out, eta, kind=kind)

@@ -5,39 +5,39 @@ The correspondence between symbols a(x, p) and kernels K(x, y) is
     a(x, p) = Int exp(-i p y / eta) K(x + y/2, x - y/2) dy
     K(x, y) = (2 pi eta)^(-1) Int exp(i p (x - y) / eta) a((x + y)/2, p) dp
 
-Both directions read the half-step correlation corr[r, d + N]: lag d dx
-at midpoint x_r (x_r - dx/2 for odd d).  Kernel entry (a, b) has its cell
-at row (a + b + 1) >> 1 and column a - b + N of an N x 2N table, and the
-cells of each parity block K[a::2, b::2] are one strided view of it.  The
-symbol of a kernel writes its 2-D half-step shift into those views and sums
-the lags against the dual p grid; the quantizer fills the table from p sums
-and reads the kernel back out of them.  Factors (U, V) of a kernel U V^H are
-sampled at half steps in one place, :func:`_half_steps`: the correlation at
-midpoint x_h and lag s dx is F[2h + s] G[2h - s]^T of U and conj V at their
-twofold refinement, padded with zeros.  Of rank r > 1 they write each
-parity block as one product of two row slices of those samples; of rank
-one, the operator of a pair of states, they build no table, each of their
-lag blocks one elementwise product of two strided views.  On the centred
-dual p grid of an even N every phase of the lag sum is exactly +-1 or an
-FFT root of unity, so the symbol folds the 2N lags onto N by one add,
-signs them and takes one FFT; a Hermitian operator's folded lags are a
-Hermitian sequence, so its real symbol is one ``irfft`` of lags 0 .. N/2,
-conjugated in place.  The ambiguity function sums the central lags of
-|psi><psi| over their midpoints, one product laid out lag by lag.  Off-grid
-arguments are treated as zero (kernels and symbols are assumed negligible
-outside the grid).
+Both directions read the half-step correlation: lag d dx at midpoint x_r
+(x_r - dx/2 for odd d).  Kernel entry (a, b) has lag a - b and midpoint row
+(a + b + 1) >> 1, and the cells of each parity block K[a::2, b::2] are one
+strided view of a lag table (:func:`_parity_views`).  On the centred dual p
+grid of an even N every phase of the lag sum is exactly +-1 or an FFT root
+of unity, and lags t and t - N share one, so the symbol of a kernel sums N
+folded lags: :func:`_folded_correlation` adds each parity block, shifted
+half a step in 2-D on its odd lags, straight into the cell (r, d mod N) of
+one N x N table, which is then signed and transformed in place by one FFT.
+Factors (U, V) of a kernel U V^H are sampled at half steps in one place,
+:func:`_half_steps`: the correlation at midpoint x_h and lag s dx is
+F[2h + s] G[2h - s]^T of U and conj V at their twofold refinement, padded
+with zeros.  Of rank r > 1 they fold into the same table, each parity block
+a product of two row slices of those samples; of rank one, the operator of
+a pair of states, they build no table, each of their lag blocks one
+elementwise product of two strided views.  A Hermitian operator's folded
+lags are a Hermitian sequence, so its real symbol is one ``irfft`` of lags
+0 .. N/2, conjugated in place.  The ambiguity function sums the central
+lags of |psi><psi| over their midpoints, one product laid out lag by lag.
+Off-grid arguments are treated as zero (kernels and symbols are assumed
+negligible outside the grid).
 
 In the quantizer the symbol's dtype picks the lag table and eta its fill.
-A complex symbol fills the N x 2N table; a real one, the symbol of a
-self-adjoint operator, the lags d >= 0 of an N x N table, whose kernel is
-mirrored from its lower triangle.  At the symbol's own eta, where its p
-grid is dual to the x grid, the p sum is one row FFT and reconstructs the
-lag band |x - y| < L/2 of a grid of length L, at half weight at L/2 and
-zero beyond: the N lags a dual-grid symbol holds, onto which
-:func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each row's
-trigonometric interpolant over F-fold refined p samples in closed form,
-one Dirichlet table times each block's half spectrum, the table held per
-grid, eta' and F as a plan (:func:`errors.plan`) that the first call
+A complex symbol fills an N x 2N table of the lags -N .. N - 1; a real
+one, the symbol of a self-adjoint operator, the lags d >= 0 of an N x N
+table, whose kernel is mirrored from its lower triangle.  At the symbol's
+own eta, where its p grid is dual to the x grid, the p sum is one row FFT
+and reconstructs the lag band |x - y| < L/2 of a grid of length L, at half
+weight at L/2 and zero beyond: the N lags a dual-grid symbol holds, onto
+which :func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each
+row's trigonometric interpolant over F-fold refined p samples in closed
+form, one Dirichlet table times each block's half spectrum, the table held
+per grid, eta' and F as a plan (:func:`errors.plan`) that the first call
 builds; its band stretches to about |x - y| < (L/2) eta' / a.eta, with no
 sharp edge.  One read-out takes every kernel from its table.
 """
@@ -59,7 +59,6 @@ __all__ = [
     "weyl_quantize",
     "weyl_symbol",
     "ambiguity",
-    "half_step_correlation",
     "twisted_product",
     "expectation",
     "trace_from_symbol",
@@ -101,21 +100,20 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
 def require_correlation_memory(n: int):
     """Refuse a Weyl-Wigner map at N grid points above the memory budget.
 
-    A kernel peaks at about 64 N^2 bytes: the N x N kernel and the N x 2N
-    correlation (48 N^2) with one N x N buffer (16 N^2), first the one its
-    2-D half-step shift runs in, then the complex output of the lag FFT (a
-    Hermitian kernel's FFT runs in the correlation and only its real part,
-    8 N^2, is copied out).  The lags are folded and signed in place, with no
-    phased copy.  Factors (U, V) build no N x N kernel and need less: the
-    table and their 4N x r half-step samples; a Hermitian pair's ``irfft``
-    reads half the lags.  Rank-one factors build no correlation table
-    either: about 32 N^2 bytes, the N x N lags of a state pair (16 N^2)
-    with a block of ``_ROW_CHUNK`` rows of partner lags and, for the
-    ambiguity function, the phased copy that its sum makes (16 N^2); a
-    Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and the real
-    output of its ``irfft`` take 16 N^2.  The 104 N^2 counted also covers
-    what the allocator holds beyond them.  Call it before the kernel
-    or the correlation is built.
+    A kernel peaks at about 48 N^2 bytes: the N x N kernel, its 2-D
+    half-step shift and the (N + 1) x N table of its folded lags (16 N^2
+    each), whose FFT runs in place (a Hermitian kernel's real part, 8 N^2,
+    is copied out once the shift is freed).  Factors (U, V) of rank r build
+    no N x N kernel and no shift: the table, their 4N x r half-step samples
+    (128 N r) and a strip of ``_FOLD_TILE`` block rows of their products,
+    then the real output of a Hermitian pair's ``irfft`` (8 N^2).  Rank-one
+    factors build no table either: about 32 N^2 bytes, the N x N lags of a
+    state pair (16 N^2) with a block of ``_ROW_CHUNK`` rows of partner lags
+    and, for the ambiguity function, its lag product, phased and summed in
+    place; a Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and
+    the real output of its ``irfft`` take 16 N^2.  The 104 N^2 counted
+    covers factors up to rank N/2 and what the allocator holds beyond them.
+    Call it before the kernel or the table is built.
     """
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
 
@@ -123,15 +121,19 @@ def require_correlation_memory(n: int):
 def _parity_views(corr: np.ndarray) -> dict:
     """The cells of each parity block of the kernel, as views of ``corr``.
 
-    ``corr`` is an N x w table whose lag-0 column is w - N: the N x 2N
-    table of lags -N .. N - 1, or the N x N table of lags 0 .. N - 1.  Entry
+    ``corr`` is a C-contiguous N x w lag table whose lag-0 column is w - N:
+    the N x 2N table of lags -N .. N - 1, or an N x N table.  Entry
     (2i + a, 2k + b) of an N x N kernel sits at flat offset
     i (w + 2) + k (w - 2) + h w + a - b + w - N, h = (a + b + 1) >> 1, so the
     block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  On the
-    N x 2N table the four views cover each cell (h, a - b + N) once; on the
-    N x N table the cells of the lower triangle (lags a - b >= 0) are in
-    place, and those of the strict upper triangle land in the neighbouring
-    row, at offsets still between 0 and N^2.  N must be even.
+    N x 2N table the four views cover each cell (h, a - b + N) once.  On an
+    N x N table, row h and lag d at flat offset h N + d, the cells of the
+    lower triangle (lags a - b >= 0) are in place, at (h, d), and those of
+    the strict upper triangle land one row up, at (h - 1, d + N), at offsets
+    still between 0 and N^2; the same views of the table one row further on
+    put them at (h, d + N), the cell of lag d mod N.  At N = 4m + 2 two
+    entries m block rows and m + 1 block columns apart, one of each
+    triangle, share an offset.  N must be even.
     """
     n, width = corr.shape
     if n % 2:
@@ -147,38 +149,83 @@ def _parity_views(corr: np.ndarray) -> dict:
     }
 
 
-def half_step_correlation(kernel, grid: Grid) -> np.ndarray:
-    """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx.
+def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
+    """The half-step correlation C of a kernel folded onto its N lags: the
+    N x N table of C[h, t] + C[h, t - N], lag t dx at midpoint x_h
+    (x_h - dx/2 for odd t), complete for the lags t < ``width`` (the cells
+    beyond may hold part of their sum).
 
-    Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
-    are on the grid for even s and half a step off it for odd s.  Even lags
-    read K itself, odd lags the band-limited interpolant of K shifted by
-    -dx/2 along both axes (the odd samples of a twofold refinement).  Each
-    kernel entry lands in its cell, one parity block at a time
-    (:func:`_parity_views`); cells whose arguments fall off the grid stay
-    zero.
+    Both arguments of lag s sit at x_h +- s dx/2, on the grid for even s and
+    half a step off it for odd s.  Even lags read K itself, odd lags the
+    band-limited interpolant of K shifted by -dx/2 along both axes (the odd
+    samples of a twofold refinement).  ``source`` is the N x N kernel,
+    shifted in 2-D, or a pair (U, V) of N x r factors with K = U V^H, of any
+    layout or real dtype, sampled at half steps (:func:`_half_steps`): each
+    parity block is then the (N/2 x r)(r x N/2) product of two row slices of
+    step 4 of those samples, even rows for even lags and odd rows for odd
+    ones, so no N x N array and no copy of the factors is built.
 
-    ``kernel`` is the N x N kernel, or a pair (U, V) of N x r factors with
-    K = U V^H, of any layout or real dtype.  A kernel is shifted in 2-D;
-    factors are sampled at half steps (:func:`_half_steps`), and each parity
-    block is the (N/2 x r)(r x N/2) product of two row slices of step 4 of
-    those samples, even rows for even lags and odd rows for odd ones, so
-    no N x N array and no copy of the factors is built.  N must be even.
+    Lag s of midpoint h has its cell at (h, s mod N) of one zeroed
+    (N + 1) x N table: each parity block is added through the views of
+    :func:`_parity_views` on its first N rows, its lags s >= 0 (the lower
+    triangle) in place and its lags s < 0 through the same views one row
+    further on, which the spare last row keeps inside the buffer.  A block
+    is added in strips of at most ``_FOLD_TILE`` block rows, each one
+    product of the factors' samples, and only the diagonal tile of each
+    strip is masked.  Each cell receives at most two terms, so it holds
+    C[h, t] + C[h, t - N] bit for bit in either order, and cells whose
+    arguments fall off the grid stay zero.  The table's first N rows are
+    returned.  N must be even.
     """
     n = grid.n
-    corr = np.zeros((n, 2 * n), dtype=complex)
-    views = _parity_views(corr)
-    if isinstance(kernel, tuple):
-        f, g = _half_steps(kernel, grid)
-        for (a, b), view in views.items():
+    table = np.zeros((n + 1, n), dtype=complex)
+    views = [_parity_views(table[:n]), _parity_views(table[1:])]
+    rows = n // 2
+    # at N = 4m + 2 a view reaches one cell from two block entries m rows
+    # and m + 1 columns apart, so its diagonal tiles stay narrower than that
+    tile = min(_FOLD_TILE, rows if n % 4 == 0 else (n + 2) // 4)
+    # strips of equal height: a lone last row would go to matmul as a vector
+    # product, whose sums may round otherwise than the block's
+    count = -(-rows // tile)
+    edges = [rows * j // count for j in range(count + 1)]
+    tile = -(-rows // count)
+    factors = isinstance(source, tuple)
+    if factors:
+        f, g = _half_steps(source, grid)
+        strip = np.empty((tile, rows), dtype=complex)
+    else:
+        shifted = fourier_shift(source, grid, -0.5 * grid.dx, axis=(0, 1))
+    part = np.empty((tile, tile), dtype=complex)
+    for (a, b), positive in views[0].items():
+        negative = views[1][a, b]
+        # block entry (i, k) has lag 2 (i - k) + a - b: on the diagonal i = k
+        # it is negative where a < b
+        above = ~np.tri(tile, dtype=bool, k=0 if a >= b else -1)
+        if factors:
             # odd lags (a != b) read the odd, shifted samples
             odd = int(a != b)
-            np.matmul(f[n + 2 * a + odd : 3 * n : 4], g[n + 2 * b + odd : 3 * n : 4].T, out=view)
-        return corr
-    shifted = fourier_shift(kernel, grid, -0.5 * grid.dx, axis=(0, 1))
-    for (a, b), view in views.items():
-        view[...] = (kernel if a == b else shifted)[a::2, b::2]
-    return corr
+            left, right = f[n + 2 * a + odd : 3 * n : 4], g[n + 2 * b + odd : 3 * n : 4].T
+        else:
+            block = (source if a == b else shifted)[a::2, b::2]
+        for i, end in zip(edges, edges[1:]):
+            m = end - i
+            # lags t < width take the lags s >= 0 of block columns from
+            # i - width/2 on and the lags s < 0 from i + (N - width)/2 on
+            lo, hi = max(0, i - width // 2), max(end, i + (n - width) // 2)
+            if factors:
+                terms = np.matmul(left[i:end], right, out=strip[:m])
+            else:
+                terms = block[i:end]
+            positive[i:end, lo:i] += terms[:, lo:i]
+            negative[i:end, hi:] += terms[:, hi:]
+            # the diagonal tile in two parts, each zero where the other is
+            # not: adding a zero leaves a cell as it was
+            diagonal, upper = terms[:, i:end], part[:m, :m]
+            upper.fill(0.0)
+            np.copyto(upper, diagonal, where=above[:m, :m])
+            negative[i:end, i:end] += upper
+            positive[i:end, i:end] += np.subtract(diagonal, upper, out=upper)
+    return table[:n]
 
 
 def _half_steps(factors: tuple, grid: Grid) -> tuple:
@@ -189,7 +236,7 @@ def _half_steps(factors: tuple, grid: Grid) -> tuple:
     Even k read the factor, odd k its band-limited interpolant shifted by
     -dx/2, so the correlation entry at midpoint x_h and lag s dx is
     F[N + 2h + s] G[N + 2h - s]^T, zero off the grid: each parity block of
-    :func:`half_step_correlation` is one product of two row slices of step
+    :func:`_folded_correlation` is one product of two row slices of step
     4, and a state pair's lags (r = 1) are products of two strided views
     (:func:`_strided`).  N must be even.
     """
@@ -235,6 +282,10 @@ def _rank_one_lags(factors: tuple, grid: Grid, width: int) -> np.ndarray:
         )
     return lags
 
+
+#: block rows per strip of :func:`_folded_correlation`, whose diagonal tile
+#: alone is masked
+_FOLD_TILE = 64
 
 #: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
 #: foreign eta its products), table rows per pass of :func:`_dirichlet_sums`,
@@ -520,35 +571,31 @@ def correlation_symbol(
     (U, V) of N x r factors of the kernel U V^H, read off its half-step
     correlation, as a function of the given ``kind``.
 
-    The symbol is dx sum_m corr[j, m] exp(-i p_l y_m / eta) over the 2N lags
-    y_m = (m - N) dx.  On the centred dual grid p_l = (l - N/2) dp of an even
+    The symbol is dx sum_s C[j, s] exp(-i p_l s dx / eta) over the 2N lags
+    s = -N .. N - 1.  On the centred dual grid p_l = (l - N/2) dp of an even
     N, lags t dx and (t - N) dx share the phase (-1)^t exp(-2 pi i l t / N):
-    lag t - N is added onto lag t and column t multiplied by (-1)^t scale
-    dx, both in place, and one FFT sums the N folded lags.  A kernel and
-    factors of rank r > 1 fold the N x 2N table of
-    :func:`half_step_correlation`; factors of rank one, a pair of states,
-    build their folded lags directly as products of strided views of the
-    same half-step samples (:func:`_rank_one_lags`), with no table, and
-    transform them in place.  The factor rank alone picks the route.  A
-    ``hermitian`` operator has C(x, -y) = conj C(x, y), so its folded lags
-    are a Hermitian sequence and its symbol is real: factors fold lags
-    0 .. N/2 only, conjugate them in place and take one ``irfft``, the
-    ``hfft`` of the lags without its conjugate copy; a kernel, Hermitian
-    only to round-off, keeps the real part of the full FFT.  Either way the
-    values are float64.
+    the folded lag C(t) + C(t - N) is multiplied by (-1)^t scale dx in place
+    and one FFT sums the N folded lags.  A kernel and factors of rank
+    r > 1 fold into the N x N table of :func:`_folded_correlation`, which
+    the FFT overwrites; factors of rank one, a pair of states, build their
+    folded lags directly as products of strided views of the same half-step
+    samples (:func:`_rank_one_lags`) and transform them in place.  The
+    factor rank alone picks the route.  A ``hermitian`` operator has
+    C(x, -y) = conj C(x, y), so its folded lags are a Hermitian sequence
+    and its symbol is real: factors fold lags 0 .. N/2 only, conjugate them
+    in place and take one ``irfft``, the ``hfft`` of the lags without its
+    conjugate copy; a kernel, Hermitian only to round-off, keeps the real
+    part of the full FFT.  Either way the values are float64.
     """
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
     factors = isinstance(source, tuple)
     width = n // 2 + 1 if hermitian and factors else n
-    rank_one = factors and source[0].shape[1] == 1
-    if rank_one:
+    if factors and source[0].shape[1] == 1:
         lags = _rank_one_lags(source, grid, width)
     else:
-        corr = half_step_correlation(source, grid)
-        lags = corr[:, n : n + width]
-        lags += corr[:, :width]
+        lags = _folded_correlation(source, grid, width)[:, :width]
     sign = np.full(width, scale * grid.dx)
     sign[1::2] *= -1.0
     lags *= sign
@@ -558,8 +605,7 @@ def correlation_symbol(
     elif hermitian:
         values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
     else:
-        # the rank-one lags are a table of their own, transformed in place
-        values = np.fft.fft(lags, axis=1, out=lags if rank_one else None)
+        values = np.fft.fft(lags, axis=1, out=lags)
     return PhaseSpaceFunction(grid, p_grid, values, eta, kind=kind)
 
 
@@ -595,10 +641,10 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     p_grid = dual_grid(grid, eta)
     f, g = _half_steps((psi.values[:, None],) * 2, grid)
     # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
-    # product is a temporary that oscillatory_sum frees once it is phased
+    # product is a temporary that oscillatory_sum phases and sums in place
     values = oscillatory_sum(
         _strided(f, n // 2, (n, n), (1, 2)) * _strided(g, 3 * n // 2, (n, n), (-1, 2)),
-        grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta),
+        grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta), overwrite=True,
     )
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 

@@ -8,7 +8,8 @@ symbol of the rank-one operator |psi><phi|, and the Wigner function of a
 state that of its density operator.  The rank-one maps and the Wigner
 function of a mixture hand the symbol the factors of their operator,
 (psi, phi) or the weighted component states of the mixture, so no N x N
-kernel is read, and a rank-one pair builds no N x 2N lag table either.  A
+kernel is read: a mixture's factors fold into one N x N lag table, and a
+rank-one pair builds no table at all.  A
 density matrix without factors (a tomographic reconstruction) is read
 through its kernel.  Samples outside the grid are taken as zero.
 :func:`quantized_density` goes back, from W to the validated density

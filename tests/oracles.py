@@ -3,18 +3,19 @@
 Each function here is a literal, slow evaluation of a formula that the
 library computes through FFTs or chirp-z passes: dense phase matrices for the
 lag transforms, the free metaplectic operator and the Radon transform, the
-midpoint-lag scatter of a kernel into the half-step correlation, Python
+unfolded N x 2N half-step correlation of a kernel or its factors, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, the eigen-loop Wigner function of a density matrix, the KLM
 matrix over all M^2 point differences, the phase-space moments over N x N
 meshes, the closed-form Wigner function of a Gaussian wavepacket and the
-symplectic spectrum from the general eigensolver of J Sigma.  The
-dense interpolants check the metaplectic word steps and covariance
-identities: the 1-D, tensor and pointwise ones are direct trigonometric
-sums, the row-sheared one reuses the library's ``fourier_shift``.  Some
-oracles reuse small library helpers (``refine``, ``symplectic_fourier``,
-``free_generating_function``); none calls the transform it checks.  All
-are meant for small grids.
+symplectic spectrum from the general eigensolver of J Sigma.  The dense
+interpolants check the metaplectic word steps and covariance identities: the
+1-D, tensor and pointwise ones are direct trigonometric sums, the
+row-sheared one reuses the library's ``fourier_shift``.  Some oracles reuse
+small library helpers (``refine``, ``symplectic_fourier``,
+``free_generating_function``, the half-step sampler ``_half_steps`` and the
+strided ``_parity_views``); none calls the transform it checks.  All are
+meant for small grids.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from wignerlab import (
     refine,
     symplectic_fourier,
 )
+from wignerlab.weyl import _half_steps, _parity_views
 
 
 def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
@@ -70,6 +72,37 @@ def midpoint_lag(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     a, b = np.ogrid[:n, :n]
     return (a + b + 1) >> 1, a - b + n
+
+
+def half_step_correlation(kernel, grid) -> np.ndarray:
+    """C[j, m] = K(x_j + y_m/2, x_j - y_m/2) at the 2N lags y_m = (m - N) dx:
+    the N x 2N table whose lags t and t - N the library folds into one cell.
+
+    Both arguments sit x_j +- s dx/2 for the lag index s = m - N, so they
+    are on the grid for even s and half a step off it for odd s.  Even lags
+    read K itself, odd lags the band-limited interpolant of K shifted by
+    -dx/2 along both axes.  Each kernel entry lands in its cell, one parity
+    block K[a::2, b::2] at a time through the library's ``_parity_views``;
+    cells whose arguments fall off the grid stay zero.  ``kernel`` is the
+    N x N kernel, or a pair (U, V) of N x r factors with K = U V^H, whose
+    half-step samples (the library's ``_half_steps``) give each parity block
+    as one (N/2 x r)(r x N/2) product of two row slices of step 4.  N must
+    be even.
+    """
+    n = grid.n
+    corr = np.zeros((n, 2 * n), dtype=complex)
+    views = _parity_views(corr)
+    if isinstance(kernel, tuple):
+        f, g = _half_steps(kernel, grid)
+        for (a, b), view in views.items():
+            # odd lags (a != b) read the odd, shifted samples
+            odd = int(a != b)
+            np.matmul(f[n + 2 * a + odd : 3 * n : 4], g[n + 2 * b + odd : 3 * n : 4].T, out=view)
+        return corr
+    shifted = fourier_shift(kernel, grid, -0.5 * grid.dx, axis=(0, 1))
+    for (a, b), view in views.items():
+        view[...] = (kernel if a == b else shifted)[a::2, b::2]
+    return corr
 
 
 def cross_wigner_dense(psi: GridFunction, phi: GridFunction) -> np.ndarray:

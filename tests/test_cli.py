@@ -239,6 +239,17 @@ def test_huge_angle_count_is_refused_before_the_run(tmp_path, capsys, monkeypatc
     assert not out_dir.exists()
 
 
+def test_astronomical_refusal_is_one_short_line(tmp_path, capsys):
+    # at eta = 1e-300 the free metaplectic operator would refine x about
+    # 3e299-fold: the refused size prints as 1.9e+295 GiB, not in 300 digits
+    code = main(["metaplectic", "--eta", "1e-300", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "e+295 GiB of" in err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 160
+
+
 def test_seeded_runs_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["moyal", "--N", "64", "--seed", "7", "--out", str(out1)]) == 0

@@ -36,6 +36,7 @@ from wignerlab import (
     mix,
     pure_density,
     radon,
+    symplectic_fourier,
     validate_density,
     weyl_quantize,
     weyl_symbol,
@@ -90,6 +91,11 @@ elif case == "mix":
     grid = wl.make_grid(-10.0, 10.0, 512)
     spec = wl.MixedStateSpec([(0.125, wl.hermite_state(grid, 1.0, k)) for k in range(8)])
     call = lambda: wl.mix(spec)
+elif case == "wigner_mix":
+    # the rank-8 factors of a mixture fold into the N x N table
+    grid = wl.make_grid(-10.0, 10.0, 512)
+    rho = wl.mix(wl.MixedStateSpec([(0.125, wl.hermite_state(grid, 1.0, k)) for k in range(8)]))
+    call = lambda: wl.wigner(rho)
 elif case == "weyl_symbol":
     # loaded: the kernel path, the N x N kernel shifted in 2-D, no factors
     op = wl.OperatorMatrix(wl.make_grid(-10.0, 10.0, 512), np.load(sys.argv[2]), 1.0)
@@ -153,7 +159,7 @@ _SMALL_COUNTS = ("klm_test_m16", "klm_test_m100")
     "case",
     [
         "radon", "weyl_quantize", "weyl_quantize_native", "weyl_quantize_complex", "klm_test",
-        "wigner", "mix", "weyl_symbol", "klm_test_m16", "klm_test_m100", "validate_density",
+        "wigner", "wigner_mix", "mix", "weyl_symbol", "klm_test_m16", "klm_test_m100", "validate_density",
         "metaplectic",
     ],
 )
@@ -212,15 +218,43 @@ def test_rank_one_maps_build_no_lag_table():
     # the Wigner function is 4.26 MiB (the lags 0 .. N/2, conjugated in place,
     # and the irfft; hfft's conjugate copy made it 6.02), of
     # the cross-Wigner function 5.32 MiB (all N lags, the partner lags added
-    # in row blocks, the FFT in place) and of the ambiguity function 8.21 MiB
-    # (the central lags and their phased copy), where the table made them
-    # 12.01, 12.26 and 12.27 MiB
+    # in row blocks, the FFT in place) and of the ambiguity function 4.32 MiB
+    # (the central lags, phased and summed in place; a phased copy made it
+    # 8.21), where the table made them 12.01, 12.26 and 12.27 MiB
     grid = make_grid(-10.0, 10.0, 512)
     psi = coherent_state(grid, 1.0, 0.5, 0.3)
     phi = coherent_state(grid, 1.0, -0.5)
     assert _traced_peak(lambda: wigner(psi)) <= 5 * 2**20
     assert _traced_peak(lambda: cross_wigner(psi, phi)) <= 9 * 2**20
-    assert _traced_peak(lambda: ambiguity(psi)) <= 9 * 2**20
+    assert _traced_peak(lambda: ambiguity(psi)) <= 5 * 2**20
+
+
+def test_kernels_and_mixtures_fold_into_one_n_by_n_table():
+    # a kernel's parity blocks, and those of a mixture's factors, are added
+    # straight into the (N + 1) x N table of the folded lags, with no N x 2N
+    # table: at N = 512 the traced peak of the Weyl symbol of a kernel is
+    # 8.46 MiB (the 2-D half-step shift and the table, the FFT in place in
+    # it) and of the Wigner function of a 32-state mixture 6.71 MiB (the
+    # table, the half-step samples and the irfft), where the N x 2N table
+    # made them 12.26 and 10.39 MiB
+    grid = make_grid(-10.0, 10.0, 512)
+    op = pure_density(coherent_state(grid, 1.0, 0.5, 0.3)).op
+    rho = mix(
+        MixedStateSpec(
+            [(1.0 / 32, coherent_state(grid, 1.0, x0, 0.1 * x0)) for x0 in np.linspace(-3, 3, 32)]
+        )
+    )
+    assert rho.factors[0].shape == (512, 32)
+    assert _traced_peak(lambda: weyl_symbol(op)) <= 9.5 * 2**20
+    assert _traced_peak(lambda: wigner(rho)) <= 8.5 * 2**20
+
+
+def test_symplectic_fourier_runs_its_second_pass_in_its_stage():
+    # the first pass phases the complex copy of a real W in place, and the
+    # second pass phases and sums that stage in place: at N = 512 the traced
+    # peak is 4.25 MiB, where a phased copy in each pass made it 8.25
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)).W
+    assert _traced_peak(lambda: symplectic_fourier(W)) <= 5 * 2**20
 
 
 def test_validate_density_makes_no_copy_of_a_hermitian_kernel(cold_plans):
@@ -388,7 +422,7 @@ def test_every_guard_refuses_with_one_message(refusal, tmp_path, capsys, monkeyp
     monkeypatch.setattr(np, "matmul", _refuse)
     # the one table builder of the Weyl-Wigner maps; at N = 8192 a second
     # one, or a lag pass that ran without it, would be caught here
-    monkeypatch.setattr(weyl, "half_step_correlation", _refuse)
+    monkeypatch.setattr(weyl, "_folded_correlation", _refuse)
     for name in ("zeros", "empty"):
         monkeypatch.setattr(np, name, _small(getattr(np, name)))
     for name in ("fft", "hfft", "irfft"):

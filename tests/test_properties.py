@@ -84,12 +84,13 @@ from wignerlab import errors
 from wignerlab.quantumness import klm_matrix
 from wignerlab.transforms import chirp_z, oscillatory_sum
 from wignerlab.wigner import quantized_density
-from wignerlab.weyl import _parity_views, half_step_correlation
+from wignerlab.weyl import _folded_correlation, _parity_views
 
 from oracles import (
     ambiguity_dense,
     covariance_dense,
     cross_wigner_dense,
+    half_step_correlation,
     klm_matrix_dense,
     metaplectic_free_dense,
     midpoint_lag,
@@ -182,6 +183,34 @@ def test_factored_correlation_matches_kernel_correlation(grid_eta, rank, seed):
         factored = half_step_correlation((left, right), grid)
         kernel = half_step_correlation(left @ right.conj().T, grid)
         assert _relative(factored, kernel) <= 1e-14
+
+
+@given(grids(), st.integers(2, 32), seeds)
+def test_folded_table_matches_the_oracle(grid_eta, rank, seed):
+    # the (N + 1) x N table that correlation_symbol folds into holds each
+    # cell's lags t and t - N as the N x 2N oracle adds them, bit for bit,
+    # over all N lags and over the lags 0 .. N/2 a Hermitian operator reads:
+    # for a rank-one and a dense kernel, and factors of rank 2 .. 32 read as
+    # they come (C- or Fortran-ordered, column slices and real-valued views)
+    grid, eta = grid_eta
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    u, v = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)) for _ in "uv")
+    wide = rng.normal(size=(n, 2 * rank)) + 1j * rng.normal(size=(n, 2 * rank))
+    sources = [
+        *_kernels(grid, eta, rng),
+        (u, v),
+        (np.asfortranarray(u), np.asfortranarray(v)),
+        (wide[:, ::2], wide[:, 1::2]),
+        (u.real, v.imag),
+    ]
+    for source in sources:
+        ref = half_step_correlation(source, grid)
+        ref = ref[:, n:] + ref[:, :n]
+        for width in (n, n // 2 + 1):
+            folded = _folded_correlation(source, grid, width)
+            assert folded.shape == (n, n) and folded.dtype == complex
+            assert np.array_equal(folded[:, :width], ref[:, :width])
 
 
 @given(grids())
@@ -386,11 +415,17 @@ def test_backprojection_of_gaussian_states_converges_at_fourth_order(n, x0, p0):
 
 
 def test_half_step_correlation_refuses_an_odd_grid():
+    # the Weyl symbol of a kernel and the Wigner function of a two-state
+    # mixture, whose factors take the folded table
     grid = Grid(-5.0, 5.0, 15)
-    ones = np.ones((grid.n, 1), dtype=complex)
-    for source in (ones @ ones.T, (ones, ones)):
+    ones = np.ones((grid.n, grid.n), dtype=complex)
+    states = [coherent_state(grid, 1.0, x0).normalized() for x0 in (-1.0, 1.0)]
+    for call in (
+        lambda: weyl_symbol(OperatorMatrix(grid, ones, 1.0)),
+        lambda: wigner(MixedStateSpec([(0.5, psi) for psi in states])),
+    ):
         with pytest.raises(ParameterError, match="even N"):
-            half_step_correlation(source, grid)
+            call()
 
 
 @given(grids(), seeds)

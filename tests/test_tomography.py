@@ -211,6 +211,22 @@ def test_support_box_margin_keeps_axis_rays_at_round_off():
     assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
 
 
+def test_radon_band_edge_scales_with_the_box():
+    # scaling x and p by a power of two and eta by its square scales every
+    # sample of W by 1/lambda^2 and each tomogram by 1/lambda, bit for bit,
+    # as long as the k band of each angle is cut relative to pi / dp: an
+    # absolute margin moved the band at lambda = 2^100
+    lam = 2.0**100
+    angles = np.linspace(0.0, np.pi, 60, endpoint=False)
+
+    def tomograms(scale):
+        grid = make_grid(-10.0 * scale, 10.0 * scale, 256)
+        psi = coherent_state(grid, ETA * scale**2, 0.7 * scale, -0.4 * scale)
+        return radon(wigner(psi).W, angles).values
+
+    assert np.array_equal(tomograms(lam) * lam, tomograms(1.0))
+
+
 def test_filtered_backprojection_accuracy(grid):
     W = wigner(coherent_state(grid, ETA, 0.4, -0.2)).W
     angles = np.linspace(0.0, np.pi, 180, endpoint=False)

@@ -272,7 +272,7 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
     # exp table of N or more entries and runs one hfft over lags 0 .. N/2 (an
     # irfft of the lags conjugated in place), and no full FFT.  A state's
     # folded lags 0 .. N/2 come from its rank-one factors, with no N x 2N
-    # table; a mixture's from the half-step correlation
+    # table; a mixture's from the N x N table its factors fold into
     from wignerlab import weyl
 
     after = []
@@ -299,12 +299,12 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
     grid = make_grid(-10.0, 10.0, 256)
     psi = coherent_state(grid, ETA, 0.4, 0.0)
     spec = MixedStateSpec([(0.5, psi), (0.5, hermite_state(grid, ETA, 1))])
-    for name in ("half_step_correlation", "_rank_one_lags"):
+    for name in ("_folded_correlation", "_rank_one_lags"):
         monkeypatch.setattr(weyl, name, building(getattr(weyl, name)))
     monkeypatch.setattr(np, "exp", recording(np, "exp"))
     for name in ("fft", "hfft", "ifft", "irfft"):
         monkeypatch.setattr(np.fft, name, recording(np.fft, name))
-    for source, shape in ((psi, (256, 129)), (spec, (256, 512))):
+    for source, shape in ((psi, (256, 129)), (spec, (256, 256))):
         after.clear()
         assert wigner(source).W.values.dtype == np.float64
         assert after == [shape, "irfft"]
