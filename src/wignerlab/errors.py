@@ -1,7 +1,11 @@
-"""Exception types shared across the library, its memory budget and its plans."""
+"""Exception types shared across the library, its memory budget, its
+overflow guard and its plans."""
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class WignerlabError(ValueError):
@@ -47,6 +51,18 @@ def require_memory(nbytes: int, what: str):
         gib = nbytes / 2**30
         size = f"{gib:.3g}" if gib >= 1e6 else f"{gib:.1f}"
         raise ParameterError(f"{size} GiB of {what} (limit {limit:.0f} GiB)")
+
+
+@contextmanager
+def refuse_overflow(what: str):
+    """Run a block whose float64 result must be representable: an overflow,
+    or an invalid value it leads to, raises one ``ParameterError`` naming
+    ``what`` in place of numpy's RuntimeWarnings and inf or nan samples."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ParameterError(f"{what} overflows the float64 range") from None
 
 
 #: the bytes of plans held across calls, in least-recently-used order

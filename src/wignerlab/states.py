@@ -74,7 +74,9 @@ class OperatorMatrix:
         """Operator product self . other."""
         if not other.grid.matches(self.grid):
             raise ParameterError("grid mismatch between operators")
-        return OperatorMatrix(self.grid, self.kernel @ other.kernel * self.dx, self.eta)
+        product = np.matmul(self.kernel, other.kernel)
+        product *= self.dx  # in place: no second N x N array
+        return OperatorMatrix(self.grid, product, self.eta)
 
     def trace(self) -> complex:
         return complex(np.trace(self.kernel) * self.dx)

@@ -214,7 +214,10 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     x cos t + p sin t must lie within one cell of the outer extent of that
     tomogram's samples above SUPPORT_RTOL max |R|.  The other points are
     zero, which keeps the filter's streaks off the empty part of phase
-    space.  Fewer than 64 angles triggers a conditioning warning.
+    space.  The intersection over the angles runs on the box of rows and
+    columns that the strips nearest theta = 0 and pi/2 can keep
+    (:func:`_reach`), not on the whole grid.  Fewer than 64 angles triggers
+    a conditioning warning.
     """
     n_angles = len(tomo.angles)
     if n_angles < 64:
@@ -242,8 +245,6 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     refine_by = 4
     # a point at x reads the refined profile at cell (x - start) / step
     start, step = grid.x_min - offset * dx, dx / refine_by
-    xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
-    xs, ps = xx.ravel(), pp.ravel()
     # support theorem: at every angle the projection must lie within the outer
     # extent [X_lo, X_hi] of the samples above threshold, widened by one cell
     # for the interpolation; gaps inside that extent may still hide signed mass
@@ -251,9 +252,18 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
     lo = grid.points[np.argmax(above, axis=1)] - dx
     hi = grid.points[n - 1 - np.argmax(above[:, ::-1], axis=1)] + dx
     # the intersection does not depend on the order of the strips; the ones
-    # nearest theta = pi/2 and 0 go first, since they cut the most points
+    # nearest theta = pi/2 and 0 go first, since they cut the most points,
+    # and it starts from the box of the columns and rows they can keep
     angles = tomo.angles
     first = (np.argmin(np.abs(np.cos(angles))), np.argmin(np.abs(np.sin(angles))))
+    x, p = grid.points, p_grid.points
+    near_p, near_x = first  # their strips bound the columns and the rows
+    box = (
+        _reach(x * np.cos(angles[near_x]), p * np.sin(angles[near_x]), lo[near_x], hi[near_x]),
+        _reach(p * np.sin(angles[near_p]), x * np.cos(angles[near_p]), lo[near_p], hi[near_p]),
+    )
+    xx, pp = np.meshgrid(x[box[0]], p[box[1]], indexing="ij")
+    xs, ps = xx.ravel(), pp.ravel()
     inside = np.arange(xs.size)
     for row in dict.fromkeys([*map(int, first), *range(n_angles)]):
         theta = angles[row]
@@ -284,8 +294,23 @@ def inverse_radon(tomo: TomogramSet) -> PhaseSpaceFunction:
             read += coefficient[cell]
         summed += read
     out = np.zeros((n, p_grid.n))
-    out.flat[inside] = summed * np.pi / n_angles / (2.0 * np.pi)
+    out[box].flat[inside] = summed * np.pi / n_angles / (2.0 * np.pi)
     return PhaseSpaceFunction(grid, p_grid, out, tomo.eta, kind="wigner")
+
+
+def _reach(own: np.ndarray, other: np.ndarray, lo: float, hi: float) -> slice:
+    """The samples i of one axis whose projection own[i] + other[j] onto a
+    strip's axis lies in [lo, hi] for some sample j of the other axis, as
+    one slice widened by a cell on each side.
+
+    Rounding is monotone, so own[i] + other[j] lies between own[i] plus the
+    least and the greatest of ``other``: a sample the strip keeps at some j
+    passes both tests, and the slice holds every sample the strip can keep.
+    """
+    reach = np.flatnonzero((own + other.max() >= lo) & (own + other.min() <= hi))
+    if reach.size == 0:
+        return slice(0, 0)
+    return slice(max(reach[0] - 1, 0), reach[-1] + 2)
 
 
 def reconstruct_density(tomo: TomogramSet, eta: float):

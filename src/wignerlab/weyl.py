@@ -27,19 +27,23 @@ lags of |psi><psi| over their midpoints, one product laid out lag by lag.
 Off-grid arguments are treated as zero (kernels and symbols are assumed
 negligible outside the grid).
 
-In the quantizer the symbol's dtype picks the lag table and eta its fill.
-A complex symbol fills an N x 2N table of the lags -N .. N - 1; a real
-one, the symbol of a self-adjoint operator, the lags d >= 0 of an N x N
-table, whose kernel is mirrored from its lower triangle.  At the symbol's
-own eta, where its p grid is dual to the x grid, the p sum is one row FFT
-and reconstructs the lag band |x - y| < L/2 of a grid of length L, at half
-weight at L/2 and zero beyond: the N lags a dual-grid symbol holds, onto
-which :func:`weyl_symbol` folds any longer ones.  A foreign eta' sums each
-row's trigonometric interpolant over F-fold refined p samples in closed
-form, one Dirichlet table times each block's half spectrum, the table held
-per grid, eta' and F as a plan (:func:`errors.plan`) that the first call
-builds; its band stretches to about |x - y| < (L/2) eta' / a.eta, with no
-sharp edge.  One read-out takes every kernel from its table.
+In the quantizer the symbol's dtype picks the lag table and eta its fill,
+and each table is as wide as the band of lags its kernel holds.  At the
+symbol's own eta, where its p grid is dual to the x grid, the p sum is one
+row FFT and reconstructs the lag band |x - y| < L/2 of a grid of length L,
+at half weight at L/2 and zero beyond: the N lags a dual-grid symbol holds,
+onto which :func:`weyl_symbol` folds any longer ones.  So a complex symbol
+fills an N x (N + 1) table of the lags -N/2 .. N/2, and a real one, the
+symbol of a self-adjoint operator, an N x (N/2 + 1) table of the lags
+0 .. N/2, whose kernel is mirrored from its lower triangle.  A foreign eta'
+sums each row's trigonometric interpolant over F-fold refined p samples in
+closed form, one Dirichlet table times each block's half spectrum, the
+table held per grid, eta' and F as a plan (:func:`errors.plan`) that the
+first call builds; its band stretches to about |x - y| < (L/2) eta' / a.eta,
+with no sharp edge, so its tables span every lag of the grid: N x 2N of the
+lags -N .. N - 1 for a complex symbol, N x N of the lags 0 .. N - 1 for a
+real one.  One read-out takes every kernel from its table through the
+parity views, and clears the entries beyond a narrower table's band.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError, plan, require_memory
+from .errors import ParameterError, plan, refuse_overflow, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
 from .transforms import fourier_shift, oscillatory_sum
@@ -118,22 +122,25 @@ def require_correlation_memory(n: int):
     require_memory(104 * n * n, f"half-step correlation at N = {n}")
 
 
-def _parity_views(corr: np.ndarray) -> dict:
+def _parity_views(corr: np.ndarray, zero: int) -> dict:
     """The cells of each parity block of the kernel, as views of ``corr``.
 
-    ``corr`` is a C-contiguous N x w lag table whose lag-0 column is w - N:
-    the N x 2N table of lags -N .. N - 1, or an N x N table.  Entry
-    (2i + a, 2k + b) of an N x N kernel sits at flat offset
-    i (w + 2) + k (w - 2) + h w + a - b + w - N, h = (a + b + 1) >> 1, so the
-    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  On the
-    N x 2N table the four views cover each cell (h, a - b + N) once.  On an
-    N x N table, row h and lag d at flat offset h N + d, the cells of the
-    lower triangle (lags a - b >= 0) are in place, at (h, d), and those of
-    the strict upper triangle land one row up, at (h - 1, d + N), at offsets
-    still between 0 and N^2; the same views of the table one row further on
-    put them at (h, d + N), the cell of lag d mod N.  At N = 4m + 2 two
-    entries m block rows and m + 1 block columns apart, one of each
-    triangle, share an offset.  N must be even.
+    ``corr`` is a C-contiguous N x w lag table, lag d of row h in column
+    d + ``zero``.  Entry (2i + a, 2k + b) of an N x N kernel sits at flat
+    offset i (w + 2) + k (w - 2) + h w + a - b + zero, h = (a + b + 1) >> 1,
+    so the block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).
+    A cell whose lag the table holds, -zero <= a - b < w - zero, is read in
+    its row; one beyond it lands in a neighbouring row, at an offset still
+    between 0 and N w wherever zero <= w - 2, as in every table here, and
+    the caller clears it or never reads it.  On the N x 2N table of the lags
+    -N .. N - 1 (zero = N) the four views cover each cell (h, a - b + N)
+    once.  On an N x N table (zero = 0), row h and lag d at flat offset
+    h N + d, the cells of the lower triangle (lags a - b >= 0) are in place,
+    at (h, d), and those of the strict upper triangle land one row up, at
+    (h - 1, d + N); the same views of the table one row further on put them
+    at (h, d + N), the cell of lag d mod N.  At N = 4m + 2 two entries m
+    block rows and m + 1 block columns apart, one of each triangle, share
+    an offset.  N must be even.
     """
     n, width = corr.shape
     if n % 2:
@@ -142,7 +149,7 @@ def _parity_views(corr: np.ndarray) -> dict:
     strides = ((width + 2) * corr.itemsize, (width - 2) * corr.itemsize)
     return {
         (a, b): np.lib.stride_tricks.as_strided(
-            flat[((a + b + 1) >> 1) * width + a - b + width - n :], (n // 2, n // 2), strides
+            flat[((a + b + 1) >> 1) * width + a - b + zero :], (n // 2, n // 2), strides
         )
         for a in (0, 1)
         for b in (0, 1)
@@ -179,7 +186,7 @@ def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
     """
     n = grid.n
     table = np.zeros((n + 1, n), dtype=complex)
-    views = [_parity_views(table[:n]), _parity_views(table[1:])]
+    views = [_parity_views(table[:n], 0), _parity_views(table[1:], 0)]
     rows = n // 2
     # at N = 4m + 2 a view reaches one cell from two block entries m rows
     # and m + 1 columns apart, so its diagonal tiles stay narrower than that
@@ -292,7 +299,8 @@ _FOLD_TILE = 64
 #: and midpoint rows per partner-lag product of :func:`_rank_one_lags`
 _ROW_CHUNK = 128
 
-#: tile edge of the mirror that makes a real symbol's kernel Hermitian
+#: tile edge of the mirror that makes a real symbol's kernel Hermitian, and
+#: of the clearing of kernel entries beyond a lag table's band
 _MIRROR_TILE = 64
 
 
@@ -311,13 +319,16 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     it and counts it below, later ones read it.
 
     :func:`errors.require_memory` refuses the working set before anything is
-    allocated: the lag table (N x 2N for a complex symbol), filled one pass
-    of ``_ROW_CHUNK`` rows at a time (a block's FFT and lags, or a block of
-    Dirichlet table rows) and at a foreign eta beside the (N_p + 2) x N
-    Dirichlet table, then the kernel, read out once the table's odd-lag
-    columns are shifted N x N/2 at a time.  The count, 16 (N (3 N + N_p) +
-    min(N, ``_ROW_CHUNK``) 8 N) bytes, adds these as if they overlapped,
-    with room for what the allocator holds; a real symbol needs half the table.
+    allocated: the lag table, filled one pass of ``_ROW_CHUNK`` rows at a
+    time (a block's FFT and lags, or a block of Dirichlet table rows) and at
+    a foreign eta beside the (N_p + 2) x N Dirichlet table, then the kernel,
+    read out once the table's odd-lag columns are shifted N x N/2 at a time.
+    The count, 16 (N (3 N + N_p) + min(N, ``_ROW_CHUNK``) 8 N) bytes, adds
+    these as if they overlapped, with room for what the allocator holds,
+    for the widest table, the N x 2N one of a complex symbol at a foreign
+    eta.  At the symbol's own eta a complex symbol's table is N x (N + 1)
+    and a real one's N x (N/2 + 1); at a foreign eta a real symbol's is
+    N x N.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n
@@ -335,14 +346,15 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
 
-    The symbol's dtype picks the lag table corr[r, d + w - N] of lag d dx at
-    midpoint x_r: N x 2N for a complex symbol, N x N (the lags d >= 0) for a
-    real (float64) one.  Eta picks its fill: where the p grid is dual to the
-    x grid (every symbol at its own eta), one FFT per block of rows
-    (:func:`_native_lags`), whose kernel holds the lag band |x - y| < L/2 of
-    a grid of length L; at a foreign eta, the p sum over the rows refined F
-    times (:func:`_p_oversampling`) in closed form (:func:`_foreign_lags`),
-    whose band stretches to about |x - y| < (L/2) eta / a.eta.  One read-out
+    The symbol's dtype picks the lag table corr[r, d + zero] of lag d dx at
+    midpoint x_r, the lags d >= 0 only (zero = 0) for a real (float64)
+    symbol, and eta its fill and its width, the band of lags it holds:
+    where the p grid is dual to the x grid (every symbol at its own eta),
+    one FFT per block of rows (:func:`_native_lags`) fills the lags
+    |d| <= N/2, the band |x - y| <= L/2 of a grid of length L; at a foreign
+    eta, the p sum over the rows refined F times (:func:`_p_oversampling`)
+    in closed form (:func:`_foreign_lags`) fills every lag |d| < N, since
+    its band stretches to about |x - y| < (L/2) eta / a.eta.  One read-out
     (:func:`_lag_kernel`) takes the kernel from the table, Hermitian bit for
     bit for a real symbol.  An odd x grid, and at a foreign eta an odd p
     grid, is refused before any work.
@@ -360,47 +372,48 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
         )
     factor = _p_oversampling(a, eta_use)
     if native:
-        corr, lo, hi = _native_lags(a, eta_use)
+        corr, zero = _native_lags(a, eta_use)
     else:
-        corr, lo, hi = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
-    return OperatorMatrix(a.x_grid, _lag_kernel(corr, lo, hi, a.x_grid), eta_use)
+        corr, zero = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
+    return OperatorMatrix(a.x_grid, _lag_kernel(corr, zero, a.x_grid), eta_use)
 
 
 def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
     """The lag table of a symbol whose p grid is dual to its x grid at ``eta_use``,
-    and its filled columns lo .. hi - 1: the lags |d| <= N/2 (d >= 0 if real)."""
+    and its lag-0 column: the N x (N + 1) table of the lags -N/2 .. N/2 of a
+    complex symbol, or the N x (N/2 + 1) table of the lags 0 .. N/2 of a
+    real one, every column written."""
     n = a.x_grid.n
+    half = n // 2
     real = not np.iscomplexobj(a.values)
-    # corr[r, d + width - N] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta)
-    # over the lags first <= d < stop; the weights carry dp, the lag phase of
+    # corr[r, d + zero] = (2 pi eta)^-1 dp sum_l a(x_r, p_l) exp(i p_l d dx / eta)
+    # over the lags -zero <= d <= N/2; the weights carry dp, the lag phase of
     # p_min and the band edge, where the sum is half the DFT at d mod N
-    width, first = (n, 0) if real else (2 * n, -(n // 2))
-    stop = n // 2 + 1
-    d = np.arange(first, stop)
+    zero = 0 if real else half
+    d = np.arange(-zero, half + 1)
     dp = a.p_grid.dx
     weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * a.x_grid.dx / eta_use)
-    weight[np.abs(d) == n // 2] *= 0.5
-    lo, hi = first + width - n, stop + width - n
-    corr = np.zeros((n, width), dtype=complex)
-    half = n // 2
+    weight[np.abs(d) == half] *= 0.5
+    corr = np.empty((n, d.size), dtype=complex)
     for start in range(0, n, _ROW_CHUNK):
         block = a.values[start : start + _ROW_CHUNK]
         rows = corr[start : start + _ROW_CHUNK]
         if real:
             sums = np.fft.rfft(block, axis=1)
             np.conjugate(sums, out=sums)
-            np.multiply(sums, weight, out=rows[:, lo:hi])
+            np.multiply(sums, weight, out=rows)
             continue
         # lags -N/2 .. -1 are DFT bins N/2 .. N - 1, lags 0 .. N/2 bins 0 .. N/2
         sums = np.fft.ifft(block, axis=1, norm="forward")
-        np.multiply(sums[:, half:], weight[:half], out=rows[:, lo : lo + half])
-        np.multiply(sums[:, : half + 1], weight[half:], out=rows[:, lo + half : hi])
-    return corr, lo, hi
+        np.multiply(sums[:, half:], weight[:half], out=rows[:, :half])
+        np.multiply(sums[:, : half + 1], weight[half:], out=rows[:, half:])
+    return corr, zero
 
 
 def _foreign_lags(values: np.ndarray, table: np.ndarray) -> tuple:
-    """The lag table at a foreign eta, and its filled columns lo .. hi - 1:
-    the lags |d| < N, or d >= 0 of a real symbol.  A block's half spectrum,
+    """The lag table at a foreign eta, and its lag-0 column: the N x 2N table
+    of the lags -N .. N - 1 (lag -N unread) of a complex symbol, or the
+    N x N table of the lags 0 .. N - 1 of a real one.  A block's half spectrum,
     Nyquist bin halved, times the table of :func:`_dirichlet_table`, both
     as float64 views, is its lags d >= 0 of a Hermitian kernel.  A complex
     block's FFT, bins Z_j, splits into the half spectra (Z_j + conj Z_-j) / 2
@@ -439,30 +452,52 @@ def _foreign_lags(values: np.ndarray, table: np.ndarray) -> tuple:
         lags.imag[:, 1:] += im[:, 1:].real
         lags.imag[:, 0] = im[:, 0].real
         del im, spectra  # freed before the next block's FFT
-    return corr, 0 if real else 1, corr.shape[1]
+    return corr, 0 if real else n
 
 
-def _lag_kernel(corr: np.ndarray, lo: int, hi: int, grid: Grid) -> np.ndarray:
-    """The kernel held by the filled columns lo .. hi - 1 of a lag table.
+def _lag_kernel(corr: np.ndarray, zero: int, grid: Grid) -> np.ndarray:
+    """The kernel held by a lag table whose lag 0 is column ``zero``.
 
-    Odd lags (odd columns, N being even) have their midpoint at x_r - dx/2:
-    the p sums commute with the half-step shift along x, taken in equal
-    slices of about N/2 columns, two for the lags |d| < N of a complex
-    symbol at a foreign eta.  An N x N table holds the lags d >= 0 of a
+    Odd lags have their midpoint at x_r - dx/2: the p sums commute with the
+    half-step shift along x, taken in equal slices of about N/2 columns, two
+    for the lags |d| < N of a complex symbol at a foreign eta.  The kernel is
+    read through the four views of :func:`_parity_views`; a table narrower
+    than the band |d| < N, as at the symbol's own eta, leaves the entries
+    beyond its lags read from other rows, which are cleared tile by tile.
+    A table with no negative lags (zero = 0) holds the lags d >= 0 of a
     Hermitian kernel, which is mirrored from them.
     """
     n = grid.n
-    odd = range(lo | 1, hi, 2)
+    width = corr.shape[1]
+    odd = range((zero + 1) % 2, width, 2)  # columns of the odd lags, N being even
     size = -(-len(odd) // max(1, 2 * len(odd) // n))
     for k in range(0, len(odd), size):
         cols = slice(odd[k], odd[k] + 2 * size, 2)
         corr[:, cols] = fourier_shift(corr[:, cols], grid, 0.5 * grid.dx, axis=0)
     kernel = np.empty((n, n), dtype=complex)
-    for (r, c), view in _parity_views(corr).items():
+    for (r, c), view in _parity_views(corr, zero).items():
         kernel[r::2, c::2] = view
-    if corr.shape[1] == n:
+    _clear_lower(kernel, width - 1 - zero)
+    if zero == 0:
         _mirror_lower(kernel)
+    else:
+        _clear_lower(kernel.T, zero)
     return kernel
+
+
+def _clear_lower(kernel: np.ndarray, band: int):
+    """Zero the entries (i, k) of a square kernel with i - k > ``band``, tile
+    by tile; of its transpose, those with k - i > ``band``."""
+    n = kernel.shape[0]
+    tile = _MIRROR_TILE
+    strict = np.tri(tile, k=-1, dtype=bool)
+    for s in range(band + 1, n, tile):
+        # rows s .. s + m - 1 clear the columns before s - band, and from
+        # there the strict lower triangle of one m x m tile
+        rows = kernel[s : s + tile]
+        m, c = rows.shape[0], s - band
+        rows[:, :c] = 0.0
+        np.copyto(rows[:, c : c + m], 0.0, where=strict[:m, :m])
 
 
 def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.ndarray:
@@ -592,20 +627,21 @@ def correlation_symbol(
     p_grid = dual_grid(grid, eta)
     factors = isinstance(source, tuple)
     width = n // 2 + 1 if hermitian and factors else n
-    if factors and source[0].shape[1] == 1:
-        lags = _rank_one_lags(source, grid, width)
-    else:
-        lags = _folded_correlation(source, grid, width)[:, :width]
-    sign = np.full(width, scale * grid.dx)
-    sign[1::2] *= -1.0
-    lags *= sign
-    if width < n:
-        # hfft without its conjugate copy
-        values = np.fft.irfft(np.conjugate(lags, out=lags), n, axis=1, norm="forward")
-    elif hermitian:
-        values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
-    else:
-        values = np.fft.fft(lags, axis=1, out=lags)
+    with refuse_overflow(f"a phase-space function ({kind}) at eta = {eta:g}"):
+        if factors and source[0].shape[1] == 1:
+            lags = _rank_one_lags(source, grid, width)
+        else:
+            lags = _folded_correlation(source, grid, width)[:, :width]
+        sign = np.full(width, scale * grid.dx)
+        sign[1::2] *= -1.0
+        lags *= sign
+        if width < n:
+            # hfft without its conjugate copy
+            values = np.fft.irfft(np.conjugate(lags, out=lags), n, axis=1, norm="forward")
+        elif hermitian:
+            values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
+        else:
+            values = np.fft.fft(lags, axis=1, out=lags)
     return PhaseSpaceFunction(grid, p_grid, values, eta, kind=kind)
 
 
@@ -642,10 +678,11 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     f, g = _half_steps((psi.values[:, None],) * 2, grid)
     # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
     # product is a temporary that oscillatory_sum phases and sums in place
-    values = oscillatory_sum(
-        _strided(f, n // 2, (n, n), (1, 2)) * _strided(g, 3 * n // 2, (n, n), (-1, 2)),
-        grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta), overwrite=True,
-    )
+    with refuse_overflow(f"a phase-space function (ambiguity) at eta = {eta:g}"):
+        values = oscillatory_sum(
+            _strided(f, n // 2, (n, n), (1, 2)) * _strided(g, 3 * n // 2, (n, n), (-1, 2)),
+            grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta), overwrite=True,
+        )
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 

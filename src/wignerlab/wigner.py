@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, ParameterError
+from .errors import NormalizationError, ParameterError, refuse_overflow
 from .grid import GridFunction, PhaseSpaceFunction
 from .states import DensityMatrix, MixedStateSpec, mix, validate_density
 from .transforms import fourier_shift
@@ -112,7 +112,8 @@ def moyal_overlap(w1, w2) -> complex:
     W1 = w1.W if isinstance(w1, WignerResult) else w1
     W2 = w2.W if isinstance(w2, WignerResult) else w2
     W1.require_compatible(W2)
-    return complex(np.sum(W1.values.conj() * W2.values) * W1.area_element)
+    with refuse_overflow(f"the Moyal pairing at eta = {W1.eta:g}"):
+        return complex(np.sum(W1.values.conj() * W2.values) * W1.area_element)
 
 
 def reflection_wigner_check(psi: GridFunction, z0) -> dict:

@@ -13,9 +13,13 @@ interpolants check the metaplectic word steps and covariance identities: the
 1-D, tensor and pointwise ones are direct trigonometric sums, the
 row-sheared one reuses the library's ``fourier_shift``.  Some oracles reuse
 small library helpers (``refine``, ``symplectic_fourier``,
-``free_generating_function``, the half-step sampler ``_half_steps`` and the
-strided ``_parity_views``); none calls the transform it checks.  All are
-meant for small grids.
+``free_generating_function``, the half-step sampler ``_half_steps``, and for
+the full-width quantizer read-out the foreign-eta lag tables and the
+Hermitian mirror); none calls the transform it checks.  All are meant for
+small grids, except the full-width read-out, which is the quantizer's
+earlier production code, kept as it was: the zero-filled N x 2N and N x N
+lag tables of a symbol at its own eta, read through strided parity views
+whose lag 0 sits in column w - N.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from wignerlab import (
     refine,
     symplectic_fourier,
 )
-from wignerlab.weyl import _half_steps, _parity_views
+from wignerlab import weyl
+from wignerlab.tomography import SUPPORT_RTOL
+from wignerlab.weyl import _ROW_CHUNK, _half_steps
 
 
 def _padded_fine(values: np.ndarray, n: int) -> np.ndarray:
@@ -82,7 +88,7 @@ def half_step_correlation(kernel, grid) -> np.ndarray:
     are on the grid for even s and half a step off it for odd s.  Even lags
     read K itself, odd lags the band-limited interpolant of K shifted by
     -dx/2 along both axes.  Each kernel entry lands in its cell, one parity
-    block K[a::2, b::2] at a time through the library's ``_parity_views``;
+    block K[a::2, b::2] at a time through :func:`full_parity_views`;
     cells whose arguments fall off the grid stay zero.  ``kernel`` is the
     N x N kernel, or a pair (U, V) of N x r factors with K = U V^H, whose
     half-step samples (the library's ``_half_steps``) give each parity block
@@ -91,7 +97,7 @@ def half_step_correlation(kernel, grid) -> np.ndarray:
     """
     n = grid.n
     corr = np.zeros((n, 2 * n), dtype=complex)
-    views = _parity_views(corr)
+    views = full_parity_views(corr)
     if isinstance(kernel, tuple):
         f, g = _half_steps(kernel, grid)
         for (a, b), view in views.items():
@@ -103,6 +109,102 @@ def half_step_correlation(kernel, grid) -> np.ndarray:
     for (a, b), view in views.items():
         view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr
+
+
+def full_parity_views(corr: np.ndarray) -> dict:
+    """The cells of each parity block of the kernel, as views of ``corr``.
+
+    ``corr`` is a C-contiguous N x w lag table whose lag-0 column is w - N:
+    the N x 2N table of lags -N .. N - 1, or an N x N table.  Entry
+    (2i + a, 2k + b) of an N x N kernel sits at flat offset
+    i (w + 2) + k (w - 2) + h w + a - b + w - N, h = (a + b + 1) >> 1, so the
+    block K[a::2, b::2] is one strided N/2 x N/2 view per (a, b).  On the
+    N x 2N table the four views cover each cell (h, a - b + N) once.  On an
+    N x N table, row h and lag d at flat offset h N + d, the cells of the
+    lower triangle (lags a - b >= 0) are in place, at (h, d), and those of
+    the strict upper triangle land one row up, at (h - 1, d + N).  N must be
+    even.
+    """
+    n, width = corr.shape
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    flat = corr.reshape(-1)  # a view: corr is C-contiguous
+    strides = ((width + 2) * corr.itemsize, (width - 2) * corr.itemsize)
+    return {
+        (a, b): np.lib.stride_tricks.as_strided(
+            flat[((a + b + 1) >> 1) * width + a - b + width - n :], (n // 2, n // 2), strides
+        )
+        for a in (0, 1)
+        for b in (0, 1)
+    }
+
+
+def _full_native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
+    """The zero-filled lag table of a symbol whose p grid is dual to its x grid
+    at ``eta_use``, and its filled columns lo .. hi - 1: the lags |d| <= N/2
+    (d >= 0 if real) of an N x 2N table (N x N if real)."""
+    n = a.x_grid.n
+    real = not np.iscomplexobj(a.values)
+    width, first = (n, 0) if real else (2 * n, -(n // 2))
+    stop = n // 2 + 1
+    d = np.arange(first, stop)
+    dp = a.p_grid.dx
+    weight = dp / (2.0 * np.pi * eta_use) * np.exp(1j * a.p_grid.x_min * d * a.x_grid.dx / eta_use)
+    weight[np.abs(d) == n // 2] *= 0.5
+    lo, hi = first + width - n, stop + width - n
+    corr = np.zeros((n, width), dtype=complex)
+    half = n // 2
+    for start in range(0, n, _ROW_CHUNK):
+        block = a.values[start : start + _ROW_CHUNK]
+        rows = corr[start : start + _ROW_CHUNK]
+        if real:
+            sums = np.fft.rfft(block, axis=1)
+            np.conjugate(sums, out=sums)
+            np.multiply(sums, weight, out=rows[:, lo:hi])
+            continue
+        # lags -N/2 .. -1 are DFT bins N/2 .. N - 1, lags 0 .. N/2 bins 0 .. N/2
+        sums = np.fft.ifft(block, axis=1, norm="forward")
+        np.multiply(sums[:, half:], weight[:half], out=rows[:, lo : lo + half])
+        np.multiply(sums[:, : half + 1], weight[half:], out=rows[:, lo + half : hi])
+    return corr, lo, hi
+
+
+def _full_lag_kernel(corr: np.ndarray, lo: int, hi: int, grid) -> np.ndarray:
+    """The kernel held by the filled columns lo .. hi - 1 of a lag table whose
+    lag-0 column is w - N: odd lags (odd columns) shifted half a step in x,
+    the parity blocks copied out, an N x N table's lower triangle mirrored."""
+    n = grid.n
+    odd = range(lo | 1, hi, 2)
+    size = -(-len(odd) // max(1, 2 * len(odd) // n))
+    for k in range(0, len(odd), size):
+        cols = slice(odd[k], odd[k] + 2 * size, 2)
+        corr[:, cols] = fourier_shift(corr[:, cols], grid, 0.5 * grid.dx, axis=0)
+    kernel = np.empty((n, n), dtype=complex)
+    for (r, c), view in full_parity_views(corr).items():
+        kernel[r::2, c::2] = view
+    if corr.shape[1] == n:
+        weyl._mirror_lower(kernel)
+    return kernel
+
+
+def weyl_quantize_full_table(a: PhaseSpaceFunction, eta: float | None = None) -> np.ndarray:
+    """The kernel of ``weyl_quantize(a, eta)`` read out of full-width lag tables.
+
+    At the symbol's own eta, the zero-filled N x 2N table of a complex
+    symbol or N x N table of a real one; at a foreign eta, the library's
+    tables, which have those widths.  Either is read out through
+    :func:`full_parity_views`, with no clearing of the entries beyond the
+    band: they read zero-filled cells.
+    """
+    eta_use = a.eta if eta is None else float(eta)
+    n = a.x_grid.n
+    dual = dual_grid(a.x_grid, eta_use)
+    if a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx:
+        return _full_lag_kernel(*_full_native_lags(a, eta_use), a.x_grid)
+    factor = weyl._p_oversampling(a, eta_use)
+    corr, _ = weyl._foreign_lags(a.values, weyl._dirichlet_table(a, eta_use, factor))
+    lo = 0 if corr.shape[1] == n else 1
+    return _full_lag_kernel(corr, lo, corr.shape[1], a.x_grid)
 
 
 def cross_wigner_dense(psi: GridFunction, phi: GridFunction) -> np.ndarray:
@@ -330,6 +432,25 @@ def radon_dense(W: PhaseSpaceFunction, angles) -> np.ndarray:
         spectrum = np.where(valid, spectrum, 0.0)
         out[row] = (np.exp(1j * np.outer(x, k)) @ spectrum * dk / (2.0 * np.pi)).real
     return out
+
+
+def backprojection_support(tomo) -> np.ndarray:
+    """The N x N mask of the points filtered backprojection keeps: at every
+    angle, the projection x cos t + p sin t of a point within one cell of the
+    outer extent of the tomogram's samples above ``SUPPORT_RTOL`` max |R|,
+    tested on meshes of the whole grid."""
+    grid = tomo.grid
+    n, dx = grid.n, grid.dx
+    p_grid = dual_grid(grid, tomo.eta)
+    xx, pp = np.meshgrid(grid.points, p_grid.points, indexing="ij")
+    above = np.abs(tomo.values) > SUPPORT_RTOL * np.max(np.abs(tomo.values))
+    lo = grid.points[np.argmax(above, axis=1)] - dx
+    hi = grid.points[n - 1 - np.argmax(above[:, ::-1], axis=1)] + dx
+    mask = np.ones((n, p_grid.n), dtype=bool)
+    for row, theta in enumerate(tomo.angles):
+        coords = xx * np.cos(theta) + pp * np.sin(theta)
+        mask &= (coords >= lo[row]) & (coords <= hi[row])
+    return mask
 
 
 def klm_matrix_dense(a: PhaseSpaceFunction, points, eta: float) -> np.ndarray:

@@ -334,3 +334,17 @@ def test_tomography_names_why_fidelity_failed(tmp_path, capsys):
     l2, fidelity = json.loads((tmp_path / "summary.json").read_text())["checks"]
     assert "cause" not in l2
     assert fidelity["cause"] == lines[1].split(": ", 2)[2]
+
+
+@pytest.mark.parametrize("command", ["wigner", "moyal", "tomography"])
+def test_tiny_eta_fails_cleanly(tmp_path, capsys, recwarn, command):
+    # at eta = 1e-300 the coherent state's width, 1e-150, is far below
+    # dx = 0.078: it samples to one spike of 7.5e74, so its Wigner function
+    # at the peak, 5.6e149 times scale dx = 1.2e298, is not a float64; the
+    # moyal command's states are normalized, but the pairing of two Wigner
+    # functions near 1 / (pi eta) overflows.  Each exits 2 with one line
+    assert main([command, "--eta", "1e-300", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows the float64 range" in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -11,7 +11,9 @@ The symplectic Fourier transform is checked to be an involution on centered
 grids.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
-views with the ``midpoint_lag`` scatter, the strided lag products of a
+views with the ``midpoint_lag`` scatter, the quantizer's band tables
+(even N, N = 4m + 2 included) with the zero-filled full-width tables it
+read before, bit for bit, the strided lag products of a
 state pair with its folded table, and the Gram spectrum of a mixture with
 the eigensolve of its kernel.  The range-basis spectrum of a
 kernel (mixtures, foreign-eta quantizations and filtered backprojections)
@@ -99,6 +101,7 @@ from oracles import (
     symplectic_eigenvalues_dense,
     transform_dense,
     weyl_quantize_dense,
+    weyl_quantize_full_table,
     weyl_symbol_dense,
     wigner_density_eigen,
 )
@@ -220,7 +223,7 @@ def test_parity_views_cover_each_midpoint_lag_cell_once(grid_eta):
     n = grid_eta[0].n
     kernel = np.arange(1.0, n * n + 1.0).reshape(n, n)
     corr = np.zeros((n, 2 * n), dtype=complex)
-    for (a, b), view in _parity_views(corr).items():
+    for (a, b), view in _parity_views(corr, n).items():
         view += kernel[a::2, b::2]
     scattered = np.zeros((n, 2 * n), dtype=complex)
     mid, lag = midpoint_lag(n)
@@ -230,11 +233,49 @@ def test_parity_views_cover_each_midpoint_lag_cell_once(grid_eta):
     # kernel's lower triangle from (midpoint, d)
     table = kernel.astype(complex)
     gathered = np.empty_like(table)
-    for (a, b), view in _parity_views(table).items():
+    for (a, b), view in _parity_views(table, 0).items():
         gathered[a::2, b::2] = view
     lower = np.broadcast_to(lag >= n, (n, n))
     rows, lags = np.broadcast_arrays(mid, lag - n)
     assert np.array_equal(gathered[lower], table[rows[lower], lags[lower]])
+    # the band tables of a symbol at its own eta, N x (N + 1) of the lags
+    # -N/2 .. N/2 and N x (N/2 + 1) of the lags 0 .. N/2, read each cell of
+    # their band from (midpoint, d + zero)
+    for zero, low in ((n // 2, -(n // 2)), (0, 0)):
+        band = np.arange(1.0, n * (zero + n // 2 + 1) + 1.0).reshape(n, -1).astype(complex)
+        gathered = np.empty((n, n), dtype=complex)
+        for (a, b), view in _parity_views(band, zero).items():
+            gathered[a::2, b::2] = view
+        held = np.broadcast_to((lag - n >= low) & (lag - n <= n // 2), (n, n))
+        assert np.array_equal(gathered[held], band[rows[held], lags[held] + zero])
+
+
+@settings(max_examples=40, deadline=None)
+@example(3, -10.0, 20.0, 1.0, 0.0, False, None, 0)
+@example(65, -7.0, 15.0, 0.7, 0.37, True, None, 1)
+@given(
+    st.integers(2, 48), st.floats(-14.0, -4.0), st.floats(10.0, 24.0), etas,
+    st.sampled_from([0.0, 0.37, -2.5]), st.booleans(), st.sampled_from([None, 0.5, 1.3]), seeds,
+)
+def test_band_tables_read_out_the_full_table_kernels(half, x_min, length, eta, shift, real, use, seed):
+    # even N, N = 4m + 2 included, on centred and offset dual p grids: the
+    # quantizer's band tables and their clearing give the kernel of the
+    # zero-filled full-width tables bit for bit, at the symbol's own eta and
+    # at a foreign one (whose tables keep their widths)
+    n = 2 * half
+    grid = Grid(x_min, x_min + length, n)
+    dual = dual_grid(grid, eta)
+    p_min = dual.x_min + shift * dual.dx
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, n))
+    if not real:
+        values = values + 1j * rng.normal(size=(n, n))
+    a = PhaseSpaceFunction(grid, Grid(p_min, p_min + dual.length, n), values, eta)
+    eta_use = None if use is None else use * eta
+    kernel = weyl_quantize(a, eta_use).kernel
+    full = weyl_quantize_full_table(a, eta_use)
+    assert kernel.dtype == full.dtype == complex
+    assert np.array_equal(kernel, full)
 
 
 def _assert_gram_spectrum(rho):

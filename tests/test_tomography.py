@@ -29,7 +29,7 @@ from wignerlab import (
 )
 from wignerlab.tomography import SUPPORT_RTOL
 
-from oracles import covariance_dense, radon_dense
+from oracles import backprojection_support, covariance_dense, radon_dense
 
 ETA = 1.0
 
@@ -301,6 +301,24 @@ def test_support_aware_reconstruction_on_default_box(n, state):
     assert not info["violations"]
     fidelity = np.real(psi.values.conj() @ density.kernel @ psi.values) * grid.dx**2
     assert fidelity > 0.999
+
+
+@pytest.mark.parametrize("box", [(-10.0, 10.0), (-8.0, 12.0), (-6.0, 6.0)])
+def test_backprojection_keeps_the_whole_grid_support(box):
+    # the support intersection starts from the box of rows and columns that
+    # the strips nearest theta = pi/2 and 0 can keep, yet it keeps exactly
+    # the points of the whole-grid intersection, for one angle, a few and
+    # many, with and without an angle at 0 and pi/2
+    grid = make_grid(*box, 64)
+    W = wigner(coherent_state(grid, ETA, 1.3, -0.7)).W
+    for count in (1, 2, 3, 37, 90):
+        for offset in (0.0, 0.1):
+            angles = np.linspace(0.0, np.pi, count, endpoint=False) + offset
+            tomo = radon(W, angles)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                kept = inverse_radon(tomo).values != 0.0
+            assert np.array_equal(kept, backprojection_support(tomo))
 
 
 def test_support_mask_keeps_fringes_between_empty_tomogram_stretches():
