@@ -45,6 +45,16 @@ def _dual_check(in_grid: Grid, out_grid: Grid, eta: float):
         )
 
 
+def phase_ramps(in_grid: Grid, out_grid: Grid, eta: float, sign: int) -> tuple:
+    """The phase ramps of :func:`oscillatory_sum`: exp(sign i q_min dy k / eta)
+    over the input samples k and exp(sign i q_m y_min / eta) over the output
+    points q_m."""
+    k = np.arange(in_grid.n)
+    pre = np.exp(sign * 1j * out_grid.x_min * in_grid.dx * k / eta)
+    post = np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
+    return pre, post
+
+
 def oscillatory_sum(
     values: np.ndarray,
     in_grid: Grid,
@@ -69,9 +79,8 @@ def oscillatory_sum(
         raise ParameterError("sign must be +1 or -1")
     _dual_check(in_grid, out_grid, eta)
     n = in_grid.n
-    k = np.arange(n)
-    pre = np.exp(sign * 1j * out_grid.x_min * in_grid.dx * k / eta)
-    post = scale * np.exp(sign * 1j * out_grid.points * in_grid.x_min / eta)
+    pre, post = phase_ramps(in_grid, out_grid, eta, sign)
+    post = scale * post
     values = np.asarray(values)
     owned = overwrite or values.dtype != complex
     values = np.moveaxis(values.astype(complex, copy=False), axis, -1)
@@ -149,27 +158,32 @@ def refine(values: np.ndarray, factor: int, axis: int = -1) -> np.ndarray:
 
 
 def fourier_shift(
-    values: np.ndarray, grid: Grid, shift: float, axis: int | tuple[int, ...] = -1
+    values: np.ndarray,
+    grid: Grid,
+    shift: float,
+    axis: int | tuple[int, ...] = -1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate the periodic interpolant at ``x - shift`` on the same grid.
 
     ``axis`` is one axis or a tuple of axes, shifted one after the other.
-    The first forward FFT allocates the only buffer; every later FFT, phase
-    product and inverse FFT overwrites it in place.
+    The first forward FFT writes into ``out``, which may be ``values``
+    itself (a complex array or a strided view of one), or else allocates the
+    only buffer; every later FFT, phase product and inverse FFT overwrites
+    it in place.
     """
-    values = np.asarray(values, dtype=complex)
-    work = None
-    for ax in axis if isinstance(axis, tuple) else (axis,):
-        ax %= values.ndim
-        n = values.shape[ax]
-        work = np.fft.fft(values if work is None else work, axis=ax, out=work)
+    work = np.asarray(values, dtype=complex)
+    for step, ax in enumerate(axis if isinstance(axis, tuple) else (axis,)):
+        ax %= work.ndim
+        n = work.shape[ax]
+        work = np.fft.fft(work, axis=ax, out=out if step == 0 else work)
         ks = np.fft.fftfreq(n, d=1.0 / n)
         phase = np.exp(-2j * np.pi * ks * shift / grid.length)
         if n % 2 == 0:
             # symmetric Nyquist treatment keeps real inputs real; an odd N has
             # no Nyquist bin
             phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
-        work *= phase.reshape((n,) + (1,) * (values.ndim - 1 - ax))
+        work *= phase.reshape((n,) + (1,) * (work.ndim - 1 - ax))
         np.fft.ifft(work, axis=ax, out=work)
     return work
 
@@ -194,20 +208,72 @@ def symplectic_fourier(a: PhaseSpaceFunction) -> PhaseSpaceFunction:
     Writing sigma(z, z') = p x' - p' x, the kernel factors into a forward
     eta-transform along the x' axis (paired with p) and an inverse one along
     the p' axis (paired with x), so the whole map is two 1-D passes.  It is
-    an involution: applying it twice returns the input.
+    an involution: applying it twice returns the input.  Both grids must be
+    centred.
+
+    The transform of a real function has A(-z) = conj A(z), and on the
+    centred grids its first pass has the real pre-phase (-1)^k: the pass is
+    one ``rfft`` of the signed samples into the first N/2 + 1 momentum rows
+    of the output (p <= 0), and the second pass runs in place on those rows
+    only.  The other rows are the conjugates of their mirrors, except their
+    entry at the unpaired x = -N/2 dx: the conjugate of one extra sum per
+    row, its partner row against the conjugate pre-phase of the second
+    pass, taken before that pass.  A complex function is the transform of
+    its real part plus i times that of its imaginary part.
     """
     eta = a.eta
     x_grid, p_grid = a.x_grid, a.p_grid
     if not x_grid.is_centered:
         raise ParameterError("symplectic transform requires a centered x grid")
+    if not p_grid.is_centered:
+        raise ParameterError("symplectic transform requires a centered p grid")
     _dual_check(x_grid, p_grid, eta)
-    # x' -> p (sign -1), along axis 0
-    stage = oscillatory_sum(a.values, x_grid, p_grid, eta, -1, axis=0)
-    # p' -> x (sign +1), along axis 1, in the stage itself; stage is indexed
-    # [p, p'], and after this pass axis 1 is x, so swap
-    scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
-    out = oscillatory_sum(
-        stage, p_grid, dual_grid(p_grid, eta), eta, 1, axis=1, scale=scale, overwrite=True
-    ).T
+    out_grid = dual_grid(p_grid, eta)
+    samples = a.values
+
+    def transform(part):
+        return _real_symplectic_fourier(part, x_grid, p_grid, out_grid, eta)
+
+    if np.iscomplexobj(samples):
+        # the map is real-linear: the transforms of the two parts, recombined,
+        # drop nothing
+        out, imag = transform(samples.real), transform(samples.imag)
+        imag *= 1j
+        out += imag
+    else:
+        out = transform(samples)
     kind = "ambiguity" if a.kind == "wigner" else "generic"
-    return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, out, eta, kind=kind)
+    return PhaseSpaceFunction(out_grid, p_grid, out, eta, kind=kind)
+
+
+#: columns per signed copy of the first pass of :func:`symplectic_fourier`
+_COLUMN_CHUNK = 32
+
+
+def _real_symplectic_fourier(
+    values: np.ndarray, x_grid: Grid, p_grid: Grid, out_grid: Grid, eta: float
+) -> np.ndarray:
+    """The symplectic Fourier transform of real samples on centred grids,
+    indexed [x, p]: the transpose of the N x N stage [p, x] that both
+    passes write in place."""
+    n = x_grid.n
+    rows = n // 2 + 1
+    sign = np.ones(n)
+    sign[1::2] = -1.0
+    stage = np.empty((n, n), dtype=complex)
+    # x' -> p (sign -1), along axis 0: exp(-i p_l x_k / eta) is the post
+    # phase of p_l times (-1)^k exp(-2 pi i l k / N)
+    for start in range(0, n, _COLUMN_CHUNK):
+        cols = slice(start, start + _COLUMN_CHUNK)
+        np.fft.rfft(values[:, cols] * sign[:, None], axis=0, out=stage[:rows, cols])
+    post = phase_ramps(x_grid, p_grid, eta, -1)[1]
+    # p' -> x (sign +1), along axis 1: the rows paired with p > 0 need only
+    # their sum at x = -N/2 dx, conj(sum_j conj(pre_j) R[N - l, j]) in row l
+    pre, post_x = phase_ramps(p_grid, out_grid, eta, 1)
+    unpaired = stage[n - rows : 0 : -1] @ np.conjugate(pre)
+    stage[:rows] *= post[:rows, None]
+    scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
+    oscillatory_sum(stage[:rows], p_grid, out_grid, eta, 1, axis=1, scale=scale, overwrite=True)
+    np.conjugate(stage[n - rows : 0 : -1, n - 1 : 0 : -1], out=stage[rows:, 1:])
+    np.multiply(np.conjugate(unpaired), scale * post_x[0] * post[rows:], out=stage[rows:, 0])
+    return stage.T

@@ -23,7 +23,8 @@ a pair of states, they build no table, each of their lag blocks one
 elementwise product of two strided views.  A Hermitian operator's folded
 lags are a Hermitian sequence, so its real symbol is one ``irfft`` of lags
 0 .. N/2, conjugated in place.  The ambiguity function sums the central
-lags of |psi><psi| over their midpoints, one product laid out lag by lag.
+lags of |psi><psi| over their midpoints, one product laid out lag by lag,
+of which it builds only the lags s >= 0 and -N/2 and mirrors the rest.
 Off-grid arguments are treated as zero (kernels and symbols are assumed
 negligible outside the grid).
 
@@ -37,9 +38,11 @@ fills an N x (N + 1) table of the lags -N/2 .. N/2, and a real one, the
 symbol of a self-adjoint operator, an N x (N/2 + 1) table of the lags
 0 .. N/2, whose kernel is mirrored from its lower triangle.  A foreign eta'
 sums each row's trigonometric interpolant over F-fold refined p samples in
-closed form, one Dirichlet table times each block's half spectrum, the
-table held per grid, eta' and F as a plan (:func:`errors.plan`) that the
-first call builds; its band stretches to about |x - y| < (L/2) eta' / a.eta,
+closed form: each block's half spectrum, turned by the Dirichlet phase of
+its row, sends its real and imaginary parts through one real product each
+with two real Dirichlet factors, the factors, turns and lag ramp held per
+grid, eta' and F as a plan (:func:`errors.plan`) that the first call
+builds; its band stretches to about |x - y| < (L/2) eta' / a.eta,
 with no sharp edge, so its tables span every lag of the grid: N x 2N of the
 lags -N .. N - 1 for a complex symbol, N x N of the lags 0 .. N - 1 for a
 real one.  One read-out takes every kernel from its table through the
@@ -52,10 +55,10 @@ import warnings
 
 import numpy as np
 
-from .errors import ParameterError, plan, refuse_overflow, require_memory
+from .errors import ParameterError, plan, plan_buffer, refuse_overflow, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import fourier_shift, oscillatory_sum
+from .transforms import fourier_shift, oscillatory_sum, phase_ramps
 
 __all__ = [
     "displace",
@@ -113,8 +116,9 @@ def require_correlation_memory(n: int):
     then the real output of a Hermitian pair's ``irfft`` (8 N^2).  Rank-one
     factors build no table either: about 32 N^2 bytes, the N x N lags of a
     state pair (16 N^2) with a block of ``_ROW_CHUNK`` rows of partner lags
-    and, for the ambiguity function, its lag product, phased and summed in
-    place; a Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and
+    and, for the ambiguity function, its N x N output, into which its lags
+    s >= 0 and -N/2 are written, phased and summed in place and then
+    mirrored; a Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and
     the real output of its ``irfft`` take 16 N^2.  The 104 N^2 counted
     covers factors up to rank N/2 and what the allocator holds beyond them.
     Call it before the kernel or the table is built.
@@ -299,6 +303,12 @@ _FOLD_TILE = 64
 #: and midpoint rows per partner-lag product of :func:`_rank_one_lags`
 _ROW_CHUNK = 128
 
+#: half spectra per pass of :func:`_foreign_lags`, one per row of a real
+#: symbol and two per row of a complex one: with their real and imaginary
+#: parts and their two products about 1 MiB at N = N_p = 256, and products
+#: large enough for two BLAS threads to share
+_FOREIGN_ROWS = 128
+
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian, and
 #: of the clearing of kernel entries beyond a lag table's band
 _MIRROR_TILE = 64
@@ -314,15 +324,17 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     quadrature: each row's trigonometric interpolant is summed over F N_p p
     samples, in closed form (:func:`_dirichlet_table`), so no refined sample
     is stored and the working set does not grow with F.  The Dirichlet
-    table is a plan held per grid, eta and F under the 32 MiB cap of all
+    factors are a plan held per grid, eta and F under the 32 MiB cap of all
     plans (:func:`errors.plan`): the first call at a grid and eta builds
-    it and counts it below, later ones read it.
+    them and counts them below, later ones read them.
 
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the lag table, filled one pass of ``_ROW_CHUNK`` rows at a
-    time (a block's FFT and lags, or a block of Dirichlet table rows) and at
-    a foreign eta beside the (N_p + 2) x N Dirichlet table, then the kernel,
-    read out once the table's odd-lag columns are shifted N x N/2 at a time.
+    time (a block's FFT and lags, or a block of Dirichlet rows; at a
+    foreign eta ``_FOREIGN_ROWS`` rows of half spectra and their products)
+    and at a foreign eta beside the two real (N_p/2 + 1) x N Dirichlet
+    factors, then the kernel, read out once the table's odd-lag columns are
+    shifted in place N x N/2 at a time.
     The count, 16 (N (3 N + N_p) + min(N, ``_ROW_CHUNK``) 8 N) bytes, adds
     these as if they overlapped, with room for what the allocator holds,
     for the widest table, the N x 2N one of a complex symbol at a foreign
@@ -410,48 +422,61 @@ def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
     return corr, zero
 
 
-def _foreign_lags(values: np.ndarray, table: np.ndarray) -> tuple:
+def _foreign_lags(values: np.ndarray, plan: tuple) -> tuple:
     """The lag table at a foreign eta, and its lag-0 column: the N x 2N table
     of the lags -N .. N - 1 (lag -N unread) of a complex symbol, or the
-    N x N table of the lags 0 .. N - 1 of a real one.  A block's half spectrum,
-    Nyquist bin halved, times the table of :func:`_dirichlet_table`, both
-    as float64 views, is its lags d >= 0 of a Hermitian kernel.  A complex
-    block's FFT, bins Z_j, splits into the half spectra (Z_j + conj Z_-j) / 2
-    of Re a and (Z_j - conj Z_-j) / 2i of Im a, with lags L_re and L_im, and
-    the Hermitian kernels of Re a and Im a hold their conjugates at -d and
-    their real parts at lag 0.  So Op(a) = Op(Re a) + i Op(Im a) holds
-    L_re + i L_im at d > 0 and conj L_re + i conj L_im at -d.
+    N x N table of the lags 0 .. N - 1 of a real one.
+
+    A block's half spectrum c_j, Nyquist bin halved, turned by the row turns
+    e^(i theta_j) of the plan of :func:`_dirichlet_sums`, sends its real
+    parts through one float64 product with total and its imaginary parts
+    through one with diff: X + i Y, times the lag ramp, is the block's lags
+    d >= 0 of a Hermitian kernel.  A complex block's FFT, bins Z_j, splits
+    into the half spectra (Z_j + conj Z_-j) / 2 of Re a and
+    (Z_j - conj Z_-j) / 2i of Im a, stacked into the same two products, with
+    lags ramp (X1 + i Y1) and ramp (X2 + i Y2); the Hermitian kernels of
+    Re a and Im a hold their conjugates at -d.  So Op(a) = Op(Re a)
+    + i Op(Im a) holds ramp ((X1 - Y2) + i (Y1 + X2)) at d >= 0 and
+    conj(ramp) ((X1 + Y2) + i (X2 - Y1)) at -d.
     """
+    (total, diff), turns, ramp = plan
     n, n_p = values.shape
     real = not np.iscomplexobj(values)
     corr = np.empty((n, n if real else 2 * n), dtype=complex)  # column 0, lag -N, is unread
     half = n_p // 2 + 1
-    for start in range(0, n, _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
+    step = _FOREIGN_ROWS if real else _FOREIGN_ROWS // 2  # a complex row has two half spectra
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
         lags = corr[rows, -n:]  # d = 0 .. N - 1
+        m = lags.shape[0]
         if real:
-            spectra = [np.fft.rfft(values[rows], axis=1, norm="forward")]
+            spectra = np.fft.rfft(values[rows], axis=1, norm="forward")
         else:
             spec = np.fft.fft(values[rows], axis=1, norm="forward")
             mirror = np.conjugate(spec.take(-np.arange(half) % n_p, axis=1))
-            spectra = [spec[:, :half] + mirror, np.subtract(spec[:, :half], mirror, out=mirror)]
-            del spec
-            spectra[0] *= 0.5
-            spectra[1] *= -0.5j
-        for spectrum in spectra:
-            spectrum[:, -1] *= 0.5
-        np.matmul(spectra[0].view(np.float64), table, out=lags.view(np.float64))
+            spectra = np.empty((2 * m, half), dtype=complex)
+            np.add(spec[:, :half], mirror, out=spectra[:m])
+            np.subtract(spec[:, :half], mirror, out=spectra[m:])
+            del spec, mirror
+            spectra[:m] *= 0.5
+            spectra[m:] *= -0.5j
+        spectra[:, -1] *= 0.5
+        spectra *= turns
+        x = np.ascontiguousarray(spectra.real) @ total
+        y = np.ascontiguousarray(spectra.imag) @ diff
+        del spectra  # freed before the lags are written
         if real:
+            lags.real, lags.imag = x, y
+            lags *= ramp
             continue
-        im = (spectra.pop().view(np.float64) @ table).view(complex)
         negative = corr[rows, n - 1 : 0 : -1]  # d = -1 .. 1 - N
-        np.conjugate(lags[:, 1:], out=negative)
-        negative.real += im[:, 1:].imag
-        negative.imag += im[:, 1:].real
-        lags.real[:, 1:] -= im[:, 1:].imag
-        lags.imag[:, 1:] += im[:, 1:].real
-        lags.imag[:, 0] = im[:, 0].real
-        del im, spectra  # freed before the next block's FFT
+        np.add(x[:m, 1:], y[m:, 1:], out=negative.real)
+        np.subtract(x[m:, 1:], y[:m, 1:], out=negative.imag)
+        np.subtract(x[:m], y[m:], out=lags.real)
+        np.add(y[:m], x[m:], out=lags.imag)
+        lags *= ramp
+        negative *= np.conjugate(ramp[1:])
+        del x, y  # freed before the next block's FFT
     return corr, 0 if real else n
 
 
@@ -459,11 +484,12 @@ def _lag_kernel(corr: np.ndarray, zero: int, grid: Grid) -> np.ndarray:
     """The kernel held by a lag table whose lag 0 is column ``zero``.
 
     Odd lags have their midpoint at x_r - dx/2: the p sums commute with the
-    half-step shift along x, taken in equal slices of about N/2 columns, two
-    for the lags |d| < N of a complex symbol at a foreign eta.  The kernel is
-    read through the four views of :func:`_parity_views`; a table narrower
-    than the band |d| < N, as at the symbol's own eta, leaves the entries
-    beyond its lags read from other rows, which are cleared tile by tile.
+    half-step shift along x, taken in place on the strided odd-lag columns
+    in equal slices of about N/2 columns, two for the lags |d| < N of a
+    complex symbol at a foreign eta.  The kernel is read through the four
+    views of :func:`_parity_views`; a table narrower than the band |d| < N,
+    as at the symbol's own eta, leaves the entries beyond its lags read from
+    other rows, which are cleared tile by tile.
     A table with no negative lags (zero = 0) holds the lags d >= 0 of a
     Hermitian kernel, which is mirrored from them.
     """
@@ -472,8 +498,8 @@ def _lag_kernel(corr: np.ndarray, zero: int, grid: Grid) -> np.ndarray:
     odd = range((zero + 1) % 2, width, 2)  # columns of the odd lags, N being even
     size = -(-len(odd) // max(1, 2 * len(odd) // n))
     for k in range(0, len(odd), size):
-        cols = slice(odd[k], odd[k] + 2 * size, 2)
-        corr[:, cols] = fourier_shift(corr[:, cols], grid, 0.5 * grid.dx, axis=0)
+        cols = corr[:, odd[k] : odd[k] + 2 * size : 2]
+        fourier_shift(cols, grid, 0.5 * grid.dx, axis=0, out=cols)
     kernel = np.empty((n, n), dtype=complex)
     for (r, c), view in _parity_views(corr, zero).items():
         kernel[r::2, c::2] = view
@@ -500,15 +526,15 @@ def _clear_lower(kernel: np.ndarray, band: int):
         np.copyto(rows[:, c : c + m], 0.0, where=strict[:m, :m])
 
 
-def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.ndarray:
-    """The table of :func:`_dirichlet_sums` for ``a``'s grids, a plan
-    (:func:`errors.plan`) held per grid, eta and F under the 32 MiB cap of
-    all plans.
+def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> tuple:
+    """The factors, turns and ramp of :func:`_dirichlet_sums` for ``a``'s
+    grids, a plan (:func:`errors.plan`) held per grid, eta and F under the
+    32 MiB cap of all plans.
 
-    The table depends on the symbol's grids (N, N_p, dx, dp and p_min), on
-    eta and on F, never on its values, so a repeated grid and eta reads the
-    held table, read-only and bit for bit the one built; the first call
-    pays the build.
+    The plan depends on the symbol's grids (N, N_p, dx, dp and p_min, which
+    enters the ramp alone), on eta and on F, never on its values, so a
+    repeated grid and eta reads the held arrays, read-only and bit for bit
+    the ones built; the first call pays the build.
     """
     x_grid, p_grid = a.x_grid, a.p_grid
     return plan(
@@ -518,8 +544,9 @@ def _dirichlet_table(a: PhaseSpaceFunction, eta_use: float, factor: int) -> np.n
 
 def _dirichlet_sums(
     n: int, n_p: int, dx: float, dp: float, p_min: float, eta_use: float, factor: int
-) -> np.ndarray:
-    """The foreign-eta p sums of lags d = 0 .. N - 1 as one real matrix.
+) -> tuple:
+    """The foreign-eta p sums of lags d = 0 .. N - 1 as two real factors, the
+    row turns and the lag ramp.
 
     A row refined F times is the trigonometric interpolant of its spectrum
     c_j, j = -N_p/2 .. N_p/2 with the Nyquist bin split in half between
@@ -532,43 +559,37 @@ def _dirichlet_sums(
     u = M phi / 2 = pi j + c d, c = M step / 2.  Both sines read the one
     argument u, so where they vanish together, as at rational eta / a.eta,
     their quotient tends to M rather than to a quotient of two round-offs;
-    at u = 0 it is M.  The phase factors into exp(i theta_j),
-    theta_j = (M - 1) pi j / M, and one ramp over d.
+    at u = 0 it is M.  The phase factors into the row turn exp(i theta_j),
+    theta_j = (M - 1) pi j / M, and the ramp over d, which also carries the
+    weight dp / (2 pi eta) exp(i p_min d dx / eta) of lag d.
 
-    A real row has c_-j = conj c_j, so with c_j = alpha_j + i beta_j its
-    sum is sum_{j >= 0} alpha_j A_j + beta_j B_j, A_j = G(+j) + G(-j),
-    B_j = i (G(+j) - G(-j)), the j = 0 term counted once.  Row 2j of the
-    (N_p + 2) x N table is A_j and row 2j + 1 is B_j, times the weight
-    dp / (2 pi eta) exp(i p_min d dx / eta) of lag d.  The float64 view of
-    a block's spectrum times the table's float64 view, (N_p + 2) x 2N, is
-    the float64 view of the block's complex lag sums.  The table is built
-    ``_ROW_CHUNK`` values of j at a time.
+    A real row has c_-j = conj c_j, so with G+ and G- the real quotients at
+    +j and -j its sum is ramp_d sum_{j >= 0} Re(c_j e^(i theta_j)) total_j
+    + i Im(c_j e^(i theta_j)) diff_j, total = G+ + G- (the j = 0 row halved,
+    that term counted once) and diff = G+ - G-.  The plan is the
+    (2, N_p/2 + 1, N) float64 array of total and diff, the N_p/2 + 1 turns
+    and the N-entry ramp, built ``_ROW_CHUNK`` values of j at a time.
     """
     m = factor * n_p
     c = n_p * dp * dx / (2.0 * eta_use)
     d = np.arange(n)
     lag = c * d
-    ramp = dp / factor / (2.0 * np.pi * eta_use) * np.exp(
-        1j * (p_min * d * dx / eta_use + (m - 1) / m * lag)
+    ramp = np.multiply(
+        dp / factor / (2.0 * np.pi * eta_use),
+        np.exp(1j * (p_min * d * dx / eta_use + (m - 1) / m * lag)),
+        out=plan_buffer(n, complex),
     )
     rows = n_p // 2 + 1
-    table = np.empty((rows, 2, n), dtype=complex)
+    factors = plan_buffer((2, rows, n))
     for start in range(0, rows, _ROW_CHUNK):
         j = np.arange(start, min(start + _ROW_CHUNK, rows))
         plus, minus = (_dirichlet_ratio(np.add.outer(s * np.pi * j, lag), m) for s in (1, -1))
-        theta = (m - 1) * np.pi / m * j[:, None]
-        cos, sin = np.cos(theta), np.sin(theta)
-        total = plus + minus
-        diff = np.subtract(plus, minus, out=minus)
-        # A_j = e^(i theta_j) G+ + e^(-i theta_j) G-, B_j = i (the same with -)
-        block = table[start : start + _ROW_CHUNK]
-        block[:, 0].real = cos * total
-        block[:, 0].imag = sin * diff
-        block[:, 1].real = -sin * total
-        block[:, 1].imag = cos * diff
-    table[0, 0] *= 0.5
-    table *= ramp
-    return table.reshape(2 * rows, n).view(np.float64)
+        block = slice(start, start + _ROW_CHUNK)
+        np.add(plus, minus, out=factors[0, block])
+        np.subtract(plus, minus, out=factors[1, block])
+    factors[0, 0] *= 0.5
+    turns = np.exp(1j * (m - 1) * np.pi / m * np.arange(rows), out=plan_buffer(rows, complex))
+    return factors, turns, ramp
 
 
 def _dirichlet_ratio(u: np.ndarray, m: int) -> np.ndarray:
@@ -669,20 +690,40 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     of two strided views of the state's half-step samples
     (:func:`_half_steps`), with no N x 2N table and no transpose, and its
     midpoints, which run over the state's grid, are summed against
-    exp(-i p y / eta).
+    exp(-i p y / eta).  The operator |psi><psi| is Hermitian, so
+    Amb(-z) = conj Amb(z) and the lag -s is the conjugate of the lag s: on
+    the centred output grids the lags s >= 0 and the unpaired lag -N/2 are
+    built, phased and summed in place in the output, and the other rows are
+    the conjugates of their mirrors, except their entry at the unpaired
+    momentum p = -N/2 dp: the conjugate of one extra sum per row, its
+    partner lag s against the conjugate pre-phase of the midpoint sum.
     """
     grid, eta = psi.grid, psi.eta
     n = grid.n
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
     f, g = _half_steps((psi.values[:, None],) * 2, grid)
-    # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
-    # product is a temporary that oscillatory_sum phases and sums in place
+    half = n // 2
+    scale = grid.dx / (2.0 * np.pi * eta)
+    values = np.empty((n, n), dtype=complex)
     with refuse_overflow(f"a phase-space function (ambiguity) at eta = {eta:g}"):
-        values = oscillatory_sum(
-            _strided(f, n // 2, (n, n), (1, 2)) * _strided(g, 3 * n // 2, (n, n), (-1, 2)),
-            grid, p_grid, eta, -1, scale=grid.dx / (2.0 * np.pi * eta), overwrite=True,
+        # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
+        # lag -N/2 waits in row N/2 - 1 beside the lags s >= 0, which puts the
+        # rows that are phased and summed in place side by side
+        np.multiply(
+            _strided(f, n, (half, n), (1, 2)), _strided(g, n, (half, n), (-1, 2)), out=values[half:]
         )
+        np.multiply(
+            _strided(f, half, (n,), (2,)), _strided(g, 3 * half, (n,), (2,)), out=values[half - 1]
+        )
+        # the lags -1 .. 1 - N/2 at p = -N/2 dp: conj(sum_h conj(pre_h) C[s, h])
+        # of their partner lags s
+        pre, post = phase_ramps(grid, p_grid, eta, -1)
+        unpaired = values[half + 1 :] @ np.conjugate(pre)
+        oscillatory_sum(values[half - 1 :], grid, p_grid, eta, -1, scale=scale, overwrite=True)
+        values[0] = values[half - 1]
+        np.conjugate(values[n - 1 : half : -1, n - 1 : 0 : -1], out=values[1:half, 1:])
+        np.multiply(np.conjugate(unpaired), scale * post[0], out=values[half - 1 : 0 : -1, 0])
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 

@@ -282,6 +282,25 @@ def test_pauli_experiment_passes(tmp_path):
     assert main(["pauli", "--N", "128", "--out", str(tmp_path)]) == 0
 
 
+def _equal_marginals(tmp_path):
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    return next(check["residual"] for check in checks if check["name"] == "equal_marginals")
+
+
+@pytest.mark.parametrize("eta", ["1e-300", "1e300"])
+def test_pauli_marginals_are_relative_at_every_eta(tmp_path, capsys, recwarn, eta):
+    # the residual is relative to the peak of the densities it compares: at
+    # eta = 1e-300 the momentum densities peak at 2.8e299 and their absolute
+    # gap read 1.1e285, at eta = 1e300 they peak at 2.8e-301 (3.8e-15 and
+    # 4.6e-15 relative)
+    assert main(["pauli", "--out", str(tmp_path / "default")]) == 0
+    assert _equal_marginals(tmp_path / "default") <= 1e-15
+    assert main(["pauli", "--eta", eta, "--out", str(tmp_path / "scaled")]) == 0
+    assert _equal_marginals(tmp_path / "scaled") <= 1e-14
+    assert capsys.readouterr().err == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_tol_sets_the_tolerance_of_the_first_check(tmp_path, capsys):
     assert main(["pauli", "--N", "64", "--out", str(tmp_path)]) == 0
     assert main(["pauli", "--N", "64", "--tol", "1e-30", "--out", str(tmp_path)]) == 1

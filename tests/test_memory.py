@@ -202,8 +202,11 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy(cold_plans):
     # no N x N copy of their real part lives beside W; the quantizer sums
     # only the lags d >= 0 into an N x N table, from one Dirichlet table and
     # no refined rows, and validates the Hermitian kernel in place.  At
-    # N = 256 and eta = 0.5 the traced peak is 2.51 MiB, where a copy of the
-    # kernel's Hermitian part made it 3.02, the refined rows and the chirp-z
+    # N = 256 and eta = 0.5 the traced peak is 2.13 MiB, the table and the
+    # kernel it is read into (the Dirichlet plan, built in a mapping of its
+    # own outside the malloc heap, is not traced), where the (N_p + 2) x N
+    # complex Dirichlet table in the heap made it 2.51, a copy of the
+    # kernel's Hermitian part 3.02, the refined rows and the chirp-z
     # 6.07, the N x 2N table of all lags 9.34 and the copy 10.34.  The native
     # quantization peaks at 2.13 MiB (2.39 while the last block's row FFT
     # outlived the fill, 3.57 with the N x 2N table), its kernel mirrored
@@ -220,9 +223,10 @@ def test_rank_one_maps_build_no_lag_table():
     # the Wigner function is 4.26 MiB (the lags 0 .. N/2, conjugated in place,
     # and the irfft; hfft's conjugate copy made it 6.02), of
     # the cross-Wigner function 5.32 MiB (all N lags, the partner lags added
-    # in row blocks, the FFT in place) and of the ambiguity function 4.32 MiB
-    # (the central lags, phased and summed in place; a phased copy made it
-    # 8.21), where the table made them 12.01, 12.26 and 12.27 MiB
+    # in row blocks, the FFT in place) and of the ambiguity function 4.33 MiB
+    # (the central lags s >= 0 and -N/2, phased and summed in place in the
+    # output, the rest mirrored; a phased copy made it 8.21), where the
+    # table made them 12.01, 12.26 and 12.27 MiB
     grid = make_grid(-10.0, 10.0, 512)
     psi = coherent_state(grid, 1.0, 0.5, 0.3)
     phi = coherent_state(grid, 1.0, -0.5)
@@ -278,9 +282,10 @@ def test_inverse_radon_starts_from_its_support_box():
 
 
 def test_symplectic_fourier_runs_its_second_pass_in_its_stage():
-    # the first pass phases the complex copy of a real W in place, and the
-    # second pass phases and sums that stage in place: at N = 512 the traced
-    # peak is 4.25 MiB, where a phased copy in each pass made it 8.25
+    # the first pass writes an rfft of the signed samples, 32 columns at a
+    # time, into the first N/2 + 1 rows of the stage, and the second pass
+    # phases and sums those rows in place: at N = 512 the traced peak is
+    # 4.28 MiB, where a phased copy in each pass made it 8.25
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)).W
     assert _traced_peak(lambda: symplectic_fourier(W)) <= 5 * 2**20
 
@@ -297,11 +302,12 @@ def test_validate_density_makes_no_copy_of_a_hermitian_kernel(cold_plans):
 
 def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling(cold_plans):
     # eta = 0.5, 0.25 and 1e-3 oversample p by F = 4, 8 and 2000, yet each
-    # sum reads the one (N_p + 2) x N Dirichlet table: the traced peaks
-    # agree to within that table (1 MiB at N = 256), and at F = 2000 the
-    # kernel is still Hermitian and finite, at 3.39 MiB like the others
+    # sum reads the one Dirichlet plan, two real (N_p/2 + 1) x N factors:
+    # the traced peaks agree to within those (0.5 MiB at N = 256), and at
+    # F = 2000 the kernel is still Hermitian and finite, at 2.13 MiB like
+    # the others
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
-    table = (W.p_grid.n + 2) * W.x_grid.n * 16
+    table = (W.p_grid.n // 2 + 1) * W.x_grid.n * 16
     peak = _traced_peak(lambda: weyl_quantize(W, eta=0.5))
     assert abs(_traced_peak(lambda: weyl_quantize(W, eta=0.25)) - peak) <= table
     assert _traced_peak(lambda: weyl_quantize(W, eta=1e-3)) <= 3.6 * 2**20
@@ -312,9 +318,11 @@ def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling(cold_plans):
 
 def test_foreign_quantizer_fills_one_table_for_a_complex_symbol(cold_plans):
     # a complex symbol at a foreign eta fills one N x 2N lag table, writing
-    # the lags of Re a into it and adding those of Im a from one block beside
-    # it, and reads one kernel out: at N = 256 and eta = 0.5 the traced peak
-    # of the cross-Wigner function's quantization is 4.39 MiB, where two
+    # the lags of Re a and Im a of each block of rows into it combined, and
+    # reads one kernel out: at N = 256 and eta = 0.5 the traced peak
+    # of the cross-Wigner function's quantization is 3.06 MiB, its plan
+    # built outside the traced heap (4.39 with the (N_p + 2) x N complex
+    # Dirichlet table in it), where two
     # N x N lag tables and two Hermitian kernels, combined, made it 5.02
     grid = make_grid(-10.0, 10.0, 256)
     X = cross_wigner(coherent_state(grid, 1.0, 0.5), coherent_state(grid, 1.0, -0.5))

@@ -32,13 +32,24 @@ def test_a_held_plan_is_the_fresh_build_and_read_only():
     table = weyl._dirichlet_table(W, 0.5, 4)
     assert weyl._dirichlet_table(W, 0.5, 4) is table
     fresh = weyl._dirichlet_sums(128, 128, W.x_grid.dx, W.p_grid.dx, W.p_grid.x_min, 0.5, 4)
-    assert table.tobytes() == fresh.tobytes()
+    assert [part.tobytes() for part in table] == [part.tobytes() for part in fresh]
     sketch = states._sketch(128, 32)
     assert states._sketch(128, 32) is sketch
     assert sketch.tobytes() == states._splitmix_phases(128, 32).tobytes()
-    for plan in (table, sketch):
+    for plan in (*table, sketch):
         with pytest.raises(ValueError, match="read-only"):
-            plan[0, 0] = 1.0
+            plan[(0,) * plan.ndim] = 1.0
+
+
+def test_a_held_dirichlet_plan_is_two_real_factors_a_turn_and_a_ramp():
+    # total and diff, (N_p/2 + 1) x N float64 each, the N_p/2 + 1 row turns
+    # and the N-entry lag ramp: 136,208 bytes at N = N_p = 128, where an
+    # (N_p + 2) x N complex table of A_j and B_j held 266,240
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), 1.0)).W
+    weyl._dirichlet_table(W, 0.5, 4)
+    (held,) = errors._plans.values()
+    n = n_p = 128
+    assert _held_bytes() == held.nbytes <= (n_p // 2 + 1) * n * 16 + 64 * n
 
 
 def test_grids_that_differ_in_one_parameter_get_different_tables():
@@ -60,7 +71,7 @@ def test_grids_that_differ_in_one_parameter_get_different_tables():
         table(factor=6),
     ]
     for other in others:
-        assert not np.array_equal(other, base)
+        assert not all(np.array_equal(part, held) for part, held in zip(other, base))
     assert len(errors._plans) == 6
     # x_min enters no sum: a shifted x grid of the same dx reads the held table
     assert table(x=make_grid(-9.0, 11.0, 32)) is base

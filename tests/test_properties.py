@@ -591,13 +591,18 @@ def _parity_view_maps(psi, phi):
         for other in (phi, psi)
     )
     half = n // 2 + 1
-    return {
+    maps = {
         "cross": np.fft.fft((cross[:, n:] + cross[:, :n]) * sign, axis=1),
         "wigner": np.fft.hfft((auto[:, n : n + half] + auto[:, :half]) * sign[:half], n, axis=1),
         "ambiguity": oscillatory_sum(
             auto[:, n // 2 : 3 * n // 2].T, grid, p_grid, eta, -1, scale=sign[0]
         ),
     }
+    # ambiguity sums the lags s >= 0 and -N/2 and mirrors the rest but
+    # their entry at p = -N/2 dp: Amb(-z) = conj Amb(z)
+    amb, mid = maps["ambiguity"], n // 2
+    amb[1:mid, 1:] = np.conjugate(amb[n - 1 : mid : -1, n - 1 : 0 : -1])
+    return maps
 
 
 @given(grids(), seeds)

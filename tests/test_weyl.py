@@ -6,6 +6,7 @@ from wignerlab import (
     MixedStateSpec,
     ParameterError,
     PhaseSpaceFunction,
+    ambiguity,
     coherent_state,
     cross_wigner,
     displace,
@@ -15,6 +16,7 @@ from wignerlab import (
     make_grid,
     pure_density,
     reflect,
+    symplectic_fourier,
     trace_from_symbol,
     twisted_product,
     weyl_quantize,
@@ -397,9 +399,10 @@ def test_native_quantizer_shifts_the_odd_lags_of_any_even_grid():
 
 
 def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
-    # row 2j of the table is G(+j) + G(-j), row 2j + 1 is i (G(+j) - G(-j)),
+    # A_j = G(+j) + G(-j) and B_j = i (G(+j) - G(-j)),
     # G(j) = sum_{m < M} exp(i (2 pi j / M + d step) m), times the weight of
-    # lag d.  At eta / a.eta = 1.5, 0.5 and 1/3 some u = pi j + c d vanish
+    # lag d, rebuilt from the plan's real factors, row turns and lag ramp.
+    # At eta / a.eta = 1.5, 0.5 and 1/3 some u = pi j + c d vanish
     # mathematically, where both sines of G vanish together
     from wignerlab import weyl
 
@@ -424,10 +427,14 @@ def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
         literal[:, 1] = 1j * (plus - minus)
         literal[0, 0] *= 0.5
         literal *= weight
-        table = weyl._dirichlet_table(W, eta, factor).view(complex)
-        assert table.shape == (n_p + 2, n)
+        (total, diff), turns, ramp = weyl._dirichlet_table(W, eta, factor)
+        assert total.shape == diff.shape == (n_p // 2 + 1, n)
+        turns = turns[:, None]
+        table = np.empty_like(literal)
+        table[:, 0] = (turns.real * total + 1j * turns.imag * diff) * ramp
+        table[:, 1] = (-turns.imag * total + 1j * turns.real * diff) * ramp
         peak = np.max(np.abs(literal))
-        assert np.max(np.abs(table - literal.reshape(n_p + 2, n))) <= 1e-13 * peak
+        assert np.max(np.abs(table - literal)) <= 1e-13 * peak
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
@@ -437,3 +444,38 @@ def test_quantizer_and_eta_scan_refuse_a_bad_eta(eta):
         weyl_quantize(W, eta=eta)
     with pytest.raises(ParameterError, match="eta must be a positive real number"):
         eta_scan(W, [eta])
+
+
+def _scaled_outputs(lam):
+    """The quantizer at 0.5 eta and 1.5 eta (a real and a complex symbol),
+    the ambiguity and symplectic Fourier transforms and the eta scan on the
+    box lam [-10, 10) at eta lam^2, each output scaled back by its power of
+    lam: kernels as lam^-3, phase-space functions as lam^-2."""
+    grid = make_grid(-10.0 * lam, 10.0 * lam, 128)
+    eta = ETA * lam * lam
+    psi = coherent_state(grid, eta, 0.4 * lam, 0.3 * lam)
+    phi = coherent_state(grid, eta, -0.5 * lam, 0.2 * lam)
+    W, X = wigner(psi).W, cross_wigner(psi, phi)
+    outputs = {
+        f"quantize {name} at {ratio} eta": weyl_quantize(a, eta=ratio * eta).kernel * lam**3
+        for name, a in (("W", W), ("X", X))
+        for ratio in (0.5, 1.5)
+    }
+    outputs["ambiguity"] = ambiguity(psi).values * lam**2
+    outputs["symplectic_fourier"] = symplectic_fourier(W).values * lam**2
+    verdicts = eta_scan(W, [0.5 * eta, eta, 1.5 * eta]).verdicts()
+    return outputs, verdicts
+
+
+@pytest.mark.parametrize("j", [-60, -50, -30, -7, -1, 1, 6, 30, 50, 60])
+def test_the_half_spectrum_maps_scale_exactly_with_eta(j):
+    # x, p -> lam x, lam p and eta -> lam^2 eta map every sum onto itself,
+    # and at lam = 4^j every grid point, phase argument and normalization
+    # scales by a power of two, so the outputs are the lam = 1 outputs times
+    # a power of two bit for bit, as long as none reaches a subnormal
+    reference, truth = _scaled_outputs(1.0)
+    assert truth == ["mixed", "pure", "inadmissible"]
+    outputs, verdicts = _scaled_outputs(4.0**j)
+    for name, values in outputs.items():
+        assert np.array_equal(values, reference[name]), name
+    assert verdicts == truth
