@@ -38,15 +38,17 @@ fills an N x (N + 1) table of the lags -N/2 .. N/2, and a real one, the
 symbol of a self-adjoint operator, an N x (N/2 + 1) table of the lags
 0 .. N/2, whose kernel is mirrored from its lower triangle.  A foreign eta'
 sums each row's trigonometric interpolant over F-fold refined p samples in
-closed form: each block's half spectrum, turned by the Dirichlet phase of
-its row, sends its real and imaginary parts through one real product each
-with two real Dirichlet factors, the factors, turns and lag ramp held per
-grid, eta' and F as a plan (:func:`errors.plan`) that the first call
-builds; its band stretches to about |x - y| < (L/2) eta' / a.eta,
-with no sharp edge, so its tables span every lag of the grid: N x 2N of the
-lags -N .. N - 1 for a complex symbol, N x N of the lags 0 .. N - 1 for a
-real one.  One read-out takes every kernel from its table through the
-parity views, and clears the entries beyond a narrower table's band.
+closed form, for real samples only: each block's half spectrum, turned by
+the Dirichlet phase of its row, sends its real and imaginary parts through
+one real product each with two real Dirichlet factors, the factors, turns
+and lag ramp held per grid, eta' and F as a plan (:func:`errors.plan`) that
+the first call builds; its band stretches to about
+|x - y| < (L/2) eta' / a.eta, with no sharp edge, so its table spans every
+lag of the grid, the N x N table of the lags 0 .. N - 1.  A complex symbol
+is quantized there as Op(Re a) + i Op(Im a), two real passes whose
+Hermitian kernels are combined in place.  One read-out takes every kernel
+from its table through the parity views, and clears the entries beyond a
+narrower table's band.
 """
 
 from __future__ import annotations
@@ -136,15 +138,13 @@ def _parity_views(corr: np.ndarray, zero: int) -> dict:
     A cell whose lag the table holds, -zero <= a - b < w - zero, is read in
     its row; one beyond it lands in a neighbouring row, at an offset still
     between 0 and N w wherever zero <= w - 2, as in every table here, and
-    the caller clears it or never reads it.  On the N x 2N table of the lags
-    -N .. N - 1 (zero = N) the four views cover each cell (h, a - b + N)
-    once.  On an N x N table (zero = 0), row h and lag d at flat offset
-    h N + d, the cells of the lower triangle (lags a - b >= 0) are in place,
-    at (h, d), and those of the strict upper triangle land one row up, at
-    (h - 1, d + N); the same views of the table one row further on put them
-    at (h, d + N), the cell of lag d mod N.  At N = 4m + 2 two entries m
-    block rows and m + 1 block columns apart, one of each triangle, share
-    an offset.  N must be even.
+    the caller clears it or never reads it.  On an N x N table (zero = 0),
+    row h and lag d at flat offset h N + d, the cells of the lower triangle
+    (lags a - b >= 0) are in place, at (h, d), and those of the strict upper
+    triangle land one row up, at (h - 1, d + N); the same views of the table
+    one row further on put them at (h, d + N), the cell of lag d mod N.  At
+    N = 4m + 2 two entries m block rows and m + 1 block columns apart, one
+    of each triangle, share an offset.  N must be even.
     """
     n, width = corr.shape
     if n % 2:
@@ -299,15 +299,11 @@ def _rank_one_lags(factors: tuple, grid: Grid, width: int) -> np.ndarray:
 _FOLD_TILE = 64
 
 #: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
-#: foreign eta its products), table rows per pass of :func:`_dirichlet_sums`,
-#: and midpoint rows per partner-lag product of :func:`_rank_one_lags`
+#: foreign eta its products: with the half spectra's real and imaginary
+#: parts about 1 MiB at N = N_p = 256, and large enough for two BLAS threads
+#: to share), table rows per pass of :func:`_dirichlet_sums`, and midpoint
+#: rows per partner-lag product of :func:`_rank_one_lags`
 _ROW_CHUNK = 128
-
-#: half spectra per pass of :func:`_foreign_lags`, one per row of a real
-#: symbol and two per row of a complex one: with their real and imaginary
-#: parts and their two products about 1 MiB at N = N_p = 256, and products
-#: large enough for two BLAS threads to share
-_FOREIGN_ROWS = 128
 
 #: tile edge of the mirror that makes a real symbol's kernel Hermitian, and
 #: of the clearing of kernel entries beyond a lag table's band
@@ -331,16 +327,16 @@ def _p_oversampling(a: PhaseSpaceFunction, eta_use: float) -> int:
     :func:`errors.require_memory` refuses the working set before anything is
     allocated: the lag table, filled one pass of ``_ROW_CHUNK`` rows at a
     time (a block's FFT and lags, or a block of Dirichlet rows; at a
-    foreign eta ``_FOREIGN_ROWS`` rows of half spectra and their products)
+    foreign eta the block's half spectra and their products)
     and at a foreign eta beside the two real (N_p/2 + 1) x N Dirichlet
     factors, then the kernel, read out once the table's odd-lag columns are
-    shifted in place N x N/2 at a time.
-    The count, 16 (N (3 N + N_p) + min(N, ``_ROW_CHUNK``) 8 N) bytes, adds
-    these as if they overlapped, with room for what the allocator holds,
-    for the widest table, the N x 2N one of a complex symbol at a foreign
-    eta.  At the symbol's own eta a complex symbol's table is N x (N + 1)
-    and a real one's N x (N/2 + 1); at a foreign eta a real symbol's is
-    N x N.
+    shifted in place.  The count, 16 (N (3 N + N_p) + min(N, ``_ROW_CHUNK``)
+    8 N) bytes, adds these as if they overlapped, with room for what the
+    allocator holds, for the widest route: a complex symbol at a foreign
+    eta, whose kernel of Re a is held while the N x N table and the kernel
+    of Im a are built.  At the symbol's own eta a complex symbol's table is
+    N x (N + 1) and a real one's N x (N/2 + 1); at a foreign eta each table
+    is N x N.
     """
     factor = 2 * max(1, int(np.ceil(a.eta / eta_use)))
     n = a.x_grid.n
@@ -358,18 +354,21 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     as a plain quadrature for the kernel integral at the new eta, which is
     what variable-Planck-constant scans need.
 
-    The symbol's dtype picks the lag table corr[r, d + zero] of lag d dx at
-    midpoint x_r, the lags d >= 0 only (zero = 0) for a real (float64)
-    symbol, and eta its fill and its width, the band of lags it holds:
-    where the p grid is dual to the x grid (every symbol at its own eta),
-    one FFT per block of rows (:func:`_native_lags`) fills the lags
-    |d| <= N/2, the band |x - y| <= L/2 of a grid of length L; at a foreign
-    eta, the p sum over the rows refined F times (:func:`_p_oversampling`)
-    in closed form (:func:`_foreign_lags`) fills every lag |d| < N, since
-    its band stretches to about |x - y| < (L/2) eta / a.eta.  One read-out
-    (:func:`_lag_kernel`) takes the kernel from the table, Hermitian bit for
-    bit for a real symbol.  An odd x grid, and at a foreign eta an odd p
-    grid, is refused before any work.
+    The lag table corr[r, d + zero] holds lag d dx at midpoint x_r, the
+    lags d >= 0 only (zero = 0) for real (float64) samples, and eta picks
+    its fill and its width, the band of lags it holds: where the p grid is
+    dual to the x grid (every symbol at its own eta), one FFT per block of
+    rows (:func:`_native_lags`) fills the lags |d| <= N/2, the band
+    |x - y| <= L/2 of a grid of length L, of a real or a complex symbol; at
+    a foreign eta, the p sum over the rows refined F times
+    (:func:`_p_oversampling`) in closed form (:func:`_foreign_lags`) fills
+    the lags 0 <= d < N of real samples, since its band stretches to about
+    |x - y| < (L/2) eta / a.eta, and a complex symbol is
+    Op(Re a) + i Op(Im a), the kernels of its two real parts, each
+    Hermitian, combined in place.  One read-out (:func:`_lag_kernel`) takes
+    a kernel from its table, Hermitian bit for bit for real samples.  An
+    odd x grid, and at a foreign eta an odd p grid, is refused before any
+    work.
     """
     eta_use = a.eta if eta is None else float(eta)
     dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
@@ -384,10 +383,16 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
         )
     factor = _p_oversampling(a, eta_use)
     if native:
-        corr, zero = _native_lags(a, eta_use)
-    else:
-        corr, zero = _foreign_lags(a.values, _dirichlet_table(a, eta_use, factor))
-    return OperatorMatrix(a.x_grid, _lag_kernel(corr, zero, a.x_grid), eta_use)
+        return OperatorMatrix(a.x_grid, _lag_kernel(*_native_lags(a, eta_use), a.x_grid), eta_use)
+    table = _dirichlet_table(a, eta_use, factor)
+    samples = a.values
+    # each table is freed once its kernel is read out, before the next fill
+    kernel = _lag_kernel(_foreign_lags(samples.real, table), 0, a.x_grid)
+    if np.iscomplexobj(samples):
+        imag = _lag_kernel(_foreign_lags(samples.imag, table), 0, a.x_grid)
+        kernel.real -= imag.imag
+        kernel.imag += imag.real
+    return OperatorMatrix(a.x_grid, kernel, eta_use)
 
 
 def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
@@ -422,62 +427,30 @@ def _native_lags(a: PhaseSpaceFunction, eta_use: float) -> tuple:
     return corr, zero
 
 
-def _foreign_lags(values: np.ndarray, plan: tuple) -> tuple:
-    """The lag table at a foreign eta, and its lag-0 column: the N x 2N table
-    of the lags -N .. N - 1 (lag -N unread) of a complex symbol, or the
-    N x N table of the lags 0 .. N - 1 of a real one.
+def _foreign_lags(values: np.ndarray, plan: tuple) -> np.ndarray:
+    """The N x N lag table of the lags 0 .. N - 1 of real samples at a
+    foreign eta.
 
     A block's half spectrum c_j, Nyquist bin halved, turned by the row turns
     e^(i theta_j) of the plan of :func:`_dirichlet_sums`, sends its real
     parts through one float64 product with total and its imaginary parts
     through one with diff: X + i Y, times the lag ramp, is the block's lags
-    d >= 0 of a Hermitian kernel.  A complex block's FFT, bins Z_j, splits
-    into the half spectra (Z_j + conj Z_-j) / 2 of Re a and
-    (Z_j - conj Z_-j) / 2i of Im a, stacked into the same two products, with
-    lags ramp (X1 + i Y1) and ramp (X2 + i Y2); the Hermitian kernels of
-    Re a and Im a hold their conjugates at -d.  So Op(a) = Op(Re a)
-    + i Op(Im a) holds ramp ((X1 - Y2) + i (Y1 + X2)) at d >= 0 and
-    conj(ramp) ((X1 + Y2) + i (X2 - Y1)) at -d.
+    d >= 0 of a Hermitian kernel.
     """
     (total, diff), turns, ramp = plan
-    n, n_p = values.shape
-    real = not np.iscomplexobj(values)
-    corr = np.empty((n, n if real else 2 * n), dtype=complex)  # column 0, lag -N, is unread
-    half = n_p // 2 + 1
-    step = _FOREIGN_ROWS if real else _FOREIGN_ROWS // 2  # a complex row has two half spectra
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        lags = corr[rows, -n:]  # d = 0 .. N - 1
-        m = lags.shape[0]
-        if real:
-            spectra = np.fft.rfft(values[rows], axis=1, norm="forward")
-        else:
-            spec = np.fft.fft(values[rows], axis=1, norm="forward")
-            mirror = np.conjugate(spec.take(-np.arange(half) % n_p, axis=1))
-            spectra = np.empty((2 * m, half), dtype=complex)
-            np.add(spec[:, :half], mirror, out=spectra[:m])
-            np.subtract(spec[:, :half], mirror, out=spectra[m:])
-            del spec, mirror
-            spectra[:m] *= 0.5
-            spectra[m:] *= -0.5j
+    n = values.shape[0]
+    corr = np.empty((n, n), dtype=complex)
+    for start in range(0, n, _ROW_CHUNK):
+        lags = corr[start : start + _ROW_CHUNK]
+        spectra = np.fft.rfft(values[start : start + _ROW_CHUNK], axis=1, norm="forward")
         spectra[:, -1] *= 0.5
         spectra *= turns
         x = np.ascontiguousarray(spectra.real) @ total
         y = np.ascontiguousarray(spectra.imag) @ diff
         del spectra  # freed before the lags are written
-        if real:
-            lags.real, lags.imag = x, y
-            lags *= ramp
-            continue
-        negative = corr[rows, n - 1 : 0 : -1]  # d = -1 .. 1 - N
-        np.add(x[:m, 1:], y[m:, 1:], out=negative.real)
-        np.subtract(x[m:, 1:], y[:m, 1:], out=negative.imag)
-        np.subtract(x[:m], y[m:], out=lags.real)
-        np.add(y[:m], x[m:], out=lags.imag)
+        lags.real, lags.imag = x, y
         lags *= ramp
-        negative *= np.conjugate(ramp[1:])
-        del x, y  # freed before the next block's FFT
-    return corr, 0 if real else n
+    return corr
 
 
 def _lag_kernel(corr: np.ndarray, zero: int, grid: Grid) -> np.ndarray:
@@ -485,25 +458,20 @@ def _lag_kernel(corr: np.ndarray, zero: int, grid: Grid) -> np.ndarray:
 
     Odd lags have their midpoint at x_r - dx/2: the p sums commute with the
     half-step shift along x, taken in place on the strided odd-lag columns
-    in equal slices of about N/2 columns, two for the lags |d| < N of a
-    complex symbol at a foreign eta.  The kernel is read through the four
-    views of :func:`_parity_views`; a table narrower than the band |d| < N,
-    as at the symbol's own eta, leaves the entries beyond its lags read from
-    other rows, which are cleared tile by tile.
+    in one call.  The kernel is read through the four views of
+    :func:`_parity_views`; a table narrower than the band |d| < N, as at the
+    symbol's own eta, leaves the entries beyond its lags read from other
+    rows, which are cleared tile by tile.
     A table with no negative lags (zero = 0) holds the lags d >= 0 of a
     Hermitian kernel, which is mirrored from them.
     """
     n = grid.n
-    width = corr.shape[1]
-    odd = range((zero + 1) % 2, width, 2)  # columns of the odd lags, N being even
-    size = -(-len(odd) // max(1, 2 * len(odd) // n))
-    for k in range(0, len(odd), size):
-        cols = corr[:, odd[k] : odd[k] + 2 * size : 2]
-        fourier_shift(cols, grid, 0.5 * grid.dx, axis=0, out=cols)
+    odd = corr[:, (zero + 1) % 2 :: 2]  # the odd lags, N being even
+    fourier_shift(odd, grid, 0.5 * grid.dx, axis=0, out=odd)
     kernel = np.empty((n, n), dtype=complex)
     for (r, c), view in _parity_views(corr, zero).items():
         kernel[r::2, c::2] = view
-    _clear_lower(kernel, width - 1 - zero)
+    _clear_lower(kernel, corr.shape[1] - 1 - zero)
     if zero == 0:
         _mirror_lower(kernel)
     else:

@@ -192,9 +192,10 @@ def weyl_quantize_full_table(a: PhaseSpaceFunction, eta: float | None = None) ->
 
     At the symbol's own eta, the zero-filled N x 2N table of a complex
     symbol or N x N table of a real one; at a foreign eta, the library's
-    tables, which have those widths.  Either is read out through
-    :func:`full_parity_views`, with no clearing of the entries beyond the
-    band: they read zero-filled cells.
+    N x N tables of real samples, one for a real symbol and two for a
+    complex one, whose Hermitian kernels combine as Op(Re a) + i Op(Im a).
+    Each is read out through :func:`full_parity_views`, with no clearing of
+    the entries beyond the band: they read zero-filled cells.
     """
     eta_use = a.eta if eta is None else float(eta)
     n = a.x_grid.n
@@ -202,9 +203,13 @@ def weyl_quantize_full_table(a: PhaseSpaceFunction, eta: float | None = None) ->
     if a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx:
         return _full_lag_kernel(*_full_native_lags(a, eta_use), a.x_grid)
     factor = weyl._p_oversampling(a, eta_use)
-    corr, _ = weyl._foreign_lags(a.values, weyl._dirichlet_table(a, eta_use, factor))
-    lo = 0 if corr.shape[1] == n else 1
-    return _full_lag_kernel(corr, lo, corr.shape[1], a.x_grid)
+    table = weyl._dirichlet_table(a, eta_use, factor)
+    kernel = _full_lag_kernel(weyl._foreign_lags(a.values.real, table), 0, n, a.x_grid)
+    if np.iscomplexobj(a.values):
+        imag = _full_lag_kernel(weyl._foreign_lags(a.values.imag, table), 0, n, a.x_grid)
+        kernel.real -= imag.imag
+        kernel.imag += imag.real
+    return kernel
 
 
 def cross_wigner_dense(psi: GridFunction, phi: GridFunction) -> np.ndarray:

@@ -301,6 +301,28 @@ def test_pauli_marginals_are_relative_at_every_eta(tmp_path, capsys, recwarn, et
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["wigner", "metaplectic", "tomography", "gaussian"])
+def test_exactly_scaled_runs_read_the_same_residuals(tmp_path, command):
+    # the box scaled by lambda = 4^j and eta by lambda^2 = 16^j scales every
+    # grid step, sample and reference by a power of two, so each residual,
+    # relative to the scale of what it compares, reads bit for bit as at
+    # j = 0, the defaults.  The negative bounds are joined to their flags,
+    # since argparse reads "-9.5e-06" alone as an option
+    def residuals(j):
+        scale, out = 4.0**j, tmp_path / str(j)
+        argv = [
+            command, f"--eta={16.0**j!r}", f"--x-min={-10.0 * scale!r}",
+            f"--x-max={10.0 * scale!r}", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        return [check["residual"] for check in checks]
+
+    default = residuals(0)
+    for j in (-20, -10, 5):
+        assert residuals(j) == default
+
+
 def test_tol_sets_the_tolerance_of_the_first_check(tmp_path, capsys):
     assert main(["pauli", "--N", "64", "--out", str(tmp_path)]) == 0
     assert main(["pauli", "--N", "64", "--tol", "1e-30", "--out", str(tmp_path)]) == 1

@@ -488,8 +488,10 @@ def test_native_quantizer_returns_the_lag_band(grid_eta, seed):
 @given(grids(), foreign, seeds)
 def test_quantizer_maps_the_conjugate_symbol_to_the_adjoint(grid_eta, factor, seed):
     # Op(conj a) = Op(a)^H for a complex symbol, natively and at a foreign
-    # eta: the lags -d of the N x 2N table must be those of the lags d of
-    # conj a conjugated, which swapped halves of the table would break
+    # eta: natively the lags -d of the N x (N + 1) table must be those of
+    # the lags d of conj a conjugated, which swapped halves of the table
+    # would break, and at a foreign eta Op(Re a) - i Op(Im a) must be the
+    # adjoint of Op(Re a) + i Op(Im a), which a wrong sign would break
     grid, eta = grid_eta
     for kernel in _kernels(grid, eta, np.random.default_rng(seed)):
         a = weyl_symbol(OperatorMatrix(grid, kernel, eta))
@@ -501,8 +503,8 @@ def test_quantizer_maps_the_conjugate_symbol_to_the_adjoint(grid_eta, factor, se
 
 @given(grids(), foreign, seeds)
 # at the foreign eta, one block of N = 16 rows and two full blocks of 128
-# against the one Dirichlet table, a complex symbol's N x 2N lag table from
-# the half spectra of Re a and Im a, split from one FFT per block; the
+# against the one Dirichlet table, a complex symbol in two real passes, the
+# N x N lag tables of Re a and Im a, their kernels combined; the
 # native quantization takes one row FFT per block.  Over 150 draws the
 # closed-form sums missed the dense product by at most 1.8e-13, the chirp-z
 # they replaced by 2.9e-13

@@ -217,6 +217,24 @@ def test_word_and_quadrature_paths_agree():
         assert diff < 1e-6
 
 
+@pytest.mark.parametrize("x_max", [10.0, 12.0])
+def test_free_rotation_moves_a_coherent_state_to_the_closed_form(x_max):
+    # the metaplectic operator of R(theta) = [[c, s], [-s, c]] moves the
+    # coherent state at z0 to the one at R z0, up to a phase: on centred and
+    # offset boxes the quadrature's position density misses the closed form
+    # by at most 1.6e-14 of its peak, where the generator word of the same
+    # R missed by 3.0e-4 and 4.3e-4 at theta = 5 pi / 6
+    grid = make_grid(-10.0, x_max, 256)
+    z0 = np.array([2.0, -1.0])
+    phi = coherent_state(grid, ETA, *z0)
+    for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6, -np.pi / 4):
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.array([[c, s], [-s, c]])
+        moved = np.abs(metaplectic_apply(MetaplecticSpec.free(R), phi).values) ** 2
+        closed = np.abs(coherent_state(grid, ETA, *(R @ z0)).values) ** 2
+        assert np.max(np.abs(moved - closed)) <= 1e-12 * np.max(closed)
+
+
 def test_wigner_transport():
     # W(S psi)(z) = W psi(S^-1 z) on the interior of the grid
     grid = make_grid(-10.0, 10.0, 128)

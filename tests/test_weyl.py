@@ -219,9 +219,9 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     # |d| <= N/2 natively.  The symbol of a kernel adds one 2-D half-step
     # shift, along both axes in one call.  A real symbol sums only the lags
     # d >= 0 (odd lags 1 .. N/2 natively, 1 .. N - 1 at a foreign eta); a
-    # complex one at a foreign eta fills the N x 2N table of the lags
-    # 1 - N .. N - 1 from the one Dirichlet table, its N odd-lag columns
-    # shifted in two slices of N/2
+    # complex one at a foreign eta is Op(Re a) + i Op(Im a), two N x N
+    # tables of the lags 0 .. N - 1 filled from the one Dirichlet table,
+    # each with its N/2 odd-lag columns shifted in one call
     from wignerlab import transforms, weyl
 
     assert not hasattr(weyl, "chirp_z") and not hasattr(weyl, "refine")
@@ -314,8 +314,8 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
 
 def test_quantizer_sums_a_longer_p_grid_in_full():
     # a p grid at the dual spacing but with 2N points is no native DFT: its
-    # rows run through the foreign sum, a (2N + 2) x N Dirichlet table, and
-    # every p sample counts
+    # rows run through the foreign sum, two real (N + 1) x N Dirichlet
+    # factors, and every p sample counts
     from wignerlab.grid import Grid
 
     from oracles import weyl_quantize_dense
@@ -379,9 +379,8 @@ def test_quantizer_refuses_an_odd_x_grid_before_any_transform(monkeypatch):
 def test_native_quantizer_shifts_the_odd_lags_of_any_even_grid():
     # on N = 30 and 66 points the native band of a complex symbol starts at
     # the odd lag -N/2: its odd-lag columns are shifted, not the even ones.
-    # At eta = 0.5 and 1.5 the N x 2N table holds the lags 1 - N .. N - 1,
-    # those at -d conjugated from the lags d of Re a and Im a, and the
-    # column of lag -N stays unread
+    # At eta = 0.5 and 1.5 the symbol is Op(Re a) + i Op(Im a), each part's
+    # N x N table holding the lags 0 .. N - 1 of a Hermitian kernel
     from wignerlab.grid import Grid
 
     from oracles import weyl_quantize_dense
