@@ -420,9 +420,9 @@ def klm_test(
     phases, and filled by its Hermitian symmetry.  The support block of
     ``a`` (:func:`_support_block`) is found once and read by the matrix and
     by the Hessian check, which takes one set of moments off the block
-    (:func:`_moments`); the diagonal reads the sum that the unit-mass check
-    took.  The ball's radius takes one set of moments of |a| over the whole
-    grid, and the part of |a| outside the block is summed for the dropped
+    (:func:`_moments`), as the ball's radius takes one of |a| on the block;
+    the diagonal reads the sum that the unit-mass check took.  The part of
+    |a| outside the block, over the whole grid, is summed for the dropped
     mass.  ``details`` records the ball's "radius", the kept "support_rows"
     and "support_cols" of the N x N_p grid as [start, stop) and the
     "dropped_mass", Int |a| dz over the samples outside the block: it bounds
@@ -436,13 +436,14 @@ def klm_test(
     N x N grid, so that it bounds every block.  It counts two float N x N
     arrays, the most of the grid-sized ones that live at once: |a| with the
     boolean mask that find the support box, the block with the |block| and
-    the boolean mask that find its subnormal samples, or the block with the
-    |a| that the ball's radius and the dropped mass read.  It adds the two
-    per-sample phase arrays with the temporaries that build them (four
-    complex samples x N), one pair block (four complex ``_POINT_CHUNK`` x N
-    arrays: the two phases, a gathered column block and the product with
-    the samples) and four complex samples x samples arrays (the pair
-    indices, the transformed pairs, the matrix and the eigensolver's copy).
+    the boolean mask that find its subnormal samples, the block with the
+    |block| that the ball's radius reads, or the block with the |a| that the
+    dropped mass reads.  It adds the two per-sample phase arrays with the
+    temporaries that build them (four complex samples x N), one pair block
+    (four complex ``_POINT_CHUNK`` x N arrays: the two phases, a gathered
+    column block and the product with the samples) and four complex
+    samples x samples arrays (the pair indices, the transformed pairs, the
+    matrix and the eigensolver's copy).
     """
     eta = _nonzero_eta(eta)
     samples = _check_count("samples", samples, 2)
@@ -454,10 +455,8 @@ def klm_test(
     )
     values, total = _check_unit_mass(a)
     block, x, p, (rows, cols) = _support_block(a, values)
-    # the radius reads |a| over the whole grid: the block alone would leave
-    # out the round-off floor of a computed W, and move the points by 1e-12
+    _, spread = _moments(np.abs(block), x, p)
     magnitude = np.abs(values)
-    _, spread = _moments(magnitude, a.x_grid.points, a.p_grid.points)
     magnitude[rows, cols] = 0.0  # the samples outside the block, summed as they are
     dropped = float(np.sum(magnitude)) * a.area_element
     del magnitude

@@ -16,6 +16,13 @@ grid, so refinement (:func:`refine`) and shifting (:func:`fourier_shift`)
 go through the DFT too, with the Nyquist bin split symmetrically so that
 real inputs stay real.  Evenly spaced output points off the dual grid are
 one :func:`chirp_z` sum.
+
+A map with S(-z) = conj S(z) on centred grids, the ambiguity function and
+the symplectic transform of a real function, computes half its output:
+its caller writes the rows 0 .. N/2 of an N x N stage, and
+:func:`conjugate_symmetric_pass` sums them in place, fills the other rows
+with the conjugates of their mirrors and their unpaired column 0 with one
+extra sum per row.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ def _dual_check(in_grid: Grid, out_grid: Grid, eta: float):
         )
 
 
-def phase_ramps(in_grid: Grid, out_grid: Grid, eta: float, sign: int) -> tuple:
+def _phase_ramps(in_grid: Grid, out_grid: Grid, eta: float, sign: int) -> tuple:
     """The phase ramps of :func:`oscillatory_sum`: exp(sign i q_min dy k / eta)
     over the input samples k and exp(sign i q_m y_min / eta) over the output
     points q_m."""
@@ -61,11 +68,10 @@ def oscillatory_sum(
     out_grid: Grid,
     eta: float,
     sign: int,
-    axis: int = -1,
     scale: float = 1.0,
     overwrite: bool = False,
 ) -> np.ndarray:
-    """Compute scale * sum_k exp(sign * i q_m y_k / eta) f_k along ``axis``.
+    """Compute scale * sum_k exp(sign * i q_m y_k / eta) f_k along the last axis.
 
     Requires the dual-grid relation dq * dy * N = 2 pi eta; the general
     offsets y_min, q_min are absorbed into pre/post phase ramps around a
@@ -73,17 +79,18 @@ def oscillatory_sum(
     is applied.  The pre phase, the FFT and the post phase run in place in
     one complex array: the complex copy of a real input, a complex input
     itself when ``overwrite`` is set (a temporary the caller hands over,
-    which the result then overwrites), else a pre-phased copy of it.
+    which the result then overwrites, as the rows of
+    :func:`conjugate_symmetric_pass`), else a pre-phased copy of it.
     """
     if sign not in (-1, 1):
         raise ParameterError("sign must be +1 or -1")
     _dual_check(in_grid, out_grid, eta)
     n = in_grid.n
-    pre, post = phase_ramps(in_grid, out_grid, eta, sign)
+    pre, post = _phase_ramps(in_grid, out_grid, eta, sign)
     post = scale * post
     values = np.asarray(values)
     owned = overwrite or values.dtype != complex
-    values = np.moveaxis(values.astype(complex, copy=False), axis, -1)
+    values = values.astype(complex, copy=False)
     values = np.multiply(values, pre, out=values if owned else None)
     if sign < 0:
         np.fft.fft(values, axis=-1, out=values)
@@ -91,7 +98,36 @@ def oscillatory_sum(
         np.fft.ifft(values, axis=-1, out=values)
         post *= n
     values *= post
-    return np.moveaxis(values, -1, axis)
+    return values
+
+
+def conjugate_symmetric_pass(
+    stage: np.ndarray, in_grid: Grid, out_grid: Grid, eta: float, sign: int, scale: float
+) -> np.ndarray:
+    """Finish an N x N ``stage`` whose row sums (:func:`oscillatory_sum`)
+    are conjugate-symmetric, from its rows 0 .. N/2; the stage is returned.
+
+    On centred grids a map with S(-z) = conj S(z) pairs row i with row N - i
+    and column k with column N - k, and row 0 and column 0, the grid's first
+    points -N/2 steps from its centre, have no partner.  Rows 0 .. N/2 are
+    summed in place, and rows N/2 + 1 .. N - 1 are the conjugates of their
+    mirrors, bit for bit, except their column 0: the conjugate of the sum
+    their mirror would take at the missing column N, where every FFT phase
+    is 1 and the post phase is the conjugate of column 0's, so one extra
+    sum per row, against conj(pre), taken before the in-place pass.  Each
+    row 0 .. N/2 may carry a phase of its own whose conjugate is that of
+    the row it mirrors to, as the post phase of the symplectic transform's
+    first pass.
+    """
+    n = in_grid.n
+    rows = n // 2 + 1
+    pre, post = _phase_ramps(in_grid, out_grid, eta, sign)
+    mirrors = stage[n - rows : 0 : -1]
+    unpaired = mirrors @ np.conjugate(pre)
+    oscillatory_sum(stage[:rows], in_grid, out_grid, eta, sign, scale=scale, overwrite=True)
+    np.conjugate(mirrors[:, n - 1 : 0 : -1], out=stage[rows:, 1:])
+    np.multiply(np.conjugate(unpaired), scale * post[0], out=stage[rows:, 0])
+    return stage
 
 
 def chirp_z(values: np.ndarray, m: int, step: float, start: float) -> np.ndarray:
@@ -213,13 +249,11 @@ def symplectic_fourier(a: PhaseSpaceFunction) -> PhaseSpaceFunction:
 
     The transform of a real function has A(-z) = conj A(z), and on the
     centred grids its first pass has the real pre-phase (-1)^k: the pass is
-    one ``rfft`` of the signed samples into the first N/2 + 1 momentum rows
-    of the output (p <= 0), and the second pass runs in place on those rows
-    only.  The other rows are the conjugates of their mirrors, except their
-    entry at the unpaired x = -N/2 dx: the conjugate of one extra sum per
-    row, its partner row against the conjugate pre-phase of the second
-    pass, taken before that pass.  A complex function is the transform of
-    its real part plus i times that of its imaginary part.
+    one ``rfft`` of the signed samples into the momentum rows 0 .. N/2 of
+    the output (p <= 0), times their post phase, and the second pass is
+    :func:`conjugate_symmetric_pass`, which sums those rows in place and
+    mirrors the rest.  A complex function is the transform of its real
+    part plus i times that of its imaginary part.
     """
     eta = a.eta
     x_grid, p_grid = a.x_grid, a.p_grid
@@ -266,14 +300,8 @@ def _real_symplectic_fourier(
     for start in range(0, n, _COLUMN_CHUNK):
         cols = slice(start, start + _COLUMN_CHUNK)
         np.fft.rfft(values[:, cols] * sign[:, None], axis=0, out=stage[:rows, cols])
-    post = phase_ramps(x_grid, p_grid, eta, -1)[1]
-    # p' -> x (sign +1), along axis 1: the rows paired with p > 0 need only
-    # their sum at x = -N/2 dx, conj(sum_j conj(pre_j) R[N - l, j]) in row l
-    pre, post_x = phase_ramps(p_grid, out_grid, eta, 1)
-    unpaired = stage[n - rows : 0 : -1] @ np.conjugate(pre)
+    post = _phase_ramps(x_grid, p_grid, eta, -1)[1]
     stage[:rows] *= post[:rows, None]
+    # p' -> x (sign +1), along axis 1
     scale = x_grid.dx * p_grid.dx / (2.0 * np.pi * eta)
-    oscillatory_sum(stage[:rows], p_grid, out_grid, eta, 1, axis=1, scale=scale, overwrite=True)
-    np.conjugate(stage[n - rows : 0 : -1, n - 1 : 0 : -1], out=stage[rows:, 1:])
-    np.multiply(np.conjugate(unpaired), scale * post_x[0] * post[rows:], out=stage[rows:, 0])
-    return stage.T
+    return conjugate_symmetric_pass(stage, p_grid, out_grid, eta, 1, scale).T

@@ -24,7 +24,8 @@ elementwise product of two strided views.  A Hermitian operator's folded
 lags are a Hermitian sequence, so its real symbol is one ``irfft`` of lags
 0 .. N/2, conjugated in place.  The ambiguity function sums the central
 lags of |psi><psi| over their midpoints, one product laid out lag by lag,
-of which it builds only the lags s >= 0 and -N/2 and mirrors the rest.
+of which it builds only the lags -N/2 .. 0, in the rows 0 .. N/2 that the
+conjugate-symmetric pass of :mod:`transforms` sums and mirrors.
 Off-grid arguments are treated as zero (kernels and symbols are assumed
 negligible outside the grid).
 
@@ -60,7 +61,7 @@ import numpy as np
 from .errors import ParameterError, plan, plan_buffer, refuse_overflow, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
 from .states import DensityMatrix, OperatorMatrix
-from .transforms import fourier_shift, oscillatory_sum, phase_ramps
+from .transforms import conjugate_symmetric_pass, fourier_shift
 
 __all__ = [
     "displace",
@@ -106,6 +107,13 @@ def reflect(psi: GridFunction, z0) -> GridFunction:
     return GridFunction(grid, phase * shifted, eta)
 
 
+def _require_even(n: int):
+    """Refuse an odd N: the half-step correlation pairs the grid's samples
+    two by two (:func:`_parity_views`)."""
+    if n % 2:
+        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+
+
 def require_correlation_memory(n: int):
     """Refuse a Weyl-Wigner map at N grid points above the memory budget.
 
@@ -119,9 +127,9 @@ def require_correlation_memory(n: int):
     factors build no table either: about 32 N^2 bytes, the N x N lags of a
     state pair (16 N^2) with a block of ``_ROW_CHUNK`` rows of partner lags
     and, for the ambiguity function, its N x N output, into which its lags
-    s >= 0 and -N/2 are written, phased and summed in place and then
-    mirrored; a Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and
-    the real output of its ``irfft`` take 16 N^2.  The 104 N^2 counted
+    -N/2 .. 0 are written, phased and summed in place and then mirrored;
+    a Hermitian pair's N x (N/2 + 1) lags, conjugated in place, and the
+    real output of its ``irfft`` take 16 N^2.  The 104 N^2 counted
     covers factors up to rank N/2 and what the allocator holds beyond them.
     Call it before the kernel or the table is built.
     """
@@ -147,8 +155,7 @@ def _parity_views(corr: np.ndarray, zero: int) -> dict:
     of each triangle, share an offset.  N must be even.
     """
     n, width = corr.shape
-    if n % 2:
-        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    _require_even(n)
     flat = corr.reshape(-1)  # a view: corr is C-contiguous
     strides = ((width + 2) * corr.itemsize, (width - 2) * corr.itemsize)
     return {
@@ -252,8 +259,7 @@ def _half_steps(factors: tuple, grid: Grid) -> tuple:
     (:func:`_strided`).  N must be even.
     """
     n = grid.n
-    if n % 2:
-        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    _require_even(n)
     samples = []
     for factor in factors:
         padded = np.zeros((4 * n, factor.shape[1]), dtype=complex)
@@ -373,8 +379,7 @@ def weyl_quantize(a: PhaseSpaceFunction, eta: float | None = None) -> OperatorMa
     eta_use = a.eta if eta is None else float(eta)
     dual = dual_grid(a.x_grid, eta_use)  # the grid module's eta rule refuses a bad eta
     n = a.x_grid.n
-    if n % 2:
-        raise ParameterError(f"the half-step correlation needs an even N, got {n}")
+    _require_even(n)
     native = a.p_grid.n == n and abs(a.p_grid.dx - dual.dx) <= 1e-12 * dual.dx
     if not native and a.p_grid.n % 2:
         # the Nyquist bin of the refined rows is split in half between +-N_p/2
@@ -659,12 +664,9 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     (:func:`_half_steps`), with no N x 2N table and no transpose, and its
     midpoints, which run over the state's grid, are summed against
     exp(-i p y / eta).  The operator |psi><psi| is Hermitian, so
-    Amb(-z) = conj Amb(z) and the lag -s is the conjugate of the lag s: on
-    the centred output grids the lags s >= 0 and the unpaired lag -N/2 are
-    built, phased and summed in place in the output, and the other rows are
-    the conjugates of their mirrors, except their entry at the unpaired
-    momentum p = -N/2 dp: the conjugate of one extra sum per row, its
-    partner lag s against the conjugate pre-phase of the midpoint sum.
+    Amb(-z) = conj Amb(z): the product writes the lags -N/2 .. 0 into the
+    rows 0 .. N/2 of the output, and :func:`transforms.conjugate_symmetric_pass`
+    sums them in place and mirrors the lags s > 0.
     """
     grid, eta = psi.grid, psi.eta
     n = grid.n
@@ -675,23 +677,11 @@ def ambiguity(psi: GridFunction) -> PhaseSpaceFunction:
     scale = grid.dx / (2.0 * np.pi * eta)
     values = np.empty((n, n), dtype=complex)
     with refuse_overflow(f"a phase-space function (ambiguity) at eta = {eta:g}"):
-        # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]; the
-        # lag -N/2 waits in row N/2 - 1 beside the lags s >= 0, which puts the
-        # rows that are phased and summed in place side by side
-        np.multiply(
-            _strided(f, n, (half, n), (1, 2)), _strided(g, n, (half, n), (-1, 2)), out=values[half:]
-        )
-        np.multiply(
-            _strided(f, half, (n,), (2,)), _strided(g, 3 * half, (n,), (2,)), out=values[half - 1]
-        )
-        # the lags -1 .. 1 - N/2 at p = -N/2 dp: conj(sum_h conj(pre_h) C[s, h])
-        # of their partner lags s
-        pre, post = phase_ramps(grid, p_grid, eta, -1)
-        unpaired = values[half + 1 :] @ np.conjugate(pre)
-        oscillatory_sum(values[half - 1 :], grid, p_grid, eta, -1, scale=scale, overwrite=True)
-        values[0] = values[half - 1]
-        np.conjugate(values[n - 1 : half : -1, n - 1 : 0 : -1], out=values[1:half, 1:])
-        np.multiply(np.conjugate(unpaired), scale * post[0], out=values[half - 1 : 0 : -1, 0])
+        # row i, lag s = i - N/2, column h: f[N + 2h + s] g[N + 2h - s]
+        shape = (half + 1, n)
+        left, right = _strided(f, half, shape, (1, 2)), _strided(g, n + half, shape, (-1, 2))
+        np.multiply(left, right, out=values[: half + 1])
+        conjugate_symmetric_pass(values, grid, p_grid, eta, -1, scale)
     return PhaseSpaceFunction(dual_grid(p_grid, eta), p_grid, values, eta, kind="ambiguity")
 
 

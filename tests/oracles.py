@@ -2,7 +2,8 @@
 
 Each function here is a literal, slow evaluation of a formula that the
 library computes through FFTs or chirp-z passes: dense phase matrices for the
-lag transforms, the free metaplectic operator and the Radon transform, the
+lag transforms, the symplectic Fourier transform, the free metaplectic
+operator and the Radon transform, the
 unfolded N x 2N half-step correlation of a kernel or its factors, Python
 loops over reflections and displacements for the quantizer, a direct twisted
 convolution, the eigen-loop Wigner function of a density matrix, the KLM
@@ -485,6 +486,15 @@ def transform_dense(a: PhaseSpaceFunction, points, scale: float) -> np.ndarray:
     # sigma(w, z') = w_p x' - w_x p'
     out = [np.sum(np.exp(-1j * scale * (w[1] * xx - w[0] * pp)) * a.values) for w in points]
     return np.array(out) * a.area_element
+
+
+def sigma_riemann(W: PhaseSpaceFunction, rows, cols) -> np.ndarray:
+    """F_sigma W at the points (x_i, p_k), i in ``rows`` and k in ``cols``, as
+    the direct double Riemann sum over the grid: one phase matrix per axis."""
+    x, p, eta = W.x_grid.points, W.p_grid.points, W.eta
+    left = np.exp(-1j * np.outer(p[cols], x) / eta)
+    right = np.exp(1j * np.outer(p, x[rows]) / eta)
+    return (left @ W.values @ right).T * W.area_element / (2.0 * np.pi * eta)
 
 
 def covariance_dense(W: PhaseSpaceFunction):

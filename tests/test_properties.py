@@ -8,7 +8,7 @@ Weyl-Wigner lag transforms (among them the real Wigner functions of states,
 mixtures and densities known by their kernel alone), the quantizer, the free metaplectic operator,
 the rescale and Fourier steps of a metaplectic word, and the Radon transform.
 The symplectic Fourier transform is checked to be an involution on centered
-grids.
+grids, and against the direct double sum at even and odd N.
 The factored paths are compared with their N x N forms: the half-step
 correlation of factors (U, V) with that of the kernel U V^H, its parity
 views with the ``midpoint_lag`` scatter, the quantizer's band tables
@@ -98,6 +98,7 @@ from oracles import (
     midpoint_lag,
     periodic_interp,
     radon_dense,
+    sigma_riemann,
     symplectic_eigenvalues_dense,
     transform_dense,
     weyl_quantize_dense,
@@ -600,10 +601,10 @@ def _parity_view_maps(psi, phi):
             auto[:, n // 2 : 3 * n // 2].T, grid, p_grid, eta, -1, scale=sign[0]
         ),
     }
-    # ambiguity sums the lags s >= 0 and -N/2 and mirrors the rest but
+    # ambiguity sums the lags -N/2 .. 0 and mirrors the lags s > 0 but
     # their entry at p = -N/2 dp: Amb(-z) = conj Amb(z)
     amb, mid = maps["ambiguity"], n // 2
-    amb[1:mid, 1:] = np.conjugate(amb[n - 1 : mid : -1, n - 1 : 0 : -1])
+    amb[mid + 1 :, 1:] = np.conjugate(amb[mid - 1 : 0 : -1, n - 1 : 0 : -1])
     return maps
 
 
@@ -829,6 +830,20 @@ def test_moyal_identity(n, eta, offset, seed):
     assert abs(2.0 * np.pi * eta * moyal_overlap(w, w).real - 1.0) <= 1e-7
     lhs = 2.0 * np.pi * eta * moyal_overlap(w, wigner(phi).W).real
     assert abs(lhs - abs(psi.inner(phi)) ** 2) <= 1e-7
+
+
+@settings(max_examples=30)
+@given(st.integers(5, 96), st.floats(3.0, 12.0), etas, seeds)
+@example(5, 3.0, 1.0, 0)
+@example(6, 3.0, 1.0, 0)
+def test_symplectic_fourier_matches_the_double_sum(n, half, eta, seed):
+    # a real W on a centred grid of even or odd N: every entry, the mirrored
+    # half and the unpaired row and column included, is the direct double sum
+    grid = Grid(-half, half, n)
+    values = np.random.default_rng(seed).standard_normal((n, n))
+    W = PhaseSpaceFunction(grid, dual_grid(grid, eta), values, eta)
+    dense = sigma_riemann(W, range(n), range(n))
+    assert _relative(symplectic_fourier(W).values, dense) <= 1e-12
 
 
 @given(sizes, st.floats(5.0, 12.0), etas, st.floats(-0.5, 0.5), seeds)

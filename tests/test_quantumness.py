@@ -135,6 +135,15 @@ def test_klm_fails_above_native_eta():
     assert not report.passed
 
 
+def test_klm_ball_radius_reads_the_support_block():
+    # the CLI's coherent W has Sigma = I / 2, so the ball's radius is
+    # 3 / sqrt(2): its moments read the support block, not the round-off
+    # floor of W around it
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    radius = klm_test(W, ETA, samples=8).details["radius"]
+    assert abs(radius / (3.0 / np.sqrt(2.0)) - 1.0) <= 1e-14
+
+
 def test_klm_rejects_unnormalized(grid):
     W = wigner(coherent_state(grid, ETA)).W
     bad = type(W)(W.x_grid, W.p_grid, 2.0 * W.values, W.eta, kind="wigner")

@@ -21,7 +21,7 @@ from wignerlab import (
 )
 from wignerlab.transforms import chirp_z
 
-from oracles import ambiguity_dense, periodic_interp
+from oracles import ambiguity_dense, periodic_interp, sigma_riemann
 
 
 @pytest.fixture
@@ -109,23 +109,16 @@ def test_symplectic_fourier_wigner_becomes_ambiguity(grid):
             assert np.max(np.abs(out.values - amb.values)) / peak <= 2.0 * edge + 1e-12
 
 
-def _sigma_riemann(W, rows, cols):
-    """F_sigma W at the points (x_i, p_k), i in ``rows`` and k in ``cols``, as
-    the direct double Riemann sum of test_symplectic_fourier_riemann_oracle."""
-    x, p, eta = W.x_grid.points, W.p_grid.points, W.eta
-    left = np.exp(-1j * np.outer(p[cols], x) / eta)
-    right = np.exp(1j * np.outer(p, x[rows]) / eta)
-    return (left @ W.values @ right).T * W.area_element / (2.0 * np.pi * eta)
-
-
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_conjugate_symmetric_maps_mirror_one_half(n):
     # Amb(-z) = conj Amb(z) and F_sigma W(-z) = conj F_sigma W(z) for a real
     # W: on the centred output grids entry (i, k) pairs with (N - i, N - k).
-    # Each map sums one half, the ambiguity function its lags s >= 0 and the
-    # transform its p <= 0, and the other half is the conjugate of its
-    # mirror bit for bit, except row 0 (x = -N/2 dx) and column 0
-    # (p = -N/2 dp), which have no partner and are summed on their own
+    # Both maps share one finisher: it sums rows 0 .. N/2 of their stage (the
+    # ambiguity function's lags s <= 0, the transform's p <= 0) and writes
+    # the other rows as the conjugates of their mirrors bit for bit, except
+    # in column 0, which has no partner and takes one extra sum per row.
+    # Row 0 (x = -N/2 dx) and column 0 (p = -N/2 dp) of each output are
+    # checked against the direct sums
     half = n // 2
     for grid in (make_grid(-10.0, 10.0, n), make_grid(-7.0, 12.0, n)):
         for psi in (coherent_state(grid, 1.0, 0.5, 0.3), hermite_state(grid, 1.0, 3)):
@@ -141,8 +134,8 @@ def test_conjugate_symmetric_maps_mirror_one_half(n):
             out = symplectic_fourier(W).values
             mirror = np.conjugate(out[n - 1 : 0 : -1, half - 1 : 0 : -1])
             assert np.array_equal(out[1:, half + 1 :], mirror)
-            assert np.max(np.abs(out[0] - _sigma_riemann(W, [0], range(n))[0])) < 1e-12
-            assert np.max(np.abs(out[:, 0] - _sigma_riemann(W, range(n), [0])[:, 0])) < 1e-12
+            assert np.max(np.abs(out[0] - sigma_riemann(W, [0], range(n))[0])) < 1e-12
+            assert np.max(np.abs(out[:, 0] - sigma_riemann(W, range(n), [0])[:, 0])) < 1e-12
 
 
 def test_symplectic_fourier_requires_centered_grid():
