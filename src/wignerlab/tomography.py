@@ -5,8 +5,10 @@ forward transform uses the projection-slice theorem: the 1-D Fourier
 transform of a projection is the 2-D Fourier transform of W along the ray
 direction, which a chirp-z transform evaluates exactly on the anisotropic
 (x, p) grid without any resampling, over the block of W above
-SUPPORT_RTOL only.  Inversion is filtered backprojection with a ramp filter
-and a raised-cosine rolloff, over the points the tomograms' support allows.
+SUPPORT_RTOL only.  W is real, so each ray spectrum is Hermitian: only its
+k >= 0 half is computed, and one real inverse FFT turns it into the
+profile.  Inversion is filtered backprojection with a ramp filter and a
+raised-cosine rolloff, over the points the tomograms' support allows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NormalizationError, ParameterError, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid, support_box
 from .states import DensityMatrix
-from .transforms import chirp_z, oscillatory_sum
+from .transforms import chirp_z
 from .wigner import quantized_density
 
 __all__ = [
@@ -72,61 +74,67 @@ def _support_box(values: np.ndarray, dx: float, dp: float) -> tuple[slice, slice
 
 
 def _projection_spectra(values, x, p, k, angles, dx, dp):
-    """FT of each theta-projection: W-hat(k cos t, k sin t) on the k grid.
+    """Half of the FT of each theta-projection: W-hat(k cos t, k sin t) at
+    the points ``k`` = 0, dk, .. of the k >= 0 half of the k grid.
 
     ``values`` is an n_x x n_p block of W on the points ``x`` and ``p``
-    (the support box of :func:`radon`); ``k`` is the full k grid of n_k
-    points.  The p-axis chirp-z depends on sin t alone, so angles whose
-    sines agree to 1e-15 (t and pi - t) share one stage, run at the first
-    one's sine.  The sampled transform aliases outside |k sin t| <= pi/dp,
-    so each stage evaluates only that contiguous k band and the rest of the
-    row stays zero; |k cos t| <= pi/dx holds on the whole k grid dual to
-    the x grid.
+    (the support box of :func:`radon`).  W is real, so the spectra at -k
+    are the conjugates of these.  The p-axis chirp-z depends on sin t
+    alone, so angles whose sines agree to 1e-15 (t and pi - t) share one
+    stage, run at the first one's sine.  The sampled transform aliases
+    outside |k sin t| <= pi/dp, so each stage evaluates only that band, the
+    first m points, and the rest of the row stays zero; |k cos t| <= pi/dx
+    holds on the whole k grid dual to the x grid.  Every chirp is indexed
+    from k = 0, where its integer squares, and so its phase error, are
+    smallest.
     """
-    n_x, n_k = len(x), len(k)
-    dk = k[1] - k[0]
-    i = np.arange(n_x)
-    i_sq, m_sq = i * i, np.arange(n_k) ** 2
-    lags = np.arange(1 - n_k, n_x)
-    spectra = np.zeros((len(angles), n_k), dtype=complex)
+    n_x = len(x)
+    dk = k[1]
+    i_sq = np.arange(n_x) ** 2
+    spectra = np.zeros((len(angles), len(k)), dtype=complex)
     sines = np.sin(angles)
     order = np.argsort(sines, kind="stable")
-    breaks = np.flatnonzero(np.diff(sines[order]) > 1e-15) + 1
-    for group in np.split(order, breaks):
+    # each group is a run of the sort order, sliced when its turn comes: a
+    # list of all the groups stayed resident in the heap with thousands of angles
+    starts = np.flatnonzero(np.diff(sines[order], prepend=-2.0) > 1e-15)
+    for start, stop in zip(starts, np.append(starts[1:], order.size)):
+        group = order[start:stop]
         s = sines[group[0]]
-        band = np.flatnonzero(np.abs(k * s) <= np.pi / dp * (1 + 1e-9))
-        m0, m1 = int(band[0]), int(band[-1]) + 1
-        kb = k[m0:m1]
-        # chirp-z along the p axis: stage[i, m] = sum_j W[i, j] exp(-i k_m p_j s)
-        stage = chirp_z(values, m1 - m0, -dk * dp * s, -kb[0] * dp * s)
+        m = int(np.count_nonzero(np.abs(k * s) <= np.pi / dp * (1 + 1e-9)))
+        kb, q_sq = k[:m], np.arange(m) ** 2
+        lags = np.arange(1 - m, n_x)
+        # chirp-z along the p axis: stage[i, q] = sum_j W[i, j] exp(-i k_q p_j s)
+        stage = chirp_z(values, m, -dk * dp * s, 0.0)
         stage *= np.exp(-1j * kb * p[0] * s)
         for row in group:
-            # the x phase exp(-i c x_i k_m) couples i and m; i m = (i^2 + m^2 -
-            # (i - m)^2)/2 splits it into two 1-D chirps and the n_x x n_k
-            # Toeplitz chirp T[i, m] = t[i - m + n_k - 1]
+            # the x phase exp(-i c x_i k_q) couples i and q; i q = (i^2 + q^2 -
+            # (i - q)^2)/2 splits it into two 1-D chirps and the n_x x m
+            # Toeplitz chirp T[i, q] = t[i - q + m - 1]
             c = np.cos(angles[row])
             a = c * dx * dk
             toeplitz = sliding_window_view(np.exp(0.5j * a * (lags * lags)), n_x)[::-1].T
-            rows = np.exp(-1j * (c * dx * k[0] * i + 0.5 * a * i_sq))
-            cols = np.exp(-1j * (c * x[0] * kb + 0.5 * a * m_sq[m0:m1]))
-            summed = np.einsum("im,im->m", stage * rows[:, None], toeplitz[:, m0:m1])
-            spectra[row, m0:m1] = cols * summed * dx * dp
+            rows = np.exp(-0.5j * a * i_sq)
+            cols = np.exp(-1j * (c * x[0] * kb + 0.5 * a * q_sq))
+            summed = np.einsum("im,i,im->m", stage, rows, toeplitz)
+            spectra[row, :m] = cols * summed * dx * dp
     return spectra
 
 
 def require_radon_memory(n_angles: int, n: int):
     """Refuse, via :func:`errors.require_memory`, a :func:`radon` call over budget.
 
-    Its working set is the real W (8 N^2 bytes), the ray spectra and the
-    pre-phased copy the final sum transforms in place (2 x 16 bytes per
-    angle and sample) and one p-axis chirp-z stage: its zero-padded buffer
-    of under 4/3 of 2N samples per row, the N x N stage and the phased copy
-    of it each angle sums, under 80 N^2 bytes, which the 128 N^2 counted
-    bound with room.  The stage is counted for an uncropped W, so the count
-    bounds every support box.
+    Its working set is the real W (8 N^2 bytes); one p-axis chirp-z stage
+    of the k >= 0 half (:func:`_projection_spectra`): its zero-padded
+    buffer of under 4/3 of n + N/2 samples per row, under 32 N^2 bytes,
+    and the N x (N/2 + 1) stage it returns, which each angle sums without
+    a copy, under 48 N^2 bytes with W, counted as 64 N^2 for the heap the
+    stages leave resident; and per angle the (angles, N/2 + 1) half
+    spectra, the real profiles the inverse FFT writes and the sort of the
+    sines, 16 (N + 4) bytes.  The stage is counted for an uncropped W, so
+    the count bounds every support box.
     """
     require_memory(
-        136 * n * n + 32 * n_angles * n,
+        64 * n * n + 16 * n_angles * (n + 4),
         f"ray spectra for {n_angles} angles at N = {n}",
     )
 
@@ -142,13 +150,15 @@ def radon(W, angles) -> TomogramSet:
     the coarser grid step (:func:`_support_box`).  A W that
     fills the grid keeps it whole, and the mass drift check compares the
     tomograms with the mass of the whole W.  The ray spectra of all angles
-    sit on one k grid, dual to the X grid, so a single FFT finishes every
-    profile.  The p-axis chirp-z of a ray spectrum depends on sin theta
-    alone, so theta and pi - theta share one stage, and each stage evaluates
-    only the k band |k sin theta| <= pi/dp, outside which the sampled
-    transform aliases and the spectrum is zero.  A working set above the
-    memory budget (:func:`require_radon_memory`) is refused before anything
-    is allocated.
+    sit on one k grid, dual to the X grid, and each is Hermitian,
+    R-hat(-k) = conj R-hat(k): only the points k = 0 .. +K/2 are computed
+    (:func:`_projection_spectra`), N/2 + 1 per angle, and one ``irfft``
+    finishes every real profile from them.  The p-axis chirp-z of a ray
+    spectrum depends on sin theta alone, so theta and pi - theta share one
+    stage, and each stage evaluates only the k band |k sin theta| <= pi/dp,
+    outside which the sampled transform aliases and the spectrum is zero.
+    A working set above the memory budget (:func:`require_radon_memory`) is
+    refused before anything is allocated.
     """
     if hasattr(W, "W"):
         W = W.W
@@ -164,15 +174,18 @@ def radon(W, angles) -> TomogramSet:
     # sees any mass the support box leaves out
     mass = float(values.sum() * W.area_element)
     rows, cols = _support_box(values, W.dx, W.dp)
-    k_grid = dual_grid(x_grid, 1.0)
+    n, dk = x_grid.n, dual_grid(x_grid, 1.0).dx
+    k = dk * np.arange(n // 2 + 1)
     x, p = x_grid.points[rows], W.p_grid.points[cols]
-    # the spectra are phased into a copy: phasing them in place raised the
-    # process's peak resident set at N = 512 through allocation order
-    profiles = oscillatory_sum(
-        _projection_spectra(values[rows, cols], x, p, k_grid.points, angles, W.dx, W.dp),
-        k_grid, x_grid, 1.0, 1, scale=k_grid.dx / (2.0 * np.pi),
-    )
-    tomo = TomogramSet(angles, x_grid, profiles.real, W.eta)
+    half = _projection_spectra(values[rows, cols], x, p, k, angles, W.dx, W.dp)
+    # at X_j = x_min + j dx the phase exp(i k_q X_j) is exp(i q dk x_min) times
+    # the inverse DFT's exp(2 pi i q j / N); the conjugate half at -k is
+    # implied, and the lone q = -N/2 term, the conjugate of the +K/2 column,
+    # adds only that column's real part, as irfft reads it
+    half *= np.exp(1j * x_grid.x_min * k) * (dk / (2.0 * np.pi))
+    profiles = np.fft.irfft(half, n, norm="forward")
+    del half  # freed before the tomograms are checked
+    tomo = TomogramSet(angles, x_grid, profiles, W.eta)
     worst = float(np.max(np.abs(tomo.masses() - mass)))
     if worst > 1e-5 * max(1.0, abs(mass)):
         warnings.warn(f"tomogram mass drift {worst:.2e} exceeds 1e-5")

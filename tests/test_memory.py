@@ -123,7 +123,7 @@ else:
     n = 128 if case == "radon" else 256
     W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
     if case == "radon":
-        angles = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        angles = np.linspace(0.0, np.pi, 8192, endpoint=False)
         call = lambda: wl.radon(W, angles)
     else:
         samples = {"klm_test_m16": 16, "klm_test_m100": 100}.get(case, 512)

@@ -228,6 +228,20 @@ def test_eta_scan_verdicts():
         assert entry["purity_surrogate"] == pytest.approx(entry["eta"] / ETA, abs=1e-6)
 
 
+@pytest.mark.parametrize("power", [-300, -280, 280, 300])
+def test_eta_scan_verdicts_do_not_depend_on_the_scale(power):
+    # at (lam x, lam p, lam^2 eta) W scales by 1/lam^2 and its squares leave
+    # the float range: the purity surrogate sums them in units of the peak,
+    # where squared samples read "mixed" for "pure" at lam = 2^280 and raised
+    # a RuntimeWarning at lam = 2^-280
+    def verdicts(lam):
+        half = 0.5 * np.sqrt(2.0 * np.pi * ETA * 128) * lam
+        W = wigner(coherent_state(make_grid(-half, half, 128), ETA * lam**2)).W
+        return eta_scan(W, [0.5 * ETA * lam**2, ETA * lam**2, 1.5 * ETA * lam**2]).verdicts()
+
+    assert verdicts(2.0**power) == verdicts(1.0) == ["mixed", "pure", "inadmissible"]
+
+
 def test_eta_scan_quantizes_the_real_part():
     # a complex W is refused, even with an imaginary part of 5e-10 max |a|;
     # the caller's explicit real part scans as W does, and the density is

@@ -153,17 +153,21 @@ def test_radon_transforms_only_the_support_box(monkeypatch):
     # about half the x rows above SUPPORT_RTOL max |W|
     import wignerlab.tomography as tomography
 
-    shapes = []
+    # the p-axis chirp-z of each stage evaluates only the k >= 0 half of the
+    # 256-point k grid, at most 129 points
+    shapes, outputs = [], []
     chirp_z = tomography.chirp_z
 
-    def recording_chirp_z(values, *args):
+    def recording_chirp_z(values, m, *args):
         shapes.append(values.shape)
-        return chirp_z(values, *args)
+        outputs.append(m)
+        return chirp_z(values, m, *args)
 
     monkeypatch.setattr(tomography, "chirp_z", recording_chirp_z)
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
     radon(W, np.linspace(0.0, np.pi, 180, endpoint=False))
     assert shapes and all(n_x < 256 and n_p < 256 for n_x, n_p in shapes)
+    assert max(outputs) <= 256 // 2 + 1
 
 
 def test_radon_of_zero_is_zero(grid):
@@ -207,6 +211,16 @@ def test_support_box_margin_keeps_axis_rays_at_round_off():
     # rows it drops show in the position marginal well above round-off
     W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), ETA, 0.3, 0.2)).W
     angles = [0.0, np.pi / 2]
+    ref = radon_dense(W, angles)
+    assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
+
+
+def test_radon_chirps_start_at_k_zero():
+    # the chirps' phase error grows with the square of their indices; indexed
+    # from k = 0 they stay small over the half spectrum at N = 1024, where
+    # indexed from k = -K/2 they read 2.6e-13 of the peak off the dense sum
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 1024), ETA, 0.3, 0.2)).W
+    angles = [0.0, np.pi / 2, 1.0, np.pi - 1.0]
     ref = radon_dense(W, angles)
     assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
 
