@@ -2,8 +2,9 @@
 
 Each subcommand runs a self-checking experiment, writes its artifacts plus a
 ``summary.json`` into the output directory, and exits 0 if every check
-passed, 1 if a check failed, and 2 on configuration errors.  Runs are
-deterministic for a fixed seed.
+passed, 1 if a check failed, and 2 on configuration errors.  A library
+``UserWarning`` raised during a run prints as one ``warning: <message>``
+line on stderr.  Runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -392,7 +394,26 @@ RUNNERS = {
 }
 
 
+def _warning_line(original):
+    """A ``warnings.showwarning`` that prints a ``UserWarning`` as one
+    ``warning: <message>`` line and hands every other category to
+    ``original``; which warnings are shown is left to the filters."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, UserWarning):
+            return original(message, category, filename, lineno, file, line)
+        print(f"warning: {message}", file=file or sys.stderr)
+
+    return show
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():  # restores showwarning, and leaves the filters as they are
+        warnings.showwarning = _warning_line(warnings.showwarning)
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

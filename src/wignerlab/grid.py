@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NormalizationError, ParameterError
+from .errors import ConfigurationError, NormalizationError, ParameterError, refuse_overflow
 
 __all__ = [
     "Grid",
@@ -219,21 +219,54 @@ class PhaseSpaceFunction:
         return np.meshgrid(self.x_grid.points, self.p_grid.points, indexing="ij")
 
 
+def _peak_unit(values: np.ndarray) -> np.float64:
+    """The power of two at or below max |values| (1/2 when every sample is 0).
+
+    Values divided by it peak in [1, 2), so their squares neither overflow
+    nor underflow however large or small the samples, and the division is
+    exact: values scaled by a power of two give the same quotient.
+    """
+    return np.ldexp(0.5, np.frexp(np.max(np.abs(values)))[1])
+
+
+def peak_pairing(a: np.ndarray, b: np.ndarray, weight: float, what: str):
+    """weight sum conj(a) b, summed in the peak units of a and b.
+
+    Each array is divided by its unit (:func:`_peak_unit`) before the
+    products are summed, and the sum is multiplied by (weight unit_a) unit_b
+    last, so a representable pairing is returned whatever the range of its
+    terms: the Moyal pairing, an expectation, a squared Hilbert-Schmidt
+    norm or a purity.  The units are powers of two, so the result equals
+    weight sum conj(a) b wherever that neither overflows nor underflows.
+    One that cannot be represented raises one ``ParameterError`` naming
+    ``what`` (:func:`errors.refuse_overflow`).
+    """
+    unit_a = _peak_unit(a)
+    unit_b = unit_a if b is a else _peak_unit(b)
+    x = a / unit_a
+    y = x if b is a else b / unit_b
+    total = np.sum(x.conj() * y)
+    with refuse_overflow(what):
+        return total * (weight * unit_a) * unit_b
+
+
 def boundary_leak(values: np.ndarray) -> float:
     """Fraction of |values|^2 mass in the outer 5 % of each axis.
 
     Diagnostic for the assumption that functions are negligible outside the
-    grid; every :class:`PhaseSpaceFunction` reports it as ``leak``.
+    grid; every :class:`PhaseSpaceFunction` reports it as ``leak``.  The
+    squares are summed in the peak unit of the values (:func:`_peak_unit`),
+    so the leak does not depend on their scale.
     """
-    values = np.asarray(values)
-    total = float(np.sum(np.abs(values) ** 2))
+    magnitude = np.abs(values) / _peak_unit(values)
+    total = float(np.sum(magnitude**2))
     if total == 0.0:
         return 0.0
     # the outer 5 % of any axis is all but the inner box
-    edges = [max(1, int(np.ceil(0.05 * n))) for n in values.shape]
-    mask = np.ones(values.shape, dtype=bool)
-    mask[tuple(slice(edge, n - edge) for edge, n in zip(edges, values.shape))] = False
-    outer = float(np.sum(np.abs(values[mask]) ** 2))
+    edges = [max(1, int(np.ceil(0.05 * n))) for n in magnitude.shape]
+    mask = np.ones(magnitude.shape, dtype=bool)
+    mask[tuple(slice(edge, n - edge) for edge, n in zip(edges, magnitude.shape))] = False
+    outer = float(np.sum(magnitude[mask] ** 2))
     return outer / total
 
 

@@ -34,7 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError, ValidationError, require_memory
-from .grid import Grid, PhaseSpaceFunction, dual_grid, support_box
+from .grid import Grid, PhaseSpaceFunction, dual_grid, peak_pairing, support_box
 from .symplectic import j_matrix, symplectic_eigenvalues
 from .wigner import quantized_density
 
@@ -537,24 +537,22 @@ def eta_scan(a: PhaseSpaceFunction, eta_list) -> EtaScanResult:
     (2 pi eta) Op_eta(a) / Tr (:func:`wigner.quantized_density` of ``a``,
     which must be real; an entry's "trace" is Tr, which is Int a).  The purity
     (2 pi eta) Int a^2 / Tr^2 of rho_eta must stay <= 1 for an admissible
-    eta, and equals 1 only for a pure state.  Int a^2 is summed in units
-    of max |a|, so scaling x and p by lambda and eta by lambda^2, which
-    scales a by 1/lambda^2, does not push the squares out of the float range.
+    eta, and equals 1 only for a pure state.  Int a^2 is summed in the peak
+    unit of a (:func:`grid.peak_pairing`), so scaling x and p by lambda and
+    eta by lambda^2, which scales a by 1/lambda^2, does not push the squares
+    out of the float range.
     """
     eta_list = list(eta_list)
     if not eta_list:
         raise ParameterError("eta list must not be empty")
     values = _check_unit_mass(a)[0]
-    # np.square, not ** 2, which squares the quotient in place: that raised the
-    # peak resident set of a scan at N = 256 by 0.5 MB
-    peak = float(np.max(np.abs(values)))
-    square = float(np.sum(np.square(values / peak)) * a.area_element * peak)
+    square = float(peak_pairing(values, values, a.area_element, "the purity of a scanned function"))
     entries = []
     for eta in eta_list:
         eta = float(eta)
         # the density itself is not kept: its kernel is freed before the next eta
         report, trace = quantized_density(a, eta, 1e-8)[1:]
-        surrogate = 2.0 * np.pi * eta / trace * square * (peak / trace)
+        surrogate = 2.0 * np.pi * eta / trace * square / trace
         if not (report.ok and surrogate <= 1.0 + 1e-6):
             verdict = "inadmissible"
         elif surrogate >= 1.0 - 1e-6:

@@ -146,8 +146,9 @@ class DensityMatrix:
     """Validated density operator: Hermitian, positive, unit trace.
 
     Its report must pass: one with violations raises them.  ``factors``,
-    when set, is a pair (U, V) of N x r arrays with kernel U V^H;
-    :func:`mix` keeps U = Psi^T diag(w) and V = Psi^T.
+    when set, is a pair (U, V) of N x r arrays with kernel U V^H; :func:`mix`
+    keeps the root U = Psi^T diag(sqrt w) of K = U U^H as (U, U), the one
+    array twice.
     """
 
     op: OperatorMatrix
@@ -300,19 +301,18 @@ def pure_density(psi: GridFunction) -> DensityMatrix:
 
 
 def mix(spec: MixedStateSpec) -> DensityMatrix:
-    """Convex mixture sum_j w_j |psi_j><psi_j| as one product (Psi^T w) Psi^*.
+    """Convex mixture sum_j w_j |psi_j><psi_j| as one product U U^H of its root.
 
-    Psi stacks the r component states (r x N).  The density matrix keeps
-    the factors U = Psi^T diag(w) and V = Psi^T of its kernel U V^H, from
+    Psi stacks the r component states (r x N), and the root
+    U = Psi^T diag(sqrt w) is kept as the factors (U, U) of the kernel, from
     which the Wigner maps write their half-step correlation.  The r x r
-    Gram matrix diag(sqrt w) Psi^* Psi^T diag(sqrt w) dx has the nonzero
-    eigenvalues of the kernel times dx, so the spectrum is taken from the
-    smaller of the two and padded with exact zeros: the report has rank
-    min(r, N) and certificate 0.  The Hermiticity residue and the trace are
-    read off the kernel.
+    Gram matrix U^H U dx has the nonzero eigenvalues of the kernel times
+    dx, so the spectrum is taken from the smaller of the two and padded
+    with exact zeros: the report has rank min(r, N) and certificate 0.  The
+    Hermiticity residue and the trace are read off the kernel.
 
     :func:`errors.require_memory` refuses the working set before anything is
-    allocated: the r x N stack Psi, its weighted copy and its conjugate, the
+    allocated: the r x N stack Psi, the root and its conjugate, the
     N x N kernel, at most two more N x N complex arrays while the spectrum
     is taken (for r >= N the kernel times dx and the eigensolver's copy of
     it) and two freed ones the allocator may keep resident, that is
@@ -322,17 +322,16 @@ def mix(spec: MixedStateSpec) -> DensityMatrix:
     n, r = states[0].grid.n, len(states)
     require_memory(16 * (5 * n * n + 3 * r * n), f"density matrix of {r} states at N = {n}")
     rows = np.array([psi.values for psi in states])  # Psi: one state per row
-    u, v = rows.T * weights, rows.T
-    kernel = np.matmul(u, v.conj().T)  # by name, so a test can stub it
+    u = rows.T * np.sqrt(weights)
+    kernel = np.matmul(u, u.conj().T)  # by name, so a test can stub it
     op = OperatorMatrix(states[0].grid, kernel, states[0].eta)
     rank = min(r, n)
-    roots = np.sqrt(weights)
-    gram = np.matmul(roots[:, None] * rows.conj(), rows.T * roots) if r < n else kernel
+    gram = np.matmul(u.conj().T, u) if r < n else kernel
     vals = np.zeros(n)
     vals[:rank] = np.linalg.eigvalsh(gram * op.dx)
     vals = np.sort(vals)[::-1]
     report = _judge(op, op.hermiticity_residue(), vals, 0.0, rank, PSD_RTOL)
-    return DensityMatrix(op, report, (u, v))
+    return DensityMatrix(op, report, (u, u))
 
 
 def state_stats(rho: DensityMatrix) -> dict:

@@ -17,17 +17,18 @@ one N x N table, which is then signed and transformed in place by one FFT.
 Factors (U, V) of a kernel U V^H are sampled at half steps in one place,
 :func:`_half_steps`: the correlation at midpoint x_h and lag s dx is
 F[2h + s] G[2h - s]^T of U and conj V at their twofold refinement, padded
-with zeros.  Of rank r > 1 they fold into the same table, each parity block
-a product of two row slices of those samples; of rank one, the operator of
-a pair of states, they build no table, each of their lag blocks one
-elementwise product of two strided views.  A Hermitian operator's folded
-lags are a Hermitian sequence, so its real symbol is one ``irfft`` of lags
-0 .. N/2, conjugated in place.  The ambiguity function sums the central
-lags of |psi><psi| over their midpoints, one product laid out lag by lag,
-of which it builds only the lags -N/2 .. 0, in the rows 0 .. N/2 that the
-conjugate-symmetric pass of :mod:`transforms` sums and mirrors.
-Off-grid arguments are treated as zero (kernels and symbols are assumed
-negligible outside the grid).
+with zeros; a root (U, U), the one array twice, is refined once and G is
+the conjugate of F.  Of rank r > 1 they fold into the same table, each
+parity block a product of two row slices of those samples; of rank one,
+the operator of a pair of states, they build no table, each of their lag
+blocks one elementwise product of two strided views.  A Hermitian
+operator's folded lags are a Hermitian sequence, so its real symbol is one
+``irfft`` of lags 0 .. N/2, conjugated in place.  The ambiguity function
+sums the central lags of |psi><psi| over their midpoints, one product laid
+out lag by lag, of which it builds only the lags -N/2 .. 0, in the rows
+0 .. N/2 that the conjugate-symmetric pass of :mod:`transforms` sums and
+mirrors.  Off-grid arguments are treated as zero (kernels and symbols are
+assumed negligible outside the grid).
 
 In the quantizer the symbol's dtype picks the lag table and eta its fill,
 and each table is as wide as the band of lags its kernel holds.  At the
@@ -59,7 +60,7 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError, plan, plan_buffer, refuse_overflow, require_memory
-from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid
+from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid, peak_pairing
 from .states import DensityMatrix, OperatorMatrix
 from .transforms import conjugate_symmetric_pass, fourier_shift
 
@@ -190,7 +191,8 @@ def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
     further on, which the spare last row keeps inside the buffer.  A block
     is added in strips of at most ``_FOLD_TILE`` block rows, each one
     product of the factors' samples, and only the diagonal tile of each
-    strip is masked.  Each cell receives at most two terms, so it holds
+    strip is split, its negative lags by ``np.triu`` and the rest by
+    ``np.tril``.  Each cell receives at most two terms, so it holds
     C[h, t] + C[h, t - N] bit for bit in either order, and cells whose
     arguments fall off the grid stay zero.  The table's first N rows are
     returned.  N must be even.
@@ -213,12 +215,11 @@ def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
         strip = np.empty((tile, rows), dtype=complex)
     else:
         shifted = fourier_shift(source, grid, -0.5 * grid.dx, axis=(0, 1))
-    part = np.empty((tile, tile), dtype=complex)
     for (a, b), positive in views[0].items():
         negative = views[1][a, b]
         # block entry (i, k) has lag 2 (i - k) + a - b: on the diagonal i = k
         # it is negative where a < b
-        above = ~np.tri(tile, dtype=bool, k=0 if a >= b else -1)
+        upper = 1 if a >= b else 0
         if factors:
             # odd lags (a != b) read the odd, shifted samples
             odd = int(a != b)
@@ -238,11 +239,9 @@ def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
             negative[i:end, hi:] += terms[:, hi:]
             # the diagonal tile in two parts, each zero where the other is
             # not: adding a zero leaves a cell as it was
-            diagonal, upper = terms[:, i:end], part[:m, :m]
-            upper.fill(0.0)
-            np.copyto(upper, diagonal, where=above[:m, :m])
-            negative[i:end, i:end] += upper
-            positive[i:end, i:end] += np.subtract(diagonal, upper, out=upper)
+            diagonal = terms[:, i:end]
+            negative[i:end, i:end] += np.triu(diagonal, upper)
+            positive[i:end, i:end] += np.tril(diagonal, upper - 1)
     return table[:n]
 
 
@@ -256,18 +255,21 @@ def _half_steps(factors: tuple, grid: Grid) -> tuple:
     F[N + 2h + s] G[N + 2h - s]^T, zero off the grid: each parity block of
     :func:`_folded_correlation` is one product of two row slices of step
     4, and a state pair's lags (r = 1) are products of two strided views
-    (:func:`_strided`).  N must be even.
+    (:func:`_strided`).  A root (U, U), the one array twice, as of a state
+    or a mixture, is sampled once and G is the conjugate of F; distinct
+    factors are sampled each and G conjugated in place.  N must be even.
     """
     n = grid.n
     _require_even(n)
+    u, v = factors
     samples = []
-    for factor in factors:
+    for factor in (u,) if u is v else (u, v):
         padded = np.zeros((4 * n, factor.shape[1]), dtype=complex)
         padded[n : 3 * n : 2] = factor
         padded[n + 1 : 3 * n : 2] = fourier_shift(factor, grid, -0.5 * grid.dx, axis=0)
         samples.append(padded)
-    np.conjugate(samples[1], out=samples[1])
-    return tuple(samples)
+    f = samples[0]
+    return f, f.conj() if u is v else np.conjugate(samples[1], out=samples[1])
 
 
 def _strided(samples: np.ndarray, offset: int, shape: tuple, steps: tuple) -> np.ndarray:
@@ -301,7 +303,7 @@ def _rank_one_lags(factors: tuple, grid: Grid, width: int) -> np.ndarray:
 
 
 #: block rows per strip of :func:`_folded_correlation`, whose diagonal tile
-#: alone is masked
+#: alone is split
 _FOLD_TILE = 64
 
 #: symbol rows per pass of the quantizer's lag fill (one row FFT, and at a
@@ -693,18 +695,21 @@ def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceF
 
 
 def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
-    """<A> = Int a(z) rho_W(z) dz of a real symbol ``a``, cross-checked against
+    """<A> = Int a(z) rho_W(z) dz of a real symbol ``a``, summed in the peak
+    units of a and rho_W (:func:`grid.peak_pairing`), cross-checked against
     Tr(rho A) by callers."""
     values = a.real_values()
     rho_w = density_symbol(rho, 1.0 / (2.0 * np.pi * rho.eta)).values
-    return float(np.sum(values * rho_w) * a.area_element)
+    return float(peak_pairing(values, rho_w, a.area_element, f"an expectation at eta = {a.eta:g}"))
 
 
 def trace_from_symbol(a: PhaseSpaceFunction) -> dict:
-    """Trace and squared Hilbert-Schmidt norm read off the symbol."""
+    """Trace and squared Hilbert-Schmidt norm read off the symbol, the norm
+    summed in the peak unit of the symbol (:func:`grid.peak_pairing`)."""
     weight = a.area_element / (2.0 * np.pi * a.eta)
+    what = f"a squared Hilbert-Schmidt norm at eta = {a.eta:g}"
     return {
         "trace": complex(np.sum(a.values) * weight),
-        "hs_norm_squared": float(np.sum(np.abs(a.values) ** 2) * weight),
+        "hs_norm_squared": float(peak_pairing(a.values, a.values, weight, what).real),
         "leak": a.leak,
     }

@@ -7,11 +7,11 @@ Every one of them is a Weyl symbol over 2 pi eta: W(psi, phi) is the
 symbol of the rank-one operator |psi><phi|, and the Wigner function of a
 state that of its density operator.  The rank-one maps and the Wigner
 function of a mixture hand the symbol the factors of their operator,
-(psi, phi) or the weighted component states of the mixture, so no N x N
-kernel is read: a mixture's factors fold into one N x N lag table, and a
-rank-one pair builds no table at all.  A
-density matrix without factors (a tomographic reconstruction) is read
-through its kernel.  Samples outside the grid are taken as zero.
+(psi, phi), or (psi, psi) and the mixture's root (U, U) with the one array
+twice, so no N x N kernel is read: a mixture's factors fold into one
+N x N lag table, and a rank-one pair builds no table at all.  A density
+matrix without factors (a tomographic reconstruction) is read through its
+kernel.  Samples outside the grid are taken as zero.
 :func:`quantized_density` goes back, from W to the validated density
 2 pi eta Op_eta(W) / Tr at any eta.
 """
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, ParameterError, refuse_overflow
-from .grid import GridFunction, PhaseSpaceFunction
+from .errors import NormalizationError, ParameterError
+from .grid import GridFunction, PhaseSpaceFunction, peak_pairing
 from .states import DensityMatrix, MixedStateSpec, mix, validate_density
 from .transforms import fourier_shift
 from .weyl import (
@@ -75,8 +75,9 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     and its values are float64.
     """
     psi.require_compatible(phi)
-    factors = (psi.values[:, None], phi.values[:, None])
     same = psi is phi
+    # one column twice for W(psi, psi), whose half-step samples are taken once
+    factors = (psi.values[:, None],) * 2 if same else (psi.values[:, None], phi.values[:, None])
     kind = "wigner" if same else "generic"
     scale = 1.0 / (2.0 * np.pi * psi.eta)
     return correlation_symbol(factors, psi.grid, psi.eta, scale, kind, hermitian=same)
@@ -108,12 +109,13 @@ def marginals(w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moyal_overlap(w1, w2) -> complex:
-    """Phase-space pairing <<W1 | W2>> = Int conj(W1) W2 dz."""
+    """Phase-space pairing <<W1 | W2>> = Int conj(W1) W2 dz, summed in the
+    peak units of W1 and W2 (:func:`grid.peak_pairing`)."""
     W1 = w1.W if isinstance(w1, WignerResult) else w1
     W2 = w2.W if isinstance(w2, WignerResult) else w2
     W1.require_compatible(W2)
-    with refuse_overflow(f"the Moyal pairing at eta = {W1.eta:g}"):
-        return complex(np.sum(W1.values.conj() * W2.values) * W1.area_element)
+    what = f"the Moyal pairing at eta = {W1.eta:g}"
+    return complex(peak_pairing(W1.values, W2.values, W1.area_element, what))
 
 
 def reflection_wigner_check(psi: GridFunction, z0) -> dict:

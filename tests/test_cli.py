@@ -1,12 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wignerlab
 from wignerlab import ValidationError, coherent_state, make_grid, save_phase_space, wigner
 from wignerlab import cli
 from wignerlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ETA = 1.0
 
@@ -381,11 +389,52 @@ def test_tomography_names_why_fidelity_failed(tmp_path, capsys):
 def test_tiny_eta_fails_cleanly(tmp_path, capsys, recwarn, command):
     # at eta = 1e-300 the coherent state's width, 1e-150, is far below
     # dx = 0.078: it samples to one spike of 7.5e74, so its Wigner function
-    # at the peak, 5.6e149 times scale dx = 1.2e298, is not a float64; the
-    # moyal command's states are normalized, but the pairing of two Wigner
-    # functions near 1 / (pi eta) overflows.  Each exits 2 with one line
-    assert main([command, "--eta", "1e-300", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "overflows the float64 range" in err and "Traceback" not in err
+    # at the peak, 5.6e149 times scale dx = 1.2e298, is not a float64, and
+    # the wigner and tomography commands exit 2 with one line.  The moyal
+    # command's states are normalized: their Wigner functions, near
+    # 1 / (pi eta), and their pairings, near 1 / (2 pi eta), are float64,
+    # and summed in peak units the pairings are returned.  On states one
+    # sample wide the Moyal identities do not hold, so both checks fail
+    code = main([command, "--eta", "1e-300", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    if command == "moyal":
+        assert code == 1 and err == ""
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "FAIL moyal_identity", "FAIL cross_moyal"
+        ]
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows the float64 range" in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_library_warning_prints_as_one_line(tmp_path, capsys):
+    # tomography's conditioning warning is one "warning:" line, not Python's
+    # file:line form with its echoed source; the two checks fail at 8 angles
+    original = warnings.showwarning
+    assert main(["tomography", "--angles", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: 8 angles is below the 64 needed for a faithful inversion; "
+        "expect smearing on the order of 1/angles\n"
+    )
+    # main puts the original back, and hands every other category to it
+    assert warnings.showwarning is original
+    with pytest.warns(RuntimeWarning, match="kept"):
+        cli._warning_line(original)(RuntimeWarning("kept"), RuntimeWarning, "f.py", 1)
+
+
+def test_the_package_runs_as_the_wignerlab_command(tmp_path):
+    # python -m wignerlab is cli.main: its version, and the exit-code
+    # contract with one error line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = [sys.executable, "-m", "wignerlab"]
+    version = subprocess.run(run + ["--version"], env=env, capture_output=True, text=True)
+    assert version.returncode == 0 and version.stdout.strip() == wignerlab.__version__
+    refused = subprocess.run(
+        run + ["wigner", "--N", "17", "--out", str(tmp_path)], env=env, capture_output=True,
+        text=True,
+    )
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1

@@ -226,6 +226,21 @@ def test_mix_reports_its_factors_as_the_range_basis(grid):
     assert state_stats(rho)["purity"] == pytest.approx(0.7**2 + 0.3**2, abs=1e-12)
 
 
+def test_mix_keeps_its_root(grid):
+    # rho = U U^H with the one root U = Psi^T diag(sqrt w), kept twice as the
+    # factors; the spectrum is that of the r x r Gram matrix U^H U dx
+    weights = [0.5, 0.3, 0.2]
+    states = [coherent_state(grid, ETA), hermite_state(grid, ETA, 1), hermite_state(grid, ETA, 2)]
+    rho = mix(MixedStateSpec(list(zip(weights, states))))
+    u = rho.factors[0]
+    assert rho.factors[1] is u
+    assert np.array_equal(u, np.stack([psi.values for psi in states], axis=1) * np.sqrt(weights))
+    assert np.array_equal(rho.kernel, u @ u.conj().T)
+    gram = np.linalg.eigvalsh(u.conj().T @ u * grid.dx)
+    assert np.array_equal(rho.report.eigenvalues[:3], gram[::-1])
+    assert not np.any(rho.report.eigenvalues[3:])
+
+
 def test_eta_scan_and_reconstruction_take_no_n_by_n_eigensolve(monkeypatch):
     # both validate numerically low-rank kernels: a sketch of 32 columns
     # certifies them, and the only eigensolves are of 32 x 32 projections

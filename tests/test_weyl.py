@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from wignerlab import (
     eta_scan,
     hermite_state,
     make_grid,
+    moyal_overlap,
     pure_density,
     reflect,
     symplectic_fourier,
@@ -266,6 +269,59 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
         weyl_quantize(W, eta=eta * W.eta)
         assert shifted[-1] == (256, 128)
     assert calls == {"_dirichlet_table": 4, "fourier_shift": 10}
+
+
+def test_a_root_is_sampled_at_half_steps_once(monkeypatch):
+    # a state, and a mixture's root U with K = U U^H, hand the correlation one
+    # array twice: its half-step samples are one 1-D shift, G their
+    # conjugate; two states of a cross-Wigner function take one shift each
+    from wignerlab import weyl
+
+    grid = make_grid(-10.0, 10.0, 64)
+    psi, phi = coherent_state(grid, ETA, 0.4, 0.3), hermite_state(grid, ETA, 1)
+    spec = MixedStateSpec([(0.6, psi), (0.4, phi)])
+    axes = []
+    shift = weyl.fourier_shift
+
+    def counted(*args, **kwargs):
+        axes.append(kwargs.get("axis"))
+        return shift(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "fourier_shift", counted)
+    for call, count in (
+        (lambda: wigner(psi), 1),
+        (lambda: wigner(pure_density(psi)), 1),
+        (lambda: ambiguity(psi), 1),
+        (lambda: wigner(spec), 1),
+        (lambda: cross_wigner(psi, phi), 2),
+    ):
+        axes.clear()
+        call()
+        assert axes == [0] * count
+
+
+@pytest.mark.parametrize("j", [-150, 150])
+def test_quadratic_sums_are_read_in_peak_units(j):
+    # x, p and the grids scaled by lambda = 4^j, eta by lambda^2, W by
+    # lambda^-2 and psi by lambda^-1/2, all exactly: at j = +-150 the squares
+    # of W leave the float range, but the pairings are the lambda = 1 ones
+    # times lambda^-2 and the leak is the lambda = 1 leak.  At j = -150,
+    # Int |W|^2 / (2 pi eta) is not a float64 and is refused
+    grid = make_grid(-10.0, 10.0, 128)
+    psi = coherent_state(grid, ETA, 6.5).normalized()
+    W = wigner(psi).W
+    lam = 4.0**j
+    scaled = make_grid(-10.0 * lam, 10.0 * lam, 128)
+    psi_j = GridFunction(scaled, psi.values / 2.0**j, lam**2)
+    W_j = PhaseSpaceFunction(scaled, dual_grid(scaled, lam**2), W.values / lam**2, lam**2)
+    assert W_j.leak == W.leak > 0.0
+    assert moyal_overlap(W_j, W_j) == moyal_overlap(W, W) / lam**2
+    assert expectation(W_j, pure_density(psi_j)) == expectation(W, pure_density(psi)) / lam**2
+    if j < 0:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflows the float64 range"):
+                trace_from_symbol(W_j)
 
 
 def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
