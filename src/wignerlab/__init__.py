@@ -33,6 +33,7 @@ from .grid import (  # noqa: E402
     Grid,
     GridFunction,
     PhaseSpaceFunction,
+    WignerResult,
     boundary_leak,
     dual_grid,
     make_grid,
@@ -49,7 +50,6 @@ from .states import (  # noqa: E402
     validate_density,
 )
 from .wigner import (  # noqa: E402
-    WignerResult,
     cross_wigner,
     marginals,
     moyal_overlap,

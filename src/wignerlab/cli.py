@@ -181,17 +181,17 @@ def _run_wigner(config, out_dir):
     eta = config["eta"]
     phi0 = coherent_state(grid, eta)
     result = wigner(phi0)
-    xx, pp = result.W.meshes()
+    xx, pp = result.meshes()
     closed = np.exp(-(xx**2 + pp**2) / eta) / (np.pi * eta)
     checks = [
         Check("coherent_closed_form", _relative_gap(result.values, closed), _tol(config, 1e-8)),
-        Check("mass", abs(result.values.sum() * result.W.area_element - 1.0), 1e-6),
+        Check("mass", abs(result.values.sum() * result.area_element - 1.0), 1e-6),
     ]
     pos, mom = marginals(result)
     checks.append(Check("marginal_position", _relative_gap(pos, np.abs(phi0.values) ** 2), 1e-6))
     ft = eta_fourier(phi0)
     checks.append(Check("marginal_momentum", _relative_gap(mom, np.abs(ft.values) ** 2), 1e-6))
-    save_phase_space(result.W, os.path.join(out_dir, "wigner.csv"))
+    save_phase_space(result, os.path.join(out_dir, "wigner.csv"))
     return checks
 
 
@@ -222,7 +222,8 @@ def _run_moyal(config, out_dir):
         lhs = moyal_overlap(cross_wigner(quad[0], quad[1]), cross_wigner(quad[2], quad[3]))
         rhs = quad[0].inner(quad[2]) * np.conj(quad[1].inner(quad[3])) / (2.0 * np.pi * eta)
         worst = max(worst, abs(lhs - rhs))
-    checks.append(Check("cross_moyal", worst, _tol(config, 1e-7)))
+    # in the unit of moyal_identity: |rhs| <= 1 / (2 pi eta) for unit states
+    checks.append(Check("cross_moyal", 2.0 * np.pi * eta * worst, _tol(config, 1e-7)))
     return checks
 
 
@@ -267,7 +268,7 @@ def _run_klm(config, out_dir):
         symbol = load_phase_space(config["input"])
     else:
         grid = _grid(config)
-        symbol = wigner(coherent_state(grid, 1.0)).W
+        symbol = wigner(coherent_state(grid, 1.0))
         if not gaussian_admissible(0.5 * np.eye(2), eta)["admissible"]:
             expected = "violation"
     report = klm_test(symbol, eta, samples=config["samples"], seed=config["seed"])
@@ -322,7 +323,7 @@ def _run_gaussian(config, out_dir):
 
 def _run_eta_scan(config, out_dir):
     grid = _grid(config)
-    symbol = wigner(coherent_state(grid, 1.0)).W
+    symbol = wigner(coherent_state(grid, 1.0))
     result = eta_scan(symbol, [0.5, 1.0, 1.5])
     expected = ["mixed", "pure", "inadmissible"]
     ok = result.verdicts() == expected

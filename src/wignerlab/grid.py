@@ -19,6 +19,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "PhaseSpaceFunction",
+    "WignerResult",
     "make_grid",
     "dual_grid",
     "boundary_leak",
@@ -217,6 +218,15 @@ class PhaseSpaceFunction:
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x_grid.points, self.p_grid.points, indexing="ij")
+
+
+class WignerResult(PhaseSpaceFunction):
+    """A Wigner distribution: the phase-space function itself, whose ``W``
+    property returns it again for callers that still read that name."""
+
+    @property
+    def W(self) -> "WignerResult":
+        return self
 
 
 def _peak_unit(values: np.ndarray) -> np.float64:

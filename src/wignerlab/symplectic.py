@@ -167,7 +167,9 @@ def williamson(sigma: np.ndarray) -> WilliamsonData:
     """
     lam, V, M = _symplectic_spectrum(sigma)
     n = len(lam)
-    if np.any(np.diff(lam) < 1e-12):
+    # gaps relative to the largest value, so the verdict does not depend on
+    # the scale of sigma
+    if np.any(np.diff(lam) < 1e-12 * lam[-1]):
         warnings.warn("near-degenerate symplectic eigenvalues; factor may be ill-conditioned")
     V = V * np.exp(1j * (0.5 * np.pi - np.angle(np.diagonal(M[:n] @ V))))
     # W (Im v, Re v) = kappa (-Re v, Im v), so sqrt(2) (Im v, Re v) spans the 2-plane

@@ -160,8 +160,6 @@ def radon(W, angles) -> TomogramSet:
     A working set above the memory budget (:func:`require_radon_memory`) is
     refused before anything is allocated.
     """
-    if hasattr(W, "W"):
-        W = W.W
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0 or angles.ndim != 1:
         raise ParameterError(f"angles must be a non-empty 1-D list, got shape {angles.shape}")

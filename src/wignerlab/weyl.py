@@ -60,7 +60,9 @@ import warnings
 import numpy as np
 
 from .errors import ParameterError, plan, plan_buffer, refuse_overflow, require_memory
-from .grid import Grid, GridFunction, PhaseSpaceFunction, boundary_leak, dual_grid, peak_pairing
+from .grid import (
+    Grid, GridFunction, PhaseSpaceFunction, WignerResult, boundary_leak, dual_grid, peak_pairing
+)
 from .states import DensityMatrix, OperatorMatrix
 from .transforms import conjugate_symmetric_pass, fourier_shift
 
@@ -595,12 +597,13 @@ def _mirror_lower(kernel: np.ndarray):
     np.fill_diagonal(kernel.imag, 0.0)
 
 
-def correlation_symbol(
-    source, grid, eta: float, scale: float = 1.0, kind: str = "symbol", hermitian: bool = False
-) -> PhaseSpaceFunction:
-    """``scale`` times the Weyl symbol of the kernel ``source``, or of a pair
-    (U, V) of N x r factors of the kernel U V^H, read off its half-step
-    correlation, as a function of the given ``kind``.
+def correlation_symbol(source, grid, eta: float, kind: str = "symbol") -> PhaseSpaceFunction:
+    """The phase-space function of the given ``kind`` of the kernel
+    ``source``, or of a pair (U, V) of N x r factors of the kernel U V^H,
+    read off its half-step correlation: its Weyl symbol for "symbol", the
+    symbol over 2 pi eta for "generic" (a cross-Wigner transform) and for
+    "wigner", the real symbol over 2 pi eta of a Hermitian operator as a
+    :class:`grid.WignerResult`.
 
     The symbol is dx sum_s C[j, s] exp(-i p_l s dx / eta) over the 2N lags
     s = -N .. N - 1.  On the centred dual grid p_l = (l - N/2) dp of an even
@@ -611,7 +614,7 @@ def correlation_symbol(
     the FFT overwrites; factors of rank one, a pair of states, build their
     folded lags directly as products of strided views of the same half-step
     samples (:func:`_rank_one_lags`) and transform them in place.  The
-    factor rank alone picks the route.  A ``hermitian`` operator has
+    factor rank alone picks the route.  A Wigner operator is Hermitian,
     C(x, -y) = conj C(x, y), so its folded lags are a Hermitian sequence
     and its symbol is real: factors fold lags 0 .. N/2 only, conjugate them
     in place and take one ``irfft``, the ``hfft`` of the lags without its
@@ -622,7 +625,9 @@ def correlation_symbol(
     require_correlation_memory(n)
     p_grid = dual_grid(grid, eta)
     factors = isinstance(source, tuple)
+    hermitian = kind == "wigner"
     width = n // 2 + 1 if hermitian and factors else n
+    scale = 1.0 if kind == "symbol" else 1.0 / (2.0 * np.pi * eta)
     with refuse_overflow(f"a phase-space function ({kind}) at eta = {eta:g}"):
         if factors and source[0].shape[1] == 1:
             lags = _rank_one_lags(source, grid, width)
@@ -638,16 +643,15 @@ def correlation_symbol(
             values = np.ascontiguousarray(np.fft.fft(lags, axis=1, out=lags).real)
         else:
             values = np.fft.fft(lags, axis=1, out=lags)
-    return PhaseSpaceFunction(grid, p_grid, values, eta, kind=kind)
+    function = WignerResult if hermitian else PhaseSpaceFunction
+    return function(grid, p_grid, values, eta, kind=kind)
 
 
-def density_symbol(
-    rho: DensityMatrix, scale: float = 1.0, kind: str = "symbol"
-) -> PhaseSpaceFunction:
-    """``scale`` times the real Weyl symbol of a density matrix, from the
-    factors :func:`states.mix` kept, else from its kernel."""
+def density_wigner(rho: DensityMatrix) -> WignerResult:
+    """The Wigner function of a density matrix, its real Weyl symbol over
+    2 pi eta, from the factors :func:`states.mix` kept, else from its kernel."""
     source = rho.kernel if rho.factors is None else rho.factors
-    return correlation_symbol(source, rho.grid, rho.eta, scale, kind, hermitian=True)
+    return correlation_symbol(source, rho.grid, rho.eta, "wigner")
 
 
 def weyl_symbol(op: OperatorMatrix) -> PhaseSpaceFunction:
@@ -699,7 +703,7 @@ def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
     units of a and rho_W (:func:`grid.peak_pairing`), cross-checked against
     Tr(rho A) by callers."""
     values = a.real_values()
-    rho_w = density_symbol(rho, 1.0 / (2.0 * np.pi * rho.eta)).values
+    rho_w = density_wigner(rho).values
     return float(peak_pairing(values, rho_w, a.area_element, f"an expectation at eta = {a.eta:g}"))
 
 

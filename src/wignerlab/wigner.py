@@ -18,37 +18,23 @@ kernel.  Samples outside the grid are taken as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NormalizationError, ParameterError
-from .grid import GridFunction, PhaseSpaceFunction, peak_pairing
+from .grid import GridFunction, PhaseSpaceFunction, WignerResult, peak_pairing
 from .states import DensityMatrix, MixedStateSpec, mix, validate_density
 from .transforms import fourier_shift
 from .weyl import (
-    correlation_symbol, density_symbol, reflect, require_correlation_memory, weyl_quantize
+    correlation_symbol, density_wigner, reflect, require_correlation_memory, weyl_quantize
 )
 
 __all__ = [
-    "WignerResult",
     "wigner",
     "cross_wigner",
     "marginals",
     "moyal_overlap",
     "reflection_wigner_check",
 ]
-
-
-@dataclass
-class WignerResult:
-    """Wigner distribution of a state or density matrix."""
-
-    W: PhaseSpaceFunction
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.W.values
 
 
 def quantized_density(W: PhaseSpaceFunction, eta: float, psd_floor: float):
@@ -72,15 +58,13 @@ def cross_wigner(psi: GridFunction, phi: GridFunction) -> PhaseSpaceFunction:
     W(psi, phi) is the Weyl symbol over 2 pi eta of the rank-one operator
     |psi><phi|, whose kernel psi(x) phi*(y) has the factors (psi, phi).
     W(psi, psi) is the Wigner function of psi: its operator is Hermitian,
-    and its values are float64.
+    and it is a :class:`grid.WignerResult` of float64 values.
     """
     psi.require_compatible(phi)
     same = psi is phi
     # one column twice for W(psi, psi), whose half-step samples are taken once
     factors = (psi.values[:, None],) * 2 if same else (psi.values[:, None], phi.values[:, None])
-    kind = "wigner" if same else "generic"
-    scale = 1.0 / (2.0 * np.pi * psi.eta)
-    return correlation_symbol(factors, psi.grid, psi.eta, scale, kind, hermitian=same)
+    return correlation_symbol(factors, psi.grid, psi.eta, "wigner" if same else "generic")
 
 
 def wigner(source) -> WignerResult:
@@ -92,27 +76,24 @@ def wigner(source) -> WignerResult:
     factors :func:`states.mix` keeps.
     """
     if isinstance(source, GridFunction):
-        return WignerResult(cross_wigner(source, source))
+        return cross_wigner(source, source)
     if isinstance(source, MixedStateSpec):
         require_correlation_memory(source.components[0][1].grid.n)
         source = mix(source)
     if not isinstance(source, DensityMatrix):
         raise ParameterError(f"cannot take a Wigner transform of {type(source).__name__}")
-    return WignerResult(density_symbol(source, 1.0 / (2.0 * np.pi * source.eta), "wigner"))
+    return density_wigner(source)
 
 
-def marginals(w) -> tuple[np.ndarray, np.ndarray]:
+def marginals(W: PhaseSpaceFunction) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum densities of a Wigner distribution."""
-    W = w.W if isinstance(w, WignerResult) else w
     values = W.real_values()
     return values.sum(axis=1) * W.dp, values.sum(axis=0) * W.dx
 
 
-def moyal_overlap(w1, w2) -> complex:
+def moyal_overlap(W1: PhaseSpaceFunction, W2: PhaseSpaceFunction) -> complex:
     """Phase-space pairing <<W1 | W2>> = Int conj(W1) W2 dz, summed in the
     peak units of W1 and W2 (:func:`grid.peak_pairing`)."""
-    W1 = w1.W if isinstance(w1, WignerResult) else w1
-    W2 = w2.W if isinstance(w2, WignerResult) else w2
     W1.require_compatible(W2)
     what = f"the Moyal pairing at eta = {W1.eta:g}"
     return complex(peak_pairing(W1.values, W2.values, W1.area_element, what))
@@ -127,7 +108,7 @@ def reflection_wigner_check(psi: GridFunction, z0) -> dict:
     """
     x0, p0 = float(z0[0]), float(z0[1])
     eta = psi.eta
-    W = wigner(psi).W
+    W = wigner(psi)
     on_x = np.any(np.isclose(W.x_grid.points, x0, atol=1e-12))
     on_p = np.any(np.isclose(W.p_grid.points, p0, atol=1e-12))
     w_at = 0.0

@@ -106,7 +106,7 @@ def _random_superposition(grid, rng, spread=1.0):
 def test_criterion_01_coherent_wigner_closed_form():
     grid = _grid()
     result = wigner(coherent_state(grid, ETA))
-    xx, pp = result.W.meshes()
+    xx, pp = result.meshes()
     closed = np.exp(-(xx**2 + pp**2) / ETA) / (np.pi * ETA)
     resid = float(np.max(np.abs(result.values - closed)))
     _report(1, "coherent Wigner closed form", resid <= 1e-8, f"sup residual {resid:.3e} (tol 1e-8)")
@@ -119,7 +119,7 @@ def test_criterion_02_moyal_identity():
     for _ in range(20):
         psi = _random_superposition(grid, rng)
         w = wigner(psi)
-        lhs = 2.0 * np.pi * ETA * moyal_overlap(w.W, w.W).real
+        lhs = 2.0 * np.pi * ETA * moyal_overlap(w, w).real
         worst = max(worst, abs(lhs - psi.norm() ** 4))
     worst_cross = 0.0
     for _ in range(5):
@@ -138,7 +138,7 @@ def test_criterion_03_marginals():
     for psi in (coherent_state(grid, ETA, 0.4, -0.3), hermite_state(grid, ETA, 1),
                 hermite_state(grid, ETA, 2)):
         result = wigner(psi)
-        pos, mom = marginals(result.W)
+        pos, mom = marginals(result)
         worst = max(worst, float(np.max(np.abs(pos - np.abs(psi.values) ** 2))))
         ft = eta_fourier(psi)
         worst = max(worst, float(np.max(np.abs(mom - np.abs(ft.values) ** 2))))
@@ -265,8 +265,8 @@ def test_criterion_08_symplectic_covariance():
             rhs = metaplectic_apply(spec, reflect(psi, z0)).values
             worst["refl"] = max(worst["refl"], float(np.max(np.abs(lhs - rhs))))
         # Wigner transport W(S psi)(z) = W psi(S^-1 z) on the interior
-        W_in = wigner(psi).W
-        W_out = wigner(moved).W
+        W_in = wigner(psi)
+        W_out = wigner(moved)
         ref = _compose_inverse(W_in.values, gen_name, grid, p_grid)
         worst["wigner"] = max(
             worst["wigner"],
@@ -357,7 +357,7 @@ def test_criterion_10_gaussian_admissibility():
 
 def test_criterion_11_klm():
     grid = _self_dual_grid(128)
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     # the exact minimum is 0, so the worst eigenvalue is also given in units
     # of eps ||M||, the round-off of its eigensolve (tolerance = 1e-8 ||M||)
     worst, in_eps = 0.0, 0.0
@@ -380,7 +380,7 @@ def test_criterion_11_klm():
 
 def test_criterion_12_eta_scan():
     grid = _self_dual_grid(N)
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     result = eta_scan(W, [0.25, 0.5, 1.0, 1.25, 1.5, 2.0])
     verdicts = result.verdicts()
     below = verdicts[:2]

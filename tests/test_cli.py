@@ -89,7 +89,7 @@ def test_klm_input_violation_exit_code(tmp_path, capsys):
     # at eta = 1.5 fails the command's check
     half = 0.5 * np.sqrt(2.0 * np.pi * 128)
     path = tmp_path / "input.csv"
-    save_phase_space(wigner(coherent_state(make_grid(-half, half, 128), ETA)).W, path)
+    save_phase_space(wigner(coherent_state(make_grid(-half, half, 128), ETA)), path)
     code = main(["klm", "--input", str(path), "--eta", "1.5", "--out", str(tmp_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
@@ -123,7 +123,7 @@ def test_klm_expected_violation_passes(tmp_path, capsys, eta):
 def test_klm_reads_input_file(tmp_path):
     half = 0.5 * np.sqrt(2.0 * np.pi * 128)
     grid = make_grid(-half, half, 128)
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     path = tmp_path / "input.csv"
     save_phase_space(W, path)
     code = main(["klm", "--input", str(path), "--out", str(tmp_path)])
@@ -407,6 +407,16 @@ def test_tiny_eta_fails_cleanly(tmp_path, capsys, recwarn, command):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows the float64 range" in err and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cross_moyal_reads_in_the_unit_of_moyal_identity(tmp_path):
+    # both Moyal residuals are multiplied by 2 pi eta, and |rhs| <= 1 / (2 pi
+    # eta) for unit states: at eta = 1e-300 the cross residual stays below 1,
+    # where in units of 1 / (2 pi eta) it read 1.3e298
+    assert main(["moyal", "--eta", "1e-300", "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    cross = [check for check in checks if check["name"] == "cross_moyal"]
+    assert len(cross) == 1 and cross[0]["residual"] < 1.0
 
 
 def test_a_library_warning_prints_as_one_line(tmp_path, capsys):

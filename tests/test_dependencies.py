@@ -29,7 +29,7 @@ def test_validation_imports_no_random_generator():
     code = (
         "import sys, numpy as np, wignerlab as wl; "
         "W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, 128), 1.0)); "
-        "wl.eta_scan(W.W, [0.5, 1.0, 1.5]); "
+        "wl.eta_scan(W, [0.5, 1.0, 1.5]); "
         "wl.reconstruct_density(wl.radon(W, np.linspace(0.0, np.pi, 90, endpoint=False)), 1.0); "
         "print('numpy.random' in sys.modules)"
     )

@@ -139,7 +139,7 @@ def test_phase_space_values_are_float64_or_complex():
 
 
 def _tilted_wigner(n, tilt):
-    W = wigner(coherent_state(make_grid(-8.0, 8.0, n), 1.0)).W
+    W = wigner(coherent_state(make_grid(-8.0, 8.0, n), 1.0))
     values = W.values + tilt * 1j * np.max(np.abs(W.values))
     return PhaseSpaceFunction(W.x_grid, W.p_grid, values, W.eta, "wigner")
 
@@ -169,8 +169,7 @@ def test_realness_has_one_owner():
     # module takes the real or imaginary part of a function's values itself
     psi = coherent_state(make_grid(-8.0, 8.0, 64), 1.0)
     w = wigner(psi)
-    assert np.shares_memory(w.W.real_values(), w.W.values)
-    assert np.shares_memory(w.values, w.W.values)
+    assert np.shares_memory(w.real_values(), w.values)
     assert not inspect.signature(PhaseSpaceFunction.real_values).parameters.keys() - {"self"}
     package = Path(wignerlab.__file__).parent
     for path in sorted(package.glob("*.py")):
@@ -191,7 +190,7 @@ def test_every_producer_reports_the_leak_of_its_samples(tmp_path):
     # a coherent state near the edge of the grid leaks about 0.22 of its mass
     g = make_grid(-10.0, 10.0, 128)
     psi = coherent_state(g, 1.0, x0=8.5)
-    W = wigner(psi).W
+    W = wigner(psi)
     save_phase_space(W, tmp_path / "w.csv")
     tomo = radon(W, np.linspace(0.0, np.pi, 90, endpoint=False))
     kernel = np.outer(psi.values, psi.values.conj())

@@ -121,7 +121,7 @@ elif case == "validate_density":
     call = lambda: wl.validate_density(op)
 else:
     n = 128 if case == "radon" else 256
-    W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0)).W
+    W = wl.wigner(wl.coherent_state(wl.make_grid(-10.0, 10.0, n), 1.0))
     if case == "radon":
         angles = np.linspace(0.0, np.pi, 8192, endpoint=False)
         call = lambda: wl.radon(W, angles)
@@ -142,8 +142,8 @@ def _coherent(n, x0=0.0):
 
 # the inputs the measuring process loads, built here
 _SAVED = {
-    "weyl_quantize": lambda: wigner(_coherent(512)).W.values,
-    "weyl_quantize_native": lambda: wigner(_coherent(512)).W.values,
+    "weyl_quantize": lambda: wigner(_coherent(512)).values,
+    "weyl_quantize_native": lambda: wigner(_coherent(512)).values,
     "weyl_quantize_complex": lambda: cross_wigner(
         _coherent(512, 0.5), _coherent(512, -0.5)
     ).values,
@@ -211,7 +211,7 @@ def test_eta_scan_quantizes_a_real_wigner_function_without_a_copy(cold_plans):
     # quantization peaks at 2.13 MiB (2.39 while the last block's row FFT
     # outlived the fill, 3.57 with the N x 2N table), its kernel mirrored
     # tile by tile
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0))
     assert np.shares_memory(quantumness._check_unit_mass(W)[0], W.values)
     assert _traced_peak(lambda: eta_scan(W, [0.5])) <= 2.75 * 2**20
     assert _traced_peak(lambda: weyl_quantize(W)) <= 3.6 * 2**20
@@ -265,7 +265,7 @@ def test_native_quantizer_fills_only_its_band():
     # product made them 12.25, 8.25 and 16.25 MiB
     grid = make_grid(-10.0, 10.0, 512)
     psi, phi = coherent_state(grid, 1.0, 0.5, 0.3), coherent_state(grid, 1.0, -0.5)
-    X, W = cross_wigner(psi, phi), wigner(psi).W
+    X, W = cross_wigner(psi, phi), wigner(psi)
     assert _traced_peak(lambda: weyl_quantize(X)) <= 9 * 2**20
     assert _traced_peak(lambda: weyl_quantize(W)) <= 7 * 2**20
     assert _traced_peak(lambda: twisted_product(X, X)) <= 13 * 2**20
@@ -276,7 +276,7 @@ def test_inverse_radon_starts_from_its_support_box():
     # strips nearest theta = pi/2 and 0 can keep: at N = 512 with 180 angles
     # the traced peak is 3.24 MiB, where two N x N meshgrids and an N^2
     # index array made it 10.17
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3))
     tomo = radon(W, np.linspace(0.0, np.pi, 180, endpoint=False))
     assert _traced_peak(lambda: inverse_radon(tomo)) <= 4 * 2**20
 
@@ -286,7 +286,7 @@ def test_symplectic_fourier_runs_its_second_pass_in_its_stage():
     # time, into the first N/2 + 1 rows of the stage, and the second pass
     # phases and sums those rows in place: at N = 512 the traced peak is
     # 4.28 MiB, where a phased copy in each pass made it 8.25
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3))
     assert _traced_peak(lambda: symplectic_fourier(W)) <= 5 * 2**20
 
 
@@ -294,7 +294,7 @@ def test_validate_density_makes_no_copy_of_a_hermitian_kernel(cold_plans):
     # a kernel equal to its conjugate transpose is its own Hermitian part:
     # at N = 256 the traced peak is 1.02 MiB, the sketches of the range
     # basis, where the copy (K + K^H) / 2 made it 2.02
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0))
     op = weyl_quantize(W, eta=0.5)
     assert np.array_equal(op.kernel, op.kernel.conj().T)
     assert _traced_peak(lambda: validate_density(op, 1e-8)) <= 1.25 * 2**20
@@ -306,7 +306,7 @@ def test_foreign_quantizer_peak_does_not_grow_with_the_oversampling(cold_plans):
     # the traced peaks agree to within those (0.5 MiB at N = 256), and at
     # F = 2000 the kernel is still Hermitian and finite, at 2.13 MiB like
     # the others
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), 1.0))
     table = (W.p_grid.n // 2 + 1) * W.x_grid.n * 16
     peak = _traced_peak(lambda: weyl_quantize(W, eta=0.5))
     assert abs(_traced_peak(lambda: weyl_quantize(W, eta=0.25)) - peak) <= table

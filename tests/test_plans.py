@@ -28,7 +28,7 @@ def _held_bytes():
 
 
 def test_a_held_plan_is_the_fresh_build_and_read_only():
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), 1.0)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), 1.0))
     table = weyl._dirichlet_table(W, 0.5, 4)
     assert weyl._dirichlet_table(W, 0.5, 4) is table
     fresh = weyl._dirichlet_sums(128, 128, W.x_grid.dx, W.p_grid.dx, W.p_grid.x_min, 0.5, 4)
@@ -45,7 +45,7 @@ def test_a_held_dirichlet_plan_is_two_real_factors_a_turn_and_a_ramp():
     # total and diff, (N_p/2 + 1) x N float64 each, the N_p/2 + 1 row turns
     # and the N-entry lag ramp: 136,208 bytes at N = N_p = 128, where an
     # (N_p + 2) x N complex table of A_j and B_j held 266,240
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), 1.0)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), 1.0))
     weyl._dirichlet_table(W, 0.5, 4)
     (held,) = errors._plans.values()
     n = n_p = 128

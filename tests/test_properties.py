@@ -360,7 +360,7 @@ def test_range_spectrum_of_a_mixture_kernel_is_certified(grid_eta, components, s
 def test_range_spectrum_of_a_foreign_eta_quantization_is_certified(grid_eta, other, seed):
     # rho = (2 pi eta') Op_eta'(W) / Tr, as eta_scan validates it
     grid, eta = grid_eta
-    W = wigner(_state(grid, eta, np.random.default_rng(seed))).W
+    W = wigner(_state(grid, eta, np.random.default_rng(seed)))
     op, _, _ = quantized_density(W, other, 1e-8)
     _assert_within_certificate(op, 1e-8)
 
@@ -404,7 +404,7 @@ def test_plans_give_the_same_bits_cold_warm_and_after_an_eviction(half, x_min, l
     grid = Grid(x_min, x_min + length, 2 * half)
     rng = np.random.default_rng(seed)
     psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
-    args = (wigner(psi).W, psi, phi, [0.5 * eta, eta, 1.5 * eta])
+    args = (wigner(psi), psi, phi, [0.5 * eta, eta, 1.5 * eta])
     errors._plans.clear()
     cold = _capped_outputs(0, *args)
     assert not errors._plans
@@ -524,7 +524,7 @@ def test_chirp_z_quantizer_matches_dense_product(grid_eta, factor, seed):
     # only the lags d >= 0 and mirrors its kernel: exactly Hermitian
     weights = rng.dirichlet(np.ones(2))
     weights[-1] = 1.0 - weights[0]
-    W = wigner(MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights])).W
+    W = wigner(MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights]))
     assert W.values.dtype == np.float64
     for at, bound in ((eta, 1e-11), (eta_use, 1e-12)):
         kernel = weyl_quantize(W, eta=at).kernel
@@ -543,7 +543,7 @@ def test_foreign_quantizer_meets_the_dense_oracle_at_n512():
     rng = np.random.default_rng(0)
     a = PhaseSpaceFunction(grid, p_grid, rng.normal(size=(512, 512)), 1.0)
     psi, phi = coherent_state(grid, 1.0, 0.3, 0.2), coherent_state(grid, 1.0, -0.5, -0.4)
-    W = wigner(MixedStateSpec([(0.4, psi), (0.6, phi)])).W
+    W = wigner(MixedStateSpec([(0.4, psi), (0.6, phi)]))
     for symbol, bound in ((a, 4e-13), (W, 1e-13)):
         fast = weyl_quantize(symbol, eta=0.25).kernel
         assert _relative(fast, weyl_quantize_dense(symbol, eta=0.25)) <= bound
@@ -576,7 +576,7 @@ def test_density_wigner_matches_eigen_loop(grid_eta, components, seed):
     assert _relative(rho.kernel, explicit) <= 1e-14
     first = states[0].values
     assert _relative(pure_density(states[0]).kernel, np.outer(first, first.conj())) <= 1e-15
-    assert _relative(wigner(rho).W.values, wigner_density_eigen(rho)) <= 1e-12
+    assert _relative(wigner(rho).values, wigner_density_eigen(rho)) <= 1e-12
 
 
 
@@ -620,8 +620,8 @@ def test_rank_one_maps_match_the_parity_view_path(grid_eta, seed):
     ref = _parity_view_maps(psi, phi)
     rank_one = {
         "cross": cross_wigner(psi, phi).values,
-        "wigner": wigner(psi).W.values,
-        "density": wigner(pure_density(psi)).W.values,
+        "wigner": wigner(psi).values,
+        "density": wigner(pure_density(psi)).values,
         "ambiguity": ambiguity(psi).values,
     }
     ref["density"] = ref["wigner"]
@@ -664,26 +664,26 @@ def test_hermitian_wigner_paths_match_dense_oracles(grid_eta, components, seed):
     grid, eta = grid_eta
     rng = np.random.default_rng(seed)
     psi = _state(grid, eta, rng)
-    assert _relative(wigner(psi).W.values, cross_wigner_dense(psi, psi)) <= 1e-13
+    assert _relative(wigner(psi).values, cross_wigner_dense(psi, psi)) <= 1e-13
     weights = rng.dirichlet(np.ones(components))
     weights[-1] = 1.0 - weights[:-1].sum()
     spec = MixedStateSpec([(w, _state(grid, eta, rng)) for w in weights])
     rho = mix(spec)
     eigen = wigner_density_eigen(rho)
-    assert _relative(wigner(spec).W.values, eigen) <= 1e-13
-    assert _relative(wigner(DensityMatrix(rho.op, rho.report)).W.values, eigen) <= 1e-13
+    assert _relative(wigner(spec).values, eigen) <= 1e-13
+    assert _relative(wigner(DensityMatrix(rho.op, rho.report)).values, eigen) <= 1e-13
     skew = rng.uniform(-1.0, 1.0, size=(grid.n, grid.n))
     kernel = rho.kernel + 1e-11 * np.max(np.abs(rho.kernel)) * 1j * (skew + skew.T)
     op = OperatorMatrix(grid, kernel, eta)
     full = weyl_symbol(op).values.real / (2.0 * np.pi * eta)
-    assert _relative(wigner(DensityMatrix(op, validate_density(op))).W.values, full) <= 1e-14
+    assert _relative(wigner(DensityMatrix(op, validate_density(op))).values, full) <= 1e-14
 
 
 def test_wigner_of_a_state_at_n512_is_within_1e_14_of_the_dense_oracle():
     # every phase of the lag sum is an exact sign or FFT root, so no float
     # exp table adds its error (the complex-phase pass read 6.8e-14 here)
     psi = coherent_state(make_grid(-10.0, 10.0, 512), 1.0, 0.5, 0.3)
-    assert _relative(wigner(psi).W.values, cross_wigner_dense(psi, psi)) <= 1e-14
+    assert _relative(wigner(psi).values, cross_wigner_dense(psi, psi)) <= 1e-14
 
 @given(
     st.sampled_from([64, 128, 256]),
@@ -752,7 +752,7 @@ def _radon_input(grid, eta, seed, kind):
     """
     rng = np.random.default_rng(seed)
     if kind == "superposition":
-        return wigner(_state(grid, eta, rng)).W
+        return wigner(_state(grid, eta, rng))
     p_grid = dual_grid(grid, eta)
     if kind == "filled":
         x, p = np.meshgrid(grid.points, p_grid.points, indexing="ij")
@@ -762,11 +762,11 @@ def _radon_input(grid, eta, seed, kind):
     if kind == "off_centre":
         x0 = grid.x_min + 0.3 * grid.length
         p0 = p_grid.x_min + 0.3 * p_grid.length
-        return wigner(coherent_state(grid, eta, x0, p0)).W
+        return wigner(coherent_state(grid, eta, x0, p0))
     xc = 0.5 * (grid.x_min + grid.x_max)
     hx, hp = 1.5 * np.sqrt(eta), 0.5 * np.sqrt(eta)
     values = coherent_state(grid, eta, xc + hx, hp).values + coherent_state(grid, eta, xc - hx, -hp).values
-    W = wigner(GridFunction(grid, values, eta).normalized()).W
+    W = wigner(GridFunction(grid, values, eta).normalized())
     return PhaseSpaceFunction(grid, p_grid, -W.values, eta, kind="wigner")
 
 
@@ -826,9 +826,9 @@ def test_moyal_identity(n, eta, offset, seed):
     grid = make_grid(x_min, x_min + length, n)
     rng = np.random.default_rng(seed)
     psi, phi = _state(grid, eta, rng), _state(grid, eta, rng)
-    w = wigner(psi).W
+    w = wigner(psi)
     assert abs(2.0 * np.pi * eta * moyal_overlap(w, w).real - 1.0) <= 1e-7
-    lhs = 2.0 * np.pi * eta * moyal_overlap(w, wigner(phi).W).real
+    lhs = 2.0 * np.pi * eta * moyal_overlap(w, wigner(phi)).real
     assert abs(lhs - abs(psi.inner(phi)) ** 2) <= 1e-7
 
 
@@ -853,7 +853,7 @@ def test_symplectic_fourier_is_an_involution(n, half, eta, offset, seed):
     # residual grows like N (about 3e-13 at N = 512)
     grid = make_grid(-half, half, n)
     rng = np.random.default_rng(seed)
-    W = wigner(_state(grid, eta, rng, center=offset * half)).W
+    W = wigner(_state(grid, eta, rng, center=offset * half))
     assert _relative(symplectic_fourier(symplectic_fourier(W)).values, W.values) <= 1e-12
 
 

@@ -65,7 +65,7 @@ def test_gaussian_state_takes_a_spec_only(grid):
 
 
 def test_coherent_state_covariance(grid):
-    W = wigner(coherent_state(grid, ETA, 0.4, -0.1)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.1))
     cov = covariance_matrix(W)
     # coherent state: Sigma = (eta / 2) I
     assert np.max(np.abs(cov.sigma - 0.5 * ETA * np.eye(2))) < 1e-8
@@ -118,7 +118,7 @@ def test_admissibility_rejects_asymmetric():
 
 def test_klm_passes_for_ground_state():
     grid = _self_dual_grid()
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     for seed in range(10):
         report = klm_test(W, ETA, samples=40, seed=seed)
         assert report.passed
@@ -130,7 +130,7 @@ def test_klm_passes_for_ground_state():
 def test_klm_fails_above_native_eta():
     # the same distribution cannot be a Wigner function at larger eta
     grid = _self_dual_grid()
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     report = klm_test(W, 1.5 * ETA, samples=40, seed=0)
     assert not report.passed
 
@@ -139,13 +139,13 @@ def test_klm_ball_radius_reads_the_support_block():
     # the CLI's coherent W has Sigma = I / 2, so the ball's radius is
     # 3 / sqrt(2): its moments read the support block, not the round-off
     # floor of W around it
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA))
     radius = klm_test(W, ETA, samples=8).details["radius"]
     assert abs(radius / (3.0 / np.sqrt(2.0)) - 1.0) <= 1e-14
 
 
 def test_klm_rejects_unnormalized(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     bad = type(W)(W.x_grid, W.p_grid, 2.0 * W.values, W.eta, kind="wigner")
     with pytest.raises(ValidationError):
         klm_test(bad, ETA)
@@ -154,21 +154,21 @@ def test_klm_rejects_unnormalized(grid):
 def test_klm_refuses_oversized_sample_count(grid):
     # 20000 samples need 25.6 GB for the four 20000 x 20000 complex
     # matrices alone; refused before anything is allocated
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError, match="GiB"):
         klm_test(W, ETA, samples=20000)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.0, np.nan, np.inf, -np.inf])
 def test_klm_refuses_zero_or_non_finite_eta(grid, eta):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError, match="eta"):
         klm_test(W, eta)
 
 
 @pytest.mark.parametrize("eta", [0.0, np.nan, np.inf])
 def test_sigma_transform_refuses_zero_or_non_finite_eta(grid, eta):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError, match="eta"):
         sigma_transform_at(W, np.zeros((3, 2)), eta)
 
@@ -183,7 +183,7 @@ def test_negative_eta_keeps_its_meaning():
     # the Gaussian test reads |eta|; the KLM matrix at -eta is minus the
     # conjugate of the one at eta, so a state positive at eta fails there
     assert gaussian_admissible(np.eye(2), -ETA) == gaussian_admissible(np.eye(2), ETA)
-    W = wigner(coherent_state(_self_dual_grid(64), ETA)).W
+    W = wigner(coherent_state(_self_dual_grid(64), ETA))
     assert klm_test(W, ETA, samples=8).passed
     assert klm_test(W, -ETA, samples=8).verdict == "violation"
 
@@ -196,13 +196,13 @@ def test_negative_eta_keeps_its_meaning():
          "negative_seed", "float_seed", "bool_seed"],
 )
 def test_klm_refuses_bad_sample_count_or_seed(grid, kwargs):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError, match="samples|seed"):
         klm_test(W, ETA, **kwargs)
 
 
 def test_klm_takes_numpy_integers(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     report = klm_test(W, ETA, samples=np.int64(8), seed=np.uint32(3))
     assert report.points.shape == (8, 2)
     assert report.seed == 3
@@ -219,7 +219,7 @@ def test_narcowich_oconnell_witness():
 
 def test_eta_scan_verdicts():
     grid = _self_dual_grid()
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     result = eta_scan(W, [0.5 * ETA, ETA, 1.5 * ETA])
     assert result.verdicts() == ["mixed", "pure", "inadmissible"]
     for entry in result.entries:
@@ -236,7 +236,7 @@ def test_eta_scan_verdicts_do_not_depend_on_the_scale(power):
     # a RuntimeWarning at lam = 2^-280
     def verdicts(lam):
         half = 0.5 * np.sqrt(2.0 * np.pi * ETA * 128) * lam
-        W = wigner(coherent_state(make_grid(-half, half, 128), ETA * lam**2)).W
+        W = wigner(coherent_state(make_grid(-half, half, 128), ETA * lam**2))
         return eta_scan(W, [0.5 * ETA * lam**2, ETA * lam**2, 1.5 * ETA * lam**2]).verdicts()
 
     assert verdicts(2.0**power) == verdicts(1.0) == ["mixed", "pure", "inadmissible"]
@@ -247,7 +247,7 @@ def test_eta_scan_quantizes_the_real_part():
     # the caller's explicit real part scans as W does, and the density is
     # Hermitian to round-off
     grid = _self_dual_grid()
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     real = eta_scan(W, [0.5, 1.0, 1.5])
     values = W.values + 5e-10j * np.max(np.abs(W.values))
     tilted = PhaseSpaceFunction(W.x_grid, W.p_grid, values, ETA, "wigner")
@@ -263,7 +263,7 @@ def test_eta_scan_judges_the_normalized_density():
     # a mass of 1 + 5e-7 passes the unit-mass check; the entry's trace reads
     # it, and the verdicts are those of the unit-mass W
     grid = _self_dual_grid()
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     unit = eta_scan(W, [0.5, 1.0, 1.5])
     heavy = PhaseSpaceFunction(W.x_grid, W.p_grid, (1.0 + 5e-7) * W.values, ETA, "wigner")
     result = eta_scan(heavy, [0.5, 1.0, 1.5])
@@ -275,7 +275,7 @@ def test_eta_scan_judges_the_normalized_density():
 
 def test_eta_scan_flags_nonpositive_distribution():
     grid = _self_dual_grid()
-    W = wigner(hermite_state(grid, ETA, 1)).W
+    W = wigner(hermite_state(grid, ETA, 1))
     result = eta_scan(W, [ETA])
     # a genuine Wigner function at its own eta is a pure state even though
     # the distribution itself takes negative values
@@ -402,7 +402,7 @@ def test_transform_of_a_complex_function_matches_literal_quadrature():
 
 @pytest.mark.parametrize("eta", [ETA, 1.5 * ETA])
 def test_klm_min_eigenvalue_matches_literal_quadrature(eta):
-    W = wigner(coherent_state(_self_dual_grid(64), ETA)).W
+    W = wigner(coherent_state(_self_dual_grid(64), ETA))
     report = klm_test(W, eta, samples=20, seed=3)
     pts = report.points
     diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)

@@ -46,7 +46,7 @@ def test_grid_function_round_trip(tmp_path, grid):
 
 
 def test_phase_space_round_trip(tmp_path, grid):
-    W = wigner(coherent_state(grid, ETA, 0.3, -0.2)).W
+    W = wigner(coherent_state(grid, ETA, 0.3, -0.2))
     path = tmp_path / "wigner.csv"
     save_phase_space(W, path)
     back = load_phase_space(path)
@@ -59,7 +59,7 @@ def test_phase_space_round_trip(tmp_path, grid):
 def test_real_phase_space_writes_a_zero_imaginary_column(tmp_path, grid):
     # a Wigner function is float64: each data row is its %.17g value and 0,
     # and loading the file gives the same values back
-    W = wigner(coherent_state(grid, ETA, 0.3, -0.2)).W
+    W = wigner(coherent_state(grid, ETA, 0.3, -0.2))
     assert W.values.dtype == np.float64
     special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -np.pi, 1e-5, 2.0**60]
     W.values.reshape(-1)[: len(special)] = special
@@ -85,7 +85,7 @@ def test_zero_imaginary_column_loads_as_float64(tmp_path, grid, monkeypatch):
 
     parse_rows = serialize._parse_rows
     monkeypatch.setattr(serialize, "_parse_rows", parse)
-    W = wigner(coherent_state(grid, ETA, 0.3, -0.2)).W
+    W = wigner(coherent_state(grid, ETA, 0.3, -0.2))
     path = tmp_path / "wigner.csv"
     save_phase_space(W, path)
     back = load_phase_space(path)
@@ -110,7 +110,7 @@ def test_kernel_round_trip(tmp_path, grid):
 
 
 def test_tomogram_round_trip(tmp_path, grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     tomo = radon(W, np.linspace(0.0, np.pi, 8, endpoint=False))
     path = tmp_path / "tomo.csv"
     save_tomograms(tomo, path)

@@ -77,7 +77,7 @@ def test_norm_and_trace_share_one_tolerance(grid):
     near = GridFunction(grid, np.sqrt(1.0 + 0.9e-8) * psi.values, ETA)
     rho = mix(MixedStateSpec([(1.0, near)]))
     assert rho.report.ok and rho.op.trace().real == pytest.approx(1.0 + 0.9e-8, abs=1e-15)
-    assert wigner(MixedStateSpec([(1.0, near)])).W.values.shape == (grid.n, grid.n)
+    assert wigner(MixedStateSpec([(1.0, near)])).values.shape == (grid.n, grid.n)
 
 
 def test_mixture_weights_validated(grid):
@@ -122,7 +122,7 @@ def _assert_same_report(report, reference):
 def test_validate_density_reads_a_bit_hermitian_kernel_as_its_own_hermitian_part(eta):
     # the quantization of a real W equals its conjugate transpose entry for
     # entry: the report is the one of the formed Hermitian part, residue 0
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA))
     op = weyl_quantize(W) if eta is None else weyl_quantize(W, eta=eta)
     assert np.array_equal(op.kernel, op.kernel.conj().T)
     report = validate_density(op, 1e-8)
@@ -133,7 +133,7 @@ def test_validate_density_reads_a_bit_hermitian_kernel_as_its_own_hermitian_part
 def test_validate_density_forms_the_hermitian_part_of_a_round_off_kernel():
     # one ulp off in the upper triangle: the kernel is Hermitian only to
     # round-off, so its residue and spectrum are those of (K + K^H) / 2
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 128), ETA))
     kernel = weyl_quantize(W).kernel.copy()
     kernel[np.triu_indices(len(kernel), 1)] *= 1.0 + 2.0**-52
     op = OperatorMatrix(W.x_grid, kernel, ETA)
@@ -252,7 +252,7 @@ def test_eta_scan_and_reconstruction_take_no_n_by_n_eigensolve(monkeypatch):
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA))
     assert eta_scan(W, [0.5, 1.0, 1.5]).verdicts() == ["mixed", "pure", "inadmissible"]
     assert solves == [(32, 32)] * 3
     solves.clear()

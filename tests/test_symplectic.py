@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_williamson_degenerate_warns_and_factors():
     assert np.allclose(data.eigenvalues, 0.7, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [2.0**-100, 1.0, 2.0**100])
+def test_williamson_warning_is_scale_free(t):
+    # the gaps between symplectic eigenvalues are read relative to the
+    # largest, so Sigma scaled by t warns exactly when Sigma does
+    shear = np.eye(4)
+    shear[2:, :2] = [[0.3, -0.2], [-0.2, 0.5]]
+    sigma = shear.T @ np.diag([0.998, 1.488, 0.998, 1.488]) @ shear
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = williamson(t * sigma)
+    assert np.allclose(data.eigenvalues / t, [0.998, 1.488], rtol=1e-12, atol=0.0)
+    with pytest.warns(UserWarning, match="near-degenerate"):
+        williamson(0.7 * t * np.eye(4))
+
+
 def test_williamson_rejects_non_finite_covariance():
     with pytest.raises(ValidationError, match="finite"):
         williamson(np.full((2, 2), np.nan))
@@ -242,8 +258,8 @@ def test_wigner_transport():
     rng = np.random.default_rng(8)
     S = _random_symplectic(rng)
     moved = metaplectic_apply(MetaplecticSpec.free(S), psi)
-    W_in = wigner(psi).W
-    W_out = wigner(moved).W
+    W_in = wigner(psi)
+    W_out = wigner(moved)
     Sinv = np.linalg.inv(S)
     xx, pp = W_out.meshes()
     back_x = Sinv[0, 0] * xx + Sinv[0, 1] * pp

@@ -58,7 +58,7 @@ def test_radon_reproduces_marginals(grid):
     psi = coherent_state(grid, ETA, 0.5, -0.3)
     result = wigner(psi)
     tomo = radon(result, [0.0, np.pi / 2])
-    pos, mom = marginals(result.W)
+    pos, mom = marginals(result)
     assert np.max(np.abs(tomo.values[0] - pos)) < 1e-10
     assert np.max(np.abs(tomo.values[1] - mom)) < 1e-10
 
@@ -76,7 +76,7 @@ def test_radon_gaussian_closed_form(grid):
 
 
 def test_radon_masses_are_preserved(grid):
-    W = wigner(coherent_state(grid, ETA, 0.2, 0.4)).W
+    W = wigner(coherent_state(grid, ETA, 0.2, 0.4))
     tomo = radon(W, np.linspace(0.0, np.pi, 16, endpoint=False))
     assert np.max(np.abs(tomo.masses() - 1.0)) < 1e-8
 
@@ -97,7 +97,7 @@ def test_radon_matches_rotated_position_density(x_max):
 
 
 def test_radon_rejects_empty_angles(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError):
         radon(W, [])
 
@@ -106,7 +106,7 @@ def test_radon_rejects_empty_angles(grid):
     "angles", [[np.nan], [np.inf], [[0.1, 0.2]]], ids=["nan", "inf", "two_dimensional"]
 )
 def test_radon_rejects_bad_angles(grid, angles):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     with pytest.raises(ParameterError):
         radon(W, angles)
 
@@ -122,7 +122,7 @@ def test_tomogram_set_rejects_non_finite_samples(grid):
 
 
 def test_radon_refuses_oversized_spectra_before_allocating(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     # a zero-stride view: 10^9 angles without 8 GB of angle storage
     angles = np.broadcast_to(0.3, (10**9,))
     with pytest.raises(ParameterError, match="ray spectra"):
@@ -140,7 +140,7 @@ def test_radon_shares_one_p_axis_stage_per_sine(grid, monkeypatch):
         return chirp_z(*args)
 
     monkeypatch.setattr(tomography, "chirp_z", counting_chirp_z)
-    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3))
     angles = np.linspace(0.0, np.pi, 180, endpoint=False)
     tomo = radon(W, angles)
     # theta and pi - theta pair up; theta = 0 and pi/2 stand alone
@@ -164,7 +164,7 @@ def test_radon_transforms_only_the_support_box(monkeypatch):
         return chirp_z(values, m, *args)
 
     monkeypatch.setattr(tomography, "chirp_z", recording_chirp_z)
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 256), ETA))
     radon(W, np.linspace(0.0, np.pi, 180, endpoint=False))
     assert shapes and all(n_x < 256 and n_p < 256 for n_x, n_p in shapes)
     assert max(outputs) <= 256 // 2 + 1
@@ -181,7 +181,7 @@ def test_radon_of_zero_is_zero(grid):
 def test_radon_keeps_a_faint_far_plateau(grid):
     # a plateau just above SUPPORT_RTOL max |W| in the corner opposite the
     # state stays in the support box, so the tomograms carry its mass
-    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3))
     values = W.values.real.copy()
     values[:16, :16] = 1.5 * SUPPORT_RTOL * np.max(np.abs(values))
     plateau = PhaseSpaceFunction(W.x_grid, W.p_grid, values, ETA, kind="wigner")
@@ -200,7 +200,7 @@ def test_mass_drift_check_sees_mass_outside_the_support_box(grid, monkeypatch):
 
     half = (slice(0, grid.n // 2), slice(None))
     monkeypatch.setattr(tomography, "_support_box", lambda values, dx, dp: half)
-    W = wigner(coherent_state(grid, ETA, 0.4, -0.3)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.3))
     with pytest.warns(UserWarning, match="mass drift"):
         radon(W, [0.0, 1.0])
 
@@ -209,7 +209,7 @@ def test_support_box_margin_keeps_axis_rays_at_round_off():
     # at theta = 0 a ray sums a whole row of W, and at N = 512 one x step is
     # an eighth of a p step: the box margin must be a p step wide in x, or the
     # rows it drops show in the position marginal well above round-off
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), ETA, 0.3, 0.2)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 512), ETA, 0.3, 0.2))
     angles = [0.0, np.pi / 2]
     ref = radon_dense(W, angles)
     assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
@@ -219,7 +219,7 @@ def test_radon_chirps_start_at_k_zero():
     # the chirps' phase error grows with the square of their indices; indexed
     # from k = 0 they stay small over the half spectrum at N = 1024, where
     # indexed from k = -K/2 they read 2.6e-13 of the peak off the dense sum
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 1024), ETA, 0.3, 0.2)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 1024), ETA, 0.3, 0.2))
     angles = [0.0, np.pi / 2, 1.0, np.pi - 1.0]
     ref = radon_dense(W, angles)
     assert np.max(np.abs(radon(W, angles).values - ref)) <= 2e-13 * np.max(np.abs(ref))
@@ -236,13 +236,13 @@ def test_radon_band_edge_scales_with_the_box():
     def tomograms(scale):
         grid = make_grid(-10.0 * scale, 10.0 * scale, 256)
         psi = coherent_state(grid, ETA * scale**2, 0.7 * scale, -0.4 * scale)
-        return radon(wigner(psi).W, angles).values
+        return radon(wigner(psi), angles).values
 
     assert np.array_equal(tomograms(lam) * lam, tomograms(1.0))
 
 
 def test_filtered_backprojection_accuracy(grid):
-    W = wigner(coherent_state(grid, ETA, 0.4, -0.2)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, -0.2))
     angles = np.linspace(0.0, np.pi, 180, endpoint=False)
     tomo = radon(W, angles)
     recon = inverse_radon(tomo)
@@ -268,7 +268,7 @@ def test_backprojection_recovers_covariance(grid):
 
 
 def test_few_angles_warns(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     tomo = radon(W, np.linspace(0.0, np.pi, 8, endpoint=False))
     with pytest.warns(UserWarning, match="angles"):
         inverse_radon(tomo)
@@ -324,7 +324,7 @@ def test_backprojection_keeps_the_whole_grid_support(box):
     # the points of the whole-grid intersection, for one angle, a few and
     # many, with and without an angle at 0 and pi/2
     grid = make_grid(*box, 64)
-    W = wigner(coherent_state(grid, ETA, 1.3, -0.7)).W
+    W = wigner(coherent_state(grid, ETA, 1.3, -0.7))
     for count in (1, 2, 3, 37, 90):
         for offset in (0.0, 0.1):
             angles = np.linspace(0.0, np.pi, count, endpoint=False) + offset
@@ -343,7 +343,7 @@ def test_support_mask_keeps_fringes_between_empty_tomogram_stretches():
     grid = make_grid(-16.0, 16.0, 256)
     values = coherent_state(grid, ETA, 6.0, 0.0).values + coherent_state(grid, ETA, -6.0, 0.0).values
     psi = GridFunction(grid, values, ETA).normalized()
-    w = wigner(psi).W
+    w = wigner(psi)
     tomo = radon(w, np.linspace(0.0, np.pi, 180, endpoint=False))
     gap = np.abs(tomo.values[0, np.abs(grid.points) < 0.2])
     assert gap.size > 0 and np.all(gap < 1e-12 * np.max(np.abs(tomo.values)))
@@ -372,7 +372,7 @@ def test_reconstruction_below_the_tomograms_eta_agrees_with_eta_scan(eta):
 
 
 def test_reconstruct_density_rejects_unnormalized(grid):
-    W = wigner(coherent_state(grid, ETA)).W
+    W = wigner(coherent_state(grid, ETA))
     tomo = radon(W, np.linspace(0.0, np.pi, 90, endpoint=False))
     bad = TomogramSet(tomo.angles, tomo.grid, 2.0 * tomo.values, tomo.eta)
     with pytest.raises(NormalizationError):
@@ -384,7 +384,7 @@ def test_pauli_pair_overlap_and_marginals(grid):
     psi1, psi2 = pauli_pair(alpha, grid, ETA)
     overlap = abs(psi1.inner(psi2)) ** 2
     assert overlap == pytest.approx(alpha.real / abs(alpha), abs=1e-6)
-    W1, W2 = wigner(psi1).W, wigner(psi2).W
+    W1, W2 = wigner(psi1), wigner(psi2)
     for theta in (0.0, np.pi / 2):
         t1 = radon(W1, [theta]).values[0]
         t2 = radon(W2, [theta]).values[0]

@@ -69,14 +69,14 @@ def test_eta_fourier_gaussian_fixed_point(grid):
 
 def test_symplectic_fourier_is_involution(grid):
     eta = 1.0
-    W = wigner(coherent_state(grid, eta, 0.3, 0.2)).W
+    W = wigner(coherent_state(grid, eta, 0.3, 0.2))
     back = symplectic_fourier(symplectic_fourier(W))
     assert np.max(np.abs(back.values - W.values)) < 1e-12
 
 
 def test_symplectic_fourier_riemann_oracle(grid):
     eta = 1.0
-    W = wigner(coherent_state(grid, eta, 0.3, 0.2)).W
+    W = wigner(coherent_state(grid, eta, 0.3, 0.2))
     out = symplectic_fourier(W)
     x = W.x_grid.points
     p = W.p_grid.points
@@ -90,7 +90,7 @@ def test_symplectic_fourier_riemann_oracle(grid):
 
 
 def test_symplectic_fourier_wigner_becomes_ambiguity(grid):
-    W = wigner(coherent_state(grid, 1.0)).W
+    W = wigner(coherent_state(grid, 1.0))
     assert symplectic_fourier(W).kind == "ambiguity"
     # F_sigma W(psi) = Amb psi holds up to the lag leak: the lag -L/2 of the
     # edge row 0 is where the two sums part, and the residual relative to
@@ -102,7 +102,7 @@ def test_symplectic_fourier_wigner_becomes_ambiguity(grid):
         states += [hermite_state(g, 1.0, k) for k in range(9)]
         for psi in states:
             amb = ambiguity(psi)
-            out = symplectic_fourier(wigner(psi).W)
+            out = symplectic_fourier(wigner(psi))
             assert out.x_grid.matches(amb.x_grid) and out.p_grid.matches(amb.p_grid)
             peak = np.max(np.abs(amb.values))
             edge = np.max(np.abs(amb.values[0])) / peak
@@ -130,7 +130,7 @@ def test_conjugate_symmetric_maps_mirror_one_half(n):
                 assert np.max(np.abs(amb[unpaired] - dense[unpaired])) <= 1e-11 * peak
             if not grid.is_centered:
                 continue
-            W = wigner(psi).W
+            W = wigner(psi)
             out = symplectic_fourier(W).values
             mirror = np.conjugate(out[n - 1 : 0 : -1, half - 1 : 0 : -1])
             assert np.array_equal(out[1:, half + 1 :], mirror)

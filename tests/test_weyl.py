@@ -92,15 +92,15 @@ def test_wigner_from_reflection_pairing(grid):
     W = wigner(psi)
     # pick a center with 2 x0 on the grid so the reflection needs no interpolation
     i, k = 32, 36
-    z0 = (W.W.x_grid.points[i], W.W.p_grid.points[k])
+    z0 = (W.x_grid.points[i], W.p_grid.points[k])
     pairing = psi.inner(reflect(psi, z0)) / (np.pi * ETA)
-    assert abs(W.W.values[i, k] - pairing) < 1e-10
+    assert abs(W.values[i, k] - pairing) < 1e-10
 
 
 def test_symbol_of_projector_is_scaled_wigner(grid):
     psi = coherent_state(grid, ETA, 0.2, 0.1)
     a = weyl_symbol(pure_density(psi).op)
-    ref = 2.0 * np.pi * ETA * wigner(psi).W.values
+    ref = 2.0 * np.pi * ETA * wigner(psi).values
     assert np.max(np.abs(a.values - ref)) < 1e-12
 
 
@@ -248,7 +248,7 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     grid = make_grid(-10.0, 10.0, 256)
     a = weyl_symbol(pure_density(coherent_state(grid, ETA, 0.4, 0.0)).op)
     b = weyl_symbol(pure_density(hermite_state(grid, ETA, 1)).op)
-    W = wigner(coherent_state(grid, ETA, 0.4, 0.0)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, 0.0))
     assert W.values.dtype == np.float64
     for name in calls:
         monkeypatch.setattr(weyl, name, counting(name))
@@ -309,7 +309,7 @@ def test_quadratic_sums_are_read_in_peak_units(j):
     # Int |W|^2 / (2 pi eta) is not a float64 and is refused
     grid = make_grid(-10.0, 10.0, 128)
     psi = coherent_state(grid, ETA, 6.5).normalized()
-    W = wigner(psi).W
+    W = wigner(psi)
     lam = 4.0**j
     scaled = make_grid(-10.0 * lam, 10.0 * lam, 128)
     psi_j = GridFunction(scaled, psi.values / 2.0**j, lam**2)
@@ -364,7 +364,7 @@ def test_hermitian_lag_pass_is_one_hfft_without_exp_tables(monkeypatch):
         monkeypatch.setattr(np.fft, name, recording(np.fft, name))
     for source, shape in ((psi, (256, 129)), (spec, (256, 256))):
         after.clear()
-        assert wigner(source).W.values.dtype == np.float64
+        assert wigner(source).values.dtype == np.float64
         assert after == [shape, "irfft"]
 
 
@@ -462,7 +462,7 @@ def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
     from wignerlab import weyl
 
     grid = make_grid(-6.0, 6.0, 16)
-    W = wigner(coherent_state(grid, ETA, 0.4, 0.0)).W
+    W = wigner(coherent_state(grid, ETA, 0.4, 0.0))
     n, n_p, dx, dp = grid.n, W.p_grid.n, grid.dx, W.p_grid.dx
     d = np.arange(n)
     for ratio in (1.5, 0.5, 1.0 / 3.0):
@@ -494,7 +494,7 @@ def test_dirichlet_table_is_the_literal_sum_at_its_singularities():
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
 def test_quantizer_and_eta_scan_refuse_a_bad_eta(eta):
-    W = wigner(coherent_state(make_grid(-10.0, 10.0, 64), ETA)).W
+    W = wigner(coherent_state(make_grid(-10.0, 10.0, 64), ETA))
     with pytest.raises(ParameterError, match="eta must be a positive real number"):
         weyl_quantize(W, eta=eta)
     with pytest.raises(ParameterError, match="eta must be a positive real number"):
@@ -510,7 +510,7 @@ def _scaled_outputs(lam):
     eta = ETA * lam * lam
     psi = coherent_state(grid, eta, 0.4 * lam, 0.3 * lam)
     phi = coherent_state(grid, eta, -0.5 * lam, 0.2 * lam)
-    W, X = wigner(psi).W, cross_wigner(psi, phi)
+    W, X = wigner(psi), cross_wigner(psi, phi)
     outputs = {
         f"quantize {name} at {ratio} eta": weyl_quantize(a, eta=ratio * eta).kernel * lam**3
         for name, a in (("W", W), ("X", X))
