@@ -5,23 +5,9 @@ and quantum-Bochner admissibility tests, variable Planck-parameter scans,
 and Radon tomography, all discretized on dual position/momentum grids.
 """
 
-import os as _os
-
 __version__ = "0.1.0"
 
-
-def _configure_threads():
-    """Honor WIGNERLAB_THREADS before the numeric backends spin up."""
-    threads = _os.environ.get("WIGNERLAB_THREADS")
-    if not threads:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(var, threads)
-
-
-_configure_threads()
-
-from .errors import (  # noqa: E402
+from .errors import (
     ConfigurationError,
     NormalizationError,
     NotFreeError,
@@ -29,7 +15,7 @@ from .errors import (  # noqa: E402
     ValidationError,
     WignerlabError,
 )
-from .grid import (  # noqa: E402
+from .grid import (
     Grid,
     GridFunction,
     PhaseSpaceFunction,
@@ -38,9 +24,9 @@ from .grid import (  # noqa: E402
     dual_grid,
     make_grid,
 )
-from .transforms import eta_fourier, fourier_shift, refine, symplectic_fourier  # noqa: E402
-from .wavefunctions import coherent_state, gaussian_wavepacket, hermite_state  # noqa: E402
-from .states import (  # noqa: E402
+from .transforms import eta_fourier, fourier_shift, refine, symplectic_fourier
+from .wavefunctions import coherent_state, gaussian_wavepacket, hermite_state
+from .states import (
     DensityMatrix,
     MixedStateSpec,
     OperatorMatrix,
@@ -49,14 +35,14 @@ from .states import (  # noqa: E402
     state_stats,
     validate_density,
 )
-from .wigner import (  # noqa: E402
+from .wigner import (
     cross_wigner,
     marginals,
     moyal_overlap,
     reflection_wigner_check,
     wigner,
 )
-from .weyl import (  # noqa: E402
+from .weyl import (
     ambiguity,
     displace,
     expectation,
@@ -66,7 +52,7 @@ from .weyl import (  # noqa: E402
     weyl_quantize,
     weyl_symbol,
 )
-from .symplectic import (  # noqa: E402
+from .symplectic import (
     GeneratingFunction,
     MetaplecticSpec,
     WilliamsonData,
@@ -82,7 +68,7 @@ from .symplectic import (  # noqa: E402
     symplectic_eigenvalues,
     williamson,
 )
-from .quantumness import (  # noqa: E402
+from .quantumness import (
     CovarianceMatrix,
     EtaScanResult,
     GaussianStateSpec,
@@ -98,14 +84,14 @@ from .quantumness import (  # noqa: E402
     robertson_schrodinger_checks,
     sigma_transform_at,
 )
-from .tomography import (  # noqa: E402
+from .tomography import (
     TomogramSet,
     inverse_radon,
     pauli_pair,
     radon,
     reconstruct_density,
 )
-from .serialize import (  # noqa: E402
+from .serialize import (
     dump_json,
     json_ready,
     load_grid_function,

@@ -15,9 +15,9 @@ Tomogram CSV:
     angles,<theta_1>,...,<theta_T>
     <one row of N samples per angle>
 
-JSON envelopes mirror the same metadata with a ``schema`` version; floats
-are normalized to 17 significant digits so identical runs serialize to
-identical bytes.
+JSON envelopes mirror the same metadata with a ``schema`` version; each
+float is written as the shortest repr that reads back bit for bit, so
+identical runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def json_ready(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return {"real": json_ready(obj.real), "imag": json_ready(obj.imag)}
     if isinstance(obj, (float, np.floating)):
-        return float(_FLOAT_FMT % float(obj))
+        return float(obj)
     return obj
 
 

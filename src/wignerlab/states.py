@@ -85,13 +85,31 @@ class OperatorMatrix:
         return float(np.sum(np.abs(self.kernel) ** 2) * self.dx**2)
 
     def hermiticity_residue(self) -> float:
+        """2 max |K - H| / max |K| for the Hermitian part H = (K + K^H) / 2,
+        which is max |K - K^H| / max |K| up to rounding.
+
+        K is first compared with K^H in blocks of ``_TILE`` columns, each from
+        the diagonal down so that every pair of entries is compared once,
+        stopping at the first block that differs.  A kernel equal to K^H entry
+        for entry, as every quantized real symbol is, is its own Hermitian
+        part: the residue is exactly 0.  Otherwise H is formed one block of
+        ``_TILE`` columns at a time, so no N x N temporary is made.
+        """
         kernel = self.kernel
-        scale = float(np.max(np.abs(kernel))) or 1.0
-        residue = 0.0
-        for j in range(0, self.grid.n, _TILE):
-            block = kernel[:, j : j + _TILE] - kernel[j : j + _TILE, :].conj().T
-            residue = max(residue, float(np.max(np.abs(block))))
-        return residue / scale
+        n = self.grid.n
+        if all(
+            np.array_equal(kernel[j : j + _TILE, j:].conj().T, kernel[j:, j : j + _TILE])
+            for j in range(0, n, _TILE)
+        ):
+            return 0.0
+        scale, residue = 0.0, 0.0
+        for j in range(0, n, _TILE):
+            cols = slice(j, j + _TILE)
+            block = np.add(kernel[cols, :].conj().T, kernel[:, cols])
+            block *= 0.5
+            scale = max(scale, float(np.max(np.abs(kernel[:, cols]))))
+            residue = max(residue, float(np.max(np.abs(kernel[:, cols] - block))))
+        return 2.0 * residue / scale
 
 
 @dataclass
@@ -232,21 +250,19 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
 
     The report keeps the spectrum and the diagonal-sum trace.  ``psd_floor``
     is the relative eigenvalue floor; reconstructions with known ringing
-    pass a looser one.  K is first compared with K^H in blocks of ``_TILE``
-    columns, each from the diagonal down so that every pair of entries is
-    compared once, stopping at the first block that differs.  A kernel
-    equal to K^H entry for entry, as every quantized real symbol is, is its
-    own Hermitian part, (K + K) / 2 = K exactly: its residue is 0 and its
-    spectrum is read from K itself, with no N x N copy.  Otherwise the
-    Hermitian part H = (K + K^H)/2 is formed once, in blocks of ``_TILE``
-    columns: the Hermiticity residue max |K - K^H| is 2 max |K - H|.  The
+    pass a looser one.  The residue is :meth:`OperatorMatrix.hermiticity_residue`.
+    A kernel of residue 0, equal to K^H entry for entry, is its own
+    Hermitian part, (K + K) / 2 = K exactly, and its spectrum is read from K
+    itself, with no N x N copy.  Otherwise the Hermitian part
+    H = (K + K^H)/2 is formed once, in blocks of ``_TILE`` columns.  The
     spectrum is that of H on a certified range basis
     (:func:`_spectrum`): a numerically low-rank kernel takes a sketch of a
     few dozen columns and one small eigensolve, and a full-rank one the
     N x N eigensolve.  The sketch is a plan held per (N, r) under the
     32 MiB cap of all plans (:func:`errors.plan`), so only the first call
-    at an N and rank r pays its build.  The report keeps the basis rank and its certificate,
-    which is at most a tenth of the PSD floor times the largest |eigenvalue|.
+    at an N and rank r pays its build.  The report keeps the basis rank and
+    its certificate, which is at most a tenth of the PSD floor times the
+    largest |eigenvalue|.
 
     :func:`errors.require_memory` refuses the working set first, counted for
     a kernel that differs from K^H: the Hermitian part and at most one more
@@ -256,24 +272,16 @@ def validate_density(op: OperatorMatrix, psd_floor: float = PSD_RTOL):
     """
     n = op.grid.n
     require_memory(32 * (n * n + _TILE * n), f"spectrum of a kernel at N = {n}")
-    kernel = op.kernel
-    if all(
-        np.array_equal(kernel[j : j + _TILE, j:].conj().T, kernel[j:, j : j + _TILE])
-        for j in range(0, n, _TILE)
-    ):
-        vals, certificate, rank = _spectrum(kernel, psd_floor)
-        return _judge(op, 0.0, vals * op.dx, certificate * op.dx, rank, psd_floor)
-    herm_part = np.empty_like(kernel)
-    scale, residue = 0.0, 0.0
-    for j in range(0, n, _TILE):
-        cols = slice(j, j + _TILE)
-        block = np.add(kernel[cols, :].conj().T, kernel[:, cols], out=herm_part[:, cols])
-        block *= 0.5
-        scale = max(scale, float(np.max(np.abs(kernel[:, cols]))))
-        residue = max(residue, float(np.max(np.abs(kernel[:, cols] - block))))
+    kernel = herm_part = op.kernel
+    residue = op.hermiticity_residue()
+    if residue:
+        herm_part = np.empty_like(kernel)
+        for j in range(0, n, _TILE):
+            cols = slice(j, j + _TILE)
+            block = np.add(kernel[cols, :].conj().T, kernel[:, cols], out=herm_part[:, cols])
+            block *= 0.5
     vals, certificate, rank = _spectrum(herm_part, psd_floor)
-    herm = 2.0 * residue / (scale or 1.0)
-    return _judge(op, herm, vals * op.dx, certificate * op.dx, rank, psd_floor)
+    return _judge(op, residue, vals * op.dx, certificate * op.dx, rank, psd_floor)
 
 
 def _judge(

@@ -258,20 +258,22 @@ def _resample(values: np.ndarray, grid: Grid, start: float, step: float) -> np.n
     """Band-limited interpolant of grid samples at start + j step, j = 0 .. N-1.
 
     One chirp-z sums two rows: the frequencies 0 .. N/2, and 0 .. -N/2
-    conjugated, with the DC and Nyquist coefficients split evenly between
-    them, so real samples resample to real values.  Indexing each row from
-    frequency 0 keeps the chirp phases of the low frequencies, where a smooth
-    state's weight lies, small: a single row over -N/2 .. N/2 with the
-    post-phase exp(-i pi N t) was 5 to 25x less accurate at N = 1024.  Points
-    outside [x_min, x_max) read zero, as for a decaying function; the edges
-    carry a round-off tolerance, so the dual grid of a self-dual grid, which
-    may start one rounding above x_min, keeps its first sample.
+    conjugated, with the DC and, at even N, the Nyquist coefficient split
+    evenly between them, so real samples resample to real values.  At odd N
+    column N // 2 of each row is an ordinary bin, whose partner is in the
+    other row, and is kept whole.  Indexing each row from frequency 0 keeps
+    the chirp phases of the low frequencies, where a smooth state's weight
+    lies, small: a single row over -N/2 .. N/2 with the post-phase
+    exp(-i pi N t) was 5 to 25x less accurate at N = 1024.  Points outside
+    [x_min, x_max) read zero, as for a decaying function; the edges carry a
+    round-off tolerance, so the dual grid of a self-dual grid, which may
+    start one rounding above x_min, keeps its first sample.
     """
     n = grid.n
     half = n // 2
     spec = np.fft.fft(values)
     rows = np.stack([spec[: half + 1], spec[-np.arange(half + 1)].conj()])
-    rows[:, [0, half]] *= 0.5
+    rows[:, [0, half] if n % 2 == 0 else 0] *= 0.5
     t = (start + step * np.arange(n) - grid.x_min) / grid.length
     out = chirp_z(rows, n, 2.0 * np.pi * step / grid.length, 2.0 * np.pi * t[0])
     out = (out[0] + out[1].conj()) / n

@@ -197,30 +197,28 @@ def fourier_shift(
     values: np.ndarray,
     grid: Grid,
     shift: float,
-    axis: int | tuple[int, ...] = -1,
+    axis: int = -1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate the periodic interpolant at ``x - shift`` on the same grid.
+    """Evaluate the periodic interpolant at ``x - shift`` on the same grid,
+    along ``axis``.
 
-    ``axis`` is one axis or a tuple of axes, shifted one after the other.
-    The first forward FFT writes into ``out``, which may be ``values``
-    itself (a complex array or a strided view of one), or else allocates the
-    only buffer; every later FFT, phase product and inverse FFT overwrites
-    it in place.
+    The forward FFT writes into ``out``, which may be ``values`` itself (a
+    complex array or a strided view of one), or else allocates the only
+    buffer; the phase product and the inverse FFT overwrite it in place.
     """
     work = np.asarray(values, dtype=complex)
-    for step, ax in enumerate(axis if isinstance(axis, tuple) else (axis,)):
-        ax %= work.ndim
-        n = work.shape[ax]
-        work = np.fft.fft(work, axis=ax, out=out if step == 0 else work)
-        ks = np.fft.fftfreq(n, d=1.0 / n)
-        phase = np.exp(-2j * np.pi * ks * shift / grid.length)
-        if n % 2 == 0:
-            # symmetric Nyquist treatment keeps real inputs real; an odd N has
-            # no Nyquist bin
-            phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
-        work *= phase.reshape((n,) + (1,) * (work.ndim - 1 - ax))
-        np.fft.ifft(work, axis=ax, out=work)
+    axis %= work.ndim
+    n = work.shape[axis]
+    work = np.fft.fft(work, axis=axis, out=out)
+    ks = np.fft.fftfreq(n, d=1.0 / n)
+    phase = np.exp(-2j * np.pi * ks * shift / grid.length)
+    if n % 2 == 0:
+        # symmetric Nyquist treatment keeps real inputs real; an odd N has no
+        # Nyquist bin
+        phase[n // 2] = np.cos(np.pi * n * shift / grid.length)
+    work *= phase.reshape((n,) + (1,) * (work.ndim - 1 - axis))
+    np.fft.ifft(work, axis=axis, out=work)
     return work
 
 

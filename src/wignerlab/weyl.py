@@ -216,7 +216,8 @@ def _folded_correlation(source, grid: Grid, width: int) -> np.ndarray:
         f, g = _half_steps(source, grid)
         strip = np.empty((tile, rows), dtype=complex)
     else:
-        shifted = fourier_shift(source, grid, -0.5 * grid.dx, axis=(0, 1))
+        shifted = fourier_shift(source, grid, -0.5 * grid.dx, axis=0)
+        fourier_shift(shifted, grid, -0.5 * grid.dx, axis=1, out=shifted)
     for (a, b), positive in views[0].items():
         negative = views[1][a, b]
         # block entry (i, k) has lag 2 (i - k) + a - b: on the diagonal i = k
@@ -699,12 +700,13 @@ def twisted_product(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceF
 
 
 def expectation(a: PhaseSpaceFunction, rho: DensityMatrix) -> float:
-    """<A> = Int a(z) rho_W(z) dz of a real symbol ``a``, summed in the peak
-    units of a and rho_W (:func:`grid.peak_pairing`), cross-checked against
-    Tr(rho A) by callers."""
-    values = a.real_values()
-    rho_w = density_wigner(rho).values
-    return float(peak_pairing(values, rho_w, a.area_element, f"an expectation at eta = {a.eta:g}"))
+    """<A> = Int a(z) rho_W(z) dz of a real symbol ``a`` on the lattice and
+    eta of rho_W, summed in the peak units of a and rho_W
+    (:func:`grid.peak_pairing`), cross-checked against Tr(rho A) by callers."""
+    rho_w = density_wigner(rho)
+    a.require_compatible(rho_w)
+    what = f"an expectation at eta = {a.eta:g}"
+    return float(peak_pairing(a.real_values(), rho_w.values, a.area_element, what))
 
 
 def trace_from_symbol(a: PhaseSpaceFunction) -> dict:

@@ -106,7 +106,8 @@ def half_step_correlation(kernel, grid) -> np.ndarray:
             odd = int(a != b)
             np.matmul(f[n + 2 * a + odd : 3 * n : 4], g[n + 2 * b + odd : 3 * n : 4].T, out=view)
         return corr
-    shifted = fourier_shift(kernel, grid, -0.5 * grid.dx, axis=(0, 1))
+    shifted = fourier_shift(kernel, grid, -0.5 * grid.dx, axis=0)
+    fourier_shift(shifted, grid, -0.5 * grid.dx, axis=1, out=shifted)
     for (a, b), view in views.items():
         view[...] = (kernel if a == b else shifted)[a::2, b::2]
     return corr

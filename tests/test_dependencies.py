@@ -22,6 +22,22 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_the_environment_as_it_was():
+    # the BLAS thread count is the user's to set, before Python starts:
+    # importing the package writes no environment variable, whatever is set
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in blas}
+    env.update(PYTHONPATH=str(ROOT / "src"), WIGNERLAB_THREADS="3")
+    code = (
+        "import os; before = dict(os.environ); import wignerlab; "
+        "print(dict(os.environ) == before)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True"
+
+
 def test_validation_imports_no_random_generator():
     # the range basis of a kernel's spectrum is sketched in closed form:
     # importing numpy.random would cost the CLI several MB and milliseconds

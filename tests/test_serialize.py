@@ -199,6 +199,22 @@ def test_json_ready_normalizes_types():
     assert payload["count"] == 4
 
 
+def test_json_ready_returns_each_double_bit_for_bit():
+    # json writes a float's shortest round-trip repr: no rounding on the way
+    rng = np.random.default_rng(5)
+    doubles = np.concatenate(
+        [
+            [5e-324, -5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0), -0.0, 0.0],
+            [np.finfo(float).max, -np.finfo(float).max, 1.0 / 3.0, 0.1, np.pi],
+            rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-1074, 1024, 200),
+        ]
+    )
+    ready = json_ready(doubles)
+    assert all(type(x) is float for x in ready)
+    assert np.array_equal(np.array(ready).view(np.uint64), doubles.view(np.uint64))
+    assert json_ready(np.float32(0.1)) == float(np.float32(0.1))
+
+
 def test_dump_json_is_deterministic(tmp_path):
     obj = {"b": np.pi, "a": [1.0 / 3.0, 2.0 + 0.5j]}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"

@@ -8,6 +8,7 @@ import pytest
 import wignerlab
 from wignerlab import (
     GeneratingFunction,
+    Grid,
     GridFunction,
     MetaplecticSpec,
     NotFreeError,
@@ -279,6 +280,20 @@ def test_round_trip_through_inverse():
     back = metaplectic_apply(MetaplecticSpec.free(Sinv), there)
     fidelity = abs(psi.inner(back))
     assert fidelity == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [63, 65])
+def test_rescale_keeps_the_top_bin_whole_at_odd_n(n):
+    # at odd N the top frequency (N - 1) / 2 is an ordinary bin, paired with
+    # -(N - 1) / 2, not a Nyquist bin to split: halved, it read 0.52 off
+    grid = Grid(-10.0, 10.0, n)
+    k = (n - 1) // 2
+    wave = np.exp(2j * np.pi * k * (grid.points - grid.x_min) / grid.length)
+    rescale = MetaplecticSpec.from_word([("rescale", 1.1, 0)])
+    out = metaplectic_apply(rescale, GridFunction(grid, wave, ETA))
+    t = (1.1 * grid.points - grid.x_min) / grid.length
+    exact = np.where((t >= 0.0) & (t < 1.0), np.sqrt(1.1) * np.exp(2j * np.pi * k * t), 0.0)
+    assert np.max(np.abs(out.values - exact)) < 1e-12
 
 
 def test_fourier_word_matches_eta_fourier():

@@ -177,8 +177,13 @@ def test_two_dimensional_fourier_shift_holds_one_buffer():
     g = make_grid(-10.0, 10.0, n)
     rng = np.random.default_rng(4)
     vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    peak = _traced_peak(lambda: fourier_shift(vals, g, -0.5 * g.dx, axis=(0, 1)))
-    assert peak < 16 * n * n + 512 * n
+
+    def shift_both_axes():
+        # the second shift runs in place in the first one's buffer
+        shifted = fourier_shift(vals, g, -0.5 * g.dx, axis=0)
+        fourier_shift(shifted, g, -0.5 * g.dx, axis=1, out=shifted)
+
+    assert _traced_peak(shift_both_axes) < 16 * n * n + 512 * n
 
 
 def _band_limited(grid, seed=0):
@@ -241,13 +246,3 @@ def test_fourier_shift_at_odd_n_matches_trig_sum():
     assert np.max(np.abs(shifted - periodic_interp(vals, g, t - 0.3))) < 1e-12
     exact = np.cos(3 * (t - 0.3)) + 0.5 * np.sin(7 * (t - 0.3)) + 0.2
     assert np.max(np.abs(shifted - exact)) < 1e-12
-
-
-@pytest.mark.parametrize("n", [16, 15])
-def test_fourier_shift_over_a_tuple_of_axes_is_the_nested_shifts(n):
-    g = Grid(-4.0, 4.0, n)
-    rng = np.random.default_rng(n)
-    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    nested = fourier_shift(fourier_shift(vals, g, 0.3, axis=0), g, 0.3, axis=1)
-    assert np.array_equal(fourier_shift(vals, g, 0.3, axis=(0, 1)), nested)
-    assert np.array_equal(fourier_shift(vals[0], g, 0.3, axis=(0,)), fourier_shift(vals[0], g, 0.3))

@@ -203,6 +203,22 @@ def test_expectation_of_position_squared(grid):
     assert expectation(a, rho) == pytest.approx(0.25 + ETA / 2.0, abs=1e-8)
 
 
+def test_expectation_refuses_a_symbol_on_another_lattice():
+    # the position symbol pairs with rho_W only on the density's own box and
+    # eta: on a box shifted by 3 its sum read <x> + 3 = 3.5
+    grid = make_grid(-10.0, 10.0, 64)
+    rho = pure_density(coherent_state(grid, ETA, 0.5, 0.0))
+
+    def position(box, eta):
+        xx = np.broadcast_to(box.points[:, None], (box.n, box.n))
+        return PhaseSpaceFunction(box, dual_grid(box, eta), xx, eta, kind="symbol")
+
+    assert expectation(position(grid, ETA), rho) == pytest.approx(0.5, abs=1e-8)
+    for a in (position(make_grid(-7.0, 13.0, 64), ETA), position(grid, 2.0 * ETA)):
+        with pytest.raises(ParameterError, match="mismatch"):
+            expectation(a, rho)
+
+
 def test_cross_wigner_consistency_with_symbol(grid):
     # rank-one operator |psi><phi| has symbol 2 pi eta W(psi, phi)
     psi = coherent_state(grid, ETA, 0.2, 0.3)
@@ -220,7 +236,7 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     # chirp-z and no refined rows at any eta.  Each kernel shifts its odd-lag
     # columns half a step, N/2 columns per call: the N/2 odd lags of the band
     # |d| <= N/2 natively.  The symbol of a kernel adds one 2-D half-step
-    # shift, along both axes in one call.  A real symbol sums only the lags
+    # shift, two calls, one per axis.  A real symbol sums only the lags
     # d >= 0 (odd lags 1 .. N/2 natively, 1 .. N - 1 at a foreign eta); a
     # complex one at a foreign eta is Op(Re a) + i Op(Im a), two N x N
     # tables of the lags 0 .. N - 1 filled from the one Dirichlet table,
@@ -258,17 +274,17 @@ def test_native_quantizer_takes_no_chirp_z(monkeypatch):
     assert calls == {"_dirichlet_table": 0, "fourier_shift": 1}
     assert shifted == [(256, 128)]
     twisted_product(a, b)
-    assert calls == {"_dirichlet_table": 0, "fourier_shift": 4}
+    assert calls == {"_dirichlet_table": 0, "fourier_shift": 5}
     weyl_quantize(a, eta=1.5 * a.eta)
-    assert calls == {"_dirichlet_table": 1, "fourier_shift": 6}
+    assert calls == {"_dirichlet_table": 1, "fourier_shift": 7}
     assert shifted[-2:] == [(256, 128), (256, 128)]
     weyl_quantize(W)
-    assert calls == {"_dirichlet_table": 1, "fourier_shift": 7}
+    assert calls == {"_dirichlet_table": 1, "fourier_shift": 8}
     assert shifted[-1] == (256, 64)
     for eta in (1.5, 0.5, 0.25):
         weyl_quantize(W, eta=eta * W.eta)
         assert shifted[-1] == (256, 128)
-    assert calls == {"_dirichlet_table": 4, "fourier_shift": 10}
+    assert calls == {"_dirichlet_table": 4, "fourier_shift": 11}
 
 
 def test_a_root_is_sampled_at_half_steps_once(monkeypatch):
