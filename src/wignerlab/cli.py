@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, ValidationError, WignerlabError
+from .errors import ConfigurationError, ValidationError, WignerlabError, refuse_overflow
 from .grid import GridFunction, make_grid
 from .quantumness import eta_scan, gaussian_admissible, klm_test
 from .serialize import (
@@ -309,11 +309,12 @@ def _run_gaussian(config, out_dir):
     rng = np.random.default_rng(config["seed"])
     disagreements = 0
     for _ in range(200):
-        n = int(rng.integers(1, 3))
-        root = rng.normal(size=(2 * n, 2 * n))
-        sigma = root @ root.T + 1e-3 * np.eye(2 * n)
-        sigma *= eta / np.max(np.abs(sigma))
-        sigma *= rng.uniform(0.2, 4.0)
+        with refuse_overflow(f"a covariance drawn at eta = {eta}"):
+            n = int(rng.integers(1, 3))
+            root = rng.normal(size=(2 * n, 2 * n))
+            sigma = root @ root.T + 1e-3 * np.eye(2 * n)
+            sigma *= eta / np.max(np.abs(sigma))
+            sigma *= rng.uniform(0.2, 4.0)
         try:
             gaussian_admissible(sigma, eta)
         except ValidationError:  # raised only when the two criteria contradict

@@ -8,6 +8,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
+__all__ = [
+    "WignerlabError",
+    "ConfigurationError",
+    "ParameterError",
+    "ValidationError",
+    "NormalizationError",
+    "NotFreeError",
+]
+
 
 class WignerlabError(ValueError):
     """Base class for all library errors."""

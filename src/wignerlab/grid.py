@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NormalizationError, ParameterError, refuse_overflow
+from .errors import (
+    ConfigurationError, NormalizationError, ParameterError, refuse_overflow, require_memory
+)
 
 __all__ = [
     "Grid",
@@ -39,11 +41,19 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of ``n`` points on ``[x_min, x_max)``."""
+    """Uniform grid of ``n`` points on ``[x_min, x_max)``: a finite length
+    and a positive spacing ``dx``, or ``ParameterError``."""
 
     x_min: float
     x_max: float
     n: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.length) and self.dx > 0.0):
+            raise ParameterError(
+                f"box [{self.x_min}, {self.x_max}) of {self.n} points "
+                "has no finite, positive spacing"
+            )
 
     @property
     def dx(self) -> float:
@@ -71,7 +81,13 @@ class Grid:
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    """Build a validated grid; ``n`` must be a power of two >= 16."""
+    """Build a validated grid; ``n`` must be a power of two >= 16.
+
+    A grid is refused (:func:`errors.require_memory`) before anything is
+    allocated when one complex state on it, 16 N bytes, and the buffers of
+    one 1-D transform of that state, 48 N bytes, exceed the budget: 64 N
+    bytes in all, so N <= 2^25 is accepted.
+    """
     if not isinstance(n, (int, np.integer)):
         raise ConfigurationError(f"point count must be an integer, got {n!r}")
     if not _is_power_of_two(int(n)) or n < 16:
@@ -80,6 +96,7 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
         raise ConfigurationError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
     if not (x_max > x_min):
         raise ConfigurationError(f"degenerate interval [{x_min}, {x_max}]")
+    require_memory(64 * int(n), f"a state and one transform of it at N = {n}")
     return Grid(float(x_min), float(x_max), int(n))
 
 
@@ -95,7 +112,12 @@ def dual_grid(grid: Grid, eta: float) -> Grid:
     eta = _check_eta(eta)
     dp = 2.0 * np.pi * eta / (grid.n * grid.dx)
     half = 0.5 * grid.n * dp
-    return Grid(-half, half, grid.n)
+    try:
+        return Grid(-half, half, grid.n)
+    except ParameterError as exc:
+        raise ParameterError(
+            f"at eta = {eta}, the dual of [{grid.x_min}, {grid.x_max}): {exc}"
+        ) from None
 
 
 @dataclass

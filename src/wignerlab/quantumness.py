@@ -164,10 +164,13 @@ def gaussian_admissible(sigma: np.ndarray, eta: float) -> dict:
     A squeezed Sigma shrinks the matrix margin, so ValidationError is raised
     only when one form passes and the other fails, each beyond its band.
     Also reports the (weaker) per-mode Robertson-Schrodinger checks.  Zero
-    and non-finite eta are refused.
+    and non-finite eta, and a Sigma with a non-finite entry, are refused
+    with ``ParameterError``.
     """
     eta = _nonzero_eta(eta)
     sigma = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma)):
+        raise ParameterError("covariance matrix has non-finite entries")
     try:
         lam_min = float(symplectic_eigenvalues(sigma)[0])
     except ValidationError:

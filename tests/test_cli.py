@@ -206,11 +206,28 @@ def _blocked_artifact(tmp_path):
         # the free operator would refine x 3.1e8-fold: refused before refine
         (lambda tmp_path: ["metaplectic", "--eta", "1e-9"], "GiB of 3.11372e+08-fold"),
         (_blocked_artifact, "cannot write"),
+        # dx rounds to 0, the box length overflows, and at eta = 1e307 the
+        # dual p box does: each Grid is refused where it is built
+        (
+            lambda tmp_path: ["wigner", "--x-min=-5e-324", "--x-max=5e-324", "--N", "64"],
+            "box [-5e-324, 5e-324) of 64 points has no finite, positive spacing",
+        ),
+        (
+            lambda tmp_path: ["wigner", "--x-min=-1e308", "--x-max=1e308", "--N", "64"],
+            "box [-1e+308, 1e+308) of 64 points has no finite, positive spacing",
+        ),
+        (
+            lambda tmp_path: ["tomography", "--eta", "1e307", "--N", "64"],
+            "at eta = 1e+307, the dual of [-10.0, 10.0): box",
+        ),
+        # the covariance draws scale to eta, then by up to 4
+        (lambda tmp_path: ["gaussian", "--eta", "1.7e308"], "overflows the float64 range"),
     ],
     ids=[
         "missing_input", "one_column_csv", "nan_sample", "complex_sample", "infinite_dx",
         "string_N", "float_seed", "negative_seed", "negative_angles", "negative_tol",
-        "tiny_metaplectic_eta", "unwritable_artifact",
+        "tiny_metaplectic_eta", "unwritable_artifact", "zero_dx", "infinite_box",
+        "infinite_dual_box", "overflowing_covariance",
     ],
 )
 def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
@@ -218,9 +235,22 @@ def test_bad_input_is_configuration_error(tmp_path, capsys, make_argv, message):
     code = main(make_argv(tmp_path) + ["--out", str(out_dir)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_huge_grid_is_refused_before_it_is_allocated(tmp_path, capsys, command):
+    # at N = 2^50 one state alone is 16 PiB: make_grid refuses the grid, and
+    # tomography its ray spectra, before any array exists; gaussian builds no grid
+    code = main([command, "--N", str(2**50), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if command == "gaussian":
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: ") and "GiB of" in err
 
 
 def test_unwritable_summary_is_configuration_error(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import wignerlab
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,3 +125,25 @@ def test_every_exported_name_is_defined_in_its_module():
                         defined.add(target.id)
         offenders += [f"{name}: {entry}" for entry in exported if entry not in defined]
     assert offenders == []
+
+
+def test_package_exports_each_module_all_once():
+    # the public API is declared once, in the module that defines each name:
+    # the package republishes every __all__, and nothing else but submodules
+    owners, missing = {}, []
+    for name in _modules():
+        if name in ("__init__", "__main__", "cli"):
+            continue
+        module = importlib.import_module(f"wignerlab.{name}")
+        for entry in getattr(module, "__all__", []):
+            assert entry not in owners, f"{entry} in {owners.get(entry)} and {name}"
+            owners[entry] = name
+            if getattr(wignerlab, entry, None) is not getattr(module, entry):
+                missing.append(f"{name}.{entry}")
+    assert missing == []
+    others = [
+        name for name in dir(wignerlab)
+        if not name.startswith("_") and name not in owners
+        and not isinstance(getattr(wignerlab, name), types.ModuleType)
+    ]
+    assert others == []

@@ -179,6 +179,18 @@ def test_gaussian_admissible_refuses_zero_or_non_finite_eta(eta):
         gaussian_admissible(np.eye(2), eta)
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [np.full((2, 2), np.inf), np.array([[1.0, np.nan], [np.nan, 1.0]])],
+    ids=["all_inf", "one_nan"],
+)
+def test_gaussian_admissible_refuses_a_non_finite_sigma(sigma):
+    # refused before any eigensolve: an all-inf Sigma read a nan minimum
+    # eigenvalue, and one with a NaN off-diagonal a verdict of -0.707
+    with pytest.raises(ParameterError, match="non-finite"):
+        gaussian_admissible(sigma, ETA)
+
+
 def test_negative_eta_keeps_its_meaning():
     # the Gaussian test reads |eta|; the KLM matrix at -eta is minus the
     # conjugate of the one at eta, so a state positive at eta fails there
