@@ -25,7 +25,6 @@ __all__ = [
     "make_grid",
     "dual_grid",
     "boundary_leak",
-    "support_box",
 ]
 
 #: relative tolerance used when comparing grids / eta values for identity

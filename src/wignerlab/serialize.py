@@ -1,7 +1,7 @@
-"""CSV / JSON persistence for grids, phase-space functions and tomograms.
+"""CSV / JSON output for wavefunctions, phase-space functions and tomograms,
+and the one reader, of a phase-space function.
 
-Grid-based CSV layout (shared by wavefunctions, phase-space functions and
-operator kernels):
+Grid-based CSV layout (shared by wavefunctions and phase-space functions):
 
     N,x_min,dx,eta,kind
     256,-10.0,0.078125,1.0,wigner
@@ -28,20 +28,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid, make_grid
-from .states import OperatorMatrix
 from .tomography import TomogramSet
 
 __all__ = [
     "save_grid_function",
-    "load_grid_function",
     "save_phase_space",
     "load_phase_space",
-    "save_kernel",
-    "load_kernel",
     "save_tomograms",
-    "load_tomograms",
     "dump_json",
-    "json_ready",
 ]
 
 _FLOAT_FMT = "%.17g"
@@ -130,13 +124,6 @@ def save_grid_function(psi: GridFunction, path):
     _write_grid_csv(path, psi.grid, psi.eta, "wavefunction", psi.values)
 
 
-def load_grid_function(path) -> GridFunction:
-    grid, eta, kind, flat = _read_grid_csv(path)
-    if kind != "wavefunction" or flat.shape != (grid.n,):
-        raise ConfigurationError(f"{path}: not a wavefunction CSV")
-    return GridFunction(grid, flat, eta)
-
-
 def save_phase_space(a: PhaseSpaceFunction, path):
     _write_grid_csv(path, a.x_grid, a.eta, a.kind, a.values.reshape(-1))
 
@@ -147,17 +134,6 @@ def load_phase_space(path) -> PhaseSpaceFunction:
         raise ConfigurationError(f"{path}: not a phase-space CSV")
     values = flat.reshape(grid.n, grid.n)
     return PhaseSpaceFunction(grid, dual_grid(grid, eta), values, eta, kind=kind)
-
-
-def save_kernel(op: OperatorMatrix, path):
-    _write_grid_csv(path, op.grid, op.eta, "kernel", op.kernel.reshape(-1))
-
-
-def load_kernel(path) -> OperatorMatrix:
-    grid, eta, kind, flat = _read_grid_csv(path)
-    if kind != "kernel" or flat.shape != (grid.n**2,):
-        raise ConfigurationError(f"{path}: not a kernel CSV")
-    return OperatorMatrix(grid, flat.reshape(grid.n, grid.n), eta)
 
 
 def save_tomograms(tomo: TomogramSet, path):
@@ -172,39 +148,20 @@ def save_tomograms(tomo: TomogramSet, path):
         _write_rows(handle, tomo.values)
 
 
-def load_tomograms(path) -> TomogramSet:
-    lines = _read_lines(path)
-    if len(lines) < 3 or lines[0] != "n_angles,N,x_min,dx,eta":
-        raise ConfigurationError(f"{path}: not a tomogram CSV")
-    try:
-        n_angles, n, x_min, dx, eta = lines[1].split(",")
-        n_angles, n = int(n_angles), int(n)
-        x_min, dx, eta = float(x_min), float(dx), float(eta)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: malformed tomogram header: {exc}") from exc
-    grid = make_grid(x_min, x_min + n * dx, n)
-    angle_parts = lines[2].split(",")
-    if angle_parts[0] != "angles" or len(angle_parts) != n_angles + 1:
-        raise ConfigurationError(f"{path}: malformed angle row")
-    angles = _parse_rows(path, [",".join(angle_parts[1:])], n_angles)[0]
-    values = _parse_rows(path, lines[3:], n)
-    return TomogramSet(angles, grid, values, eta)
-
-
-def json_ready(obj):
+def _json_ready(obj):
     """Recursively convert arrays/complex/floats into JSON-stable structures."""
     if isinstance(obj, dict):
-        return {str(key): json_ready(value) for key, value in obj.items()}
+        return {str(key): _json_ready(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [json_ready(item) for item in obj]
+        return [_json_ready(item) for item in obj]
     if isinstance(obj, np.ndarray):
-        return json_ready(obj.tolist())
+        return _json_ready(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"real": json_ready(obj.real), "imag": json_ready(obj.imag)}
+        return {"real": _json_ready(obj.real), "imag": _json_ready(obj.imag)}
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     return obj
@@ -212,5 +169,5 @@ def json_ready(obj):
 
 def dump_json(obj, path):
     with open(path, "w") as handle:
-        json.dump(json_ready(obj), handle, indent=2, sort_keys=True)
+        json.dump(_json_ready(obj), handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -41,10 +41,7 @@ __all__ = [
     "symplectic_eigenvalues",
     "WilliamsonData",
     "williamson",
-    "GeneratingFunction",
-    "free_generating_function",
     "MetaplecticSpec",
-    "metaplectic_matrix",
     "metaplectic_apply",
 ]
 
@@ -179,29 +176,9 @@ def williamson(sigma: np.ndarray) -> WilliamsonData:
     return WilliamsonData(S, lam)
 
 
-@dataclass
-class GeneratingFunction:
-    """Quadratic generating function of a free symplectic matrix."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-
-    def value(self, x, xp) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        return float(
-            0.5 * x @ self.P @ x - x @ self.Q @ xp + 0.5 * xp @ self.R @ xp
-        )
-
-    def gradients(self, x, xp):
-        """(p, p') from p = dA/dx and p' = -dA/dx'."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        return self.P @ x - self.Q @ xp, self.Q.T @ x - self.R @ xp
-
-
-def free_generating_function(S: np.ndarray) -> GeneratingFunction:
+def _free_blocks(S: np.ndarray):
+    """(P, Q, R) = (D B^-1, B^-1, B^-1 A), the blocks of the generating
+    function of a free symplectic S."""
     S = require_symplectic(S)
     A, B, C, D = blocks(S)
     if abs(np.linalg.det(B)) < 1e-12:
@@ -213,7 +190,7 @@ def free_generating_function(S: np.ndarray) -> GeneratingFunction:
     P, Q, R = D @ Binv, Binv, Binv @ A
     if max(np.max(np.abs(P - P.T)), np.max(np.abs(R - R.T))) > 1e-10:
         raise ValidationError("generating-function blocks failed symmetry check")
-    return GeneratingFunction(P, Q, R)
+    return P, Q, R
 
 
 @dataclass
@@ -231,7 +208,7 @@ class MetaplecticSpec:
 
     @classmethod
     def free(cls, S: np.ndarray) -> "MetaplecticSpec":
-        free_generating_function(S)
+        _free_blocks(S)
         return cls([("free", np.asarray(S, dtype=float))])
 
     @classmethod
@@ -243,9 +220,9 @@ class MetaplecticSpec:
     @classmethod
     def free_as_word(cls, S: np.ndarray) -> "MetaplecticSpec":
         """Generator word realizing the quadratic Fourier transform of S."""
-        gen = free_generating_function(S)
-        m = 0 if np.linalg.det(gen.Q) > 0 else 1
-        return cls([("chirp", gen.R), ("fourier",), ("rescale", gen.Q, m), ("chirp", gen.P)])
+        P, Q, R = _free_blocks(S)
+        m = 0 if np.linalg.det(Q) > 0 else 1
+        return cls([("chirp", R), ("fourier",), ("rescale", Q, m), ("chirp", P)])
 
 
 def _apply_chirp(psi: GridFunction, P) -> GridFunction:
@@ -301,10 +278,9 @@ def _apply_fourier(psi: GridFunction) -> GridFunction:
 
 
 def _apply_free(psi: GridFunction, S) -> GridFunction:
-    gen = free_generating_function(S)
+    P, Q, R = (block[0, 0] for block in _free_blocks(S))
     eta = psi.eta
     grid = psi.grid
-    P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
     m = 0 if Q > 0 else 1
     # The integrand is psi times a chirp whose local frequency reaches
     # (|Q| + |R|) L / 2 eta, so the x' quadrature needs band-limited
@@ -351,15 +327,6 @@ def _step(step):
         return _STEPS[step[0]]
     except KeyError:
         raise ParameterError(f"unknown generator step {step[0]!r}") from None
-
-
-def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
-    """The symplectic matrix of a spec: its steps' matrices, the last leftmost."""
-    S = None
-    for step in spec.word:
-        M = _step(step)[0](*step[1:])
-        S = M if S is None else M @ S
-    return S
 
 
 def metaplectic_apply(spec: MetaplecticSpec, psi: GridFunction) -> GridFunction:

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NormalizationError, ParameterError, require_memory
+from .errors import NormalizationError, ParameterError, refuse_overflow, require_memory
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid, support_box
 from .states import DensityMatrix
 from .transforms import chirp_z
@@ -68,7 +68,8 @@ def _support_box(values: np.ndarray, dx: float, dp: float) -> tuple[slice, slice
     row or column, so the margin is a physical distance over which W decays,
     not one cell of the finer axis.  An all-zero W keeps the whole grid.
     """
-    margins = [max(1, round(max(dx, dp) / d)) for d in (dx, dp)]
+    # a margin is at most its axis, so a step ratio beyond the float range rounds
+    margins = [max(1, round(min(max(dx, dp) / d, n))) for d, n in zip((dx, dp), values.shape)]
     box = zip(support_box(values, SUPPORT_RTOL), margins, values.shape)
     return tuple(slice(max(k.start - m, 0), min(k.stop + m, n)) for k, m, n in box)
 
@@ -175,12 +176,14 @@ def radon(W, angles) -> TomogramSet:
     n, dk = x_grid.n, dual_grid(x_grid, 1.0).dx
     k = dk * np.arange(n // 2 + 1)
     x, p = x_grid.points[rows], W.p_grid.points[cols]
-    half = _projection_spectra(values[rows, cols], x, p, k, angles, W.dx, W.dp)
-    # at X_j = x_min + j dx the phase exp(i k_q X_j) is exp(i q dk x_min) times
-    # the inverse DFT's exp(2 pi i q j / N); the conjugate half at -k is
-    # implied, and the lone q = -N/2 term, the conjugate of the +K/2 column,
-    # adds only that column's real part, as irfft reads it
-    half *= np.exp(1j * x_grid.x_min * k) * (dk / (2.0 * np.pi))
+    # on a box so short that dk dp overflows, the chirp steps are not floats
+    with refuse_overflow(f"the ray spectra of W at dx = {W.dx:g}, dp = {W.dp:g}"):
+        half = _projection_spectra(values[rows, cols], x, p, k, angles, W.dx, W.dp)
+        # at X_j = x_min + j dx the phase exp(i k_q X_j) is exp(i q dk x_min) times
+        # the inverse DFT's exp(2 pi i q j / N); the conjugate half at -k is
+        # implied, and the lone q = -N/2 term, the conjugate of the +K/2 column,
+        # adds only that column's real part, as irfft reads it
+        half *= np.exp(1j * x_grid.x_min * k) * (dk / (2.0 * np.pi))
     profiles = np.fft.irfft(half, n, norm="forward")
     del half  # freed before the tomograms are checked
     tomo = TomogramSet(angles, x_grid, profiles, W.eta)

@@ -32,14 +32,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import Grid, GridFunction, PhaseSpaceFunction, dual_grid
 
-__all__ = [
-    "eta_fourier",
-    "symplectic_fourier",
-    "oscillatory_sum",
-    "chirp_z",
-    "refine",
-    "fourier_shift",
-]
+__all__ = ["eta_fourier", "symplectic_fourier"]
 
 
 def _dual_check(in_grid: Grid, out_grid: Grid, eta: float):

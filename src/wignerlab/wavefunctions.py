@@ -15,6 +15,13 @@ from .grid import Grid, GridFunction
 __all__ = ["coherent_state", "hermite_state", "gaussian_wavepacket"]
 
 
+def _ground_amplitude(eta: float) -> float:
+    """(pi eta)^(-1/4), the ground state's peak; pi^(-1/4) eta^(-1/4) where
+    pi eta overflows, which is finite but may differ in the last bit."""
+    scale = np.pi * float(eta)
+    return scale**-0.25 if np.isfinite(scale) else np.pi**-0.25 * float(eta) ** -0.25
+
+
 def coherent_state(grid: Grid, eta: float, x0: float = 0.0, p0: float = 0.0) -> GridFunction:
     """Standard coherent state, optionally displaced to (x0, p0).
 
@@ -23,7 +30,7 @@ def coherent_state(grid: Grid, eta: float, x0: float = 0.0, p0: float = 0.0) -> 
     centered state.
     """
     x = grid.points
-    values = (np.pi * eta) ** -0.25 * np.exp(-((x - x0) ** 2) / (2.0 * eta))
+    values = _ground_amplitude(eta) * np.exp(-((x - x0) ** 2) / (2.0 * eta))
     if p0 != 0.0:
         values = values * np.exp(1j * (p0 * x - 0.5 * p0 * x0) / eta)
     return GridFunction(grid, values, eta)
@@ -37,7 +44,7 @@ def hermite_state(grid: Grid, eta: float, k: int) -> GridFunction:
     # recur on psi exp(xi^2 / 2), the Gaussian and every rescaling kept in a per-point
     # exponent, so that nothing overflows and no seed underflows beyond |xi| = 38.6
     exponent = -0.5 * xi**2
-    prev, values = np.zeros_like(xi), np.full_like(xi, (np.pi * eta) ** -0.25)
+    prev, values = np.zeros_like(xi), np.full_like(xi, _ground_amplitude(eta))
     for j in range(int(k)):
         prev, values = values, np.sqrt(2.0 / (j + 1)) * xi * values - np.sqrt(j / (j + 1)) * prev
         scale = np.where(np.abs(values) > 1e100, 1e-100, 1.0)
@@ -60,7 +67,7 @@ def gaussian_wavepacket(
         raise ParameterError(f"Re M must be positive, got {m}")
     x = grid.points
     values = (
-        (np.pi * eta) ** -0.25
+        _ground_amplitude(eta)
         * m.real**0.25
         * np.exp(-m * (x - x0) ** 2 / (2.0 * eta))
     )

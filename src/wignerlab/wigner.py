@@ -23,9 +23,8 @@ import numpy as np
 from .errors import NormalizationError, ParameterError
 from .grid import GridFunction, PhaseSpaceFunction, WignerResult, peak_pairing
 from .states import DensityMatrix, MixedStateSpec, mix, validate_density
-from .transforms import fourier_shift
 from .weyl import (
-    correlation_symbol, density_wigner, reflect, require_correlation_memory, weyl_quantize
+    correlation_symbol, density_wigner, require_correlation_memory, weyl_quantize
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "cross_wigner",
     "marginals",
     "moyal_overlap",
-    "reflection_wigner_check",
 ]
 
 
@@ -98,33 +96,3 @@ def moyal_overlap(W1: PhaseSpaceFunction, W2: PhaseSpaceFunction) -> complex:
     what = f"the Moyal pairing at eta = {W1.eta:g}"
     return complex(peak_pairing(W1.values, W2.values, W1.area_element, what))
 
-
-def reflection_wigner_check(psi: GridFunction, z0) -> dict:
-    """Residual of W psi(z0) = (pi eta)^-1 <psi | Pi(z0) psi>.
-
-    The Wigner side is evaluated at z0 by band-limited interpolation, zero
-    off the grid; the result notes whether z0 had to be interpolated off the
-    sample lattice.
-    """
-    x0, p0 = float(z0[0]), float(z0[1])
-    eta = psi.eta
-    W = wigner(psi)
-    on_x = np.any(np.isclose(W.x_grid.points, x0, atol=1e-12))
-    on_p = np.any(np.isclose(W.p_grid.points, p0, atol=1e-12))
-    w_at = 0.0
-    if W.x_grid.x_min <= x0 < W.x_grid.x_max and W.p_grid.x_min <= p0 < W.p_grid.x_max:
-        # the interpolant's weights are a unit sample shifted to z0 (the
-        # real, even Dirichlet kernel)
-        unit = np.zeros(W.x_grid.n)
-        unit[0] = 1.0
-        wx = fourier_shift(unit, W.x_grid, x0 - W.x_grid.x_min)
-        wp = fourier_shift(unit, W.p_grid, p0 - W.p_grid.x_min)
-        w_at = wx @ W.values @ wp
-    pairing = psi.inner(reflect(psi, (x0, p0)))
-    residual = abs(w_at - pairing / (np.pi * eta))
-    return {
-        "residual": float(residual),
-        "wigner_value": complex(w_at),
-        "pairing_value": complex(pairing / (np.pi * eta)),
-        "interpolated": not (on_x and on_p),
-    }

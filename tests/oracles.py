@@ -12,15 +12,21 @@ meshes, the closed-form Wigner function of a Gaussian wavepacket and the
 symplectic spectrum from the general eigensolver of J Sigma.  The dense
 interpolants check the metaplectic word steps and covariance identities: the
 1-D, tensor and pointwise ones are direct trigonometric sums, the
-row-sheared one reuses the library's ``fourier_shift``.  Some oracles reuse
-small library helpers (``refine``, ``symplectic_fourier``,
-``free_generating_function``, the half-step sampler ``_half_steps``, and for
-the full-width quantizer read-out the foreign-eta lag tables and the
-Hermitian mirror); none calls the transform it checks.  All are meant for
-small grids, except the full-width read-out, which is the quantizer's
-earlier production code, kept as it was: the zero-filled N x 2N and N x N
-lag tables of a symbol at its own eta, read through strided parity views
-whose lag 0 sits in column w - N.
+row-sheared one reuses the library's ``fourier_shift``.  Three checks of
+identities stand beside them: ``metaplectic_matrix``, the product of a
+generator word's step matrices; ``reflection_wigner_check``, W psi(z0)
+against the reflection pairing (pi eta)^-1 <psi | Pi(z0) psi>; and
+``fock_narcowich_spectrum``, the exact eigenvalues of
+2 pi eta' Op_eta'(W_n^eta) for a Fock state, by a Gauss-Laguerre sum with
+no grid.  Some oracles reuse small library helpers (``refine``,
+``fourier_shift``, ``symplectic_fourier``, ``reflect``, the free blocks
+``_free_blocks``, the word steps ``_step``, the half-step sampler
+``_half_steps``, and for the full-width quantizer read-out the foreign-eta
+lag tables and the Hermitian mirror); none calls the transform it checks.
+All are meant for small grids, except the full-width read-out, which is the
+quantizer's earlier production code, kept as it was: the zero-filled
+N x 2N and N x N lag tables of a symbol at its own eta, read through
+strided parity views whose lag 0 sits in column w - N.
 """
 
 from __future__ import annotations
@@ -38,15 +44,15 @@ from wignerlab import (
     PhaseSpaceFunction,
     ValidationError,
     dual_grid,
-    fourier_shift,
-    free_generating_function,
     j_matrix,
-    metaplectic_matrix,
-    refine,
+    reflect,
     symplectic_fourier,
+    wigner,
 )
 from wignerlab import weyl
+from wignerlab.symplectic import _free_blocks, _step
 from wignerlab.tomography import SUPPORT_RTOL
+from wignerlab.transforms import fourier_shift, refine
 from wignerlab.weyl import _ROW_CHUNK, _half_steps
 
 
@@ -392,6 +398,15 @@ def twisted_product_via_convolution(
     return PhaseSpaceFunction(a.x_grid, a.p_grid, out.values, eta, kind="symbol")
 
 
+def metaplectic_matrix(spec: MetaplecticSpec) -> np.ndarray:
+    """The symplectic matrix of a spec: its steps' matrices, the last leftmost."""
+    S = None
+    for step in spec.word:
+        M = _step(step)[0](*step[1:])
+        S = M if S is None else M @ S
+    return S
+
+
 def metaplectic_free_dense(spec: MetaplecticSpec, psi: GridFunction) -> np.ndarray:
     """Quadratic Fourier transform as a dense N x FN phase matrix.
 
@@ -399,8 +414,7 @@ def metaplectic_free_dense(spec: MetaplecticSpec, psi: GridFunction) -> np.ndarr
     Int exp(i A(x, x')/eta) psi(x') dx' over the F-fold refined state, with
     the refine factor of the library's free path.
     """
-    gen = free_generating_function(metaplectic_matrix(spec))
-    P, Q, R = gen.P[0, 0], gen.Q[0, 0], gen.R[0, 0]
+    P, Q, R = (block[0, 0] for block in _free_blocks(metaplectic_matrix(spec)))
     eta, grid = psi.eta, psi.grid
     m = 0 if Q > 0 else 1
     band = (abs(Q) + abs(R)) * grid.length * grid.dx
@@ -595,3 +609,58 @@ def shear_interp(values, x_grid, p_grid, slope: float) -> np.ndarray:
     for i, x in enumerate(x_grid.points):
         out[i] = fourier_shift(values[i], p_grid, -slope * x)
     return out
+
+
+def reflection_wigner_check(psi: GridFunction, z0) -> dict:
+    """Residual of W psi(z0) = (pi eta)^-1 <psi | Pi(z0) psi>.
+
+    The Wigner side is evaluated at z0 by band-limited interpolation, zero
+    off the grid; the result notes whether z0 had to be interpolated off the
+    sample lattice.
+    """
+    x0, p0 = float(z0[0]), float(z0[1])
+    eta = psi.eta
+    W = wigner(psi)
+    on_x = np.any(np.isclose(W.x_grid.points, x0, atol=1e-12))
+    on_p = np.any(np.isclose(W.p_grid.points, p0, atol=1e-12))
+    w_at = 0.0
+    if W.x_grid.x_min <= x0 < W.x_grid.x_max and W.p_grid.x_min <= p0 < W.p_grid.x_max:
+        # the interpolant's weights are a unit sample shifted to z0 (the
+        # real, even Dirichlet kernel)
+        unit = np.zeros(W.x_grid.n)
+        unit[0] = 1.0
+        wx = fourier_shift(unit, W.x_grid, x0 - W.x_grid.x_min)
+        wp = fourier_shift(unit, W.p_grid, p0 - W.p_grid.x_min)
+        w_at = wx @ W.values @ wp
+    pairing = psi.inner(reflect(psi, (x0, p0)))
+    residual = abs(w_at - pairing / (np.pi * eta))
+    return {
+        "residual": float(residual),
+        "wigner_value": complex(w_at),
+        "pairing_value": complex(pairing / (np.pi * eta)),
+        "interpolated": not (on_x and on_p),
+    }
+
+
+def fock_narcowich_spectrum(n: int, eta: float, eta_prime: float, terms: int = 80) -> np.ndarray:
+    """lambda_k = 2 pi eta' Int W_k^eta' W_n^eta dz for k = 0 .. terms - 1:
+    the eigenvalues of 2 pi eta' Op_eta'(W_n^eta), which is diagonal in the
+    eta'-Fock basis because the Wigner function W_n^eta of Fock state n is radial.
+
+    With W_k^eta(z) = (-1)^k (pi eta)^-1 exp(-r^2/eta) L_k(2 r^2/eta),
+    dz = pi d(r^2) and t = a r^2, a = 1/eta + 1/eta', each integral is
+
+        2 (-1)^(k+n) / (a eta) Int_0^inf exp(-t) L_k(2t/(a eta')) L_n(2t/(a eta)) dt,
+
+    a polynomial of degree k + n against exp(-t), which a Gauss-Laguerre
+    rule of M nodes sums exactly for k + n <= 2M - 1.  M is the least such
+    count: more nodes reach larger t, where L_k cancels to round-off.
+    Beyond the last term the lambda_k fall off like
+    ((eta - eta') / (eta + eta'))^k.
+    """
+    a = 1.0 / eta + 1.0 / eta_prime
+    t, w = np.polynomial.laguerre.laggauss((terms + n) // 2 + 1)
+    l_k = np.polynomial.laguerre.lagvander(2.0 * t / (a * eta_prime), terms - 1)
+    l_n = np.polynomial.laguerre.lagval(2.0 * t / (a * eta), [0.0] * n + [1.0])
+    signs = (-1.0) ** (np.arange(terms) + n)
+    return 2.0 * signs / (a * eta) * ((w * l_n) @ l_k)

@@ -465,6 +465,36 @@ def test_tiny_eta_fails_cleanly(tmp_path, capsys, recwarn, command):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["wigner", "tomography"])
+def test_a_box_1e_300_long_ends_without_a_traceback(tmp_path, capsys, recwarn, command):
+    # on [-1e-300, 1e-300) the dual p step is 3.1e300: the coherent closed
+    # form's p squares overflow to exp(-inf) = 0, their limit, and the state,
+    # far wider than the box, fails the checks; radon's margin ratio dp / dx
+    # is capped at the axis length, and its chirp step dk dp, which
+    # overflows, is refused with one line
+    code = main([command, "--x-min=-1e-300", "--x-max=1e-300", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    if command == "wigner":
+        assert code == 1 and err == ""
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=_no_constant)
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "ray spectra of W at dx = 7.8125e-303, dp = 3.14159e+300 overflows" in err
+
+
+def test_moyal_at_the_largest_eta_names_the_overflowing_dual_box(tmp_path, capsys):
+    # pi eta overflows at eta = 1.7e308, where the states' amplitude is read
+    # as pi^(-1/4) eta^(-1/4): they normalize, and the dual p box is refused
+    assert main(["moyal", "--eta", "1.7e308", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        "error: at eta = 1.7e+308, the dual of [-10.0, 10.0): box [-inf, inf)"
+    )
+
+
 def test_cross_moyal_reads_in_the_unit_of_moyal_identity(tmp_path):
     # both Moyal residuals are multiplied by 2 pi eta, and |rhs| <= 1 / (2 pi
     # eta) for unit states: at eta = 1e-300 the cross residual stays below 1,

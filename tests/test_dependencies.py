@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -147,3 +148,27 @@ def test_package_exports_each_module_all_once():
         and not isinstance(getattr(wignerlab, name), types.ModuleType)
     ]
     assert others == []
+
+
+def test_every_exported_name_has_a_reader():
+    # the public-API rule: a name is exported when the CLI, the bench or the
+    # acceptance gate reads it, or the README names it in backticks as a
+    # paper object; every other name stays in its module, or in the oracles
+    readers = [
+        ROOT / "src" / "wignerlab" / "cli.py",
+        *sorted((ROOT / "bench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    read = set()
+    for path in readers:
+        with open(path) as handle:
+            tokens = tokenize.generate_tokens(handle.readline)
+            read |= {token.string for token in tokens if token.type == tokenize.NAME}
+    prose = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        read |= set(re.findall(r"\w+", span))
+    exported = [
+        name for name in dir(wignerlab)
+        if not name.startswith("_") and not isinstance(getattr(wignerlab, name), types.ModuleType)
+    ]
+    assert [name for name in exported if name not in read] == []

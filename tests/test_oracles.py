@@ -1,11 +1,21 @@
-"""The dense interpolation helpers of the test oracles, against samples and closed forms."""
+"""The test oracles that check identities, and the dense interpolation
+helpers, against samples and closed forms."""
 
 import numpy as np
 import pytest
 
-from wignerlab import dual_grid, make_grid
+from wignerlab import coherent_state, dual_grid, make_grid
 
-from oracles import periodic_interp, point_interp2d, shear_interp, tensor_interp
+from oracles import (
+    fock_narcowich_spectrum,
+    periodic_interp,
+    point_interp2d,
+    reflection_wigner_check,
+    shear_interp,
+    tensor_interp,
+)
+
+ETA = 1.0
 
 
 def test_periodic_interp_matches_samples_and_offgrid():
@@ -52,3 +62,41 @@ def test_shear_interp_rows():
     ref = np.exp(-(xx**2) - 0.1 * (pp + slope * xx) ** 2)
     interior = (np.abs(pp + slope * xx) < 0.8 * gp.x_max) & (np.abs(xx) < 6)
     assert np.max(np.abs((out - ref)[interior])) < 1e-8
+
+
+def test_reflection_wigner_identity():
+    grid = make_grid(-10.0, 10.0, 64)
+    psi = coherent_state(grid, ETA, 0.3, -0.2)
+    out = reflection_wigner_check(psi, (0.5, 0.25))
+    assert out["interpolated"]
+    assert out["residual"] < 1e-10
+    # on the sample lattice the Wigner side needs no interpolation
+    p_grid = dual_grid(grid, ETA)
+    out = reflection_wigner_check(psi, (grid.points[33], p_grid.points[31]))
+    assert not out["interpolated"]
+    assert out["residual"] < 1e-10
+    # beyond the p box the Wigner side reads zero, not a periodic image
+    out = reflection_wigner_check(psi, (0.5, p_grid.x_max + 10.0))
+    assert out["wigner_value"] == 0
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_fock_narcowich_spectrum_is_a_unit_trace_and_diagonal_at_its_own_eta(n):
+    # sum_k lambda_k = Int W_n = 1, and at eta' = eta, lambda_k = delta_kn
+    eta = 1.3
+    for ratio in (0.3, 0.9, 1.1, 3.0):
+        assert abs(fock_narcowich_spectrum(n, eta, ratio * eta).sum() - 1.0) < 1e-12
+    lam = fock_narcowich_spectrum(n, eta, eta)
+    assert np.max(np.abs(lam - np.eye(len(lam))[n])) < 1e-12
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.9, 1.1, 3.0])
+def test_fock_narcowich_spectrum_of_the_ground_state_is_geometric(ratio):
+    # W_0^eta at eta' is the Gaussian state of weights
+    # lambda_k = 2 eta' / (eta + eta') q^k, q = (eta - eta') / (eta + eta'):
+    # thermal below eta, alternating in sign above it
+    eta = 0.7
+    eta_prime = ratio * eta
+    q = (eta - eta_prime) / (eta + eta_prime)
+    closed = 2.0 * eta_prime / (eta + eta_prime) * q ** np.arange(80)
+    assert np.max(np.abs(fock_narcowich_spectrum(0, eta, eta_prime) - closed)) < 1e-12

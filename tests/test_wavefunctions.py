@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermval
 
-from wignerlab import hermite_state, make_grid
+from wignerlab import coherent_state, gaussian_wavepacket, hermite_state, make_grid
 
 
 def _closed_form(x, eta, k):
@@ -41,3 +41,37 @@ def test_high_hermite_state_is_finite_and_normalized(half, n, k):
     psi = hermite_state(make_grid(-half, half, n), 1.0, k)
     assert np.all(np.isfinite(psi.values))
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1e-300, 1e-5, 0.3, 1.0, 3.0, 1e5, 1e300, 5.7e307])
+def test_ground_amplitude_is_the_one_of_pi_eta_wherever_pi_eta_is_finite(eta):
+    # the three builders share (pi eta)^(-1/4): bit for bit that formula, of a
+    # float and of a numpy double, while pi eta is finite
+    grid = make_grid(-10.0, 10.0, 64)
+    x = grid.points
+    amplitude = (np.pi * eta) ** -0.25
+    with np.errstate(under="ignore"):
+        gauss = np.exp(-(x**2) / (2.0 * eta))
+        hermite = np.exp(-0.5 * (x / np.sqrt(eta)) ** 2)
+        packet = np.exp(-(1.3 + 0.4j) * (x - 0.2) ** 2 / (2.0 * eta))
+        for e in (eta, np.float64(eta)):
+            assert np.array_equal(coherent_state(grid, e).values, amplitude * gauss)
+            assert np.array_equal(hermite_state(grid, e, 0).values, amplitude * hermite)
+            assert np.array_equal(
+                gaussian_wavepacket(grid, e, 1.3 + 0.4j, 0.2).values,
+                amplitude * 1.3**0.25 * packet,
+            )
+
+
+def test_ground_amplitude_is_finite_where_pi_eta_overflows():
+    # pi eta is inf at eta = 1.7e308, and (pi eta)^(-1/4) read 0: every state
+    # was the zero function; pi^(-1/4) eta^(-1/4) is 6.6e-78
+    grid = make_grid(-10.0, 10.0, 256)
+    eta = 1.7e308
+    for psi in (
+        coherent_state(grid, eta),
+        hermite_state(grid, eta, 2),
+        gaussian_wavepacket(grid, eta, 1.0 + 1.0j),
+    ):
+        assert 0.0 < psi.norm() < np.inf
+    assert coherent_state(grid, eta).values[0] == np.pi**-0.25 * eta**-0.25

@@ -14,7 +14,6 @@ from wignerlab import (
     ambiguity,
     coherent_state,
     cross_wigner,
-    dual_grid,
     eta_fourier,
     eta_scan,
     hermite_state,
@@ -24,7 +23,6 @@ from wignerlab import (
     moyal_overlap,
     pure_density,
     radon,
-    reflection_wigner_check,
     save_phase_space,
     symplectic_fourier,
     weyl_symbol,
@@ -183,18 +181,3 @@ def test_wigner_of_mixture_is_convex_combination(grid):
     mixed = wigner(spec)
     ref = 0.3 * wigner(psi0).values + 0.7 * wigner(psi1).values
     assert np.max(np.abs(mixed.values - ref)) < 1e-10
-
-
-def test_reflection_wigner_identity(grid):
-    psi = coherent_state(grid, ETA, 0.3, -0.2)
-    out = reflection_wigner_check(psi, (0.5, 0.25))
-    assert out["interpolated"]
-    assert out["residual"] < 1e-10
-    # on the sample lattice the Wigner side needs no interpolation
-    p_grid = dual_grid(grid, ETA)
-    out = reflection_wigner_check(psi, (grid.points[33], p_grid.points[31]))
-    assert not out["interpolated"]
-    assert out["residual"] < 1e-10
-    # beyond the p box the Wigner side reads zero, not a periodic image
-    out = reflection_wigner_check(psi, (0.5, p_grid.x_max + 10.0))
-    assert out["wigner_value"] == 0
